@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .grid import SpectralFunction, TorusGrid, transform
+from .quantize import weyl_gather_index
 
 # jet slot order and parity sign under (x, y, theta) -> (-x, -y, -theta)
 JET_NAMES = ("y", "y_x", "y_xx", "theta", "theta_x", "theta_xx")
@@ -38,11 +39,8 @@ def mult_matrix(grid, f):
 
     C[j, k] = fhat[(j - k) mod n]; exactly reproduces fft(f * u)/n.
     """
-    fh = _fft_raw(grid, f.values())
     # coefficient slots are already indexed mod n in fft order
-    J = grid.modes
-    midx = (J[:, None] - J[None, :]) % grid.n
-    return fh[midx]
+    return _fft_raw(grid, f.values())[weyl_gather_index(grid)]
 
 
 def deriv_diag(grid, k):
@@ -112,9 +110,6 @@ class QuadraticNonlinearity:
             if not _is_even(coeff):
                 return False
         return True
-
-    def term_list(self):
-        return [(coeff, ia, ib) for coeff, ia, ib in self.terms]
 
 
 def _flip(u):
@@ -380,36 +375,6 @@ def bridge_system_from_json(doc, grid=None):
         F1=quad(doc.get("F1")),
         F2=quad(doc.get("F2")),
     )
-
-
-# -- Dirichlet (hinged) parity embedding ------------------------------
-
-
-def dirichlet_embed(samples, tol=1e-10):
-    """Samples on [0, pi] (m+1 points, zero endpoints) -> odd extension on T."""
-    samples = np.asarray(samples, dtype=float)
-    m = samples.size - 1
-    if m < 2:
-        raise ConfigError("need at least 3 samples on [0, pi]")
-    if abs(samples[0]) > tol or abs(samples[-1]) > tol:
-        raise PreconditionError(
-            "endpoint values (%g, %g) violate the Dirichlet condition"
-            % (samples[0], samples[-1])
-        )
-    grid = TorusGrid(2 * m)
-    vals = np.zeros(2 * m)
-    vals[: m + 1] = samples
-    vals[m + 1 :] = -samples[m - 1 : 0 : -1]
-    u = transform(grid, vals)
-    # exact odd symmetry: remove any even round-off component
-    idx = (-np.arange(grid.n)) % grid.n
-    u = SpectralFunction(grid, 0.5 * (u.coeffs - u.coeffs[idx]), is_real=True)
-    return u
-
-
-def dirichlet_restrict(u):
-    m = u.grid.n // 2
-    return np.real(u.values())[: m + 1]
 
 
 # -- Arioli-Gazzola preset --------------------------------------------

@@ -97,7 +97,6 @@ def _solver_config(args):
         cfl_safety=args.cfl_safety,
         kato_tol=args.kato_tol,
         kato_max_iter=args.kato_max_iter,
-        rebuild_every=args.rebuild_every,
     )
 
 
@@ -351,7 +350,6 @@ def _add_common(p):
     p.add_argument("--cfl-safety", dest="cfl_safety", type=float, default=0.9)
     p.add_argument("--kato-tol", dest="kato_tol", type=float, default=1e-10)
     p.add_argument("--kato-max-iter", dest="kato_max_iter", type=int, default=25)
-    p.add_argument("--rebuild-every", dest="rebuild_every", type=int, default=1)
     p.add_argument("--outdir", default=None, help="output directory (default $BEAMWAVE_OUT or .)")
     p.add_argument("--seed", type=int, default=0)
 

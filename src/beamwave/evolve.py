@@ -12,15 +12,18 @@ Three solvers share one time grid and CFL rule:
   paradifferential part.
 * ``kato_solve`` -- the iteration (P)_n: sweep n solves the linear system
   with coefficients frozen along V_{n-1} and inhomogeneity
-  remainder(V_{n-1}) + G(t), stopping when the L^inf H^{s1} Cauchy increment
-  falls below tolerance.  The V-independent order-zero part R is kept inside
-  the frozen generator, so for a trivial (linear, constant-coefficient)
-  system sweep one already solves the full problem and the first increment
+  remainder(V_{n-1}) + G(t) = kato_forcing(V_{n-1}) - R V_{n-1}, which
+  already holds G, stopping when the L^inf H^{s1} Cauchy increment falls
+  below tolerance.  The V-independent order-zero part R is kept inside the
+  frozen generator, so for a trivial (linear, constant-coefficient) system
+  sweep one already solves the full problem and the first increment
   vanishes identically.
 
 Frozen backgrounds are evaluated at step midpoints (average of the two
 enclosing nodes), making the coefficient freezing second-order accurate; the
-RK4 step then dominates the error budget.
+RK4 step then dominates the error budget.  The generator is assembled anew
+for every step: ``ParalinearizedSystem`` holds its V-independent blocks, so a
+background costs one gather per coefficient and no symbol assembly.
 """
 
 import csv
@@ -47,7 +50,6 @@ class SolverConfig:
         cfl_safety=0.9,
         kato_tol=1e-10,
         kato_max_iter=25,
-        rebuild_every=1,
         ladder=None,
     ):
         if T_final <= 0:
@@ -64,7 +66,6 @@ class SolverConfig:
         self.cfl_safety = float(cfl_safety)
         self.kato_tol = float(kato_tol)
         self.kato_max_iter = int(kato_max_iter)
-        self.rebuild_every = max(1, int(rebuild_every))
         self.ladder = ladder if ladder is not None else RegularityLadder()
 
     def max_stable_dt(self, grid, b_max):
@@ -95,7 +96,6 @@ class SolverConfig:
             "cfl_safety": self.cfl_safety,
             "kato_tol": self.kato_tol,
             "kato_max_iter": self.kato_max_iter,
-            "rebuild_every": self.rebuild_every,
             "ladder": {
                 "s0": self.ladder.s0,
                 "s1": self.ladder.s1,
@@ -290,10 +290,8 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     norms = {k: [v] for k, v in rec.items()}
     initial = max(rec["s1"], 1e-300)
 
-    A = None
     for step in range(steps):
-        if step % config.rebuild_every == 0 or A is None:
-            A = generator(step)
+        A = generator(step)
         f0 = forcing_at(step, 0)
         fm = forcing_at(step, 1)
         f1 = forcing_at(step, 2)
@@ -361,21 +359,13 @@ def kato_solve(sys, V0, config, check_radius=True):
 
     def forcing_nodes(prev_traj):
         """remainder(V_{n-1}) + G at every node: full_rhs - (frakA+frakB+R)V."""
-        out = np.empty_like(prev_traj)
-        for k in range(prev_traj.shape[0]):
-            t = k * dt
-            vk = prev_traj[k]
-            out[k] = para.kato_forcing(vk, t) - Rop @ vk
-        return out
+        return np.array([para.kato_forcing(v, k * dt) - Rop @ v for k, v in enumerate(prev_traj)])
 
-    g_path = lambda t: para.forcing_G(t)
-    result = linear_solve(para, None, V0, g_path, config)
+    result = linear_solve(para, None, V0, para.forcing_G, config)
     increments = []
     prev_inc = None
-    for sweep in range(2, config.kato_max_iter + 2):
+    for _ in range(config.kato_max_iter):
         forcing = forcing_nodes(result.trajectory)
-        for k in range(forcing.shape[0]):
-            forcing[k] = forcing[k] + para.forcing_G(k * dt)
         nxt = linear_solve(para, result.trajectory, V0, forcing, config)
         inc = float(
             max(
@@ -547,7 +537,6 @@ def epsilon_continuation(sys, V0, eps_list, config):
             cfl_safety=config.cfl_safety,
             kato_tol=config.kato_tol,
             kato_max_iter=config.kato_max_iter,
-            rebuild_every=config.rebuild_every,
             ladder=config.ladder,
         )
         runs.append((eps, kato_solve(sys, V0, cfg)))

@@ -162,10 +162,6 @@ def transform(grid, values):
     return SpectralFunction(grid, coeffs, is_real=is_real)
 
 
-def inverse_transform(u):
-    return u.values()
-
-
 def apply_multiplier(u, g):
     """Multiply coefficients pointwise by g(j).
 
@@ -175,11 +171,6 @@ def apply_multiplier(u, g):
     gv = g(u.grid.modes) if callable(g) else np.asarray(g)
     real = u.is_real and np.isrealobj(gv) and bool(np.all(gv == gv[(-np.arange(u.grid.n)) % u.grid.n]))
     return SpectralFunction(u.grid, u.coeffs * gv, is_real=real)
-
-
-def bracket_multiplier(grid, s):
-    """<j>^s weights for apply_multiplier."""
-    return grid.bracket_power(s)
 
 
 def project(u, N):
@@ -258,15 +249,6 @@ class RegularityLadder:
         self.s = float(s) if s is not None else self.s2
         if self.s < self.s2:
             raise ValueError("s must be >= s2 = %g, got %g" % (self.s2, self.s))
-
-    def as_dict(self):
-        return {
-            "s0": self.s0,
-            "s1": self.s1,
-            "s2": self.s2,
-            "s_frak": self.s_frak,
-            "s": self.s,
-        }
 
     def __repr__(self):
         return "RegularityLadder(s0=%g, s=%g)" % (self.s0, self.s)

@@ -22,29 +22,47 @@ side to machine precision.
 import numpy as np
 
 from .bridge import _fft_raw
-from .grid import SpectralFunction, transform
-from .quantize import SpectralOperator, bony_weyl_quantize
-from .state import StateVector
+from .grid import SpectralFunction
+from .quantize import (
+    SpectralOperator,
+    bony_weyl_quantize,
+    weyl_gather_index,
+    weyl_table,
+)
 from .symbols import (
     DEFAULT_EPS_PARA,
     FrequencyMultiplier,
     MatrixSymbol,
-    SeparableSymbol,
 )
 
-_E2 = np.diag([1.0, -1.0])
+_XI2 = FrequencyMultiplier.xi_power(2)
+_XI1 = FrequencyMultiplier.xi_power(1)
+_ABS_XI = FrequencyMultiplier.abs_xi()
+_OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
 
 
 def _u_matrix_symbol(grid, f, mult):
     """MatrixSymbol U * f(x) * g(xi) (all four entries equal)."""
-    ent = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            ent[i, j] = SeparableSymbol(grid, [(f, mult)])
-    return MatrixSymbol(grid, ent)
+    return MatrixSymbol.from_xfunc_matrix(grid, np.full((2, 2), f, dtype=object), mult)
+
+
+def minus_iE(M):
+    """-iE M on a 2-block matrix, E = diag(1, -1): scale by -i, negate the lower rows."""
+    out = -1j * M
+    out[out.shape[0] // 2 :] *= -1.0
+    return out
 
 
 class ParalinearizedSystem:
+    """The decomposition above on one grid.
+
+    The generator is linear in the symbols and every multiplier is fixed, so
+    ``__init__`` quantizes the V-independent blocks (the beam block and the
+    wave block at V = 0) once and tabulates chi_eps(|j-k|/<j+k>) g((j+k)/2)
+    for g = |xi| and <xi>^{-3/2} xi^2.  A background V then changes only
+    g_1w, g_12b and g_12w, each entering frakA / frakB through one gather.
+    """
+
     def __init__(self, source, grid, eps_para=DEFAULT_EPS_PARA):
         self.source = source
         self.grid = grid
@@ -54,7 +72,15 @@ class ParalinearizedSystem:
         self.d_fun = 0.5 * (source.c - one)
         self._R = None
         self._L_complex = None
-        self._frak_cache = {}
+
+        n2 = 2 * grid.n
+        syms = self.assemble_symbols(None)
+        self._frak_A0 = np.zeros((2 * n2, 2 * n2), dtype=complex)
+        self._frak_A0[:n2, :n2] = minus_iE(bony_weyl_quantize(syms["A_b"], self.eps_para).matrix)
+        self._frak_A0[n2:, n2:] = minus_iE(bony_weyl_quantize(syms["A_w"], self.eps_para).matrix)
+        self._abs_xi_table = weyl_table(grid, _ABS_XI, self.eps_para)
+        self._off_table = weyl_table(grid, _OFF, self.eps_para)
+        self._gather = weyl_gather_index(grid)
 
     # -- g-functions ---------------------------------------------------
 
@@ -80,71 +106,45 @@ class ParalinearizedSystem:
     # -- symbols -------------------------------------------------------
 
     def assemble_symbols(self, V):
+        """The symbols A_b, A_w, B_b, B_w at V; the definition that frakA and
+        frakB quantize from precomputed tables."""
         grid = self.grid
         a, d, g_1w, g_12b, g_12w = self.g_functions(V)
-        xi2 = FrequencyMultiplier.xi_power(2)
-        xi1 = FrequencyMultiplier.xi_power(1)
-        absxi = FrequencyMultiplier.abs_xi()
-        off = FrequencyMultiplier.bracket(-1.5) * xi2  # <xi>^{-3/2} xi^2, order 1/2
-
         A_b = (
-            MatrixSymbol.identity(grid) * xi2
-            + _u_matrix_symbol(grid, a, xi2)
-            + _u_matrix_symbol(grid, 2j * a.deriv(), xi1)
+            MatrixSymbol.identity(grid) * _XI2
+            + _u_matrix_symbol(grid, a, _XI2)
+            + _u_matrix_symbol(grid, 2j * a.deriv(), _XI1)
         )
         a_w = d + g_1w
-        A_w = MatrixSymbol.identity(grid) * absxi + _u_matrix_symbol(grid, a_w, absxi)
-        B_b = _u_matrix_symbol(grid, g_12b, off)
-        B_w = _u_matrix_symbol(grid, g_12w, off)
+        A_w = MatrixSymbol.identity(grid) * _ABS_XI + _u_matrix_symbol(grid, a_w, _ABS_XI)
+        B_b = _u_matrix_symbol(grid, g_12b, _OFF)
+        B_w = _u_matrix_symbol(grid, g_12w, _OFF)
         return {"A_b": A_b, "A_w": A_w, "B_b": B_b, "B_w": B_w, "a_w": a_w}
 
     # -- block operators ----------------------------------------------
 
-    def _minus_iE_op(self, sym):
-        op = bony_weyl_quantize(sym, self.eps_para)
-        E = np.kron(_E2, np.eye(self.grid.n))
-        return -1j * (E @ op.matrix), op.order
+    def _u_block(self, f, table):
+        """-iE Op^BW(U f(x) g(xi)) from the tabulated g."""
+        return minus_iE(np.tile(f.coeffs[self._gather] * table, (2, 2)))
 
     def frak_A(self, V):
         """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4-block operator."""
-        key = ("A", None if V is None else hash(np.asarray(V).tobytes()))
-        hit = self._frak_cache.get(key)
-        if hit is not None:
-            return hit
-        syms = self.assemble_symbols(V)
-        n = self.grid.n
-        M = np.zeros((4 * n, 4 * n), dtype=complex)
-        beam, _ = self._minus_iE_op(syms["A_b"])
-        wave, _ = self._minus_iE_op(syms["A_w"])
-        M[: 2 * n, : 2 * n] = beam
-        M[2 * n :, 2 * n :] = wave
-        op = SpectralOperator(self.grid, M, order=2.0, block=4)
-        self._trim_cache()
-        self._frak_cache[key] = op
-        return op
+        M = self._frak_A0.copy()
+        if V is not None:
+            _, _, g_1w, _, _ = self.g_functions(V)
+            n2 = 2 * self.grid.n
+            M[n2:, n2:] += self._u_block(g_1w, self._abs_xi_table)
+        return SpectralOperator(self.grid, M, order=2.0, block=4)
 
     def frak_B(self, V):
         """antidiagonal coupling blocks -iE Op^BW(B_b), -iE Op^BW(B_w)."""
-        key = ("B", None if V is None else hash(np.asarray(V).tobytes()))
-        hit = self._frak_cache.get(key)
-        if hit is not None:
-            return hit
-        syms = self.assemble_symbols(V)
-        n = self.grid.n
-        M = np.zeros((4 * n, 4 * n), dtype=complex)
-        top, _ = self._minus_iE_op(syms["B_b"])
-        bot, _ = self._minus_iE_op(syms["B_w"])
-        M[: 2 * n, 2 * n :] = top
-        M[2 * n :, : 2 * n] = bot
-        op = SpectralOperator(self.grid, M, order=0.5, block=4)
-        self._trim_cache()
-        self._frak_cache[key] = op
-        return op
-
-    def _trim_cache(self):
-        if len(self._frak_cache) > 64:
-            keep = {k: v for k, v in self._frak_cache.items() if k[1] is None}
-            self._frak_cache = keep
+        n2 = 2 * self.grid.n
+        M = np.zeros((2 * n2, 2 * n2), dtype=complex)
+        if V is not None:
+            _, _, _, g_12b, g_12w = self.g_functions(V)
+            M[:n2, n2:] = self._u_block(g_12b, self._off_table)
+            M[n2:, :n2] = self._u_block(g_12w, self._off_table)
+        return SpectralOperator(self.grid, M, order=0.5, block=4)
 
     # -- exact complexified linear part --------------------------------
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
+from .paralin import minus_iE
 from .quantize import SpectralOperator, bony_weyl_quantize, exact_operator_norm
 from .state import stacked_inner, stacked_norm
 from .symbols import (
@@ -38,8 +39,6 @@ from .symbols import (
     SeparableSymbol,
     cutoff_psi,
 )
-
-_E2 = np.diag([1.0, -1.0])
 
 
 def _dx_values(grid, values):
@@ -77,6 +76,20 @@ def _scalar_pair_op(grid, values, eps_para):
     """Op^BW of the scalar function acting identically on both components."""
     op = bony_weyl_quantize(SeparableSymbol.from_xfunc(transform(grid, values)), eps_para)
     return np.kron(np.eye(2), op.matrix)
+
+
+def _pointwise_identity_defect(s1, s2, lam):
+    """max over grid points of |S^{-1}E(1+Ua)S - E lam| (exact algebra)."""
+    s1, s2, lam = (u.values().real for u in (s1, s2, lam))
+    a = (lam**2 - 1.0) / 2.0
+    E = np.diag([1.0, -1.0])
+    worst = 0.0
+    for p in range(lam.size):
+        S = np.array([[s1[p], s2[p]], [s2[p], s1[p]]])
+        Si = np.array([[s1[p], -s2[p]], [-s2[p], s1[p]]])
+        A = E @ (np.eye(2) + a[p] * np.ones((2, 2)))
+        worst = max(worst, np.max(np.abs(Si @ A @ S - E * lam[p])))
+    return worst
 
 
 def _eigenvector_entries(a_values):
@@ -152,18 +165,7 @@ class BeamDiagonalizer:
         return 1j * self.n12[:, None] * xi[None, :] * (1.0 - cutoff_psi(xi))[None, :]
 
     def pointwise_identity_defect(self):
-        """max over grid points of |S^{-1}E(1+Ua)S - E lam| (exact algebra)."""
-        s1 = self.s1_b.values().real
-        s2 = self.s2_b.values().real
-        lam = self.lam_b.values().real
-        a = (lam**2 - 1.0) / 2.0
-        worst = 0.0
-        for p in range(self.grid.n):
-            S = np.array([[s1[p], s2[p]], [s2[p], s1[p]]])
-            Si = np.array([[s1[p], -s2[p]], [-s2[p], s1[p]]])
-            A = _E2 @ (np.eye(2) + a[p] * np.ones((2, 2)))
-            worst = max(worst, np.max(np.abs(Si @ A @ S - _E2 * lam[p])))
-        return worst
+        return _pointwise_identity_defect(self.s1_b, self.s2_b, self.lam_b)
 
 
 class WaveDiagonalizer:
@@ -189,25 +191,7 @@ class WaveDiagonalizer:
         self.D_tilde_w = bony_weyl_quantize(S, eps_para)
 
     def pointwise_identity_defect(self):
-        s1 = self.s1_w.values().real
-        s2 = self.s2_w.values().real
-        lam = self.lam_w.values().real
-        a = (lam**2 - 1.0) / 2.0
-        worst = 0.0
-        for p in range(self.grid.n):
-            S = np.array([[s1[p], s2[p]], [s2[p], s1[p]]])
-            Si = np.array([[s1[p], -s2[p]], [-s2[p], s1[p]]])
-            A = _E2 @ (np.eye(2) + a[p] * np.ones((2, 2)))
-            worst = max(worst, np.max(np.abs(Si @ A @ S - _E2 * lam[p])))
-        return worst
-
-
-def build_beam_diagonalizer(a, grid, eps_para=DEFAULT_EPS_PARA):
-    return BeamDiagonalizer(a, grid, eps_para)
-
-
-def build_wave_diagonalizer(a_w, grid, eps_para=DEFAULT_EPS_PARA):
-    return WaveDiagonalizer(a_w, grid, eps_para)
+        return _pointwise_identity_defect(self.s1_w, self.s2_w, self.lam_w)
 
 
 def build_T_correctors(para, V, beam=None, wave=None):
@@ -261,7 +245,6 @@ class Parametrix:
         self.D_op = SpectralOperator(grid, D, 0.0, block=4)
         self.D_tilde_op = SpectralOperator(grid, Dt, 0.0, block=4)
 
-        E = np.kron(_E2, np.eye(n))
         lam_b = self.beam.lam_b
         lam_w = self.wave.lam_w
         beam_diag = bony_weyl_quantize(
@@ -271,8 +254,8 @@ class Parametrix:
             SeparableSymbol(grid, [(lam_w, FrequencyMultiplier.abs_xi())]), self.eps_para
         ).matrix
         L = np.zeros((4 * n, 4 * n), dtype=complex)
-        L[: 2 * n, : 2 * n] = -1j * (E @ np.kron(np.eye(2), beam_diag))
-        L[2 * n :, 2 * n :] = -1j * (E @ np.kron(np.eye(2), wave_diag))
+        L[: 2 * n, : 2 * n] = minus_iE(np.kron(np.eye(2), beam_diag))
+        L[2 * n :, 2 * n :] = minus_iE(np.kron(np.eye(2), wave_diag))
         self.Lambda = SpectralOperator(grid, L, 2.0, block=4)
 
         s2 = 2.0 * self.s

@@ -93,41 +93,52 @@ class SpectralOperator:
         return self.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
 
-def _chi_mask(grid, eps_para):
+def _mode_lattice(grid):
+    """(j - k, j + k) over all pairs of modes."""
     J = grid.modes
-    S = J[:, None] + J[None, :]
-    D = np.abs(J[:, None] - J[None, :])
-    return cutoff_chi(D / np.sqrt(1.0 + S.astype(float) ** 2), eps_para)
+    return J[:, None] - J[None, :], J[:, None] + J[None, :]
+
+
+def _chi_mask(grid, eps_para):
+    D, S = _mode_lattice(grid)
+    return cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2), eps_para)
+
+
+def weyl_gather_index(grid):
+    """(j - k) mod n: the slot of fhat(j - k) in a coefficient array."""
+    return _mode_lattice(grid)[0] % grid.n
+
+
+def weyl_table(grid, g, eps_para=None):
+    """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2), times the
+    Bony-Weyl mask chi_eps(|j-k|/<j+k>) when ``eps_para`` is given.  The Weyl
+    matrix of f(x) g(xi) is the gather f.coeffs[weyl_gather_index(grid)] * T."""
+    n = grid.n
+    D, S = _mode_lattice(grid)
+    half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
+    gv = np.asarray(g(half_lattice), dtype=complex)[S + n]
+    T = np.where((D >= -(n // 2)) & (D < n // 2), gv, 0.0)
+    return T if eps_para is None else T * _chi_mask(grid, eps_para)
 
 
 def _scalar_weyl_matrix(sym, mask=None):
     grid = sym.grid
-    n = grid.n
-    J = grid.modes
-    D = J[:, None] - J[None, :]
-    S = J[:, None] + J[None, :]
-    valid = (D >= -(n // 2)) & (D < n // 2)
-    M = np.zeros((n, n), dtype=complex)
-    half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
-    table_idx = S + n
+    idx = weyl_gather_index(grid)
+    M = np.zeros((grid.n, grid.n), dtype=complex)
     for f, g in sym.terms:
-        gv = np.asarray(g(half_lattice), dtype=complex)[table_idx]
-        fv = f.coeffs[D % n]
-        M += np.where(valid, fv, 0.0) * gv
-    if mask is not None:
-        M = M * mask
-    return M
+        M += f.coeffs[idx] * weyl_table(grid, g)
+    return M if mask is None else M * mask
 
 
 _op_cache = {}
 
 
-def weyl_quantize(sym, grid=None):
+def weyl_quantize(sym):
     """Op^W of a SeparableSymbol or MatrixSymbol as a SpectralOperator."""
     return _quantize(sym, eps_para=None)
 
 
-def bony_weyl_quantize(sym, eps_para=DEFAULT_EPS_PARA, grid=None):
+def bony_weyl_quantize(sym, eps_para=DEFAULT_EPS_PARA):
     """Op^BW: Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
     return _quantize(sym, eps_para=eps_para)
 

@@ -16,7 +16,7 @@ Parseval pairing.
 
 import numpy as np
 
-from .grid import SpectralFunction, inner_product, sobolev_norm
+from .grid import SpectralFunction, sobolev_norm
 
 
 class StateVector:
@@ -28,12 +28,6 @@ class StateVector:
         self.grid = z.grid
         self.z = z
         self.w = w
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(
-            SpectralFunction.zero(grid, is_real=False), SpectralFunction.zero(grid, is_real=False)
-        )
 
     @classmethod
     def from_stacked(cls, grid, vec):
@@ -84,19 +78,6 @@ def stacked_inner(grid, u, v, s=0.0):
     for c in range(4):
         acc += 0.5 * np.sum(u[c * n : (c + 1) * n] * np.conj(v[c * n : (c + 1) * n]) * w)
     return acc.real
-
-
-def block_inner(U, V, level="4-block"):
-    """Inner products at the scalar, 2-block, and 4-block levels."""
-    if level == "scalar":
-        return inner_product(U, V)
-    if level == "2-block":
-        return inner_product(U, V).real
-    if level == "4-block":
-        return (
-            inner_product(U.z, V.z).real + inner_product(U.w, V.w).real
-        )
-    raise ValueError("unknown level %r" % level)
 
 
 def is_conjugate_pair(grid, vec, tol=1e-10):

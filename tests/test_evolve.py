@@ -175,3 +175,56 @@ def test_run_result_csv_and_manifest(tmp_path):
     doc = json.loads(man_path.read_text())
     assert doc["termination"] == "converged" and doc["tag"] == "x"
     assert doc["config"]["T_final"] == 0.02
+
+
+@pytest.mark.parametrize(
+    "forcing", [{"gamma": 0.5, "f_b": np.cos}, {"delta": 0.5, "f_w": np.cos}]
+)
+def test_forced_kato_matches_oracle(forcing):
+    # the Kato forcing carries G(t) exactly once
+    g = TorusGrid(32)
+    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
+    sys = BridgeSystem(g, 1.0, 1.0, F2=F2, **forcing)
+    y0, y1, th0, th1 = make_fields(g)
+    cfg = SolverConfig(T_final=0.02)
+    kat = kato_solve(sys, complexify(y0, y1, th0, th1).stacked(), cfg)
+    orc = oracle_solve(sys, y0, y1, th0, th1, cfg)
+    s1 = cfg.ladder.s1
+    rel = trajectory_gap(g, kat, orc, s1) / orc.sup_norm(s1)
+    assert rel <= 1e-4, "forced relative discrepancy %.3e" % rel
+
+
+def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
+    # symbol assembly, sympy multipliers and quantization stay off the
+    # time-stepping path: their call counts do not grow with the steps
+    from beamwave import paralin, quantize, symbols
+
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        paralin.ParalinearizedSystem,
+        "assemble_symbols",
+        counting("assemble", paralin.ParalinearizedSystem.assemble_symbols),
+    )
+    monkeypatch.setattr(
+        symbols.FrequencyMultiplier,
+        "bracket",
+        classmethod(counting("bracket", symbols.FrequencyMultiplier.bracket.__func__)),
+    )
+    monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
+    g, sys = headline_system(32)
+    V0 = complexify(*make_fields(g)).stacked()
+    per_run = []
+    for T in (0.01, 0.04):
+        counts.clear()
+        kato_solve(sys, V0, SolverConfig(T_final=T))
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert all(c <= 2 for c in per_run[0].values()), per_run

@@ -1,10 +1,13 @@
 """Paralinearized complex system: decomposition exactness and structure."""
 
 import numpy as np
+import pytest
 
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.cli import build_preset
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
+from beamwave.quantize import bony_weyl_quantize
 from beamwave.state import complexify, is_conjugate_pair, stacked_norm
 
 
@@ -109,3 +112,35 @@ def test_g_functions_from_nonlinearity():
     assert g_1w.norm(0.0) > 0.0
     a0, d0, z1, z2, z3 = para.g_functions(None)
     assert z1.norm(0.0) == 0.0 and z2.norm(0.0) == 0.0 and z3.norm(0.0) == 0.0
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
+def test_tabulated_generator_matches_quantized_symbols(preset):
+    # frakA / frakB from the precomputed tables equal -iE Op^BW of the
+    # assembled symbols, at zero, at the preset data and at a perturbed V
+    g = TorusGrid(32)
+    sysm, fields = build_preset(preset, g)
+    para = ParalinearizedSystem(sysm, g)
+    V = complexify(*fields).stacked()
+    bumped = complexify(
+        *(transform(g, 0.3 * u.values().real + 4e-3 * np.cos(3 * g.x)) for u in fields)
+    ).stacked()
+    n2 = 2 * g.n
+    E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
+
+    def minus_iE_bw(sym):
+        return -1j * (E @ bony_weyl_quantize(sym, para.eps_para).matrix)
+
+    for v in (None, V, V + bumped):
+        syms = para.assemble_symbols(v)
+        A = np.zeros((2 * n2, 2 * n2), dtype=complex)
+        A[:n2, :n2] = minus_iE_bw(syms["A_b"])
+        A[n2:, n2:] = minus_iE_bw(syms["A_w"])
+        B = np.zeros_like(A)
+        B[:n2, n2:] = minus_iE_bw(syms["B_b"])
+        B[n2:, :n2] = minus_iE_bw(syms["B_w"])
+        got_A = para.frak_A(v).matrix
+        got_B = para.frak_B(v).matrix
+        assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
+    assert not np.any(para.frak_B(None).matrix)
