@@ -188,14 +188,14 @@ class BridgeSystem:
         n = self.grid.n
         M = np.zeros((n, n), dtype=complex)
         for coeff, k in terms:
-            M += mult_matrix(self.grid, coeff) @ np.diag(deriv_diag(self.grid, k))
+            M += mult_matrix(self.grid, coeff) * deriv_diag(self.grid, k)
         return M
 
     def calB_matrix(self):
         """Matrix of B_cal = -b(x) d_x^4 + B on Fourier coefficients."""
         if self._calB is None:
-            d4 = np.diag(deriv_diag(self.grid, 4))
-            self._calB = -mult_matrix(self.grid, self.b) @ d4 + self.lower_order_matrix(
+            d4 = deriv_diag(self.grid, 4)
+            self._calB = -mult_matrix(self.grid, self.b) * d4 + self.lower_order_matrix(
                 self.B_terms
             )
         return self._calB
@@ -203,8 +203,8 @@ class BridgeSystem:
     def calW_matrix(self):
         """Matrix of W_cal = c(x) d_x^2 + C."""
         if self._calW is None:
-            d2 = np.diag(deriv_diag(self.grid, 2))
-            self._calW = mult_matrix(self.grid, self.c) @ d2 + self.lower_order_matrix(
+            d2 = deriv_diag(self.grid, 2)
+            self._calW = mult_matrix(self.grid, self.c) * d2 + self.lower_order_matrix(
                 self.C_terms
             )
         return self._calW

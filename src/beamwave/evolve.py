@@ -12,26 +12,27 @@ Three solvers share one time grid and CFL rule:
   paradifferential part.
 * ``kato_solve`` -- the iteration (P)_n: sweep n solves the linear system
   with coefficients frozen along V_{n-1} and inhomogeneity
-  remainder(V_{n-1}) + G(t) = kato_forcing(V_{n-1}) - R V_{n-1}, which
-  already holds G, stopping when the L^inf H^{s1} Cauchy increment falls
-  below tolerance.  The V-independent order-zero part R is kept inside the
-  frozen generator, so for a trivial (linear, constant-coefficient) system
-  sweep one already solves the full problem and the first increment
-  vanishes identically.
+  remainder(V_{n-1}) + G(t) = kato_forcing(V_{n-1}), stopping when the
+  L^inf H^{s1} Cauchy increment falls below tolerance.  The V-independent
+  order-zero part R is kept inside the frozen generator, so for a trivial
+  (linear, constant-coefficient) system sweep one already solves the full
+  problem and the first increment vanishes identically.
 
 Frozen backgrounds are evaluated at step midpoints (average of the two
 enclosing nodes), making the coefficient freezing second-order accurate; the
-RK4 step then dominates the error budget.  The generator is assembled anew
-for every step: ``ParalinearizedSystem`` holds its V-independent blocks, so a
-background costs one gather per coefficient and no symbol assembly.
+RK4 step then dominates the error budget.  Each step applies
+``ParalinearizedSystem.frozen_generator``: a matrix-vector product with the
+V-independent frakA(0) + R, built once, plus three n x n blocks gathered for
+the frozen background, so no 4n x 4n matrix is formed per step.
 """
 
+import copy
 import csv
 import json
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import RegularityLadder
 from .paralin import ParalinearizedSystem
 from .state import StateVector, complexify, stacked_norm
@@ -60,6 +61,8 @@ class SolverConfig:
             raise PreconditionError("cfl_safety must lie in (0, 1]")
         if dt is not None and dt <= 0:
             raise PreconditionError("dt must be positive")
+        if kato_max_iter < 1:
+            raise ConfigError("kato_max_iter must be at least 1")
         self.dt = dt
         self.T_final = float(T_final)
         self.eps = float(eps)
@@ -221,12 +224,11 @@ def _check_finite(grid, vec, initial_norm, s):
 def linear_solve(para, background_path, V0, forcing_path, config, include_R=True):
     """Strang splitting for the frozen-coefficient regularized linear system.
 
-    ``background_path``: None (coefficients at the zero background), a single
-    stacked vector (constant background), or an array of node values with
-    one row per time node.  ``forcing_path``: None, a callable t -> stacked
-    vector, or an array of node values.  With ``include_R=False`` the
-    order-zero coupling R is dropped, leaving the decoupled model flow whose
-    H^s norms are exact isometries.
+    ``background_path``: None (coefficients at the zero background) or an
+    array of node values with one row per time node.  ``forcing_path``:
+    None, a callable t -> stacked vector, or an array of node values.  With
+    ``include_R=False`` the order-zero coupling R is dropped, leaving the
+    decoupled model flow whose H^s norms are exact isometries.
     """
     grid = para.grid
     b_max = float(np.max(para.source.b.values().real))
@@ -238,18 +240,11 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     if V0.shape != (n4,):
         raise PreconditionError("initial state must be a stacked 4n vector")
 
-    bg = background_path
     bg_nodes = None
-    if bg is not None:
-        bg = np.asarray(bg, dtype=complex)
-        if bg.ndim == 1:
-            bg_nodes = np.broadcast_to(bg, (steps + 1, n4))
-        else:
-            if bg.shape != (steps + 1, n4):
-                raise PreconditionError(
-                    "background path must have %d node values" % (steps + 1)
-                )
-            bg_nodes = bg
+    if background_path is not None:
+        bg_nodes = np.asarray(background_path, dtype=complex)
+        if bg_nodes.shape != (steps + 1, n4):
+            raise PreconditionError("background path must have %d node values" % (steps + 1))
 
     f_nodes = None
     f_callable = None
@@ -261,14 +256,10 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
             raise PreconditionError("forcing path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
-    R = para.R_operator().matrix if include_R else 0.0
 
     def generator(step):
-        if bg_nodes is None:
-            frozen = None
-        else:
-            frozen = 0.5 * (bg_nodes[step] + bg_nodes[step + 1])
-        return (para.frak_A(frozen).matrix + para.frak_B(frozen).matrix) + R
+        frozen = None if bg_nodes is None else 0.5 * (bg_nodes[step] + bg_nodes[step + 1])
+        return para.frozen_generator(frozen, include_R)
 
     def forcing_at(step, stage):
         """stage 0: node, 1: midpoint, 2: next node."""
@@ -297,16 +288,16 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
         f1 = forcing_at(step, 2)
 
         u = half * V
-        k1 = A @ u
+        k1 = A(u)
         if f0 is not None:
             k1 = k1 + f0
-        k2 = A @ (u + 0.5 * dt * k1)
+        k2 = A(u + 0.5 * dt * k1)
         if fm is not None:
             k2 = k2 + fm
-        k3 = A @ (u + 0.5 * dt * k2)
+        k3 = A(u + 0.5 * dt * k2)
         if fm is not None:
             k3 = k3 + fm
-        k4 = A @ (u + dt * k3)
+        k4 = A(u + dt * k3)
         if f1 is not None:
             k4 = k4 + f1
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -355,11 +346,10 @@ def kato_solve(sys, V0, config, check_radius=True):
     b_max = float(np.max(sys.b.values().real))
     dt, steps = config.resolve_dt(grid, b_max)
     ladder = config.ladder
-    Rop = para.R_operator().matrix
 
     def forcing_nodes(prev_traj):
-        """remainder(V_{n-1}) + G at every node: full_rhs - (frakA+frakB+R)V."""
-        return np.array([para.kato_forcing(v, k * dt) - Rop @ v for k, v in enumerate(prev_traj)])
+        """remainder(V_{n-1}) + G at every node."""
+        return np.array([para.kato_forcing(v, k * dt) for k, v in enumerate(prev_traj)])
 
     result = linear_solve(para, None, V0, para.forcing_G, config)
     increments = []
@@ -530,15 +520,8 @@ def epsilon_continuation(sys, V0, eps_list, config):
     s = config.ladder.s1
     runs = []
     for eps in eps_list:
-        cfg = SolverConfig(
-            dt=config.dt,
-            T_final=config.T_final,
-            eps=eps,
-            cfl_safety=config.cfl_safety,
-            kato_tol=config.kato_tol,
-            kato_max_iter=config.kato_max_iter,
-            ladder=config.ladder,
-        )
+        cfg = copy.copy(config)
+        cfg.eps = float(eps)
         runs.append((eps, kato_solve(sys, V0, cfg)))
     gaps = []
     for (ea, ra), (eb, rb) in zip(runs[:-1], runs[1:]):

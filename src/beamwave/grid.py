@@ -12,6 +12,8 @@ integer mode of each slot.
 
 import numpy as np
 
+from .errors import ConfigError
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -29,7 +31,7 @@ class TorusGrid:
 
     def __init__(self, n):
         if n <= 0 or n % 2 != 0:
-            raise ValueError("grid size must be a positive even integer, got %r" % (n,))
+            raise ConfigError("grid size must be a positive even integer, got %r" % (n,))
         self.n = int(n)
         self.x = TWO_PI * np.arange(self.n) / self.n
         self.modes = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)

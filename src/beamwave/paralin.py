@@ -16,7 +16,8 @@ where the g-functions are halved partials of the nonlinearities at the
 realified jet of V.  R is defined constructively as the exact complexified
 linear part minus frakA(0) (block diagonal, order 0), and the remainder is
 defined by subtraction so the decomposition reproduces the full right-hand
-side to machine precision.
+side to machine precision.  The solvers apply frakA + frakB + R through
+``frozen_generator``; the matrices serve the parametrix and the tests.
 """
 
 import numpy as np
@@ -46,6 +47,15 @@ def _u_matrix_symbol(grid, f, mult):
     return MatrixSymbol.from_xfunc_matrix(grid, np.full((2, 2), f, dtype=object), mult)
 
 
+def _complexified_pair(op, D, d):
+    """Generator of (z, zbar) for u'' = op u + d u', z = (D u + i u'/D)/sqrt2,
+    D a positive diagonal given by its entries."""
+    Q = 0.5j * op / np.outer(D, D)
+    P = np.diag(0.5 * (-1j * D**2 + d))
+    M = np.diag(0.5 * (-1j * D**2 - d))
+    return np.block([[Q + P, Q - P], [-Q + M, -Q - M]])
+
+
 def minus_iE(M):
     """-iE M on a 2-block matrix, E = diag(1, -1): scale by -i, negate the lower rows."""
     out = -1j * M
@@ -71,7 +81,7 @@ class ParalinearizedSystem:
         self.a_fun = 0.5 * (source.b - one)
         self.d_fun = 0.5 * (source.c - one)
         self._R = None
-        self._L_complex = None
+        self._base = None
 
         n2 = 2 * grid.n
         syms = self.assemble_symbols(None)
@@ -123,17 +133,22 @@ class ParalinearizedSystem:
 
     # -- block operators ----------------------------------------------
 
-    def _u_block(self, f, table):
-        """-iE Op^BW(U f(x) g(xi)) from the tabulated g."""
-        return minus_iE(np.tile(f.coeffs[self._gather] * table, (2, 2)))
+    def _weyl_blocks(self, V):
+        """Op^BW of g_1w |xi|, g_12b <xi>^{-3/2} xi^2 and g_12w <xi>^{-3/2} xi^2
+        as n x n blocks, each one gather of the tabulated multiplier."""
+        _, _, g_1w, g_12b, g_12w = self.g_functions(V)
+        return (
+            g_1w.coeffs[self._gather] * self._abs_xi_table,
+            g_12b.coeffs[self._gather] * self._off_table,
+            g_12w.coeffs[self._gather] * self._off_table,
+        )
 
     def frak_A(self, V):
         """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4-block operator."""
         M = self._frak_A0.copy()
         if V is not None:
-            _, _, g_1w, _, _ = self.g_functions(V)
             n2 = 2 * self.grid.n
-            M[n2:, n2:] += self._u_block(g_1w, self._abs_xi_table)
+            M[n2:, n2:] += minus_iE(np.tile(self._weyl_blocks(V)[0], (2, 2)))
         return SpectralOperator(self.grid, M, order=2.0, block=4)
 
     def frak_B(self, V):
@@ -141,50 +156,46 @@ class ParalinearizedSystem:
         n2 = 2 * self.grid.n
         M = np.zeros((2 * n2, 2 * n2), dtype=complex)
         if V is not None:
-            _, _, _, g_12b, g_12w = self.g_functions(V)
-            M[:n2, n2:] = self._u_block(g_12b, self._off_table)
-            M[n2:, :n2] = self._u_block(g_12w, self._off_table)
+            _, F_12b, F_12w = self._weyl_blocks(V)
+            M[:n2, n2:] = minus_iE(np.tile(F_12b, (2, 2)))
+            M[n2:, :n2] = minus_iE(np.tile(F_12w, (2, 2)))
         return SpectralOperator(self.grid, M, order=0.5, block=4)
+
+    def frozen_generator(self, V, include_R=True):
+        """The action u -> (frakA(V) + frakB(V) + R) u, without R if not ``include_R``.
+
+        The V-independent base frakA(0) + R is formed once.  The V-dependent
+        part is U g Op(m) in each block, so with s_z = z + zbar, s_w = w + wbar
+        it adds -i (F_12b s_w, -F_12b s_w, F_1w s_w + F_12w s_z, -(...))."""
+        if include_R and self._base is None:
+            self._base = self.frak_A(None).matrix + self.R_operator().matrix
+        base = self._base if include_R else self._frak_A0
+        if V is None:
+            return lambda u: base @ u
+        F_1w, F_12b, F_12w = self._weyl_blocks(V)
+        n = self.grid.n
+
+        def apply(u):
+            s_z = u[:n] + u[n : 2 * n]
+            s_w = u[2 * n : 3 * n] + u[3 * n :]
+            beam = -1j * (F_12b @ s_w)
+            wave = -1j * (F_1w @ s_w + F_12w @ s_z)
+            return base @ u + np.concatenate([beam, -beam, wave, -wave])
+
+        return apply
 
     # -- exact complexified linear part --------------------------------
 
     def L_complex_matrix(self):
-        """Exact matrix of the complexified linear system on stacked V."""
-        if self._L_complex is not None:
-            return self._L_complex
-        g = self.grid
-        n = g.n
-        br = g.brackets
-        rt2 = np.sqrt(2.0)
-        Z = np.zeros((n, 4 * n), dtype=complex)
-
-        def place(col, diag):
-            P = Z.copy()
-            P[:, col * n : (col + 1) * n] = np.diag(diag)
-            return P
-
-        # stacked -> generalized real fields
-        P_y = place(0, 1.0 / (rt2 * br)) + place(1, 1.0 / (rt2 * br))
-        P_ydot = place(0, br / (1j * rt2)) - place(1, br / (1j * rt2))
-        P_th = place(2, 1.0 / (rt2 * np.sqrt(br))) + place(3, 1.0 / (rt2 * np.sqrt(br)))
-        P_thdot = place(2, np.sqrt(br) / (1j * rt2)) - place(3, np.sqrt(br) / (1j * rt2))
-
+        """Exact matrix of the complexified linear system on stacked V: the
+        beam pair from (calB, <j>, alpha), the wave pair from (calW, <j>^{1/2}, beta)."""
         src = self.source
-        ytt = src.calB_matrix() @ P_y + src.alpha * P_ydot
-        thtt = src.calW_matrix() @ P_th + src.beta * P_thdot
-
-        D = np.diag(br)
-        Dinv = np.diag(1.0 / br)
-        Dh = np.diag(np.sqrt(br))
-        Dhinv = np.diag(1.0 / np.sqrt(br))
-
-        rows = np.zeros((4 * n, 4 * n), dtype=complex)
-        rows[:n] = (D @ P_ydot + 1j * Dinv @ ytt) / rt2
-        rows[n : 2 * n] = (D @ P_ydot - 1j * Dinv @ ytt) / rt2
-        rows[2 * n : 3 * n] = (Dh @ P_thdot + 1j * Dhinv @ thtt) / rt2
-        rows[3 * n :] = (Dh @ P_thdot - 1j * Dhinv @ thtt) / rt2
-        self._L_complex = rows
-        return rows
+        br = self.grid.brackets
+        n2 = 2 * self.grid.n
+        L = np.zeros((2 * n2, 2 * n2), dtype=complex)
+        L[:n2, :n2] = _complexified_pair(src.calB_matrix(), br, src.alpha)
+        L[n2:, n2:] = _complexified_pair(src.calW_matrix(), np.sqrt(br), src.beta)
+        return L
 
     def R_operator(self):
         """R := L_complex - frakA(0); block diagonal, order <= 0."""
@@ -243,15 +254,11 @@ class ParalinearizedSystem:
 
     def remainder(self, vec, t=0.0):
         """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t)."""
-        vec = np.asarray(vec, dtype=complex)
-        lin = (self.frak_A(vec).matrix + self.frak_B(vec).matrix + self.R_operator().matrix) @ vec
-        return self.full_rhs(vec, t) - lin - self.forcing_G(t)
+        return self.kato_forcing(vec, t) - self.forcing_G(t)
 
     def kato_forcing(self, vec, t=0.0):
-        """R V + remainder(V) + G(t), evaluated as full_rhs - (frakA+frakB)V.
+        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V.
 
-        This is the inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1};
-        the algebraic shortcut avoids assembling R explicitly."""
+        This is the inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}."""
         vec = np.asarray(vec, dtype=complex)
-        lin = (self.frak_A(vec).matrix + self.frak_B(vec).matrix) @ vec
-        return self.full_rhs(vec, t) - lin
+        return self.full_rhs(vec, t) - self.frozen_generator(vec)(vec)

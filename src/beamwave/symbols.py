@@ -284,6 +284,14 @@ def sharp_rho(a, b, rho):
     return prod + (1.0 / 2.0j) * a.poisson(b)
 
 
+def _entrywise(fn, *arrays):
+    """Object array of fn applied to the matching entries of equal-shape arrays."""
+    out = np.empty(np.shape(arrays[0]), dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = fn(*(a[idx] for a in arrays))
+    return out
+
+
 class MatrixSymbol:
     """Square matrix (2x2 or 4x4) of SeparableSymbols."""
 
@@ -297,34 +305,26 @@ class MatrixSymbol:
 
     @property
     def order(self):
-        return max(self.entries[i, j].order for i in range(self.dim) for j in range(self.dim))
+        return max(e.order for e in self.entries.flat)
 
     @classmethod
     def from_numeric(cls, grid, M, multiplier=None):
         """Constant matrix M times a single multiplier (default 1)."""
-        M = np.asarray(M)
         g = multiplier if multiplier is not None else FrequencyMultiplier.one()
-        ent = np.empty(M.shape, dtype=object)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if M[i, j] == 0:
-                    ent[i, j] = SeparableSymbol.zero(grid)
-                else:
-                    ent[i, j] = SeparableSymbol(
-                        grid, [(SpectralFunction.constant(grid, M[i, j]), g)]
-                    )
-        return cls(grid, ent)
+
+        def entry(m):
+            if m == 0:
+                return SeparableSymbol.zero(grid)
+            return SeparableSymbol(grid, [(SpectralFunction.constant(grid, m), g)])
+
+        return cls(grid, _entrywise(entry, np.asarray(M)))
 
     @classmethod
     def from_xfunc_matrix(cls, grid, F, multiplier=None):
         """Matrix of SpectralFunctions times a single multiplier."""
-        F = np.asarray(F, dtype=object)
         g = multiplier if multiplier is not None else FrequencyMultiplier.one()
-        ent = np.empty(F.shape, dtype=object)
-        for i in range(F.shape[0]):
-            for j in range(F.shape[1]):
-                ent[i, j] = SeparableSymbol(grid, [(F[i, j], g)])
-        return cls(grid, ent)
+        F = np.asarray(F, dtype=object)
+        return cls(grid, _entrywise(lambda f: SeparableSymbol(grid, [(f, g)]), F))
 
     @classmethod
     def identity(cls, grid, dim=2):
@@ -338,30 +338,21 @@ class MatrixSymbol:
     def U(cls, grid):
         return cls.from_numeric(grid, np.ones((2, 2)))
 
+    def _map(self, fn, *others):
+        return MatrixSymbol(self.grid, _entrywise(fn, self.entries, *(o.entries for o in others)))
+
     def __add__(self, other):
-        ent = np.empty_like(self.entries)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ent[i, j] = self.entries[i, j] + other.entries[i, j]
-        return MatrixSymbol(self.grid, ent)
+        return self._map(lambda a, b: a + b, other)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        ent = np.empty_like(self.entries)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ent[i, j] = -self.entries[i, j]
-        return MatrixSymbol(self.grid, ent)
+        return self._map(lambda a: -a)
 
     def __mul__(self, other):
         """Scalar, multiplier, or scalar-symbol multiplication (entrywise)."""
-        ent = np.empty_like(self.entries)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ent[i, j] = self.entries[i, j] * other
-        return MatrixSymbol(self.grid, ent)
+        return self._map(lambda a: a * other)
 
     __rmul__ = __mul__
 
@@ -376,18 +367,10 @@ class MatrixSymbol:
         return MatrixSymbol(self.grid, ent)
 
     def dx(self):
-        ent = np.empty_like(self.entries)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ent[i, j] = self.entries[i, j].dx()
-        return MatrixSymbol(self.grid, ent)
+        return self._map(lambda a: a.dx())
 
     def dxi(self, n=1):
-        ent = np.empty_like(self.entries)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ent[i, j] = self.entries[i, j].dxi(n)
-        return MatrixSymbol(self.grid, ent)
+        return self._map(lambda a: a.dxi(n))
 
     def poisson(self, other):
         """Matrix-ordered Poisson bracket dxi(self)@dx(other) - dx(self)@dxi(other)."""
@@ -403,13 +386,7 @@ class MatrixSymbol:
         return out
 
     def seminorm(self, m, s, n_der):
-        return max(
-            self.entries[i, j].seminorm(m, s, n_der)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return max(e.seminorm(m, s, n_der) for e in self.entries.flat)
 
     def fingerprint(self):
-        return hash(
-            tuple(self.entries[i, j].fingerprint() for i in range(self.dim) for j in range(self.dim))
-        )
+        return hash(tuple(e.fingerprint() for e in self.entries.flat))

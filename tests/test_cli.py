@@ -60,6 +60,23 @@ def test_exit_code_config_error(capsys):
     assert run_cli(["simulate", "--preset", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "63"],
+        ["--n", "0"],
+        ["--kato-max-iter", "0"],
+    ],
+    ids=["odd_n", "zero_n", "zero_kato_iter"],
+)
+def test_exit_code_config_error_inputs(args, tmp_path, capsys):
+    base = ["simulate", "--preset", "linear", "--T", "0.02", "--outdir", str(tmp_path)]
+    code = run_cli(base + args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
 def test_exit_code_precondition_cfl():
     assert run_cli(["simulate", "--preset", "linear", "--n", "32", "--dt", "1.0"]) == 3
 

@@ -219,6 +219,11 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         classmethod(counting("bracket", symbols.FrequencyMultiplier.bracket.__func__)),
     )
     monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
+    # the time-stepping path applies the frozen generator and forms no
+    # 4n x 4n frakA / frakB matrix per background
+    for name in ("frak_A", "frak_B"):
+        fn = getattr(paralin.ParalinearizedSystem, name)
+        monkeypatch.setattr(paralin.ParalinearizedSystem, name, counting(name, fn))
     g, sys = headline_system(32)
     V0 = complexify(*make_fields(g)).stacked()
     per_run = []
@@ -228,3 +233,4 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert all(c <= 2 for c in per_run[0].values()), per_run
+    assert per_run[0]["frak_A"] >= 1 and per_run[0].get("frak_B", 0) == 0, per_run

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_preset
 from beamwave.cli import build_preset
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
@@ -117,7 +117,8 @@ def test_g_functions_from_nonlinearity():
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_tabulated_generator_matches_quantized_symbols(preset):
     # frakA / frakB from the precomputed tables equal -iE Op^BW of the
-    # assembled symbols, at zero, at the preset data and at a perturbed V
+    # assembled symbols, at zero, at the preset data and at a perturbed V;
+    # the frozen generator's action equals the sum of the matrices
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -126,6 +127,8 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         *(transform(g, 0.3 * u.values().real + 4e-3 * np.cos(3 * g.x)) for u in fields)
     ).stacked()
     n2 = 2 * g.n
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(2 * n2) + 1j * rng.standard_normal(2 * n2)
     E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
 
     def minus_iE_bw(sym):
@@ -143,4 +146,29 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         got_B = para.frak_B(v).matrix
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
+        for include_R in (True, False):
+            M = got_A + got_B + (para.R_operator().matrix if include_R else 0.0)
+            expect = M @ u
+            got = para.frozen_generator(v, include_R)(u)
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert not np.any(para.frak_B(None).matrix)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        lambda g: build_preset("linear", g)[0],
+        lambda g: arioli_gazzola_preset(g, xi_profile="cosine:0.3", alpha=-0.5, beta=-0.5),
+    ],
+    ids=["linear", "arioli_gazzola_damped"],
+)
+def test_L_complex_matrix_is_the_linear_right_hand_side(system):
+    # for a linear unforced system the exact complexified matrix reproduces
+    # full_rhs, which goes through the real system independently of L
+    g = TorusGrid(32)
+    sysm = system(g)
+    para = ParalinearizedSystem(sysm, g)
+    _, fields = build_preset("linear", g)
+    V = complexify(*fields).stacked()
+    expect = para.full_rhs(V, 0.0)
+    assert np.linalg.norm(para.L_complex_matrix() @ V - expect) <= 1e-12 * np.linalg.norm(expect)
