@@ -114,9 +114,7 @@ class QuadraticNonlinearity:
 
 def _flip(u):
     """u(-x) as a SpectralFunction."""
-    n = u.grid.n
-    idx = (-np.arange(n)) % n
-    return SpectralFunction(u.grid, u.coeffs[idx], u.is_real)
+    return SpectralFunction(u.grid, u.coeffs[u.grid.reflect], u.is_real)
 
 
 def _is_even(u, tol=1e-10):
@@ -124,8 +122,7 @@ def _is_even(u, tol=1e-10):
 
 
 def _is_odd_coeffs(grid, coeffs, tol=1e-10):
-    idx = (-np.arange(grid.n)) % grid.n
-    return float(np.max(np.abs(coeffs[idx] + coeffs))) <= tol
+    return float(np.max(np.abs(coeffs[grid.reflect] + coeffs))) <= tol
 
 
 class BridgeSystem:

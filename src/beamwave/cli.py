@@ -49,6 +49,8 @@ PRESETS = ("linear", "headline", "mixed", "parity", "damped", "arioli_gazzola")
 
 def build_preset(name, grid, amplitude=1e-2):
     """(BridgeSystem, (y0, y1, theta0, theta1)) for a named preset."""
+    if not np.isfinite(amplitude):
+        raise ConfigError("amplitude must be finite, got %r" % (amplitude,))
     a = amplitude
     x = grid.x
 
@@ -174,7 +176,7 @@ def _suite_operators(args):
     return checks, ok
 
 
-def _paralinearized(args, n, amplitude):
+def _paralinearized(args, n):
     grid = TorusGrid(n)
     sysm, (y0, y1, t0, t1) = _load_system(args, grid)
     para = ParalinearizedSystem(sysm, grid)
@@ -186,7 +188,7 @@ def _suite_parametrix(args):
     checks = {}
     reports = []
     for n in (32, 64, 128):
-        para, V = _paralinearized(args, n, args.amplitude)
+        para, V = _paralinearized(args, n)
         P = build_parametrix(para, V, 2.5)
         reports.append(conjugation_residual(P, para, V))
     checks["residuals"] = reports
@@ -207,7 +209,7 @@ def _suite_energy(args):
     checks = {}
     reps = []
     for n in (64, 128):
-        para, V = _paralinearized(args, n, args.amplitude)
+        para, V = _paralinearized(args, n)
         reps.append(equivalence_and_garding_report(para, V, 2.5, sample_count=50, seed=args.seed))
     checks["reports"] = reps
     cs = [r["equivalence_constant"] for r in reps]
@@ -266,7 +268,10 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError("cannot parse sweep values %r" % args.values) from None
     if len(values) < 2:
         raise PreconditionError("sweep needs at least 2 values")
     doc = {"command": "sweep", "axis": args.axis, "values": values, "preset": args.preset,
@@ -281,7 +286,7 @@ def cmd_sweep(args):
         for v in values:
             n = int(v)
             try:
-                para, V = _paralinearized(args, n, args.amplitude)
+                para, V = _paralinearized(args, n)
                 P = build_parametrix(para, V, 2.5)
                 rep = conjugation_residual(P, para, V)
                 rows.append((n, rep["conjugation_norm"]))

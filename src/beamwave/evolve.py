@@ -35,7 +35,13 @@ import numpy as np
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import RegularityLadder
 from .paralin import ParalinearizedSystem
-from .state import StateVector, complexify, stacked_norm
+from .state import (
+    StateVector,
+    conjugate_pair,
+    real_from_stacked,
+    stacked_from_real,
+    stacked_norm,
+)
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
 
@@ -53,6 +59,9 @@ class SolverConfig:
         kato_max_iter=25,
         ladder=None,
     ):
+        for name, value in (("T_final", T_final), ("dt", dt), ("eps", eps)):
+            if value is not None and not np.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (name, value))
         if T_final <= 0:
             raise PreconditionError("T_final must be positive")
         if eps < 0:
@@ -214,10 +223,11 @@ def _norm_record(grid, vec, ladder):
     }
 
 
-def _check_finite(grid, vec, initial_norm, s):
+def _check_finite(vec, norm, initial_norm):
+    """Blow-up guard on a new state whose H^{s1} norm ``norm`` is already recorded."""
     if not np.all(np.isfinite(vec)):
         raise NumericalError("non-finite state encountered")
-    if stacked_norm(grid, vec, s) > 1e6 * max(initial_norm, 1e-300):
+    if norm > 1e6 * max(initial_norm, 1e-300):
         raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
 
 
@@ -303,25 +313,24 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         V = half * u
 
-        _check_finite(grid, V, initial, ladder.s1)
+        rec = _norm_record(grid, V, ladder)
+        _check_finite(V, rec["s1"], initial)
         times.append((step + 1) * dt)
         traj.append(V.copy())
-        for k, v in _norm_record(grid, V, ladder).items():
+        for k, v in rec.items():
             norms[k].append(v)
 
     return RunResult(grid, times, traj, norms, "completed")
 
 
-def _initial_radius(sys, y, y_t, theta, theta_t):
-    """Sup of the realified jet entries; the radius fed to the smallness check."""
-    jets = sys.jets(y.coeffs, theta.coeffs)
-    worst = float(np.max(np.abs(jets)))
-    worst = max(worst, float(np.max(np.abs(y_t.values()))))
-    worst = max(worst, float(np.max(np.abs(theta_t.values()))))
-    return worst
+def _initial_radius(sys, V0):
+    """Sup of the realified jet entries of V0; the radius fed to the smallness check."""
+    y, y_t, th, th_t = real_from_stacked(sys.grid, V0)
+    speeds = np.fft.ifft(np.stack([y_t, th_t])).real * sys.grid.n
+    return max(float(np.max(np.abs(sys.jets(y, th)))), float(np.max(np.abs(speeds))))
 
 
-def kato_solve(sys, V0, config, check_radius=True):
+def kato_solve(sys, V0, config):
     """The iteration (P)_n on the paralinearized complex system.
 
     Sweep 1 solves the linear system at the zero background with forcing
@@ -331,17 +340,9 @@ def kato_solve(sys, V0, config, check_radius=True):
     """
     grid = sys.grid
     para = ParalinearizedSystem(sys, grid)
-    if isinstance(V0, StateVector):
-        V0 = V0.stacked()
     V0 = np.asarray(V0, dtype=complex)
-
-    from .state import realify
-
-    y, y_t, th, th_t = realify(StateVector.from_stacked(grid, V0))
     sys.check_ellipticity()
-    if check_radius:
-        R0 = _initial_radius(sys, y, y_t, th, th_t)
-        sys.check_radius_condition(2.0 * max(R0, 1e-12))
+    sys.check_radius_condition(2.0 * max(_initial_radius(sys, V0), 1e-12))
 
     b_max = float(np.max(sys.b.values().real))
     dt, steps = config.resolve_dt(grid, b_max)
@@ -394,20 +395,7 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     dt, steps = config.resolve_dt(grid, b_max)
     ladder = config.ladder
 
-    y = np.asarray(y0.coeffs, dtype=complex).copy()
-    yt = np.asarray(y1.coeffs, dtype=complex).copy()
-    th = np.asarray(theta0.coeffs, dtype=complex).copy()
-    tht = np.asarray(theta1.coeffs, dtype=complex).copy()
-
-    from .grid import SpectralFunction
-
-    def pack(yc, ytc, thc, thtc):
-        return complexify(
-            SpectralFunction(grid, yc, is_real=True),
-            SpectralFunction(grid, ytc, is_real=True),
-            SpectralFunction(grid, thc, is_real=True),
-            SpectralFunction(grid, thtc, is_real=True),
-        ).stacked()
+    state = tuple(np.asarray(u.coeffs, dtype=complex) for u in (y0, y1, theta0, theta1))
 
     def rhs(state, t):
         yc, ytc, thc, thtc = state
@@ -417,8 +405,7 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     def axpy(state, h, deriv):
         return tuple(s + h * d for s, d in zip(state, deriv))
 
-    state = (y, yt, th, tht)
-    V = pack(*state)
+    V = stacked_from_real(grid, *state)
     times = [0.0]
     traj = [V]
     rec = _norm_record(grid, V, ladder)
@@ -435,11 +422,12 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
             s + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         )
-        V = pack(*state)
-        _check_finite(grid, V, initial, ladder.s1)
+        V = stacked_from_real(grid, *state)
+        rec = _norm_record(grid, V, ladder)
+        _check_finite(V, rec["s1"], initial)
         times.append((step + 1) * dt)
         traj.append(V)
-        for k, v in _norm_record(grid, V, ladder).items():
+        for k, v in rec.items():
             norms[k].append(v)
 
     return RunResult(grid, times, traj, norms, "completed")
@@ -505,8 +493,7 @@ def _random_direction(grid, seed=0):
     if n % 2 == 0:
         z[n // 2] = 0.0
         w[n // 2] = 0.0
-    idx = (-np.arange(n)) % n
-    vec = np.concatenate([z, np.conj(z[idx]), w, np.conj(w[idx])])
+    vec = conjugate_pair(grid, z, w)
     return vec / stacked_norm(grid, vec, 2.5)
 
 

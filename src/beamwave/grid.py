@@ -26,6 +26,7 @@ class TorusGrid:
     x : grid points, spacing exactly 2pi/n
     modes : integer mode j of each coefficient slot, fft order
     brackets : <j> = sqrt(1 + j^2) per slot
+    reflect : slot of mode -j per slot; u(-x) has coefficients u.coeffs[reflect]
     dealias_cut : largest |j| kept by the 2/3-rule product projection
     """
 
@@ -36,6 +37,7 @@ class TorusGrid:
         self.x = TWO_PI * np.arange(self.n) / self.n
         self.modes = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         self.brackets = np.sqrt(1.0 + self.modes.astype(float) ** 2)
+        self.reflect = (-np.arange(self.n)) % self.n
         self.dealias_cut = self.n // 3
         self._dealias_mask = np.abs(self.modes) <= self.dealias_cut
 
@@ -72,10 +74,6 @@ class SpectralFunction:
         self.is_real = bool(is_real)
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_values(cls, grid, values):
-        return transform(grid, values)
 
     @classmethod
     def zero(cls, grid, is_real=True):
@@ -123,15 +121,6 @@ class SpectralFunction:
     def __neg__(self):
         return SpectralFunction(self.grid, -self.coeffs, self.is_real)
 
-    def conj(self):
-        """Complex conjugate as a function: coeffs(j) -> conj(coeffs(-j))."""
-        c = np.conj(self.coeffs)
-        out = np.empty_like(c)
-        n = self.grid.n
-        idx = (-np.arange(n)) % n
-        out[:] = c[idx]
-        return SpectralFunction(self.grid, out, self.is_real)
-
     def _check(self, other):
         if other.grid != self.grid:
             raise ValueError("grid mismatch: %r vs %r" % (self.grid, other.grid))
@@ -171,7 +160,7 @@ def apply_multiplier(u, g):
     Covers <D>^s (g = <j>^s), d/dx (g = ij) and projectors Pi_N.
     """
     gv = g(u.grid.modes) if callable(g) else np.asarray(g)
-    real = u.is_real and np.isrealobj(gv) and bool(np.all(gv == gv[(-np.arange(u.grid.n)) % u.grid.n]))
+    real = u.is_real and np.isrealobj(gv) and bool(np.all(gv == gv[u.grid.reflect]))
     return SpectralFunction(u.grid, u.coeffs * gv, is_real=real)
 
 

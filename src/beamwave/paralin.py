@@ -30,6 +30,7 @@ from .quantize import (
     weyl_gather_index,
     weyl_table,
 )
+from .state import complex_weights, real_from_stacked, stacked_from_real
 from .symbols import (
     DEFAULT_EPS_PARA,
     FrequencyMultiplier,
@@ -100,7 +101,7 @@ class ParalinearizedSystem:
         if V is None:
             zero = SpectralFunction.zero(self.grid)
             return self.a_fun, self.d_fun, zero, zero, zero
-        y_hat, _, th_hat, _ = self._real_parts(np.asarray(V))
+        y_hat, _, th_hat, _ = real_from_stacked(self.grid, V)
         jets = src.jets(y_hat, th_hat)
 
         def g_of(F, slot):
@@ -190,11 +191,11 @@ class ParalinearizedSystem:
         """Exact matrix of the complexified linear system on stacked V: the
         beam pair from (calB, <j>, alpha), the wave pair from (calW, <j>^{1/2}, beta)."""
         src = self.source
-        br = self.grid.brackets
+        D_b, D_w = complex_weights(self.grid)
         n2 = 2 * self.grid.n
         L = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        L[:n2, :n2] = _complexified_pair(src.calB_matrix(), br, src.alpha)
-        L[n2:, n2:] = _complexified_pair(src.calW_matrix(), np.sqrt(br), src.beta)
+        L[:n2, :n2] = _complexified_pair(src.calB_matrix(), D_b, src.alpha)
+        L[n2:, n2:] = _complexified_pair(src.calW_matrix(), D_w, src.beta)
         return L
 
     def R_operator(self):
@@ -206,51 +207,23 @@ class ParalinearizedSystem:
 
     # -- full right-hand side ------------------------------------------
 
-    def _real_parts(self, vec):
-        """Generalized (y, y_t, theta, theta_t) coefficient arrays from a
-        stacked vector (analytic continuation: slots need not be conjugate)."""
-        g = self.grid
-        n = g.n
-        br = g.brackets
-        rt2 = np.sqrt(2.0)
-        z, zb = vec[:n], vec[n : 2 * n]
-        w, wb = vec[2 * n : 3 * n], vec[3 * n :]
-        y = (z + zb) / (rt2 * br)
-        y_t = br * (z - zb) / (1j * rt2)
-        th = (w + wb) / (rt2 * np.sqrt(br))
-        th_t = np.sqrt(br) * (w - wb) / (1j * rt2)
-        return y, y_t, th, th_t
-
     def full_rhs(self, vec, t=0.0):
         """Exact complexified right-hand side on a stacked vector."""
-        vec = np.asarray(vec, dtype=complex)
-        g = self.grid
-        br = g.brackets
-        rt2 = np.sqrt(2.0)
-        y, y_t, th, th_t = self._real_parts(vec)
+        y, y_t, th, th_t = real_from_stacked(self.grid, np.asarray(vec, dtype=complex))
         ytt, thtt = self.source.real_rhs(y, y_t, th, th_t, t)
-        dz = (br * y_t + 1j * ytt / br) / rt2
-        dzb = (br * y_t - 1j * ytt / br) / rt2
-        dw = (np.sqrt(br) * th_t + 1j * thtt / np.sqrt(br)) / rt2
-        dwb = (np.sqrt(br) * th_t - 1j * thtt / np.sqrt(br)) / rt2
-        return np.concatenate([dz, dzb, dw, dwb])
+        return stacked_from_real(self.grid, y_t, ytt, th_t, thtt)
 
     def forcing_G(self, t):
-        """Stacked forcing G(t): zero-mode entries (i gamma/sqrt2) f_b and the
-        conjugate pair, likewise for the wave with delta f_w."""
-        g = self.grid
-        n = g.n
-        out = np.zeros(4 * n, dtype=complex)
+        """Stacked forcing G(t): the complexified zero-mode accelerations
+        gamma f_b(t) and delta f_w(t) at zero displacement."""
         src = self.source
+        zero = np.zeros(self.grid.n)
+        f_b, f_w = zero.copy(), zero.copy()
         if src.gamma != 0.0:
-            amp = 1j * src.gamma * src.f_b(t) / np.sqrt(2.0)
-            out[0] = amp
-            out[n] = -amp
+            f_b[0] = src.gamma * src.f_b(t)
         if src.delta != 0.0:
-            amp = 1j * src.delta * src.f_w(t) / np.sqrt(2.0)
-            out[2 * n] = amp
-            out[3 * n] = -amp
-        return out
+            f_w[0] = src.delta * src.f_w(t)
+        return stacked_from_real(self.grid, zero, f_b, zero, f_w)
 
     def remainder(self, vec, t=0.0):
         """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t)."""

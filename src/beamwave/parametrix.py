@@ -31,7 +31,7 @@ from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
 from .paralin import minus_iE
 from .quantize import SpectralOperator, bony_weyl_quantize, exact_operator_norm
-from .state import stacked_inner, stacked_norm
+from .state import conjugate_pair, stacked_inner, stacked_norm
 from .symbols import (
     DEFAULT_EPS_PARA,
     FrequencyMultiplier,
@@ -330,8 +330,7 @@ def _random_mean_zero_state(grid, sigma, rng):
     if n % 2 == 0:
         z[n // 2] = 0.0
         w[n // 2] = 0.0
-    idx = (-np.arange(n)) % n
-    return np.concatenate([z, np.conj(z[idx]), w, np.conj(w[idx])])
+    return conjugate_pair(grid, z, w)
 
 
 def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
@@ -376,15 +375,12 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     # the binding Garding constant lives at low modes; scan single-mode
     # beam and wave states deterministically over the resolved band
     defects = []
-    idx = (-np.arange(n)) % n
+    zero = np.zeros(n, dtype=complex)
     for j in range(1, grid.dealias_cut + 1):
-        for c in (0, 2):
-            z = np.zeros(n, dtype=complex)
-            z[j % n] = 1.0
-            vec = np.zeros(4 * n, dtype=complex)
-            vec[c * n : (c + 1) * n] = z
-            vec[(c + 1) * n : (c + 2) * n] = np.conj(z[idx])
-            defects.append(garding_defect(vec))
+        mode = zero.copy()
+        mode[j] = 1.0
+        for z, w in ((mode, zero), (zero, mode)):
+            defects.append(garding_defect(conjugate_pair(grid, z, w)))
     upper = np.asarray(upper)
     lower = np.asarray(lower)
     defects = np.asarray(defects)

@@ -40,10 +40,6 @@ class SpectralOperator:
         return cls(grid, np.eye(grid.n * block), 0.0, block)
 
     @classmethod
-    def zero(cls, grid, block=1, order=0.0):
-        return cls(grid, np.zeros((grid.n * block, grid.n * block)), order, block)
-
-    @classmethod
     def from_multiplier_diag(cls, grid, diag_values, order=0.0, block=1):
         """Diagonal operator; ``diag_values`` is per-component or shared."""
         d = np.asarray(diag_values, dtype=complex)

@@ -1,12 +1,19 @@
 """Complexified state V = (Z, W), Z = (z, zbar), W = (w, wbar).
 
-The real unknowns are recovered through
+This module is the one place the complexification is written.  Per pair,
+with D = <D> for the beam (y) and D = <D>^{1/2} for the wave (theta),
 
-    y = sqrt(2) <D>^{-1} Re z,        y_t = sqrt(2) <D> Im z,
-    theta = sqrt(2) <D>^{-1/2} Re w,  theta_t = sqrt(2) <D>^{1/2} Im w.
+    z = (D y + i D^{-1} y_t) / sqrt2,     zbar = (D y - i D^{-1} y_t) / sqrt2,
+    y = D^{-1} (z + zbar) / sqrt2,        y_t = D (z - zbar) / (i sqrt2).
+
+``stacked_from_real`` and ``real_from_stacked`` apply this map to
+coefficient arrays.  They write zbar with its own formula instead of
+conjugating z, so they stay valid off the conjugate-pair subspace (analytic
+continuation), where the paralinearization evaluates the nonlinearities.
 
 Stacked coefficient layout: (z, zbar, w, wbar), each of length n, so block
-operators act on vectors of length 4n.  Block inner products follow
+operators act on vectors of length 4n; ``conjugate_pair`` builds it from z
+and w.  Block inner products follow
 
     (Z1, Z2)_{L2xL2} = Re (z1, z2)_{L2},   <V1, V2> = (Z1, Z2) + (W1, W2),
 
@@ -16,7 +23,39 @@ Parseval pairing.
 
 import numpy as np
 
-from .grid import SpectralFunction, sobolev_norm
+from .grid import SpectralFunction
+
+_RT2 = np.sqrt(2.0)
+
+
+def complex_weights(grid):
+    """The weights D of the beam pair and of the wave pair: (<j>, <j>^{1/2})."""
+    br = grid.brackets
+    return br, np.sqrt(br)
+
+
+def stacked_from_real(grid, y, y_t, theta, theta_t):
+    """Coefficient arrays (y, y_t, theta, theta_t) -> stacked (z, zbar, w, wbar)."""
+    out = []
+    for D, u, u_t in zip(complex_weights(grid), (y, theta), (y_t, theta_t)):
+        out += [(D * u + 1j * u_t / D) / _RT2, (D * u - 1j * u_t / D) / _RT2]
+    return np.concatenate(out)
+
+
+def real_from_stacked(grid, vec):
+    """Stacked (z, zbar, w, wbar) -> coefficient arrays (y, y_t, theta, theta_t)."""
+    z, zb, w, wb = np.reshape(vec, (4, grid.n))
+    out = []
+    for D, a, b in zip(complex_weights(grid), (z, w), (zb, wb)):
+        out += [(a + b) / (_RT2 * D), D * (a - b) / (1j * _RT2)]
+    return tuple(out)
+
+
+def conjugate_pair(grid, z, w):
+    """Stacked (z, zbar, w, wbar) from coefficient arrays z and w, with
+    zbar(j) = conj(z(-j))."""
+    r = grid.reflect
+    return np.concatenate([z, np.conj(z[r]), w, np.conj(w[r])])
 
 
 class StateVector:
@@ -41,23 +80,7 @@ class StateVector:
         )
 
     def stacked(self):
-        zb = self.z.conj()
-        wb = self.w.conj()
-        return np.concatenate([self.z.coeffs, zb.coeffs, self.w.coeffs, wb.coeffs])
-
-    def norm(self, s):
-        return float(np.sqrt(sobolev_norm(self.z, s) ** 2 + sobolev_norm(self.w, s) ** 2))
-
-    def __add__(self, other):
-        return StateVector(self.z + other.z, self.w + other.w)
-
-    def __sub__(self, other):
-        return StateVector(self.z - other.z, self.w - other.w)
-
-    def __mul__(self, scalar):
-        return StateVector(self.z * scalar, self.w * scalar)
-
-    __rmul__ = __mul__
+        return conjugate_pair(self.grid, self.z.coeffs, self.w.coeffs)
 
 
 def stacked_norm(grid, vec, s):
@@ -83,13 +106,8 @@ def stacked_inner(grid, u, v, s=0.0):
 def is_conjugate_pair(grid, vec, tol=1e-10):
     """Check that slots 1, 3 are the conjugate functions of slots 0, 2."""
     n = grid.n
-    idx = (-np.arange(n)) % n
-    for c in (0, 2):
-        a = vec[c * n : (c + 1) * n]
-        b = vec[(c + 1) * n : (c + 2) * n]
-        if np.max(np.abs(b - np.conj(a[idx]))) > tol:
-            return False
-    return True
+    pair = conjugate_pair(grid, vec[:n], vec[2 * n : 3 * n])
+    return bool(np.max(np.abs(vec - pair)) <= tol)
 
 
 def complexify(y, y_t, theta, theta_t):
@@ -98,28 +116,11 @@ def complexify(y, y_t, theta, theta_t):
     for u in (y, y_t, theta, theta_t):
         if not u.is_real:
             raise ValueError("complexify expects real fields")
-    br = grid.brackets
-    rt2 = np.sqrt(2.0)
-    z = SpectralFunction(grid, (br * y.coeffs + 1j * y_t.coeffs / br) / rt2, is_real=False)
-    w = SpectralFunction(
-        grid,
-        (np.sqrt(br) * theta.coeffs + 1j * theta_t.coeffs / np.sqrt(br)) / rt2,
-        is_real=False,
-    )
-    return StateVector(z, w)
+    vec = stacked_from_real(grid, y.coeffs, y_t.coeffs, theta.coeffs, theta_t.coeffs)
+    return StateVector.from_stacked(grid, vec)
 
 
 def realify(V):
     """StateVector -> (y, y_t, theta, theta_t) real SpectralFunctions."""
-    grid = V.grid
-    br = grid.brackets
-    rt2 = np.sqrt(2.0)
-    zb = V.z.conj().coeffs
-    wb = V.w.conj().coeffs
-    y = SpectralFunction(grid, rt2 * (V.z.coeffs + zb) / (2.0 * br), is_real=True)
-    y_t = SpectralFunction(grid, rt2 * br * (V.z.coeffs - zb) / 2j, is_real=True)
-    theta = SpectralFunction(grid, rt2 * (V.w.coeffs + wb) / (2.0 * np.sqrt(br)), is_real=True)
-    theta_t = SpectralFunction(
-        grid, rt2 * np.sqrt(br) * (V.w.coeffs - wb) / 2j, is_real=True
-    )
-    return y, y_t, theta, theta_t
+    parts = real_from_stacked(V.grid, V.stacked())
+    return tuple(SpectralFunction(V.grid, u, is_real=True) for u in parts)

@@ -32,11 +32,6 @@ def _smooth_step_expr(t):
     return gt / (gt + gmt)
 
 
-def _chi_expr():
-    # 1 on |xi| <= 1.1, 0 on |xi| >= 1.9
-    return 1 - _smooth_step_expr((sp.Abs(XI) - sp.Rational(11, 10)) / sp.Rational(8, 10))
-
-
 def _psi_expr():
     # 0 on |xi| <= 1/4, 1 on |xi| >= 1/2
     return _smooth_step_expr((sp.Abs(XI) - sp.Rational(1, 4)) / sp.Rational(1, 4))
@@ -99,10 +94,6 @@ class FrequencyMultiplier:
     @classmethod
     def bracket(cls, s):
         return cls((1 + XI**2) ** (sp.nsimplify(s) / 2), float(s))
-
-    @classmethod
-    def chi(cls, eps_para=DEFAULT_EPS_PARA):
-        return cls(_chi_expr().subs(XI, XI / sp.nsimplify(eps_para)), 0.0)
 
     @classmethod
     def psi(cls):

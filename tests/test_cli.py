@@ -60,18 +60,26 @@ def test_exit_code_config_error(capsys):
     assert run_cli(["simulate", "--preset", "nope"]) == 2
 
 
+SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["--n", "63"],
-        ["--n", "0"],
-        ["--kato-max-iter", "0"],
+        SIMULATE + ["--n", "63"],
+        SIMULATE + ["--n", "0"],
+        SIMULATE + ["--kato-max-iter", "0"],
+        SIMULATE + ["--T", "inf"],
+        SIMULATE + ["--T", "nan"],
+        SIMULATE + ["--dt", "nan"],
+        SIMULATE + ["--amplitude", "nan"],
+        ["sweep", "--axis", "N", "--values", "32,abc"],
     ],
-    ids=["odd_n", "zero_n", "zero_kato_iter"],
+    ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
+         "sweep_unparsable_value"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, capsys):
-    base = ["simulate", "--preset", "linear", "--T", "0.02", "--outdir", str(tmp_path)]
-    code = run_cli(base + args)
+    code = run_cli(args + ["--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err

@@ -19,7 +19,9 @@ from beamwave.state import (
     StateVector,
     complexify,
     is_conjugate_pair,
+    real_from_stacked,
     realify,
+    stacked_from_real,
     stacked_inner,
     stacked_norm,
 )
@@ -117,6 +119,26 @@ def test_complexify_realify_roundtrip():
     for a, b in zip(fields, back):
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
     assert is_conjugate_pair(g, V.stacked())
+
+
+def test_stacked_real_maps_are_inverse_off_conjugate_pairs():
+    g = TorusGrid(32)
+    rng = np.random.default_rng(3)
+    vec = rng.standard_normal(4 * g.n) + 1j * rng.standard_normal(4 * g.n)
+    assert not is_conjugate_pair(g, vec)
+    back = stacked_from_real(g, *real_from_stacked(g, vec))
+    assert np.max(np.abs(back - vec)) < 1e-14 * np.max(np.abs(vec))
+    parts = tuple(rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(4))
+    for a, b in zip(parts, real_from_stacked(g, stacked_from_real(g, *parts))):
+        assert np.max(np.abs(a - b)) < 1e-14 * np.max(np.abs(a))
+
+
+def test_stacked_from_real_matches_complexify_on_real_fields():
+    g = TorusGrid(32)
+    fields = tuple(random_real_function(g, k) for k in range(4))
+    vec = stacked_from_real(g, *(u.coeffs for u in fields))
+    ref = complexify(*fields).stacked()
+    assert np.max(np.abs(vec - ref)) < 1e-15 * np.max(np.abs(ref))
 
 
 def test_stacked_norm_matches_component_norms():
