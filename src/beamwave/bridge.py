@@ -57,9 +57,7 @@ class QuadraticNonlinearity:
             ia, ib = int(ia), int(ib)
             if not (0 <= ia < 6 and 0 <= ib < 6):
                 raise ConfigError("jet slots must be in 0..5")
-            if not isinstance(coeff, SpectralFunction):
-                coeff = SpectralFunction.constant(grid, float(coeff))
-            self.terms.append((coeff, ia, ib))
+            self.terms.append((_profile_to_function(grid, coeff), ia, ib))
 
     @classmethod
     def zero(cls, grid):
@@ -145,26 +143,10 @@ class BridgeSystem:
         F2=None,
     ):
         self.grid = grid
-        self.b = b if isinstance(b, SpectralFunction) else SpectralFunction.constant(grid, float(b))
-        self.c = c if isinstance(c, SpectralFunction) else SpectralFunction.constant(grid, float(c))
-        self.B_terms = [
-            (
-                coeff
-                if isinstance(coeff, SpectralFunction)
-                else SpectralFunction.constant(grid, float(coeff)),
-                int(k),
-            )
-            for coeff, k in B_terms
-        ]
-        self.C_terms = [
-            (
-                coeff
-                if isinstance(coeff, SpectralFunction)
-                else SpectralFunction.constant(grid, float(coeff)),
-                int(k),
-            )
-            for coeff, k in C_terms
-        ]
+        self.b = _profile_to_function(grid, b)
+        self.c = _profile_to_function(grid, c)
+        self.B_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in B_terms]
+        self.C_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in C_terms]
         for _, k in self.B_terms + self.C_terms:
             if k > 2 or k < 0:
                 raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
@@ -345,32 +327,22 @@ def bridge_system_from_json(doc, grid=None):
         grid = TorusGrid(int(doc["n"]))
 
     def fun(entry, default):
-        if entry is None:
-            return SpectralFunction.constant(grid, default)
         if isinstance(entry, dict):
-            return _profile_to_function(grid, entry.get("profile", entry.get("values")))
-        return _profile_to_function(grid, entry)
-
-    def terms(entries):
-        return [(_profile_to_function(grid, co), k) for co, k in (entries or [])]
-
-    def quad(entries):
-        return QuadraticNonlinearity(
-            grid, [(_profile_to_function(grid, co), ia, ib) for co, ia, ib in (entries or [])]
-        )
+            return entry.get("profile", entry.get("values"))
+        return default if entry is None else entry
 
     return BridgeSystem(
         grid,
         b=fun(doc.get("b"), 1.0),
         c=fun(doc.get("c"), 1.0),
-        B_terms=terms(doc.get("B_terms")),
-        C_terms=terms(doc.get("C_terms")),
+        B_terms=doc.get("B_terms") or (),
+        C_terms=doc.get("C_terms") or (),
         alpha=float(doc.get("alpha", 0.0)),
         beta=float(doc.get("beta", 0.0)),
         gamma=float(doc.get("gamma", 0.0)),
         delta=float(doc.get("delta", 0.0)),
-        F1=quad(doc.get("F1")),
-        F2=quad(doc.get("F2")),
+        F1=QuadraticNonlinearity(grid, doc.get("F1") or ()),
+        F2=QuadraticNonlinearity(grid, doc.get("F2") or ()),
     )
 
 

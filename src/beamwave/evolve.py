@@ -1,6 +1,7 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
-Three solvers share one time grid and CFL rule:
+Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
+(``_rk4``) and one march (``_march``: norms and blow-up guard at every node):
 
 * ``oracle_solve`` -- direct method-of-lines RK4 on the real system
   (y, y_t, theta, theta_t) using pseudo-spectral derivatives and de-aliased
@@ -9,18 +10,19 @@ Three solvers share one time grid and CFL rule:
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
   half-step heat factors around an explicit RK4 step of the frozen
-  paradifferential part.
-* ``kato_solve`` -- the iteration (P)_n: sweep n solves the linear system
-  with coefficients frozen along V_{n-1} and inhomogeneity
+  paradifferential part; backgrounds and forcing are given at the nodes.
+* ``kato_solve`` -- the iteration (P)_n: sweep 1 solves the linear system at
+  the zero background with G(t) at the nodes; sweep n solves it with
+  coefficients frozen along V_{n-1} and inhomogeneity
   remainder(V_{n-1}) + G(t) = kato_forcing(V_{n-1}), stopping when the
   L^inf H^{s1} Cauchy increment falls below tolerance.  The V-independent
   order-zero part R is kept inside the frozen generator, so for a trivial
   (linear, constant-coefficient) system sweep one already solves the full
   problem and the first increment vanishes identically.
 
-Frozen backgrounds are evaluated at step midpoints (average of the two
-enclosing nodes), making the coefficient freezing second-order accurate; the
-RK4 step then dominates the error budget.  Each step applies
+Frozen backgrounds and forcing are evaluated at step midpoints (average of
+the two enclosing nodes), making the coefficient freezing second-order
+accurate; the RK4 step then dominates the error budget.  Each step applies
 ``ParalinearizedSystem.frozen_generator``: a matrix-vector product with the
 V-independent frakA(0) + R, built once, plus three n x n blocks gathered for
 the frozen background, so no 4n x 4n matrix is formed per step.
@@ -29,6 +31,7 @@ the frozen background, so no 4n x 4n matrix is formed per step.
 import copy
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -59,9 +62,12 @@ class SolverConfig:
         kato_max_iter=25,
         ladder=None,
     ):
-        for name, value in (("T_final", T_final), ("dt", dt), ("eps", eps)):
+        for name, value in (("T_final", T_final), ("dt", dt), ("eps", eps),
+                            ("cfl_safety", cfl_safety)):
             if value is not None and not np.isfinite(value):
                 raise ConfigError("%s must be finite, got %r" % (name, value))
+        if not (np.isfinite(kato_tol) and kato_tol > 0):
+            raise ConfigError("kato_tol must be finite and positive, got %r" % (kato_tol,))
         if T_final <= 0:
             raise PreconditionError("T_final must be positive")
         if eps < 0:
@@ -87,7 +93,9 @@ class SolverConfig:
 
     def resolve_dt(self, grid, b_max):
         """The actual step: validated config dt, or the largest stable step
-        dividing T_final into an integer number of steps."""
+        dividing T_final into an integer number of steps.  A step count whose
+        trajectories (a Kato solve holds about four of (steps + 1) x 4n
+        complex128 at once) would not fit in physical memory is refused."""
         limit = self.max_stable_dt(grid, b_max)
         if self.dt is not None:
             if self.dt > limit * (1.0 + 1e-12):
@@ -97,7 +105,14 @@ class SolverConfig:
             dt = self.dt
         else:
             dt = limit
-        steps = max(1, int(np.ceil(self.T_final / dt - 1e-12)))
+        ratio = self.T_final / dt
+        need = 4.0 * (ratio + 2.0) * 4 * grid.n * 16
+        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise ConfigError(
+                "dt = %.3e needs %.3g steps, whose trajectories exceed physical memory"
+                % (dt, ratio)
+            )
+        steps = max(1, int(np.ceil(ratio - 1e-12)))
         return self.T_final / steps, steps
 
     def to_json_dict(self):
@@ -216,111 +231,75 @@ def duhamel_smoothing_ratio(grid, eps, t, kind="beam"):
     return float(np.max(integral * gain))
 
 
-def _norm_record(grid, vec, ladder):
-    return {
-        "s0": stacked_norm(grid, vec, ladder.s0),
-        "s1": stacked_norm(grid, vec, ladder.s1),
-    }
+def _time_grid(sys, config):
+    """(dt, steps) for ``sys``: the CFL limit uses the largest beam coefficient."""
+    return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)))
 
 
-def _check_finite(vec, norm, initial_norm):
-    """Blow-up guard on a new state whose H^{s1} norm ``norm`` is already recorded."""
-    if not np.all(np.isfinite(vec)):
-        raise NumericalError("non-finite state encountered")
-    if norm > 1e6 * max(initial_norm, 1e-300):
-        raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
+def _rk4(f, u, dt):
+    """One classical RK4 step of du/dt = f(stage, u); stage 0, 1, 2 is the
+    start, midpoint and end of the step."""
+    k1 = f(0, u)
+    k2 = f(1, u + 0.5 * dt * k1)
+    k3 = f(1, u + 0.5 * dt * k2)
+    k4 = f(2, u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(grid, ladder, dt, steps, V0, step):
+    """Trajectory V_{k+1} = step(k, V_k) from V0 with its H^{s0}, H^{s1} norms.
+
+    The blow-up guard runs at every node: a non-finite state, or an H^{s1}
+    norm above 1e6 times the initial one, raises ``NumericalError``."""
+    traj = []
+    norms = {"s0": [], "s1": []}
+    V = np.array(V0, dtype=complex)
+    for k in range(steps + 1):
+        if k:
+            V = step(k - 1, V)
+        if not np.all(np.isfinite(V)):
+            raise NumericalError("non-finite state encountered")
+        traj.append(V)
+        for key, vals in norms.items():
+            vals.append(stacked_norm(grid, V, getattr(ladder, key)))
+        if norms["s1"][-1] > 1e6 * max(norms["s1"][0], 1e-300):
+            raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
+    return RunResult(grid, [k * dt for k in range(steps + 1)], traj, norms, "completed")
 
 
 def linear_solve(para, background_path, V0, forcing_path, config, include_R=True):
     """Strang splitting for the frozen-coefficient regularized linear system.
 
-    ``background_path``: None (coefficients at the zero background) or an
-    array of node values with one row per time node.  ``forcing_path``:
-    None, a callable t -> stacked vector, or an array of node values.  With
+    ``background_path`` and ``forcing_path``: None (zero background, no
+    forcing) or an array of node values with one row per time node; both are
+    averaged over the two enclosing nodes at step midpoints.  With
     ``include_R=False`` the order-zero coupling R is dropped, leaving the
     decoupled model flow whose H^s norms are exact isometries.
     """
     grid = para.grid
-    b_max = float(np.max(para.source.b.values().real))
-    dt, steps = config.resolve_dt(grid, b_max)
-    ladder = config.ladder
+    dt, steps = _time_grid(para.source, config)
     n4 = 4 * grid.n
 
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (n4,):
         raise PreconditionError("initial state must be a stacked 4n vector")
-
-    bg_nodes = None
-    if background_path is not None:
-        bg_nodes = np.asarray(background_path, dtype=complex)
-        if bg_nodes.shape != (steps + 1, n4):
-            raise PreconditionError("background path must have %d node values" % (steps + 1))
-
-    f_nodes = None
-    f_callable = None
-    if callable(forcing_path):
-        f_callable = forcing_path
-    elif forcing_path is not None:
-        f_nodes = np.asarray(forcing_path, dtype=complex)
-        if f_nodes.shape != (steps + 1, n4):
-            raise PreconditionError("forcing path must have %d node values" % (steps + 1))
+    paths = []
+    for name, path in (("background", background_path), ("forcing", forcing_path)):
+        if path is not None:
+            path = np.asarray(path, dtype=complex)
+            if path.shape != (steps + 1, n4):
+                raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
+        paths.append(path)
+    bg, f = paths
 
     half = heat_factor(grid, config.eps, dt / 2.0)
 
-    def generator(step):
-        frozen = None if bg_nodes is None else 0.5 * (bg_nodes[step] + bg_nodes[step + 1])
-        return para.frozen_generator(frozen, include_R)
+    def step(k, V):
+        A = para.frozen_generator(None if bg is None else 0.5 * (bg[k] + bg[k + 1]), include_R)
+        fk = (0.0,) * 3 if f is None else (f[k], 0.5 * (f[k] + f[k + 1]), f[k + 1])
+        return half * _rk4(lambda stage, u: A(u) + fk[stage], half * V, dt)
 
-    def forcing_at(step, stage):
-        """stage 0: node, 1: midpoint, 2: next node."""
-        t = (step + 0.5 * stage) * dt
-        if f_callable is not None:
-            return f_callable(t)
-        if f_nodes is not None:
-            if stage == 0:
-                return f_nodes[step]
-            if stage == 2:
-                return f_nodes[step + 1]
-            return 0.5 * (f_nodes[step] + f_nodes[step + 1])
-        return None
-
-    V = V0.copy()
-    times = [0.0]
-    traj = [V.copy()]
-    rec = _norm_record(grid, V, ladder)
-    norms = {k: [v] for k, v in rec.items()}
-    initial = max(rec["s1"], 1e-300)
-
-    for step in range(steps):
-        A = generator(step)
-        f0 = forcing_at(step, 0)
-        fm = forcing_at(step, 1)
-        f1 = forcing_at(step, 2)
-
-        u = half * V
-        k1 = A(u)
-        if f0 is not None:
-            k1 = k1 + f0
-        k2 = A(u + 0.5 * dt * k1)
-        if fm is not None:
-            k2 = k2 + fm
-        k3 = A(u + 0.5 * dt * k2)
-        if fm is not None:
-            k3 = k3 + fm
-        k4 = A(u + dt * k3)
-        if f1 is not None:
-            k4 = k4 + f1
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        V = half * u
-
-        rec = _norm_record(grid, V, ladder)
-        _check_finite(V, rec["s1"], initial)
-        times.append((step + 1) * dt)
-        traj.append(V.copy())
-        for k, v in rec.items():
-            norms[k].append(v)
-
-    return RunResult(grid, times, traj, norms, "completed")
+    return _march(grid, config.ladder, dt, steps, V0, step)
 
 
 def _initial_radius(sys, V0):
@@ -333,37 +312,28 @@ def _initial_radius(sys, V0):
 def kato_solve(sys, V0, config):
     """The iteration (P)_n on the paralinearized complex system.
 
-    Sweep 1 solves the linear system at the zero background with forcing
-    G(t); sweep n freezes the coefficients along V_{n-1} and adds the
-    measured quadratic remainder of V_{n-1} as inhomogeneity.  Stops when
-    the L^inf H^{s1} increment drops below ``kato_tol``.
+    Sweep 1 solves the linear system at the zero background with forcing G
+    at the nodes; sweep n freezes the coefficients along V_{n-1} and adds the
+    measured quadratic remainder of V_{n-1} as inhomogeneity.  Every sweep
+    averages its forcing nodes at step midpoints.  Stops when the L^inf
+    H^{s1} increment drops below ``kato_tol``.
     """
     grid = sys.grid
-    para = ParalinearizedSystem(sys, grid)
     V0 = np.asarray(V0, dtype=complex)
     sys.check_ellipticity()
     sys.check_radius_condition(2.0 * max(_initial_radius(sys, V0), 1e-12))
+    dt, steps = _time_grid(sys, config)
+    para = ParalinearizedSystem(sys, grid)
 
-    b_max = float(np.max(sys.b.values().real))
-    dt, steps = config.resolve_dt(grid, b_max)
-    ladder = config.ladder
-
-    def forcing_nodes(prev_traj):
-        """remainder(V_{n-1}) + G at every node."""
-        return np.array([para.kato_forcing(v, k * dt) for k, v in enumerate(prev_traj)])
-
-    result = linear_solve(para, None, V0, para.forcing_G, config)
+    G = np.array([para.forcing_G(k * dt) for k in range(steps + 1)])
+    result = linear_solve(para, None, V0, G, config)
     increments = []
     prev_inc = None
     for _ in range(config.kato_max_iter):
-        forcing = forcing_nodes(result.trajectory)
+        # remainder(V_{n-1}) + G at every node
+        forcing = np.array([para.kato_forcing(v, k * dt) for k, v in enumerate(result.trajectory)])
         nxt = linear_solve(para, result.trajectory, V0, forcing, config)
-        inc = float(
-            max(
-                stacked_norm(grid, nxt.trajectory[k] - result.trajectory[k], ladder.s1)
-                for k in range(steps + 1)
-            )
-        )
+        inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
         increments.append(inc)
         result = nxt
         if inc < config.kato_tol:
@@ -384,65 +354,36 @@ def kato_solve(sys, V0, config):
 def oracle_solve(sys, y0, y1, theta0, theta1, config):
     """Direct RK4 on the real system; the independent validator.
 
-    State (y, y_t, theta, theta_t) as Fourier coefficient arrays; spectral
-    derivatives and de-aliased pointwise nonlinearities through
-    ``sys.real_rhs``.  Snapshots are stored complexified so they compare
-    directly with the paradifferential solvers.
+    State (y, y_t, theta, theta_t) as one (4, n) array of Fourier
+    coefficients; spectral derivatives and de-aliased pointwise
+    nonlinearities through ``sys.real_rhs``.  Snapshots are stored
+    complexified so they compare directly with the paradifferential solvers.
     """
     grid = sys.grid
     sys.check_ellipticity()
-    b_max = float(np.max(sys.b.values().real))
-    dt, steps = config.resolve_dt(grid, b_max)
-    ladder = config.ladder
+    dt, steps = _time_grid(sys, config)
+    state = np.array([u.coeffs for u in (y0, y1, theta0, theta1)], dtype=complex)
 
-    state = tuple(np.asarray(u.coeffs, dtype=complex) for u in (y0, y1, theta0, theta1))
-
-    def rhs(state, t):
-        yc, ytc, thc, thtc = state
+    def rhs(u, t):
+        yc, ytc, thc, thtc = u
         ytt, thtt = sys.real_rhs(yc, ytc, thc, thtc, t)
-        return (ytc, ytt, thtc, thtt)
+        return np.array([ytc, ytt, thtc, thtt])
 
-    def axpy(state, h, deriv):
-        return tuple(s + h * d for s, d in zip(state, deriv))
+    def step(k, V):
+        nonlocal state
+        t = k * dt
+        state = _rk4(lambda stage, u: rhs(u, t + 0.5 * stage * dt), state, dt)
+        return stacked_from_real(grid, *state)
 
-    V = stacked_from_real(grid, *state)
-    times = [0.0]
-    traj = [V]
-    rec = _norm_record(grid, V, ladder)
-    norms = {k: [v] for k, v in rec.items()}
-    initial = max(rec["s1"], 1e-300)
-
-    for step in range(steps):
-        t = step * dt
-        k1 = rhs(state, t)
-        k2 = rhs(axpy(state, 0.5 * dt, k1), t + 0.5 * dt)
-        k3 = rhs(axpy(state, 0.5 * dt, k2), t + 0.5 * dt)
-        k4 = rhs(axpy(state, dt, k3), t + dt)
-        state = tuple(
-            s + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        V = stacked_from_real(grid, *state)
-        rec = _norm_record(grid, V, ladder)
-        _check_finite(V, rec["s1"], initial)
-        times.append((step + 1) * dt)
-        traj.append(V)
-        for k, v in rec.items():
-            norms[k].append(v)
-
-    return RunResult(grid, times, traj, norms, "completed")
+    return _march(grid, config.ladder, dt, steps, stacked_from_real(grid, *state), step)
 
 
 def trajectory_gap(grid, run_a, run_b, s):
     """sup_t ||V_a(t) - V_b(t)||_{H^s} on the common time grid."""
     if len(run_a.times) != len(run_b.times):
         raise PreconditionError("runs must share a time grid")
-    return float(
-        max(
-            stacked_norm(grid, run_a.trajectory[k] - run_b.trajectory[k], s)
-            for k in range(len(run_a.times))
-        )
-    )
+    pairs = zip(run_a.trajectory, run_b.trajectory)
+    return float(max(stacked_norm(grid, a - b, s) for a, b in pairs))
 
 
 def _project_stacked(grid, vec, N):

@@ -74,15 +74,33 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--dt", "nan"],
         SIMULATE + ["--amplitude", "nan"],
         ["sweep", "--axis", "N", "--values", "32,abc"],
+        SIMULATE + ["--kato-tol", "nan"],
+        SIMULATE + ["--kato-tol", "inf"],
+        SIMULATE + ["--kato-tol", "0"],
+        SIMULATE + ["--cfl-safety", "nan"],
+        SIMULATE + ["--dt", "1e-300"],
+        SIMULATE + ["--dt", "5e-324"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
-         "sweep_unparsable_value"],
+         "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
+         "nan_cfl_safety", "tiny_dt", "subnormal_dt"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, capsys):
     code = run_cli(args + ["--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+
+
+def test_simulate_artifact_name_ignores_seed(tmp_path):
+    # simulate draws no random numbers, so --seed does not enter the hash
+    names = []
+    for seed in ("0", "5"):
+        out = tmp_path / seed
+        code = run_cli(SIMULATE + ["--n", "32", "--seed", seed, "--outdir", str(out)])
+        assert code == 0
+        names.append([p.name for p in out.glob("run_*.json")])
+    assert len(names[0]) == 1 and names[0] == names[1]
 
 
 def test_exit_code_precondition_cfl():

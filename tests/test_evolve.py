@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
-from beamwave.errors import PreconditionError
+from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
     SolverConfig,
     bona_smith_experiment,
@@ -96,6 +96,24 @@ def test_linear_solve_background_shape_checks():
         linear_solve(para, np.zeros((3, 4 * g.n)), V0, None, cfg)
     with pytest.raises(PreconditionError):
         linear_solve(para, None, V0[: g.n], None, cfg)
+    with pytest.raises(PreconditionError):
+        linear_solve(para, None, V0, np.zeros((3, 4 * g.n)), cfg)
+
+
+def test_blow_up_guard_stops_both_solvers():
+    g = TorusGrid(16)
+    cfg = SolverConfig(T_final=0.01)
+    fields = make_fields(g)
+    sys = BridgeSystem(g, 1.0, 1.0)
+    para = ParalinearizedSystem(sys, g)
+    steps = cfg.resolve_dt(g, 1.0)[1]
+    forcing = np.zeros((steps + 1, 4 * g.n), dtype=complex)
+    forcing[steps // 2, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        linear_solve(para, None, complexify(*fields).stacked(), forcing, cfg)
+    forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: np.nan)
+    with pytest.raises(NumericalError, match="non-finite"):
+        oracle_solve(forced, *fields, cfg)
 
 
 def test_trivial_kato_one_sweep_exact():
