@@ -104,8 +104,11 @@ def _solver_config(args):
 
 def _load_system(args, grid):
     if args.system:
-        with open(args.system) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.system) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("cannot read system file %r: %s" % (args.system, exc)) from None
         doc.setdefault("n", grid.n)
         sysm = bridge_system_from_json(doc, grid)
         _, data = build_preset("linear", grid, args.amplitude)
@@ -288,7 +291,7 @@ def cmd_sweep(args):
                 P = build_parametrix(para, V, 2.5)
                 rep = conjugation_residual(P, para, V)
                 rows.append((n, rep["conjugation_norm"]))
-            except Exception as exc:  # partial failures flagged per value
+            except (PreconditionError, NumericalError) as exc:  # flagged per value
                 failures[str(n)] = str(exc)
         vals = [m for _, m in rows]
         bounded = bool(vals) and max(vals) / min(vals) < 1.25
@@ -309,7 +312,7 @@ def cmd_sweep(args):
                 sysm, (y0, y1, t0, t1) = build_preset(args.preset, grid, v)
                 run = kato_solve(sysm, complexify(y0, y1, t0, t1).stacked(), config)
                 rows.append((v, run.sup_norm(config.ladder.s1)))
-            except Exception as exc:
+            except (PreconditionError, NumericalError) as exc:
                 failures[str(v)] = str(exc)
         good = [(v, m) for v, m in rows if m > 0]
         if len(good) >= 2:

@@ -134,7 +134,7 @@ class SpectralFunction:
         return sobolev_norm(self, s)
 
     def fingerprint(self):
-        return hash(self.coeffs.tobytes())
+        return self.coeffs.tobytes()
 
 
 def transform(grid, values):

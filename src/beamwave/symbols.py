@@ -1,9 +1,10 @@
 """Symbols a(x, xi) and their algebra.
 
 A symbol of order m is represented as a finite sum of separable terms
-f_k(x) g_k(xi) where f_k is a SpectralFunction and g_k a closed-form
-frequency multiplier.  Multipliers carry exact symbolic xi-derivatives
-(never finite differences) so the seminorms
+f_k(x) g_k(xi) where f_k is a SpectralFunction and g_k a FrequencyMultiplier:
+a sum of closed-form terms c xi^k |xi|^p <xi>^s psi(xi)^q evaluated in numpy.
+Multipliers carry exact xi-derivatives (never finite differences) so the
+seminorms
 
     |a|_{m,s,n} = max_{beta<=n} sup_xi || <xi>^{beta-m} d_xi^beta a(., xi) ||_{H^s}
 
@@ -14,31 +15,14 @@ the standard bump step h(t) = g(t)/(g(t)+g(1-t)), g(t) = exp(-1/t).
 """
 
 import numpy as np
-import sympy as sp
 
 from .grid import SpectralFunction, grid_product
 
-XI = sp.Symbol("xi", real=True)
-
 DEFAULT_EPS_PARA = 0.5
-
-_g = sp.Piecewise((sp.exp(-1 / XI), XI > 0), (0, True))
-
-
-def _smooth_step_expr(t):
-    """h(t): 0 for t<=0, 1 for t>=1, C^inf monotone in between."""
-    gt = _g.subs(XI, t)
-    gmt = _g.subs(XI, 1 - t)
-    return gt / (gt + gmt)
-
-
-def _psi_expr():
-    # 0 on |xi| <= 1/4, 1 on |xi| >= 1/2
-    return _smooth_step_expr((sp.Abs(XI) - sp.Rational(1, 4)) / sp.Rational(1, 4))
 
 
 def smooth_step(t):
-    """Numeric h(t), vectorized; matches the symbolic construction exactly."""
+    """h(t): 0 for t<=0, 1 for t>=1, C^inf monotone in between; vectorized."""
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gt = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
@@ -60,95 +44,97 @@ def cutoff_psi(xi):
     return smooth_step((u - 0.25) / 0.25)
 
 
-class FrequencyMultiplier:
-    """Closed-form function of xi with an order tag and exact derivatives."""
+def _term_deriv(term):
+    """d/dxi of c xi^k |xi|^p <xi>^s: the power rule on each factor,
+    with d|xi|^p = p xi |xi|^{p-2} and d<xi>^s = s xi <xi>^{s-2}."""
+    c, k, p, s, q = term
+    if q:
+        raise ValueError("the excision cutoff psi is not differentiated")
+    out = [(c * k, k - 1, p, s, 0.0), (c * p, k + 1, p - 2, s, 0.0), (c * s, k + 1, p, s - 2, 0.0)]
+    return [t for t in out if t[0] != 0]
 
+
+class FrequencyMultiplier:
+    """g(xi) = sum of terms c xi^k |xi|^p <xi>^s psi(xi)^q, with an order tag.
+
+    Exponents are kept as the floats given.  A term with q > 0 is 0 where
+    psi is, which keeps psi/xi regular at xi = 0.
+    """
+
+    # read by perfbench/child.py --trace as its lambdify count; stays empty
     _lambdified = {}
 
-    def __init__(self, expr, order):
-        self.expr = sp.sympify(expr)
+    def __init__(self, terms, order):
+        self.terms = tuple(tuple(float(v) for v in t) for t in terms)
         self.order = float(order)
 
     # constructors ----------------------------------------------------
 
     @classmethod
     def one(cls):
-        return cls(sp.Integer(1), 0.0)
-
-    @classmethod
-    def constant(cls, c):
-        return cls(sp.sympify(c), 0.0)
+        return cls([(1, 0, 0, 0, 0)], 0.0)
 
     @classmethod
     def xi_power(cls, k):
-        return cls(XI**k, float(k))
+        return cls([(1, k, 0, 0, 0)], k)
 
     @classmethod
     def abs_xi(cls):
-        return cls(sp.Abs(XI), 1.0)
+        return cls.abs_xi_power(1)
 
     @classmethod
     def abs_xi_power(cls, p):
-        return cls(sp.Abs(XI) ** sp.nsimplify(p), float(p))
+        return cls([(1, 0, p, 0, 0)], p)
 
     @classmethod
     def bracket(cls, s):
-        return cls((1 + XI**2) ** (sp.nsimplify(s) / 2), float(s))
+        return cls([(1, 0, 0, s, 0)], s)
 
     @classmethod
     def psi(cls):
-        return cls(_psi_expr(), 0.0)
+        return cls([(1, 0, 0, 0, 1)], 0.0)
 
     @classmethod
     def psi_over_xi(cls, power=1):
         """psi(xi)/xi^power, extended by 0 across the psi plateau at 0."""
-        expr = sp.Piecewise(
-            (_psi_expr() / XI**power, sp.Abs(XI) > sp.Rational(1, 5)),
-            (0, True),
-        )
-        return cls(expr, -float(power))
+        return cls([(1, -power, 0, 0, 1)], -power)
 
     # algebra ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, FrequencyMultiplier):
-            return FrequencyMultiplier(self.expr * other.expr, self.order + other.order)
-        return FrequencyMultiplier(self.expr * sp.sympify(other), self.order)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
         if not isinstance(other, FrequencyMultiplier):
-            other = FrequencyMultiplier.constant(other)
-        return FrequencyMultiplier(self.expr + other.expr, max(self.order, other.order))
-
-    def __neg__(self):
-        return FrequencyMultiplier(-self.expr, self.order)
+            return NotImplemented
+        terms = [
+            (c1 * c2, k1 + k2, p1 + p2, s1 + s2, q1 + q2)
+            for c1, k1, p1, s1, q1 in self.terms
+            for c2, k2, p2, s2, q2 in other.terms
+        ]
+        return FrequencyMultiplier(terms, self.order + other.order)
 
     def deriv(self, n=1):
-        return FrequencyMultiplier(sp.diff(self.expr, XI, n), self.order - n)
+        terms = self.terms
+        for _ in range(n):
+            terms = [d for t in terms for d in _term_deriv(t)]
+        return FrequencyMultiplier(terms, self.order - n)
 
     # evaluation ------------------------------------------------------
 
-    def _fn(self):
-        key = sp.srepr(self.expr)
-        fn = FrequencyMultiplier._lambdified.get(key)
-        if fn is None:
-            fn = sp.lambdify(XI, self.expr, modules="numpy")
-            FrequencyMultiplier._lambdified[key] = fn
-        return fn
-
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
+        sign, mag = np.sign(xi), np.abs(xi)
+        out = np.zeros(xi.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self._fn()(xi)
-        out = np.asarray(out)
-        if out.shape != xi.shape:
-            out = np.broadcast_to(out, xi.shape).copy()
+            for c, k, p, s, q in self.terms:
+                # xi^k |xi|^p as sign^k |xi|^(k+p): finite at 0 whenever k+p >= 0
+                v = c * sign**k * mag ** (k + p) * (1.0 + xi**2) ** (s / 2)
+                if q:
+                    psi = cutoff_psi(xi)
+                    v = np.where(psi > 0, v * psi**q, 0.0)
+                out += v
         return out
 
     def fingerprint(self):
-        return sp.srepr(self.expr)
+        return self.terms, self.order
 
 
 class SeparableSymbol:
@@ -250,9 +236,7 @@ class SeparableSymbol:
         return best
 
     def fingerprint(self):
-        return hash(
-            tuple((f.fingerprint(), g.fingerprint()) for f, g in self.terms) + (self.grid.n,)
-        )
+        return tuple((f.fingerprint(), g.fingerprint()) for f, g in self.terms), self.grid.n
 
 
 def weyl_xi_lattice(grid):
@@ -380,4 +364,4 @@ class MatrixSymbol:
         return max(e.seminorm(m, s, n_der) for e in self.entries.flat)
 
     def fingerprint(self):
-        return hash(tuple(e.fingerprint() for e in self.entries.flat))
+        return tuple(e.fingerprint() for e in self.entries.flat)

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamwave.cli
 from beamwave.cli import build_preset, main
 from beamwave.grid import TorusGrid
 
@@ -80,16 +85,41 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--cfl-safety", "nan"],
         SIMULATE + ["--dt", "1e-300"],
         SIMULATE + ["--dt", "5e-324"],
+        ["sweep", "--axis", "N", "--values", "32,63"],
+        ["sweep", "--axis", "amplitude", "--values", "nan,0.01"],
+        SIMULATE + ["--system", "missing.json"],
+        SIMULATE + ["--system", "truncated.json"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
-         "nan_cfl_safety", "tiny_dt", "subnormal_dt"],
+         "nan_cfl_safety", "tiny_dt", "subnormal_dt", "sweep_odd_n", "sweep_nan_amplitude",
+         "missing_system_file", "invalid_system_json"],
 )
-def test_exit_code_config_error_inputs(args, tmp_path, capsys):
+def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative system files resolve here
+    (tmp_path / "truncated.json").write_text("{")
     code = run_cli(args + ["--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+
+
+def test_cli_and_kato_solve_leave_sympy_unimported(tmp_path):
+    # the CLI and a Kato solve run on numpy alone
+    code = (
+        "import sys\n"
+        "from beamwave.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'sympy'))\n"
+    )
+    src = str(Path(beamwave.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["simulate", "--preset", "headline", "--n", "32", "--T", "0.01", "--outdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_artifact_name_ignores_seed(tmp_path):

@@ -213,7 +213,7 @@ def test_forced_kato_matches_oracle(forcing):
 
 
 def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
-    # symbol assembly, sympy multipliers and quantization stay off the
+    # symbol assembly, frequency multipliers and quantization stay off the
     # time-stepping path: their call counts do not grow with the steps
     from beamwave import paralin, quantize, symbols
 

@@ -120,6 +120,24 @@ def test_composition_residual_stable():
     assert max(norms) / min(norms) < 1.25
 
 
+def test_quantize_cache_key_is_exact_under_hash_collisions(monkeypatch):
+    # every Python hash() seen by the fingerprints collides: the operator
+    # cache must still tell cos(x) xi^2 from sin(x) xi^2
+    import beamwave.grid
+    import beamwave.symbols
+
+    monkeypatch.setattr(beamwave.symbols, "hash", lambda _: 0, raising=False)
+    monkeypatch.setattr(beamwave.grid, "hash", lambda _: 0, raising=False)
+    g = TorusGrid(16)
+    ops = [
+        bony_weyl_quantize(
+            SeparableSymbol(g, [(transform(g, fn(g.x)), FrequencyMultiplier.xi_power(2))])
+        ).matrix
+        for fn in (np.cos, np.sin)
+    ]
+    assert np.max(np.abs(ops[0] - ops[1])) > 1.0
+
+
 def test_quantize_cache_returns_same_object():
     g = TorusGrid(16)
     a = SeparableSymbol(g, [(transform(g, np.cos(g.x)), FrequencyMultiplier.xi_power(2))])

@@ -64,6 +64,81 @@ def test_psi_over_xi_regular_at_origin():
     assert abs(v[4] - 0.5) < 1e-12
 
 
+def _guarded_psi_over_xi(xi, power):
+    psi = cutoff_psi(xi)
+    safe = np.where(psi > 0, xi, 1.0)
+    return np.where(psi > 0, psi / safe**power, 0.0)
+
+
+def _closed_forms():
+    """(multiplier, numpy closed form, order) for every constructor and the
+    products the paralinearization and the parametrix build."""
+    F = FrequencyMultiplier
+    return {
+        "one": (F.one(), lambda x: np.ones_like(x), 0.0),
+        "xi_power_1": (F.xi_power(1), lambda x: x, 1.0),
+        "xi_power_2": (F.xi_power(2), lambda x: x**2, 2.0),
+        "abs_xi": (F.abs_xi(), np.abs, 1.0),
+        "abs_xi_power_5": (F.abs_xi_power(5), lambda x: np.abs(x) ** 5, 5.0),
+        "abs_xi_power_1.5": (F.abs_xi_power(1.5), lambda x: np.abs(x) ** 1.5, 1.5),
+        "bracket_-1.5": (F.bracket(-1.5), lambda x: (1 + x**2) ** (-1.5 / 2), -1.5),
+        "bracket_0.5": (F.bracket(0.5), lambda x: (1 + x**2) ** (0.5 / 2), 0.5),
+        "psi": (F.psi(), cutoff_psi, 0.0),
+        "psi_over_xi": (F.psi_over_xi(), lambda x: _guarded_psi_over_xi(x, 1), -1.0),
+        "psi_over_xi_2": (F.psi_over_xi(2), lambda x: _guarded_psi_over_xi(x, 2), -2.0),
+        "bracket_times_xi2": (
+            F.bracket(-1.5) * F.xi_power(2),
+            lambda x: (1 + x**2) ** (-1.5 / 2) * x**2,
+            0.5,
+        ),
+        "psi_times_bracket": (
+            F.psi() * F.bracket(-1.5),
+            lambda x: cutoff_psi(x) * (1 + x**2) ** (-1.5 / 2),
+            -1.5,
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("name", sorted(_closed_forms()))
+def test_multiplier_matches_numpy_closed_form(name, n):
+    m, closed, order = _closed_forms()[name]
+    xi = weyl_xi_lattice(TorusGrid(n))
+    got, want = m(xi), closed(xi)
+    assert got.shape == xi.shape and np.all(np.isfinite(got))
+    scale = np.maximum(np.abs(want), 1e-300)
+    assert np.max(np.abs(got - want) / scale) <= 1e-15
+    assert m.order == order
+
+
+def test_multiplier_derivative_of_product_is_analytic():
+    # d/dxi [xi^2 <xi>^{-3/2}] = xi (2 + xi^2/2) <xi>^{-7/2}
+    m = (FrequencyMultiplier.bracket(-1.5) * FrequencyMultiplier.xi_power(2)).deriv()
+    xi = weyl_xi_lattice(TorusGrid(256))
+    want = xi * (2.0 + 0.5 * xi**2) * (1 + xi**2) ** (-7 / 4)
+    scale = np.maximum(np.abs(want), 1e-300)
+    assert np.max(np.abs(m(xi) - want) / scale) <= 1e-14
+    assert m.order == -0.5
+
+
+def test_psi_is_not_differentiated():
+    with pytest.raises(ValueError):
+        FrequencyMultiplier.psi().deriv()
+    with pytest.raises(ValueError):
+        (FrequencyMultiplier.psi() * FrequencyMultiplier.bracket(-1.5)).deriv()
+
+
+def test_multiplier_exponents_are_not_rounded():
+    p = 0.333333333
+    for m, want in (
+        (FrequencyMultiplier.abs_xi_power(p), 8.0**p),
+        (FrequencyMultiplier.bracket(p), 65.0 ** (p / 2)),
+    ):
+        assert abs(m(8.0) - want) <= 1e-15 * want
+    third = FrequencyMultiplier.abs_xi_power(1 / 3)
+    assert FrequencyMultiplier.abs_xi_power(p).fingerprint() != third.fingerprint()
+
+
 def test_separable_symbol_eval_and_order():
     g = TorusGrid(16)
     f = transform(g, np.cos(g.x))
