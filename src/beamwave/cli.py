@@ -185,6 +185,12 @@ def _paralinearized(args, n):
     return para, V
 
 
+def _spread(norms):
+    """max/min of measured norms; a norm that is 0 or negative counts as unbounded."""
+    lo = min(norms)
+    return max(norms) / lo if lo > 0 else float("inf")
+
+
 def _suite_parametrix(args):
     checks = {}
     reports = []
@@ -198,11 +204,7 @@ def _suite_parametrix(args):
     checks["pointwise_defect"] = max(
         max(r["beam_pointwise_defect"], r["wave_pointwise_defect"]) for r in reports
     )
-    ok = (
-        checks["pointwise_defect"] < 1e-10
-        and max(conj) / min(conj) < 1.25
-        and max(inv) / min(inv) < 1.25
-    )
+    ok = checks["pointwise_defect"] < 1e-10 and _spread(conj) < 1.25 and _spread(inv) < 1.25
     return checks, ok
 
 
@@ -215,7 +217,7 @@ def _suite_energy(args):
     checks["reports"] = reps
     cs = [r["equivalence_constant"] for r in reps]
     gd = [r["garding_defect_min"] for r in reps]
-    ok = max(cs) / min(cs) < 1.25 and abs(gd[0] - gd[1]) < 0.25 * max(1.0, abs(gd[0]))
+    ok = _spread(cs) < 1.25 and abs(gd[0] - gd[1]) < 0.25 * max(1.0, abs(gd[0]))
     return checks, ok
 
 
@@ -294,7 +296,7 @@ def cmd_sweep(args):
             except (PreconditionError, NumericalError) as exc:  # flagged per value
                 failures[str(n)] = str(exc)
         vals = [m for _, m in rows]
-        bounded = bool(vals) and max(vals) / min(vals) < 1.25
+        bounded = bool(vals) and _spread(vals) < 1.25
         extra = {"bounded": bounded}
     elif args.axis == "eps":
         grid = TorusGrid(args.n)

@@ -31,12 +31,11 @@ the frozen background, so no 4n x 4n matrix is formed per step.
 import copy
 import csv
 import json
-import os
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
-from .grid import RegularityLadder
+from .grid import RegularityLadder, physical_memory_bytes
 from .paralin import ParalinearizedSystem
 from .state import (
     StateVector,
@@ -107,7 +106,7 @@ class SolverConfig:
             dt = limit
         ratio = self.T_final / dt
         need = 4.0 * (ratio + 2.0) * 4 * grid.n * 16
-        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        if need > physical_memory_bytes():
             raise ConfigError(
                 "dt = %.3e needs %.3g steps, whose trajectories exceed physical memory"
                 % (dt, ratio)

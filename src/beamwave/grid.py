@@ -10,6 +10,8 @@ Coefficients are kept in numpy fft order; ``TorusGrid.modes`` gives the
 integer mode of each slot.
 """
 
+import os
+
 import numpy as np
 
 from .errors import ConfigError
@@ -17,8 +19,16 @@ from .errors import ConfigError
 TWO_PI = 2.0 * np.pi
 
 
+def physical_memory_bytes():
+    """Bytes of physical memory: the bound that allocation plans are checked against."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 class TorusGrid:
     """Uniform collocation grid on [0, 2pi) with n even points.
+
+    The solvers hold dense 4n x 4n complex operators, so an n for which one
+    of them would not fit in physical memory is refused before any array.
 
     Attributes
     ----------
@@ -33,6 +43,10 @@ class TorusGrid:
     def __init__(self, n):
         if n <= 0 or n % 2 != 0:
             raise ConfigError("grid size must be a positive even integer, got %r" % (n,))
+        if (4 * n) ** 2 * 16 > physical_memory_bytes():
+            raise ConfigError(
+                "grid size %d: one 4n x 4n complex operator would exceed physical memory" % n
+            )
         self.n = int(n)
         self.x = TWO_PI * np.arange(self.n) / self.n
         self.modes = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
@@ -132,9 +146,6 @@ class SpectralFunction:
 
     def norm(self, s=0.0):
         return sobolev_norm(self, s)
-
-    def fingerprint(self):
-        return self.coeffs.tobytes()
 
 
 def transform(grid, values):

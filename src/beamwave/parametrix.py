@@ -23,13 +23,14 @@ k = exp(antiderivative(mu / (2 lam))).  The correctors T_1, T_2 of order
 The modified energy is |V|^2_{V~,s} = <L_{2s} Phi V, Phi V> with
 L_{2s} = diag(Op^BW(lam_b^s |xi|^{2s}), Op^BW(lam_w^{2s} |xi|^{2s})).
 All residual diagnostics are measured on the resolved band (|j| <= n/3).
+``Parametrix`` holds these operators in their beam and wave blocks; only
+``conjugation_residual`` forms the dense 4n x 4n products, for its SVDs.
 """
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .paralin import minus_iE
 from .quantize import SpectralOperator, bony_weyl_quantize, exact_operator_norm
 from .state import conjugate_pair, stacked_inner, stacked_norm
 from .symbols import (
@@ -194,7 +195,7 @@ class WaveDiagonalizer:
         return _pointwise_identity_defect(self.s1_w, self.s2_w, self.lam_w)
 
 
-def build_T_correctors(para, V, beam=None, wave=None):
+def build_T_correctors(para, V):
     """Order -3/2 matrix symbols decoupling the beam-wave coupling blocks.
 
     The decoupling conditions L_b T_1 - T_1 L_w = C_b and
@@ -215,7 +216,13 @@ def build_T_correctors(para, V, beam=None, wave=None):
 
 
 class Parametrix:
-    """Phi, Psi, Lambda, L_{2s} assembled at a frozen background V."""
+    """Phi, Psi, Lambda and L_{2s} at a frozen background V, held in blocks.
+
+    A stacked vector splits into the beam half z = (z, z-bar) and the wave
+    half w = (w, w-bar).  Phi and Psi are held as the 2n x 2n factors D_b,
+    D~_b (``beam``), D_w, D~_w (``wave``) and the quantized correctors T1,
+    T2; Lambda and L_{2s} as n x n blocks acting on each component.
+    """
 
     def __init__(self, para, V, s, eps_para=None):
         grid = para.grid
@@ -227,47 +234,46 @@ class Parametrix:
         syms = para.assemble_symbols(V)
         self.beam = BeamDiagonalizer(para.a_fun, grid, self.eps_para)
         self.wave = WaveDiagonalizer(syms["a_w"], grid, self.eps_para)
-        self.T1, self.T2 = build_T_correctors(para, V)
+        self.T1, self.T2 = (
+            bony_weyl_quantize(t, self.eps_para).matrix for t in build_T_correctors(para, V)
+        )
 
-        n = grid.n
-        eye4 = np.eye(4 * n)
-        D = np.zeros((4 * n, 4 * n), dtype=complex)
-        D[: 2 * n, : 2 * n] = self.beam.D_b.matrix
-        D[2 * n :, 2 * n :] = self.wave.D_w.matrix
-        Dt = np.zeros_like(D)
-        Dt[: 2 * n, : 2 * n] = self.beam.D_tilde_b.matrix
-        Dt[2 * n :, 2 * n :] = self.wave.D_tilde_w.matrix
-        T = np.zeros_like(D)
-        T[: 2 * n, 2 * n :] = bony_weyl_quantize(self.T1, self.eps_para).matrix
-        T[2 * n :, : 2 * n] = bony_weyl_quantize(self.T2, self.eps_para).matrix
-        self.Phi = SpectralOperator(grid, D @ (eye4 + T), 0.0, block=4)
-        self.Psi = SpectralOperator(grid, (eye4 - T) @ Dt, 0.0, block=4)
-        self.D_op = SpectralOperator(grid, D, 0.0, block=4)
-        self.D_tilde_op = SpectralOperator(grid, Dt, 0.0, block=4)
+        def op(f, mult):
+            return bony_weyl_quantize(SeparableSymbol(grid, [(f, mult)]), self.eps_para).matrix
 
-        lam_b = self.beam.lam_b
-        lam_w = self.wave.lam_w
-        beam_diag = bony_weyl_quantize(
-            SeparableSymbol(grid, [(lam_b, FrequencyMultiplier.xi_power(2))]), self.eps_para
-        ).matrix
-        wave_diag = bony_weyl_quantize(
-            SeparableSymbol(grid, [(lam_w, FrequencyMultiplier.abs_xi())]), self.eps_para
-        ).matrix
-        L = np.zeros((4 * n, 4 * n), dtype=complex)
-        L[: 2 * n, : 2 * n] = minus_iE(np.kron(np.eye(2), beam_diag))
-        L[2 * n :, 2 * n :] = minus_iE(np.kron(np.eye(2), wave_diag))
-        self.Lambda = SpectralOperator(grid, L, 2.0, block=4)
-
+        lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
+        self.Lambda_b = op(lam_b, FrequencyMultiplier.xi_power(2))
+        self.Lambda_w = op(lam_w, FrequencyMultiplier.abs_xi())
         s2 = 2.0 * self.s
-        lb = transform(grid, lam_b.values().real ** self.s)
-        lw = transform(grid, lam_w.values().real ** s2)
         mult = FrequencyMultiplier.abs_xi_power(s2)
-        wb = bony_weyl_quantize(SeparableSymbol(grid, [(lb, mult)]), self.eps_para).matrix
-        ww = bony_weyl_quantize(SeparableSymbol(grid, [(lw, mult)]), self.eps_para).matrix
-        W = np.zeros((4 * n, 4 * n), dtype=complex)
-        W[: 2 * n, : 2 * n] = np.kron(np.eye(2), wb)
-        W[2 * n :, 2 * n :] = np.kron(np.eye(2), ww)
-        self.L_2s = SpectralOperator(grid, W, s2, block=4)
+        self.L2s_b = op(transform(grid, lam_b.values().real ** self.s), mult)
+        self.L2s_w = op(transform(grid, lam_w.values().real ** s2), mult)
+
+    def phi(self, vec):
+        """Phi V = (D_b (z + T1 w), D_w (w + T2 z))."""
+        z, w = np.split(np.asarray(vec, dtype=complex), 2)
+        return np.concatenate(
+            [self.beam.D_b.matrix @ (z + self.T1 @ w), self.wave.D_w.matrix @ (w + self.T2 @ z)]
+        )
+
+    def l2s(self, vec):
+        """L_{2s} V: the beam block on z and z-bar, the wave block on w and w-bar."""
+        blocks = (self.L2s_b, self.L2s_b, self.L2s_w, self.L2s_w)
+        return np.concatenate([b @ u for b, u in zip(blocks, np.split(np.asarray(vec), 4))])
+
+
+def dense_operators(P):
+    """The 4n x 4n Phi, Psi, D = diag(D_b, D_w), D~ = diag(D~_b, D~_w) and
+    Lambda = -iE diag(Lambda_b, Lambda_b, Lambda_w, Lambda_w), for dense SVDs."""
+    h = 2 * P.grid.n
+    zero = np.zeros((h, h))
+    eye = np.eye(2 * h)
+    D = np.block([[P.beam.D_b.matrix, zero], [zero, P.wave.D_w.matrix]])
+    Dt = np.block([[P.beam.D_tilde_b.matrix, zero], [zero, P.wave.D_tilde_w.matrix]])
+    T = np.block([[zero, P.T1], [P.T2, zero]])
+    Lam = np.kron(np.diag([-1j, 1j, 0, 0]), P.Lambda_b)
+    Lam += np.kron(np.diag([0, 0, -1j, 1j]), P.Lambda_w)
+    return D @ (eye + T), (eye - T) @ Dt, D, Dt, Lam
 
 
 def build_parametrix(para, V, s, eps_para=None):
@@ -284,8 +290,9 @@ def conjugation_residual(P, para, V=None):
     grid = P.grid
     n = grid.n
     s = P.s
+    Phi, Psi, D, Dt, Lam = dense_operators(P)
     L = (para.frak_A(V) + para.frak_B(V)).matrix
-    M = P.Phi.matrix @ L @ P.Psi.matrix - P.Lambda.matrix
+    M = Phi @ L @ Psi - Lam
 
     def norm4(mat, s_in, s_out):
         return exact_operator_norm(
@@ -298,8 +305,8 @@ def conjugation_residual(P, para, V=None):
         out[2 * n :, : 2 * n] = mat[2 * n :, : 2 * n]
         return out
 
-    inv = P.Psi.matrix @ P.Phi.matrix - np.eye(4 * n)
-    M_bare = P.D_op.matrix @ L @ P.D_tilde_op.matrix - P.Lambda.matrix
+    inv = Psi @ Phi - np.eye(4 * n)
+    M_bare = D @ L @ Dt - Lam
     return {
         "s": s,
         "n": n,
@@ -314,9 +321,8 @@ def conjugation_residual(P, para, V=None):
 
 def modified_energy(P, vec):
     """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on a stacked 4n vector."""
-    vec = np.asarray(vec, dtype=complex)
-    u = P.Phi.matrix @ vec
-    return float(stacked_inner(P.grid, P.L_2s.matrix @ u, u, 0.0))
+    u = P.phi(vec)
+    return float(stacked_inner(P.grid, P.l2s(u), u, 0.0))
 
 
 def _random_mean_zero_state(grid, sigma, rng):
@@ -356,9 +362,8 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
 
     def garding_defect(vec):
         nsq = stacked_norm(grid, vec, sigma) ** 2
-        u = P.Phi.matrix @ vec
-        ud = P.Phi.matrix @ (delta * vec)
-        lhs = float(stacked_inner(grid, P.L_2s.matrix @ ud, u, 0.0))
+        u = P.phi(vec)
+        lhs = float(stacked_inner(grid, P.l2s(P.phi(delta * vec)), u, 0.0))
         zsq = stacked_norm(grid, np.concatenate([vec[: 2 * n], np.zeros(2 * n)]), sigma + 2.0) ** 2
         wsq = stacked_norm(grid, np.concatenate([np.zeros(2 * n), vec[2 * n :]]), sigma + 1.0) ** 2
         return (lhs - 0.25 * (zsq + wsq)) / nsq

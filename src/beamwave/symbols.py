@@ -133,9 +133,6 @@ class FrequencyMultiplier:
                 out += v
         return out
 
-    def fingerprint(self):
-        return self.terms, self.order
-
 
 class SeparableSymbol:
     """a(x, xi) = sum_k f_k(x) g_k(xi), f_k spatial, g_k closed-form in xi."""
@@ -234,9 +231,6 @@ class SeparableSymbol:
             weighted = norms * brk ** (beta - m)
             best = max(best, float(np.max(weighted)))
         return best
-
-    def fingerprint(self):
-        return tuple((f.fingerprint(), g.fingerprint()) for f, g in self.terms), self.grid.n
 
 
 def weyl_xi_lattice(grid):
@@ -362,6 +356,3 @@ class MatrixSymbol:
 
     def seminorm(self, m, s, n_der):
         return max(e.seminorm(m, s, n_der) for e in self.entries.flat)
-
-    def fingerprint(self):
-        return tuple(e.fingerprint() for e in self.entries.flat)

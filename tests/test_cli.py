@@ -164,6 +164,35 @@ def test_sweep_N_artifacts(tmp_path, capsys):
     assert csv_text.startswith("value,metric\n")
 
 
+@pytest.mark.parametrize(
+    "args, code, key",
+    [
+        (["sweep", "--axis", "N", "--values", "2,4"], 0, "bounded"),
+        (["verify", "--suite", "parametrix", "--preset", "linear"], 1, "passed"),
+    ],
+    ids=["sweep_N", "verify_parametrix"],
+)
+def test_zero_residual_norm_counts_as_unbounded(args, code, key, tmp_path):
+    # a conjugation residual of exactly 0 (N = 2, or a linear system) has no
+    # max/min spread: as in the benchmark's ladder gate, it fails the bound
+    assert run_cli(args + ["--outdir", str(tmp_path)]) == code
+    doc = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert doc[key] is False
+
+
+def test_grid_too_large_for_memory_is_refused(tmp_path, monkeypatch):
+    # 1 GiB of physical memory; one 4n x 4n complex128 operator at n = 4096
+    # takes 4 GiB, so the grid is refused before it allocates anything
+    from beamwave.errors import ConfigError
+
+    sysconf = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
+    with pytest.raises(ConfigError):
+        TorusGrid(4096)
+    assert TorusGrid(1024).n == 1024
+    assert run_cli(["sweep", "--axis", "N", "--values", "32,4096", "--outdir", str(tmp_path)]) == 2
+
+
 def test_verify_operators_pass(tmp_path, capsys):
     code = run_cli(["verify", "--suite", "operators", "--outdir", str(tmp_path)])
     assert code == 0

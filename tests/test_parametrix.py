@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.cli import build_preset
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
@@ -12,11 +13,15 @@ from beamwave.parametrix import (
     WaveDiagonalizer,
     _periodic_antiderivative,
     build_parametrix,
+    build_T_correctors,
     conjugation_residual,
+    dense_operators,
     equivalence_and_garding_report,
     modified_energy,
 )
+from beamwave.quantize import bony_weyl_quantize
 from beamwave.state import complexify
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 
 
 def variable_b_system(n, amp=0.2):
@@ -137,3 +142,68 @@ def test_modified_energy_scalar_quadratic():
     e1 = modified_energy(P, V)
     e2 = modified_energy(P, 2.0 * V)
     assert abs(e2 - 4.0 * e1) < 1e-8 * max(abs(e1), 1.0)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("preset", ["mixed", "arioli_gazzola"])
+def test_blocked_parametrix_matches_dense_formula(preset):
+    # Phi = D(1 + T), Psi = (1 - T)D~, Lambda and L_{2s} assembled densely
+    # here from the diagonalizers and the quantized T_1, T_2
+    for n in (32, 64):
+        g = TorusGrid(n)
+        sysm, fields = build_preset(preset, g)
+        para = ParalinearizedSystem(sysm, g)
+        V = complexify(*fields).stacked()
+        P = build_parametrix(para, V, 2.5)
+        h = 2 * n
+        D = np.zeros((2 * h, 2 * h), dtype=complex)
+        Dt = np.zeros_like(D)
+        T = np.zeros_like(D)
+        D[:h, :h], D[h:, h:] = P.beam.D_b.matrix, P.wave.D_w.matrix
+        Dt[:h, :h], Dt[h:, h:] = P.beam.D_tilde_b.matrix, P.wave.D_tilde_w.matrix
+        T[:h, h:], T[h:, :h] = (bony_weyl_quantize(t).matrix for t in build_T_correctors(para, V))
+        assert (np.max(np.abs(T)) > 0.0) == (preset == "mixed")
+        eye = np.eye(2 * h)
+
+        def quantized(f, mult):
+            return bony_weyl_quantize(SeparableSymbol(g, [(f, mult)])).matrix
+
+        beam, wave = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])
+        minus_iE = np.diag(np.tile(np.repeat([-1j, 1j], n), 2))
+        Lam = minus_iE @ (
+            np.kron(beam, quantized(P.beam.lam_b, FrequencyMultiplier.xi_power(2)))
+            + np.kron(wave, quantized(P.wave.lam_w, FrequencyMultiplier.abs_xi()))
+        )
+        lb = transform(g, P.beam.lam_b.values().real ** 2.5)
+        lw = transform(g, P.wave.lam_w.values().real ** 5.0)
+        abs5 = FrequencyMultiplier.abs_xi_power(5.0)
+        W = np.kron(beam, quantized(lb, abs5)) + np.kron(wave, quantized(lw, abs5))
+
+        Phi, Psi, _, _, Lam_dense = dense_operators(P)
+        assert _rel(Phi, D @ (eye + T)) <= 1e-14
+        assert _rel(Psi, (eye - T) @ Dt) <= 1e-14
+        assert _rel(Lam_dense, Lam) <= 1e-14
+        rng = np.random.default_rng(n)
+        vec = rng.standard_normal(2 * h) + 1j * rng.standard_normal(2 * h)
+        assert _rel(P.phi(vec), D @ (eye + T) @ vec) <= 1e-14
+        assert _rel(P.l2s(vec), W @ vec) <= 1e-14
+
+
+def _array_sizes(obj, seen):
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value.size
+        elif hasattr(value, "__dict__") and id(value) not in seen:
+            seen.add(id(value))
+            yield from _array_sizes(value, seen)
+
+
+def test_parametrix_holds_no_array_larger_than_a_half_block():
+    # beam and wave blocks are 2n x 2n; the 4n x 4n products are formed
+    # only by the residual diagnostics
+    g, para, V = coupled_setup(32)
+    P = build_parametrix(para, V, 2.5)
+    assert max(_array_sizes(P, set())) == (2 * g.n) ** 2
