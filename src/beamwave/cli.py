@@ -109,7 +109,11 @@ def _load_system(args, grid):
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot read system file %r: %s" % (args.system, exc)) from None
-        doc.setdefault("n", grid.n)
+        if not isinstance(doc, dict):
+            raise ConfigError("system file %r is not a JSON object" % args.system)
+        if doc.get("n", grid.n) != grid.n:
+            raise ConfigError("system file %r has n = %r but the grid has n = %d"
+                              % (args.system, doc["n"], grid.n))
         sysm = bridge_system_from_json(doc, grid)
         _, data = build_preset("linear", grid, args.amplitude)
         return sysm, data
@@ -161,10 +165,10 @@ def _suite_operators(args):
     for n in (32, 64, 128):
         g = TorusGrid(n)
         a = SeparableSymbol(g, [(transform(g, np.cos(g.x)), FrequencyMultiplier.xi_power(2))])
-        norms.append(exact_operator_norm(remainder_bw_minus_weyl(a), 2.0, 4.0, band="resolved"))
+        norms.append(exact_operator_norm(g, remainder_bw_minus_weyl(a), 2.0, 4.0, band="resolved"))
         a0 = SeparableSymbol.from_xfunc(transform(g, np.cos(g.x)))
         comp.append(
-            exact_operator_norm(composition_residual(a0, a, 2.0), 2.0, 2.0, band="resolved")
+            exact_operator_norm(g, composition_residual(a0, a, 2.0), 2.0, 2.0, band="resolved")
         )
     checks["bw_minus_weyl_norms"] = norms
     checks["composition_residual_norms"] = comp

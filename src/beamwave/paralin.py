@@ -24,12 +24,7 @@ import numpy as np
 
 from .bridge import _fft_raw
 from .grid import SpectralFunction
-from .quantize import (
-    SpectralOperator,
-    bony_weyl_quantize,
-    weyl_gather_index,
-    weyl_table,
-)
+from .quantize import bony_weyl_quantize, weyl_gather_index, weyl_table
 from .state import complex_weights, real_from_stacked, stacked_from_real
 from .symbols import (
     DEFAULT_EPS_PARA,
@@ -87,8 +82,8 @@ class ParalinearizedSystem:
         n2 = 2 * grid.n
         syms = self.assemble_symbols(None)
         self._frak_A0 = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        self._frak_A0[:n2, :n2] = minus_iE(bony_weyl_quantize(syms["A_b"], self.eps_para).matrix)
-        self._frak_A0[n2:, n2:] = minus_iE(bony_weyl_quantize(syms["A_w"], self.eps_para).matrix)
+        self._frak_A0[:n2, :n2] = minus_iE(bony_weyl_quantize(syms["A_b"], self.eps_para))
+        self._frak_A0[n2:, n2:] = minus_iE(bony_weyl_quantize(syms["A_w"], self.eps_para))
         self._abs_xi_table = weyl_table(grid, _ABS_XI, self.eps_para)
         self._off_table = weyl_table(grid, _OFF, self.eps_para)
         self._gather = weyl_gather_index(grid)
@@ -130,7 +125,7 @@ class ParalinearizedSystem:
         A_w = MatrixSymbol.identity(grid) * _ABS_XI + _u_matrix_symbol(grid, a_w, _ABS_XI)
         B_b = _u_matrix_symbol(grid, g_12b, _OFF)
         B_w = _u_matrix_symbol(grid, g_12w, _OFF)
-        return {"A_b": A_b, "A_w": A_w, "B_b": B_b, "B_w": B_w, "a_w": a_w}
+        return {"A_b": A_b, "A_w": A_w, "B_b": B_b, "B_w": B_w}
 
     # -- block operators ----------------------------------------------
 
@@ -145,22 +140,22 @@ class ParalinearizedSystem:
         )
 
     def frak_A(self, V):
-        """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4-block operator."""
+        """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4n x 4n array."""
         M = self._frak_A0.copy()
         if V is not None:
             n2 = 2 * self.grid.n
             M[n2:, n2:] += minus_iE(np.tile(self._weyl_blocks(V)[0], (2, 2)))
-        return SpectralOperator(self.grid, M, order=2.0, block=4)
+        return M
 
     def frak_B(self, V):
-        """antidiagonal coupling blocks -iE Op^BW(B_b), -iE Op^BW(B_w)."""
+        """antidiagonal coupling blocks -iE Op^BW(B_b), -iE Op^BW(B_w), 4n x 4n."""
         n2 = 2 * self.grid.n
         M = np.zeros((2 * n2, 2 * n2), dtype=complex)
         if V is not None:
             _, F_12b, F_12w = self._weyl_blocks(V)
             M[:n2, n2:] = minus_iE(np.tile(F_12b, (2, 2)))
             M[n2:, :n2] = minus_iE(np.tile(F_12w, (2, 2)))
-        return SpectralOperator(self.grid, M, order=0.5, block=4)
+        return M
 
     def frozen_generator(self, V, include_R=True):
         """The action u -> (frakA(V) + frakB(V) + R) u, without R if not ``include_R``.
@@ -169,7 +164,7 @@ class ParalinearizedSystem:
         part is U g Op(m) in each block, so with s_z = z + zbar, s_w = w + wbar
         it adds -i (F_12b s_w, -F_12b s_w, F_1w s_w + F_12w s_z, -(...))."""
         if include_R and self._base is None:
-            self._base = self.frak_A(None).matrix + self.R_operator().matrix
+            self._base = self.frak_A(None) + self.R_operator()
         base = self._base if include_R else self._frak_A0
         if V is None:
             return lambda u: base @ u
@@ -201,8 +196,7 @@ class ParalinearizedSystem:
     def R_operator(self):
         """R := L_complex - frakA(0); block diagonal, order <= 0."""
         if self._R is None:
-            M = self.L_complex_matrix() - self.frak_A(None).matrix
-            self._R = SpectralOperator(self.grid, M, order=0.0, block=4)
+            self._R = self.L_complex_matrix() - self.frak_A(None)
         return self._R
 
     # -- full right-hand side ------------------------------------------

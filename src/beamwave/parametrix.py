@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import SpectralOperator, bony_weyl_quantize, exact_operator_norm
+from .quantize import bony_weyl_quantize, exact_operator_norm
 from .state import conjugate_pair, stacked_inner, stacked_norm
 from .symbols import (
     DEFAULT_EPS_PARA,
@@ -76,7 +76,7 @@ def _pair_matrix_symbol(grid, d11, d12, d21, d22, mult=None):
 def _scalar_pair_op(grid, values, eps_para):
     """Op^BW of the scalar function acting identically on both components."""
     op = bony_weyl_quantize(SeparableSymbol.from_xfunc(transform(grid, values)), eps_para)
-    return np.kron(np.eye(2), op.matrix)
+    return np.kron(np.eye(2), op)
 
 
 def _pointwise_identity_defect(s1, s2, lam):
@@ -111,7 +111,6 @@ class BeamDiagonalizer:
 
     def __init__(self, a, grid, eps_para=DEFAULT_EPS_PARA):
         self.grid = grid
-        self.eps_para = float(eps_para)
         av = a.values().real if isinstance(a, SpectralFunction) else np.asarray(a, dtype=float)
         ell = np.min(1.0 + 2.0 * av)
         if ell <= 0.0:
@@ -147,17 +146,13 @@ class BeamDiagonalizer:
 
         S = _pair_matrix_symbol(grid, s1, s2, s2, s1)
         Si = _pair_matrix_symbol(grid, s1, -s2, -s2, s1)
-        S_op = bony_weyl_quantize(S, eps_para).matrix
-        Si_op = bony_weyl_quantize(Si, eps_para).matrix
+        S_op = bony_weyl_quantize(S, eps_para)
+        Si_op = bony_weyl_quantize(Si, eps_para)
         k_op = _scalar_pair_op(grid, np.exp(phi), eps_para)
         kinv_op = _scalar_pair_op(grid, np.exp(-phi), eps_para)
         eye = np.eye(2 * grid.n)
-        self.D_b = SpectralOperator(
-            grid, kinv_op @ (eye + self.M_minus1.matrix) @ Si_op, 0.0, block=2
-        )
-        self.D_tilde_b = SpectralOperator(
-            grid, S_op @ (eye - self.M_minus1.matrix) @ k_op, 0.0, block=2
-        )
+        self.D_b = kinv_op @ (eye + self.M_minus1) @ Si_op
+        self.D_tilde_b = S_op @ (eye - self.M_minus1) @ k_op
 
     def subprincipal_offdiagonal(self, xi):
         """Assembled off-diagonal subprincipal symbol after the M_{-1} step:
@@ -175,7 +170,6 @@ class WaveDiagonalizer:
 
     def __init__(self, a_w, grid, eps_para=DEFAULT_EPS_PARA):
         self.grid = grid
-        self.eps_para = float(eps_para)
         av = a_w.values().real if isinstance(a_w, SpectralFunction) else np.asarray(a_w, dtype=float)
         ell = np.min(1.0 + 2.0 * av)
         if ell <= 0.0:
@@ -224,22 +218,20 @@ class Parametrix:
     T2; Lambda and L_{2s} as n x n blocks acting on each component.
     """
 
-    def __init__(self, para, V, s, eps_para=None):
+    def __init__(self, para, V, s):
         grid = para.grid
+        eps = para.eps_para
         self.grid = grid
         self.s = float(s)
-        self.eps_para = para.eps_para if eps_para is None else float(eps_para)
         self.frozen_at = None if V is None else np.array(V, dtype=complex)
 
-        syms = para.assemble_symbols(V)
-        self.beam = BeamDiagonalizer(para.a_fun, grid, self.eps_para)
-        self.wave = WaveDiagonalizer(syms["a_w"], grid, self.eps_para)
-        self.T1, self.T2 = (
-            bony_weyl_quantize(t, self.eps_para).matrix for t in build_T_correctors(para, V)
-        )
+        a, d, g_1w, _, _ = para.g_functions(V)
+        self.beam = BeamDiagonalizer(a, grid, eps)
+        self.wave = WaveDiagonalizer(d + g_1w, grid, eps)
+        self.T1, self.T2 = (bony_weyl_quantize(t, eps) for t in build_T_correctors(para, V))
 
         def op(f, mult):
-            return bony_weyl_quantize(SeparableSymbol(grid, [(f, mult)]), self.eps_para).matrix
+            return bony_weyl_quantize(SeparableSymbol(grid, [(f, mult)]), eps)
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
         self.Lambda_b = op(lam_b, FrequencyMultiplier.xi_power(2))
@@ -253,7 +245,7 @@ class Parametrix:
         """Phi V = (D_b (z + T1 w), D_w (w + T2 z))."""
         z, w = np.split(np.asarray(vec, dtype=complex), 2)
         return np.concatenate(
-            [self.beam.D_b.matrix @ (z + self.T1 @ w), self.wave.D_w.matrix @ (w + self.T2 @ z)]
+            [self.beam.D_b @ (z + self.T1 @ w), self.wave.D_w @ (w + self.T2 @ z)]
         )
 
     def l2s(self, vec):
@@ -268,16 +260,16 @@ def dense_operators(P):
     h = 2 * P.grid.n
     zero = np.zeros((h, h))
     eye = np.eye(2 * h)
-    D = np.block([[P.beam.D_b.matrix, zero], [zero, P.wave.D_w.matrix]])
-    Dt = np.block([[P.beam.D_tilde_b.matrix, zero], [zero, P.wave.D_tilde_w.matrix]])
+    D = np.block([[P.beam.D_b, zero], [zero, P.wave.D_w]])
+    Dt = np.block([[P.beam.D_tilde_b, zero], [zero, P.wave.D_tilde_w]])
     T = np.block([[zero, P.T1], [P.T2, zero]])
     Lam = np.kron(np.diag([-1j, 1j, 0, 0]), P.Lambda_b)
     Lam += np.kron(np.diag([0, 0, -1j, 1j]), P.Lambda_w)
     return D @ (eye + T), (eye - T) @ Dt, D, Dt, Lam
 
 
-def build_parametrix(para, V, s, eps_para=None):
-    return Parametrix(para, V, s, eps_para)
+def build_parametrix(para, V, s):
+    return Parametrix(para, V, s)
 
 
 def conjugation_residual(P, para, V=None):
@@ -291,13 +283,11 @@ def conjugation_residual(P, para, V=None):
     n = grid.n
     s = P.s
     Phi, Psi, D, Dt, Lam = dense_operators(P)
-    L = (para.frak_A(V) + para.frak_B(V)).matrix
+    L = para.frak_A(V) + para.frak_B(V)
     M = Phi @ L @ Psi - Lam
 
     def norm4(mat, s_in, s_out):
-        return exact_operator_norm(
-            SpectralOperator(grid, mat, 0.0, block=4), s_in, s_out, band="resolved"
-        )
+        return exact_operator_norm(grid, mat, s_in, s_out, band="resolved")
 
     def offdiag(mat):
         out = np.zeros_like(mat)

@@ -85,22 +85,17 @@ class StateVector:
 
 def stacked_norm(grid, vec, s):
     """H^s norm of a stacked 4n vector: sqrt((1/2) sum_c ||v_c||^2_{H^s})."""
-    n = grid.n
     w = grid.bracket_power(s) ** 2
-    total = 0.0
-    for c in range(4):
-        total += 0.5 * float(np.sum(np.abs(vec[c * n : (c + 1) * n]) ** 2 * w))
-    return float(np.sqrt(total))
+    per_component = np.sum(np.abs(np.reshape(vec, (4, grid.n))) ** 2 * w, axis=1)
+    return float(np.sqrt(sum(0.5 * per_component)))
 
 
 def stacked_inner(grid, u, v, s=0.0):
     """<U, V> block pairing on stacked vectors (real for conjugate pairs)."""
-    n = grid.n
     w = grid.bracket_power(s) ** 2
-    acc = 0.0 + 0.0j
-    for c in range(4):
-        acc += 0.5 * np.sum(u[c * n : (c + 1) * n] * np.conj(v[c * n : (c + 1) * n]) * w)
-    return acc.real
+    shape = (4, grid.n)
+    per_component = np.sum(np.reshape(u, shape) * np.conj(np.reshape(v, shape)) * w, axis=1)
+    return sum(0.5 * per_component).real
 
 
 def is_conjugate_pair(grid, vec, tol=1e-10):

@@ -89,15 +89,21 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         ["sweep", "--axis", "amplitude", "--values", "nan,0.01"],
         SIMULATE + ["--system", "missing.json"],
         SIMULATE + ["--system", "truncated.json"],
+        SIMULATE + ["--system", "list.json"],
+        SIMULATE + ["--system", "n64.json", "--n", "32"],
+        SIMULATE + ["--system", "n64.json"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
          "nan_cfl_safety", "tiny_dt", "subnormal_dt", "sweep_odd_n", "sweep_nan_amplitude",
-         "missing_system_file", "invalid_system_json"],
+         "missing_system_file", "invalid_system_json", "system_not_an_object",
+         "system_n_differs_from_n", "system_n_differs_from_default_n"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative system files resolve here
     (tmp_path / "truncated.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "n64.json").write_text('{"n": 64}')
     code = run_cli(args + ["--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -248,3 +254,14 @@ def test_system_json_input(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_system_file_n_must_match_the_grid(tmp_path, capsys):
+    # the file's n is not overridden by --n: a mismatch names both values
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"n": 64}))
+    code = run_cli(["simulate", "--system", str(path), "--n", "32", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n = 64" in err and "n = 32" in err
+    assert not list(tmp_path.glob("run_*"))

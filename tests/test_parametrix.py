@@ -91,8 +91,8 @@ def test_trivial_background_gauge_collapses():
     g = TorusGrid(16)
     d = BeamDiagonalizer(np.zeros(g.n), g)
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
-    assert np.max(np.abs(d.M_minus1.matrix)) == 0.0
-    assert np.max(np.abs(d.D_b.matrix - np.eye(2 * g.n))) < 1e-12
+    assert np.max(np.abs(d.M_minus1)) == 0.0
+    assert np.max(np.abs(d.D_b - np.eye(2 * g.n))) < 1e-12
 
 
 def test_conjugation_residual_stable_in_n():
@@ -162,14 +162,14 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         D = np.zeros((2 * h, 2 * h), dtype=complex)
         Dt = np.zeros_like(D)
         T = np.zeros_like(D)
-        D[:h, :h], D[h:, h:] = P.beam.D_b.matrix, P.wave.D_w.matrix
-        Dt[:h, :h], Dt[h:, h:] = P.beam.D_tilde_b.matrix, P.wave.D_tilde_w.matrix
-        T[:h, h:], T[h:, :h] = (bony_weyl_quantize(t).matrix for t in build_T_correctors(para, V))
+        D[:h, :h], D[h:, h:] = P.beam.D_b, P.wave.D_w
+        Dt[:h, :h], Dt[h:, h:] = P.beam.D_tilde_b, P.wave.D_tilde_w
+        T[:h, h:], T[h:, :h] = (bony_weyl_quantize(t) for t in build_T_correctors(para, V))
         assert (np.max(np.abs(T)) > 0.0) == (preset == "mixed")
         eye = np.eye(2 * h)
 
         def quantized(f, mult):
-            return bony_weyl_quantize(SeparableSymbol(g, [(f, mult)])).matrix
+            return bony_weyl_quantize(SeparableSymbol(g, [(f, mult)]))
 
         beam, wave = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])
         minus_iE = np.diag(np.tile(np.repeat([-1j, 1j], n), 2))
