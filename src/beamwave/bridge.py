@@ -326,23 +326,39 @@ def bridge_system_from_json(doc, grid=None):
     if grid is None:
         grid = TorusGrid(int(doc["n"]))
 
-    def fun(entry, default):
+    def field(name, parse, default):
+        """parse(doc[name]) (of ``default`` if absent); a value of the wrong
+        type or shape is a ConfigError naming the field."""
+        try:
+            return parse(doc.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("system field %r is malformed: %s" % (name, exc)) from None
+
+    def profile(entry):
         if isinstance(entry, dict):
-            return entry.get("profile", entry.get("values"))
-        return default if entry is None else entry
+            entry = entry.get("profile", entry.get("values"))
+            if entry is None:
+                raise ValueError("an object needs a 'profile' or 'values' entry")
+        return _profile_to_function(grid, 1.0 if entry is None else entry)
+
+    def terms(entry):
+        return [(_profile_to_function(grid, coeff), int(k)) for coeff, k in entry or ()]
+
+    def quadratic(entry):
+        return QuadraticNonlinearity(grid, entry or ())
 
     return BridgeSystem(
         grid,
-        b=fun(doc.get("b"), 1.0),
-        c=fun(doc.get("c"), 1.0),
-        B_terms=doc.get("B_terms") or (),
-        C_terms=doc.get("C_terms") or (),
-        alpha=float(doc.get("alpha", 0.0)),
-        beta=float(doc.get("beta", 0.0)),
-        gamma=float(doc.get("gamma", 0.0)),
-        delta=float(doc.get("delta", 0.0)),
-        F1=QuadraticNonlinearity(grid, doc.get("F1") or ()),
-        F2=QuadraticNonlinearity(grid, doc.get("F2") or ()),
+        b=field("b", profile, None),
+        c=field("c", profile, None),
+        B_terms=field("B_terms", terms, ()),
+        C_terms=field("C_terms", terms, ()),
+        alpha=field("alpha", float, 0.0),
+        beta=field("beta", float, 0.0),
+        gamma=field("gamma", float, 0.0),
+        delta=field("delta", float, 0.0),
+        F1=field("F1", quadratic, ()),
+        F2=field("F2", quadratic, ()),
     )
 
 

@@ -24,23 +24,14 @@ import numpy as np
 
 from .bridge import _fft_raw
 from .grid import SpectralFunction
-from .quantize import bony_weyl_quantize, weyl_gather_index, weyl_table
+from .quantize import bony_weyl_quantize, pair, weyl_gather_index, weyl_table
 from .state import complex_weights, real_from_stacked, stacked_from_real
-from .symbols import (
-    DEFAULT_EPS_PARA,
-    FrequencyMultiplier,
-    MatrixSymbol,
-)
+from .symbols import FrequencyMultiplier, SeparableSymbol
 
 _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
-
-
-def _u_matrix_symbol(grid, f, mult):
-    """MatrixSymbol U * f(x) * g(xi) (all four entries equal)."""
-    return MatrixSymbol.from_xfunc_matrix(grid, np.full((2, 2), f, dtype=object), mult)
 
 
 def _complexified_pair(op, D, d):
@@ -69,10 +60,9 @@ class ParalinearizedSystem:
     g_1w, g_12b and g_12w, each entering frakA / frakB through one gather.
     """
 
-    def __init__(self, source, grid, eps_para=DEFAULT_EPS_PARA):
+    def __init__(self, source, grid):
         self.source = source
         self.grid = grid
-        self.eps_para = float(eps_para)
         one = SpectralFunction.constant(grid, 1.0)
         self.a_fun = 0.5 * (source.b - one)
         self.d_fun = 0.5 * (source.c - one)
@@ -82,10 +72,13 @@ class ParalinearizedSystem:
         n2 = 2 * grid.n
         syms = self.assemble_symbols(None)
         self._frak_A0 = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        self._frak_A0[:n2, :n2] = minus_iE(bony_weyl_quantize(syms["A_b"], self.eps_para))
-        self._frak_A0[n2:, n2:] = minus_iE(bony_weyl_quantize(syms["A_w"], self.eps_para))
-        self._abs_xi_table = weyl_table(grid, _ABS_XI, self.eps_para)
-        self._off_table = weyl_table(grid, _OFF, self.eps_para)
+        for block, key in ((slice(None, n2), "A_b"), (slice(n2, None), "A_w")):
+            p, q = syms[key]
+            Q = bony_weyl_quantize(q)
+            # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
+            self._frak_A0[block, block] = minus_iE(pair(Q + np.diag(p(grid.modes)), Q))
+        self._abs_xi_table = weyl_table(grid, _ABS_XI, bony_weyl=True)
+        self._off_table = weyl_table(grid, _OFF, bony_weyl=True)
         self._gather = weyl_gather_index(grid)
 
     # -- g-functions ---------------------------------------------------
@@ -113,19 +106,20 @@ class ParalinearizedSystem:
 
     def assemble_symbols(self, V):
         """The symbols A_b, A_w, B_b, B_w at V; the definition that frakA and
-        frakB quantize from precomputed tables."""
+        frakB quantize from precomputed tables.
+
+        Each 2 x 2 symbol is I p + U q, so its quantization is
+        I Op^BW(p) + U Op^BW(q) = pair(Op^BW(p) + Op^BW(q), Op^BW(q)).  Each
+        key maps to (p, q): p a constant-coefficient FrequencyMultiplier (None
+        for the coupling blocks), q a SeparableSymbol."""
         grid = self.grid
         a, d, g_1w, g_12b, g_12w = self.g_functions(V)
-        A_b = (
-            MatrixSymbol.identity(grid) * _XI2
-            + _u_matrix_symbol(grid, a, _XI2)
-            + _u_matrix_symbol(grid, 2j * a.deriv(), _XI1)
-        )
-        a_w = d + g_1w
-        A_w = MatrixSymbol.identity(grid) * _ABS_XI + _u_matrix_symbol(grid, a_w, _ABS_XI)
-        B_b = _u_matrix_symbol(grid, g_12b, _OFF)
-        B_w = _u_matrix_symbol(grid, g_12w, _OFF)
-        return {"A_b": A_b, "A_w": A_w, "B_b": B_b, "B_w": B_w}
+        return {
+            "A_b": (_XI2, SeparableSymbol(grid, [(a, _XI2), (2j * a.deriv(), _XI1)])),
+            "A_w": (_ABS_XI, SeparableSymbol(grid, [(d + g_1w, _ABS_XI)])),
+            "B_b": (None, SeparableSymbol(grid, [(g_12b, _OFF)])),
+            "B_w": (None, SeparableSymbol(grid, [(g_12w, _OFF)])),
+        }
 
     # -- block operators ----------------------------------------------
 
@@ -144,7 +138,8 @@ class ParalinearizedSystem:
         M = self._frak_A0.copy()
         if V is not None:
             n2 = 2 * self.grid.n
-            M[n2:, n2:] += minus_iE(np.tile(self._weyl_blocks(V)[0], (2, 2)))
+            F_1w = self._weyl_blocks(V)[0]
+            M[n2:, n2:] += minus_iE(pair(F_1w, F_1w))
         return M
 
     def frak_B(self, V):
@@ -153,8 +148,8 @@ class ParalinearizedSystem:
         M = np.zeros((2 * n2, 2 * n2), dtype=complex)
         if V is not None:
             _, F_12b, F_12w = self._weyl_blocks(V)
-            M[:n2, n2:] = minus_iE(np.tile(F_12b, (2, 2)))
-            M[n2:, :n2] = minus_iE(np.tile(F_12w, (2, 2)))
+            M[:n2, n2:] = minus_iE(pair(F_12b, F_12b))
+            M[n2:, :n2] = minus_iE(pair(F_12w, F_12w))
         return M
 
     def frozen_generator(self, V, include_R=True):

@@ -31,15 +31,9 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import bony_weyl_quantize, exact_operator_norm
+from .quantize import bony_weyl_quantize, exact_operator_norm, pair
 from .state import conjugate_pair, stacked_inner, stacked_norm
-from .symbols import (
-    DEFAULT_EPS_PARA,
-    FrequencyMultiplier,
-    MatrixSymbol,
-    SeparableSymbol,
-    cutoff_psi,
-)
+from .symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 
 
 def _dx_values(grid, values):
@@ -60,23 +54,16 @@ def _periodic_antiderivative(grid, values, tol=1e-10):
     return SpectralFunction(grid, out, is_real=True).values().real
 
 
-def _pair_matrix_symbol(grid, d11, d12, d21, d22, mult=None):
-    """2x2 MatrixSymbol from grid-value arrays times one multiplier."""
-    ent = np.empty((2, 2), dtype=object)
-    for idx, vals in (((0, 0), d11), ((0, 1), d12), ((1, 0), d21), ((1, 1), d22)):
-        if vals is None:
-            ent[idx] = SeparableSymbol.zero(grid)
-        else:
-            f = vals if isinstance(vals, SpectralFunction) else transform(grid, vals)
-            m = mult if mult is not None else FrequencyMultiplier.one()
-            ent[idx] = SeparableSymbol(grid, [(f, m)])
-    return MatrixSymbol(grid, ent)
+def _op(f, mult=None):
+    """Op^BW(f(x) mult(xi)) (mult = 1 by default)."""
+    return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
 
 
-def _scalar_pair_op(grid, values, eps_para):
-    """Op^BW of the scalar function acting identically on both components."""
-    op = bony_weyl_quantize(SeparableSymbol.from_xfunc(transform(grid, values)), eps_para)
-    return np.kron(np.eye(2), op)
+def _similarity(grid, s1, s2):
+    """Op^BW(S) and Op^BW(S^{-1}) for S = [[s1, s2], [s2, s1]],
+    S^{-1} = [[s1, -s2], [-s2, s1]], from grid values of s1, s2."""
+    S1, S2 = _op(transform(grid, s1)), _op(transform(grid, s2))
+    return pair(S1, S2), pair(S1, -S2)
 
 
 def _pointwise_identity_defect(s1, s2, lam):
@@ -109,7 +96,7 @@ class BeamDiagonalizer:
     an order-zero residual, uniformly in the truncation.
     """
 
-    def __init__(self, a, grid, eps_para=DEFAULT_EPS_PARA):
+    def __init__(self, a, grid):
         self.grid = grid
         av = a.values().real if isinstance(a, SpectralFunction) else np.asarray(a, dtype=float)
         ell = np.min(1.0 + 2.0 * av)
@@ -135,21 +122,11 @@ class BeamDiagonalizer:
         self.k = transform(grid, np.exp(phi))
 
         m_coef = transform(grid, self.n12 / (2.0 * lam))
-        m_sym = SeparableSymbol(grid, [(1j * m_coef, FrequencyMultiplier.psi_over_xi())])
-        ent = np.empty((2, 2), dtype=object)
-        ent[0, 0] = SeparableSymbol.zero(grid)
-        ent[1, 1] = SeparableSymbol.zero(grid)
-        ent[0, 1] = m_sym
-        ent[1, 0] = m_sym
-        self.m_symbol = MatrixSymbol(grid, ent)
-        self.M_minus1 = bony_weyl_quantize(self.m_symbol, eps_para)
+        self.M_minus1 = pair(0.0, _op(1j * m_coef, FrequencyMultiplier.psi_over_xi()))
 
-        S = _pair_matrix_symbol(grid, s1, s2, s2, s1)
-        Si = _pair_matrix_symbol(grid, s1, -s2, -s2, s1)
-        S_op = bony_weyl_quantize(S, eps_para)
-        Si_op = bony_weyl_quantize(Si, eps_para)
-        k_op = _scalar_pair_op(grid, np.exp(phi), eps_para)
-        kinv_op = _scalar_pair_op(grid, np.exp(-phi), eps_para)
+        S_op, Si_op = _similarity(grid, s1, s2)
+        k_op = pair(_op(transform(grid, np.exp(phi))), 0.0)
+        kinv_op = pair(_op(transform(grid, np.exp(-phi))), 0.0)
         eye = np.eye(2 * grid.n)
         self.D_b = kinv_op @ (eye + self.M_minus1) @ Si_op
         self.D_tilde_b = S_op @ (eye - self.M_minus1) @ k_op
@@ -168,7 +145,7 @@ class WaveDiagonalizer:
     """D_w = Op^BW(S_w^{-1}), D~_w = Op^BW(S_w); first order is principal
     for the half-wave so no smoothing corrector or gauge is needed."""
 
-    def __init__(self, a_w, grid, eps_para=DEFAULT_EPS_PARA):
+    def __init__(self, a_w, grid):
         self.grid = grid
         av = a_w.values().real if isinstance(a_w, SpectralFunction) else np.asarray(a_w, dtype=float)
         ell = np.min(1.0 + 2.0 * av)
@@ -180,33 +157,32 @@ class WaveDiagonalizer:
         self.lam_w = transform(grid, lam)
         self.s1_w = transform(grid, s1)
         self.s2_w = transform(grid, s2)
-        S = _pair_matrix_symbol(grid, s1, s2, s2, s1)
-        Si = _pair_matrix_symbol(grid, s1, -s2, -s2, s1)
-        self.D_w = bony_weyl_quantize(Si, eps_para)
-        self.D_tilde_w = bony_weyl_quantize(S, eps_para)
+        self.D_tilde_w, self.D_w = _similarity(grid, s1, s2)
 
     def pointwise_identity_defect(self):
         return _pointwise_identity_defect(self.s1_w, self.s2_w, self.lam_w)
 
 
-def build_T_correctors(para, V):
-    """Order -3/2 matrix symbols decoupling the beam-wave coupling blocks.
+def build_T_correctors(a, g_12b, g_12w):
+    """Scalar symbols t_b, t_w of order -3/2 decoupling the beam-wave
+    coupling blocks, from the g-functions a, g_12b, g_12w.
 
     The decoupling conditions L_b T_1 - T_1 L_w = C_b and
     L_w T_2 - T_2 L_b = C_w are solved at principal order by
 
-        T_1 =  psi <xi>^{-3/2} (g_12b / (1 + 2a)) U,
-        T_2 = -psi <xi>^{-3/2} (g_12w / (1 + 2a)) E U E.
+        T_1 =  U t_b,      t_b = psi <xi>^{-3/2} g_12b / (1 + 2a),
+        T_2 = -E U E t_w,  t_w = psi <xi>^{-3/2} g_12w / (1 + 2a),
+
+    so Op^BW(T_1) = pair(Op^BW(t_b), Op^BW(t_b)) and
+    Op^BW(T_2) = pair(-Op^BW(t_w), Op^BW(t_w)).
     """
-    grid = para.grid
-    a, _, _, g_12b, g_12w = para.g_functions(V)
+    grid = a.grid
     av = a.values().real
-    cb = g_12b.values().real / (1.0 + 2.0 * av)
-    cw = g_12w.values().real / (1.0 + 2.0 * av)
     mult = FrequencyMultiplier.psi() * FrequencyMultiplier.bracket(-1.5)
-    T1 = _pair_matrix_symbol(grid, cb, cb, cb, cb, mult)
-    T2 = _pair_matrix_symbol(grid, -cw, cw, cw, -cw, mult)
-    return T1, T2
+    return tuple(
+        SeparableSymbol(grid, [(transform(grid, g.values().real / (1.0 + 2.0 * av)), mult)])
+        for g in (g_12b, g_12w)
+    )
 
 
 class Parametrix:
@@ -220,26 +196,23 @@ class Parametrix:
 
     def __init__(self, para, V, s):
         grid = para.grid
-        eps = para.eps_para
         self.grid = grid
         self.s = float(s)
         self.frozen_at = None if V is None else np.array(V, dtype=complex)
 
-        a, d, g_1w, _, _ = para.g_functions(V)
-        self.beam = BeamDiagonalizer(a, grid, eps)
-        self.wave = WaveDiagonalizer(d + g_1w, grid, eps)
-        self.T1, self.T2 = (bony_weyl_quantize(t, eps) for t in build_T_correctors(para, V))
-
-        def op(f, mult):
-            return bony_weyl_quantize(SeparableSymbol(grid, [(f, mult)]), eps)
+        a, d, g_1w, g_12b, g_12w = para.g_functions(V)
+        self.beam = BeamDiagonalizer(a, grid)
+        self.wave = WaveDiagonalizer(d + g_1w, grid)
+        t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+        self.T1, self.T2 = pair(t_b, t_b), pair(-t_w, t_w)
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
-        self.Lambda_b = op(lam_b, FrequencyMultiplier.xi_power(2))
-        self.Lambda_w = op(lam_w, FrequencyMultiplier.abs_xi())
+        self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
+        self.Lambda_w = _op(lam_w, FrequencyMultiplier.abs_xi())
         s2 = 2.0 * self.s
         mult = FrequencyMultiplier.abs_xi_power(s2)
-        self.L2s_b = op(transform(grid, lam_b.values().real ** self.s), mult)
-        self.L2s_w = op(transform(grid, lam_w.values().real ** s2), mult)
+        self.L2s_b = _op(transform(grid, lam_b.values().real ** self.s), mult)
+        self.L2s_w = _op(transform(grid, lam_w.values().real ** s2), mult)
 
     def phi(self, vec):
         """Phi V = (D_b (z + T1 w), D_w (w + T2 z))."""

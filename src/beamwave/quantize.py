@@ -15,7 +15,7 @@ bracket-weighted matrix.
 
 import numpy as np
 
-from .symbols import DEFAULT_EPS_PARA, MatrixSymbol, SeparableSymbol, cutoff_chi, sharp_rho
+from .symbols import cutoff_chi, sharp_rho
 
 
 def _mode_lattice(grid):
@@ -24,9 +24,9 @@ def _mode_lattice(grid):
     return J[:, None] - J[None, :], J[:, None] + J[None, :]
 
 
-def _chi_mask(grid, eps_para):
+def _chi_mask(grid):
     D, S = _mode_lattice(grid)
-    return cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2), eps_para)
+    return cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
 
 
 def weyl_gather_index(grid):
@@ -34,52 +34,48 @@ def weyl_gather_index(grid):
     return _mode_lattice(grid)[0] % grid.n
 
 
-def weyl_table(grid, g, eps_para=None):
+def weyl_table(grid, g, bony_weyl=False):
     """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2), times the
-    Bony-Weyl mask chi_eps(|j-k|/<j+k>) when ``eps_para`` is given.  The Weyl
-    matrix of f(x) g(xi) is the gather f.coeffs[weyl_gather_index(grid)] * T."""
+    Bony-Weyl mask chi_eps(|j-k|/<j+k>) if ``bony_weyl``.  The Weyl matrix of
+    f(x) g(xi) is the gather f.coeffs[weyl_gather_index(grid)] * T."""
     n = grid.n
     D, S = _mode_lattice(grid)
     half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
     gv = np.asarray(g(half_lattice), dtype=complex)[S + n]
     T = np.where((D >= -(n // 2)) & (D < n // 2), gv, 0.0)
-    return T if eps_para is None else T * _chi_mask(grid, eps_para)
-
-
-def _scalar_weyl_matrix(sym, mask=None):
-    grid = sym.grid
-    idx = weyl_gather_index(grid)
-    M = np.zeros((grid.n, grid.n), dtype=complex)
-    for f, g in sym.terms:
-        M += f.coeffs[idx] * weyl_table(grid, g)
-    return M if mask is None else M * mask
+    return T * _chi_mask(grid) if bony_weyl else T
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()
 
 
 def weyl_quantize(sym):
-    """Op^W of a SeparableSymbol or MatrixSymbol as a dense array."""
-    return _quantize(sym, eps_para=None)
+    """Op^W of a SeparableSymbol as a dense n x n array."""
+    grid = sym.grid
+    idx = weyl_gather_index(grid)
+    M = np.zeros((grid.n, grid.n), dtype=complex)
+    for f, g in sym.terms:
+        M += f.coeffs[idx] * weyl_table(grid, g)
+    return M
 
 
-def bony_weyl_quantize(sym, eps_para=DEFAULT_EPS_PARA):
-    """Op^BW: Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
-    return _quantize(sym, eps_para=eps_para)
+def bony_weyl_quantize(sym):
+    """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
+    return weyl_quantize(sym) * _chi_mask(sym.grid)
 
 
-def _quantize(sym, eps_para):
-    mask = None if eps_para is None else _chi_mask(sym.grid, eps_para)
-    if isinstance(sym, MatrixSymbol):
-        n = sym.grid.n
-        # filled in place: np.block would hold every block and the result at once
-        M = np.zeros((sym.dim * n, sym.dim * n), dtype=complex)
-        for (i, j), e in np.ndenumerate(sym.entries):
-            M[i * n : (i + 1) * n, j * n : (j + 1) * n] = _scalar_weyl_matrix(e, mask)
-        return M
-    if isinstance(sym, SeparableSymbol):
-        return _scalar_weyl_matrix(sym, mask)
-    raise TypeError("cannot quantize %r" % type(sym))
+def pair(A, B):
+    """The 2n x 2n array [[A, B], [B, A]] of n x n blocks (B may be 0).
+
+    Every 2 x 2 paradifferential block of the system has this form: I Op(p)
+    + U Op(q) is pair(Op(p) + Op(q), Op(q)).  Filled in place; np.block
+    would hold every block and the result at once."""
+    A, B = np.broadcast_arrays(A, B)
+    n = A.shape[0]
+    M = np.empty((2 * n, 2 * n), dtype=complex)
+    M[:n, :n] = M[n:, n:] = A
+    M[:n, n:] = M[n:, :n] = B
+    return M
 
 
 def _components(grid, M):
@@ -125,13 +121,11 @@ def exact_operator_norm(grid, M, s_in, s_out, band=None):
     return float(np.linalg.svd(weighted_matrix(grid, M, s_in, s_out, band), compute_uv=False)[0])
 
 
-def remainder_bw_minus_weyl(sym, eps_para=DEFAULT_EPS_PARA):
+def remainder_bw_minus_weyl(sym):
     """R = Op^W(a) - Op^BW(a); smoothing of order rho in tests."""
-    return weyl_quantize(sym) - bony_weyl_quantize(sym, eps_para)
+    return weyl_quantize(sym) - bony_weyl_quantize(sym)
 
 
-def composition_residual(a, b, rho, eps_para=DEFAULT_EPS_PARA):
+def composition_residual(a, b, rho):
     """Op^BW(a) Op^BW(b) - Op^BW(a #_rho b)."""
-    oa = bony_weyl_quantize(a, eps_para)
-    ob = bony_weyl_quantize(b, eps_para)
-    return oa @ ob - bony_weyl_quantize(sharp_rho(a, b, rho), eps_para)
+    return bony_weyl_quantize(a) @ bony_weyl_quantize(b) - bony_weyl_quantize(sharp_rho(a, b, rho))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import SpectralFunction, grid_product
 
-DEFAULT_EPS_PARA = 0.5
+EPS_PARA = 0.5  # width of the paradifferential cutoff chi_eps
 
 
 def smooth_step(t):
@@ -30,11 +30,9 @@ def smooth_step(t):
     return gt / (gt + gm)
 
 
-def cutoff_chi(xi, eps_para=DEFAULT_EPS_PARA):
-    """chi_eps(xi) = chi(xi/eps_para): 1 on |xi| <= 1.1 eps, 0 on |xi| >= 1.9 eps."""
-    if not (0.0 < eps_para < 1.0):
-        raise ValueError("eps_para must lie in (0,1), got %g" % eps_para)
-    u = np.abs(np.asarray(xi, dtype=float)) / eps_para
+def cutoff_chi(xi):
+    """chi_eps(xi) = chi(xi/eps): 1 on |xi| <= 1.1 eps, 0 on |xi| >= 1.9 eps."""
+    u = np.abs(np.asarray(xi, dtype=float)) / EPS_PARA
     return 1.0 - smooth_step((u - 1.1) / 0.8)
 
 
@@ -150,10 +148,6 @@ class SeparableSymbol:
     # constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, grid):
-        return cls(grid, [])
-
-    @classmethod
     def from_multiplier(cls, grid, g):
         return cls(grid, [(SpectralFunction.constant(grid, 1.0), g)])
 
@@ -239,120 +233,10 @@ def weyl_xi_lattice(grid):
 
 
 def sharp_rho(a, b, rho):
-    """a #_rho b: ab for rho <= 1, ab + (1/2i){a,b} for rho in (1,2].
-
-    For MatrixSymbols the product is the matrix product and the Poisson
-    bracket keeps the matrix ordering: {a,b} = dxi(a) @ dx(b) - dx(a) @ dxi(b).
-    """
+    """a #_rho b: ab for rho <= 1, ab + (1/2i){a,b} for rho in (1,2]."""
     if not (0.0 < rho <= 2.0):
         raise ValueError("rho must lie in (0,2], got %g" % rho)
-    matrix = isinstance(a, MatrixSymbol)
-    prod = (a @ b) if matrix else (a * b)
+    prod = a * b
     if rho <= 1.0:
         return prod
     return prod + (1.0 / 2.0j) * a.poisson(b)
-
-
-def _entrywise(fn, *arrays):
-    """Object array of fn applied to the matching entries of equal-shape arrays."""
-    out = np.empty(np.shape(arrays[0]), dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = fn(*(a[idx] for a in arrays))
-    return out
-
-
-class MatrixSymbol:
-    """Square matrix (2x2 or 4x4) of SeparableSymbols."""
-
-    def __init__(self, grid, entries):
-        entries = np.asarray(entries, dtype=object)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("matrix symbol must be square")
-        self.grid = grid
-        self.entries = entries
-        self.dim = entries.shape[0]
-
-    @property
-    def order(self):
-        return max(e.order for e in self.entries.flat)
-
-    @classmethod
-    def from_numeric(cls, grid, M, multiplier=None):
-        """Constant matrix M times a single multiplier (default 1)."""
-        g = multiplier if multiplier is not None else FrequencyMultiplier.one()
-
-        def entry(m):
-            if m == 0:
-                return SeparableSymbol.zero(grid)
-            return SeparableSymbol(grid, [(SpectralFunction.constant(grid, m), g)])
-
-        return cls(grid, _entrywise(entry, np.asarray(M)))
-
-    @classmethod
-    def from_xfunc_matrix(cls, grid, F, multiplier=None):
-        """Matrix of SpectralFunctions times a single multiplier."""
-        g = multiplier if multiplier is not None else FrequencyMultiplier.one()
-        F = np.asarray(F, dtype=object)
-        return cls(grid, _entrywise(lambda f: SeparableSymbol(grid, [(f, g)]), F))
-
-    @classmethod
-    def identity(cls, grid, dim=2):
-        return cls.from_numeric(grid, np.eye(dim))
-
-    @classmethod
-    def E(cls, grid):
-        return cls.from_numeric(grid, np.diag([1.0, -1.0]))
-
-    @classmethod
-    def U(cls, grid):
-        return cls.from_numeric(grid, np.ones((2, 2)))
-
-    def _map(self, fn, *others):
-        return MatrixSymbol(self.grid, _entrywise(fn, self.entries, *(o.entries for o in others)))
-
-    def __add__(self, other):
-        return self._map(lambda a, b: a + b, other)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._map(lambda a: -a)
-
-    def __mul__(self, other):
-        """Scalar, multiplier, or scalar-symbol multiplication (entrywise)."""
-        return self._map(lambda a: a * other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        ent = np.empty((self.dim, self.dim), dtype=object)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = SeparableSymbol.zero(self.grid)
-                for k in range(self.dim):
-                    acc = acc + self.entries[i, k] * other.entries[k, j]
-                ent[i, j] = acc
-        return MatrixSymbol(self.grid, ent)
-
-    def dx(self):
-        return self._map(lambda a: a.dx())
-
-    def dxi(self, n=1):
-        return self._map(lambda a: a.dxi(n))
-
-    def poisson(self, other):
-        """Matrix-ordered Poisson bracket dxi(self)@dx(other) - dx(self)@dxi(other)."""
-        return self.dxi() @ other.dx() - self.dx() @ other.dxi()
-
-    def eval(self, xi):
-        """Values, shape (dim, dim, grid.n, len(xi))."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros((self.dim, self.dim, self.grid.n, xi.size), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self.entries[i, j].eval(xi)
-        return out
-
-    def seminorm(self, m, s, n_der):
-        return max(e.seminorm(m, s, n_der) for e in self.entries.flat)

@@ -33,6 +33,7 @@ from beamwave.quantize import (
     bony_weyl_quantize,
     composition_residual,
     exact_operator_norm,
+    pair,
     remainder_bw_minus_weyl,
     weyl_quantize,
 )
@@ -159,22 +160,14 @@ def test_criterion_03_diagonalization_identities():
         gn = TorusGrid(n)
         b = BeamDiagonalizer(0.2 * np.cos(gn.x), gn)
         E = np.kron(np.diag([1.0, -1.0]), np.eye(n))
-        from beamwave.symbols import MatrixSymbol
-
-        one = transform(gn, np.ones(n))
+        # A_b = I xi^2 + U (a xi^2 + 2i a_x xi)
         af = transform(gn, 0.2 * np.cos(gn.x))
-        A_b = (
-            MatrixSymbol.identity(gn) * FrequencyMultiplier.xi_power(2)
-            + MatrixSymbol.from_xfunc_matrix(
-                gn, np.array([[af, af], [af, af]], dtype=object), FrequencyMultiplier.xi_power(2)
-            )
-            + MatrixSymbol.from_xfunc_matrix(
-                gn,
-                np.array([[2j * af.deriv()] * 2] * 2, dtype=object),
-                FrequencyMultiplier.xi_power(1),
-            )
+        xi2 = FrequencyMultiplier.xi_power(2)
+        P = bony_weyl_quantize(SeparableSymbol.from_multiplier(gn, xi2))
+        Q = bony_weyl_quantize(
+            SeparableSymbol(gn, [(af, xi2), (2j * af.deriv(), FrequencyMultiplier.xi_power(1))])
         )
-        L = E @ bony_weyl_quantize(A_b)
+        L = E @ pair(P + Q, Q)
         lam_sym = SeparableSymbol(gn, [(b.lam_b, FrequencyMultiplier.xi_power(2))])
         target = E @ np.kron(np.eye(2), bony_weyl_quantize(lam_sym))
         resid = b.D_b @ L @ b.D_tilde_b - target

@@ -92,18 +92,28 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--system", "list.json"],
         SIMULATE + ["--system", "n64.json", "--n", "32"],
         SIMULATE + ["--system", "n64.json"],
+        SIMULATE + ["--system", "alpha_text.json"],
+        SIMULATE + ["--system", "F2_short_term.json"],
+        SIMULATE + ["--system", "B_terms_number.json"],
+        SIMULATE + ["--system", "b_without_profile.json"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
          "nan_cfl_safety", "tiny_dt", "subnormal_dt", "sweep_odd_n", "sweep_nan_amplitude",
          "missing_system_file", "invalid_system_json", "system_not_an_object",
-         "system_n_differs_from_n", "system_n_differs_from_default_n"],
+         "system_n_differs_from_n", "system_n_differs_from_default_n",
+         "system_alpha_not_a_number", "system_F2_term_too_short", "system_B_terms_not_a_list",
+         "system_b_without_profile"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative system files resolve here
     (tmp_path / "truncated.json").write_text("{")
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "n64.json").write_text('{"n": 64}')
+    (tmp_path / "alpha_text.json").write_text('{"alpha": "x"}')
+    (tmp_path / "F2_short_term.json").write_text('{"F2": [[0.5]]}')
+    (tmp_path / "B_terms_number.json").write_text('{"B_terms": 3}')
+    (tmp_path / "b_without_profile.json").write_text('{"b": {}}')
     code = run_cli(args + ["--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err

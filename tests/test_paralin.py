@@ -7,8 +7,9 @@ from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_
 from beamwave.cli import build_preset
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
-from beamwave.quantize import bony_weyl_quantize
+from beamwave.quantize import bony_weyl_quantize, pair
 from beamwave.state import complexify, is_conjugate_pair, stacked_norm
+from beamwave.symbols import SeparableSymbol
 
 
 def coupled_system(n=32, amp=1e-2):
@@ -116,8 +117,9 @@ def test_g_functions_from_nonlinearity():
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_tabulated_generator_matches_quantized_symbols(preset):
     # frakA / frakB from the precomputed tables equal -iE Op^BW of the
-    # assembled symbols, at zero, at the preset data and at a perturbed V;
-    # the frozen generator's action equals the sum of the matrices
+    # assembled symbols I p + U q, each part quantized here on its own, at
+    # zero, at the preset data and at a perturbed V; the frozen generator's
+    # action equals the sum of the matrices
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -130,8 +132,11 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
     u = rng.standard_normal(2 * n2) + 1j * rng.standard_normal(2 * n2)
     E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
 
-    def minus_iE_bw(sym):
-        return -1j * (E @ bony_weyl_quantize(sym, para.eps_para))
+    def minus_iE_bw(parts):
+        p, q = parts
+        Q = bony_weyl_quantize(q)
+        P = 0.0 if p is None else bony_weyl_quantize(SeparableSymbol.from_multiplier(g, p))
+        return -1j * (E @ pair(P + Q, Q))
 
     for v in (None, V, V + bumped):
         syms = para.assemble_symbols(v)

@@ -19,7 +19,7 @@ from beamwave.parametrix import (
     equivalence_and_garding_report,
     modified_energy,
 )
-from beamwave.quantize import bony_weyl_quantize
+from beamwave.quantize import bony_weyl_quantize, pair
 from beamwave.state import complexify
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -164,7 +164,9 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         T = np.zeros_like(D)
         D[:h, :h], D[h:, h:] = P.beam.D_b, P.wave.D_w
         Dt[:h, :h], Dt[h:, h:] = P.beam.D_tilde_b, P.wave.D_tilde_w
-        T[:h, h:], T[h:, :h] = (bony_weyl_quantize(t) for t in build_T_correctors(para, V))
+        a, _, _, g_12b, g_12w = para.g_functions(V)
+        t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+        T[:h, h:], T[h:, :h] = pair(t_b, t_b), pair(-t_w, t_w)
         assert (np.max(np.abs(T)) > 0.0) == (preset == "mixed")
         eye = np.eye(2 * h)
 
@@ -190,6 +192,22 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         vec = rng.standard_normal(2 * h) + 1j * rng.standard_normal(2 * h)
         assert _rel(P.phi(vec), D @ (eye + T) @ vec) <= 1e-14
         assert _rel(P.l2s(vec), W @ vec) <= 1e-14
+
+
+def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
+    # the diagonalizers and the T correctors share one evaluation of the
+    # jets and the g-function FFTs
+    g, para, V = coupled_setup(32)
+    calls = []
+    original = ParalinearizedSystem.g_functions
+
+    def counting(self, V):
+        calls.append(1)
+        return original(self, V)
+
+    monkeypatch.setattr(ParalinearizedSystem, "g_functions", counting)
+    build_parametrix(para, V, 2.5)
+    assert len(calls) == 1
 
 
 def _array_sizes(obj, seen):

@@ -8,11 +8,12 @@ from beamwave.quantize import (
     bony_weyl_quantize,
     composition_residual,
     exact_operator_norm,
+    pair,
     remainder_bw_minus_weyl,
     weighted_matrix,
     weyl_quantize,
 )
-from beamwave.symbols import FrequencyMultiplier, MatrixSymbol, SeparableSymbol
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 
 
 def test_weyl_of_xfunc_is_exact_multiplication():
@@ -57,15 +58,19 @@ def test_weyl_self_adjoint_for_real_symbol():
     assert np.max(np.abs(W - W.conj().T)) < 1e-12
 
 
-def test_matrix_symbol_quantization_blocks():
-    g = TorusGrid(16)
-    E = MatrixSymbol.E(g)
-    M = weyl_quantize(E)
-    n = g.n
-    assert M.shape == (2 * n, 2 * n)
-    assert np.allclose(M[:n, :n], np.eye(n))
-    assert np.allclose(M[n:, n:], -np.eye(n))
-    assert np.max(np.abs(M[:n, n:])) == 0.0
+def test_pair_fills_symmetric_block_layout():
+    # [[A, B], [B, A]]; a scalar B is a zero off-diagonal block, and the
+    # blocks act on (u, v) as (Au + Bv, Bu + Av)
+    n = 8
+    rng = np.random.default_rng(0)
+    A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    M = pair(A, B)
+    assert M.shape == (2 * n, 2 * n) and M.dtype == complex
+    assert np.array_equal(M, np.block([[A, B], [B, A]]))
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    assert np.allclose(M @ np.concatenate([u, v]), np.concatenate([A @ u + B @ v, B @ u + A @ v]))
+    assert np.array_equal(pair(A, 0.0), np.kron(np.eye(2), A))
+    assert np.array_equal(pair(0.0, B), np.kron(np.ones((2, 2)) - np.eye(2), B))
 
 
 def test_operator_norm_diagonal_exact():

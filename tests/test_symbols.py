@@ -5,8 +5,8 @@ import pytest
 
 from beamwave.grid import TorusGrid, transform
 from beamwave.symbols import (
+    EPS_PARA,
     FrequencyMultiplier,
-    MatrixSymbol,
     SeparableSymbol,
     cutoff_chi,
     cutoff_psi,
@@ -32,12 +32,9 @@ def test_cutoff_psi_plateaus():
 
 
 def test_cutoff_chi_plateaus_scaled():
-    eps = 0.5
-    assert cutoff_chi(0.5, eps) == 1.0  # |xi|/eps = 1 <= 1.1
-    assert cutoff_chi(1.0, eps) == 0.0  # |xi|/eps = 2 >= 1.9
-    assert 0.0 < cutoff_chi(0.75, eps) < 1.0
-    with pytest.raises(ValueError):
-        cutoff_chi(0.5, eps_para=1.5)
+    assert cutoff_chi(EPS_PARA) == 1.0  # |xi|/eps = 1 <= 1.1
+    assert cutoff_chi(2.0 * EPS_PARA) == 0.0  # |xi|/eps = 2 >= 1.9
+    assert 0.0 < cutoff_chi(1.5 * EPS_PARA) < 1.0
 
 
 def test_multiplier_exact_derivatives():
@@ -181,30 +178,6 @@ def test_sharp_rho_two_includes_half_poisson():
     xi = np.array([1.5])
     lhs = sharp_rho(a, b, 2.0).eval(xi)
     rhs = a.eval(xi) * b.eval(xi) + (1.0 / 2.0j) * a.poisson(b).eval(xi)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_matrix_symbol_product_and_poisson_ordering():
-    g = TorusGrid(16)
-    E = MatrixSymbol.E(g)
-    U = MatrixSymbol.U(g)
-    xi = np.array([1.0])
-    EU = (E @ U).eval(xi)[:, :, 0, 0]
-    UE = (U @ E).eval(xi)[:, :, 0, 0]
-    assert np.allclose(EU, np.array([[1, 1], [-1, -1]]))
-    assert np.allclose(UE, np.array([[1, -1], [1, -1]]))
-
-
-def test_sharp_rho_matrix_dispatch():
-    g = TorusGrid(16)
-    f = transform(g, np.cos(g.x))
-    A = MatrixSymbol.from_xfunc_matrix(
-        g, np.array([[f, f], [f, f]], dtype=object), FrequencyMultiplier.xi_power(2)
-    )
-    B = MatrixSymbol.E(g) * FrequencyMultiplier.xi_power(1)
-    xi = np.array([2.0])
-    lhs = sharp_rho(A, B, 2.0).eval(xi)
-    rhs = (A @ B).eval(xi) + (1.0 / 2.0j) * A.poisson(B).eval(xi)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
