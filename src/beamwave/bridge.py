@@ -16,35 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .grid import SpectralFunction, TorusGrid, transform
-from .quantize import weyl_gather_index
 
 # jet slot order and parity sign under (x, y, theta) -> (-x, -y, -theta)
 JET_NAMES = ("y", "y_x", "y_xx", "theta", "theta_x", "theta_xx")
 JET_PARITY = (-1, +1, -1, -1, +1, -1)
-
-
-def _fft_raw(grid, values):
-    """Forward transform without the real-field -n/2 zeroing; used on the
-    right-hand-side path so grid products correspond exactly to circulant
-    matrices."""
-    return np.fft.fft(np.asarray(values, dtype=complex)) / grid.n
-
-
-def _ifft_raw(grid, coeffs):
-    return np.fft.ifft(np.asarray(coeffs, dtype=complex)) * grid.n
-
-
-def mult_matrix(grid, f):
-    """Circulant matrix of pointwise multiplication by f on the grid.
-
-    C[j, k] = fhat[(j - k) mod n]; exactly reproduces fft(f * u)/n.
-    """
-    # coefficient slots are already indexed mod n in fft order
-    return _fft_raw(grid, f.values())[weyl_gather_index(grid)]
-
-
-def deriv_diag(grid, k):
-    return (1j * grid.modes.astype(float)) ** k
 
 
 class QuadraticNonlinearity:
@@ -124,7 +99,14 @@ def _is_odd_coeffs(grid, coeffs, tol=1e-10):
 
 
 class BridgeSystem:
-    """Coefficients, lower-order operators, damping, forcing, nonlinearities."""
+    """Coefficients, lower-order operators, damping, forcing, nonlinearities.
+
+    The linear part (B_cal y + alpha y_t, W_cal theta + beta theta_t) is one
+    pseudo-spectral action, ``linear_rhs``: each product coeff(x) d_x^k of
+    B_cal and W_cal is a row of grid values and a row of derivative
+    multipliers, and the rows of both operators share one inverse and one
+    forward FFT.
+    """
 
     def __init__(
         self,
@@ -158,75 +140,59 @@ class BridgeSystem:
         self.f_w = f_w if f_w is not None else np.sin
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity.zero(grid)
         self.F2 = F2 if F2 is not None else QuadraticNonlinearity.zero(grid)
-        self._calB = None
-        self._calW = None
-
-    # -- operator matrices -------------------------------------------
-
-    def lower_order_matrix(self, terms):
-        n = self.grid.n
-        M = np.zeros((n, n), dtype=complex)
-        for coeff, k in terms:
-            M += mult_matrix(self.grid, coeff) * deriv_diag(self.grid, k)
-        return M
-
-    def calB_matrix(self):
-        """Matrix of B_cal = -b(x) d_x^4 + B on Fourier coefficients."""
-        if self._calB is None:
-            d4 = deriv_diag(self.grid, 4)
-            self._calB = -mult_matrix(self.grid, self.b) * d4 + self.lower_order_matrix(
-                self.B_terms
-            )
-        return self._calB
-
-    def calW_matrix(self):
-        """Matrix of W_cal = c(x) d_x^2 + C."""
-        if self._calW is None:
-            d2 = deriv_diag(self.grid, 2)
-            self._calW = mult_matrix(self.grid, self.c) * d2 + self.lower_order_matrix(
-                self.C_terms
-            )
-        return self._calW
+        # one row per product in B_cal = -b d^4 + B and W_cal = c d^2 + C:
+        # the unknown it differentiates (0 = y, 1 = theta), the grid values
+        # of its coefficient and the multiplier (ij)^k
+        beam = [(-self.b, 4)] + self.B_terms
+        wave = [(self.c, 2)] + self.C_terms
+        d = 1j * grid.modes.astype(float)
+        self._row_unknown = np.array([0] * len(beam) + [1] * len(wave))
+        self._row_values = np.array([coeff.values() for coeff, _ in beam + wave])
+        self._row_mult = np.array([d**k for _, k in beam + wave])
+        self._beam_rows = len(beam)
+        self._d, self._d2 = d, d**2
 
     # -- right-hand side ---------------------------------------------
 
     def _dealias(self, coeffs):
-        return np.where(np.abs(self.grid.modes) <= self.grid.dealias_cut, coeffs, 0.0)
+        return np.where(self.grid.dealias_mask, coeffs, 0.0)
+
+    def dealiased_hats(self, values):
+        """Dealiased Fourier coefficients of grid values (..., n)."""
+        return self._dealias(np.fft.fft(values) / self.grid.n)
 
     def jets(self, y_hat, th_hat):
-        """Dealias-projected jet values (6, n) from coefficient arrays."""
-        g = self.grid
+        """Dealias-projected jet values (6, ..., n) from coefficient arrays
+        (..., n), in one inverse FFT along the last axis."""
         yh = self._dealias(y_hat)
         th = self._dealias(th_hat)
-        d = 1j * g.modes.astype(float)
-        return np.stack(
-            [
-                _ifft_raw(g, yh),
-                _ifft_raw(g, d * yh),
-                _ifft_raw(g, d**2 * yh),
-                _ifft_raw(g, th),
-                _ifft_raw(g, d * th),
-                _ifft_raw(g, d**2 * th),
-            ]
-        )
+        d, d2 = self._d, self._d2
+        return np.fft.ifft(np.stack([yh, d * yh, d2 * yh, th, d * th, d2 * th])) * self.grid.n
 
-    def nonlinearity_hats(self, y_hat, th_hat):
-        """Dealiased Fourier coefficients of F1, F2 at the jet of (y, theta)."""
-        g = self.grid
-        if self.F1.is_zero() and self.F2.is_zero():
-            z = np.zeros(g.n, dtype=complex)
-            return z, z
-        jets = self.jets(y_hat, th_hat)
-        f1 = self._dealias(_fft_raw(g, self.F1.evaluate(jets)))
-        f2 = self._dealias(_fft_raw(g, self.F2.evaluate(jets)))
-        return f1, f2
+    def nonlinearity_hats(self, jets):
+        """Dealiased Fourier coefficients of F1, F2 at the jet values ``jets``."""
+        return self.dealiased_hats(np.stack([self.F1.evaluate(jets), self.F2.evaluate(jets)]))
+
+    def linear_rhs(self, y_hat, yt_hat, th_hat, tht_hat):
+        """(B_cal y + alpha y_t, W_cal theta + beta theta_t) on coefficient
+        arrays (..., n), which may be complex.  Products are taken on the grid
+        without dealiasing, so each row acts as the circulant Fourier matrix of
+        its coefficient times (ij)^k."""
+        u = np.stack([y_hat, th_hat], axis=-2)[..., self._row_unknown, :] * self._row_mult
+        # fft(f * ifft(u) * n) / n: the factors n cancel
+        products = self._row_values * np.fft.ifft(u)
+        grid_values = np.add.reduceat(products, [0, self._beam_rows], axis=-2)
+        ytt, thtt = np.moveaxis(np.fft.fft(grid_values), -2, 0)
+        return ytt + self.alpha * yt_hat, thtt + self.beta * tht_hat
 
     def real_rhs(self, y_hat, yt_hat, th_hat, tht_hat, t):
         """(y_tt, theta_tt) coefficient arrays; inputs may be complex
         (analytic continuation used by the complexified system)."""
-        f1, f2 = self.nonlinearity_hats(y_hat, th_hat)
-        ytt = self.calB_matrix() @ y_hat + f1 + self.alpha * yt_hat
-        thtt = self.calW_matrix() @ th_hat + f2 + self.beta * tht_hat
+        ytt, thtt = self.linear_rhs(y_hat, yt_hat, th_hat, tht_hat)
+        if not (self.F1.is_zero() and self.F2.is_zero()):
+            f1, f2 = self.nonlinearity_hats(self.jets(y_hat, th_hat))
+            ytt += f1
+            thtt += f2
         if self.gamma != 0.0:
             ytt[0] += self.gamma * self.f_b(t)
         if self.delta != 0.0:
@@ -270,9 +236,9 @@ class BridgeSystem:
             return False
         g = self.grid
         for j in range(1, min(5, g.n // 2)):
-            s = transform(g, np.sin(j * g.x))
-            for M in (self.calB_matrix(), self.calW_matrix()):
-                if not _is_odd_coeffs(g, M @ s.coeffs, tol=1e-9):
+            s = transform(g, np.sin(j * g.x)).coeffs
+            for out in self.linear_rhs(s, 0.0 * s, s, 0.0 * s):
+                if not _is_odd_coeffs(g, out, tol=1e-9):
                     return False
         return True
 

@@ -23,9 +23,10 @@ Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 Frozen backgrounds and forcing are evaluated at step midpoints (average of
 the two enclosing nodes), making the coefficient freezing second-order
 accurate; the RK4 step then dominates the error budget.  Each step applies
-``ParalinearizedSystem.frozen_generator``: a matrix-vector product with the
-V-independent frakA(0) + R, built once, plus three n x n blocks gathered for
-the frozen background, so no 4n x 4n matrix is formed per step.
+``ParalinearizedSystem.frozen_generator``: the linear part frakA(0) + R = L
+by FFT, plus three n x n blocks gathered for the frozen background, so no
+4n x 4n matrix is applied or formed per step.  Before each sweep the
+smallness radius is re-checked on the whole trajectory it freezes.
 """
 
 import copy
@@ -301,9 +302,10 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     return _march(grid, config.ladder, dt, steps, V0, step)
 
 
-def _initial_radius(sys, V0):
-    """Sup of the realified jet entries of V0; the radius fed to the smallness check."""
-    y, y_t, th, th_t = real_from_stacked(sys.grid, V0)
+def _jet_radius(sys, V):
+    """Sup of the realified jet entries and speeds of stacked states V (..., 4n),
+    all transformed at once; the radius fed to the smallness check."""
+    y, y_t, th, th_t = real_from_stacked(sys.grid, V)
     speeds = np.fft.ifft(np.stack([y_t, th_t])).real * sys.grid.n
     return max(float(np.max(np.abs(sys.jets(y, th)))), float(np.max(np.abs(speeds))))
 
@@ -320,7 +322,7 @@ def kato_solve(sys, V0, config):
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
     sys.check_ellipticity()
-    sys.check_radius_condition(2.0 * max(_initial_radius(sys, V0), 1e-12))
+    sys.check_radius_condition(2.0 * max(_jet_radius(sys, V0), 1e-12))
     dt, steps = _time_grid(sys, config)
     para = ParalinearizedSystem(sys, grid)
 
@@ -328,7 +330,12 @@ def kato_solve(sys, V0, config):
     result = linear_solve(para, None, V0, G, config)
     increments = []
     prev_inc = None
-    for _ in range(config.kato_max_iter):
+    for sweep in range(2, config.kato_max_iter + 2):
+        try:  # the sweep freezes its coefficients along the whole of V_{n-1}
+            sys.check_radius_condition(max(_jet_radius(sys, result.trajectory), 1e-12))
+        except PreconditionError as exc:
+            raise PreconditionError("Kato sweep %d freezes a background outside the "
+                                    "smallness radius: %s" % (sweep, exc)) from None
         # remainder(V_{n-1}) + G at every node
         forcing = np.array([para.kato_forcing(v, k * dt) for k, v in enumerate(result.trajectory)])
         nxt = linear_solve(para, result.trajectory, V0, forcing, config)
@@ -440,6 +447,9 @@ def _random_direction(grid, seed=0):
 def epsilon_continuation(sys, V0, eps_list, config):
     """Kato runs at decreasing regularization strengths; pairwise trajectory
     gaps in H^{s1} decay linearly in eps for band-limited data."""
+    # each run's config is a copy with eps set, which SolverConfig does not re-check
+    if not all(np.isfinite(e) for e in eps_list):
+        raise ConfigError("eps values must be finite, got %r" % (list(eps_list),))
     if any(e < 0 for e in eps_list):
         raise PreconditionError("eps values must be nonnegative")
     eps_list = sorted(eps_list, reverse=True)

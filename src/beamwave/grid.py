@@ -38,6 +38,7 @@ class TorusGrid:
     brackets : <j> = sqrt(1 + j^2) per slot
     reflect : slot of mode -j per slot; u(-x) has coefficients u.coeffs[reflect]
     dealias_cut : largest |j| kept by the 2/3-rule product projection
+    dealias_mask : True on the slots with |j| <= dealias_cut
     """
 
     def __init__(self, n):
@@ -53,7 +54,7 @@ class TorusGrid:
         self.brackets = np.sqrt(1.0 + self.modes.astype(float) ** 2)
         self.reflect = (-np.arange(self.n)) % self.n
         self.dealias_cut = self.n // 3
-        self._dealias_mask = np.abs(self.modes) <= self.dealias_cut
+        self.dealias_mask = np.abs(self.modes) <= self.dealias_cut
 
     def __eq__(self, other):
         return isinstance(other, TorusGrid) and other.n == self.n

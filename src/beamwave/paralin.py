@@ -14,33 +14,25 @@ with
 
 where the g-functions are halved partials of the nonlinearities at the
 realified jet of V.  R is defined constructively as the exact complexified
-linear part minus frakA(0) (block diagonal, order 0), and the remainder is
+linear part L minus frakA(0) (block diagonal, order 0), and the remainder is
 defined by subtraction so the decomposition reproduces the full right-hand
 side to machine precision.  The solvers apply frakA + frakB + R through
-``frozen_generator``; the matrices serve the parametrix and the tests.
+``frozen_generator`` as L, the real system's FFT action carried through the
+complexification, plus the gathered V-dependent blocks; the 4n x 4n
+matrices serve the parametrix and the tests.
 """
 
 import numpy as np
 
-from .bridge import _fft_raw
 from .grid import SpectralFunction
 from .quantize import bony_weyl_quantize, pair, weyl_gather_index, weyl_table
-from .state import complex_weights, real_from_stacked, stacked_from_real
+from .state import real_from_stacked, stacked_from_real
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
-
-
-def _complexified_pair(op, D, d):
-    """Generator of (z, zbar) for u'' = op u + d u', z = (D u + i u'/D)/sqrt2,
-    D a positive diagonal given by its entries."""
-    Q = 0.5j * op / np.outer(D, D)
-    P = np.diag(0.5 * (-1j * D**2 + d))
-    M = np.diag(0.5 * (-1j * D**2 - d))
-    return np.block([[Q + P, Q - P], [-Q + M, -Q - M]])
 
 
 def minus_iE(M):
@@ -66,41 +58,29 @@ class ParalinearizedSystem:
         one = SpectralFunction.constant(grid, 1.0)
         self.a_fun = 0.5 * (source.b - one)
         self.d_fun = 0.5 * (source.c - one)
-        self._R = None
-        self._base = None
-
-        n2 = 2 * grid.n
-        syms = self.assemble_symbols(None)
-        self._frak_A0 = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        for block, key in ((slice(None, n2), "A_b"), (slice(n2, None), "A_w")):
-            p, q = syms[key]
-            Q = bony_weyl_quantize(q)
-            # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
-            self._frak_A0[block, block] = minus_iE(pair(Q + np.diag(p(grid.modes)), Q))
         self._abs_xi_table = weyl_table(grid, _ABS_XI, bony_weyl=True)
         self._off_table = weyl_table(grid, _OFF, bony_weyl=True)
         self._gather = weyl_gather_index(grid)
+        self._frak_A0 = self.frak_A(None)
 
     # -- g-functions ---------------------------------------------------
 
     def g_functions(self, V):
         """(a, d, g_1w, g_12b, g_12w) at the realified jet of V."""
-        src = self.source
         if V is None:
             zero = SpectralFunction.zero(self.grid)
             return self.a_fun, self.d_fun, zero, zero, zero
         y_hat, _, th_hat, _ = real_from_stacked(self.grid, V)
-        jets = src.jets(y_hat, th_hat)
+        return (self.a_fun, self.d_fun) + self._g_of_jets(self.source.jets(y_hat, th_hat))
 
-        def g_of(F, slot):
-            vals = 0.5 * F.partial_values(slot, jets)
-            u = SpectralFunction(self.grid, src._dealias(_fft_raw(self.grid, vals)), is_real=True)
-            return u
-
-        g_1w = g_of(src.F2, 5)
-        g_12b = g_of(src.F1, 5)
-        g_12w = g_of(src.F2, 2)
-        return self.a_fun, self.d_fun, g_1w, g_12b, g_12w
+    def _g_of_jets(self, jets):
+        """(g_1w, g_12b, g_12w): the dealiased halves of dF2/d(theta_xx),
+        dF1/d(theta_xx) and dF2/d(y_xx) at the jet values ``jets``."""
+        F1, F2 = self.source.F1, self.source.F2
+        partials = [F2.partial_values(5, jets), F1.partial_values(5, jets),
+                    F2.partial_values(2, jets)]
+        hats = self.source.dealiased_hats(0.5 * np.stack(partials))
+        return tuple(SpectralFunction(self.grid, h, is_real=True) for h in hats)
 
     # -- symbols -------------------------------------------------------
 
@@ -123,10 +103,9 @@ class ParalinearizedSystem:
 
     # -- block operators ----------------------------------------------
 
-    def _weyl_blocks(self, V):
+    def _weyl_blocks(self, g_1w, g_12b, g_12w):
         """Op^BW of g_1w |xi|, g_12b <xi>^{-3/2} xi^2 and g_12w <xi>^{-3/2} xi^2
         as n x n blocks, each one gather of the tabulated multiplier."""
-        _, _, g_1w, g_12b, g_12w = self.g_functions(V)
         return (
             g_1w.coeffs[self._gather] * self._abs_xi_table,
             g_12b.coeffs[self._gather] * self._off_table,
@@ -134,12 +113,24 @@ class ParalinearizedSystem:
         )
 
     def frak_A(self, V):
-        """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4n x 4n array."""
+        """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4n x 4n array.
+
+        At V = None the blocks are quantized from the symbols; the system
+        keeps that result as ``_frak_A0``, and a background adds its gathered
+        g_1w |xi| block to a copy."""
+        n2 = 2 * self.grid.n
+        if V is None:
+            M = np.zeros((2 * n2, 2 * n2), dtype=complex)
+            syms = self.assemble_symbols(None)
+            for block, key in ((slice(None, n2), "A_b"), (slice(n2, None), "A_w")):
+                p, q = syms[key]
+                Q = bony_weyl_quantize(q)
+                # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
+                M[block, block] = minus_iE(pair(Q + np.diag(p(self.grid.modes)), Q))
+            return M
         M = self._frak_A0.copy()
-        if V is not None:
-            n2 = 2 * self.grid.n
-            F_1w = self._weyl_blocks(V)[0]
-            M[n2:, n2:] += minus_iE(pair(F_1w, F_1w))
+        F_1w = self._weyl_blocks(*self.g_functions(V)[2:])[0]
+        M[n2:, n2:] += minus_iE(pair(F_1w, F_1w))
         return M
 
     def frak_B(self, V):
@@ -147,23 +138,17 @@ class ParalinearizedSystem:
         n2 = 2 * self.grid.n
         M = np.zeros((2 * n2, 2 * n2), dtype=complex)
         if V is not None:
-            _, F_12b, F_12w = self._weyl_blocks(V)
+            _, F_12b, F_12w = self._weyl_blocks(*self.g_functions(V)[2:])
             M[:n2, n2:] = minus_iE(pair(F_12b, F_12b))
             M[n2:, :n2] = minus_iE(pair(F_12w, F_12w))
         return M
 
-    def frozen_generator(self, V, include_R=True):
-        """The action u -> (frakA(V) + frakB(V) + R) u, without R if not ``include_R``.
-
-        The V-independent base frakA(0) + R is formed once.  The V-dependent
-        part is U g Op(m) in each block, so with s_z = z + zbar, s_w = w + wbar
-        it adds -i (F_12b s_w, -F_12b s_w, F_1w s_w + F_12w s_z, -(...))."""
-        if include_R and self._base is None:
-            self._base = self.frak_A(None) + self.R_operator()
-        base = self._base if include_R else self._frak_A0
-        if V is None:
-            return lambda u: base @ u
-        F_1w, F_12b, F_12w = self._weyl_blocks(V)
+    def _background_part(self, g_1w, g_12b, g_12w):
+        """The action u -> (frakA(V) - frakA(0) + frakB(V)) u from the
+        g-functions of V.  It is U g Op(m) in each block, so with
+        s_z = z + zbar, s_w = w + wbar it is
+        -i (F_12b s_w, -F_12b s_w, F_1w s_w + F_12w s_z, -(...))."""
+        F_1w, F_12b, F_12w = self._weyl_blocks(g_1w, g_12b, g_12w)
         n = self.grid.n
 
         def apply(u):
@@ -171,28 +156,38 @@ class ParalinearizedSystem:
             s_w = u[2 * n : 3 * n] + u[3 * n :]
             beam = -1j * (F_12b @ s_w)
             wave = -1j * (F_1w @ s_w + F_12w @ s_z)
-            return base @ u + np.concatenate([beam, -beam, wave, -wave])
+            return np.concatenate([beam, -beam, wave, -wave])
 
         return apply
 
+    def frozen_generator(self, V, include_R=True):
+        """The action u -> (frakA(V) + frakB(V) + R) u, without R if not ``include_R``.
+
+        frakA(0) + R is the linear part L, applied by FFT (``L_complex``);
+        without R the base is the matrix frakA(0).  A background V adds
+        ``_background_part``, three gathered n x n blocks."""
+        base = self.L_complex if include_R else (lambda u: self._frak_A0 @ u)
+        if V is None:
+            return base
+        part = self._background_part(*self.g_functions(V)[2:])
+        return lambda u: base(u) + part(u)
+
     # -- exact complexified linear part --------------------------------
 
+    def L_complex(self, vec):
+        """L vec on stacked vectors (..., 4n): the real system's linear part
+        ``linear_rhs`` carried through the complexification."""
+        y, y_t, th, th_t = real_from_stacked(self.grid, vec)
+        ytt, thtt = self.source.linear_rhs(y, y_t, th, th_t)
+        return stacked_from_real(self.grid, y_t, ytt, th_t, thtt)
+
     def L_complex_matrix(self):
-        """Exact matrix of the complexified linear system on stacked V: the
-        beam pair from (calB, <j>, alpha), the wave pair from (calW, <j>^{1/2}, beta)."""
-        src = self.source
-        D_b, D_w = complex_weights(self.grid)
-        n2 = 2 * self.grid.n
-        L = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        L[:n2, :n2] = _complexified_pair(src.calB_matrix(), D_b, src.alpha)
-        L[n2:, n2:] = _complexified_pair(src.calW_matrix(), D_w, src.beta)
-        return L
+        """Dense 4n x 4n matrix of L: its action on the columns of the identity."""
+        return self.L_complex(np.eye(4 * self.grid.n)).T
 
     def R_operator(self):
         """R := L_complex - frakA(0); block diagonal, order <= 0."""
-        if self._R is None:
-            self._R = self.L_complex_matrix() - self.frak_A(None)
-        return self._R
+        return self.L_complex_matrix() - self.frak_A(None)
 
     # -- full right-hand side ------------------------------------------
 
@@ -221,6 +216,14 @@ class ParalinearizedSystem:
     def kato_forcing(self, vec, t=0.0):
         """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V.
 
-        This is the inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}."""
+        L V cancels from that difference, leaving the complexified
+        nonlinearities plus G(t) minus the background part at V applied to V;
+        both come from one evaluation of the jets of V.  This is the
+        inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}."""
         vec = np.asarray(vec, dtype=complex)
-        return self.full_rhs(vec, t) - self.frozen_generator(vec)(vec)
+        y_hat, _, th_hat, _ = real_from_stacked(self.grid, vec)
+        jets = self.source.jets(y_hat, th_hat)
+        f1, f2 = self.source.nonlinearity_hats(jets)
+        zero = np.zeros(self.grid.n)
+        nonlinear = stacked_from_real(self.grid, zero, f1, zero, f2)
+        return nonlinear + self.forcing_G(t) - self._background_part(*self._g_of_jets(jets))(vec)

@@ -35,16 +35,18 @@ def complex_weights(grid):
 
 
 def stacked_from_real(grid, y, y_t, theta, theta_t):
-    """Coefficient arrays (y, y_t, theta, theta_t) -> stacked (z, zbar, w, wbar)."""
+    """Coefficient arrays (y, y_t, theta, theta_t) of shape (..., n) -> stacked
+    (z, zbar, w, wbar) of shape (..., 4n)."""
     out = []
     for D, u, u_t in zip(complex_weights(grid), (y, theta), (y_t, theta_t)):
         out += [(D * u + 1j * u_t / D) / _RT2, (D * u - 1j * u_t / D) / _RT2]
-    return np.concatenate(out)
+    return np.concatenate(out, axis=-1)
 
 
 def real_from_stacked(grid, vec):
-    """Stacked (z, zbar, w, wbar) -> coefficient arrays (y, y_t, theta, theta_t)."""
-    z, zb, w, wb = np.reshape(vec, (4, grid.n))
+    """Stacked (z, zbar, w, wbar) of shape (..., 4n) -> coefficient arrays
+    (y, y_t, theta, theta_t) of shape (..., n)."""
+    z, zb, w, wb = np.moveaxis(np.reshape(vec, np.shape(vec)[:-1] + (4, grid.n)), -2, 0)
     out = []
     for D, a, b in zip(complex_weights(grid), (z, w), (zb, wb)):
         out += [(a + b) / (_RT2 * D), D * (a - b) / (1j * _RT2)]

@@ -94,6 +94,32 @@ def test_real_rhs_linear_modes():
     assert np.max(np.abs(thtt + 9.0 * th.coeffs)) < 1e-10
 
 
+def test_real_rhs_matches_grid_products_of_spectral_derivatives():
+    # an independent reference for the FFT action of the linear part: the
+    # grid values of -b y_xxxx + sum coeff d^k y + alpha y_t and
+    # c theta_xx + sum coeff d^k theta + beta theta_t, formed from
+    # SpectralFunction derivatives and transformed back
+    g = TorusGrid(32)
+    sys = arioli_gazzola_preset(g, xi_profile="cosine:0.3", alpha=-0.5, beta=-0.5)
+    y = transform(g, np.sin(g.x) + 0.3 * np.cos(3 * g.x))
+    yt = transform(g, 0.5 * np.cos(2 * g.x))
+    th = transform(g, np.sin(2 * g.x) - 0.2 * np.cos(g.x))
+    tht = transform(g, 0.4 * np.sin(3 * g.x))
+    ytt, thtt = sys.real_rhs(y.coeffs, yt.coeffs, th.coeffs, tht.coeffs, 0.0)
+
+    def lower_order(terms, u):
+        return sum(coeff.values() * u.deriv(k).values() for coeff, k in terms)
+
+    beam = (-sys.b.values() * y.deriv(4).values() + lower_order(sys.B_terms, y)
+            + sys.alpha * yt.values())
+    wave = (sys.c.values() * th.deriv(2).values() + lower_order(sys.C_terms, th)
+            + sys.beta * tht.values())
+    assert sys.B_terms and sys.C_terms
+    for got, values in ((ytt, beam), (thtt, wave)):
+        expect = transform(g, values).coeffs
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
 def test_json_roundtrip():
     g = TorusGrid(16)
     F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])

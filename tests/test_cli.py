@@ -87,6 +87,8 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--dt", "5e-324"],
         ["sweep", "--axis", "N", "--values", "32,63"],
         ["sweep", "--axis", "amplitude", "--values", "nan,0.01"],
+        ["sweep", "--axis", "eps", "--values", "nan,0.1"],
+        ["sweep", "--axis", "eps", "--values", "inf,0.1"],
         SIMULATE + ["--system", "missing.json"],
         SIMULATE + ["--system", "truncated.json"],
         SIMULATE + ["--system", "list.json"],
@@ -100,6 +102,7 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
          "nan_cfl_safety", "tiny_dt", "subnormal_dt", "sweep_odd_n", "sweep_nan_amplitude",
+         "sweep_nan_eps", "sweep_inf_eps",
          "missing_system_file", "invalid_system_json", "system_not_an_object",
          "system_n_differs_from_n", "system_n_differs_from_default_n",
          "system_alpha_not_a_number", "system_F2_term_too_short", "system_B_terms_not_a_list",
@@ -214,6 +217,17 @@ def test_verify_operators_pass(tmp_path, capsys):
     assert code == 0
     doc = json.loads(next(tmp_path.glob("verify_operators_*.json")).read_text())
     assert doc["passed"] is True
+
+
+def test_kato_trajectory_leaving_the_smallness_radius_exits_3(tmp_path, capsys):
+    # F2 = theta theta_xx forced by delta sin t: inside the radius at t = 0,
+    # outside it on the trajectory that the second Kato sweep freezes
+    system = tmp_path / "leaves_radius.json"
+    system.write_text('{"n": 32, "F2": [[1.0, 3, 5]], "delta": -10.0}')
+    args = ["simulate", "--system", str(system), "--n", "32", "--T", "1.0", "--outdir", str(tmp_path)]
+    assert run_cli(args) == 3
+    err = capsys.readouterr().err
+    assert "smallness radius" in err and "Traceback" not in err
 
 
 def test_verify_smallness_violation_reports_precondition(tmp_path, capsys):

@@ -18,7 +18,7 @@ from beamwave.evolve import (
 )
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
-from beamwave.state import complexify, is_conjugate_pair, stacked_norm
+from beamwave.state import complexify, is_conjugate_pair, realify, stacked_norm
 
 
 def make_fields(g, amp=1e-2):
@@ -237,8 +237,9 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         classmethod(counting("bracket", symbols.FrequencyMultiplier.bracket.__func__)),
     )
     monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
-    # the time-stepping path applies the frozen generator and forms no
-    # 4n x 4n frakA / frakB matrix per background
+    # the time-stepping path applies the frozen generator: the linear part by
+    # FFT plus gathered blocks, with no frakA / frakB matrix; the one frakA
+    # call is the constructor's quantization of frakA(0)
     for name in ("frak_A", "frak_B"):
         fn = getattr(paralin.ParalinearizedSystem, name)
         monkeypatch.setattr(paralin.ParalinearizedSystem, name, counting(name, fn))
@@ -251,4 +252,21 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert all(c <= 2 for c in per_run[0].values()), per_run
-    assert per_run[0]["frak_A"] >= 1 and per_run[0].get("frak_B", 0) == 0, per_run
+    assert per_run[0]["frak_A"] == 1 and "frak_B" not in per_run[0], per_run
+
+
+def test_kato_sweep_leaving_the_smallness_radius_is_refused():
+    # F2 = theta theta_xx, so c + dF2/d(theta_xx) = 1 + theta; the forcing
+    # delta sin t drives theta below -1 by T = 1.  The data start well inside
+    # the radius and the check at t = 0 passes; the trajectory of sweep 1
+    # leaves the radius, so sweep 2 is refused
+    g = TorusGrid(32)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 3, 5)]), delta=-10.0)
+    fields = make_fields(g)
+    config = SolverConfig(T_final=1.0)
+    assert sys.check_radius_condition(0.25) > 0.5
+    with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius"):
+        kato_solve(sys, complexify(*fields).stacked(), config)
+    # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
+    theta = realify(oracle_solve(sys, *fields, config).final_state())[2]
+    assert np.min(1.0 + theta.values()) < 0.0

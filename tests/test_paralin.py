@@ -167,8 +167,10 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
     ids=["linear", "arioli_gazzola_damped"],
 )
 def test_L_complex_matrix_is_the_linear_right_hand_side(system):
-    # for a linear unforced system the exact complexified matrix reproduces
-    # full_rhs, which goes through the real system independently of L
+    # for a linear unforced system the dense matrix of L, assembled column by
+    # column from its batched FFT action, reproduces full_rhs applied to a
+    # single vector; the action itself is checked against grid products of
+    # spectral derivatives in test_bridge
     g = TorusGrid(32)
     sysm = system(g)
     para = ParalinearizedSystem(sysm, g)
