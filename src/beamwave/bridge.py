@@ -42,15 +42,15 @@ class QuadraticNonlinearity:
         return not self.terms
 
     def evaluate(self, jets):
-        """Grid values of F at jet values ``jets`` (shape (6, n))."""
-        out = np.zeros(self.grid.n, dtype=complex)
+        """Grid values of F at jet values ``jets`` (shape (6, ..., n))."""
+        out = np.zeros(jets.shape[1:], dtype=complex)
         for coeff, ia, ib in self.terms:
             out += np.asarray(coeff.values(), dtype=complex) * jets[ia] * jets[ib]
         return out
 
     def partial_values(self, slot, jets):
-        """Grid values of dF/dh_slot at the jet (affine in the jet)."""
-        out = np.zeros(self.grid.n, dtype=complex)
+        """Grid values of dF/dh_slot at the jet (6, ..., n) (affine in the jet)."""
+        out = np.zeros(jets.shape[1:], dtype=complex)
         for coeff, ia, ib in self.terms:
             cv = np.asarray(coeff.values(), dtype=complex)
             if ia == slot:
@@ -219,15 +219,21 @@ class BridgeSystem:
         the partial is affine in h, so corners suffice)."""
         if R <= 0:
             raise ConfigError("radius R must be positive")
-        cv = np.real(self.c.values())
-        worst = cv + self.F2.partial_affine_bounds(5, R)
+        return self._wave_margin(self.F2.partial_affine_bounds(5, R), "smallness radius violated: ")
+
+    def check_wave_margin(self, jets, context=""):
+        """min over the grid and the jet values ``jets`` (6, ..., n) of
+        c(x) + dF2/d(theta_xx), exactly: the wave ellipticity 1 + 2 a_w that
+        the smallness radius guarantees for every jet in its box.  A failure's
+        message starts with ``context``."""
+        return self._wave_margin(self.F2.partial_values(5, jets).real, context)
+
+    def _wave_margin(self, partial, prefix):
+        worst = np.real(self.c.values()) + partial
         c3 = float(np.min(worst))
         if c3 <= 0.0:
-            i = int(np.argmin(worst))
-            raise PreconditionError(
-                "smallness radius violated: c(x) + dF2/d(theta_xx) reaches %g at x = %g"
-                % (c3, self.grid.x[i])
-            )
+            x = self.grid.x[int(np.argmin(worst)) % self.grid.n]
+            raise PreconditionError(prefix + "c(x) + dF2/d(theta_xx) reaches %g at x = %g" % (c3, x))
         return c3
 
     def check_parity(self):

@@ -1,16 +1,18 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
-(``_rk4``) and one march (``_march``: norms and blow-up guard at every node):
+(``_rk4``) and one march (``_march``) of the real coefficients (4, n) of
+(y, y_t, theta, theta_t); it stores each node complexified, with its norms:
 
-* ``oracle_solve`` -- direct method-of-lines RK4 on the real system
-  (y, y_t, theta, theta_t) using pseudo-spectral derivatives and de-aliased
-  pointwise nonlinearities; it never touches the paradifferential machinery
-  and serves as the independent validator.
+* ``oracle_solve`` -- direct method-of-lines RK4 on the real system using
+  pseudo-spectral derivatives and de-aliased pointwise nonlinearities; it
+  never touches the paradifferential machinery and serves as the
+  independent validator.
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
   half-step heat factors around an explicit RK4 step of the frozen
-  paradifferential part; backgrounds and forcing are given at the nodes.
+  paradifferential part, in its real form; backgrounds (as g-functions) and
+  forcing are given at the nodes.
 * ``kato_solve`` -- the iteration (P)_n: sweep 1 solves the linear system at
   the zero background with G(t) at the nodes; sweep n solves it with
   coefficients frozen along V_{n-1} and inhomogeneity
@@ -21,12 +23,12 @@ Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
   problem and the first increment vanishes identically.
 
 Frozen backgrounds and forcing are evaluated at step midpoints (average of
-the two enclosing nodes), making the coefficient freezing second-order
-accurate; the RK4 step then dominates the error budget.  Each step applies
-``ParalinearizedSystem.frozen_generator``: the linear part frakA(0) + R = L
-by FFT, plus three n x n blocks gathered for the frozen background, so no
-4n x 4n matrix is applied or formed per step.  Before each sweep the
-smallness radius is re-checked on the whole trajectory it freezes.
+the two enclosing nodes; g is linear in V), making the coefficient freezing
+second-order accurate.  Each step applies ``real_generator``: the linear part
+by FFT plus one gathered n x n block per g-function F can make nonzero.  Each
+sweep's pre-pass takes the jets of the whole trajectory it freezes in one
+call, and from them its g-functions, Kato forcing and the exact margin
+c + dF2/d(theta_xx) of the smallness hypothesis.
 """
 
 import copy
@@ -41,6 +43,7 @@ from .paralin import ParalinearizedSystem
 from .state import (
     StateVector,
     conjugate_pair,
+    is_conjugate_pair,
     real_from_stacked,
     stacked_from_real,
     stacked_norm,
@@ -246,20 +249,21 @@ def _rk4(f, u, dt):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(grid, ladder, dt, steps, V0, step):
-    """Trajectory V_{k+1} = step(k, V_k) from V0 with its H^{s0}, H^{s1} norms.
+def _march(grid, ladder, dt, steps, u0, step):
+    """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) from u0, stored
+    in stacked form with its H^{s0}, H^{s1} norms.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
-    traj = []
+    traj = np.empty((steps + 1, 4 * grid.n), dtype=complex)
     norms = {"s0": [], "s1": []}
-    V = np.array(V0, dtype=complex)
+    u = u0
     for k in range(steps + 1):
         if k:
-            V = step(k - 1, V)
+            u = step(k - 1, u)
+        V = traj[k] = stacked_from_real(grid, *u)
         if not np.all(np.isfinite(V)):
             raise NumericalError("non-finite state encountered")
-        traj.append(V)
         for key, vals in norms.items():
             vals.append(stacked_norm(grid, V, getattr(ladder, key)))
         if norms["s1"][-1] > 1e6 * max(norms["s1"][0], 1e-300):
@@ -270,75 +274,72 @@ def _march(grid, ladder, dt, steps, V0, step):
 def linear_solve(para, background_path, V0, forcing_path, config, include_R=True):
     """Strang splitting for the frozen-coefficient regularized linear system.
 
-    ``background_path`` and ``forcing_path``: None (zero background, no
-    forcing) or an array of node values with one row per time node; both are
-    averaged over the two enclosing nodes at step midpoints.  With
+    ``background_path``: None (zero background) or the g-functions of the
+    background at the nodes, shape (3, steps + 1, n), as from
+    ``ParalinearizedSystem.prepass``.  ``forcing_path``: None or stacked node
+    values (steps + 1, 4n).  Both are averaged at step midpoints.  With
     ``include_R=False`` the order-zero coupling R is dropped, leaving the
     decoupled model flow whose H^s norms are exact isometries.
     """
     grid = para.grid
     dt, steps = _time_grid(para.source, config)
-    n4 = 4 * grid.n
+    n = grid.n
 
     V0 = np.asarray(V0, dtype=complex)
-    if V0.shape != (n4,):
+    if V0.shape != (4 * n,):
         raise PreconditionError("initial state must be a stacked 4n vector")
     paths = []
-    for name, path in (("background", background_path), ("forcing", forcing_path)):
-        if path is not None:
-            path = np.asarray(path, dtype=complex)
-            if path.shape != (steps + 1, n4):
-                raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
+    for name, path, shape in (("background", background_path, (3, steps + 1, n)),
+                              ("forcing", forcing_path, (steps + 1, 4 * n))):
+        if path is not None and np.shape(path) != shape:
+            raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
         paths.append(path)
     bg, f = paths
+    if f is not None:
+        f = np.stack(real_from_stacked(grid, np.asarray(f, dtype=complex)), axis=1)
 
-    half = heat_factor(grid, config.eps, dt / 2.0)
+    half = heat_factor(grid, config.eps, dt / 2.0).reshape(4, n)
+    linear_part = para.real_linear_part(include_R)
 
-    def step(k, V):
-        A = para.frozen_generator(None if bg is None else 0.5 * (bg[k] + bg[k + 1]), include_R)
+    def step(k, u):
+        A = para.real_generator(linear_part, None if bg is None else 0.5 * (bg[:, k] + bg[:, k + 1]))
         fk = (0.0,) * 3 if f is None else (f[k], 0.5 * (f[k] + f[k + 1]), f[k + 1])
-        return half * _rk4(lambda stage, u: A(u) + fk[stage], half * V, dt)
+        return half * _rk4(lambda stage, u: A(u) + fk[stage], half * u, dt)
 
-    return _march(grid, config.ladder, dt, steps, V0, step)
-
-
-def _jet_radius(sys, V):
-    """Sup of the realified jet entries and speeds of stacked states V (..., 4n),
-    all transformed at once; the radius fed to the smallness check."""
-    y, y_t, th, th_t = real_from_stacked(sys.grid, V)
-    speeds = np.fft.ifft(np.stack([y_t, th_t])).real * sys.grid.n
-    return max(float(np.max(np.abs(sys.jets(y, th)))), float(np.max(np.abs(speeds))))
+    return _march(grid, config.ladder, dt, steps, np.array(real_from_stacked(grid, V0)), step)
 
 
 def kato_solve(sys, V0, config):
-    """The iteration (P)_n on the paralinearized complex system.
-
-    Sweep 1 solves the linear system at the zero background with forcing G
-    at the nodes; sweep n freezes the coefficients along V_{n-1} and adds the
-    measured quadratic remainder of V_{n-1} as inhomogeneity.  Every sweep
-    averages its forcing nodes at step midpoints.  Stops when the L^inf
-    H^{s1} increment drops below ``kato_tol``.
-    """
+    """The iteration (P)_n on the paralinearized complex system from a stacked
+    conjugate pair V0 (any other V0 is refused: the real-form march would
+    continue it analytically).  Sweep 1 solves the linear system at the zero
+    background with forcing G at the nodes; sweep n freezes the coefficients
+    along V_{n-1} and adds its quadratic remainder as inhomogeneity.  Stops
+    when the L^inf H^{s1} increment drops below ``kato_tol``."""
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
+    if V0.shape != (4 * grid.n,) or not is_conjugate_pair(
+            grid, V0, tol=1e-12 * float(np.max(np.abs(V0)))):
+        raise PreconditionError("initial state must be a stacked conjugate pair "
+                                "(z, zbar, w, wbar) of length 4n")
     sys.check_ellipticity()
-    sys.check_radius_condition(2.0 * max(_jet_radius(sys, V0), 1e-12))
+    radius = float(np.max(np.abs(sys.jets(*real_from_stacked(grid, V0)[::2]))))  # F reads the jet only
+    sys.check_radius_condition(2.0 * max(radius, 1e-12))
     dt, steps = _time_grid(sys, config)
     para = ParalinearizedSystem(sys, grid)
+    times = dt * np.arange(steps + 1)
 
-    G = np.array([para.forcing_G(k * dt) for k in range(steps + 1)])
-    result = linear_solve(para, None, V0, G, config)
+    result = linear_solve(para, None, V0, para.forcing_G(times), config)
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
-        try:  # the sweep freezes its coefficients along the whole of V_{n-1}
-            sys.check_radius_condition(max(_jet_radius(sys, result.trajectory), 1e-12))
-        except PreconditionError as exc:
-            raise PreconditionError("Kato sweep %d freezes a background outside the "
-                                    "smallness radius: %s" % (sweep, exc)) from None
-        # remainder(V_{n-1}) + G at every node
-        forcing = np.array([para.kato_forcing(v, k * dt) for k, v in enumerate(result.trajectory)])
-        nxt = linear_solve(para, result.trajectory, V0, forcing, config)
+        jets, g = prepass = para.prepass(result.trajectory)  # the whole of V_{n-1}
+        sys.check_wave_margin(jets, "Kato sweep %d freezes a background outside the "
+                                    "smallness radius: " % sweep)
+        forcing = para.kato_forcing(result.trajectory, times, prepass)
+        del jets, prepass
+        nxt = linear_solve(para, g, V0, forcing, config)
+        del g, forcing
         inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
         increments.append(inc)
         result = nxt
@@ -375,13 +376,11 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
         ytt, thtt = sys.real_rhs(yc, ytc, thc, thtc, t)
         return np.array([ytc, ytt, thtc, thtt])
 
-    def step(k, V):
-        nonlocal state
+    def step(k, state):
         t = k * dt
-        state = _rk4(lambda stage, u: rhs(u, t + 0.5 * stage * dt), state, dt)
-        return stacked_from_real(grid, *state)
+        return _rk4(lambda stage, u: rhs(u, t + 0.5 * stage * dt), state, dt)
 
-    return _march(grid, config.ladder, dt, steps, stacked_from_real(grid, *state), step)
+    return _march(grid, config.ladder, dt, steps, state, step)
 
 
 def trajectory_gap(grid, run_a, run_b, s):

@@ -16,17 +16,21 @@ where the g-functions are halved partials of the nonlinearities at the
 realified jet of V.  R is defined constructively as the exact complexified
 linear part L minus frakA(0) (block diagonal, order 0), and the remainder is
 defined by subtraction so the decomposition reproduces the full right-hand
-side to machine precision.  The solvers apply frakA + frakB + R through
-``frozen_generator`` as L, the real system's FFT action carried through the
-complexification, plus the gathered V-dependent blocks; the 4n x 4n
-matrices serve the parametrix and the tests.
+side to machine precision.
+
+The complexification is linear and mode by mode, so the generator has an
+exact real form on u = (y, y_t, theta, theta_t), which the solvers march
+(``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
+frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
+theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), D_b = <j>, D_w = <j>^{1/2}.
+The 4n x 4n matrices serve the parametrix and the tests.
 """
 
 import numpy as np
 
 from .grid import SpectralFunction
 from .quantize import bony_weyl_quantize, pair, weyl_gather_index, weyl_table
-from .state import real_from_stacked, stacked_from_real
+from .state import complex_weights, real_from_stacked, stacked_from_real
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 _XI2 = FrequencyMultiplier.xi_power(2)
@@ -50,6 +54,8 @@ class ParalinearizedSystem:
     wave block at V = 0) once and tabulates chi_eps(|j-k|/<j+k>) g((j+k)/2)
     for g = |xi| and <xi>^{-3/2} xi^2.  A background V then changes only
     g_1w, g_12b and g_12w, each entering frakA / frakB through one gather.
+    The real form holds them with P's weights folded in, one per g-function
+    that the term lists of F1 and F2 can make nonzero.
     """
 
     def __init__(self, source, grid):
@@ -62,6 +68,14 @@ class ParalinearizedSystem:
         self._off_table = weyl_table(grid, _OFF, bony_weyl=True)
         self._gather = weyl_gather_index(grid)
         self._frak_A0 = self.frak_A(None)
+        # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
+        # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its table
+        F1, F2, D = source.F1, source.F2, complex_weights(grid)
+        specs = ((F2, 5, 3, 2, self._abs_xi_table), (F1, 5, 1, 2, self._off_table),
+                 (F2, 2, 3, 0, self._off_table))
+        self._real_blocks = [(i, out, inp, -2.0 * D[out // 2][:, None] * table * D[inp // 2])
+                             for i, (F, slot, out, inp, table) in enumerate(specs)
+                             if any(slot in term[1:] for term in F.terms)]
 
     # -- g-functions ---------------------------------------------------
 
@@ -70,17 +84,20 @@ class ParalinearizedSystem:
         if V is None:
             zero = SpectralFunction.zero(self.grid)
             return self.a_fun, self.d_fun, zero, zero, zero
-        y_hat, _, th_hat, _ = real_from_stacked(self.grid, V)
-        return (self.a_fun, self.d_fun) + self._g_of_jets(self.source.jets(y_hat, th_hat))
+        return (self.a_fun, self.d_fun) + tuple(
+            SpectralFunction(self.grid, h, is_real=True) for h in self.prepass(V)[1])
 
-    def _g_of_jets(self, jets):
-        """(g_1w, g_12b, g_12w): the dealiased halves of dF2/d(theta_xx),
-        dF1/d(theta_xx) and dF2/d(y_xx) at the jet values ``jets``."""
+    def prepass(self, vec):
+        """The jets (6, ..., n) of stacked backgrounds ``vec`` (..., 4n), from
+        one batched call, and the coefficients (3, ..., n) of g_1w, g_12b and
+        g_12w: the dealiased halves of dF2/d(theta_xx), dF1/d(theta_xx) and
+        dF2/d(y_xx) at those jets.  F is quadratic, so g is linear in V."""
+        y_hat, _, th_hat, _ = real_from_stacked(self.grid, vec)
+        jets = self.source.jets(y_hat, th_hat)
         F1, F2 = self.source.F1, self.source.F2
         partials = [F2.partial_values(5, jets), F1.partial_values(5, jets),
                     F2.partial_values(2, jets)]
-        hats = self.source.dealiased_hats(0.5 * np.stack(partials))
-        return tuple(SpectralFunction(self.grid, h, is_real=True) for h in hats)
+        return jets, self.source.dealiased_hats(0.5 * np.stack(partials))
 
     # -- symbols -------------------------------------------------------
 
@@ -143,50 +160,52 @@ class ParalinearizedSystem:
             M[n2:, :n2] = minus_iE(pair(F_12w, F_12w))
         return M
 
-    def _background_part(self, g_1w, g_12b, g_12w):
-        """The action u -> (frakA(V) - frakA(0) + frakB(V)) u from the
-        g-functions of V.  It is U g Op(m) in each block, so with
-        s_z = z + zbar, s_w = w + wbar it is
-        -i (F_12b s_w, -F_12b s_w, F_1w s_w + F_12w s_z, -(...))."""
-        F_1w, F_12b, F_12w = self._weyl_blocks(g_1w, g_12b, g_12w)
-        n = self.grid.n
+    # -- real form -------------------------------------------------------
+
+    def background_blocks(self, g):
+        """The V-dependent part in real form at g-functions ``g`` (3, n): for
+        each block F can make nonzero, (out, in, P) adds P @ u[in] to d_t u[out];
+        P costs one gather."""
+        return [(out, inp, g[i][self._gather] * table) for i, out, inp, table in self._real_blocks]
+
+    def real_linear_part(self, include_R=True):
+        """The V-independent part of the generator on real states u of shape
+        (4, ..., n): L = frakA(0) + R, (y_t, y_tt, theta_t, theta_tt) from
+        ``linear_rhs``; without R, frakA(0) carried into real coordinates once."""
+        if include_R:
+            def L(u):
+                ytt, thtt = self.source.linear_rhs(*u)
+                return np.array([u[1], ytt, u[3], thtt])
+
+            return L
+        n4 = 4 * self.grid.n  # basis row i: the stacked image of real basis vector i
+        basis = stacked_from_real(self.grid, *np.eye(n4).reshape(n4, 4, -1).swapaxes(0, 1))
+        M = np.concatenate(real_from_stacked(self.grid, basis @ self._frak_A0.T), axis=-1).T
+        return lambda u: (M @ u.reshape(n4)).reshape(u.shape)
+
+    def real_generator(self, linear_part, g=None):
+        """The frozen generator frakA(V) + frakB(V) (+ R) in real form: u ->
+        linear_part(u) plus the background blocks at the g-functions g of V."""
+        blocks = () if g is None else self.background_blocks(g)
 
         def apply(u):
-            s_z = u[:n] + u[n : 2 * n]
-            s_w = u[2 * n : 3 * n] + u[3 * n :]
-            beam = -1j * (F_12b @ s_w)
-            wave = -1j * (F_1w @ s_w + F_12w @ s_z)
-            return np.concatenate([beam, -beam, wave, -wave])
+            du = linear_part(u)
+            for out, inp, P in blocks:
+                du[out] += P @ u[inp]
+            return du
 
         return apply
 
-    def frozen_generator(self, V, include_R=True):
-        """The action u -> (frakA(V) + frakB(V) + R) u, without R if not ``include_R``.
-
-        frakA(0) + R is the linear part L, applied by FFT (``L_complex``);
-        without R the base is the matrix frakA(0).  A background V adds
-        ``_background_part``, three gathered n x n blocks."""
-        base = self.L_complex if include_R else (lambda u: self._frak_A0 @ u)
-        if V is None:
-            return base
-        part = self._background_part(*self.g_functions(V)[2:])
-        return lambda u: base(u) + part(u)
-
     # -- exact complexified linear part --------------------------------
 
-    def L_complex(self, vec):
-        """L vec on stacked vectors (..., 4n): the real system's linear part
-        ``linear_rhs`` carried through the complexification."""
-        y, y_t, th, th_t = real_from_stacked(self.grid, vec)
-        ytt, thtt = self.source.linear_rhs(y, y_t, th, th_t)
-        return stacked_from_real(self.grid, y_t, ytt, th_t, thtt)
-
     def L_complex_matrix(self):
-        """Dense 4n x 4n matrix of L: its action on the columns of the identity."""
-        return self.L_complex(np.eye(4 * self.grid.n)).T
+        """Dense 4n x 4n matrix of L: its real form carried through the
+        complexification, applied to the columns of the identity."""
+        u = np.array(real_from_stacked(self.grid, np.eye(4 * self.grid.n)))
+        return stacked_from_real(self.grid, *self.real_linear_part()(u)).T
 
     def R_operator(self):
-        """R := L_complex - frakA(0); block diagonal, order <= 0."""
+        """R := L - frakA(0); block diagonal, order <= 0."""
         return self.L_complex_matrix() - self.frak_A(None)
 
     # -- full right-hand side ------------------------------------------
@@ -197,33 +216,39 @@ class ParalinearizedSystem:
         ytt, thtt = self.source.real_rhs(y, y_t, th, th_t, t)
         return stacked_from_real(self.grid, y_t, ytt, th_t, thtt)
 
-    def forcing_G(self, t):
-        """Stacked forcing G(t): the complexified zero-mode accelerations
-        gamma f_b(t) and delta f_w(t) at zero displacement."""
+    def _G_accelerations(self, t):
+        """Zero-mode gamma f_b(t), delta f_w(t): (2, ..., n) for times t (...)."""
         src = self.source
-        zero = np.zeros(self.grid.n)
-        f_b, f_w = zero.copy(), zero.copy()
-        if src.gamma != 0.0:
-            f_b[0] = src.gamma * src.f_b(t)
-        if src.delta != 0.0:
-            f_w[0] = src.delta * src.f_w(t)
-        return stacked_from_real(self.grid, zero, f_b, zero, f_w)
+        t = np.asarray(t, dtype=float)
+        acc = np.zeros((2,) + t.shape + (self.grid.n,))
+        for row, amp, f in ((0, src.gamma, src.f_b), (1, src.delta, src.f_w)):
+            if amp != 0.0:
+                acc[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
+        return acc
+
+    def forcing_G(self, t):
+        """Stacked forcing G(t), shape (..., 4n) for times of shape (...): the
+        complexified zero-mode accelerations at zero displacement."""
+        f_b, f_w = self._G_accelerations(t)
+        return stacked_from_real(self.grid, 0.0, f_b, 0.0, f_w)
 
     def remainder(self, vec, t=0.0):
         """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t)."""
         return self.kato_forcing(vec, t) - self.forcing_G(t)
 
-    def kato_forcing(self, vec, t=0.0):
-        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V.
-
-        L V cancels from that difference, leaving the complexified
-        nonlinearities plus G(t) minus the background part at V applied to V;
-        both come from one evaluation of the jets of V.  This is the
-        inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}."""
+    def kato_forcing(self, vec, t=0.0, prepass=None):
+        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V for
+        stacked V (..., 4n) at times t (...): the inhomogeneity of the Kato
+        step (P)_n frozen at V = V_{n-1}.  L V cancels, leaving in real form
+        gamma f_b + F1 - P_12b theta in y_tt and delta f_w + F2 - P_1w theta -
+        P_12w y in theta_tt, from the jets of V (``prepass``, if the caller
+        holds ``self.prepass(vec)``); P is applied node by node."""
         vec = np.asarray(vec, dtype=complex)
-        y_hat, _, th_hat, _ = real_from_stacked(self.grid, vec)
-        jets = self.source.jets(y_hat, th_hat)
-        f1, f2 = self.source.nonlinearity_hats(jets)
-        zero = np.zeros(self.grid.n)
-        nonlinear = stacked_from_real(self.grid, zero, f1, zero, f2)
-        return nonlinear + self.forcing_G(t) - self._background_part(*self._g_of_jets(jets))(vec)
+        jets, g = self.prepass(vec) if prepass is None else prepass
+        f1, f2 = self.source.nonlinearity_hats(jets) + self._G_accelerations(t)
+        r, u = (0.0, f1, 0.0, f2), real_from_stacked(self.grid, vec)
+        for idx in np.ndindex(vec.shape[:-1]):
+            for out, inp, P in self.background_blocks(g[(slice(None),) + idx]):
+                r[out][idx] -= P @ u[inp][idx]
+        del u
+        return stacked_from_real(self.grid, *r)

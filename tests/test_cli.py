@@ -230,6 +230,17 @@ def test_kato_trajectory_leaving_the_smallness_radius_exits_3(tmp_path, capsys):
     assert "smallness radius" in err and "Traceback" not in err
 
 
+def test_kato_trajectory_with_fast_speeds_inside_the_exact_margin_runs(tmp_path, capsys):
+    # delta = -1000 makes |theta_t| about 5 by T = 0.1, but the hypothesis
+    # involves the jet only: c + dF2/d(theta_xx) = 1 + theta stays above 0.8,
+    # so the run converges instead of being refused at sweep 2
+    system = tmp_path / "fast_speeds.json"
+    system.write_text('{"n": 32, "F2": [[1.0, 3, 5]], "delta": -1000.0}')
+    args = ["simulate", "--system", str(system), "--n", "32", "--T", "0.1", "--outdir", str(tmp_path)]
+    assert run_cli(args) == 0
+    assert "converged" in capsys.readouterr().out
+
+
 def test_verify_smallness_violation_reports_precondition(tmp_path, capsys):
     code = run_cli(
         [

@@ -18,7 +18,8 @@ from beamwave.evolve import (
 )
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
-from beamwave.state import complexify, is_conjugate_pair, realify, stacked_norm
+from beamwave.cli import PRESETS, build_preset
+from beamwave.state import StateVector, complexify, is_conjugate_pair, realify, stacked_norm
 
 
 def make_fields(g, amp=1e-2):
@@ -237,8 +238,8 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         classmethod(counting("bracket", symbols.FrequencyMultiplier.bracket.__func__)),
     )
     monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
-    # the time-stepping path applies the frozen generator: the linear part by
-    # FFT plus gathered blocks, with no frakA / frakB matrix; the one frakA
+    # the time-stepping path applies the real-form generator: the linear part
+    # by FFT plus gathered blocks, with no frakA / frakB matrix; the one frakA
     # call is the constructor's quantization of frakA(0)
     for name in ("frak_A", "frak_B"):
         fn = getattr(paralin.ParalinearizedSystem, name)
@@ -270,3 +271,39 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
     theta = realify(oracle_solve(sys, *fields, config).final_state())[2]
     assert np.min(1.0 + theta.values()) < 0.0
+
+
+def test_kato_checks_the_exact_margin_not_the_speeds():
+    # delta = -1000 drives |theta_t| to about 5 by T = 0.1, which a radius
+    # over jets and speeds would feed into the box bound (c3 = -4); the
+    # hypothesis involves the jet only, and 1 + theta stays above 0.8, so
+    # every sweep runs and the result matches the oracle
+    g = TorusGrid(32)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 3, 5)]), delta=-1000.0)
+    fields = make_fields(g)
+    config = SolverConfig(T_final=0.1)
+    kat = kato_solve(sys, complexify(*fields).stacked(), config)
+    assert kat.termination == "converged"
+    orc = oracle_solve(sys, *fields, config)
+    theta = np.array([realify(StateVector.from_stacked(g, v))[2].values().real
+                      for v in orc.trajectory])
+    assert np.min(1.0 + theta) > 0.8
+    s1 = config.ladder.s1
+    assert trajectory_gap(g, kat, orc, s1) <= 1e-4 * orc.sup_norm(s1)
+
+
+def test_kato_refuses_initial_data_that_is_not_a_conjugate_pair():
+    g, sys = headline_system(32)
+    V0 = complexify(*make_fields(g)).stacked()
+    bad = V0.copy()
+    bad[g.n + 1] += 1e-9 * np.max(np.abs(V0))  # the zbar slot no longer conj(z(-j))
+    with pytest.raises(PreconditionError, match="conjugate pair"):
+        kato_solve(sys, bad, SolverConfig(T_final=0.01))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_kato_accepts_every_preset_data(preset):
+    g = TorusGrid(32)
+    sysm, fields = build_preset(preset, g)
+    run = kato_solve(sysm, complexify(*fields).stacked(), SolverConfig(T_final=0.01))
+    assert run.termination == "converged"

@@ -8,7 +8,13 @@ from beamwave.cli import build_preset
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import bony_weyl_quantize, pair
-from beamwave.state import complexify, is_conjugate_pair, stacked_norm
+from beamwave.state import (
+    complexify,
+    is_conjugate_pair,
+    real_from_stacked,
+    stacked_from_real,
+    stacked_norm,
+)
 from beamwave.symbols import SeparableSymbol
 
 
@@ -118,8 +124,9 @@ def test_g_functions_from_nonlinearity():
 def test_tabulated_generator_matches_quantized_symbols(preset):
     # frakA / frakB from the precomputed tables equal -iE Op^BW of the
     # assembled symbols I p + U q, each part quantized here on its own, at
-    # zero, at the preset data and at a perturbed V; the frozen generator's
-    # action equals the sum of the matrices
+    # zero, at the preset data and at a perturbed V; the real-form generator's
+    # action equals the sum of the matrices carried through the
+    # complexification
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -129,7 +136,7 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
     ).stacked()
     n2 = 2 * g.n
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(2 * n2) + 1j * rng.standard_normal(2 * n2)
+    u = rng.standard_normal((4, g.n)) + 1j * rng.standard_normal((4, g.n))
     E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
 
     def minus_iE_bw(parts):
@@ -150,12 +157,53 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         got_B = para.frak_B(v)
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
+        g_v = None if v is None else para.prepass(v)[1]
         for include_R in (True, False):
             M = got_A + got_B + (para.R_operator() if include_R else 0.0)
-            expect = M @ u
-            got = para.frozen_generator(v, include_R)(u)
+            expect = np.array(real_from_stacked(g, M @ stacked_from_real(g, *u)))
+            got = para.real_generator(para.real_linear_part(include_R), g_v)(u)
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert not np.any(para.frak_B(None))
+
+
+def test_batched_kato_forcing_matches_single_vectors():
+    # one batched call over a trajectory, with its times, gives each node's
+    # forcing as a call on that node alone does
+    g = TorusGrid(32)
+    sysm, fields = build_preset("mixed", g)
+    sysm.gamma, sysm.delta = 0.5, -0.3
+    para = ParalinearizedSystem(sysm, g)
+    V = complexify(*fields).stacked()
+    traj = np.array([s * V for s in (1.0, 0.5, -2.0, 0.25)])
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    batched = para.kato_forcing(traj, times)
+    for v, t, got in zip(traj, times, batched):
+        expect = para.kato_forcing(v, t)
+        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("preset", ["headline", "arioli_gazzola"])
+def test_skipping_structurally_zero_blocks_is_bit_identical(preset):
+    # a block whose g-function F has no term for adds exact zeros, so leaving
+    # it out does not change a single bit of the stage output; the reference
+    # system keeps every block through terms with coefficient 0
+    g = TorusGrid(32)
+    sysm, fields = build_preset(preset, g)
+    V = complexify(*fields).stacked()
+    u = np.array(real_from_stacked(g, V))
+    skipping = ParalinearizedSystem(sysm, g)
+    zero_terms = BridgeSystem(
+        g, sysm.b, sysm.c, B_terms=sysm.B_terms, C_terms=sysm.C_terms,
+        F1=QuadraticNonlinearity(g, sysm.F1.terms + [(0.0, 5, 5)]),
+        F2=QuadraticNonlinearity(g, sysm.F2.terms + [(0.0, 2, 5)]),
+    )
+    every = ParalinearizedSystem(zero_terms, g)
+    assert len(skipping._real_blocks) < len(every._real_blocks) == 3
+    g_v = skipping.prepass(V)[1]
+    for include_R in (True, False):
+        got = skipping.real_generator(skipping.real_linear_part(include_R), g_v)(u)
+        expect = every.real_generator(every.real_linear_part(include_R), g_v)(u)
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize(
