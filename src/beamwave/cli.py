@@ -290,8 +290,10 @@ def cmd_sweep(args):
     slope = None
 
     if args.axis == "N":
-        for v in values:
-            n = int(v)
+        bad = [v for v in values if not (np.isfinite(v) and v == int(v))]
+        if bad:
+            raise ConfigError("sweep values of N must be integers, got %r" % bad[0])
+        for n in map(int, values):
             try:
                 para, V = _paralinearized(args, n)
                 P = build_parametrix(para, V, 2.5)

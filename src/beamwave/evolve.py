@@ -154,7 +154,7 @@ class RunResult:
         return StateVector.from_stacked(self.grid, self.trajectory[-1])
 
     def sup_norm(self, s):
-        return float(max(stacked_norm(self.grid, v, s) for v in self.trajectory))
+        return float(np.max(stacked_norm(self.grid, self.trajectory, s)))
 
     def fitted_growth(self, key=None):
         """Least-squares slope of log ||V(t)||; the measured growth constant."""
@@ -387,8 +387,7 @@ def trajectory_gap(grid, run_a, run_b, s):
     """sup_t ||V_a(t) - V_b(t)||_{H^s} on the common time grid."""
     if len(run_a.times) != len(run_b.times):
         raise PreconditionError("runs must share a time grid")
-    pairs = zip(run_a.trajectory, run_b.trajectory)
-    return float(max(stacked_norm(grid, a - b, s) for a, b in pairs))
+    return float(np.max(stacked_norm(grid, run_a.trajectory - run_b.trajectory, s)))
 
 
 def _project_stacked(grid, vec, N):

@@ -18,18 +18,20 @@ linear part L minus frakA(0) (block diagonal, order 0), and the remainder is
 defined by subtraction so the decomposition reproduces the full right-hand
 side to machine precision.
 
-The complexification is linear and mode by mode, so the generator has an
-exact real form on u = (y, y_t, theta, theta_t), which the solvers march
-(``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
+frakA and frakB are odd: each is held as its halves (pm, mp), 2n x 2n over
+(beam, wave), on the parity halves p = D u, m = i D^{-1} u_t of ``state``.
+On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
+u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
+form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
-theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), D_b = <j>, D_w = <j>^{1/2}.
-The 4n x 4n matrices serve the parametrix and the tests.
+theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in).  The 4n x 4n matrices of
+``L_complex_matrix`` and ``R_operator`` are test references.
 """
 
 import numpy as np
 
 from .grid import SpectralFunction
-from .quantize import bony_weyl_quantize, pair, weyl_gather_index, weyl_table
+from .quantize import bony_weyl_quantize, weyl_gather_index, weyl_table
 from .state import complex_weights, real_from_stacked, stacked_from_real
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -37,13 +39,6 @@ _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
-
-
-def minus_iE(M):
-    """-iE M on a 2-block matrix, E = diag(1, -1): scale by -i, negate the lower rows."""
-    out = -1j * M
-    out[out.shape[0] // 2 :] *= -1.0
-    return out
 
 
 class ParalinearizedSystem:
@@ -67,7 +62,7 @@ class ParalinearizedSystem:
         self._abs_xi_table = weyl_table(grid, _ABS_XI, bony_weyl=True)
         self._off_table = weyl_table(grid, _OFF, bony_weyl=True)
         self._gather = weyl_gather_index(grid)
-        self._frak_A0 = self.frak_A(None)
+        self._A0 = self.frak_A(None)
         # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
         # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its table
         F1, F2, D = source.F1, source.F2, complex_weights(grid)
@@ -105,10 +100,10 @@ class ParalinearizedSystem:
         """The symbols A_b, A_w, B_b, B_w at V; the definition that frakA and
         frakB quantize from precomputed tables.
 
-        Each 2 x 2 symbol is I p + U q, so its quantization is
-        I Op^BW(p) + U Op^BW(q) = pair(Op^BW(p) + Op^BW(q), Op^BW(q)).  Each
-        key maps to (p, q): p a constant-coefficient FrequencyMultiplier (None
-        for the coupling blocks), q a SeparableSymbol."""
+        Each 2 x 2 symbol is I p + U q, so its quantization
+        I Op^BW(p) + U Op^BW(q) has the even halves Op^BW(p) + 2 Op^BW(q) and
+        Op^BW(p).  Each key maps to (p, q): p a constant-coefficient
+        FrequencyMultiplier (None for the coupling blocks), q a SeparableSymbol."""
         grid = self.grid
         a, d, g_1w, g_12b, g_12w = self.g_functions(V)
         return {
@@ -130,35 +125,34 @@ class ParalinearizedSystem:
         )
 
     def frak_A(self, V):
-        """diag(-iE Op^BW(A_b), -iE Op^BW(A_w)) as a 4n x 4n array.
-
-        At V = None the blocks are quantized from the symbols; the system
-        keeps that result as ``_frak_A0``, and a background adds its gathered
-        g_1w |xi| block to a copy."""
-        n2 = 2 * self.grid.n
+        """The odd halves pm = -i diag(j^2, |j|), mp = -i blockdiag(diag(j^2) +
+        2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)) of diag(-iE Op^BW(A_b), -iE
+        Op^BW(A_w)); the system keeps them at V = None, and a background adds
+        its gathered g_1w |xi| block to a copy of mp."""
+        n = self.grid.n
         if V is None:
-            M = np.zeros((2 * n2, 2 * n2), dtype=complex)
             syms = self.assemble_symbols(None)
-            for block, key in ((slice(None, n2), "A_b"), (slice(n2, None), "A_w")):
-                p, q = syms[key]
-                Q = bony_weyl_quantize(q)
-                # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
-                M[block, block] = minus_iE(pair(Q + np.diag(p(self.grid.modes)), Q))
-            return M
-        M = self._frak_A0.copy()
-        F_1w = self._weyl_blocks(*self.g_functions(V)[2:])[0]
-        M[n2:, n2:] += minus_iE(pair(F_1w, F_1w))
-        return M
+            # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
+            p = [syms[key][0](self.grid.modes) for key in ("A_b", "A_w")]
+            pm = np.diag(-1j * np.concatenate(p))
+            mp = pm.copy()
+            mp[:n, :n] -= 2j * bony_weyl_quantize(syms["A_b"][1])
+            mp[n:, n:] -= 2j * bony_weyl_quantize(syms["A_w"][1])
+            return pm, mp
+        pm, mp = self._A0[0], self._A0[1].copy()
+        mp[n:, n:] -= 2j * self._weyl_blocks(*self.g_functions(V)[2:])[0]
+        return pm, mp
 
     def frak_B(self, V):
-        """antidiagonal coupling blocks -iE Op^BW(B_b), -iE Op^BW(B_w), 4n x 4n."""
-        n2 = 2 * self.grid.n
-        M = np.zeros((2 * n2, 2 * n2), dtype=complex)
+        """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w)):
+        pm = 0, mp = -i [[0, 2 F_12b], [2 F_12w, 0]] over (beam, wave)."""
+        n = self.grid.n
+        pm, mp = np.zeros((2, 2 * n, 2 * n), dtype=complex)
         if V is not None:
             _, F_12b, F_12w = self._weyl_blocks(*self.g_functions(V)[2:])
-            M[:n2, n2:] = minus_iE(pair(F_12b, F_12b))
-            M[n2:, :n2] = minus_iE(pair(F_12w, F_12w))
-        return M
+            mp[:n, n:] = -2j * F_12b
+            mp[n:, :n] = -2j * F_12w
+        return pm, mp
 
     # -- real form -------------------------------------------------------
 
@@ -171,17 +165,24 @@ class ParalinearizedSystem:
     def real_linear_part(self, include_R=True):
         """The V-independent part of the generator on real states u of shape
         (4, ..., n): L = frakA(0) + R, (y_t, y_tt, theta_t, theta_tt) from
-        ``linear_rhs``; without R, frakA(0) carried into real coordinates once."""
+        ``linear_rhs``; without R, frakA(0)'s halves by the odd rule above."""
         if include_R:
             def L(u):
                 ytt, thtt = self.source.linear_rhs(*u)
                 return np.array([u[1], ytt, u[3], thtt])
 
             return L
-        n4 = 4 * self.grid.n  # basis row i: the stacked image of real basis vector i
-        basis = stacked_from_real(self.grid, *np.eye(n4).reshape(n4, 4, -1).swapaxes(0, 1))
-        M = np.concatenate(real_from_stacked(self.grid, basis @ self._frak_A0.T), axis=-1).T
-        return lambda u: (M @ u.reshape(n4)).reshape(u.shape)
+        n = self.grid.n
+        D = np.concatenate(complex_weights(self.grid))
+        pm, mp = self._A0
+        to_pos, to_vel = 1j * pm / np.outer(D, D), -1j * mp * np.outer(D, D)
+
+        def L(u):
+            d_pos = np.concatenate([u[1], u[3]], axis=-1) @ to_pos.T
+            d_vel = np.concatenate([u[0], u[2]], axis=-1) @ to_vel.T
+            return np.array([d_pos[..., :n], d_vel[..., :n], d_pos[..., n:], d_vel[..., n:]])
+
+        return L
 
     def real_generator(self, linear_part, g=None):
         """The frozen generator frakA(V) + frakB(V) (+ R) in real form: u ->
@@ -198,15 +199,15 @@ class ParalinearizedSystem:
 
     # -- exact complexified linear part --------------------------------
 
-    def L_complex_matrix(self):
-        """Dense 4n x 4n matrix of L: its real form carried through the
-        complexification, applied to the columns of the identity."""
+    def L_complex_matrix(self, include_R=True):
+        """Dense 4n x 4n matrix of L (of frakA(0) without R): its real form
+        carried through the complexification, applied to the identity."""
         u = np.array(real_from_stacked(self.grid, np.eye(4 * self.grid.n)))
-        return stacked_from_real(self.grid, *self.real_linear_part()(u)).T
+        return stacked_from_real(self.grid, *self.real_linear_part(include_R)(u)).T
 
     def R_operator(self):
         """R := L - frakA(0); block diagonal, order <= 0."""
-        return self.L_complex_matrix() - self.frak_A(None)
+        return self.L_complex_matrix() - self.L_complex_matrix(include_R=False)
 
     # -- full right-hand side ------------------------------------------
 

@@ -23,16 +23,19 @@ k = exp(antiderivative(mu / (2 lam))).  The correctors T_1, T_2 of order
 The modified energy is |V|^2_{V~,s} = <L_{2s} Phi V, Phi V> with
 L_{2s} = diag(Op^BW(lam_b^s |xi|^{2s}), Op^BW(lam_w^{2s} |xi|^{2s})).
 All residual diagnostics are measured on the resolved band (|j| <= n/3).
-``Parametrix`` holds these operators in their beam and wave blocks; only
-``conjugation_residual`` forms the dense 4n x 4n products, for its SVDs.
+
+Every operator is held by its parity halves (``state``), 2n x 2n over
+(beam, wave): D, D~, T, Phi, Psi are even (+ on p, - on m), the generator
+and Lambda odd (pm, mp).  The change keeps the Sobolev weights and the
+resolved band, so a residual's norm is the larger of its halves' norms.
 """
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import bony_weyl_quantize, exact_operator_norm, pair
-from .state import conjugate_pair, stacked_inner, stacked_norm
+from .quantize import bony_weyl_quantize, exact_operator_norm
+from .state import conjugate_pair, parity_join, parity_split, stacked_inner, stacked_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 
 
@@ -60,10 +63,18 @@ def _op(f, mult=None):
 
 
 def _similarity(grid, s1, s2):
-    """Op^BW(S) and Op^BW(S^{-1}) for S = [[s1, s2], [s2, s1]],
-    S^{-1} = [[s1, -s2], [-s2, s1]], from grid values of s1, s2."""
+    """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]],
+    from grid values; S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
     S1, S2 = _op(transform(grid, s1)), _op(transform(grid, s2))
-    return pair(S1, S2), pair(S1, -S2)
+    return S1 + S2, S1 - S2
+
+
+def _beam_wave(b, w):
+    """The 2n x 2n half blockdiag(b, w) over (beam, wave) of n x n blocks."""
+    n = b.shape[0]
+    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    M[:n, :n], M[n:, n:] = b, w
+    return M
 
 
 def _pointwise_identity_defect(s1, s2, lam):
@@ -71,13 +82,9 @@ def _pointwise_identity_defect(s1, s2, lam):
     s1, s2, lam = (u.values().real for u in (s1, s2, lam))
     a = (lam**2 - 1.0) / 2.0
     E = np.diag([1.0, -1.0])
-    worst = 0.0
-    for p in range(lam.size):
-        S = np.array([[s1[p], s2[p]], [s2[p], s1[p]]])
-        Si = np.array([[s1[p], -s2[p]], [-s2[p], s1[p]]])
-        A = E @ (np.eye(2) + a[p] * np.ones((2, 2)))
-        worst = max(worst, np.max(np.abs(Si @ A @ S - E * lam[p])))
-    return worst
+    S, Si = (np.moveaxis(np.array([[s1, t], [t, s1]]), -1, 0) for t in (s2, -s2))
+    A = E @ (np.eye(2) + a[:, None, None])  # one 2 x 2 matrix per grid point
+    return float(np.max(np.abs(Si @ A @ S - E * lam[:, None, None])))
 
 
 def _eigenvector_entries(a_values):
@@ -93,7 +100,9 @@ class BeamDiagonalizer:
     """D_b = Op^BW(k^{-1})(1+M_{-1})Op^BW(S_b^{-1}) and its right inverse.
 
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
-    an order-zero residual, uniformly in the truncation.
+    an order-zero residual, uniformly in the truncation.  With M_{-1} =
+    [[0, O_m], [O_m, 0]], D_b and D~_b are held as their even halves
+    K^{-1}(1 +- O_m)(S_1 -+ S_2) and (S_1 +- S_2)(1 -+ O_m) K.
     """
 
     def __init__(self, a, grid):
@@ -122,14 +131,13 @@ class BeamDiagonalizer:
         self.k = transform(grid, np.exp(phi))
 
         m_coef = transform(grid, self.n12 / (2.0 * lam))
-        self.M_minus1 = pair(0.0, _op(1j * m_coef, FrequencyMultiplier.psi_over_xi()))
+        self.M_minus1 = O_m = _op(1j * m_coef, FrequencyMultiplier.psi_over_xi())
 
-        S_op, Si_op = _similarity(grid, s1, s2)
-        k_op = pair(_op(transform(grid, np.exp(phi))), 0.0)
-        kinv_op = pair(_op(transform(grid, np.exp(-phi))), 0.0)
-        eye = np.eye(2 * grid.n)
-        self.D_b = kinv_op @ (eye + self.M_minus1) @ Si_op
-        self.D_tilde_b = S_op @ (eye - self.M_minus1) @ k_op
+        S_p, S_m = _similarity(grid, s1, s2)
+        K, K_inv = _op(self.k), _op(transform(grid, np.exp(-phi)))
+        eye = np.eye(grid.n)
+        self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
+        self.D_tilde_b = S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
 
     def subprincipal_offdiagonal(self, xi):
         """Assembled off-diagonal subprincipal symbol after the M_{-1} step:
@@ -142,8 +150,8 @@ class BeamDiagonalizer:
 
 
 class WaveDiagonalizer:
-    """D_w = Op^BW(S_w^{-1}), D~_w = Op^BW(S_w); first order is principal
-    for the half-wave so no smoothing corrector or gauge is needed."""
+    """D_w = Op^BW(S_w^{-1}), D~_w = Op^BW(S_w) (even halves); first order
+    is principal for the half-wave so no smoothing corrector or gauge is needed."""
 
     def __init__(self, a_w, grid):
         self.grid = grid
@@ -157,7 +165,8 @@ class WaveDiagonalizer:
         self.lam_w = transform(grid, lam)
         self.s1_w = transform(grid, s1)
         self.s2_w = transform(grid, s2)
-        self.D_tilde_w, self.D_w = _similarity(grid, s1, s2)
+        self.D_tilde_w = _similarity(grid, s1, s2)
+        self.D_w = self.D_tilde_w[::-1]
 
     def pointwise_identity_defect(self):
         return _pointwise_identity_defect(self.s1_w, self.s2_w, self.lam_w)
@@ -173,8 +182,8 @@ def build_T_correctors(a, g_12b, g_12w):
         T_1 =  U t_b,      t_b = psi <xi>^{-3/2} g_12b / (1 + 2a),
         T_2 = -E U E t_w,  t_w = psi <xi>^{-3/2} g_12w / (1 + 2a),
 
-    so Op^BW(T_1) = pair(Op^BW(t_b), Op^BW(t_b)) and
-    Op^BW(T_2) = pair(-Op^BW(t_w), Op^BW(t_w)).
+    so Op^BW(T_1) has the even halves (2 Op^BW(t_b), 0) and Op^BW(T_2) has
+    (0, -2 Op^BW(t_w)).
     """
     grid = a.grid
     av = a.values().real
@@ -186,25 +195,30 @@ def build_T_correctors(a, g_12b, g_12w):
 
 
 class Parametrix:
-    """Phi, Psi, Lambda and L_{2s} at a frozen background V, held in blocks.
+    """Phi, Psi, Lambda and L_{2s} at a frozen background V, held in halves.
 
-    A stacked vector splits into the beam half z = (z, z-bar) and the wave
-    half w = (w, w-bar).  Phi and Psi are held as the 2n x 2n factors D_b,
-    D~_b (``beam``), D_w, D~_w (``wave``) and the quantized correctors T1,
-    T2; Lambda and L_{2s} as n x n blocks acting on each component.
+    Phi = D(1 + T) and Psi = (1 - T)D~ are held as their even halves
+    Phi+-, Psi+- (2n x 2n over (beam, wave)), with D+- = blockdiag(D_b+-,
+    D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]];
+    Lambda and L_{2s} as n x n blocks acting on each component.
     """
 
     def __init__(self, para, V, s):
         grid = para.grid
+        n = grid.n
         self.grid = grid
         self.s = float(s)
-        self.frozen_at = None if V is None else np.array(V, dtype=complex)
 
         a, d, g_1w, g_12b, g_12w = para.g_functions(V)
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
         t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
-        self.T1, self.T2 = pair(t_b, t_b), pair(-t_w, t_w)
+        eye, T = np.eye(2 * n), np.zeros((2, 2 * n, 2 * n), dtype=complex)
+        T[0, :n, n:], T[1, n:, :n] = 2.0 * t_b, -2.0 * t_w
+        D = map(_beam_wave, self.beam.D_b, self.wave.D_w)
+        Dt = map(_beam_wave, self.beam.D_tilde_b, self.wave.D_tilde_w)
+        self.Phi = tuple(d @ (eye + t) for d, t in zip(D, T))
+        self.Psi = tuple((eye - t) @ d for d, t in zip(Dt, T))
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
         self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
@@ -215,30 +229,13 @@ class Parametrix:
         self.L2s_w = _op(transform(grid, lam_w.values().real ** s2), mult)
 
     def phi(self, vec):
-        """Phi V = (D_b (z + T1 w), D_w (w + T2 z))."""
-        z, w = np.split(np.asarray(vec, dtype=complex), 2)
-        return np.concatenate(
-            [self.beam.D_b @ (z + self.T1 @ w), self.wave.D_w @ (w + self.T2 @ z)]
-        )
+        """Phi V on a stacked vector: Phi+ on its p half, Phi- on its m half."""
+        return parity_join(*(h @ u for h, u in zip(self.Phi, parity_split(vec))))
 
     def l2s(self, vec):
         """L_{2s} V: the beam block on z and z-bar, the wave block on w and w-bar."""
         blocks = (self.L2s_b, self.L2s_b, self.L2s_w, self.L2s_w)
         return np.concatenate([b @ u for b, u in zip(blocks, np.split(np.asarray(vec), 4))])
-
-
-def dense_operators(P):
-    """The 4n x 4n Phi, Psi, D = diag(D_b, D_w), D~ = diag(D~_b, D~_w) and
-    Lambda = -iE diag(Lambda_b, Lambda_b, Lambda_w, Lambda_w), for dense SVDs."""
-    h = 2 * P.grid.n
-    zero = np.zeros((h, h))
-    eye = np.eye(2 * h)
-    D = np.block([[P.beam.D_b, zero], [zero, P.wave.D_w]])
-    Dt = np.block([[P.beam.D_tilde_b, zero], [zero, P.wave.D_tilde_w]])
-    T = np.block([[zero, P.T1], [P.T2, zero]])
-    Lam = np.kron(np.diag([-1j, 1j, 0, 0]), P.Lambda_b)
-    Lam += np.kron(np.diag([0, 0, -1j, 1j]), P.Lambda_w)
-    return D @ (eye + T), (eye - T) @ Dt, D, Dt, Lam
 
 
 def build_parametrix(para, V, s):
@@ -250,33 +247,35 @@ def conjugation_residual(P, para, V=None):
 
     All operator norms are resolved-band H^s -> H^s (or H^s -> H^{s+2})
     norms; ``offdiag_without_T`` is the negative control obtained by
-    dropping the T correctors.
+    dropping the T correctors.  Each residual is formed on its halves: the
+    odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
+    Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).
     """
     grid = P.grid
     n = grid.n
     s = P.s
-    Phi, Psi, D, Dt, Lam = dense_operators(P)
-    L = para.frak_A(V) + para.frak_B(V)
-    M = Phi @ L @ Psi - Lam
+    L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
+    Lam = -1j * _beam_wave(P.Lambda_b, P.Lambda_w)
+    D = list(map(_beam_wave, P.beam.D_b, P.wave.D_w))
+    Dt = list(map(_beam_wave, P.beam.D_tilde_b, P.wave.D_tilde_w))
 
-    def norm4(mat, s_in, s_out):
-        return exact_operator_norm(grid, mat, s_in, s_out, band="resolved")
+    def conjugated(X, Y):
+        return X[0] @ L[0] @ Y[1] - Lam, X[1] @ L[1] @ Y[0] - Lam
 
-    def offdiag(mat):
-        out = np.zeros_like(mat)
-        out[: 2 * n, 2 * n :] = mat[: 2 * n, 2 * n :]
-        out[2 * n :, : 2 * n] = mat[2 * n :, : 2 * n]
-        return out
+    def norm(halves, s_in, s_out):
+        return max(exact_operator_norm(grid, h, s_in, s_out, band="resolved") for h in halves)
 
-    inv = Psi @ Phi - np.eye(4 * n)
-    M_bare = D @ L @ Dt - Lam
+    off = np.ones((2 * n, 2 * n))
+    off[:n, :n] = off[n:, n:] = 0.0  # keeps the beam-wave coupling blocks of a half
+    M = conjugated(P.Phi, P.Psi)
+    inv = [psi @ phi - np.eye(2 * n) for psi, phi in zip(P.Psi, P.Phi)]
     return {
         "s": s,
         "n": n,
-        "conjugation_norm": norm4(M, s, s),
-        "inverse_defect_norm": norm4(inv, s, s + 2.0),
-        "offdiag_norm": norm4(offdiag(M), s, s),
-        "offdiag_without_T": norm4(offdiag(M_bare), s, s),
+        "conjugation_norm": norm(M, s, s),
+        "inverse_defect_norm": norm(inv, s, s + 2.0),
+        "offdiag_norm": norm([h * off for h in M], s, s),
+        "offdiag_without_T": norm([h * off for h in conjugated(D, Dt)], s, s),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),
     }
@@ -294,11 +293,7 @@ def _random_mean_zero_state(grid, sigma, rng):
     decay = grid.bracket_power(-(sigma + 1.0))
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-    z[0] = 0.0
-    w[0] = 0.0
-    if n % 2 == 0:
-        z[n // 2] = 0.0
-        w[n // 2] = 0.0
+    z[[0, n // 2]] = w[[0, n // 2]] = 0.0  # the mean and (n even) Nyquist modes
     return conjugate_pair(grid, z, w)
 
 
@@ -331,27 +326,16 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
         wsq = stacked_norm(grid, np.concatenate([np.zeros(2 * n), vec[2 * n :]]), sigma + 1.0) ** 2
         return (lhs - 0.25 * (zsq + wsq)) / nsq
 
-    upper = []
-    lower = []
-    for _ in range(sample_count):
-        vec = _random_mean_zero_state(grid, sigma, rng)
-        nsq = stacked_norm(grid, vec, sigma) ** 2
-        nlow = stacked_norm(grid, vec, -2.0) ** 2
-        e = modified_energy(P, vec)
-        upper.append(e / nsq)
-        lower.append(e / max(nsq - nlow, 1e-300))
+    samples = np.array([_random_mean_zero_state(grid, sigma, rng) for _ in range(sample_count)])
+    nsq = stacked_norm(grid, samples, sigma) ** 2
+    energy = np.array([modified_energy(P, vec) for vec in samples])
+    upper = energy / nsq
+    lower = energy / np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
     # the binding Garding constant lives at low modes; scan single-mode
     # beam and wave states deterministically over the resolved band
-    defects = []
-    zero = np.zeros(n, dtype=complex)
-    for j in range(1, grid.dealias_cut + 1):
-        mode = zero.copy()
-        mode[j] = 1.0
-        for z, w in ((mode, zero), (zero, mode)):
-            defects.append(garding_defect(conjugate_pair(grid, z, w)))
-    upper = np.asarray(upper)
-    lower = np.asarray(lower)
-    defects = np.asarray(defects)
+    eye, zero = np.eye(n, dtype=complex), np.zeros(n, dtype=complex)
+    defects = [garding_defect(conjugate_pair(grid, *zw)) for j in range(1, grid.dealias_cut + 1)
+               for zw in ((eye[j], zero), (zero, eye[j]))]
     return {
         "sigma": sigma,
         "n": n,

@@ -8,7 +8,8 @@ the spatial transform evaluated at the frequency midpoint.  The Bony-Weyl
 (paradifferential) matrix multiplies each entry by chi_eps(|j-k| / <j+k>),
 restricting the symbol's spatial frequencies below the function's.
 Every operator is a plain complex array; a matrix of side c*n acts on c
-stacked components, component i on coefficient slots [i*n, (i+1)*n).
+components, component i on coefficient slots [i*n, (i+1)*n): c = 2 for a
+parity half (beam, wave) of ``state``, c = 4 for a stacked vector.
 Operator norms between Sobolev spaces are the largest singular value of the
 bracket-weighted matrix.
 """
@@ -62,20 +63,6 @@ def weyl_quantize(sym):
 def bony_weyl_quantize(sym):
     """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
     return weyl_quantize(sym) * _chi_mask(sym.grid)
-
-
-def pair(A, B):
-    """The 2n x 2n array [[A, B], [B, A]] of n x n blocks (B may be 0).
-
-    Every 2 x 2 paradifferential block of the system has this form: I Op(p)
-    + U Op(q) is pair(Op(p) + Op(q), Op(q)).  Filled in place; np.block
-    would hold every block and the result at once."""
-    A, B = np.broadcast_arrays(A, B)
-    n = A.shape[0]
-    M = np.empty((2 * n, 2 * n), dtype=complex)
-    M[:n, :n] = M[n:, n:] = A
-    M[:n, n:] = M[n:, :n] = B
-    return M
 
 
 def _components(grid, M):

@@ -11,9 +11,16 @@ coefficient arrays.  They write zbar with its own formula instead of
 conjugating z, so they stay valid off the conjugate-pair subspace (analytic
 continuation), where the paralinearization evaluates the nonlinearities.
 
-Stacked coefficient layout: (z, zbar, w, wbar), each of length n, so block
-operators act on vectors of length 4n; ``conjugate_pair`` builds it from z
-and w.  Block inner products follow
+Stacked coefficient layout: (z, zbar, w, wbar), each of length n, so a
+stacked vector has length 4n; ``conjugate_pair`` builds it from z and w.
+
+The parity change p = (z + zbar)/sqrt2 = D u, m = (z - zbar)/sqrt2 =
+i D^{-1} u_t per pair gives halves of length 2n over (beam, wave); it is
+orthogonal, mode by mode, and keeps every H^s norm.  A symmetric pair
+[[A, B], [B, A]] acts as A + B on p and A - B on m (even halves); -iE times
+it maps m -> p by -i(A - B) and p -> m by -i(A + B) (odd halves pm, mp).
+
+Block inner products follow
 
     (Z1, Z2)_{L2xL2} = Re (z1, z2)_{L2},   <V1, V2> = (Z1, Z2) + (W1, W2),
 
@@ -53,6 +60,19 @@ def real_from_stacked(grid, vec):
     return tuple(out)
 
 
+def parity_split(vec):
+    """Stacked (..., 4n) -> the parity halves p, m, each (..., 2n) over (beam, wave)."""
+    z, zb, w, wb = np.split(np.asarray(vec), 4, axis=-1)
+    return (np.concatenate([z + zb, w + wb], axis=-1) / _RT2,
+            np.concatenate([z - zb, w - wb], axis=-1) / _RT2)
+
+
+def parity_join(p, m):
+    """The inverse of ``parity_split``: halves p, m (..., 2n) -> stacked (..., 4n)."""
+    (p_b, p_w), (m_b, m_w) = np.split(p, 2, axis=-1), np.split(m, 2, axis=-1)
+    return np.concatenate([p_b + m_b, p_b - m_b, p_w + m_w, p_w - m_w], axis=-1) / _RT2
+
+
 def conjugate_pair(grid, z, w):
     """Stacked (z, zbar, w, wbar) from coefficient arrays z and w, with
     zbar(j) = conj(z(-j))."""
@@ -86,10 +106,15 @@ class StateVector:
 
 
 def stacked_norm(grid, vec, s):
-    """H^s norm of a stacked 4n vector: sqrt((1/2) sum_c ||v_c||^2_{H^s})."""
+    """H^s norm sqrt((1/2) sum_c ||v_c||^2_{H^s}) of stacked vectors (..., 4n):
+    a float for one vector, an array over the leading axes otherwise."""
     w = grid.bracket_power(s) ** 2
-    per_component = np.sum(np.abs(np.reshape(vec, (4, grid.n))) ** 2 * w, axis=1)
-    return float(np.sqrt(sum(0.5 * per_component)))
+    vec = np.asarray(vec)
+    per_component = np.sum(np.abs(vec.reshape(vec.shape[:-1] + (4, grid.n))) ** 2 * w, axis=-1)
+    # the components summed one by one, in order, as for a single vector, so
+    # a batch gives each vector's norm bit for bit
+    norm = np.sqrt(sum(np.moveaxis(0.5 * per_component, -1, 0)))
+    return float(norm) if vec.ndim == 1 else norm
 
 
 def stacked_inner(grid, u, v, s=0.0):

@@ -123,6 +123,22 @@ def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "values", ["32,inf", "32,nan", "32,64.7"], ids=["inf", "nan", "non_integer"]
+)
+def test_sweep_N_refuses_values_that_are_not_finite_integers(values, tmp_path, monkeypatch, capsys):
+    # refused before any grid is built: 64.7 is not run as N = 64, and inf or
+    # nan never reach int()
+    def no_grid(n):
+        raise AssertionError("a grid was built for N = %r" % n)
+
+    monkeypatch.setattr(beamwave.cli, "TorusGrid", no_grid)
+    assert run_cli(["sweep", "--axis", "N", "--values", values, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_and_kato_solve_leave_sympy_unimported(tmp_path):
     # the CLI and a Kato solve run on numpy alone
     code = (

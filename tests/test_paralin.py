@@ -7,15 +7,24 @@ from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_
 from beamwave.cli import build_preset
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
-from beamwave.quantize import bony_weyl_quantize, pair
+from beamwave.quantize import bony_weyl_quantize
 from beamwave.state import (
     complexify,
     is_conjugate_pair,
+    parity_join,
+    parity_split,
     real_from_stacked,
     stacked_from_real,
     stacked_norm,
 )
 from beamwave.symbols import SeparableSymbol
+
+
+def odd_stacked_matrix(pm, mp):
+    """The stacked 4n x 4n matrix of the odd operator with halves pm (m -> p)
+    and mp (p -> m): its action on the split identity."""
+    p, m = parity_split(np.eye(2 * len(pm)))
+    return parity_join(m @ pm.T, p @ mp.T).T
 
 
 def coupled_system(n=32, amp=1e-2):
@@ -50,9 +59,8 @@ def test_full_rhs_matches_real_system():
 def test_decomposition_reproduces_full_rhs():
     # frakA V + frakB V + R V + remainder(V) + G == full_rhs to machine precision
     g, sys, para, V = coupled_system()
-    lin = (
-        para.frak_A(V) + para.frak_B(V) + para.R_operator()
-    ) @ V
+    halves = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
+    lin = (odd_stacked_matrix(*halves) + para.R_operator()) @ V
     total = lin + para.remainder(V, 0.0) + para.forcing_G(0.0)
     assert np.max(np.abs(total - para.full_rhs(V, 0.0))) < 1e-12
 
@@ -70,8 +78,7 @@ def test_trivial_background_generator_is_diagonal_phases():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
-    A = para.frak_A(None)
-    n = g.n
+    A = odd_stacked_matrix(*para.frak_A(None))
     j2 = g.modes.astype(float) ** 2
     expect = np.concatenate([-1j * j2, 1j * j2, -1j * np.abs(g.modes), 1j * np.abs(g.modes)])
     assert np.max(np.abs(A - np.diag(expect))) < 1e-12
@@ -122,11 +129,12 @@ def test_g_functions_from_nonlinearity():
 
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_tabulated_generator_matches_quantized_symbols(preset):
-    # frakA / frakB from the precomputed tables equal -iE Op^BW of the
-    # assembled symbols I p + U q, each part quantized here on its own, at
-    # zero, at the preset data and at a perturbed V; the real-form generator's
-    # action equals the sum of the matrices carried through the
-    # complexification
+    # frakA / frakB from the precomputed tables, embedded from their odd
+    # halves, equal -iE Op^BW of the assembled symbols I p + U q, each part
+    # quantized here on its own and laid out as the stacked symmetric pair
+    # [[A, B], [B, A]], at zero, at the preset data and at a perturbed V; the
+    # real-form generator's action equals the sum of the matrices carried
+    # through the complexification
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -143,7 +151,7 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         p, q = parts
         Q = bony_weyl_quantize(q)
         P = 0.0 if p is None else bony_weyl_quantize(SeparableSymbol.from_multiplier(g, p))
-        return -1j * (E @ pair(P + Q, Q))
+        return -1j * (E @ np.block([[P + Q, Q], [Q, P + Q]]))
 
     for v in (None, V, V + bumped):
         syms = para.assemble_symbols(v)
@@ -153,8 +161,8 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         B = np.zeros_like(A)
         B[:n2, n2:] = minus_iE_bw(syms["B_b"])
         B[n2:, :n2] = minus_iE_bw(syms["B_w"])
-        got_A = para.frak_A(v)
-        got_B = para.frak_B(v)
+        got_A = odd_stacked_matrix(*para.frak_A(v))
+        got_B = odd_stacked_matrix(*para.frak_B(v))
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
         g_v = None if v is None else para.prepass(v)[1]

@@ -15,12 +15,11 @@ from beamwave.parametrix import (
     build_parametrix,
     build_T_correctors,
     conjugation_residual,
-    dense_operators,
     equivalence_and_garding_report,
     modified_energy,
 )
-from beamwave.quantize import bony_weyl_quantize, pair
-from beamwave.state import complexify
+from beamwave.quantize import bony_weyl_quantize, exact_operator_norm
+from beamwave.state import complexify, parity_join, parity_split
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 
 
@@ -87,12 +86,13 @@ def test_subprincipal_vanishes_above_half():
 
 
 def test_trivial_background_gauge_collapses():
-    # a = 0: S = identity entries, k = 1, M_{-1} = 0, D_b = identity
+    # a = 0: S = identity entries, k = 1, M_{-1} = 0, both halves of D_b = identity
     g = TorusGrid(16)
     d = BeamDiagonalizer(np.zeros(g.n), g)
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
     assert np.max(np.abs(d.M_minus1)) == 0.0
-    assert np.max(np.abs(d.D_b - np.eye(2 * g.n))) < 1e-12
+    for half in d.D_b:
+        assert np.max(np.abs(half - np.eye(g.n))) < 1e-12
 
 
 def test_conjugation_residual_stable_in_n():
@@ -148,50 +148,118 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _pair(A, B):
+    """The stacked symmetric pair [[A, B], [B, A]] of n x n blocks."""
+    return np.block([[A, B], [B, A]])
+
+
+def _beam_wave(B, W):
+    zero = np.zeros_like(B)
+    return np.block([[B, zero], [zero, W]])
+
+
+def _dense_reference(preset, n):
+    """The stacked 4n x 4n Phi = D(1 + T), Psi = (1 - T)D~, D, D~, Lambda,
+    L_{2s}, the generator L = frakA + frakB and T, assembled densely here
+    from the scalar pieces of the diagonalizers, the quantized T_1, T_2 and
+    the assembled symbols, each 2 x 2 block a stacked symmetric pair."""
+    g = TorusGrid(n)
+    sysm, fields = build_preset(preset, g)
+    para = ParalinearizedSystem(sysm, g)
+    V = complexify(*fields).stacked()
+    P = build_parametrix(para, V, 2.5)
+
+    def quantized(f, mult=None):
+        return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+
+    b, w = P.beam, P.wave
+    zero, one = np.zeros((n, n)), np.eye(n)
+    S1, S2, K = quantized(b.s1_b), quantized(b.s2_b), quantized(b.k)
+    K_inv = quantized(transform(g, 1.0 / b.k.values().real))
+    M = _pair(zero, b.M_minus1)
+    D_b = _pair(K_inv, zero) @ (np.eye(2 * n) + M) @ _pair(S1, -S2)
+    Dt_b = _pair(S1, S2) @ (np.eye(2 * n) - M) @ _pair(K, zero)
+    S1w, S2w = quantized(w.s1_w), quantized(w.s2_w)
+    D, Dt = _beam_wave(D_b, _pair(S1w, -S2w)), _beam_wave(Dt_b, _pair(S1w, S2w))
+    a, _, _, g_12b, g_12w = para.g_functions(V)
+    t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+    T = np.zeros_like(D)
+    T[: 2 * n, 2 * n :], T[2 * n :, : 2 * n] = _pair(t_b, t_b), _pair(-t_w, t_w)
+    eye = np.eye(4 * n)
+
+    minus_iE = np.diag(np.tile(np.repeat([-1j, 1j], n), 2))
+    Lam = minus_iE @ _beam_wave(
+        _pair(quantized(b.lam_b, FrequencyMultiplier.xi_power(2)), zero),
+        _pair(quantized(w.lam_w, FrequencyMultiplier.abs_xi()), zero),
+    )
+    abs5 = FrequencyMultiplier.abs_xi_power(5.0)
+    W = _beam_wave(_pair(quantized(transform(g, b.lam_b.values().real ** 2.5), abs5), zero),
+                   _pair(quantized(transform(g, w.lam_w.values().real ** 5.0), abs5), zero))
+
+    def bw_pair(parts):
+        p, q = parts
+        Q = bony_weyl_quantize(q)
+        Pm = 0.0 if p is None else bony_weyl_quantize(SeparableSymbol.from_multiplier(g, p))
+        return _pair(Pm + Q, Q)
+
+    syms = para.assemble_symbols(V)
+    L = _beam_wave(bw_pair(syms["A_b"]), bw_pair(syms["A_w"]))
+    L[: 2 * n, 2 * n :], L[2 * n :, : 2 * n] = bw_pair(syms["B_b"]), bw_pair(syms["B_w"])
+    L = minus_iE @ L
+    dense = {"Phi": D @ (eye + T), "Psi": (eye - T) @ Dt, "D": D, "Dt": Dt,
+             "Lambda": Lam, "L2s": W, "L": L, "T": T}
+    return g, para, V, P, dense
+
+
 @pytest.mark.parametrize("preset", ["mixed", "arioli_gazzola"])
 def test_blocked_parametrix_matches_dense_formula(preset):
-    # Phi = D(1 + T), Psi = (1 - T)D~, Lambda and L_{2s} assembled densely
-    # here from the diagonalizers and the quantized T_1, T_2
+    # the halves of Phi and Psi, and the actions of Phi and L_{2s} on a
+    # stacked vector, equal the dense stacked formulas
     for n in (32, 64):
-        g = TorusGrid(n)
-        sysm, fields = build_preset(preset, g)
-        para = ParalinearizedSystem(sysm, g)
-        V = complexify(*fields).stacked()
-        P = build_parametrix(para, V, 2.5)
-        h = 2 * n
-        D = np.zeros((2 * h, 2 * h), dtype=complex)
-        Dt = np.zeros_like(D)
-        T = np.zeros_like(D)
-        D[:h, :h], D[h:, h:] = P.beam.D_b, P.wave.D_w
-        Dt[:h, :h], Dt[h:, h:] = P.beam.D_tilde_b, P.wave.D_tilde_w
-        a, _, _, g_12b, g_12w = para.g_functions(V)
-        t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
-        T[:h, h:], T[h:, :h] = pair(t_b, t_b), pair(-t_w, t_w)
-        assert (np.max(np.abs(T)) > 0.0) == (preset == "mixed")
-        eye = np.eye(2 * h)
-
-        def quantized(f, mult):
-            return bony_weyl_quantize(SeparableSymbol(g, [(f, mult)]))
-
-        beam, wave = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])
-        minus_iE = np.diag(np.tile(np.repeat([-1j, 1j], n), 2))
-        Lam = minus_iE @ (
-            np.kron(beam, quantized(P.beam.lam_b, FrequencyMultiplier.xi_power(2)))
-            + np.kron(wave, quantized(P.wave.lam_w, FrequencyMultiplier.abs_xi()))
-        )
-        lb = transform(g, P.beam.lam_b.values().real ** 2.5)
-        lw = transform(g, P.wave.lam_w.values().real ** 5.0)
-        abs5 = FrequencyMultiplier.abs_xi_power(5.0)
-        W = np.kron(beam, quantized(lb, abs5)) + np.kron(wave, quantized(lw, abs5))
-
-        Phi, Psi, _, _, Lam_dense = dense_operators(P)
-        assert _rel(Phi, D @ (eye + T)) <= 1e-14
-        assert _rel(Psi, (eye - T) @ Dt) <= 1e-14
-        assert _rel(Lam_dense, Lam) <= 1e-14
+        g, para, V, P, dense = _dense_reference(preset, n)
+        assert (np.max(np.abs(dense["T"])) > 0.0) == (preset == "mixed")
+        split = parity_split(np.eye(4 * n))
+        for name in ("Phi", "Psi"):
+            halves = getattr(P, name)
+            got = parity_join(*(u @ h.T for h, u in zip(halves, split))).T
+            assert _rel(got, dense[name]) <= 1e-14, name
         rng = np.random.default_rng(n)
-        vec = rng.standard_normal(2 * h) + 1j * rng.standard_normal(2 * h)
-        assert _rel(P.phi(vec), D @ (eye + T) @ vec) <= 1e-14
-        assert _rel(P.l2s(vec), W @ vec) <= 1e-14
+        vec = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+        assert _rel(P.phi(vec), dense["Phi"] @ vec) <= 1e-14
+        assert _rel(P.l2s(vec), dense["L2s"] @ vec) <= 1e-14
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
+def test_residual_norms_match_dense_svd(preset):
+    # each norm that conjugation_residual forms on the halves equals the dense
+    # SVD of the stacked residual: relatively where the norm is above
+    # round-off, absolutely where it is round-off itself (arioli_gazzola)
+    for n in (32, 64):
+        g, para, V, P, dense = _dense_reference(preset, n)
+        s, h = P.s, 2 * n
+        M = dense["Phi"] @ dense["L"] @ dense["Psi"] - dense["Lambda"]
+        M_bare = dense["D"] @ dense["L"] @ dense["Dt"] - dense["Lambda"]
+
+        def offdiag(mat):
+            out = np.zeros_like(mat)
+            out[:h, h:], out[h:, :h] = mat[:h, h:], mat[h:, :h]
+            return out
+
+        def norm(mat, s_out=s):
+            return exact_operator_norm(g, mat, s, s_out, band="resolved")
+
+        expect = {
+            "conjugation_norm": norm(M),
+            "inverse_defect_norm": norm(dense["Psi"] @ dense["Phi"] - np.eye(2 * h), s + 2.0),
+            "offdiag_norm": norm(offdiag(M)),
+            "offdiag_without_T": norm(offdiag(M_bare)),
+        }
+        got = conjugation_residual(P, para, V)
+        for key, ref in expect.items():
+            if ref > 1e-10:
+                assert abs(got[key] - ref) <= 1e-12 * ref, (key, n, got[key], ref)
+            else:
+                assert abs(got[key] - ref) <= 1e-12, (key, n, got[key], ref)
 
 
 def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
@@ -211,17 +279,21 @@ def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
 
 
 def _array_sizes(obj, seen):
-    for value in vars(obj).values():
+    values = obj if isinstance(obj, (tuple, list)) else vars(obj).values()
+    for value in values:
         if isinstance(value, np.ndarray):
             yield value.size
-        elif hasattr(value, "__dict__") and id(value) not in seen:
+        elif isinstance(value, (tuple, list)) or hasattr(value, "__dict__"):
+            if id(value) in seen:
+                continue
             seen.add(id(value))
             yield from _array_sizes(value, seen)
 
 
 def test_parametrix_holds_no_array_larger_than_a_half_block():
-    # beam and wave blocks are 2n x 2n; the 4n x 4n products are formed
-    # only by the residual diagnostics
+    # operators are held by their parity halves, 2n x 2n over (beam, wave);
+    # neither the parametrix nor the system holds a 4n x 4n array
     g, para, V = coupled_setup(32)
     P = build_parametrix(para, V, 2.5)
     assert max(_array_sizes(P, set())) == (2 * g.n) ** 2
+    assert max(_array_sizes(para, set())) == (2 * g.n) ** 2

@@ -8,7 +8,6 @@ from beamwave.quantize import (
     bony_weyl_quantize,
     composition_residual,
     exact_operator_norm,
-    pair,
     remainder_bw_minus_weyl,
     weighted_matrix,
     weyl_quantize,
@@ -56,21 +55,6 @@ def test_weyl_self_adjoint_for_real_symbol():
     a = SeparableSymbol(g, [(transform(g, np.cos(g.x)), FrequencyMultiplier.xi_power(2))])
     W = weyl_quantize(a)
     assert np.max(np.abs(W - W.conj().T)) < 1e-12
-
-
-def test_pair_fills_symmetric_block_layout():
-    # [[A, B], [B, A]]; a scalar B is a zero off-diagonal block, and the
-    # blocks act on (u, v) as (Au + Bv, Bu + Av)
-    n = 8
-    rng = np.random.default_rng(0)
-    A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
-    M = pair(A, B)
-    assert M.shape == (2 * n, 2 * n) and M.dtype == complex
-    assert np.array_equal(M, np.block([[A, B], [B, A]]))
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    assert np.allclose(M @ np.concatenate([u, v]), np.concatenate([A @ u + B @ v, B @ u + A @ v]))
-    assert np.array_equal(pair(A, 0.0), np.kron(np.eye(2), A))
-    assert np.array_equal(pair(0.0, B), np.kron(np.ones((2, 2)) - np.eye(2), B))
 
 
 def test_operator_norm_diagonal_exact():

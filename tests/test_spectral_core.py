@@ -17,8 +17,11 @@ from beamwave.grid import (
 )
 from beamwave.state import (
     StateVector,
+    complex_weights,
     complexify,
     is_conjugate_pair,
+    parity_join,
+    parity_split,
     real_from_stacked,
     realify,
     stacked_from_real,
@@ -152,6 +155,66 @@ def test_stacked_norm_matches_component_norms():
         u = SpectralFunction(g, vec[c * n : (c + 1) * n])
         total += 0.5 * sobolev_norm(u, 1.5) ** 2
     assert abs(stacked_norm(g, vec, 1.5) - np.sqrt(total)) < 1e-12
+
+
+def test_batched_stacked_norm_equals_per_vector_norms():
+    # one call over a trajectory (and over extra leading axes) gives each
+    # node's norm bit for bit, as a float per vector and an array per batch
+    g = TorusGrid(32)
+    rng = np.random.default_rng(5)
+    traj = rng.standard_normal((3, 7, 4 * g.n)) + 1j * rng.standard_normal((3, 7, 4 * g.n))
+    for s in (0.0, 1.5, 2.5):
+        batched = stacked_norm(g, traj, s)
+        assert batched.shape == (3, 7)
+        single = [[stacked_norm(g, v, s) for v in row] for row in traj]
+        assert isinstance(single[0][0], float)
+        assert np.array_equal(batched, np.array(single))
+
+
+def test_parity_halves_round_trip_and_carry_the_real_state():
+    # p = D (y, theta), m = i D^{-1} (y_t, theta_t); the change is orthogonal,
+    # so joining the halves returns the vector to within one rounding and
+    # every H^s norm is kept
+    g = TorusGrid(32)
+    rng = np.random.default_rng(6)
+    vec = rng.standard_normal((5, 4 * g.n)) + 1j * rng.standard_normal((5, 4 * g.n))
+    p, m = parity_split(vec)
+    assert p.shape == m.shape == (5, 2 * g.n)
+    back = parity_join(p, m)
+    assert np.max(np.abs(back - vec)) <= 2 * np.finfo(float).eps * np.max(np.abs(vec))
+    w = np.tile(g.bracket_power(1.5) ** 2, 2)
+    halves = np.sqrt(0.5 * np.sum((np.abs(p) ** 2 + np.abs(m) ** 2) * w, axis=-1))
+    assert np.allclose(halves, stacked_norm(g, vec, 1.5), rtol=1e-14, atol=0.0)
+    y, y_t, th, th_t = rng.standard_normal((4, g.n)) + 1j * rng.standard_normal((4, g.n))
+    p, m = parity_split(stacked_from_real(g, y, y_t, th, th_t))
+    D = np.concatenate(complex_weights(g))
+    assert np.allclose(p, D * np.concatenate([y, th]), rtol=1e-14, atol=1e-14)
+    assert np.allclose(m, 1j * np.concatenate([y_t, th_t]) / D, rtol=1e-14, atol=1e-14)
+
+
+def test_symmetric_pairs_split_into_even_and_odd_halves():
+    # [[A, B], [B, A]] acts as A + B on p and A - B on m; -iE times it, E =
+    # diag(1, -1), maps m -> p by -i(A - B) and p -> m by -i(A + B)
+    g = TorusGrid(8)
+    n = g.n
+    rng = np.random.default_rng(7)
+    A_b, B_b, A_w, B_w = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                          for _ in range(4))
+    zero = np.zeros((n, n))
+    pairs = np.block([[A_b, B_b, zero, zero], [B_b, A_b, zero, zero],
+                      [zero, zero, A_w, B_w], [zero, zero, B_w, A_w]])
+    E = np.diag(np.repeat([1.0, -1.0, 1.0, -1.0], n))
+
+    def blockdiag(b, w):
+        return np.block([[b, zero], [zero, w]])
+
+    vec = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+    p, m = parity_split(vec)
+    got = parity_join(blockdiag(A_b + B_b, A_w + B_w) @ p, blockdiag(A_b - B_b, A_w - B_w) @ m)
+    assert np.allclose(got, pairs @ vec, rtol=0.0, atol=1e-13)
+    pm, mp = -1j * blockdiag(A_b - B_b, A_w - B_w), -1j * blockdiag(A_b + B_b, A_w + B_w)
+    got = parity_join(pm @ m, mp @ p)
+    assert np.allclose(got, -1j * E @ pairs @ vec, rtol=0.0, atol=1e-13)
 
 
 def test_stacked_inner_real_for_conjugate_pairs():
