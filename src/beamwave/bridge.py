@@ -33,26 +33,20 @@ class QuadraticNonlinearity:
             if not (0 <= ia < 6 and 0 <= ib < 6):
                 raise ConfigError("jet slots must be in 0..5")
             self.terms.append((_profile_to_function(grid, coeff), ia, ib))
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, [])
-
-    def is_zero(self):
-        return not self.terms
+        # each coefficient's grid values, transformed once
+        self._values = [(np.asarray(co.values(), dtype=complex), ia, ib) for co, ia, ib in self.terms]
 
     def evaluate(self, jets):
         """Grid values of F at jet values ``jets`` (shape (6, ..., n))."""
         out = np.zeros(jets.shape[1:], dtype=complex)
-        for coeff, ia, ib in self.terms:
-            out += np.asarray(coeff.values(), dtype=complex) * jets[ia] * jets[ib]
+        for cv, ia, ib in self._values:
+            out += cv * jets[ia] * jets[ib]
         return out
 
     def partial_values(self, slot, jets):
         """Grid values of dF/dh_slot at the jet (6, ..., n) (affine in the jet)."""
         out = np.zeros(jets.shape[1:], dtype=complex)
-        for coeff, ia, ib in self.terms:
-            cv = np.asarray(coeff.values(), dtype=complex)
+        for cv, ia, ib in self._values:
             if ia == slot:
                 out += cv * jets[ib]
             if ib == slot:
@@ -66,12 +60,8 @@ class QuadraticNonlinearity:
         sign corner, so it equals -R * sum |c-contributions| pointwise.
         """
         acc = np.zeros(self.grid.n)
-        for coeff, ia, ib in self.terms:
-            cv = np.real(coeff.values())
-            if ia == slot:
-                acc += np.abs(cv)
-            if ib == slot:
-                acc += np.abs(cv)
+        for cv, ia, ib in self._values:
+            acc += np.abs(cv.real) * ((ia == slot) + (ib == slot))
         return -R * acc
 
     def parity_sign_ok(self):
@@ -103,9 +93,10 @@ class BridgeSystem:
 
     The linear part (B_cal y + alpha y_t, W_cal theta + beta theta_t) is one
     pseudo-spectral action, ``linear_rhs``: each product coeff(x) d_x^k of
-    B_cal and W_cal is a row of grid values and a row of derivative
-    multipliers, and the rows of both operators share one inverse and one
-    forward FFT.
+    B_cal and W_cal splits into its mean coeff^(0) (ij)^k, summed per unknown
+    into one diagonal symbol, and its fluctuation coeff - coeff^(0); only the
+    nonzero fluctuations act on the grid, in one inverse and one forward FFT.
+    ``jets`` transforms only the slots F1 and F2 read (``jet_slots``).
     """
 
     def __init__(
@@ -138,19 +129,23 @@ class BridgeSystem:
         self.delta = float(delta)
         self.f_b = f_b if f_b is not None else (lambda t: 0.0)
         self.f_w = f_w if f_w is not None else np.sin
-        self.F1 = F1 if F1 is not None else QuadraticNonlinearity.zero(grid)
-        self.F2 = F2 if F2 is not None else QuadraticNonlinearity.zero(grid)
-        # one row per product in B_cal = -b d^4 + B and W_cal = c d^2 + C:
-        # the unknown it differentiates (0 = y, 1 = theta), the grid values
-        # of its coefficient and the multiplier (ij)^k
-        beam = [(-self.b, 4)] + self.B_terms
-        wave = [(self.c, 2)] + self.C_terms
+        self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
+        self.F2 = F2 if F2 is not None else QuadraticNonlinearity(grid, ())
+        # the products of B_cal = -b d^4 + B and W_cal = c d^2 + C per unknown
+        # (0 = y, 1 = theta); a row with a nonzero fluctuation keeps its
+        # unknown, the fluctuation's grid values and the multiplier (ij)^k
         d = 1j * grid.modes.astype(float)
-        self._row_unknown = np.array([0] * len(beam) + [1] * len(wave))
-        self._row_values = np.array([coeff.values() for coeff, _ in beam + wave])
-        self._row_mult = np.array([d**k for _, k in beam + wave])
-        self._beam_rows = len(beam)
-        self._d, self._d2 = d, d**2
+        parts = ([(-self.b, 4)] + self.B_terms, [(self.c, 2)] + self.C_terms)
+        self._symbol = np.array([sum(coeff.coeffs[0] * d**k for coeff, k in part) for part in parts])
+        rows = [(u, coeff, k) for u, part in enumerate(parts) for coeff, k in part
+                if np.any(coeff.coeffs[1:])]
+        self._row_unknown = np.array([u for u, _, _ in rows], dtype=int)
+        self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows])
+        self._row_mult = np.array([d**k for _, _, k in rows])
+        self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
+        self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
+        self._live_F = [i for i, F in enumerate((self.F1, self.F2)) if F.terms]
+        self._d_powers = (1.0, d, d**2)
 
     # -- right-hand side ---------------------------------------------
 
@@ -159,37 +154,51 @@ class BridgeSystem:
 
     def dealiased_hats(self, values):
         """Dealiased Fourier coefficients of grid values (..., n)."""
-        return self._dealias(np.fft.fft(values) / self.grid.n)
+        return self._dealias(np.fft.fft(values, norm="forward"))
 
-    def jets(self, y_hat, th_hat):
+    def jets(self, y_hat, th_hat, slots=None):
         """Dealias-projected jet values (6, ..., n) from coefficient arrays
-        (..., n), in one inverse FFT along the last axis."""
-        yh = self._dealias(y_hat)
-        th = self._dealias(th_hat)
-        d, d2 = self._d, self._d2
-        return np.fft.ifft(np.stack([yh, d * yh, d2 * yh, th, d * th, d2 * th])) * self.grid.n
+        (..., n) at ``slots`` (default ``jet_slots``), in one inverse FFT along
+        the last axis; every other slot is NaN, never a silent zero."""
+        slots = self.jet_slots if slots is None else list(slots)
+        out = np.full((6,) + np.shape(y_hat), np.nan, dtype=complex)
+        if slots:
+            rows = [self._dealias((y_hat, th_hat)[slot // 3]) * self._d_powers[slot % 3]
+                    for slot in slots]
+            out[slots] = np.fft.ifft(np.stack(rows), norm="forward")
+        return out
 
     def nonlinearity_hats(self, jets):
-        """Dealiased Fourier coefficients of F1, F2 at the jet values ``jets``."""
-        return self.dealiased_hats(np.stack([self.F1.evaluate(jets), self.F2.evaluate(jets)]))
+        """Dealiased Fourier coefficients (2, ..., n) of F1, F2 at the jet
+        values ``jets``; an F without terms is zero and is not transformed."""
+        out = np.zeros((2,) + jets.shape[1:], dtype=complex)
+        if self._live_F:
+            values = [(self.F1, self.F2)[i].evaluate(jets) for i in self._live_F]
+            out[self._live_F] = self.dealiased_hats(np.stack(values))
+        return out
 
     def linear_rhs(self, y_hat, yt_hat, th_hat, tht_hat):
         """(B_cal y + alpha y_t, W_cal theta + beta theta_t) on coefficient
-        arrays (..., n), which may be complex.  Products are taken on the grid
-        without dealiasing, so each row acts as the circulant Fourier matrix of
-        its coefficient times (ij)^k."""
-        u = np.stack([y_hat, th_hat], axis=-2)[..., self._row_unknown, :] * self._row_mult
-        # fft(f * ifft(u) * n) / n: the factors n cancel
-        products = self._row_values * np.fft.ifft(u)
-        grid_values = np.add.reduceat(products, [0, self._beam_rows], axis=-2)
-        ytt, thtt = np.moveaxis(np.fft.fft(grid_values), -2, 0)
-        return ytt + self.alpha * yt_hat, thtt + self.beta * tht_hat
+        arrays (..., n), which may be complex.  Fluctuations multiply on the
+        grid without dealiasing, so each coeff d^k acts, with its mean on the
+        diagonal, as the circulant Fourier matrix of coeff times (ij)^k."""
+        u = (y_hat, th_hat)
+        out = [self._symbol[0] * y_hat + self.alpha * yt_hat,
+               self._symbol[1] * th_hat + self.beta * tht_hat]
+        if self._row_unknown.size:
+            rows = np.stack([u[i] * m for i, m in zip(self._row_unknown, self._row_mult)], axis=-2)
+            # fft(f * ifft(u) * n) / n: the factors n cancel
+            products = self._row_values * np.fft.ifft(rows)
+            sums = np.fft.fft(np.add.reduceat(products, self._row_starts, axis=-2))
+            for j, i in enumerate(self._unknowns):
+                out[i] = out[i] + sums[..., j, :]
+        return tuple(out)
 
     def real_rhs(self, y_hat, yt_hat, th_hat, tht_hat, t):
         """(y_tt, theta_tt) coefficient arrays; inputs may be complex
         (analytic continuation used by the complexified system)."""
         ytt, thtt = self.linear_rhs(y_hat, yt_hat, th_hat, tht_hat)
-        if not (self.F1.is_zero() and self.F2.is_zero()):
+        if self._live_F:
             f1, f2 = self.nonlinearity_hats(self.jets(y_hat, th_hat))
             ytt += f1
             thtt += f2

@@ -2,7 +2,8 @@
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 (``_rk4``) and one march (``_march``) of the real coefficients (4, n) of
-(y, y_t, theta, theta_t); it stores each node complexified, with its norms:
+(y, y_t, theta, theta_t); it guards each node in real form, then complexifies
+the stored nodes and takes their norms in batches:
 
 * ``oracle_solve`` -- direct method-of-lines RK4 on the real system using
   pseudo-spectral derivatives and de-aliased pointwise nonlinearities; it
@@ -25,10 +26,10 @@ Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 Frozen backgrounds and forcing are evaluated at step midpoints (average of
 the two enclosing nodes; g is linear in V), making the coefficient freezing
 second-order accurate.  Each step applies ``real_generator``: the linear part
-by FFT plus one gathered n x n block per g-function F can make nonzero.  Each
-sweep's pre-pass takes the jets of the whole trajectory it freezes in one
-call, and from them its g-functions, Kato forcing and the exact margin
-c + dF2/d(theta_xx) of the smallness hypothesis.
+(diagonal for constant coefficients) plus one gathered n x n block per
+g-function F can make nonzero.  Each sweep's pre-pass takes the jets F reads
+along the whole trajectory it freezes in one call, and from them its
+g-functions, Kato forcing and the exact margin c + dF2/d(theta_xx).
 """
 
 import copy
@@ -45,6 +46,7 @@ from .state import (
     conjugate_pair,
     is_conjugate_pair,
     real_from_stacked,
+    real_norm_weights,
     stacked_from_real,
     stacked_norm,
 )
@@ -253,22 +255,32 @@ def _march(grid, ladder, dt, steps, u0, step):
     """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) from u0, stored
     in stacked form with its H^{s0}, H^{s1} norms.
 
-    The blow-up guard runs at every node: a non-finite state, or an H^{s1}
-    norm above 1e6 times the initial one, raises ``NumericalError``."""
-    traj = np.empty((steps + 1, 4 * grid.n), dtype=complex)
-    norms = {"s0": [], "s1": []}
+    The blow-up guard runs at every node, on the real state: a non-finite
+    state, or an H^{s1} norm above 1e6 times the initial one, raises
+    ``NumericalError``.  The stacked forms and norms follow in place, in
+    batches of 8 nodes (few temporaries); a batch gives each norm bit for bit."""
+    n = grid.n
+    traj = np.empty((steps + 1, 4 * n), dtype=complex)
+    weights = real_norm_weights(grid, ladder.s1)
     u = u0
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
-        V = traj[k] = stacked_from_real(grid, *u)
-        if not np.all(np.isfinite(V)):
-            raise NumericalError("non-finite state encountered")
-        for key, vals in norms.items():
-            vals.append(stacked_norm(grid, V, getattr(ladder, key)))
-        if norms["s1"][-1] > 1e6 * max(norms["s1"][0], 1e-300):
+        traj[k] = u.reshape(4 * n)
+        norm = np.sqrt(np.vdot(u, weights * u).real)
+        if not k:
+            limit = 1e6 * max(norm, 1e-300)
+        if not norm <= limit:
+            if not np.all(np.isfinite(u)):
+                raise NumericalError("non-finite state encountered")
             raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
-    return RunResult(grid, [k * dt for k in range(steps + 1)], traj, norms, "completed")
+    norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
+    for a in range(0, steps + 1, 8):
+        chunk = traj[a:a + 8]
+        chunk[:] = stacked_from_real(grid, *np.moveaxis(chunk.reshape(-1, 4, n), 1, 0))
+        for key, vals in norms.items():
+            vals[a:a + 8] = stacked_norm(grid, chunk, getattr(ladder, key))
+    return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
 
 
 def linear_solve(para, background_path, V0, forcing_path, config, include_R=True):
@@ -323,7 +335,7 @@ def kato_solve(sys, V0, config):
         raise PreconditionError("initial state must be a stacked conjugate pair "
                                 "(z, zbar, w, wbar) of length 4n")
     sys.check_ellipticity()
-    radius = float(np.max(np.abs(sys.jets(*real_from_stacked(grid, V0)[::2]))))  # F reads the jet only
+    radius = float(np.max(np.abs(sys.jets(*real_from_stacked(grid, V0)[::2], slots=range(6)))))
     sys.check_radius_condition(2.0 * max(radius, 1e-12))
     dt, steps = _time_grid(sys, config)
     para = ParalinearizedSystem(sys, grid)

@@ -83,10 +83,10 @@ class ParalinearizedSystem:
             SpectralFunction(self.grid, h, is_real=True) for h in self.prepass(V)[1])
 
     def prepass(self, vec):
-        """The jets (6, ..., n) of stacked backgrounds ``vec`` (..., 4n), from
-        one batched call, and the coefficients (3, ..., n) of g_1w, g_12b and
-        g_12w: the dealiased halves of dF2/d(theta_xx), dF1/d(theta_xx) and
-        dF2/d(y_xx) at those jets.  F is quadratic, so g is linear in V."""
+        """The jets (6, ..., n) at the slots F reads (``jets``) of stacked
+        backgrounds ``vec`` (..., 4n), in one batched call, and the coefficients
+        (3, ..., n) of g_1w, g_12b and g_12w: the dealiased halves of dF2/d(theta_xx),
+        dF1/d(theta_xx) and dF2/d(y_xx) there.  F is quadratic: g is linear in V."""
         y_hat, _, th_hat, _ = real_from_stacked(self.grid, vec)
         jets = self.source.jets(y_hat, th_hat)
         F1, F2 = self.source.F1, self.source.F2

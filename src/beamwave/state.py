@@ -117,6 +117,13 @@ def stacked_norm(grid, vec, s):
     return float(norm) if vec.ndim == 1 else norm
 
 
+def real_norm_weights(grid, s):
+    """Weights w (4, n) with sum(w |u|^2) = stacked_norm(stacked_from_real(u), s)^2 up to
+    round-off, as |z|^2 + |zbar|^2 = |D y|^2 + |D^{-1} y_t|^2 per mode, y and y_t complex."""
+    w = 0.5 * grid.bracket_power(s) ** 2
+    return np.array([w * D**p for D in complex_weights(grid) for p in (2, -2)])
+
+
 def stacked_inner(grid, u, v, s=0.0):
     """<U, V> block pairing on stacked vectors (real for conjugate pairs)."""
     w = grid.bracket_power(s) ** 2

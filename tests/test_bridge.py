@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import beamwave.bridge
 from beamwave.bridge import (
     BridgeSystem,
     QuadraticNonlinearity,
     arioli_gazzola_preset,
     bridge_system_from_json,
 )
+from beamwave.cli import build_preset
 from beamwave.errors import ConfigError, PreconditionError
 from beamwave.grid import TorusGrid, transform
 
@@ -23,7 +25,7 @@ def test_quadratic_nonlinearity_evaluate():
     F = QuadraticNonlinearity(g, [(2.0, 0, 3)])  # 2 y theta
     y = transform(g, np.cos(g.x))
     th = transform(g, np.sin(g.x))
-    _, sys = make_system(32)
+    _, sys = make_system(32, F1=F)  # its jets hold the slots F reads
     jets = sys.jets(y.coeffs, th.coeffs)
     vals = F.evaluate(jets)
     assert np.max(np.abs(vals.real - 2.0 * np.cos(g.x) * np.sin(g.x))) < 1e-10
@@ -32,7 +34,7 @@ def test_quadratic_nonlinearity_evaluate():
 def test_partial_values_affine():
     g = TorusGrid(32)
     F = QuadraticNonlinearity(g, [(1.0, 5, 5)])  # theta_xx^2
-    _, sys = make_system(32)
+    _, sys = make_system(32, F2=F)
     th = transform(g, np.sin(2 * g.x))
     jets = sys.jets(np.zeros(g.n, dtype=complex), th.coeffs)
     dF = F.partial_values(5, jets)
@@ -118,6 +120,96 @@ def test_real_rhs_matches_grid_products_of_spectral_derivatives():
     for got, values in ((ytt, beam), (thtt, wave)):
         expect = transform(g, values).coeffs
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.fixture
+def fft_calls_of(monkeypatch):
+    """fft_calls_of(f, *args) calls f(*args) and returns the FFTs made through
+    beamwave.bridge's numpy (by any module), as (name, number of rows)."""
+    calls = []
+    fft = beamwave.bridge.np.fft
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _name=name, _fn=getattr(fft, name), **kwargs):
+            calls.append((_name, int(np.prod(np.shape(a)[:-1]))))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(fft, name, counted)
+
+    def calls_of(f, *args):
+        calls.clear()
+        f(*args)
+        return list(calls)
+
+    return calls_of
+
+
+def test_real_rhs_with_constant_and_fluctuating_rows_matches_grid_products(fft_calls_of):
+    # beam and wave each mix constant rows (the diagonal symbol), cosine rows
+    # (the FFT pair) and a zero-order row, so both halves of the split act in
+    # one call, against the same grid-product reference as above
+    g = TorusGrid(32)
+    sys = BridgeSystem(g, "cosine:0.3", 1.5, B_terms=[(0.4, 2), ("cosine:0.1", 1), (0.5, 0)],
+                       C_terms=[("cosine:0.2", 1), (-0.3, 0)], alpha=-0.5, beta=-0.25)
+    y = transform(g, np.sin(g.x) + 0.3 * np.cos(3 * g.x))
+    yt = transform(g, 0.5 * np.cos(2 * g.x))
+    th = transform(g, np.sin(2 * g.x) - 0.2 * np.cos(g.x))
+    tht = transform(g, 0.4 * np.sin(3 * g.x))
+    ytt, thtt = sys.real_rhs(y.coeffs, yt.coeffs, th.coeffs, tht.coeffs, 0.0)
+    # the three cosine rows go to the grid, summed per unknown before the forward FFT
+    args = (y.coeffs, yt.coeffs, th.coeffs, tht.coeffs)
+    assert fft_calls_of(sys.linear_rhs, *args) == [("ifft", 3), ("fft", 2)]
+
+    def products(terms, u):
+        return sum(coeff.values() * u.deriv(k).values() for coeff, k in terms)
+
+    beam = products([(-sys.b, 4)] + sys.B_terms, y) + sys.alpha * yt.values()
+    wave = products([(sys.c, 2)] + sys.C_terms, th) + sys.beta * tht.values()
+    for got, values in ((ytt, beam), (thtt, wave)):
+        expect = transform(g, values).coeffs
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_headline_stage_transforms_one_row_each_way(fft_calls_of):
+    # F2 = theta_xx^2 with b = c = 1: the linear part is diagonal, the jet is
+    # the one slot theta_xx, and F1 = 0 is not transformed
+    g = TorusGrid(64)
+    sys, fields = build_preset("headline", g)
+    y, yt, th, tht = (u.coeffs for u in fields)
+    assert fft_calls_of(sys.real_rhs, y, yt, th, tht, 0.0) == [("ifft", 1), ("fft", 1)]
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
+def test_constant_coefficient_linear_part_makes_no_fft(preset, fft_calls_of):
+    sys, fields = build_preset(preset, TorusGrid(32))
+    assert fft_calls_of(sys.linear_rhs, *(u.coeffs for u in fields)) == []
+
+
+def test_nonlinearity_holds_its_coefficient_values(fft_calls_of):
+    g = TorusGrid(32)
+    F = QuadraticNonlinearity(g, [("cosine:0.5", 0, 3), (2.0, 5, 5)])
+    jets = np.random.default_rng(0).standard_normal((6, 3, g.n)) + 0j
+    assert fft_calls_of(F.evaluate, jets) == []
+    assert fft_calls_of(F.partial_values, 5, jets) == []
+    assert fft_calls_of(F.partial_affine_bounds, 5, 0.1) == []
+    # the held values are the coefficients' grid values
+    expect = (1.0 + 0.5 * np.cos(g.x)) * jets[0] * jets[3] + 2.0 * jets[5] ** 2
+    assert np.max(np.abs(F.evaluate(jets) - expect)) < 1e-12
+
+
+def test_read_slot_jets_equal_the_six_slot_jets():
+    g = TorusGrid(32)
+    F1 = QuadraticNonlinearity(g, [(1.0, 0, 4)])
+    F2 = QuadraticNonlinearity(g, [(0.5, 2, 5), (1.0, 5, 5)])
+    sys = BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2)
+    assert sys.jet_slots == [0, 2, 4, 5]
+    rng = np.random.default_rng(1)
+    y_hat, th_hat = rng.standard_normal((2, 3, g.n)) + 1j * rng.standard_normal((2, 3, g.n))
+    read, full = sys.jets(y_hat, th_hat), sys.jets(y_hat, th_hat, slots=range(6))
+    assert read.shape == full.shape == (6, 3, g.n)
+    assert np.max(np.abs(read[sys.jet_slots] - full[sys.jet_slots])) <= 1e-15 * np.max(np.abs(full))
+    assert np.all(np.isnan(read[[1, 3]])) and not np.any(np.isnan(full))
+    assert np.array_equal(F1.evaluate(read), F1.evaluate(full))
+    assert np.array_equal(F2.partial_values(5, read), F2.partial_values(5, full))
 
 
 def test_json_roundtrip():

@@ -172,6 +172,18 @@ def test_exit_code_precondition_cfl():
     assert run_cli(["simulate", "--preset", "linear", "--n", "32", "--dt", "1.0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [SIMULATE + ["--T", "-1"], SIMULATE + ["--T", "0"], SIMULATE + ["--dt", "-1"],
+     SIMULATE + ["--eps", "-1"], SIMULATE + ["--cfl-safety", "2"]],
+    ids=["negative_T", "zero_T", "negative_dt", "negative_eps", "cfl_safety_above_1"],
+)
+def test_exit_code_precondition_inputs(args, tmp_path, capsys):
+    assert run_cli(args + ["--n", "32", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "precondition failure" in err and "Traceback" not in err
+
+
 def test_sweep_requires_two_values(tmp_path):
     assert (
         run_cli(["sweep", "--axis", "N", "--values", "32", "--outdir", str(tmp_path)]) == 3

@@ -19,7 +19,14 @@ from beamwave.evolve import (
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.cli import PRESETS, build_preset
-from beamwave.state import StateVector, complexify, is_conjugate_pair, realify, stacked_norm
+from beamwave.state import (
+    StateVector,
+    complexify,
+    is_conjugate_pair,
+    realify,
+    stacked_from_real,
+    stacked_norm,
+)
 
 
 def make_fields(g, amp=1e-2):
@@ -115,6 +122,31 @@ def test_blow_up_guard_stops_both_solvers():
     forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: np.nan)
     with pytest.raises(NumericalError, match="non-finite"):
         oracle_solve(forced, *fields, cfg)
+
+
+def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
+    g = TorusGrid(16)
+    cfg = SolverConfig(T_final=0.01)
+    para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0), g)
+    steps = cfg.resolve_dt(g, 1.0)[1]
+    forcing = np.zeros((steps + 1, 4 * g.n), dtype=complex)
+    forcing[steps // 2, [1, 1 + g.n]] = 1e12  # finite, in the velocity of one mode
+    with pytest.raises(NumericalError, match="blow-up guard"):
+        linear_solve(para, None, complexify(*make_fields(g)).stacked(), forcing, cfg)
+
+
+def test_march_stores_the_stacked_nodes_and_their_norms():
+    # the nodes are complexified and normed in batches after the march: each
+    # stored norm is stacked_norm of its stored node, bit for bit
+    g, sys = headline_system(32)
+    fields = make_fields(g)
+    cfg = SolverConfig(T_final=0.1)  # 12 nodes: a full batch and a part of one
+    run = oracle_solve(sys, *fields, cfg)
+    assert run.trajectory.shape == (12, 4 * g.n)
+    assert np.array_equal(run.trajectory[0], stacked_from_real(g, *(u.coeffs for u in fields)))
+    for key in ("s0", "s1"):
+        s = getattr(cfg.ladder, key)
+        assert np.array_equal(run.norms[key], [stacked_norm(g, v, s) for v in run.trajectory])
 
 
 def test_trivial_kato_one_sweep_exact():
@@ -290,6 +322,18 @@ def test_kato_checks_the_exact_margin_not_the_speeds():
     assert np.min(1.0 + theta) > 0.8
     s1 = config.ladder.s1
     assert trajectory_gap(g, kat, orc, s1) <= 1e-4 * orc.sup_norm(s1)
+
+
+def test_kato_radius_at_t0_takes_every_jet_slot():
+    # F2 = theta_xx^2 reads theta_xx only, and the data leave it zero; the
+    # beam jet of size 1 still sets the radius, 1 - 2 * 2R < 0, so the solve
+    # is refused (exit code 3) as when the jet was taken over all six slots
+    g, sys = headline_system(32)
+    zero = transform(g, 0.0 * g.x)
+    V0 = complexify(transform(g, np.cos(g.x)), zero, zero, zero).stacked()
+    with pytest.raises(PreconditionError, match="smallness radius"):
+        kato_solve(sys, V0, SolverConfig(T_final=0.01))
+    assert sys.check_radius_condition(1e-12) > 0  # the read slot alone would pass
 
 
 def test_kato_refuses_initial_data_that_is_not_a_conjugate_pair():

@@ -23,6 +23,7 @@ from beamwave.state import (
     parity_join,
     parity_split,
     real_from_stacked,
+    real_norm_weights,
     realify,
     stacked_from_real,
     stacked_inner,
@@ -169,6 +170,15 @@ def test_batched_stacked_norm_equals_per_vector_norms():
         single = [[stacked_norm(g, v, s) for v in row] for row in traj]
         assert isinstance(single[0][0], float)
         assert np.array_equal(batched, np.array(single))
+
+
+def test_real_norm_weights_give_the_stacked_norm_off_conjugate_pairs_too():
+    g = TorusGrid(32)
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal((4, g.n)) + 1j * rng.standard_normal((4, g.n))
+    for s in (0.0, 1.5, 2.5):
+        direct = np.sqrt(np.sum(real_norm_weights(g, s) * np.abs(u) ** 2))
+        assert abs(direct - stacked_norm(g, stacked_from_real(g, *u), s)) <= 1e-14 * direct
 
 
 def test_parity_halves_round_trip_and_carry_the_real_state():
