@@ -7,7 +7,10 @@ with B_cal = -b(x) d_x^4 + B, W_cal = c(x) d_x^2 + C, B and C finite sums
 of coefficient * d_x^k with k <= 2, and F1, F2 quadratic homogeneous in the
 jet (y, y_x, y_xx, theta, theta_x, theta_xx).  Nonlinearities are stored as
 explicit term lists so their partial derivatives (needed by the
-paralinearization symbols and the parity/radius checks) are exact.
+paralinearization symbols and the parity/radius checks) are exact.  The
+stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t) of shape
+(4, ..., n) to its derivative, one new array that the linear part, the jets
+and the dealiased F's write into.
 """
 
 import json
@@ -36,9 +39,10 @@ class QuadraticNonlinearity:
         # each coefficient's grid values, transformed once
         self._values = [(np.asarray(co.values(), dtype=complex), ia, ib) for co, ia, ib in self.terms]
 
-    def evaluate(self, jets):
-        """Grid values of F at jet values ``jets`` (shape (6, ..., n))."""
-        out = np.zeros(jets.shape[1:], dtype=complex)
+    def evaluate(self, jets, out=None):
+        """Grid values of F at jet values ``jets`` (shape (6, ..., n)), added
+        to ``out`` (..., n) if given."""
+        out = np.zeros(jets.shape[1:], dtype=complex) if out is None else out
         for cv, ia, ib in self._values:
             out += cv * jets[ia] * jets[ib]
         return out
@@ -70,22 +74,14 @@ class QuadraticNonlinearity:
         for coeff, ia, ib in self.terms:
             if JET_PARITY[ia] * JET_PARITY[ib] != -1:
                 return False
-            if not _is_even(coeff):
+            if not _has_parity(coeff.grid, coeff.coeffs, +1):
                 return False
         return True
 
 
-def _flip(u):
-    """u(-x) as a SpectralFunction."""
-    return SpectralFunction(u.grid, u.coeffs[u.grid.reflect], u.is_real)
-
-
-def _is_even(u, tol=1e-10):
-    return float(np.max(np.abs(_flip(u).coeffs - u.coeffs))) <= tol
-
-
-def _is_odd_coeffs(grid, coeffs, tol=1e-10):
-    return float(np.max(np.abs(coeffs[grid.reflect] + coeffs))) <= tol
+def _has_parity(grid, coeffs, sign, tol=1e-10):
+    """True iff coeffs(-j) = sign * coeffs(j) within tol: an even (+1) or odd (-1) function."""
+    return float(np.max(np.abs(coeffs[grid.reflect] - sign * coeffs))) <= tol
 
 
 class BridgeSystem:
@@ -123,10 +119,7 @@ class BridgeSystem:
         for _, k in self.B_terms + self.C_terms:
             if k > 2 or k < 0:
                 raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.delta = float(delta)
+        self.alpha, self.beta, self.gamma, self.delta = map(float, (alpha, beta, gamma, delta))
         self.f_b = f_b if f_b is not None else (lambda t: 0.0)
         self.f_w = f_w if f_w is not None else np.sin
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
@@ -143,18 +136,19 @@ class BridgeSystem:
         self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows])
         self._row_mult = np.array([d**k for _, _, k in rows])
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
+        self._damping = np.array([self.alpha, self.beta], dtype=complex)
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
-        self._live_F = [i for i, F in enumerate((self.F1, self.F2)) if F.terms]
-        self._d_powers = (1.0, d, d**2)
+        self._live_F = [F for F in (self.F1, self.F2) if F.terms]
+        # the rows of (y_t, y_tt, theta_t, theta_tt) the live F's add to: y_tt, theta_tt or both
+        self._F_rows = slice(1 if self.F1.terms else 3, 4 if self.F2.terms else 2, 2)
+        # per jet slot, the dealias projection times (ij)^(slot mod 3), complex (no casts)
+        self._jet_mult = [np.where(grid.dealias_mask, p, 0j) for p in (1.0, d, d**2)] * 2
 
     # -- right-hand side ---------------------------------------------
 
-    def _dealias(self, coeffs):
-        return np.where(self.grid.dealias_mask, coeffs, 0.0)
-
     def dealiased_hats(self, values):
         """Dealiased Fourier coefficients of grid values (..., n)."""
-        return self._dealias(np.fft.fft(values, norm="forward"))
+        return np.where(self.grid.dealias_mask, np.fft.fft(values, norm="forward"), 0.0)
 
     def jets(self, y_hat, th_hat, slots=None):
         """Dealias-projected jet values (6, ..., n) from coefficient arrays
@@ -163,50 +157,53 @@ class BridgeSystem:
         slots = self.jet_slots if slots is None else list(slots)
         out = np.full((6,) + np.shape(y_hat), np.nan, dtype=complex)
         if slots:
-            rows = [self._dealias((y_hat, th_hat)[slot // 3]) * self._d_powers[slot % 3]
-                    for slot in slots]
-            out[slots] = np.fft.ifft(np.stack(rows), norm="forward")
+            rows = np.empty((len(slots),) + np.shape(y_hat), dtype=complex)
+            for row, slot in zip(rows, slots):
+                np.multiply((y_hat, th_hat)[slot // 3], self._jet_mult[slot], out=row)
+            out[slots] = np.fft.ifft(rows, norm="forward", out=rows)
         return out
 
-    def nonlinearity_hats(self, jets):
-        """Dealiased Fourier coefficients (2, ..., n) of F1, F2 at the jet
-        values ``jets``; an F without terms is zero and is not transformed."""
-        out = np.zeros((2,) + jets.shape[1:], dtype=complex)
-        if self._live_F:
-            values = [(self.F1, self.F2)[i].evaluate(jets) for i in self._live_F]
-            out[self._live_F] = self.dealiased_hats(np.stack(values))
-        return out
+    def add_nonlinearity_hats(self, jets, du):
+        """Add the dealiased Fourier coefficients of F1, F2 at the jet values
+        ``jets`` (6, ..., n) to the accelerations du[1], du[3] of a derivative
+        (4, ..., n); an F without terms adds nothing and is not transformed."""
+        values = np.zeros((len(self._live_F),) + jets.shape[1:], dtype=complex)
+        for F, row in zip(self._live_F, values):
+            F.evaluate(jets, row)
+        hats, rows = np.fft.fft(values, norm="forward", out=values), du[self._F_rows]
+        np.add(rows, hats, out=rows, where=self.grid.dealias_mask)  # dealiased
 
-    def linear_rhs(self, y_hat, yt_hat, th_hat, tht_hat):
-        """(B_cal y + alpha y_t, W_cal theta + beta theta_t) on coefficient
-        arrays (..., n), which may be complex.  Fluctuations multiply on the
-        grid without dealiasing, so each coeff d^k acts, with its mean on the
-        diagonal, as the circulant Fourier matrix of coeff times (ij)^k."""
-        u = (y_hat, th_hat)
-        out = [self._symbol[0] * y_hat + self.alpha * yt_hat,
-               self._symbol[1] * th_hat + self.beta * tht_hat]
+    def linear_rhs(self, u):
+        """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one
+        new array, from real states u = (y, y_t, theta, theta_t) of shape (4, ..., n),
+        which may be complex.  Fluctuations multiply on the grid without
+        dealiasing: each coeff d^k acts as the circulant of coeff times (ij)^k."""
+        du = np.empty(np.shape(u), dtype=complex)
+        lead = (2,) + (1,) * (du.ndim - 2)
+        du[0::2] = u[1::2]
+        np.multiply(self._symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
+        if self.alpha or self.beta:
+            du[1::2] += self._damping.reshape(lead + (1,)) * u[1::2]
         if self._row_unknown.size:
-            rows = np.stack([u[i] * m for i, m in zip(self._row_unknown, self._row_mult)], axis=-2)
+            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * self._row_mult
             # fft(f * ifft(u) * n) / n: the factors n cancel
             products = self._row_values * np.fft.ifft(rows)
             sums = np.fft.fft(np.add.reduceat(products, self._row_starts, axis=-2))
-            for j, i in enumerate(self._unknowns):
-                out[i] = out[i] + sums[..., j, :]
-        return tuple(out)
+            du[2 * self._unknowns + 1] += np.moveaxis(sums, -2, 0)
+        return du
 
-    def real_rhs(self, y_hat, yt_hat, th_hat, tht_hat, t):
-        """(y_tt, theta_tt) coefficient arrays; inputs may be complex
-        (analytic continuation used by the complexified system)."""
-        ytt, thtt = self.linear_rhs(y_hat, yt_hat, th_hat, tht_hat)
+    def real_rhs(self, u, t):
+        """The derivative (y_t, y_tt, theta_t, theta_tt) at time t as one new array,
+        from real states u (4, ..., n); u may be complex (the analytic
+        continuation the complexified system uses)."""
+        du = self.linear_rhs(u)
         if self._live_F:
-            f1, f2 = self.nonlinearity_hats(self.jets(y_hat, th_hat))
-            ytt += f1
-            thtt += f2
+            self.add_nonlinearity_hats(self.jets(u[0], u[2]), du)
         if self.gamma != 0.0:
-            ytt[0] += self.gamma * self.f_b(t)
+            du[1, ..., 0] += self.gamma * self.f_b(t)
         if self.delta != 0.0:
-            thtt[0] += self.delta * self.f_w(t)
-        return ytt, thtt
+            du[3, ..., 0] += self.delta * self.f_w(t)
+        return du
 
     # -- hypotheses ---------------------------------------------------
 
@@ -252,8 +249,8 @@ class BridgeSystem:
         g = self.grid
         for j in range(1, min(5, g.n // 2)):
             s = transform(g, np.sin(j * g.x)).coeffs
-            for out in self.linear_rhs(s, 0.0 * s, s, 0.0 * s):
-                if not _is_odd_coeffs(g, out, tol=1e-9):
+            for out in self.linear_rhs(np.array([s, 0.0 * s, s, 0.0 * s])):
+                if not _has_parity(g, out, -1, tol=1e-9):
                     return False
         return True
 

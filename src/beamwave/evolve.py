@@ -1,17 +1,18 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
-(``_rk4``) and one march (``_march``) of the real coefficients (4, n) of
-(y, y_t, theta, theta_t); it guards each node in real form, then complexifies
-the stored nodes and takes their norms in batches:
+(``_rk4``, of a stage (4, n) -> (4, n), summed in place) and one march
+(``_march``) of the real coefficients (4, n) of (y, y_t, theta, theta_t); it
+guards each node in real form, then complexifies the stored nodes in place
+and takes their norms, in batches:
 
-* ``oracle_solve`` -- direct method-of-lines RK4 on the real system using
-  pseudo-spectral derivatives and de-aliased pointwise nonlinearities; it
-  never touches the paradifferential machinery and serves as the
-  independent validator.
+* ``oracle_solve`` -- direct method-of-lines RK4 on the real system, whose
+  stage is ``BridgeSystem.real_rhs`` itself (pseudo-spectral derivatives and
+  de-aliased pointwise nonlinearities); it never touches the
+  paradifferential machinery and serves as the independent validator.
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
-  half-step heat factors around an explicit RK4 step of the frozen
+  half-step heat factors (skipped at eps = 0) around an RK4 step of the frozen
   paradifferential part, in its real form; backgrounds (as g-functions) and
   forcing are given at the nodes.
 * ``kato_solve`` -- the iteration (P)_n: sweep 1 solves the linear system at
@@ -128,12 +129,7 @@ class SolverConfig:
             "cfl_safety": self.cfl_safety,
             "kato_tol": self.kato_tol,
             "kato_max_iter": self.kato_max_iter,
-            "ladder": {
-                "s0": self.ladder.s0,
-                "s1": self.ladder.s1,
-                "s2": self.ladder.s2,
-                "s": self.ladder.s,
-            },
+            "ladder": {key: getattr(self.ladder, key) for key in ("s0", "s1", "s2", "s")},
         }
 
 
@@ -241,14 +237,20 @@ def _time_grid(sys, config):
     return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)))
 
 
-def _rk4(f, u, dt):
-    """One classical RK4 step of du/dt = f(stage, u); stage 0, 1, 2 is the
-    start, midpoint and end of the step."""
-    k1 = f(0, u)
-    k2 = f(1, u + 0.5 * dt * k1)
-    k3 = f(1, u + 0.5 * dt * k2)
-    k4 = f(2, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(f, u, dt, args):
+    """One classical RK4 step of du/dt = f(u, a), with a = args[0], args[1],
+    args[2] at the start, midpoint and end of the step (the times, or the
+    forcing there).  f returns a new array, which the step may overwrite:
+    k1 + 2 k2 + 2 k3 + k4 accumulates in k1's buffer, in that order."""
+    acc = f(u, args[0])
+    k = f(u + 0.5 * dt * acc, args[1])
+    acc += 2.0 * k
+    k = f(u + 0.5 * dt * k, args[1])
+    acc += 2.0 * k
+    acc += f(u + dt * k, args[2])
+    acc *= dt / 6.0
+    acc += u
+    return acc
 
 
 def _march(grid, ladder, dt, steps, u0, step):
@@ -257,11 +259,11 @@ def _march(grid, ladder, dt, steps, u0, step):
 
     The blow-up guard runs at every node, on the real state: a non-finite
     state, or an H^{s1} norm above 1e6 times the initial one, raises
-    ``NumericalError``.  The stacked forms and norms follow in place, in
-    batches of 8 nodes (few temporaries); a batch gives each norm bit for bit."""
+    ``NumericalError``.  Each batch of 8 stored nodes is then complexified in
+    place and normed; a batch gives each node's stacked form and norm bit for bit."""
     n = grid.n
     traj = np.empty((steps + 1, 4 * n), dtype=complex)
-    weights = real_norm_weights(grid, ladder.s1)
+    weights = real_norm_weights(grid, ladder.s1).astype(complex)  # as u: no cast per node
     u = u0
     for k in range(steps + 1):
         if k:
@@ -277,7 +279,7 @@ def _march(grid, ladder, dt, steps, u0, step):
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
     for a in range(0, steps + 1, 8):
         chunk = traj[a:a + 8]
-        chunk[:] = stacked_from_real(grid, *np.moveaxis(chunk.reshape(-1, 4, n), 1, 0))
+        stacked_from_real(grid, *np.moveaxis(chunk.reshape(-1, 4, n), 1, 0), out=chunk)
         for key, vals in norms.items():
             vals[a:a + 8] = stacked_norm(grid, chunk, getattr(ladder, key))
     return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
@@ -300,13 +302,10 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (4 * n,):
         raise PreconditionError("initial state must be a stacked 4n vector")
-    paths = []
-    for name, path, shape in (("background", background_path, (3, steps + 1, n)),
-                              ("forcing", forcing_path, (steps + 1, 4 * n))):
+    bg, f = background_path, forcing_path
+    for name, path, shape in (("background", bg, (3, steps + 1, n)), ("forcing", f, (steps + 1, 4 * n))):
         if path is not None and np.shape(path) != shape:
             raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
-        paths.append(path)
-    bg, f = paths
     if f is not None:
         f = np.stack(real_from_stacked(grid, np.asarray(f, dtype=complex)), axis=1)
 
@@ -315,8 +314,10 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
 
     def step(k, u):
         A = para.real_generator(linear_part, None if bg is None else 0.5 * (bg[:, k] + bg[:, k + 1]))
-        fk = (0.0,) * 3 if f is None else (f[k], 0.5 * (f[k] + f[k + 1]), f[k + 1])
-        return half * _rk4(lambda stage, u: A(u) + fk[stage], half * u, dt)
+        fk = (None,) * 3 if f is None else (f[k], 0.5 * (f[k] + f[k + 1]), f[k + 1])
+        # at eps = 0 the heat factors are all ones, and skipped
+        u = _rk4(A, half * u if config.eps else u, dt, fk)
+        return half * u if config.eps else u
 
     return _march(grid, config.ladder, dt, steps, np.array(real_from_stacked(grid, V0)), step)
 
@@ -383,14 +384,9 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     dt, steps = _time_grid(sys, config)
     state = np.array([u.coeffs for u in (y0, y1, theta0, theta1)], dtype=complex)
 
-    def rhs(u, t):
-        yc, ytc, thc, thtc = u
-        ytt, thtt = sys.real_rhs(yc, ytc, thc, thtc, t)
-        return np.array([ytc, ytt, thtc, thtt])
-
     def step(k, state):
         t = k * dt
-        return _rk4(lambda stage, u: rhs(u, t + 0.5 * stage * dt), state, dt)
+        return _rk4(sys.real_rhs, state, dt, (t, t + 0.5 * dt, t + dt))
 
     return _march(grid, config.ladder, dt, steps, state, step)
 

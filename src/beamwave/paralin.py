@@ -167,11 +167,7 @@ class ParalinearizedSystem:
         (4, ..., n): L = frakA(0) + R, (y_t, y_tt, theta_t, theta_tt) from
         ``linear_rhs``; without R, frakA(0)'s halves by the odd rule above."""
         if include_R:
-            def L(u):
-                ytt, thtt = self.source.linear_rhs(*u)
-                return np.array([u[1], ytt, u[3], thtt])
-
-            return L
+            return self.source.linear_rhs
         n = self.grid.n
         D = np.concatenate(complex_weights(self.grid))
         pm, mp = self._A0
@@ -186,13 +182,16 @@ class ParalinearizedSystem:
 
     def real_generator(self, linear_part, g=None):
         """The frozen generator frakA(V) + frakB(V) (+ R) in real form: u ->
-        linear_part(u) plus the background blocks at the g-functions g of V."""
+        linear_part(u) plus the background blocks at the g-functions g of V,
+        plus a ``forcing`` (4, ..., n) if given."""
         blocks = () if g is None else self.background_blocks(g)
 
-        def apply(u):
+        def apply(u, forcing=None):
             du = linear_part(u)
             for out, inp, P in blocks:
                 du[out] += P @ u[inp]
+            if forcing is not None:
+                du += forcing
             return du
 
         return apply
@@ -213,9 +212,8 @@ class ParalinearizedSystem:
 
     def full_rhs(self, vec, t=0.0):
         """Exact complexified right-hand side on a stacked vector."""
-        y, y_t, th, th_t = real_from_stacked(self.grid, np.asarray(vec, dtype=complex))
-        ytt, thtt = self.source.real_rhs(y, y_t, th, th_t, t)
-        return stacked_from_real(self.grid, y_t, ytt, th_t, thtt)
+        u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
+        return stacked_from_real(self.grid, *self.source.real_rhs(u, t))
 
     def _G_accelerations(self, t):
         """Zero-mode gamma f_b(t), delta f_w(t): (2, ..., n) for times t (...)."""
@@ -246,8 +244,10 @@ class ParalinearizedSystem:
         holds ``self.prepass(vec)``); P is applied node by node."""
         vec = np.asarray(vec, dtype=complex)
         jets, g = self.prepass(vec) if prepass is None else prepass
-        f1, f2 = self.source.nonlinearity_hats(jets) + self._G_accelerations(t)
-        r, u = (0.0, f1, 0.0, f2), real_from_stacked(self.grid, vec)
+        r = np.zeros((4,) + vec.shape[:-1] + (self.grid.n,), dtype=complex)
+        r[1::2] = self._G_accelerations(t)
+        self.source.add_nonlinearity_hats(jets, r)
+        u = real_from_stacked(self.grid, vec)
         for idx in np.ndindex(vec.shape[:-1]):
             for out, inp, P in self.background_blocks(g[(slice(None),) + idx]):
                 r[out][idx] -= P @ u[inp][idx]

@@ -41,13 +41,20 @@ def complex_weights(grid):
     return br, np.sqrt(br)
 
 
-def stacked_from_real(grid, y, y_t, theta, theta_t):
+def stacked_from_real(grid, y, y_t, theta, theta_t, out=None):
     """Coefficient arrays (y, y_t, theta, theta_t) of shape (..., n) -> stacked
-    (z, zbar, w, wbar) of shape (..., 4n)."""
-    out = []
-    for D, u, u_t in zip(complex_weights(grid), (y, theta), (y_t, theta_t)):
-        out += [(D * u + 1j * u_t / D) / _RT2, (D * u - 1j * u_t / D) / _RT2]
-    return np.concatenate(out, axis=-1)
+    (z, zbar, w, wbar) of shape (..., 4n), written into ``out`` if given, which
+    may hold the inputs in the same slots.  numpy divides a complex by a real as
+    a product with the reciprocal, so these products give the quotients' bits."""
+    shape = np.broadcast_shapes((grid.n,), *map(np.shape, (y, y_t, theta, theta_t)))
+    out = np.empty(shape[:-1] + (4 * grid.n,), dtype=complex) if out is None else out
+    slots = out.reshape(shape[:-1] + (4, grid.n))
+    for i, (D, u, u_t) in enumerate(zip(complex_weights(grid), (y, theta), (y_t, theta_t))):
+        a, b, pair = D * u, u_t * (1j / D), slots[..., 2 * i:2 * i + 2, :]
+        np.add(a, b, out=pair[..., 0, :])
+        np.subtract(a, b, out=pair[..., 1, :])
+        pair *= 1.0 / _RT2
+    return out
 
 
 def real_from_stacked(grid, vec):
@@ -108,13 +115,12 @@ class StateVector:
 def stacked_norm(grid, vec, s):
     """H^s norm sqrt((1/2) sum_c ||v_c||^2_{H^s}) of stacked vectors (..., 4n):
     a float for one vector, an array over the leading axes otherwise."""
-    w = grid.bracket_power(s) ** 2
-    vec = np.asarray(vec)
-    per_component = np.sum(np.abs(vec.reshape(vec.shape[:-1] + (4, grid.n))) ** 2 * w, axis=-1)
+    v = np.reshape(vec, np.shape(vec)[:-1] + (4, grid.n))
+    per_component = np.sum((v.real**2 + v.imag**2) * grid.bracket_power(s) ** 2, axis=-1)
     # the components summed one by one, in order, as for a single vector, so
     # a batch gives each vector's norm bit for bit
     norm = np.sqrt(sum(np.moveaxis(0.5 * per_component, -1, 0)))
-    return float(norm) if vec.ndim == 1 else norm
+    return float(norm) if v.ndim == 2 else norm
 
 
 def real_norm_weights(grid, s):

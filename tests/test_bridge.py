@@ -91,7 +91,7 @@ def test_real_rhs_linear_modes():
     y = transform(g, np.cos(2 * g.x))
     th = transform(g, np.sin(3 * g.x))
     z = np.zeros(g.n, dtype=complex)
-    ytt, thtt = sys.real_rhs(y.coeffs, z, th.coeffs, z, 0.0)
+    _, ytt, _, thtt = sys.real_rhs(np.array([y.coeffs, z, th.coeffs, z]), 0.0)
     assert np.max(np.abs(ytt + 16.0 * y.coeffs)) < 1e-10
     assert np.max(np.abs(thtt + 9.0 * th.coeffs)) < 1e-10
 
@@ -107,7 +107,7 @@ def test_real_rhs_matches_grid_products_of_spectral_derivatives():
     yt = transform(g, 0.5 * np.cos(2 * g.x))
     th = transform(g, np.sin(2 * g.x) - 0.2 * np.cos(g.x))
     tht = transform(g, 0.4 * np.sin(3 * g.x))
-    ytt, thtt = sys.real_rhs(y.coeffs, yt.coeffs, th.coeffs, tht.coeffs, 0.0)
+    _, ytt, _, thtt = sys.real_rhs(np.array([y.coeffs, yt.coeffs, th.coeffs, tht.coeffs]), 0.0)
 
     def lower_order(terms, u):
         return sum(coeff.values() * u.deriv(k).values() for coeff, k in terms)
@@ -154,10 +154,10 @@ def test_real_rhs_with_constant_and_fluctuating_rows_matches_grid_products(fft_c
     yt = transform(g, 0.5 * np.cos(2 * g.x))
     th = transform(g, np.sin(2 * g.x) - 0.2 * np.cos(g.x))
     tht = transform(g, 0.4 * np.sin(3 * g.x))
-    ytt, thtt = sys.real_rhs(y.coeffs, yt.coeffs, th.coeffs, tht.coeffs, 0.0)
+    u = np.array([y.coeffs, yt.coeffs, th.coeffs, tht.coeffs])
+    _, ytt, _, thtt = sys.real_rhs(u, 0.0)
     # the three cosine rows go to the grid, summed per unknown before the forward FFT
-    args = (y.coeffs, yt.coeffs, th.coeffs, tht.coeffs)
-    assert fft_calls_of(sys.linear_rhs, *args) == [("ifft", 3), ("fft", 2)]
+    assert fft_calls_of(sys.linear_rhs, u) == [("ifft", 3), ("fft", 2)]
 
     def products(terms, u):
         return sum(coeff.values() * u.deriv(k).values() for coeff, k in terms)
@@ -174,14 +174,42 @@ def test_headline_stage_transforms_one_row_each_way(fft_calls_of):
     # the one slot theta_xx, and F1 = 0 is not transformed
     g = TorusGrid(64)
     sys, fields = build_preset("headline", g)
-    y, yt, th, tht = (u.coeffs for u in fields)
-    assert fft_calls_of(sys.real_rhs, y, yt, th, tht, 0.0) == [("ifft", 1), ("fft", 1)]
+    u = np.array([f.coeffs for f in fields])
+    assert fft_calls_of(sys.real_rhs, u, 0.0) == [("ifft", 1), ("fft", 1)]
+
+
+def test_real_rhs_on_a_batch_equals_single_state_calls():
+    # variable coefficients (the FFT rows), damping, forcing and both F's: a
+    # (4, 3, n) batch gives each state's derivative as a call on it alone
+    g = TorusGrid(32)
+    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
+    F2 = QuadraticNonlinearity(g, [("cosine:0.2", 2, 5), (0.5, 5, 5)])
+    sys = BridgeSystem(g, "cosine:0.3", 1.5, B_terms=[("cosine:0.1", 1), (0.5, 0)],
+                       C_terms=[(-0.3, 0)], alpha=-0.5, beta=-0.25, gamma=0.7, delta=-0.4,
+                       f_b=np.cos, F1=F1, F2=F2)
+    rng = np.random.default_rng(4)
+    u = 1e-2 * (rng.standard_normal((4, 3, g.n)) + 1j * rng.standard_normal((4, 3, g.n)))
+    batch = sys.real_rhs(u, 0.3)
+    assert batch.shape == (4, 3, g.n)
+    for i in range(3):
+        single = sys.real_rhs(np.ascontiguousarray(u[:, i]), 0.3)
+        assert np.array_equal(batch[:, i], single)
+
+
+def test_linear_rhs_returns_the_velocities_in_rows_0_and_2():
+    g = TorusGrid(32)
+    sys = arioli_gazzola_preset(g, xi_profile="cosine:0.3", alpha=-0.5)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((4, g.n)) + 1j * rng.standard_normal((4, g.n))
+    du = sys.linear_rhs(u)
+    assert du.shape == u.shape and not np.shares_memory(du, u)
+    assert np.array_equal(du[0], u[1]) and np.array_equal(du[2], u[3])
 
 
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_constant_coefficient_linear_part_makes_no_fft(preset, fft_calls_of):
     sys, fields = build_preset(preset, TorusGrid(32))
-    assert fft_calls_of(sys.linear_rhs, *(u.coeffs for u in fields)) == []
+    assert fft_calls_of(sys.linear_rhs, np.array([u.coeffs for u in fields])) == []
 
 
 def test_nonlinearity_holds_its_coefficient_values(fft_calls_of):
@@ -221,8 +249,9 @@ def test_json_roundtrip():
     y = transform(g, np.cos(g.x))
     th = transform(g, np.sin(2 * g.x))
     z = np.zeros(g.n, dtype=complex)
-    a1, b1 = sys.real_rhs(y.coeffs, z, th.coeffs, z, 0.3)
-    a2, b2 = back.real_rhs(y.coeffs, z, th.coeffs, z, 0.3)
+    u = np.array([y.coeffs, z, th.coeffs, z])
+    _, a1, _, b1 = sys.real_rhs(u, 0.3)
+    _, a2, _, b2 = back.real_rhs(u, 0.3)
     assert np.max(np.abs(a1 - a2)) < 1e-10
     assert np.max(np.abs(b1 - b2)) < 1e-10
 

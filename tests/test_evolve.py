@@ -6,6 +6,7 @@ import pytest
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
+    _rk4,
     SolverConfig,
     bona_smith_experiment,
     duhamel_smoothing_ratio,
@@ -64,6 +65,29 @@ def test_resolve_dt_integer_steps_and_cfl():
     assert dt <= cfg.max_stable_dt(g, 1.0) * (1 + 1e-12)
     with pytest.raises(PreconditionError):
         SolverConfig(dt=1.0, T_final=0.1).resolve_dt(g, 1.0)
+
+
+def test_rk4_step_is_the_textbook_combination_bit_for_bit():
+    # the step accumulates k1 + 2 k2 + 2 k3 + k4 in place; on a linear f with
+    # a per-stage shift its result is u + (dt/6)(k1 + 2k2 + 2k3 + k4), evaluated
+    # in that order, to the last bit
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    shifts = rng.standard_normal((3, 4, 16))
+    dt = 0.037
+
+    def f(v, a):
+        return M @ v + a
+
+    k1 = f(u, shifts[0])
+    k2 = f(u + 0.5 * dt * k1, shifts[1])
+    k3 = f(u + 0.5 * dt * k2, shifts[1])
+    k4 = f(u + dt * k3, shifts[2])
+    expect = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u_before = u.copy()
+    assert np.array_equal(_rk4(f, u, dt, shifts), expect)
+    assert np.array_equal(u, u_before)
 
 
 def test_heat_factor_layout():

@@ -48,7 +48,7 @@ def test_full_rhs_matches_real_system():
     from beamwave.state import StateVector, realify
 
     y, yt, th, tht = realify(StateVector.from_stacked(g, V))
-    ytt, thtt = sys.real_rhs(y.coeffs, yt.coeffs, th.coeffs, tht.coeffs, 0.0)
+    _, ytt, _, thtt = sys.real_rhs(np.array([y.coeffs, yt.coeffs, th.coeffs, tht.coeffs]), 0.0)
     rhs = para.full_rhs(V, 0.0)
     br = g.brackets
     rt2 = np.sqrt(2.0)
