@@ -119,7 +119,10 @@ class BridgeSystem:
         for _, k in self.B_terms + self.C_terms:
             if k > 2 or k < 0:
                 raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-        self.alpha, self.beta, self.gamma, self.delta = map(float, (alpha, beta, gamma, delta))
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.gamma = float(gamma)
+        self.delta = float(delta)
         self.f_b = f_b if f_b is not None else (lambda t: 0.0)
         self.f_w = f_w if f_w is not None else np.sin
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
@@ -138,9 +141,8 @@ class BridgeSystem:
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
         self._damping = np.array([self.alpha, self.beta], dtype=complex)
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
-        self._live_F = [F for F in (self.F1, self.F2) if F.terms]
-        # the rows of (y_t, y_tt, theta_t, theta_tt) the live F's add to: y_tt, theta_tt or both
-        self._F_rows = slice(1 if self.F1.terms else 3, 4 if self.F2.terms else 2, 2)
+        # each F with terms and the row of (y_t, y_tt, theta_t, theta_tt) it adds to
+        self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
         # per jet slot, the dealias projection times (ij)^(slot mod 3), complex (no casts)
         self._jet_mult = [np.where(grid.dealias_mask, p, 0j) for p in (1.0, d, d**2)] * 2
 
@@ -168,10 +170,10 @@ class BridgeSystem:
         ``jets`` (6, ..., n) to the accelerations du[1], du[3] of a derivative
         (4, ..., n); an F without terms adds nothing and is not transformed."""
         values = np.zeros((len(self._live_F),) + jets.shape[1:], dtype=complex)
-        for F, row in zip(self._live_F, values):
-            F.evaluate(jets, row)
-        hats, rows = np.fft.fft(values, norm="forward", out=values), du[self._F_rows]
-        np.add(rows, hats, out=rows, where=self.grid.dealias_mask)  # dealiased
+        for (F, _), values_F in zip(self._live_F, values):
+            F.evaluate(jets, values_F)
+        for (_, row), hat in zip(self._live_F, np.fft.fft(values, norm="forward", out=values)):
+            np.add(du[row], hat, out=du[row], where=self.grid.dealias_mask)  # dealiased
 
     def linear_rhs(self, u):
         """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one

@@ -129,7 +129,12 @@ class SolverConfig:
             "cfl_safety": self.cfl_safety,
             "kato_tol": self.kato_tol,
             "kato_max_iter": self.kato_max_iter,
-            "ladder": {key: getattr(self.ladder, key) for key in ("s0", "s1", "s2", "s")},
+            "ladder": {
+                "s0": self.ladder.s0,
+                "s1": self.ladder.s1,
+                "s2": self.ladder.s2,
+                "s": self.ladder.s,
+            },
         }
 
 
@@ -302,10 +307,13 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (4 * n,):
         raise PreconditionError("initial state must be a stacked 4n vector")
-    bg, f = background_path, forcing_path
-    for name, path, shape in (("background", bg, (3, steps + 1, n)), ("forcing", f, (steps + 1, 4 * n))):
+    paths = []
+    for name, path, shape in (("background", background_path, (3, steps + 1, n)),
+                              ("forcing", forcing_path, (steps + 1, 4 * n))):
         if path is not None and np.shape(path) != shape:
             raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
+        paths.append(path)
+    bg, f = paths
     if f is not None:
         f = np.stack(real_from_stacked(grid, np.asarray(f, dtype=complex)), axis=1)
 
