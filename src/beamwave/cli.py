@@ -251,6 +251,8 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
     doc = {"command": "verify", "suite": args.suite, "n": args.n, "preset": args.preset,
            "system": args.system, "seed": args.seed}
     tag = _config_hash(doc)

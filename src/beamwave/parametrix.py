@@ -69,11 +69,11 @@ def _similarity(grid, s1, s2):
     return S1 + S2, S1 - S2
 
 
-def _beam_wave(b, w):
-    """The 2n x 2n half blockdiag(b, w) over (beam, wave) of n x n blocks."""
+def _beam_wave(b, w, bw=0.0, wb=0.0):
+    """The 2n x 2n half [[b, bw], [wb, w]] over (beam, wave) of n x n blocks."""
     n = b.shape[0]
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    M[:n, :n], M[n:, n:] = b, w
+    M = np.empty((2 * n, 2 * n), dtype=complex)
+    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = b, bw, wb, w
     return M
 
 
@@ -199,13 +199,13 @@ class Parametrix:
 
     Phi = D(1 + T) and Psi = (1 - T)D~ are held as their even halves
     Phi+-, Psi+- (2n x 2n over (beam, wave)), with D+- = blockdiag(D_b+-,
-    D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]];
+    D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]], so each
+    half is blockdiag(D+-) or blockdiag(D~+-) plus one coupling block;
     Lambda and L_{2s} as n x n blocks acting on each component.
     """
 
     def __init__(self, para, V, s):
         grid = para.grid
-        n = grid.n
         self.grid = grid
         self.s = float(s)
 
@@ -213,12 +213,12 @@ class Parametrix:
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
         t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
-        eye, T = np.eye(2 * n), np.zeros((2, 2 * n, 2 * n), dtype=complex)
-        T[0, :n, n:], T[1, n:, :n] = 2.0 * t_b, -2.0 * t_w
-        D = map(_beam_wave, self.beam.D_b, self.wave.D_w)
-        Dt = map(_beam_wave, self.beam.D_tilde_b, self.wave.D_tilde_w)
-        self.Phi = tuple(d @ (eye + t) for d, t in zip(D, T))
-        self.Psi = tuple((eye - t) @ d for d, t in zip(Dt, T))
+        (Db_p, Db_m), (Dw_p, Dw_m) = self.beam.D_b, self.wave.D_w
+        (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
+        self.Phi = (_beam_wave(Db_p, Dw_p, bw=Db_p @ (2.0 * t_b)),
+                    _beam_wave(Db_m, Dw_m, wb=Dw_m @ (-2.0 * t_w)))
+        self.Psi = (_beam_wave(Dtb_p, Dtw_p, bw=(-2.0 * t_b) @ Dtw_p),
+                    _beam_wave(Dtb_m, Dtw_m, wb=(2.0 * t_w) @ Dtb_m))
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
         self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
@@ -229,13 +229,15 @@ class Parametrix:
         self.L2s_w = _op(transform(grid, lam_w.values().real ** s2), mult)
 
     def phi(self, vec):
-        """Phi V on a stacked vector: Phi+ on its p half, Phi- on its m half."""
-        return parity_join(*(h @ u for h, u in zip(self.Phi, parity_split(vec))))
+        """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
+        return parity_join(*(u @ h.T for h, u in zip(self.Phi, parity_split(vec))))
 
     def l2s(self, vec):
-        """L_{2s} V: the beam block on z and z-bar, the wave block on w and w-bar."""
+        """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
+        the wave block on w and w-bar."""
         blocks = (self.L2s_b, self.L2s_b, self.L2s_w, self.L2s_w)
-        return np.concatenate([b @ u for b, u in zip(blocks, np.split(np.asarray(vec), 4))])
+        v = np.reshape(vec, np.shape(vec)[:-1] + (4, self.grid.n))
+        return np.concatenate([v[..., i, :] @ b.T for i, b in enumerate(blocks)], axis=-1)
 
 
 def build_parametrix(para, V, s):
@@ -256,45 +258,34 @@ def conjugation_residual(P, para, V=None):
     s = P.s
     L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
     Lam = -1j * _beam_wave(P.Lambda_b, P.Lambda_w)
-    D = list(map(_beam_wave, P.beam.D_b, P.wave.D_w))
-    Dt = list(map(_beam_wave, P.beam.D_tilde_b, P.wave.D_tilde_w))
-
-    def conjugated(X, Y):
-        return X[0] @ L[0] @ Y[1] - Lam, X[1] @ L[1] @ Y[0] - Lam
-
-    def norm(halves, s_in, s_out):
-        return max(exact_operator_norm(grid, h, s_in, s_out, band="resolved") for h in halves)
-
-    off = np.ones((2 * n, 2 * n))
-    off[:n, :n] = off[n:, n:] = 0.0  # keeps the beam-wave coupling blocks of a half
-    M = conjugated(P.Phi, P.Psi)
+    M = P.Phi[0] @ L[0] @ P.Psi[1] - Lam, P.Phi[1] @ L[1] @ P.Psi[0] - Lam
     inv = [psi @ phi - np.eye(2 * n) for psi, phi in zip(P.Psi, P.Phi)]
+    # the coupling blocks D_b+- L_bw D~_w-+, D_w+- L_wb D~_b-+ of D L D~ - Lambda
+    (Db_p, Db_m), (Dw_p, Dw_m) = P.beam.D_b, P.wave.D_w
+    (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = P.beam.D_tilde_b, P.wave.D_tilde_w
+    bare = (Db_p @ L[0][:n, n:] @ Dtw_m, Dw_p @ L[0][n:, :n] @ Dtb_m,
+            Db_m @ L[1][:n, n:] @ Dtw_p, Dw_m @ L[1][n:, :n] @ Dtb_p)
+
+    def norm(blocks, s_out=s):
+        return max(exact_operator_norm(grid, b, s, s_out, band="resolved") for b in blocks)
+
+    # a block-antidiagonal matrix's top singular value is its larger block's
     return {
         "s": s,
         "n": n,
-        "conjugation_norm": norm(M, s, s),
-        "inverse_defect_norm": norm(inv, s, s + 2.0),
-        "offdiag_norm": norm([h * off for h in M], s, s),
-        "offdiag_without_T": norm([h * off for h in conjugated(D, Dt)], s, s),
+        "conjugation_norm": norm(M),
+        "inverse_defect_norm": norm(inv, s + 2.0),
+        "offdiag_norm": norm(b for h in M for b in (h[:n, n:], h[n:, :n])),
+        "offdiag_without_T": norm(bare),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),
     }
 
 
 def modified_energy(P, vec):
-    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on a stacked 4n vector."""
+    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n)."""
     u = P.phi(vec)
-    return float(stacked_inner(P.grid, P.l2s(u), u, 0.0))
-
-
-def _random_mean_zero_state(grid, sigma, rng):
-    """Smooth random conjugate-pair stacked vector with zero mean modes."""
-    n = grid.n
-    decay = grid.bracket_power(-(sigma + 1.0))
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-    z[[0, n // 2]] = w[[0, n // 2]] = 0.0  # the mean and (n even) Nyquist modes
-    return conjugate_pair(grid, z, w)
+    return stacked_inner(P.grid, P.l2s(u), u, 0.0)
 
 
 def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
@@ -313,29 +304,31 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     grid = para.grid
     n = grid.n
     P = build_parametrix(para, V, sigma)
+    # smooth random conjugate pairs with zero mean modes, drawn state by state
+    # as Re z, Im z, Re w, Im w
     rng = np.random.default_rng(seed)
-    j4 = grid.modes.astype(float) ** 4
-    j2 = grid.modes.astype(float) ** 2
-    delta = np.concatenate([j4, j4, j2, j2])
-
-    def garding_defect(vec):
-        nsq = stacked_norm(grid, vec, sigma) ** 2
-        u = P.phi(vec)
-        lhs = float(stacked_inner(grid, P.l2s(P.phi(delta * vec)), u, 0.0))
-        zsq = stacked_norm(grid, np.concatenate([vec[: 2 * n], np.zeros(2 * n)]), sigma + 2.0) ** 2
-        wsq = stacked_norm(grid, np.concatenate([np.zeros(2 * n), vec[2 * n :]]), sigma + 1.0) ** 2
-        return (lhs - 0.25 * (zsq + wsq)) / nsq
-
-    samples = np.array([_random_mean_zero_state(grid, sigma, rng) for _ in range(sample_count)])
+    z_re, z_im, w_re, w_im = np.moveaxis(rng.standard_normal((sample_count, 4, n)), 1, 0)
+    decay = grid.bracket_power(-(sigma + 1.0))
+    z, w = (z_re + 1j * z_im) * decay, (w_re + 1j * w_im) * decay
+    z[:, [0, n // 2]] = w[:, [0, n // 2]] = 0.0  # the mean and (n even) Nyquist modes
+    samples = conjugate_pair(grid, z, w)
     nsq = stacked_norm(grid, samples, sigma) ** 2
-    energy = np.array([modified_energy(P, vec) for vec in samples])
+    energy = modified_energy(P, samples)
     upper = energy / nsq
     lower = energy / np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
     # the binding Garding constant lives at low modes; scan single-mode
     # beam and wave states deterministically over the resolved band
-    eye, zero = np.eye(n, dtype=complex), np.zeros(n, dtype=complex)
-    defects = [garding_defect(conjugate_pair(grid, *zw)) for j in range(1, grid.dealias_cut + 1)
-               for zw in ((eye[j], zero), (zero, eye[j]))]
+    modes = np.eye(n, dtype=complex)[1:grid.dealias_cut + 1]
+    zero = np.zeros_like(modes)
+    states = conjugate_pair(grid, np.concatenate([modes, zero]), np.concatenate([zero, modes]))
+    j = grid.modes.astype(float)
+    delta = np.concatenate([j**4, j**4, j**2, j**2])
+    u, du = P.phi(np.stack([states, delta * states]))
+    lhs = stacked_inner(grid, P.l2s(du), u, 0.0)
+    beam = np.repeat([1.0, 0.0], 2 * n)
+    zsq = stacked_norm(grid, states * beam, sigma + 2.0) ** 2
+    wsq = stacked_norm(grid, states * (1.0 - beam), sigma + 1.0) ** 2
+    defects = (lhs - 0.25 * (zsq + wsq)) / stacked_norm(grid, states, sigma) ** 2
     return {
         "sigma": sigma,
         "n": n,

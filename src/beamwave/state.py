@@ -81,10 +81,10 @@ def parity_join(p, m):
 
 
 def conjugate_pair(grid, z, w):
-    """Stacked (z, zbar, w, wbar) from coefficient arrays z and w, with
-    zbar(j) = conj(z(-j))."""
+    """Stacked (z, zbar, w, wbar) of shape (..., 4n) from coefficient arrays z
+    and w of shape (..., n), with zbar(j) = conj(z(-j))."""
     r = grid.reflect
-    return np.concatenate([z, np.conj(z[r]), w, np.conj(w[r])])
+    return np.concatenate([z, np.conj(z[..., r]), w, np.conj(w[..., r])], axis=-1)
 
 
 class StateVector:
@@ -131,11 +131,11 @@ def real_norm_weights(grid, s):
 
 
 def stacked_inner(grid, u, v, s=0.0):
-    """<U, V> block pairing on stacked vectors (real for conjugate pairs)."""
+    """<U, V> block pairing on stacked vectors (..., 4n) (real for conjugate pairs)."""
     w = grid.bracket_power(s) ** 2
-    shape = (4, grid.n)
-    per_component = np.sum(np.reshape(u, shape) * np.conj(np.reshape(v, shape)) * w, axis=1)
-    return sum(0.5 * per_component).real
+    shape = np.shape(u)[:-1] + (4, grid.n)
+    per_component = np.sum(np.reshape(u, shape) * np.conj(np.reshape(v, shape)) * w, axis=-1)
+    return sum(np.moveaxis(0.5 * per_component, -1, 0)).real
 
 
 def is_conjugate_pair(grid, vec, tol=1e-10):

@@ -98,6 +98,7 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--system", "F2_short_term.json"],
         SIMULATE + ["--system", "B_terms_number.json"],
         SIMULATE + ["--system", "b_without_profile.json"],
+        ["verify", "--suite", "energy", "--n", "32", "--seed=-1"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
@@ -106,7 +107,7 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
          "missing_system_file", "invalid_system_json", "system_not_an_object",
          "system_n_differs_from_n", "system_n_differs_from_default_n",
          "system_alpha_not_a_number", "system_F2_term_too_short", "system_B_terms_not_a_list",
-         "system_b_without_profile"],
+         "system_b_without_profile", "verify_negative_seed"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative system files resolve here

@@ -19,7 +19,14 @@ from beamwave.parametrix import (
     modified_energy,
 )
 from beamwave.quantize import bony_weyl_quantize, exact_operator_norm
-from beamwave.state import complexify, parity_join, parity_split
+from beamwave.state import (
+    complexify,
+    conjugate_pair,
+    parity_join,
+    parity_split,
+    stacked_inner,
+    stacked_norm,
+)
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 
 
@@ -158,15 +165,18 @@ def _beam_wave(B, W):
     return np.block([[B, zero], [zero, W]])
 
 
+def _preset_setup(preset, n):
+    g = TorusGrid(n)
+    sysm, fields = build_preset(preset, g)
+    return g, ParalinearizedSystem(sysm, g), complexify(*fields).stacked()
+
+
 def _dense_reference(preset, n):
     """The stacked 4n x 4n Phi = D(1 + T), Psi = (1 - T)D~, D, D~, Lambda,
     L_{2s}, the generator L = frakA + frakB and T, assembled densely here
     from the scalar pieces of the diagonalizers, the quantized T_1, T_2 and
     the assembled symbols, each 2 x 2 block a stacked symmetric pair."""
-    g = TorusGrid(n)
-    sysm, fields = build_preset(preset, g)
-    para = ParalinearizedSystem(sysm, g)
-    V = complexify(*fields).stacked()
+    g, para, V = _preset_setup(preset, n)
     P = build_parametrix(para, V, 2.5)
 
     def quantized(f, mult=None):
@@ -260,6 +270,83 @@ def test_residual_norms_match_dense_svd(preset):
                 assert abs(got[key] - ref) <= 1e-12 * ref, (key, n, got[key], ref)
             else:
                 assert abs(got[key] - ref) <= 1e-12, (key, n, got[key], ref)
+
+
+def test_parametrix_halves_carry_one_coupling_block_each():
+    # T+ has only a beam-wave block and T- only a wave-beam block, so the
+    # other coupling block of Phi+-, Psi+- is exactly zero
+    g, para, V = _preset_setup("mixed", 32)
+    P = build_parametrix(para, V, 2.5)
+    n = g.n
+    (phi_p, phi_m), (psi_p, psi_m) = P.Phi, P.Psi
+    for absent in (phi_p[n:, :n], phi_m[:n, n:], psi_p[n:, :n], psi_m[:n, n:]):
+        assert not np.any(absent)
+    for carried in (phi_p[:n, n:], phi_m[n:, :n], psi_p[:n, n:], psi_m[n:, :n]):
+        assert np.max(np.abs(carried)) > 0.0
+
+
+def _per_vector_report(para, V, sigma, sample_count, seed):
+    """The constants of equivalence_and_garding_report, one vector at a time."""
+    grid = para.grid
+    n = grid.n
+    P = build_parametrix(para, V, sigma)
+    rng = np.random.default_rng(seed)
+    decay = grid.bracket_power(-(sigma + 1.0))
+    upper, lower = [], []
+    for _ in range(sample_count):
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
+        w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
+        z[[0, n // 2]] = w[[0, n // 2]] = 0.0
+        vec = conjugate_pair(grid, z, w)
+        nsq = stacked_norm(grid, vec, sigma) ** 2
+        energy = modified_energy(P, vec)
+        upper.append(energy / nsq)
+        lower.append(energy / max(nsq - stacked_norm(grid, vec, -2.0) ** 2, 1e-300))
+    j = grid.modes.astype(float)
+    delta = np.concatenate([j**4, j**4, j**2, j**2])
+    eye, zero, zeros = np.eye(n, dtype=complex), np.zeros(n, dtype=complex), np.zeros(2 * n)
+    defects = []
+    for k in range(1, grid.dealias_cut + 1):
+        for zw in ((eye[k], zero), (zero, eye[k])):
+            vec = conjugate_pair(grid, *zw)
+            lhs = stacked_inner(grid, P.l2s(P.phi(delta * vec)), P.phi(vec), 0.0)
+            zsq = stacked_norm(grid, np.concatenate([vec[: 2 * n], zeros]), sigma + 2.0) ** 2
+            wsq = stacked_norm(grid, np.concatenate([zeros, vec[2 * n :]]), sigma + 1.0) ** 2
+            defects.append((lhs - 0.25 * (zsq + wsq)) / stacked_norm(grid, vec, sigma) ** 2)
+    return {
+        "ratio_min": min(upper),
+        "ratio_max": max(upper),
+        "lower_ratio_min": min(lower),
+        "lower_ratio_max": max(lower),
+        "garding_defect_min": min(defects),
+        "garding_defect_max": max(defects),
+        "equivalence_constant": max(max(upper), 1.0 / max(min(lower), 1e-300)),
+    }
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed"])
+def test_batched_energy_report_matches_per_vector_reference(preset):
+    for n in (32, 64):
+        g, para, V = _preset_setup(preset, n)
+        got = equivalence_and_garding_report(para, V, 2.5, sample_count=20, seed=5)
+        for key, ref in _per_vector_report(para, V, 2.5, 20, 5).items():
+            assert abs(got[key] - ref) <= 1e-13 * abs(ref), (key, n, got[key], ref)
+
+
+def test_phi_l2s_and_energy_act_on_a_batch_vector_by_vector():
+    g, para, V = _preset_setup("mixed", 32)
+    P = build_parametrix(para, V, 2.5)
+    rng = np.random.default_rng(11)
+    batch = rng.standard_normal((5, 4 * g.n)) + 1j * rng.standard_normal((5, 4 * g.n))
+    for apply in (P.phi, P.l2s):
+        got = apply(batch)
+        assert got.shape == batch.shape
+        for row, vec in zip(got, batch):
+            assert _rel(row, apply(vec)) <= 1e-14
+    energies = modified_energy(P, batch)
+    assert energies.shape == (5,)
+    for e, vec in zip(energies, batch):
+        assert abs(e - modified_energy(P, vec)) <= 1e-14 * abs(e)
 
 
 def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
