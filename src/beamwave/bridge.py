@@ -47,9 +47,10 @@ class QuadraticNonlinearity:
             out += cv * jets[ia] * jets[ib]
         return out
 
-    def partial_values(self, slot, jets):
-        """Grid values of dF/dh_slot at the jet (6, ..., n) (affine in the jet)."""
-        out = np.zeros(jets.shape[1:], dtype=complex)
+    def partial_values(self, slot, jets, out=None):
+        """Grid values of dF/dh_slot at the jet (6, ..., n) (affine in the jet),
+        added to ``out`` (..., n) if given."""
+        out = np.zeros(jets.shape[1:], dtype=complex) if out is None else out
         for cv, ia, ib in self._values:
             if ia == slot:
                 out += cv * jets[ib]
@@ -147,10 +148,6 @@ class BridgeSystem:
         self._jet_mult = [np.where(grid.dealias_mask, p, 0j) for p in (1.0, d, d**2)] * 2
 
     # -- right-hand side ---------------------------------------------
-
-    def dealiased_hats(self, values):
-        """Dealiased Fourier coefficients of grid values (..., n)."""
-        return np.where(self.grid.dealias_mask, np.fft.fft(values, norm="forward"), 0.0)
 
     def jets(self, y_hat, th_hat, slots=None):
         """Dealias-projected jet values (6, ..., n) from coefficient arrays

@@ -2,9 +2,10 @@
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 (``_rk4``, of a stage (4, n) -> (4, n), summed in place) and one march
-(``_march``) of the real coefficients (4, n) of (y, y_t, theta, theta_t); it
-guards each node in real form, then complexifies the stored nodes in place
-and takes their norms, in batches:
+(``_march``) of the real coefficients (4, n) of (y, y_t, theta, theta_t),
+stored as they are, (nodes, 4, n), normed and guarded with real weights.  The
+stacked V = (z, zbar, w, wbar) appears only where ``kato_solve`` converts its
+initial data and ``RunResult.final`` the last node:
 
 * ``oracle_solve`` -- direct method-of-lines RK4 on the real system, whose
   stage is ``BridgeSystem.real_rhs`` itself (pseudo-spectral derivatives and
@@ -43,7 +44,6 @@ from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import RegularityLadder, physical_memory_bytes
 from .paralin import ParalinearizedSystem
 from .state import (
-    StateVector,
     conjugate_pair,
     is_conjugate_pair,
     real_from_stacked,
@@ -53,6 +53,9 @@ from .state import (
 )
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
+# trajectories, (steps + 1) x 4n complex128 each, a Kato sweep holds at its peak:
+# V_{n-1}, its jets (1.5), g (0.75), the forcing, F's grid values (5.0-5.6 measured)
+KATO_TRAJECTORIES = 6
 
 
 class SolverConfig:
@@ -100,8 +103,8 @@ class SolverConfig:
     def resolve_dt(self, grid, b_max):
         """The actual step: validated config dt, or the largest stable step
         dividing T_final into an integer number of steps.  A step count whose
-        trajectories (a Kato solve holds about four of (steps + 1) x 4n
-        complex128 at once) would not fit in physical memory is refused."""
+        trajectories (``KATO_TRAJECTORIES`` of them) would not fit in physical
+        memory is refused."""
         limit = self.max_stable_dt(grid, b_max)
         if self.dt is not None:
             if self.dt > limit * (1.0 + 1e-12):
@@ -112,7 +115,7 @@ class SolverConfig:
         else:
             dt = limit
         ratio = self.T_final / dt
-        need = 4.0 * (ratio + 2.0) * 4 * grid.n * 16
+        need = KATO_TRAJECTORIES * (ratio + 2.0) * 4 * grid.n * 16
         if need > physical_memory_bytes():
             raise ConfigError(
                 "dt = %.3e needs %.3g steps, whose trajectories exceed physical memory"
@@ -139,7 +142,8 @@ class SolverConfig:
 
 
 class RunResult:
-    """Trajectory, norm time series, iteration record, termination cause."""
+    """Real trajectory (nodes, 4, n) of (y, y_t, theta, theta_t), norm time
+    series, iteration record, termination cause."""
 
     def __init__(self, grid, times, trajectory, norms, termination, increments=None):
         self.grid = grid
@@ -151,13 +155,11 @@ class RunResult:
 
     @property
     def final(self):
-        return self.trajectory[-1]
-
-    def final_state(self):
-        return StateVector.from_stacked(self.grid, self.trajectory[-1])
+        """The last node as a stacked (z, zbar, w, wbar), 4n."""
+        return stacked_from_real(self.grid, *self.trajectory[-1])
 
     def sup_norm(self, s):
-        return float(np.max(stacked_norm(self.grid, self.trajectory, s)))
+        return max(map(_norm(self.grid, s), self.trajectory))
 
     def fitted_growth(self, key=None):
         """Least-squares slope of log ||V(t)||; the measured growth constant."""
@@ -206,14 +208,15 @@ class RunResult:
 
 
 def heat_factor(grid, eps, tau):
-    """Diagonal heat multipliers on the stacked state: e^{-eps tau j^4} on the
-    beam pair, e^{-eps tau j^2} on the wave pair."""
+    """Diagonal heat multipliers (4, n) on the real state: e^{-eps tau j^4} on
+    (y, y_t), e^{-eps tau j^2} on (theta, theta_t).  Each pair shares its
+    factor, so it acts on the stacked pairs the same way."""
     if eps < 0 or tau < 0:
         raise PreconditionError("heat factor requires eps, tau >= 0")
     j = grid.modes.astype(float)
     beam = np.exp(-eps * tau * j**4)
     wave = np.exp(-eps * tau * j**2)
-    return np.concatenate([beam, beam, wave, wave])
+    return np.array([beam, beam, wave, wave])
 
 
 def duhamel_smoothing_ratio(grid, eps, t, kind="beam"):
@@ -258,45 +261,44 @@ def _rk4(f, u, dt, args):
     return acc
 
 
+def _norm(grid, s):
+    """u -> the H^s norm of one real state (4, n): the stacked norm of its
+    complexification up to round-off."""
+    w = real_norm_weights(grid, s).astype(complex)  # as u: no cast per node
+    return lambda u: float(np.sqrt(np.vdot(u, w * u).real))
+
+
 def _march(grid, ladder, dt, steps, u0, step):
     """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) from u0, stored
-    in stacked form with its H^{s0}, H^{s1} norms.
+    as (steps + 1, 4, n) with its H^{s0}, H^{s1} norms, taken node by node.
 
-    The blow-up guard runs at every node, on the real state: a non-finite
-    state, or an H^{s1} norm above 1e6 times the initial one, raises
-    ``NumericalError``.  Each batch of 8 stored nodes is then complexified in
-    place and normed; a batch gives each node's stacked form and norm bit for bit."""
-    n = grid.n
-    traj = np.empty((steps + 1, 4 * n), dtype=complex)
-    weights = real_norm_weights(grid, ladder.s1).astype(complex)  # as u: no cast per node
+    The blow-up guard runs at every node: a non-finite state, or an H^{s1}
+    norm above 1e6 times the initial one, raises ``NumericalError``."""
+    traj = np.empty((steps + 1, 4, grid.n), dtype=complex)
+    norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
+    norm_of = {key: _norm(grid, getattr(ladder, key)) for key in norms}
     u = u0
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
-        traj[k] = u.reshape(4 * n)
-        norm = np.sqrt(np.vdot(u, weights * u).real)
-        if not k:
-            limit = 1e6 * max(norm, 1e-300)
-        if not norm <= limit:
+        traj[k] = u
+        for key, norm in norm_of.items():
+            norms[key][k] = norm(u)
+        if not norms["s1"][k] <= 1e6 * max(norms["s1"][0], 1e-300):
             if not np.all(np.isfinite(u)):
                 raise NumericalError("non-finite state encountered")
             raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
-    norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
-    for a in range(0, steps + 1, 8):
-        chunk = traj[a:a + 8]
-        stacked_from_real(grid, *np.moveaxis(chunk.reshape(-1, 4, n), 1, 0), out=chunk)
-        for key, vals in norms.items():
-            vals[a:a + 8] = stacked_norm(grid, chunk, getattr(ladder, key))
     return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
 
 
-def linear_solve(para, background_path, V0, forcing_path, config, include_R=True):
-    """Strang splitting for the frozen-coefficient regularized linear system.
+def linear_solve(para, background_path, u0, forcing_path, config, include_R=True):
+    """Strang splitting for the frozen-coefficient regularized linear system,
+    from the real state u0 (4, n).
 
     ``background_path``: None (zero background) or the g-functions of the
     background at the nodes, shape (3, steps + 1, n), as from
-    ``ParalinearizedSystem.prepass``.  ``forcing_path``: None or stacked node
-    values (steps + 1, 4n).  Both are averaged at step midpoints.  With
+    ``ParalinearizedSystem.prepass``.  ``forcing_path``: None or real node
+    values (steps + 1, 4, n).  Both are averaged at step midpoints.  With
     ``include_R=False`` the order-zero coupling R is dropped, leaving the
     decoupled model flow whose H^s norms are exact isometries.
     """
@@ -304,20 +306,17 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
     dt, steps = _time_grid(para.source, config)
     n = grid.n
 
-    V0 = np.asarray(V0, dtype=complex)
-    if V0.shape != (4 * n,):
-        raise PreconditionError("initial state must be a stacked 4n vector")
-    paths = []
+    u0 = np.asarray(u0, dtype=complex)
+    if u0.shape != (4, n):
+        raise PreconditionError("initial state must be a real state (y, y_t, theta, theta_t) "
+                                "of shape (4, n)")
     for name, path, shape in (("background", background_path, (3, steps + 1, n)),
-                              ("forcing", forcing_path, (steps + 1, 4 * n))):
+                              ("forcing", forcing_path, (steps + 1, 4, n))):
         if path is not None and np.shape(path) != shape:
             raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
-        paths.append(path)
-    bg, f = paths
-    if f is not None:
-        f = np.stack(real_from_stacked(grid, np.asarray(f, dtype=complex)), axis=1)
+    bg, f = background_path, forcing_path
 
-    half = heat_factor(grid, config.eps, dt / 2.0).reshape(4, n)
+    half = heat_factor(grid, config.eps, dt / 2.0)
     linear_part = para.real_linear_part(include_R)
 
     def step(k, u):
@@ -327,47 +326,49 @@ def linear_solve(para, background_path, V0, forcing_path, config, include_R=True
         u = _rk4(A, half * u if config.eps else u, dt, fk)
         return half * u if config.eps else u
 
-    return _march(grid, config.ladder, dt, steps, np.array(real_from_stacked(grid, V0)), step)
+    return _march(grid, config.ladder, dt, steps, u0, step)
 
 
 def kato_solve(sys, V0, config):
     """The iteration (P)_n on the paralinearized complex system from a stacked
     conjugate pair V0 (any other V0 is refused: the real-form march would
-    continue it analytically).  Sweep 1 solves the linear system at the zero
-    background with forcing G at the nodes; sweep n freezes the coefficients
-    along V_{n-1} and adds its quadratic remainder as inhomogeneity.  Stops
-    when the L^inf H^{s1} increment drops below ``kato_tol``."""
+    continue it analytically), marched from its real state.  Sweep 1 solves the
+    linear system at the zero background with forcing G at the nodes; sweep n
+    freezes the coefficients along V_{n-1} and adds its quadratic remainder as
+    inhomogeneity.  Stops when the L^inf H^{s1} increment drops below
+    ``kato_tol``."""
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (4 * grid.n,) or not is_conjugate_pair(
             grid, V0, tol=1e-12 * float(np.max(np.abs(V0)))):
         raise PreconditionError("initial state must be a stacked conjugate pair "
                                 "(z, zbar, w, wbar) of length 4n")
+    u0 = np.array(real_from_stacked(grid, V0))
     sys.check_ellipticity()
-    radius = float(np.max(np.abs(sys.jets(*real_from_stacked(grid, V0)[::2], slots=range(6)))))
+    radius = float(np.max(np.abs(sys.jets(u0[0], u0[2], slots=range(6)))))
     sys.check_radius_condition(2.0 * max(radius, 1e-12))
     dt, steps = _time_grid(sys, config)
     para = ParalinearizedSystem(sys, grid)
     times = dt * np.arange(steps + 1)
 
-    result = linear_solve(para, None, V0, para.forcing_G(times), config)
+    result = linear_solve(para, None, u0, np.moveaxis(para.forcing_G(times), 0, 1), config)
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
-        jets, g = prepass = para.prepass(result.trajectory)  # the whole of V_{n-1}
+        u = np.moveaxis(result.trajectory, 1, 0)  # the whole of V_{n-1}, (4, nodes, n)
+        jets, g = prepass = para.prepass(u)
         sys.check_wave_margin(jets, "Kato sweep %d freezes a background outside the "
                                     "smallness radius: " % sweep)
-        forcing = para.kato_forcing(result.trajectory, times, prepass)
-        del jets, prepass
-        nxt = linear_solve(para, g, V0, forcing, config)
+        forcing = para.kato_forcing(u, times, prepass)
+        del jets, prepass, u
+        nxt = linear_solve(para, g, u0, np.moveaxis(forcing, 0, 1), config)
         del g, forcing
         inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
         increments.append(inc)
         result = nxt
         if inc < config.kato_tol:
-            return RunResult(
-                grid, result.times, result.trajectory, result.norms, "converged", increments
-            )
+            result.termination, result.increments = "converged", increments
+            return result
         if prev_inc is not None and inc > 1.2 * prev_inc and inc > 10.0 * config.kato_tol:
             raise NumericalError(
                 "Kato iteration diverging: increment %.3e after %.3e" % (inc, prev_inc)
@@ -383,9 +384,9 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     """Direct RK4 on the real system; the independent validator.
 
     State (y, y_t, theta, theta_t) as one (4, n) array of Fourier
-    coefficients; spectral derivatives and de-aliased pointwise
-    nonlinearities through ``sys.real_rhs``.  Snapshots are stored
-    complexified so they compare directly with the paradifferential solvers.
+    coefficients, stored as the other solvers store theirs; spectral
+    derivatives and de-aliased pointwise nonlinearities through
+    ``sys.real_rhs``.
     """
     grid = sys.grid
     sys.check_ellipticity()
@@ -403,7 +404,8 @@ def trajectory_gap(grid, run_a, run_b, s):
     """sup_t ||V_a(t) - V_b(t)||_{H^s} on the common time grid."""
     if len(run_a.times) != len(run_b.times):
         raise PreconditionError("runs must share a time grid")
-    return float(np.max(stacked_norm(grid, run_a.trajectory - run_b.trajectory, s)))
+    norm = _norm(grid, s)
+    return max(norm(a - b) for a, b in zip(run_a.trajectory, run_b.trajectory))
 
 
 def _project_stacked(grid, vec, N):

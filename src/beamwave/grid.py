@@ -27,8 +27,9 @@ def physical_memory_bytes():
 class TorusGrid:
     """Uniform collocation grid on [0, 2pi) with n even points.
 
-    The solvers hold dense 4n x 4n complex operators, so an n for which one
-    of them would not fit in physical memory is refused before any array.
+    An n for which one dense 4n x 4n complex operator would not fit in
+    physical memory is refused before any array; a conservative bound, as
+    only the test references form such operators.
 
     Attributes
     ----------

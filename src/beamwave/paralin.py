@@ -24,8 +24,10 @@ On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
-theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in).  The 4n x 4n matrices of
-``L_complex_matrix`` and ``R_operator`` are test references.
+theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in); ``prepass``,
+``kato_forcing`` and ``forcing_G`` act on real states (4, ..., n).  A stacked
+V enters only ``g_functions`` and the test references ``full_rhs``,
+``remainder``, ``L_complex_matrix`` and ``R_operator``.
 """
 
 import numpy as np
@@ -75,24 +77,28 @@ class ParalinearizedSystem:
     # -- g-functions ---------------------------------------------------
 
     def g_functions(self, V):
-        """(a, d, g_1w, g_12b, g_12w) at the realified jet of V."""
+        """(a, d, g_1w, g_12b, g_12w) at the realified jet of a stacked V."""
         if V is None:
             zero = SpectralFunction.zero(self.grid)
             return self.a_fun, self.d_fun, zero, zero, zero
         return (self.a_fun, self.d_fun) + tuple(
-            SpectralFunction(self.grid, h, is_real=True) for h in self.prepass(V)[1])
+            SpectralFunction(self.grid, h, is_real=True)
+            for h in self.prepass(real_from_stacked(self.grid, V))[1])
 
-    def prepass(self, vec):
-        """The jets (6, ..., n) at the slots F reads (``jets``) of stacked
-        backgrounds ``vec`` (..., 4n), in one batched call, and the coefficients
-        (3, ..., n) of g_1w, g_12b and g_12w: the dealiased halves of dF2/d(theta_xx),
-        dF1/d(theta_xx) and dF2/d(y_xx) there.  F is quadratic: g is linear in V."""
-        y_hat, _, th_hat, _ = real_from_stacked(self.grid, vec)
-        jets = self.source.jets(y_hat, th_hat)
+    def prepass(self, u):
+        """The jets (6, ..., n) at the slots F reads (``jets``) of real
+        backgrounds u = (y, y_t, theta, theta_t) (4, ..., n), in one batched call,
+        and the coefficients (3, ..., n) of g_1w, g_12b and g_12w: the dealiased
+        halves of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx) there.  F is
+        quadratic: g is linear in V."""
+        jets = self.source.jets(u[0], u[2])
         F1, F2 = self.source.F1, self.source.F2
-        partials = [F2.partial_values(5, jets), F1.partial_values(5, jets),
-                    F2.partial_values(2, jets)]
-        return jets, self.source.dealiased_hats(0.5 * np.stack(partials))
+        g = np.zeros((3,) + jets.shape[1:], dtype=complex)  # transformed in place
+        for row, (F, slot) in zip(g, ((F2, 5), (F1, 5), (F2, 2))):
+            F.partial_values(slot, jets, out=row)
+        g *= 0.5
+        np.fft.fft(g, norm="forward", out=g)[..., ~self.grid.dealias_mask] = 0.0
+        return jets, g
 
     # -- symbols -------------------------------------------------------
 
@@ -215,41 +221,35 @@ class ParalinearizedSystem:
         u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
         return stacked_from_real(self.grid, *self.source.real_rhs(u, t))
 
-    def _G_accelerations(self, t):
-        """Zero-mode gamma f_b(t), delta f_w(t): (2, ..., n) for times t (...)."""
+    def forcing_G(self, t):
+        """Forcing G(t) on real states, (4, ..., n) for times t (...): the
+        zero-mode accelerations gamma f_b(t), delta f_w(t) in the y_tt and
+        theta_tt rows, zero elsewhere."""
         src = self.source
         t = np.asarray(t, dtype=float)
-        acc = np.zeros((2,) + t.shape + (self.grid.n,))
-        for row, amp, f in ((0, src.gamma, src.f_b), (1, src.delta, src.f_w)):
+        G = np.zeros((4,) + t.shape + (self.grid.n,), dtype=complex)
+        for row, amp, f in ((1, src.gamma, src.f_b), (3, src.delta, src.f_w)):
             if amp != 0.0:
-                acc[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
-        return acc
-
-    def forcing_G(self, t):
-        """Stacked forcing G(t), shape (..., 4n) for times of shape (...): the
-        complexified zero-mode accelerations at zero displacement."""
-        f_b, f_w = self._G_accelerations(t)
-        return stacked_from_real(self.grid, 0.0, f_b, 0.0, f_w)
+                G[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
+        return G
 
     def remainder(self, vec, t=0.0):
-        """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t)."""
-        return self.kato_forcing(vec, t) - self.forcing_G(t)
+        """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t) on a stacked V."""
+        u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
+        return stacked_from_real(self.grid, *(self.kato_forcing(u, t) - self.forcing_G(t)))
 
-    def kato_forcing(self, vec, t=0.0, prepass=None):
-        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V for
-        stacked V (..., 4n) at times t (...): the inhomogeneity of the Kato
-        step (P)_n frozen at V = V_{n-1}.  L V cancels, leaving in real form
-        gamma f_b + F1 - P_12b theta in y_tt and delta f_w + F2 - P_1w theta -
-        P_12w y in theta_tt, from the jets of V (``prepass``, if the caller
-        holds ``self.prepass(vec)``); P is applied node by node."""
-        vec = np.asarray(vec, dtype=complex)
-        jets, g = self.prepass(vec) if prepass is None else prepass
-        r = np.zeros((4,) + vec.shape[:-1] + (self.grid.n,), dtype=complex)
-        r[1::2] = self._G_accelerations(t)
+    def kato_forcing(self, u, t=0.0, prepass=None):
+        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V in real
+        form, (4, ..., n) for real states u (4, ..., n) at times t (...): the
+        inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}.  L V
+        cancels, leaving gamma f_b + F1 - P_12b theta in y_tt and
+        delta f_w + F2 - P_1w theta - P_12w y in theta_tt, from the jets of u
+        (``prepass``, if the caller holds ``self.prepass(u)``); P is applied
+        node by node."""
+        jets, g = self.prepass(u) if prepass is None else prepass
+        r = self.forcing_G(t)
         self.source.add_nonlinearity_hats(jets, r)
-        u = real_from_stacked(self.grid, vec)
-        for idx in np.ndindex(vec.shape[:-1]):
+        for idx in np.ndindex(np.shape(u)[1:-1]):
             for out, inp, P in self.background_blocks(g[(slice(None),) + idx]):
                 r[out][idx] -= P @ u[inp][idx]
-        del u
-        return stacked_from_real(self.grid, *r)
+        return r

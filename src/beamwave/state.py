@@ -11,6 +11,12 @@ coefficient arrays.  They write zbar with its own formula instead of
 conjugating z, so they stay valid off the conjugate-pair subspace (analytic
 continuation), where the paralinearization evaluates the nonlinearities.
 
+The solvers march, store and norm the real state u = (y, y_t, theta,
+theta_t) as one (4, ..., n) array, normed by ``real_norm_weights``.  The
+stacked V is the paper's operand: the initial data of ``kato_solve``,
+``RunResult.final``, the g-functions of the parametrix and energy
+diagnostics, and the dense test references.
+
 Stacked coefficient layout: (z, zbar, w, wbar), each of length n, so a
 stacked vector has length 4n; ``conjugate_pair`` builds it from z and w.
 
@@ -41,20 +47,14 @@ def complex_weights(grid):
     return br, np.sqrt(br)
 
 
-def stacked_from_real(grid, y, y_t, theta, theta_t, out=None):
+def stacked_from_real(grid, y, y_t, theta, theta_t):
     """Coefficient arrays (y, y_t, theta, theta_t) of shape (..., n) -> stacked
-    (z, zbar, w, wbar) of shape (..., 4n), written into ``out`` if given, which
-    may hold the inputs in the same slots.  numpy divides a complex by a real as
-    a product with the reciprocal, so these products give the quotients' bits."""
-    shape = np.broadcast_shapes((grid.n,), *map(np.shape, (y, y_t, theta, theta_t)))
-    out = np.empty(shape[:-1] + (4 * grid.n,), dtype=complex) if out is None else out
-    slots = out.reshape(shape[:-1] + (4, grid.n))
-    for i, (D, u, u_t) in enumerate(zip(complex_weights(grid), (y, theta), (y_t, theta_t))):
-        a, b, pair = D * u, u_t * (1j / D), slots[..., 2 * i:2 * i + 2, :]
-        np.add(a, b, out=pair[..., 0, :])
-        np.subtract(a, b, out=pair[..., 1, :])
-        pair *= 1.0 / _RT2
-    return out
+    (z, zbar, w, wbar) of shape (..., 4n)."""
+    out = []
+    for D, u, u_t in zip(complex_weights(grid), (y, theta), (y_t, theta_t)):
+        a, b = D * u, u_t * (1j / D)
+        out += [(a + b) * (1.0 / _RT2), (a - b) * (1.0 / _RT2)]
+    return np.concatenate(np.broadcast_arrays(*out), axis=-1)
 
 
 def real_from_stacked(grid, vec):
@@ -154,8 +154,3 @@ def complexify(y, y_t, theta, theta_t):
     vec = stacked_from_real(grid, y.coeffs, y_t.coeffs, theta.coeffs, theta_t.coeffs)
     return StateVector.from_stacked(grid, vec)
 
-
-def realify(V):
-    """StateVector -> (y, y_t, theta, theta_t) real SpectralFunctions."""
-    parts = real_from_stacked(V.grid, V.stacked())
-    return tuple(SpectralFunction(V.grid, u, is_real=True) for u in parts)

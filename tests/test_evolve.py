@@ -6,6 +6,7 @@ import pytest
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
+    KATO_TRAJECTORIES,
     _rk4,
     SolverConfig,
     bona_smith_experiment,
@@ -21,13 +22,17 @@ from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.cli import PRESETS, build_preset
 from beamwave.state import (
-    StateVector,
     complexify,
     is_conjugate_pair,
-    realify,
+    real_from_stacked,
     stacked_from_real,
     stacked_norm,
 )
+
+
+def real_state(fields):
+    """The real state (4, n) of coefficient arrays of (y, y_t, theta, theta_t)."""
+    return np.array([u.coeffs for u in fields], dtype=complex)
 
 
 def make_fields(g, amp=1e-2):
@@ -90,12 +95,35 @@ def test_rk4_step_is_the_textbook_combination_bit_for_bit():
     assert np.array_equal(u, u_before)
 
 
+def test_kato_peak_memory_is_within_the_counted_trajectories():
+    # the step-count guard refuses a run whose KATO_TRAJECTORIES trajectories
+    # exceed memory; a long small-N Kato solve of the mixed preset (every
+    # background block and both nonlinearities) stays within that count
+    import tracemalloc
+
+    g = TorusGrid(16)
+    sysm, fields = build_preset("mixed", g)
+    cfg = SolverConfig(T_final=7.5)
+    steps = cfg.resolve_dt(g, float(np.max(sysm.b.values())))[1]
+    assert steps > 150
+    V0 = complexify(*fields).stacked()
+    tracemalloc.start()
+    try:
+        run = kato_solve(sysm, V0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.termination == "converged"
+    assert peak <= KATO_TRAJECTORIES * run.trajectory.nbytes
+
+
 def test_heat_factor_layout():
     g = TorusGrid(8)
     h = heat_factor(g, 0.1, 0.5)
     j = g.modes.astype(float)
-    assert np.allclose(h[:8], np.exp(-0.05 * j**4))
-    assert np.allclose(h[16:24], np.exp(-0.05 * j**2))
+    assert h.shape == (4, 8)
+    assert np.allclose(h[:2], np.exp(-0.05 * j**4))
+    assert np.allclose(h[2:], np.exp(-0.05 * j**2))
     with pytest.raises(PreconditionError):
         heat_factor(g, -1.0, 0.1)
 
@@ -111,9 +139,9 @@ def test_decoupled_linear_flow_is_isometry():
     g = TorusGrid(32)
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
-    V0 = complexify(*make_fields(g)).stacked()
+    u0 = real_state(make_fields(g))
     cfg = SolverConfig(T_final=0.1)
-    run = linear_solve(para, None, V0, None, cfg, include_R=False)
+    run = linear_solve(para, None, u0, None, cfg, include_R=False)
     drift = np.max(np.abs(run.norms["s1"] - run.norms["s1"][0]))
     assert drift < 1e-10 * run.norms["s1"][0]
 
@@ -122,14 +150,15 @@ def test_linear_solve_background_shape_checks():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
-    V0 = complexify(*make_fields(g)).stacked()
+    u0 = real_state(make_fields(g))
     cfg = SolverConfig(T_final=0.01)
-    with pytest.raises(PreconditionError):
-        linear_solve(para, np.zeros((3, 4 * g.n)), V0, None, cfg)
-    with pytest.raises(PreconditionError):
-        linear_solve(para, None, V0[: g.n], None, cfg)
-    with pytest.raises(PreconditionError):
-        linear_solve(para, None, V0, np.zeros((3, 4 * g.n)), cfg)
+    steps = cfg.resolve_dt(g, 1.0)[1]
+    with pytest.raises(PreconditionError, match="background"):
+        linear_solve(para, np.zeros((3, 4 * g.n)), u0, None, cfg)
+    with pytest.raises(PreconditionError, match="initial state"):
+        linear_solve(para, None, u0.reshape(4 * g.n), None, cfg)
+    with pytest.raises(PreconditionError, match="forcing"):
+        linear_solve(para, None, u0, np.zeros((steps + 1, 4 * g.n)), cfg)
 
 
 def test_blow_up_guard_stops_both_solvers():
@@ -139,10 +168,10 @@ def test_blow_up_guard_stops_both_solvers():
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
     steps = cfg.resolve_dt(g, 1.0)[1]
-    forcing = np.zeros((steps + 1, 4 * g.n), dtype=complex)
-    forcing[steps // 2, 0] = np.nan
+    forcing = np.zeros((steps + 1, 4, g.n), dtype=complex)
+    forcing[steps // 2, 0, 0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        linear_solve(para, None, complexify(*fields).stacked(), forcing, cfg)
+        linear_solve(para, None, real_state(fields), forcing, cfg)
     forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: np.nan)
     with pytest.raises(NumericalError, match="non-finite"):
         oracle_solve(forced, *fields, cfg)
@@ -153,24 +182,34 @@ def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
     cfg = SolverConfig(T_final=0.01)
     para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0), g)
     steps = cfg.resolve_dt(g, 1.0)[1]
-    forcing = np.zeros((steps + 1, 4 * g.n), dtype=complex)
-    forcing[steps // 2, [1, 1 + g.n]] = 1e12  # finite, in the velocity of one mode
+    forcing = np.zeros((steps + 1, 4, g.n), dtype=complex)
+    forcing[steps // 2, 1, 1] = 1e12  # finite, in the acceleration of one beam mode
     with pytest.raises(NumericalError, match="blow-up guard"):
-        linear_solve(para, None, complexify(*make_fields(g)).stacked(), forcing, cfg)
+        linear_solve(para, None, real_state(make_fields(g)), forcing, cfg)
 
 
-def test_march_stores_the_stacked_nodes_and_their_norms():
-    # the nodes are complexified and normed in batches after the march: each
-    # stored norm is stacked_norm of its stored node, bit for bit
+@pytest.mark.parametrize("solver", ["oracle", "kato"])
+def test_march_stores_the_real_nodes_and_their_norms(solver):
+    # the nodes are stored as marched, real states (4, n): node 0 is the input
+    # coefficients bit for bit (kato_solve's input is its stacked data, turned
+    # real once), and each stored norm, taken from the real coordinates, is
+    # stacked_norm of the complexified node to round-off
     g, sys = headline_system(32)
     fields = make_fields(g)
-    cfg = SolverConfig(T_final=0.1)  # 12 nodes: a full batch and a part of one
-    run = oracle_solve(sys, *fields, cfg)
-    assert run.trajectory.shape == (12, 4 * g.n)
-    assert np.array_equal(run.trajectory[0], stacked_from_real(g, *(u.coeffs for u in fields)))
+    cfg = SolverConfig(T_final=0.1)
+    if solver == "oracle":
+        run, u0 = oracle_solve(sys, *fields, cfg), real_state(fields)
+    else:
+        V0 = complexify(*fields).stacked()
+        run, u0 = kato_solve(sys, V0, cfg), np.array(real_from_stacked(g, V0))
+    assert run.trajectory.shape == (12, 4, g.n)
+    assert np.array_equal(run.trajectory[0], u0)
     for key in ("s0", "s1"):
         s = getattr(cfg.ladder, key)
-        assert np.array_equal(run.norms[key], [stacked_norm(g, v, s) for v in run.trajectory])
+        for u, norm in zip(run.trajectory, run.norms[key]):
+            expect = stacked_norm(g, stacked_from_real(g, *u), s)
+            assert abs(norm - expect) <= 1e-14 * expect
+    assert np.array_equal(run.final, stacked_from_real(g, *run.trajectory[-1]))
 
 
 def test_trivial_kato_one_sweep_exact():
@@ -196,8 +235,8 @@ def test_kato_matches_oracle_small():
 def test_kato_preserves_reality():
     g, sys = headline_system(32)
     run = kato_solve(sys, complexify(*make_fields(g)).stacked(), SolverConfig(T_final=0.05))
-    for vec in run.trajectory[:: max(1, len(run.trajectory) // 5)]:
-        assert is_conjugate_pair(g, vec, tol=1e-10)
+    for u in run.trajectory[:: max(1, len(run.trajectory) // 5)]:
+        assert is_conjugate_pair(g, stacked_from_real(g, *u), tol=1e-10)
 
 
 def test_oracle_trivial_exact_phases():
@@ -209,11 +248,9 @@ def test_oracle_trivial_exact_phases():
     th0 = transform(g, np.cos(3 * g.x))
     cfg = SolverConfig(dt=1e-3, T_final=0.5)
     run = oracle_solve(sys, y0, zero, th0, zero, cfg)
-    from beamwave.state import StateVector, realify
-
-    y, yt, th, tht = realify(run.final_state())
-    assert np.max(np.abs(y.values().real - np.cos(4.0 * 0.5) * np.cos(2 * g.x))) < 1e-8
-    assert np.max(np.abs(th.values().real - np.cos(3.0 * 0.5) * np.cos(3 * g.x))) < 1e-8
+    y, _, th, _ = np.fft.ifft(run.trajectory[-1], norm="forward")
+    assert np.max(np.abs(y.real - np.cos(4.0 * 0.5) * np.cos(2 * g.x))) < 1e-8
+    assert np.max(np.abs(th.real - np.cos(3.0 * 0.5) * np.cos(3 * g.x))) < 1e-8
 
 
 def test_epsilon_continuation_linear_slope():
@@ -325,8 +362,8 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius"):
         kato_solve(sys, complexify(*fields).stacked(), config)
     # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
-    theta = realify(oracle_solve(sys, *fields, config).final_state())[2]
-    assert np.min(1.0 + theta.values()) < 0.0
+    theta = np.fft.ifft(oracle_solve(sys, *fields, config).trajectory[-1, 2], norm="forward")
+    assert np.min(1.0 + theta.real) < 0.0
 
 
 def test_kato_checks_the_exact_margin_not_the_speeds():
@@ -341,8 +378,7 @@ def test_kato_checks_the_exact_margin_not_the_speeds():
     kat = kato_solve(sys, complexify(*fields).stacked(), config)
     assert kat.termination == "converged"
     orc = oracle_solve(sys, *fields, config)
-    theta = np.array([realify(StateVector.from_stacked(g, v))[2].values().real
-                      for v in orc.trajectory])
+    theta = np.fft.ifft(orc.trajectory[:, 2], norm="forward").real
     assert np.min(1.0 + theta) > 0.8
     s1 = config.ladder.s1
     assert trajectory_gap(g, kat, orc, s1) <= 1e-4 * orc.sup_norm(s1)

@@ -45,24 +45,27 @@ def coupled_system(n=32, amp=1e-2):
 def test_full_rhs_matches_real_system():
     # complexified right-hand side must be the exact transport of the real one
     g, sys, para, V = coupled_system()
-    from beamwave.state import StateVector, realify
-
-    y, yt, th, tht = realify(StateVector.from_stacked(g, V))
-    _, ytt, _, thtt = sys.real_rhs(np.array([y.coeffs, yt.coeffs, th.coeffs, tht.coeffs]), 0.0)
+    u = np.array(real_from_stacked(g, V))
+    _, ytt, _, thtt = sys.real_rhs(u, 0.0)
     rhs = para.full_rhs(V, 0.0)
     br = g.brackets
     rt2 = np.sqrt(2.0)
-    dz_expect = (br * yt.coeffs + 1j * ytt / br) / rt2
+    dz_expect = (br * u[1] + 1j * ytt / br) / rt2
     assert np.max(np.abs(rhs[: g.n] - dz_expect)) < 1e-12
 
 
 def test_decomposition_reproduces_full_rhs():
-    # frakA V + frakB V + R V + remainder(V) + G == full_rhs to machine precision
+    # frakA V + frakB V + R V + remainder(V) + G == full_rhs to machine
+    # precision; G and the Kato forcing remainder + G act on the real state,
+    # where the generator plus the Kato forcing is the real right-hand side
     g, sys, para, V = coupled_system()
+    u = np.array(real_from_stacked(g, V))
     halves = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
     lin = (odd_stacked_matrix(*halves) + para.R_operator()) @ V
-    total = lin + para.remainder(V, 0.0) + para.forcing_G(0.0)
+    total = lin + para.remainder(V, 0.0) + stacked_from_real(g, *para.forcing_G(0.0))
     assert np.max(np.abs(total - para.full_rhs(V, 0.0))) < 1e-12
+    real_total = np.array(real_from_stacked(g, lin)) + para.kato_forcing(u, 0.0)
+    assert np.max(np.abs(real_total - sys.real_rhs(u, 0.0))) < 1e-12
 
 
 def test_remainder_is_quadratically_small():
@@ -110,7 +113,8 @@ def test_forcing_G_conjugate_structure():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0, gamma=1.0, delta=0.5, f_b=np.cos)
     para = ParalinearizedSystem(sys, g)
-    G = para.forcing_G(0.7)
+    assert para.forcing_G(0.7).shape == (4, g.n)
+    G = stacked_from_real(g, *para.forcing_G(0.7))
     n = g.n
     assert G[n] == np.conj(G[0])
     assert G[3 * n] == np.conj(G[2 * n])
@@ -165,7 +169,7 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         got_B = odd_stacked_matrix(*para.frak_B(v))
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
-        g_v = None if v is None else para.prepass(v)[1]
+        g_v = None if v is None else para.prepass(real_from_stacked(g, v))[1]
         for include_R in (True, False):
             M = got_A + got_B + (para.R_operator() if include_R else 0.0)
             expect = np.array(real_from_stacked(g, M @ stacked_from_real(g, *u)))
@@ -175,18 +179,20 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
 
 
 def test_batched_kato_forcing_matches_single_vectors():
-    # one batched call over a trajectory, with its times, gives each node's
-    # forcing as a call on that node alone does
+    # one batched call over a real trajectory (4, nodes, n), with its times,
+    # gives each node's forcing as a call on that node alone does
     g = TorusGrid(32)
     sysm, fields = build_preset("mixed", g)
     sysm.gamma, sysm.delta = 0.5, -0.3
     para = ParalinearizedSystem(sysm, g)
-    V = complexify(*fields).stacked()
-    traj = np.array([s * V for s in (1.0, 0.5, -2.0, 0.25)])
+    u = np.array([f.coeffs for f in fields], dtype=complex)
+    traj = np.stack([s * u for s in (1.0, 0.5, -2.0, 0.25)], axis=1)
     times = np.array([0.0, 0.1, 0.2, 0.3])
     batched = para.kato_forcing(traj, times)
-    for v, t, got in zip(traj, times, batched):
-        expect = para.kato_forcing(v, t)
+    assert batched.shape == traj.shape
+    for k, t in enumerate(times):
+        expect = para.kato_forcing(traj[:, k], t)
+        got = batched[:, k]
         assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
@@ -207,7 +213,7 @@ def test_skipping_structurally_zero_blocks_is_bit_identical(preset):
     )
     every = ParalinearizedSystem(zero_terms, g)
     assert len(skipping._real_blocks) < len(every._real_blocks) == 3
-    g_v = skipping.prepass(V)[1]
+    g_v = skipping.prepass(u)[1]
     for include_R in (True, False):
         got = skipping.real_generator(skipping.real_linear_part(include_R), g_v)(u)
         expect = every.real_generator(every.real_linear_part(include_R), g_v)(u)
