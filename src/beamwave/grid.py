@@ -11,6 +11,7 @@ integer mode of each slot.
 """
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,13 @@ class TorusGrid:
     reflect : slot of mode -j per slot; u(-x) has coefficients u.coeffs[reflect]
     dealias_cut : largest |j| kept by the 2/3-rule product projection
     dealias_mask : True on the slots with |j| <= dealias_cut
+
+    The n x n arrays over all pairs of slots (j, k) that quantization reads
+    are built on first use and then held, read-only, by the grid:
+
+    mode_lattice : (j - k, j + k)
+    gather_index : (j - k) mod n, the slot of fhat(j - k)
+    chi_mask : the Bony-Weyl cutoff chi_eps(|j - k| / <j + k>)
     """
 
     def __init__(self, n):
@@ -69,6 +77,27 @@ class TorusGrid:
     def bracket_power(self, s):
         """Diagonal weights <j>^s in fft order."""
         return self.brackets ** s
+
+    @cached_property
+    def mode_lattice(self):
+        J = self.modes
+        return _read_only(J[:, None] - J[None, :]), _read_only(J[:, None] + J[None, :])
+
+    @cached_property
+    def gather_index(self):
+        return _read_only(self.mode_lattice[0] % self.n)
+
+    @cached_property
+    def chi_mask(self):
+        from .symbols import cutoff_chi  # symbols builds on this module
+
+        D, S = self.mode_lattice
+        return _read_only(cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2)))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class SpectralFunction:

@@ -33,7 +33,7 @@ V enters only ``g_functions`` and the test references ``full_rhs``,
 import numpy as np
 
 from .grid import SpectralFunction
-from .quantize import bony_weyl_quantize, weyl_gather_index, weyl_table
+from .quantize import bony_weyl_quantize, weyl_table
 from .state import complex_weights, real_from_stacked, stacked_from_real
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -48,11 +48,12 @@ class ParalinearizedSystem:
 
     The generator is linear in the symbols and every multiplier is fixed, so
     ``__init__`` quantizes the V-independent blocks (the beam block and the
-    wave block at V = 0) once and tabulates chi_eps(|j-k|/<j+k>) g((j+k)/2)
-    for g = |xi| and <xi>^{-3/2} xi^2.  A background V then changes only
-    g_1w, g_12b and g_12w, each entering frakA / frakB through one gather.
-    The real form holds them with P's weights folded in, one per g-function
-    that the term lists of F1 and F2 can make nonzero.
+    wave block at V = 0) once.  A background V then changes only g_1w,
+    g_12b and g_12w, each entering frakA / frakB through one gather against
+    the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of g = |xi| or
+    <xi>^{-3/2} xi^2.  The real form holds those tables with P's weights
+    folded in, one per g-function that the term lists of F1 and F2 can make
+    nonzero.
     """
 
     def __init__(self, source, grid):
@@ -61,18 +62,16 @@ class ParalinearizedSystem:
         one = SpectralFunction.constant(grid, 1.0)
         self.a_fun = 0.5 * (source.b - one)
         self.d_fun = 0.5 * (source.c - one)
-        self._abs_xi_table = weyl_table(grid, _ABS_XI, bony_weyl=True)
-        self._off_table = weyl_table(grid, _OFF, bony_weyl=True)
-        self._gather = weyl_gather_index(grid)
         self._A0 = self.frak_A(None)
         # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
-        # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its table
+        # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its multiplier
         F1, F2, D = source.F1, source.F2, complex_weights(grid)
-        specs = ((F2, 5, 3, 2, self._abs_xi_table), (F1, 5, 1, 2, self._off_table),
-                 (F2, 2, 3, 0, self._off_table))
-        self._real_blocks = [(i, out, inp, -2.0 * D[out // 2][:, None] * table * D[inp // 2])
-                             for i, (F, slot, out, inp, table) in enumerate(specs)
-                             if any(slot in term[1:] for term in F.terms)]
+        specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
+        self._real_blocks = [
+            (i, out, inp,
+             -2.0 * D[out // 2][:, None] * weyl_table(grid, mult, bony_weyl=True) * D[inp // 2])
+            for i, (F, slot, out, inp, mult) in enumerate(specs)
+            if any(slot in term[1:] for term in F.terms)]
 
     # -- g-functions ---------------------------------------------------
 
@@ -121,14 +120,10 @@ class ParalinearizedSystem:
 
     # -- block operators ----------------------------------------------
 
-    def _weyl_blocks(self, g_1w, g_12b, g_12w):
-        """Op^BW of g_1w |xi|, g_12b <xi>^{-3/2} xi^2 and g_12w <xi>^{-3/2} xi^2
-        as n x n blocks, each one gather of the tabulated multiplier."""
-        return (
-            g_1w.coeffs[self._gather] * self._abs_xi_table,
-            g_12b.coeffs[self._gather] * self._off_table,
-            g_12w.coeffs[self._gather] * self._off_table,
-        )
+    def _weyl_block(self, g, mult):
+        """Op^BW(g(x) mult(xi)) as an n x n block: one gather of g against
+        the tabulated multiplier."""
+        return g.coeffs[self.grid.gather_index] * weyl_table(self.grid, mult, bony_weyl=True)
 
     def frak_A(self, V):
         """The odd halves pm = -i diag(j^2, |j|), mp = -i blockdiag(diag(j^2) +
@@ -146,7 +141,7 @@ class ParalinearizedSystem:
             mp[n:, n:] -= 2j * bony_weyl_quantize(syms["A_w"][1])
             return pm, mp
         pm, mp = self._A0[0], self._A0[1].copy()
-        mp[n:, n:] -= 2j * self._weyl_blocks(*self.g_functions(V)[2:])[0]
+        mp[n:, n:] -= 2j * self._weyl_block(self.g_functions(V)[2], _ABS_XI)
         return pm, mp
 
     def frak_B(self, V):
@@ -155,9 +150,9 @@ class ParalinearizedSystem:
         n = self.grid.n
         pm, mp = np.zeros((2, 2 * n, 2 * n), dtype=complex)
         if V is not None:
-            _, F_12b, F_12w = self._weyl_blocks(*self.g_functions(V)[2:])
-            mp[:n, n:] = -2j * F_12b
-            mp[n:, :n] = -2j * F_12w
+            g_12b, g_12w = self.g_functions(V)[3:]
+            mp[:n, n:] = -2j * self._weyl_block(g_12b, _OFF)
+            mp[n:, :n] = -2j * self._weyl_block(g_12w, _OFF)
         return pm, mp
 
     # -- real form -------------------------------------------------------
@@ -166,7 +161,8 @@ class ParalinearizedSystem:
         """The V-dependent part in real form at g-functions ``g`` (3, n): for
         each block F can make nonzero, (out, in, P) adds P @ u[in] to d_t u[out];
         P costs one gather."""
-        return [(out, inp, g[i][self._gather] * table) for i, out, inp, table in self._real_blocks]
+        gather = self.grid.gather_index
+        return [(out, inp, g[i][gather] * table) for i, out, inp, table in self._real_blocks]
 
     def real_linear_part(self, include_R=True):
         """The V-independent part of the generator on real states u of shape

@@ -30,6 +30,8 @@ and Lambda odd (pm, mp).  The change keeps the Sobolev weights and the
 resolved band, so a residual's norm is the larger of its halves' norms.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
@@ -212,13 +214,10 @@ class Parametrix:
         a, d, g_1w, g_12b, g_12w = para.g_functions(V)
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
-        t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+        self.t_b, self.t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
         (Db_p, Db_m), (Dw_p, Dw_m) = self.beam.D_b, self.wave.D_w
-        (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
-        self.Phi = (_beam_wave(Db_p, Dw_p, bw=Db_p @ (2.0 * t_b)),
-                    _beam_wave(Db_m, Dw_m, wb=Dw_m @ (-2.0 * t_w)))
-        self.Psi = (_beam_wave(Dtb_p, Dtw_p, bw=(-2.0 * t_b) @ Dtw_p),
-                    _beam_wave(Dtb_m, Dtw_m, wb=(2.0 * t_w) @ Dtb_m))
+        self.Phi = (_beam_wave(Db_p, Dw_p, bw=Db_p @ (2.0 * self.t_b)),
+                    _beam_wave(Db_m, Dw_m, wb=Dw_m @ (-2.0 * self.t_w)))
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
         self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
@@ -227,6 +226,13 @@ class Parametrix:
         mult = FrequencyMultiplier.abs_xi_power(s2)
         self.L2s_b = _op(transform(grid, lam_b.values().real ** self.s), mult)
         self.L2s_w = _op(transform(grid, lam_w.values().real ** s2), mult)
+
+    @cached_property
+    def Psi(self):
+        """Psi+-, built on first use: only the conjugation residuals apply it."""
+        (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
+        return (_beam_wave(Dtb_p, Dtw_p, bw=(-2.0 * self.t_b) @ Dtw_p),
+                _beam_wave(Dtb_m, Dtw_m, wb=(2.0 * self.t_w) @ Dtb_m))
 
     def phi(self, vec):
         """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
@@ -251,23 +257,28 @@ def conjugation_residual(P, para, V=None):
     norms; ``offdiag_without_T`` is the negative control obtained by
     dropping the T correctors.  Each residual is formed on its halves: the
     odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
-    Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).
+    Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).  Only the
+    resolved rows and columns R of each product are formed: X[R, :] L Y[:, R].
     """
     grid = P.grid
     n = grid.n
     s = P.s
+    r = np.flatnonzero(grid.dealias_mask)  # R in one component
+    m = r.size
+    r2 = np.concatenate([r, r + n])  # R in (beam, wave)
     L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    Lam = -1j * _beam_wave(P.Lambda_b, P.Lambda_w)
-    M = P.Phi[0] @ L[0] @ P.Psi[1] - Lam, P.Phi[1] @ L[1] @ P.Psi[0] - Lam
-    inv = [psi @ phi - np.eye(2 * n) for psi, phi in zip(P.Psi, P.Phi)]
+    Lam = -1j * _beam_wave(*(b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)))
+    Phi, Psi = P.Phi, P.Psi
+    M = [Phi[i][r2] @ L[i] @ Psi[1 - i][:, r2] - Lam for i in (0, 1)]
+    inv = [psi[r2] @ phi[:, r2] - np.eye(2 * m) for psi, phi in zip(Psi, Phi)]
     # the coupling blocks D_b+- L_bw D~_w-+, D_w+- L_wb D~_b-+ of D L D~ - Lambda
     (Db_p, Db_m), (Dw_p, Dw_m) = P.beam.D_b, P.wave.D_w
     (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = P.beam.D_tilde_b, P.wave.D_tilde_w
-    bare = (Db_p @ L[0][:n, n:] @ Dtw_m, Dw_p @ L[0][n:, :n] @ Dtb_m,
-            Db_m @ L[1][:n, n:] @ Dtw_p, Dw_m @ L[1][n:, :n] @ Dtb_p)
+    bare = (Db_p[r] @ L[0][:n, n:] @ Dtw_m[:, r], Dw_p[r] @ L[0][n:, :n] @ Dtb_m[:, r],
+            Db_m[r] @ L[1][:n, n:] @ Dtw_p[:, r], Dw_m[r] @ L[1][n:, :n] @ Dtb_p[:, r])
 
     def norm(blocks, s_out=s):
-        return max(exact_operator_norm(grid, b, s, s_out, band="resolved") for b in blocks)
+        return max(exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks)
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
@@ -275,7 +286,7 @@ def conjugation_residual(P, para, V=None):
         "n": n,
         "conjugation_norm": norm(M),
         "inverse_defect_norm": norm(inv, s + 2.0),
-        "offdiag_norm": norm(b for h in M for b in (h[:n, n:], h[n:, :n])),
+        "offdiag_norm": norm(b for h in M for b in (h[:m, m:], h[m:, :m])),
         "offdiag_without_T": norm(bare),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),

@@ -16,35 +16,19 @@ bracket-weighted matrix.
 
 import numpy as np
 
-from .symbols import cutoff_chi, sharp_rho
-
-
-def _mode_lattice(grid):
-    """(j - k, j + k) over all pairs of modes."""
-    J = grid.modes
-    return J[:, None] - J[None, :], J[:, None] + J[None, :]
-
-
-def _chi_mask(grid):
-    D, S = _mode_lattice(grid)
-    return cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
-
-
-def weyl_gather_index(grid):
-    """(j - k) mod n: the slot of fhat(j - k) in a coefficient array."""
-    return _mode_lattice(grid)[0] % grid.n
+from .symbols import sharp_rho
 
 
 def weyl_table(grid, g, bony_weyl=False):
     """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2), times the
     Bony-Weyl mask chi_eps(|j-k|/<j+k>) if ``bony_weyl``.  The Weyl matrix of
-    f(x) g(xi) is the gather f.coeffs[weyl_gather_index(grid)] * T."""
+    f(x) g(xi) is the gather f.coeffs[grid.gather_index] * T."""
     n = grid.n
-    D, S = _mode_lattice(grid)
+    D, S = grid.mode_lattice
     half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
     gv = np.asarray(g(half_lattice), dtype=complex)[S + n]
     T = np.where((D >= -(n // 2)) & (D < n // 2), gv, 0.0)
-    return T * _chi_mask(grid) if bony_weyl else T
+    return T * grid.chi_mask if bony_weyl else T
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()
@@ -53,7 +37,7 @@ _op_cache = {}  # never filled; the benchmark's tracer binds this name at instal
 def weyl_quantize(sym):
     """Op^W of a SeparableSymbol as a dense n x n array."""
     grid = sym.grid
-    idx = weyl_gather_index(grid)
+    idx = grid.gather_index
     M = np.zeros((grid.n, grid.n), dtype=complex)
     for f, g in sym.terms:
         M += f.coeffs[idx] * weyl_table(grid, g)
@@ -62,45 +46,52 @@ def weyl_quantize(sym):
 
 def bony_weyl_quantize(sym):
     """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
-    return weyl_quantize(sym) * _chi_mask(sym.grid)
+    return weyl_quantize(sym) * sym.grid.chi_mask
 
 
-def _components(grid, M):
-    """Number of stacked components of the square array M."""
-    c = M.shape[0] // grid.n
-    if c < 1 or M.shape != (c * grid.n, c * grid.n):
+def _components(grid, M, side):
+    """Number of stacked components of side ``side`` of the square array M."""
+    c = M.shape[0] // side
+    if c < 1 or M.shape != (c * side, c * side):
         raise ValueError("matrix shape %r is not a stack of components on %r" % (M.shape, grid))
     return c
 
 
-def _component_weights(grid, s, c):
+def _component_weights(grid, s, c, slots):
     if np.isscalar(s):
         s = [s] * c
     if len(s) != c:
         raise ValueError("need one Sobolev index per component")
-    return np.concatenate([grid.bracket_power(si) for si in s])
+    return np.concatenate([grid.bracket_power(si)[slots] for si in s])
 
 
 def weighted_matrix(grid, M, s_in, s_out, band=None):
     """diag(<j>^{s_out}) M diag(<k>^{-s_in}); its largest singular value is
-    the H^{s_in} -> H^{s_out} operator norm.  The component count is
-    M.shape[0] // grid.n.
+    the H^{s_in} -> H^{s_out} operator norm.
 
-    With ``band="resolved"`` the matrix is restricted to rows and columns
-    with |mode| <= n // 3 (per component).  Rows near |j| = n/2 of operator
-    products carry lattice-truncation artifacts -- the intermediate mode sum
-    is cut at the band edge -- so residual diagnostics are measured on the
-    resolved band, consistent with the 2/3 de-aliasing of the states.
+    ``band`` says which slots of each component M acts on:
+
+    * None: all n, so the component count is M.shape[0] // grid.n;
+    * "resolved": all n, and M is first restricted to the rows and columns
+      with |mode| <= n // 3 (per component), then weighted;
+    * "restricted": M is already on those rows and columns, as formed by a
+      caller that builds only them.
+
+    Rows near |j| = n/2 of operator products carry lattice-truncation
+    artifacts -- the intermediate mode sum is cut at the band edge -- so
+    residual diagnostics are measured on the resolved band, consistent with
+    the 2/3 de-aliasing of the states.
     """
+    if band not in (None, "resolved", "restricted"):
+        raise ValueError("band must be None, 'resolved' or 'restricted'")
     M = np.asarray(M, dtype=complex)
-    c = _components(grid, M)
-    W = M * _component_weights(grid, s_out, c)[:, None] / _component_weights(grid, s_in, c)[None, :]
-    if band is None:
-        return W
-    if band != "resolved":
-        raise ValueError("band must be None or 'resolved'")
-    mask = np.tile(np.abs(grid.modes) <= grid.dealias_cut, c)
-    return W[np.ix_(mask, mask)]
+    slots = grid.dealias_mask if band else slice(None)
+    if band == "resolved":
+        keep = np.tile(slots, _components(grid, M, grid.n))
+        M = M[np.ix_(keep, keep)]
+    c = _components(grid, M, grid.n if band is None else np.count_nonzero(slots))
+    return (M * _component_weights(grid, s_out, c, slots)[:, None]
+            / _component_weights(grid, s_in, c, slots)[None, :])
 
 
 def exact_operator_norm(grid, M, s_in, s_out, band=None):

@@ -1,8 +1,12 @@
 """Diagonalizers, parametrix, modified energy."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+import beamwave.parametrix
+import beamwave.symbols
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.cli import build_preset
 from beamwave.errors import NumericalError, PreconditionError
@@ -10,6 +14,7 @@ from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.parametrix import (
     BeamDiagonalizer,
+    Parametrix,
     WaveDiagonalizer,
     _periodic_antiderivative,
     build_parametrix,
@@ -384,3 +389,51 @@ def test_parametrix_holds_no_array_larger_than_a_half_block():
     P = build_parametrix(para, V, 2.5)
     assert max(_array_sizes(P, set())) == (2 * g.n) ** 2
     assert max(_array_sizes(para, set())) == (2 * g.n) ** 2
+
+
+def test_cutoff_is_built_once_per_grid(monkeypatch):
+    # the Bony-Weyl cutoff is held by the grid: the system, the parametrix
+    # and its residuals quantize many symbols but evaluate chi once
+    calls = []
+    original = beamwave.symbols.cutoff_chi
+
+    def counting(xi):
+        calls.append(np.shape(xi))
+        return original(xi)
+
+    monkeypatch.setattr(beamwave.symbols, "cutoff_chi", counting)
+    g, para, V = coupled_setup(32)
+    conjugation_residual(build_parametrix(para, V, 2.5), para, V)
+    assert calls == [(g.n, g.n)]
+
+
+def test_psi_is_built_only_for_the_residuals(monkeypatch):
+    g, para, V = coupled_setup(32)
+    built = []
+    original = Parametrix.Psi.func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    psi = cached_property(counting)
+    psi.__set_name__(Parametrix, "Psi")
+    monkeypatch.setattr(Parametrix, "Psi", psi)
+    P = build_parametrix(para, V, 2.5)
+    modified_energy(P, V)
+    assert "Psi" not in vars(P)
+
+    reports = []
+
+    def keeping(*args):
+        reports.append(Parametrix(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(beamwave.parametrix, "build_parametrix", keeping)
+    equivalence_and_garding_report(para, V, 2.5, sample_count=4)
+    assert len(reports) == 1 and "Psi" not in vars(reports[0])
+    assert built == []
+
+    first = conjugation_residual(P, para, V)
+    assert conjugation_residual(P, para, V) == first
+    assert built == [P]

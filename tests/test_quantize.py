@@ -12,7 +12,7 @@ from beamwave.quantize import (
     weighted_matrix,
     weyl_quantize,
 )
-from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi
 
 
 def test_weyl_of_xfunc_is_exact_multiplication():
@@ -81,6 +81,45 @@ def test_resolved_band_restriction():
     assert W.shape == (keep, keep)
     with pytest.raises(ValueError):
         weighted_matrix(g, eye, 0.0, 0.0, band="junk")
+
+
+def test_restricting_before_weighting_is_exact():
+    # the band restriction and the diagonal weights commute entry by entry,
+    # and a matrix formed on the band alone is weighted by the same path
+    g = TorusGrid(32)
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((2 * g.n, 2 * g.n)) + 1j * rng.standard_normal((2 * g.n, 2 * g.n))
+    keep = np.tile(g.dealias_mask, 2)
+    for s_in, s_out in ((2.5, 2.5), (2.5, 4.5), ([1.0, 2.0], [3.0, 0.5])):
+        full = weighted_matrix(g, M, s_in, s_out)
+        got = weighted_matrix(g, M, s_in, s_out, band="resolved")
+        assert np.array_equal(got, full[np.ix_(keep, keep)])
+        on_band = weighted_matrix(g, M[np.ix_(keep, keep)], s_in, s_out, band="restricted")
+        assert np.array_equal(on_band, got)
+    with pytest.raises(ValueError, match="not a stack of components"):
+        weighted_matrix(g, M, 0.0, 0.0, band="restricted")
+
+
+def test_grid_lattice_arrays_are_held_read_only():
+    g = TorusGrid(16)
+    assert not {"mode_lattice", "gather_index", "chi_mask"} & set(vars(g))  # built on first use
+    D, S = g.mode_lattice
+    for a in (D, S, g.gather_index, g.chi_mask):
+        assert a.shape == (g.n, g.n)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+    assert g.chi_mask is g.chi_mask and g.gather_index is g.gather_index
+
+
+def test_bony_weyl_is_weyl_times_the_cutoff_bit_for_bit():
+    g = TorusGrid(32)
+    sym = SeparableSymbol(g, [(transform(g, np.cos(g.x) + 0.2 * np.sin(3 * g.x)),
+                               FrequencyMultiplier.xi_power(2)),
+                              (transform(g, np.sin(2 * g.x)), FrequencyMultiplier.abs_xi())])
+    J = g.modes
+    D, S = J[:, None] - J[None, :], J[:, None] + J[None, :]
+    chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
+    assert np.array_equal(bony_weyl_quantize(sym), weyl_quantize(sym) * chi)
 
 
 def test_remainder_bw_minus_weyl_two_smoothing():
