@@ -342,7 +342,7 @@ def cmd_sweep(args):
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     print("sweep %s: %d values, %d failures%s" % (
-        args.axis, len(rows), len(failures),
+        args.axis, len(values), len(failures),
         (", slope %.4f" % slope) if slope is not None else ""))
     return 0
 

@@ -73,6 +73,12 @@ class ParalinearizedSystem:
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
 
+    def coupled(self):
+        """(beam-wave, wave-beam): whether the term lists of F can make g_12b,
+        g_12w nonzero, and so frakB's coupling block in its mp half."""
+        live = {i for i, *_ in self._real_blocks}
+        return 1 in live, 2 in live
+
     # -- g-functions ---------------------------------------------------
 
     def g_functions(self, V):

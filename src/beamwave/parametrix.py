@@ -250,6 +250,25 @@ def build_parametrix(para, V, s):
     return Parametrix(para, V, s)
 
 
+def _blocks(H, i):
+    """(beam, wave, coupling) n x n blocks of the even half i of Phi or Psi:
+    the coupling block is beam-wave in the + half (i = 0) and wave-beam in
+    the - half; the other one is zero."""
+    n = H.shape[0] // 2
+    return H[:n, :n], H[n:, n:], (H[:n, n:] if i == 0 else H[n:, :n])
+
+
+def _inverse_defect(X, Y, i, r):
+    """X[R] Y[:, R] - 1 for the even halves X = Psi+-, Y = Phi+- (i = 0, 1),
+    from their blocks: the product keeps the one coupling block."""
+    (Xb, Xw, Xc), (Yb, Yw, Yc) = _blocks(X, i), _blocks(Y, i)
+    eye = np.eye(r.size)
+    bb, ww = Xb[r] @ Yb[:, r] - eye, Xw[r] @ Yw[:, r] - eye
+    if i == 0:  # X_bb Y_bw + X_bw Y_ww
+        return _beam_wave(bb, ww, bw=Xb[r] @ Yc[:, r] + Xc[r] @ Yw[:, r])
+    return _beam_wave(bb, ww, wb=Xc[r] @ Yb[:, r] + Xw[r] @ Yc[:, r])  # X_wb Y_bb + X_ww Y_wb
+
+
 def conjugation_residual(P, para, V=None):
     """Measured norms of the conjugation and inverse identities.
 
@@ -259,6 +278,9 @@ def conjugation_residual(P, para, V=None):
     odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
     Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).  Only the
     resolved rows and columns R of each product are formed: X[R, :] L Y[:, R].
+    L_pm = -i diag(j^2, |j|) is applied as a column scale, Psi+-[R] Phi+-[:, R]
+    from the blocks of the halves, and a coupling block of D L D~ - Lambda
+    only where L's coupling block can be nonzero (``ParalinearizedSystem.coupled``).
     """
     grid = P.grid
     n = grid.n
@@ -266,19 +288,24 @@ def conjugation_residual(P, para, V=None):
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     m = r.size
     r2 = np.concatenate([r, r + n])  # R in (beam, wave)
-    L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    Lam = -1j * _beam_wave(*(b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)))
     Phi, Psi = P.Phi, P.Psi
-    M = [Phi[i][r2] @ L[i] @ Psi[1 - i][:, r2] - Lam for i in (0, 1)]
-    inv = [psi[r2] @ phi[:, r2] - np.eye(2 * m) for psi, phi in zip(Psi, Phi)]
-    # the coupling blocks D_b+- L_bw D~_w-+, D_w+- L_wb D~_b-+ of D L D~ - Lambda
-    (Db_p, Db_m), (Dw_p, Dw_m) = P.beam.D_b, P.wave.D_w
-    (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = P.beam.D_tilde_b, P.wave.D_tilde_w
-    bare = (Db_p[r] @ L[0][:n, n:] @ Dtw_m[:, r], Dw_p[r] @ L[0][n:, :n] @ Dtb_m[:, r],
-            Db_m[r] @ L[1][:n, n:] @ Dtw_p[:, r], Dw_m[r] @ L[1][n:, :n] @ Dtb_p[:, r])
+    A_pm, A_mp = para.frak_A(V)
+    pm = np.diagonal(A_pm)  # frakA's pm half is -i diag(j^2, |j|), frakB's is 0
+    mp = A_mp + para.frak_B(V)[1]
+    Lam = -1j * _beam_wave(*(b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)))
+    M = [(Phi[0][r2] * pm) @ Psi[1][:, r2] - Lam, Phi[1][r2] @ mp @ Psi[0][:, r2] - Lam]
+    inv = [_inverse_defect(Psi[i], Phi[i], i, r) for i in (0, 1)]
+    # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
+    # D L D~ - Lambda; those of the pm half are zero
+    beam, wave = slice(None, n), slice(n, None)
+    pairs = ((P.beam.D_b[1], beam, wave, P.wave.D_tilde_w[0]),
+             (P.wave.D_w[1], wave, beam, P.beam.D_tilde_b[0]))
+    bare = [D[r] @ mp[rows, cols] @ Dt[:, r]
+            for (D, rows, cols, Dt), live in zip(pairs, para.coupled()) if live]
 
     def norm(blocks, s_out=s):
-        return max(exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks)
+        return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
+                   default=0.0)
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {

@@ -11,7 +11,21 @@ Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n): c = 2 for a
 parity half (beam, wave) of ``state``, c = 4 for a stacked vector.
 Operator norms between Sobolev spaces are the largest singular value of the
-bracket-weighted matrix.
+bracket-weighted matrix W.
+
+On the resolved band |j| <= n/3, which is symmetric and holds no Nyquist
+mode, the norm is taken in the cosine-sine basis of each component: the
+unitary Q pairing each mode j with -j into cos jx, sin jx (and keeping
+j = 0), applied in place to pairs of rows and of columns; the weights are
+even in j, so they commute with Q.  An operator from a real symbol maps
+real functions to real functions, M[-j, -k] = conj M[j, k], so X = Q W Q^H
+is real times a global phase (1 for the parametrix products, -i for the
+generator residuals): the SVD is taken of Re X when max|Im X| <= 1e-8
+max|Re X|, of Im X the other way round, and of the complex W otherwise --
+a matrix that is not real in this basis (a product whose inner sum runs
+through the unpaired Nyquist mode, as the N = 32 parametrix residuals at
+about 1e-7), and every norm on all n modes.  An all-zero W has norm
+exactly 0.0 and takes no SVD.
 """
 
 import numpy as np
@@ -90,13 +104,53 @@ def weighted_matrix(grid, M, s_in, s_out, band=None):
         keep = np.tile(slots, _components(grid, M, grid.n))
         M = M[np.ix_(keep, keep)]
     c = _components(grid, M, grid.n if band is None else np.count_nonzero(slots))
-    return (M * _component_weights(grid, s_out, c, slots)[:, None]
-            / _component_weights(grid, s_in, c, slots)[None, :])
+    W = M * _component_weights(grid, s_out, c, slots)[:, None]
+    W /= _component_weights(grid, s_in, c, slots)[None, :]
+    return W
+
+
+_PHASE_TOL = 1e-8  # the part of X dropped against the part kept, relatively
+
+
+def _to_cosine_sine(grid, W):
+    """W -> Q W Q^H in place, for W on the resolved band of each of its
+    components: the rows of modes j and -j (0 < j <= n/3) become
+    (W[j] + W[-j])/sqrt2 and -i(W[j] - W[-j])/sqrt2, then the columns
+    likewise with the phase +i.  In fft order a component's band holds the
+    modes 0, 1..n/3, -n/3..-1, so mode -j sits at position m - j."""
+    m, cut = 2 * grid.dealias_cut + 1, grid.dealias_cut
+    h = np.sqrt(0.5)
+    for half, phase in ((W, -1j), (W.T, 1j)):  # rows, then columns
+        for o in range(0, W.shape[0], m):
+            p, q = half[o + 1:o + cut + 1], half[o + m - 1:o + cut:-1]
+            d = p - q
+            p += q
+            p *= h
+            np.multiply(d, phase * h, out=q)
+    return W
+
+
+def _abs_max(a):
+    return max(a.max(), -a.min())
 
 
 def exact_operator_norm(grid, M, s_in, s_out, band=None):
-    """H^{s_in} -> H^{s_out} norm of M by dense SVD."""
-    return float(np.linalg.svd(weighted_matrix(grid, M, s_in, s_out, band), compute_uv=False)[0])
+    """H^{s_in} -> H^{s_out} norm of M by dense SVD: of the real matrix of
+    the cosine-sine basis on the resolved band when M is real there up to a
+    global phase, of the complex weighted matrix otherwise."""
+    W = weighted_matrix(grid, M, s_in, s_out, band)
+    if not W.any():
+        return 0.0
+    if band is not None:
+        X = _to_cosine_sine(grid, W)
+        re, im = _abs_max(X.real), _abs_max(X.imag)
+        if im <= _PHASE_TOL * re:
+            W = X.real
+        elif re <= _PHASE_TOL * im:
+            W = X.imag
+        else:  # not real in this basis
+            W = weighted_matrix(grid, M, s_in, s_out, band)
+    return float(np.linalg.svd(W, compute_uv=False)[0])
 
 
 def remainder_bw_minus_weyl(sym):

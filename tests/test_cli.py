@@ -191,6 +191,16 @@ def test_sweep_requires_two_values(tmp_path):
     )
 
 
+@pytest.mark.parametrize("axis, values", [("eps", "0,1e-3"), ("N", "32,48,64")])
+def test_sweep_summary_counts_the_values_swept(axis, values, tmp_path, capsys):
+    # the eps CSV holds one gap per pair of neighbouring values, one row fewer
+    args = ["sweep", "--axis", axis, "--values", values, "--n", "32", "--T", "0.01",
+            "--outdir", str(tmp_path)]
+    assert run_cli(args) == 0
+    count = len(values.split(","))
+    assert "sweep %s: %d values, 0 failures" % (axis, count) in capsys.readouterr().out
+
+
 def test_sweep_N_artifacts(tmp_path, capsys):
     code = run_cli(
         [

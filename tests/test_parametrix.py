@@ -23,7 +23,7 @@ from beamwave.parametrix import (
     equivalence_and_garding_report,
     modified_energy,
 )
-from beamwave.quantize import bony_weyl_quantize, exact_operator_norm
+from beamwave.quantize import bony_weyl_quantize, exact_operator_norm, weighted_matrix
 from beamwave.state import (
     complexify,
     conjugate_pair,
@@ -275,6 +275,53 @@ def test_residual_norms_match_dense_svd(preset):
                 assert abs(got[key] - ref) <= 1e-12 * ref, (key, n, got[key], ref)
             else:
                 assert abs(got[key] - ref) <= 1e-12, (key, n, got[key], ref)
+
+
+def _full_product_norms(P, para, V):
+    """The norms of conjugation_residual from the full n-mode products of the
+    halves, X L Y - Lambda, Psi Phi - 1 and D L D~ - Lambda, restricted to
+    the resolved band afterwards, each norm the complex SVD of the weighted
+    matrix."""
+    g, s = P.grid, P.s
+    keep = np.tile(g.dealias_mask, 2)
+    m = np.count_nonzero(g.dealias_mask)
+    L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
+    Lam = -1j * _beam_wave(P.Lambda_b, P.Lambda_w)
+    D = [_beam_wave(b, w) for b, w in zip(P.beam.D_b, P.wave.D_w)]
+    Dt = [_beam_wave(b, w) for b, w in zip(P.beam.D_tilde_b, P.wave.D_tilde_w)]
+
+    def on_band(mat):
+        return mat[np.ix_(keep, keep)]
+
+    def norm(mat, s_out=s):
+        W = weighted_matrix(g, mat, s, s_out, band="restricted")
+        return float(np.linalg.svd(W, compute_uv=False)[0])
+
+    M = [on_band(P.Phi[i] @ L[i] @ P.Psi[1 - i] - Lam) for i in (0, 1)]
+    bare = [on_band(D[i] @ L[i] @ Dt[1 - i] - Lam) for i in (0, 1)]
+    inv = [on_band(P.Psi[i] @ P.Phi[i]) - np.eye(2 * m) for i in (0, 1)]
+    return {
+        "conjugation_norm": max(norm(h) for h in M),
+        "inverse_defect_norm": max(norm(h, s + 2.0) for h in inv),
+        "offdiag_norm": max(norm(b) for h in M for b in (h[:m, m:], h[m:, :m])),
+        "offdiag_without_T": max(norm(b) for h in bare for b in (h[:m, m:], h[m:, :m])),
+    }
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed"])
+def test_residual_norms_match_full_products_and_complex_svds(preset):
+    # the column-scaled, blockwise and skipped products and the real-basis
+    # SVDs change nothing beyond round-off; headline's coupling norms stay
+    # exact zeros
+    for n in (32, 64, 128):
+        g, para, V = _preset_setup(preset, n)
+        P = build_parametrix(para, V, 2.5)
+        got = conjugation_residual(P, para, V)
+        for key, ref in _full_product_norms(P, para, V).items():
+            if preset == "headline" and key.startswith("offdiag"):
+                assert got[key] == ref == 0.0, (key, n)
+            else:
+                assert abs(got[key] - ref) <= 1e-13 * ref, (key, n, got[key], ref)
 
 
 def test_parametrix_halves_carry_one_coupling_block_each():

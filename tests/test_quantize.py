@@ -160,3 +160,74 @@ def test_quantize_cache_key_is_exact_under_hash_collisions(monkeypatch):
         for fn in (np.cos, np.sin)
     ]
     assert np.max(np.abs(ops[0] - ops[1])) > 1.0
+
+
+def _svd_spy(monkeypatch):
+    """Record the dtype of every matrix handed to np.linalg.svd."""
+    seen, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype.kind)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen, svd
+
+
+def _real_symbol_operators(g):
+    """Op^BW(cos x xi^2) (even multiplier), Op^BW(sin x i xi) (odd multiplier
+    times i) and a -i-phased residual -i(Op^BW(a)Op^BW(b) - Op^BW(a #_2 b))."""
+    xi2, xi = FrequencyMultiplier.xi_power(2), FrequencyMultiplier.xi_power(1)
+    even = SeparableSymbol(g, [(transform(g, np.cos(g.x)), xi2)])
+    odd = SeparableSymbol(g, [(1j * transform(g, np.sin(g.x)), xi)])
+    a = SeparableSymbol.from_xfunc(transform(g, 1.0 + 0.2 * np.cos(g.x)))
+    return {"even": bony_weyl_quantize(even), "odd_times_i": bony_weyl_quantize(odd),
+            "minus_i_residual": -1j * composition_residual(a, even, 2.0)}
+
+
+@pytest.mark.parametrize("name", ["even", "odd_times_i", "minus_i_residual"])
+def test_real_basis_norm_equals_the_complex_svd(name, monkeypatch):
+    # an operator from a real symbol is real (up to its phase) in the
+    # cosine-sine basis of the resolved band: its norm takes a real SVD and
+    # equals the complex SVD of the weighted matrix; on one component, on a
+    # stack of two, and on a matrix formed on the band only
+    g = TorusGrid(64)
+    M = _real_symbol_operators(g)[name]
+    keep = np.tile(g.dealias_mask, 2)
+    stack = np.block([[M, 0.5 * M], [np.zeros_like(M), M]])
+    seen, svd = _svd_spy(monkeypatch)
+    for mat, band, s_in, s_out in ((M, "resolved", 2.0, 0.0), (stack, "resolved", 2.5, [2.5, 1.0]),
+                                   (stack[np.ix_(keep, keep)], "restricted", [1.0, 2.0], 2.0)):
+        expect = svd(weighted_matrix(g, mat, s_in, s_out, band), compute_uv=False)[0]
+        got = exact_operator_norm(g, mat, s_in, s_out, band=band)
+        assert abs(got - expect) <= 1e-13 * expect, (band, got, expect)
+    assert seen == ["f", "f", "f"]
+
+
+def test_norm_not_real_in_the_cosine_sine_basis_takes_the_complex_svd(monkeypatch):
+    g = TorusGrid(32)
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((2 * g.n, 2 * g.n)) + 1j * rng.standard_normal((2 * g.n, 2 * g.n))
+    seen, svd = _svd_spy(monkeypatch)
+    for band in (None, "resolved"):
+        expect = float(svd(weighted_matrix(g, M, 1.0, 2.0, band), compute_uv=False)[0])
+        assert exact_operator_norm(g, M, 1.0, 2.0, band=band) == expect
+    # a real-symbol operator on all n modes (Nyquist unpaired) also stays complex
+    exact_operator_norm(g, _real_symbol_operators(g)["even"], 2.0, 0.0)
+    assert seen == ["c"] * 3
+
+
+def test_zero_block_norm_is_exactly_zero_without_an_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD of an all-zero block")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    g = TorusGrid(32)
+    m = 2 * g.dealias_cut + 1
+    for M, band in ((np.zeros((g.n, g.n)), None), (np.zeros((2 * g.n, 2 * g.n)), "resolved"),
+                    (np.zeros((m, m), dtype=complex), "restricted")):
+        assert exact_operator_norm(g, M, 2.5, 4.5, band=band) == 0.0
+    # nonzero entries outside the band leave a zero block on it
+    M = np.zeros((g.n, g.n))
+    M[g.n // 2, 0] = 1.0
+    assert exact_operator_norm(g, M, 0.0, 0.0, band="resolved") == 0.0
