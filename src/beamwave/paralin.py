@@ -152,14 +152,22 @@ class ParalinearizedSystem:
 
     def frak_B(self, V):
         """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w)):
-        pm = 0, mp = -i [[0, 2 F_12b], [2 F_12w, 0]] over (beam, wave)."""
+        pm = 0, mp = -i [[0, 2 F_12b], [2 F_12w, 0]] over (beam, wave).  A half
+        that is zero by structure (pm always; mp at V = None or where F has
+        no coupling slot, ``coupled``) is a read-only broadcast zero, not an
+        allocated array; mp holds only the coupling blocks F can make nonzero."""
         n = self.grid.n
-        pm, mp = np.zeros((2, 2 * n, 2 * n), dtype=complex)
-        if V is not None:
-            g_12b, g_12w = self.g_functions(V)[3:]
+        zero = np.broadcast_to(np.zeros((), dtype=complex), (2 * n, 2 * n))
+        live = (False, False) if V is None else self.coupled()
+        if not any(live):
+            return zero, zero
+        mp = np.zeros((2 * n, 2 * n), dtype=complex)
+        g_12b, g_12w = self.g_functions(V)[3:]
+        if live[0]:
             mp[:n, n:] = -2j * self._weyl_block(g_12b, _OFF)
+        if live[1]:
             mp[n:, :n] = -2j * self._weyl_block(g_12w, _OFF)
-        return pm, mp
+        return zero, mp
 
     # -- real form -------------------------------------------------------
 

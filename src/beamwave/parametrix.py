@@ -28,9 +28,21 @@ Every operator is held by its parity halves (``state``), 2n x 2n over
 (beam, wave): D, D~, T, Phi, Psi are even (+ on p, - on m), the generator
 and Lambda odd (pm, mp).  The change keeps the Sobolev weights and the
 resolved band, so a residual's norm is the larger of its halves' norms.
+
+Beam and wave couple only through T (t_b from g_12b, t_w from g_12w) and
+the generator's coupling blocks.  Where F has no coupling slot
+(``ParalinearizedSystem.coupled``), t_b or t_w is zero by structure, and no
+product is formed through it: Phi and Psi get no coupling block on that
+side, and the residuals are products of 2 x 2 (beam, wave) blocks that skip
+every structurally zero term (``_product``).  With no coupling at all, as
+in headline, every residual half is block-diagonal and its norm takes one
+SVD per component (``quantize.exact_operator_norm``).  The Garding scan
+needs no Phi product either: a single-mode state's Phi-image is two columns
+of each half, and Phi(Delta V) is d_k Phi V.
 """
 
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -38,7 +50,7 @@ from .errors import NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
 from .quantize import bony_weyl_quantize, exact_operator_norm
 from .state import conjugate_pair, parity_join, parity_split, stacked_inner, stacked_norm
-from .symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
+from .symbols import FrequencyMultiplier, SeparableSymbol
 
 
 def _dx_values(grid, values):
@@ -71,12 +83,47 @@ def _similarity(grid, s1, s2):
     return S1 + S2, S1 - S2
 
 
-def _beam_wave(b, w, bw=0.0, wb=0.0):
-    """The 2n x 2n half [[b, bw], [wb, w]] over (beam, wave) of n x n blocks."""
-    n = b.shape[0]
-    M = np.empty((2 * n, 2 * n), dtype=complex)
-    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = b, bw, wb, w
+def _beam_wave(X):
+    """The matrix of 2 x 2 (beam, wave) blocks X = ((bb, bw), (wb, ww)) of
+    equal shape; a None block is zero."""
+    (b, bw), (wb, w) = X
+    r, c = b.shape
+    M = np.zeros((2 * r, 2 * c), dtype=complex)
+    M[:r, :c], M[r:, c:] = b, w
+    if bw is not None:
+        M[:r, c:] = bw
+    if wb is not None:
+        M[r:, :c] = wb
     return M
+
+
+def _blocks(H, bw=False, wb=False):
+    """H as its 2 x 2 (beam, wave) blocks ((bb, bw), (wb, ww)), views; a
+    coupling block that is not flagged is zero by structure and given as None."""
+    r, c = H.shape[0] // 2, H.shape[1] // 2
+    return ((H[:r, :c], H[:r, c:] if bw else None),
+            (H[r:, :c] if wb else None, H[r:, c:]))
+
+
+def _mul(A, B):
+    """A @ B, or None when a factor is zero by structure (None)."""
+    return None if A is None or B is None else A @ B
+
+
+def _product(X, Y):
+    """The 2 x 2 block product XY over (beam, wave), forming only the block
+    products that can be nonzero; a block with no such term is None."""
+    def block(i, k):
+        terms = [t for t in (_mul(X[i][j], Y[j][k]) for j in (0, 1)) if t is not None]
+        return reduce(operator.add, terms) if terms else None
+
+    return tuple(tuple(block(i, k) for k in (0, 1)) for i in (0, 1))
+
+
+def _minus_diagonal(X, b, w):
+    """X - blockdiag(b, w) for 2 x 2 blocks X whose diagonal blocks are formed."""
+    (bb, bw), (wb, ww) = X
+    return ((bb - b, bw), (wb, ww - w))
 
 
 def _pointwise_identity_defect(s1, s2, lam):
@@ -141,12 +188,6 @@ class BeamDiagonalizer:
         self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
         self.D_tilde_b = S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
 
-    def subprincipal_offdiagonal(self, xi):
-        """Assembled off-diagonal subprincipal symbol after the M_{-1} step:
-        i n12 xi (1 - psi(xi)); vanishes identically for |xi| >= 1/2."""
-        xi = np.asarray(xi, dtype=float)
-        return 1j * self.n12[:, None] * xi[None, :] * (1.0 - cutoff_psi(xi))[None, :]
-
     def pointwise_identity_defect(self):
         return _pointwise_identity_defect(self.s1_b, self.s2_b, self.lam_b)
 
@@ -202,8 +243,11 @@ class Parametrix:
     Phi = D(1 + T) and Psi = (1 - T)D~ are held as their even halves
     Phi+-, Psi+- (2n x 2n over (beam, wave)), with D+- = blockdiag(D_b+-,
     D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]], so each
-    half is blockdiag(D+-) or blockdiag(D~+-) plus one coupling block;
-    Lambda and L_{2s} as n x n blocks acting on each component.
+    half is blockdiag(D+-) or blockdiag(D~+-) plus one coupling block.  ``T``
+    holds the blocks (2 t_b, -2 t_w) quantized, None where F has no coupling
+    slot (``coupled``): t_b (t_w) is then zero by structure, and neither it
+    nor the coupling block of the halves it enters is formed.  Lambda and
+    L_{2s} are n x n blocks acting on each component.
     """
 
     def __init__(self, para, V, s):
@@ -214,10 +258,14 @@ class Parametrix:
         a, d, g_1w, g_12b, g_12w = para.g_functions(V)
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
-        self.t_b, self.t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+        live_b, live_w = self.coupled = para.coupled()
+        t_b, t_w = build_T_correctors(a, g_12b, g_12w)
+        self.T = (2.0 * bony_weyl_quantize(t_b) if live_b else None,
+                  -2.0 * bony_weyl_quantize(t_w) if live_w else None)
         (Db_p, Db_m), (Dw_p, Dw_m) = self.beam.D_b, self.wave.D_w
-        self.Phi = (_beam_wave(Db_p, Dw_p, bw=Db_p @ (2.0 * self.t_b)),
-                    _beam_wave(Db_m, Dw_m, wb=Dw_m @ (-2.0 * self.t_w)))
+        T_bw, T_wb = self.T
+        self.Phi = (_beam_wave(((Db_p, _mul(Db_p, T_bw)), (None, Dw_p))),
+                    _beam_wave(((Db_m, None), (_mul(Dw_m, T_wb), Dw_m))))
 
         lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
         self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
@@ -231,8 +279,15 @@ class Parametrix:
     def Psi(self):
         """Psi+-, built on first use: only the conjugation residuals apply it."""
         (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
-        return (_beam_wave(Dtb_p, Dtw_p, bw=(-2.0 * self.t_b) @ Dtw_p),
-                _beam_wave(Dtb_m, Dtw_m, wb=(2.0 * self.t_w) @ Dtb_m))
+        T_bw, T_wb = (None if t is None else -t for t in self.T)
+        return (_beam_wave(((Dtb_p, _mul(T_bw, Dtw_p)), (None, Dtw_p))),
+                _beam_wave(((Dtb_m, None), (_mul(T_wb, Dtb_m), Dtw_m))))
+
+    def halves(self, H, i):
+        """The 2 x 2 blocks of (rows or columns of) the even half i of Phi or
+        Psi: its coupling block is beam-wave in the + half (i = 0) and
+        wave-beam in the - half, None where ``T`` has none."""
+        return _blocks(H, bw=i == 0 and self.coupled[0], wb=i == 1 and self.coupled[1])
 
     def phi(self, vec):
         """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
@@ -250,25 +305,6 @@ def build_parametrix(para, V, s):
     return Parametrix(para, V, s)
 
 
-def _blocks(H, i):
-    """(beam, wave, coupling) n x n blocks of the even half i of Phi or Psi:
-    the coupling block is beam-wave in the + half (i = 0) and wave-beam in
-    the - half; the other one is zero."""
-    n = H.shape[0] // 2
-    return H[:n, :n], H[n:, n:], (H[:n, n:] if i == 0 else H[n:, :n])
-
-
-def _inverse_defect(X, Y, i, r):
-    """X[R] Y[:, R] - 1 for the even halves X = Psi+-, Y = Phi+- (i = 0, 1),
-    from their blocks: the product keeps the one coupling block."""
-    (Xb, Xw, Xc), (Yb, Yw, Yc) = _blocks(X, i), _blocks(Y, i)
-    eye = np.eye(r.size)
-    bb, ww = Xb[r] @ Yb[:, r] - eye, Xw[r] @ Yw[:, r] - eye
-    if i == 0:  # X_bb Y_bw + X_bw Y_ww
-        return _beam_wave(bb, ww, bw=Xb[r] @ Yc[:, r] + Xc[r] @ Yw[:, r])
-    return _beam_wave(bb, ww, wb=Xc[r] @ Yb[:, r] + Xw[r] @ Yc[:, r])  # X_wb Y_bb + X_ww Y_wb
-
-
 def conjugation_residual(P, para, V=None):
     """Measured norms of the conjugation and inverse identities.
 
@@ -278,42 +314,57 @@ def conjugation_residual(P, para, V=None):
     odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
     Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).  Only the
     resolved rows and columns R of each product are formed: X[R, :] L Y[:, R].
-    L_pm = -i diag(j^2, |j|) is applied as a column scale, Psi+-[R] Phi+-[:, R]
-    from the blocks of the halves, and a coupling block of D L D~ - Lambda
-    only where L's coupling block can be nonzero (``ParalinearizedSystem.coupled``).
+    L_pm = -i diag(j^2, |j|) is applied as a column scale, and every product
+    is taken over the 2 x 2 (beam, wave) blocks, forming no block product
+    through a coupling block that is zero by structure: T's and L_mp's where
+    F has no coupling slot (``ParalinearizedSystem.coupled``), L_pm's always.
+    Without coupling every residual half is block-diagonal, and its norm the
+    larger of its two diagonal blocks' (``exact_operator_norm``).
     """
     grid = P.grid
     n = grid.n
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
-    m = r.size
     r2 = np.concatenate([r, r + n])  # R in (beam, wave)
     Phi, Psi = P.Phi, P.Psi
-    A_pm, A_mp = para.frak_A(V)
+    cb, cw = P.coupled
+    A_pm, mp = para.frak_A(V)  # mp is the caller's copy
     pm = np.diagonal(A_pm)  # frakA's pm half is -i diag(j^2, |j|), frakB's is 0
-    mp = A_mp + para.frak_B(V)[1]
-    Lam = -1j * _beam_wave(*(b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)))
-    M = [(Phi[0][r2] * pm) @ Psi[1][:, r2] - Lam, Phi[1][r2] @ mp @ Psi[0][:, r2] - Lam]
-    inv = [_inverse_defect(Psi[i], Phi[i], i, r) for i in (0, 1)]
+    B_mp = para.frak_B(V)[1]
+    if cb:
+        mp[:n, n:] += B_mp[:n, n:]
+    if cw:
+        mp[n:, :n] += B_mp[n:, :n]
+    lam = [-1j * b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)]
+    M = [_minus_diagonal(_product(P.halves(Phi[0][r2] * pm, 0), P.halves(Psi[1][:, r2], 1)),
+                         *lam),
+         _minus_diagonal(_product(_product(P.halves(Phi[1][r2], 1), _blocks(mp, cb, cw)),
+                                  P.halves(Psi[0][:, r2], 0)), *lam)]
+    eye = np.eye(r.size)
+    inv = [_minus_diagonal(_product(P.halves(Psi[i][r2], i), P.halves(Phi[i][:, r2], i)),
+                           eye, eye) for i in (0, 1)]
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
     beam, wave = slice(None, n), slice(n, None)
     pairs = ((P.beam.D_b[1], beam, wave, P.wave.D_tilde_w[0]),
              (P.wave.D_w[1], wave, beam, P.beam.D_tilde_b[0]))
     bare = [D[r] @ mp[rows, cols] @ Dt[:, r]
-            for (D, rows, cols, Dt), live in zip(pairs, para.coupled()) if live]
+            for (D, rows, cols, Dt), live in zip(pairs, P.coupled) if live]
 
     def norm(blocks, s_out=s):
         return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
                    default=0.0)
 
+    def offdiag(halves):
+        return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
+
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
         "s": s,
         "n": n,
-        "conjugation_norm": norm(M),
-        "inverse_defect_norm": norm(inv, s + 2.0),
-        "offdiag_norm": norm(b for h in M for b in (h[:m, m:], h[m:, :m])),
+        "conjugation_norm": norm(map(_beam_wave, M)),
+        "inverse_defect_norm": norm(map(_beam_wave, inv), s + 2.0),
+        "offdiag_norm": norm(offdiag(M)),
         "offdiag_without_T": norm(bare),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),
@@ -354,19 +405,26 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     energy = modified_energy(P, samples)
     upper = energy / nsq
     lower = energy / np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
-    # the binding Garding constant lives at low modes; scan single-mode
-    # beam and wave states deterministically over the resolved band
-    modes = np.eye(n, dtype=complex)[1:grid.dealias_cut + 1]
-    zero = np.zeros_like(modes)
-    states = conjugate_pair(grid, np.concatenate([modes, zero]), np.concatenate([zero, modes]))
-    j = grid.modes.astype(float)
-    delta = np.concatenate([j**4, j**4, j**2, j**2])
-    u, du = P.phi(np.stack([states, delta * states]))
-    lhs = stacked_inner(grid, P.l2s(du), u, 0.0)
-    beam = np.repeat([1.0, 0.0], 2 * n)
-    zsq = stacked_norm(grid, states * beam, sigma + 2.0) ** 2
-    wsq = stacked_norm(grid, states * (1.0 - beam), sigma + 1.0) ** 2
-    defects = (lhs - 0.25 * (zsq + wsq)) / stacked_norm(grid, states, sigma) ** 2
+    # the binding Garding constant lives at low modes; scan the single-mode
+    # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically.
+    # Such a state is p = (e_k + e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its
+    # component, so its Phi-image is two columns of each half, and
+    # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
+    k = np.arange(1, grid.dealias_cut + 1)
+    cols = np.concatenate([k, n + k])
+    refl = np.concatenate([grid.reflect[k], n + grid.reflect[k]])
+    phi_p, phi_m = P.Phi
+    rt2 = np.sqrt(2.0)
+    u = parity_join((phi_p[:, cols] + phi_p[:, refl]).T / rt2,
+                    (phi_m[:, cols] - phi_m[:, refl]).T / rt2)
+    lhs = np.concatenate([k**4.0, k**2.0]) * stacked_inner(grid, P.l2s(u), u, 0.0)
+    # the Sobolev norms of e_k: ||Z||_{s+2}^2 of a beam state, ||W||_{s+1}^2
+    # of a wave state, ||V||_s^2 of both
+    def sq(s_):
+        return grid.bracket_power(s_)[k] ** 2
+
+    main = np.concatenate([sq(sigma + 2.0), sq(sigma + 1.0)])
+    defects = (lhs - 0.25 * main) / np.tile(sq(sigma), 2)
     return {
         "sigma": sigma,
         "n": n,

@@ -24,8 +24,15 @@ generator residuals): the SVD is taken of Re X when max|Im X| <= 1e-8
 max|Re X|, of Im X the other way round, and of the complex W otherwise --
 a matrix that is not real in this basis (a product whose inner sum runs
 through the unpaired Nyquist mode, as the N = 32 parametrix residuals at
-about 1e-7), and every norm on all n modes.  An all-zero W has norm
-exactly 0.0 and takes no SVD.
+about 1e-7), and every norm on all n modes.
+
+A matrix whose off-diagonal component blocks are all exactly zero (on all n
+modes or on the band) is block-diagonal, and its top singular value is the
+largest of its diagonal blocks': each is taken alone, as above, by an SVD
+of one component's side.  This is exact; a parity half that no coupling
+block reaches (``ParalinearizedSystem.coupled``) takes two SVDs of side |R|
+instead of one of side 2|R|.  An all-zero block has norm exactly 0.0 and
+takes no SVD.
 """
 
 import numpy as np
@@ -134,23 +141,38 @@ def _abs_max(a):
     return max(a.max(), -a.min())
 
 
+def _diagonal_components(W, side):
+    """Slices of the diagonal blocks of W to norm alone: one per component
+    of side ``side`` when every off-diagonal block is exactly zero, else W whole."""
+    comps = [slice(o, o + side) for o in range(0, W.shape[0], side)]
+    if any(W[a, b].any() for a in comps for b in comps if a != b):
+        return [slice(None)]
+    return comps
+
+
 def exact_operator_norm(grid, M, s_in, s_out, band=None):
-    """H^{s_in} -> H^{s_out} norm of M by dense SVD: of the real matrix of
-    the cosine-sine basis on the resolved band when M is real there up to a
-    global phase, of the complex weighted matrix otherwise."""
+    """H^{s_in} -> H^{s_out} norm of M by dense SVD, block by diagonal block
+    when M is block-diagonal over its components: of the real matrix of the
+    cosine-sine basis on the resolved band when a block is real there up to
+    a global phase, of the complex weighted block otherwise."""
     W = weighted_matrix(grid, M, s_in, s_out, band)
-    if not W.any():
-        return 0.0
-    if band is not None:
-        X = _to_cosine_sine(grid, W)
-        re, im = _abs_max(X.real), _abs_max(X.imag)
-        if im <= _PHASE_TOL * re:
-            W = X.real
-        elif re <= _PHASE_TOL * im:
-            W = X.imag
-        else:  # not real in this basis
-            W = weighted_matrix(grid, M, s_in, s_out, band)
-    return float(np.linalg.svd(W, compute_uv=False)[0])
+    side = grid.n if band is None else 2 * grid.dealias_cut + 1
+    norms = []
+    for c in _diagonal_components(W, side):
+        X = W[c, c]
+        if not X.any():
+            continue
+        if band is not None:
+            _to_cosine_sine(grid, X)
+            re, im = _abs_max(X.real), _abs_max(X.imag)
+            if im <= _PHASE_TOL * re:
+                X = X.real
+            elif re <= _PHASE_TOL * im:
+                X = X.imag
+            else:  # not real in this basis
+                X = weighted_matrix(grid, M, s_in, s_out, band)[c, c]
+        norms.append(np.linalg.svd(X, compute_uv=False)[0])
+    return float(np.max(norms, initial=0.0))  # NaN propagates
 
 
 def remainder_bw_minus_weyl(sym):

@@ -88,6 +88,29 @@ def test_trivial_background_generator_is_diagonal_phases():
     assert np.max(np.abs(para.frak_B(None))) == 0.0
 
 
+def test_frak_B_allocates_no_half_that_is_zero_by_structure():
+    # pm is zero for every system, and mp where F has no coupling slot (as in
+    # headline): such a half is a read-only broadcast zero owning no memory;
+    # an mp that is formed carries only the coupling blocks F can make nonzero
+    g = TorusGrid(32)
+    n = g.n
+    for name in ("headline", "mixed"):
+        sysm, fields = build_preset(name, g)
+        para = ParalinearizedSystem(sysm, g)
+        pm, mp = para.frak_B(complexify(*fields).stacked())
+        zero_mp = name == "headline"
+        for half, zero in ((pm, True), (mp, zero_mp)):
+            assert half.shape == (2 * n, 2 * n)
+            assert (half.strides == (0, 0) and not half.flags.writeable) == zero
+        assert np.any(mp) != zero_mp
+    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
+    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
+    para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2), g)
+    assert para.coupled() == (True, False)
+    _, mp = para.frak_B(complexify(*build_preset("linear", g)[1]).stacked())
+    assert np.any(mp[:n, n:]) and not np.any(mp[n:, :n])
+
+
 def test_R_operator_trivial_system_order_zero():
     # for b = c = 1 the complex linear part differs from frakA(0) only by the
     # bounded bracket corrections (order 0): <j>^2 vs j^2 and <j> vs |j|

@@ -7,7 +7,7 @@ import pytest
 
 import beamwave.parametrix
 import beamwave.symbols
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import build_preset
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.grid import TorusGrid, transform
@@ -32,7 +32,7 @@ from beamwave.state import (
     stacked_inner,
     stacked_norm,
 )
-from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 
 
 def variable_b_system(n, amp=0.2):
@@ -87,14 +87,22 @@ def test_smallness_precondition():
         BeamDiagonalizer(np.full(g.n, -0.7), g)
 
 
+def subprincipal_offdiagonal(beam, xi):
+    """The off-diagonal subprincipal symbol of a BeamDiagonalizer after its
+    M_{-1} step, assembled at frequencies xi: i n12 xi (1 - psi(xi)); it
+    vanishes identically for |xi| >= 1/2."""
+    xi = np.asarray(xi, dtype=float)
+    return 1j * beam.n12[:, None] * xi[None, :] * (1.0 - cutoff_psi(xi))[None, :]
+
+
 def test_subprincipal_vanishes_above_half():
     g, sys, para = variable_b_system(32)
     d = BeamDiagonalizer(para.a_fun, g)
     xi = np.linspace(0.5, 20.0, 64)
-    assert np.max(np.abs(d.subprincipal_offdiagonal(xi))) == 0.0
+    assert np.max(np.abs(subprincipal_offdiagonal(d, xi))) == 0.0
     # and does not vanish identically below
     xi_low = np.array([0.35])
-    assert np.max(np.abs(d.subprincipal_offdiagonal(xi_low))) > 0.0
+    assert np.max(np.abs(subprincipal_offdiagonal(d, xi_low))) > 0.0
 
 
 def test_trivial_background_gauge_collapses():
@@ -170,9 +178,24 @@ def _beam_wave(B, W):
     return np.block([[B, zero], [zero, W]])
 
 
+# system files whose F couples beam and wave one way only: F1 reads
+# theta_xx (g_12b), or F2 reads y_xx (g_12w); no preset does
+ONE_SIDED = {
+    "beam_wave_only": ({"F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}, (True, False)),
+    "wave_beam_only": ({"F2": [[1.0, 2, 5]]}, (False, True)),
+}
+
+
 def _preset_setup(preset, n):
+    """Grid, system and background of a preset, or of a ONE_SIDED system file
+    with the data the CLI gives a system file."""
     g = TorusGrid(n)
-    sysm, fields = build_preset(preset, g)
+    if preset in ONE_SIDED:
+        doc, coupled = ONE_SIDED[preset]
+        sysm, fields = bridge_system_from_json(doc, g), build_preset("linear", g)[1]
+        assert ParalinearizedSystem(sysm, g).coupled() == coupled
+    else:
+        sysm, fields = build_preset(preset, g)
     return g, ParalinearizedSystem(sysm, g), complexify(*fields).stacked()
 
 
@@ -308,11 +331,11 @@ def _full_product_norms(P, para, V):
     }
 
 
-@pytest.mark.parametrize("preset", ["headline", "mixed"])
+@pytest.mark.parametrize("preset", ["headline", "mixed", *ONE_SIDED])
 def test_residual_norms_match_full_products_and_complex_svds(preset):
     # the column-scaled, blockwise and skipped products and the real-basis
-    # SVDs change nothing beyond round-off; headline's coupling norms stay
-    # exact zeros
+    # and per-component SVDs change nothing beyond round-off; headline's
+    # coupling norms stay exact zeros
     for n in (32, 64, 128):
         g, para, V = _preset_setup(preset, n)
         P = build_parametrix(para, V, 2.5)
@@ -335,6 +358,31 @@ def test_parametrix_halves_carry_one_coupling_block_each():
         assert not np.any(absent)
     for carried in (phi_p[:n, n:], phi_m[n:, :n], psi_p[:n, n:], psi_m[n:, :n]):
         assert np.max(np.abs(carried)) > 0.0
+
+
+@pytest.mark.parametrize("preset", ["headline", *ONE_SIDED])
+def test_residuals_form_no_product_through_a_zero_coupling_block(preset, monkeypatch):
+    # without a coupling slot every residual half is block-diagonal: its norm
+    # takes at most two SVDs of side |R| (none for a block that is exactly
+    # zero, as headline's beam blocks of Psi Phi - 1 with b = 1), and T holds
+    # no block that F cannot make nonzero
+    g, para, V = _preset_setup(preset, 64)
+    P = build_parametrix(para, V, 2.5)
+    cb, cw = para.coupled()
+    assert [t is None for t in P.T] == [not cb, not cw]
+    m = 2 * g.dealias_cut + 1
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    conjugation_residual(P, para, V)
+    if not (cb or cw):
+        assert 0 < len(shapes) <= 8 and set(shapes) == {(m, m)}
+    else:  # each half of Phi and Psi that carries a coupling block keeps it whole
+        assert (2 * m, 2 * m) in shapes and (m, m) in shapes
 
 
 def _per_vector_report(para, V, sigma, sample_count, seed):
@@ -376,7 +424,7 @@ def _per_vector_report(para, V, sigma, sample_count, seed):
     }
 
 
-@pytest.mark.parametrize("preset", ["headline", "mixed"])
+@pytest.mark.parametrize("preset", ["headline", "mixed", *ONE_SIDED])
 def test_batched_energy_report_matches_per_vector_reference(preset):
     for n in (32, 64):
         g, para, V = _preset_setup(preset, n)

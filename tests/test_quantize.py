@@ -162,12 +162,12 @@ def test_quantize_cache_key_is_exact_under_hash_collisions(monkeypatch):
     assert np.max(np.abs(ops[0] - ops[1])) > 1.0
 
 
-def _svd_spy(monkeypatch):
-    """Record the dtype of every matrix handed to np.linalg.svd."""
+def _svd_spy(monkeypatch, record=lambda a: np.asarray(a).dtype.kind):
+    """Record the dtype (or ``record(a)``) of every matrix handed to np.linalg.svd."""
     seen, svd = [], np.linalg.svd
 
     def spy(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype.kind)
+        seen.append(record(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
@@ -231,3 +231,52 @@ def test_zero_block_norm_is_exactly_zero_without_an_svd(monkeypatch):
     M = np.zeros((g.n, g.n))
     M[g.n // 2, 0] = 1.0
     assert exact_operator_norm(g, M, 0.0, 0.0, band="resolved") == 0.0
+
+
+def _block_diagonal(blocks):
+    side = blocks[0].shape[0]
+    out = np.zeros((len(blocks) * side,) * 2, dtype=complex)
+    for i, b in enumerate(blocks):
+        out[i * side:(i + 1) * side, i * side:(i + 1) * side] = b
+    return out
+
+
+@pytest.mark.parametrize("band", [None, "restricted"])
+def test_block_diagonal_norm_is_the_largest_component_norm(band, monkeypatch):
+    # sigma_max(blockdiag) = max sigma_max: each diagonal block takes its own
+    # SVD of one component's side (none for a zero block), and the norm
+    # equals the SVD of the whole weighted matrix
+    g = TorusGrid(64)
+    ops = list(_real_symbol_operators(g).values())
+    if band == "restricted":
+        keep = g.dealias_mask
+        ops = [M[np.ix_(keep, keep)] for M in ops]
+    side = ops[0].shape[0]
+    shapes, svd = _svd_spy(monkeypatch, np.shape)
+    for blocks, s_in, s_out, svds in (((ops[0], ops[1]), 2.0, 0.0, 2),
+                                      ((ops[2], ops[0], np.zeros_like(ops[0]), 0.5 * ops[1]),
+                                       [2.5, 1.0, 0.0, 2.0], 1.0, 3)):
+        W = _block_diagonal(blocks)
+        expect = svd(weighted_matrix(g, W, s_in, s_out, band), compute_uv=False)[0]
+        shapes.clear()
+        got = exact_operator_norm(g, W, s_in, s_out, band=band)
+        assert abs(got - expect) <= 1e-13 * expect, (len(blocks), got, expect)
+        assert shapes == [(side, side)] * svds
+
+
+@pytest.mark.parametrize("band", [None, "restricted"])
+def test_one_nonzero_off_diagonal_entry_takes_the_full_svd(band, monkeypatch):
+    g = TorusGrid(64)
+    ops = list(_real_symbol_operators(g).values())
+    if band == "restricted":
+        keep = g.dealias_mask
+        ops = [M[np.ix_(keep, keep)] for M in ops]
+    side = ops[0].shape[0]
+    W = _block_diagonal(ops[:2])
+    W[side + 1, 1] = 0.3
+    shapes, svd = _svd_spy(monkeypatch, np.shape)
+    expect = svd(weighted_matrix(g, W, 1.0, 1.0, band), compute_uv=False)[0]
+    shapes.clear()
+    got = exact_operator_norm(g, W, 1.0, 1.0, band=band)
+    assert abs(got - expect) <= 1e-13 * expect
+    assert shapes == [(2 * side, 2 * side)]

@@ -201,6 +201,21 @@ def test_parity_halves_round_trip_and_carry_the_real_state():
     assert np.allclose(m, 1j * np.concatenate([y_t, th_t]) / D, rtol=1e-14, atol=1e-14)
 
 
+def test_parity_split_is_its_formula_bit_for_bit():
+    # p = (z + zbar, w + wbar)/sqrt2, m = (z - zbar, w - wbar)/sqrt2, written
+    # into one output with the same arithmetic, on one vector and on a batch
+    g = TorusGrid(16)
+    n = g.n
+    rng = np.random.default_rng(8)
+    for shape in ((4 * n,), (3, 2, 4 * n)):
+        vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z, zb, w, wb = (vec[..., i * n:(i + 1) * n] for i in range(4))
+        expect = (np.concatenate([z + zb, w + wb], axis=-1) / np.sqrt(2.0),
+                  np.concatenate([z - zb, w - wb], axis=-1) / np.sqrt(2.0))
+        for got, ref in zip(parity_split(vec), expect):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 def test_symmetric_pairs_split_into_even_and_odd_halves():
     # [[A, B], [B, A]] acts as A + B on p and A - B on m; -iE times it, E =
     # diag(1, -1), maps m -> p by -i(A - B) and p -> m by -i(A + B)
