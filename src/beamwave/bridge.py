@@ -166,10 +166,12 @@ class BridgeSystem:
         """Add the dealiased Fourier coefficients of F1, F2 at the jet values
         ``jets`` (6, ..., n) to the accelerations du[1], du[3] of a derivative
         (4, ..., n); an F without terms adds nothing and is not transformed."""
-        values = np.zeros((len(self._live_F),) + jets.shape[1:], dtype=complex)
-        for (F, _), values_F in zip(self._live_F, values):
-            F.evaluate(jets, values_F)
-        for (_, row), hat in zip(self._live_F, np.fft.fft(values, norm="forward", out=values)):
+        # one F at a time, in one buffer: on a Kato sweep's trajectory a batch of
+        # both F's and its FFT set the sweep's memory peak
+        hat = np.empty(jets.shape[1:], dtype=complex)
+        for F, row in self._live_F:
+            hat.fill(0.0)
+            np.fft.fft(F.evaluate(jets, hat), norm="forward", out=hat)
             np.add(du[row], hat, out=du[row], where=self.grid.dealias_mask)  # dealiased
 
     def linear_rhs(self, u):
@@ -247,7 +249,10 @@ class BridgeSystem:
             return False
         g = self.grid
         for j in range(1, min(5, g.n // 2)):
-            s = transform(g, np.sin(j * g.x)).coeffs
+            # sin jx = (e^{ijx} - e^{-ijx}) / 2i, exactly: the symbol, up to
+            # (n/2)^4, would multiply the round-off of transform(sin jx)
+            s = np.zeros(g.n, dtype=complex)
+            s[j], s[-j] = -0.5j, 0.5j
             for out in self.linear_rhs(np.array([s, 0.0 * s, s, 0.0 * s])):
                 if not _has_parity(g, out, -1, tol=1e-9):
                     return False

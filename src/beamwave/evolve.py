@@ -3,7 +3,8 @@
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 (``_rk4``, of a stage (4, n) -> (4, n), summed in place) and one march
 (``_march``) of the real coefficients (4, n) of (y, y_t, theta, theta_t),
-stored as they are, (nodes, 4, n), normed and guarded with real weights.  The
+normed and guarded with real weights as marched and stored by their j >= 0
+half, (nodes, 4, n//2 + 1), as u_{-j} = conj u_j for real functions.  The
 stacked V = (z, zbar, w, wbar) appears only where ``kato_solve`` converts its
 initial data and ``RunResult.final`` the last node:
 
@@ -53,9 +54,10 @@ from .state import (
 )
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
-# trajectories, (steps + 1) x 4n complex128 each, a Kato sweep holds at its peak:
-# V_{n-1}, its jets (1.5), g (0.75), the forcing, F's grid values (5.0-5.6 measured)
-KATO_TRAJECTORIES = 6
+# stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
+# its peak: V_{n-1} and its y, theta rows (2), jets (3), g (1.5), the forcing (2),
+# one F's values (1-1.5); 9.7-10.4 measured (tracemalloc, mixed, N = 16 and 64)
+KATO_TRAJECTORIES = 12
 
 
 class SolverConfig:
@@ -115,7 +117,7 @@ class SolverConfig:
         else:
             dt = limit
         ratio = self.T_final / dt
-        need = KATO_TRAJECTORIES * (ratio + 2.0) * 4 * grid.n * 16
+        need = KATO_TRAJECTORIES * (ratio + 2.0) * 4 * (grid.n // 2 + 1) * 16
         if need > physical_memory_bytes():
             raise ConfigError(
                 "dt = %.3e needs %.3g steps, whose trajectories exceed physical memory"
@@ -142,13 +144,17 @@ class SolverConfig:
 
 
 class RunResult:
-    """Real trajectory (nodes, 4, n) of (y, y_t, theta, theta_t), norm time
+    """Real trajectory of (y, y_t, theta, theta_t), stored by its j >= 0 half
+    (nodes, 4, n//2 + 1) in ``np.fft.rfft``'s layout (modes 0..n/2), norm time
     series, iteration record, termination cause."""
 
     def __init__(self, grid, times, trajectory, norms, termination, increments=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.trajectory = np.asarray(trajectory, dtype=complex)
+        if self.trajectory.shape[1:] != (4, grid.n // 2 + 1):
+            raise PreconditionError("trajectory must hold real states by their j >= 0 half, "
+                                    "of shape (nodes, 4, n//2 + 1)")
         self.norms = {k: np.asarray(v, dtype=float) for k, v in norms.items()}
         self.termination = termination
         self.increments = list(increments) if increments is not None else []
@@ -156,10 +162,10 @@ class RunResult:
     @property
     def final(self):
         """The last node as a stacked (z, zbar, w, wbar), 4n."""
-        return stacked_from_real(self.grid, *self.trajectory[-1])
+        return stacked_from_real(self.grid, *_full(self.grid, self.trajectory[-1]))
 
     def sup_norm(self, s):
-        return max(map(_norm(self.grid, s), self.trajectory))
+        return max(map(_half_norm(self.grid, s), self.trajectory))
 
     def fitted_growth(self, key=None):
         """Least-squares slope of log ||V(t)||; the measured growth constant."""
@@ -268,20 +274,37 @@ def _norm(grid, s):
     return lambda u: float(np.sqrt(np.vdot(u, w * u).real))
 
 
+def _half_norm(grid, s):
+    """h -> the same norm from a stored half (4, n//2 + 1), by its Hermitian
+    weights w_0, 2 w_j (0 < j < n/2), w_{n/2}."""
+    w = real_norm_weights(grid, s)[:, : grid.n // 2 + 1].astype(complex)
+    w[:, 1:-1] *= 2.0
+    return lambda h: float(np.sqrt(np.vdot(h, w * h).real))
+
+
+def _full(grid, half):
+    """Real functions' coefficients (..., n) from their stored half (..., n//2 + 1),
+    read as ``np.fft.irfft`` reads it: u_{-j} = conj u_j, modes 0 and n/2 real."""
+    out = np.concatenate([half, np.conj(half[..., grid.n // 2 - 1 : 0 : -1])], axis=-1)
+    out.imag[..., [0, grid.n // 2]] = 0.0
+    return out
+
+
 def _march(grid, ladder, dt, steps, u0, step):
     """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) from u0, stored
-    as (steps + 1, 4, n) with its H^{s0}, H^{s1} norms, taken node by node.
+    by each node's j >= 0 half, (steps + 1, 4, n//2 + 1), with its H^{s0},
+    H^{s1} norms, taken node by node on the marched state.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
-    traj = np.empty((steps + 1, 4, grid.n), dtype=complex)
+    traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex)
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
     norm_of = {key: _norm(grid, getattr(ladder, key)) for key in norms}
     u = u0
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
-        traj[k] = u
+        traj[k] = u[:, : grid.n // 2 + 1]
         for key, norm in norm_of.items():
             norms[key][k] = norm(u)
         if not norms["s1"][k] <= 1e6 * max(norms["s1"][0], 1e-300):
@@ -355,12 +378,13 @@ def kato_solve(sys, V0, config):
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
-        u = np.moveaxis(result.trajectory, 1, 0)  # the whole of V_{n-1}, (4, nodes, n)
+        y, theta = _full(grid, np.moveaxis(result.trajectory[:, ::2], 1, 0))
+        u = (y, None, theta, None)  # all of V_{n-1} that prepass and kato_forcing read
         jets, g = prepass = para.prepass(u)
         sys.check_wave_margin(jets, "Kato sweep %d freezes a background outside the "
                                     "smallness radius: " % sweep)
         forcing = para.kato_forcing(u, times, prepass)
-        del jets, prepass, u
+        del jets, prepass, u, y, theta
         nxt = linear_solve(para, g, u0, np.moveaxis(forcing, 0, 1), config)
         del g, forcing
         inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
@@ -404,7 +428,7 @@ def trajectory_gap(grid, run_a, run_b, s):
     """sup_t ||V_a(t) - V_b(t)||_{H^s} on the common time grid."""
     if len(run_a.times) != len(run_b.times):
         raise PreconditionError("runs must share a time grid")
-    norm = _norm(grid, s)
+    norm = _half_norm(grid, s)
     return max(norm(a - b) for a, b in zip(run_a.trajectory, run_b.trajectory))
 
 

@@ -92,7 +92,8 @@ class ParalinearizedSystem:
 
     def prepass(self, u):
         """The jets (6, ..., n) at the slots F reads (``jets``) of real
-        backgrounds u = (y, y_t, theta, theta_t) (4, ..., n), in one batched call,
+        backgrounds u = (y, y_t, theta, theta_t) (4, ..., n), in one batched call
+        from the rows u[0] = y and u[2] = theta (the others may be None),
         and the coefficients (3, ..., n) of g_1w, g_12b and g_12w: the dealiased
         halves of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx) there.  F is
         quadratic: g is linear in V."""
@@ -255,11 +256,11 @@ class ParalinearizedSystem:
         cancels, leaving gamma f_b + F1 - P_12b theta in y_tt and
         delta f_w + F2 - P_1w theta - P_12w y in theta_tt, from the jets of u
         (``prepass``, if the caller holds ``self.prepass(u)``); P is applied
-        node by node."""
+        node by node.  As in ``prepass``, only the rows y and theta of u are read."""
         jets, g = self.prepass(u) if prepass is None else prepass
         r = self.forcing_G(t)
         self.source.add_nonlinearity_hats(jets, r)
-        for idx in np.ndindex(np.shape(u)[1:-1]):
+        for idx in np.ndindex(np.shape(u[0])[:-1]):
             for out, inp, P in self.background_blocks(g[(slice(None),) + idx]):
                 r[out][idx] -= P @ u[inp][idx]
         return r

@@ -76,10 +76,10 @@ def _op(f, mult=None):
     return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
 
 
-def _similarity(grid, s1, s2):
-    """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]],
-    from grid values; S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
-    S1, S2 = _op(transform(grid, s1)), _op(transform(grid, s2))
+def _similarity(s1, s2):
+    """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]];
+    S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
+    S1, S2 = _op(s1), _op(s2)
     return S1 + S2, S1 - S2
 
 
@@ -151,7 +151,8 @@ class BeamDiagonalizer:
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
     an order-zero residual, uniformly in the truncation.  With M_{-1} =
     [[0, O_m], [O_m, 0]], D_b and D~_b are held as their even halves
-    K^{-1}(1 +- O_m)(S_1 -+ S_2) and (S_1 +- S_2)(1 -+ O_m) K.
+    K^{-1}(1 +- O_m)(S_1 -+ S_2) and (S_1 +- S_2)(1 -+ O_m) K; D~_b is formed
+    on first use.
     """
 
     def __init__(self, a, grid):
@@ -182,11 +183,18 @@ class BeamDiagonalizer:
         m_coef = transform(grid, self.n12 / (2.0 * lam))
         self.M_minus1 = O_m = _op(1j * m_coef, FrequencyMultiplier.psi_over_xi())
 
-        S_p, S_m = _similarity(grid, s1, s2)
-        K, K_inv = _op(self.k), _op(transform(grid, np.exp(-phi)))
+        S_p, S_m = _similarity(self.s1_b, self.s2_b)
+        K_inv = _op(transform(grid, np.exp(-phi)))
         eye = np.eye(grid.n)
         self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
-        self.D_tilde_b = S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
+
+    @cached_property
+    def D_tilde_b(self):
+        """D~_b's halves, built on first use (only Psi and the bare coupling
+        blocks of the conjugation residual apply it) from quantizations of its own."""
+        (S_p, S_m), O_m, K = _similarity(self.s1_b, self.s2_b), self.M_minus1, _op(self.k)
+        eye = np.eye(self.grid.n)
+        return S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
 
     def pointwise_identity_defect(self):
         return _pointwise_identity_defect(self.s1_b, self.s2_b, self.lam_b)
@@ -208,7 +216,7 @@ class WaveDiagonalizer:
         self.lam_w = transform(grid, lam)
         self.s1_w = transform(grid, s1)
         self.s2_w = transform(grid, s2)
-        self.D_tilde_w = _similarity(grid, s1, s2)
+        self.D_tilde_w = _similarity(self.s1_w, self.s2_w)
         self.D_w = self.D_tilde_w[::-1]
 
     def pointwise_identity_defect(self):

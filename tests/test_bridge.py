@@ -79,6 +79,16 @@ def test_parity_passing_and_failing_couplings():
     assert not bad.check_parity()
 
 
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+def test_parity_check_holds_at_every_grid_size(n):
+    # the parity preset preserves parity at every N; headline (theta_xx^2)
+    # and a constant y_x term in B do not
+    g = TorusGrid(n)
+    assert build_preset("parity", g)[0].check_parity()
+    assert not build_preset("headline", g)[0].check_parity()
+    assert not BridgeSystem(g, 1.0, 1.0, B_terms=[(1.0, 1)]).check_parity()
+
+
 def test_lower_order_bound():
     g = TorusGrid(16)
     with pytest.raises(ConfigError):

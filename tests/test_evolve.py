@@ -7,7 +7,9 @@ from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
     KATO_TRAJECTORIES,
+    _full,
     _rk4,
+    RunResult,
     SolverConfig,
     bona_smith_experiment,
     duhamel_smoothing_ratio,
@@ -25,6 +27,7 @@ from beamwave.state import (
     complexify,
     is_conjugate_pair,
     real_from_stacked,
+    real_norm_weights,
     stacked_from_real,
     stacked_norm,
 )
@@ -189,11 +192,12 @@ def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
 
 
 @pytest.mark.parametrize("solver", ["oracle", "kato"])
-def test_march_stores_the_real_nodes_and_their_norms(solver):
-    # the nodes are stored as marched, real states (4, n): node 0 is the input
-    # coefficients bit for bit (kato_solve's input is its stacked data, turned
-    # real once), and each stored norm, taken from the real coordinates, is
-    # stacked_norm of the complexified node to round-off
+def test_march_stores_the_real_nodes_and_their_norms(solver, marched):
+    # the nodes are stored by the j >= 0 half of each marched real state
+    # (4, n): node 0 is the half of the input coefficients bit for bit
+    # (kato_solve's input is its stacked data, turned real once), and each
+    # stored norm, taken from the real coordinates of the marched node, is
+    # stacked_norm of its complexification to round-off
     g, sys = headline_system(32)
     fields = make_fields(g)
     cfg = SolverConfig(T_final=0.1)
@@ -202,14 +206,85 @@ def test_march_stores_the_real_nodes_and_their_norms(solver):
     else:
         V0 = complexify(*fields).stacked()
         run, u0 = kato_solve(sys, V0, cfg), np.array(real_from_stacked(g, V0))
-    assert run.trajectory.shape == (12, 4, g.n)
-    assert np.array_equal(run.trajectory[0], u0)
+    assert run.trajectory.shape == (12, 4, g.n // 2 + 1)
+    assert np.array_equal(run.trajectory[0], u0[:, : g.n // 2 + 1])
+    assert len(marched[-1]) == 12
     for key in ("s0", "s1"):
         s = getattr(cfg.ladder, key)
-        for u, norm in zip(run.trajectory, run.norms[key]):
+        for u, norm in zip(marched[-1], run.norms[key]):
             expect = stacked_norm(g, stacked_from_real(g, *u), s)
             assert abs(norm - expect) <= 1e-14 * expect
-    assert np.array_equal(run.final, stacked_from_real(g, *run.trajectory[-1]))
+    assert np.array_equal(run.final, stacked_from_real(g, *_full(g, run.trajectory[-1])))
+
+
+@pytest.mark.parametrize("solver", ["oracle", "kato", "linear"])
+def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marched):
+    # modes 0..n/2 of every marched node, bit for bit, the Nyquist mode as marched
+    g = TorusGrid(32)
+    sysm, fields = build_preset("mixed", g)
+    cfg = SolverConfig(T_final=0.05, eps=1e-3 if solver == "linear" else 0.0)
+    if solver == "oracle":
+        run = oracle_solve(sysm, *fields, cfg)
+    elif solver == "kato":
+        run = kato_solve(sysm, complexify(*fields).stacked(), cfg)
+        assert len(marched) == len(run.increments) + 1  # the last march is the result
+    else:
+        para = ParalinearizedSystem(sysm, g)
+        u0 = real_state(fields)
+        steps = cfg.resolve_dt(g, 1.0)[1]
+        nodes = np.repeat(u0[:, None], steps + 1, axis=1)
+        run = linear_solve(para, para.prepass(nodes)[1], u0, np.moveaxis(
+            para.kato_forcing(nodes, np.zeros(steps + 1)), 0, 1), cfg)
+    full = np.array(marched[-1])
+    assert full.shape == (len(run.times), 4, g.n)
+    assert np.array_equal(run.trajectory, full[..., : g.n // 2 + 1])
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "parity"])
+def test_final_is_an_exact_conjugate_pair(preset):
+    g = TorusGrid(32)
+    sysm, fields = build_preset(preset, g)
+    cfg = SolverConfig(T_final=0.05)
+    for run in (oracle_solve(sysm, *fields, cfg),
+                kato_solve(sysm, complexify(*fields).stacked(), cfg)):
+        assert is_conjugate_pair(g, run.final, tol=0.0)
+        z = run.final[: g.n]
+        assert np.array_equal(run.final[g.n : 2 * g.n], np.conj(z[g.reflect]))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_gap_and_sup_norm_from_halves_match_the_full_states(preset):
+    # the Hermitian weights on the stored halves against the full states
+    # (4, n) rebuilt here, normed with the full weights
+    g = TorusGrid(64)
+    sysm, fields = build_preset(preset, g)
+    cfg = SolverConfig(T_final=0.02)
+    kat = kato_solve(sysm, complexify(*fields).stacked(), cfg)
+    orc = oracle_solve(sysm, *fields, cfg)
+
+    def full_states(run):
+        half = run.trajectory
+        return np.concatenate([half, np.conj(half[..., g.n // 2 - 1 : 0 : -1])], axis=-1)
+
+    for s in (cfg.ladder.s0, cfg.ladder.s1):
+        w = real_norm_weights(g, s)
+
+        def norms(u):
+            return np.sqrt(np.sum(w * np.abs(u) ** 2, axis=(-2, -1)))
+
+        ref_gap = np.max(norms(full_states(kat) - full_states(orc)))
+        assert abs(trajectory_gap(g, kat, orc, s) - ref_gap) <= 1e-13 * ref_gap
+        for run in (kat, orc):
+            ref_sup = np.max(norms(full_states(run)))
+            assert abs(run.sup_norm(s) - ref_sup) <= 1e-13 * ref_sup
+
+
+def test_run_result_refuses_a_trajectory_that_is_not_a_half():
+    g = TorusGrid(16)
+    for nodes in (np.zeros((2, 4, g.n)), np.zeros((2, 4, g.n // 2)), np.zeros((2, 4 * g.n))):
+        with pytest.raises(PreconditionError, match="j >= 0 half"):
+            RunResult(g, [0.0, 0.1], nodes, {}, "completed")
+    RunResult(g, [0.0, 0.1], np.zeros((2, 4, g.n // 2 + 1)), {}, "completed")
 
 
 def test_trivial_kato_one_sweep_exact():
@@ -232,10 +307,12 @@ def test_kato_matches_oracle_small():
     assert gap < 1e-6 * orc.sup_norm(cfg.ladder.s1)
 
 
-def test_kato_preserves_reality():
+def test_kato_preserves_reality(marched):
+    # on the marched nodes: the stored halves are real states by construction
     g, sys = headline_system(32)
-    run = kato_solve(sys, complexify(*make_fields(g)).stacked(), SolverConfig(T_final=0.05))
-    for u in run.trajectory[:: max(1, len(run.trajectory) // 5)]:
+    kato_solve(sys, complexify(*make_fields(g)).stacked(), SolverConfig(T_final=0.05))
+    nodes = marched[-1]
+    for u in nodes[:: max(1, len(nodes) // 5)]:
         assert is_conjugate_pair(g, stacked_from_real(g, *u), tol=1e-10)
 
 
@@ -248,7 +325,7 @@ def test_oracle_trivial_exact_phases():
     th0 = transform(g, np.cos(3 * g.x))
     cfg = SolverConfig(dt=1e-3, T_final=0.5)
     run = oracle_solve(sys, y0, zero, th0, zero, cfg)
-    y, _, th, _ = np.fft.ifft(run.trajectory[-1], norm="forward")
+    y, _, th, _ = np.fft.irfft(run.trajectory[-1], g.n, norm="forward")
     assert np.max(np.abs(y.real - np.cos(4.0 * 0.5) * np.cos(2 * g.x))) < 1e-8
     assert np.max(np.abs(th.real - np.cos(3.0 * 0.5) * np.cos(3 * g.x))) < 1e-8
 
@@ -362,7 +439,7 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius"):
         kato_solve(sys, complexify(*fields).stacked(), config)
     # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
-    theta = np.fft.ifft(oracle_solve(sys, *fields, config).trajectory[-1, 2], norm="forward")
+    theta = np.fft.irfft(oracle_solve(sys, *fields, config).trajectory[-1, 2], g.n, norm="forward")
     assert np.min(1.0 + theta.real) < 0.0
 
 
@@ -378,7 +455,7 @@ def test_kato_checks_the_exact_margin_not_the_speeds():
     kat = kato_solve(sys, complexify(*fields).stacked(), config)
     assert kat.termination == "converged"
     orc = oracle_solve(sys, *fields, config)
-    theta = np.fft.ifft(orc.trajectory[:, 2], norm="forward").real
+    theta = np.fft.irfft(orc.trajectory[:, 2], g.n, norm="forward")
     assert np.min(1.0 + theta) > 0.8
     s1 = config.ladder.s1
     assert trajectory_gap(g, kat, orc, s1) <= 1e-4 * orc.sup_norm(s1)

@@ -532,3 +532,34 @@ def test_psi_is_built_only_for_the_residuals(monkeypatch):
     first = conjugation_residual(P, para, V)
     assert conjugation_residual(P, para, V) == first
     assert built == [P]
+
+
+def test_beam_d_tilde_is_built_only_for_the_residuals(monkeypatch):
+    # D~_b enters Psi and the bare coupling blocks, never Phi: the energy
+    # report's own parametrix does not form it, a residual forms it once
+    g, para, V = coupled_setup(32)
+    built = []
+    original = BeamDiagonalizer.D_tilde_b.func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    d_tilde = cached_property(counting)
+    d_tilde.__set_name__(BeamDiagonalizer, "D_tilde_b")
+    monkeypatch.setattr(BeamDiagonalizer, "D_tilde_b", d_tilde)
+    reports = []
+
+    def keeping(*args):
+        reports.append(Parametrix(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(beamwave.parametrix, "build_parametrix", keeping)
+    equivalence_and_garding_report(para, V, 2.5, sample_count=4)
+    assert len(reports) == 1 and "D_tilde_b" not in vars(reports[0].beam)
+    assert built == []
+
+    P = Parametrix(para, V, 2.5)
+    first = conjugation_residual(P, para, V)
+    assert conjugation_residual(P, para, V) == first
+    assert built == [P.beam]
