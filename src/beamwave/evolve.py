@@ -56,8 +56,15 @@ from .state import (
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
 # stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
 # its peak: V_{n-1} and its y, theta rows (2), jets (3), g (1.5), the forcing (2),
-# one F's values (1-1.5); 9.7-10.4 measured (tracemalloc, mixed, N = 16 and 64)
+# one F's values (1-1.5); 9.7-10.4 measured (tracemalloc, mixed, N = 16 and 64).
+# The n x n operators, which dominate short runs at large N, are counted apart.
 KATO_TRAJECTORIES = 12
+# n x n complex128 operators a Kato solve holds besides them: the grid's lattices
+# (about 2), frakA(0)'s two blocks, up to three Weyl tables, the background blocks
+# of a stage (up to 3) and their gather; beyond 12 trajectories, tracemalloc
+# measured 9.6 (mixed; headline 5.6) at N = 512, T = 0.004, and at most 11.7 over
+# N = 32-512 (mixed, N = 64, T = 0.01)
+KATO_OPERATORS = 12
 
 
 class SolverConfig:
@@ -105,8 +112,8 @@ class SolverConfig:
     def resolve_dt(self, grid, b_max):
         """The actual step: validated config dt, or the largest stable step
         dividing T_final into an integer number of steps.  A step count whose
-        trajectories (``KATO_TRAJECTORIES`` of them) would not fit in physical
-        memory is refused."""
+        trajectories (``KATO_TRAJECTORIES`` of them) and n x n operators
+        (``KATO_OPERATORS``) would not fit in physical memory is refused."""
         limit = self.max_stable_dt(grid, b_max)
         if self.dt is not None:
             if self.dt > limit * (1.0 + 1e-12):
@@ -117,11 +124,12 @@ class SolverConfig:
         else:
             dt = limit
         ratio = self.T_final / dt
-        need = KATO_TRAJECTORIES * (ratio + 2.0) * 4 * (grid.n // 2 + 1) * 16
+        need = (KATO_TRAJECTORIES * (ratio + 2.0) * 4 * (grid.n // 2 + 1)
+                + KATO_OPERATORS * grid.n**2) * 16
         if need > physical_memory_bytes():
             raise ConfigError(
-                "dt = %.3e needs %.3g steps, whose trajectories exceed physical memory"
-                % (dt, ratio)
+                "dt = %.3e needs %.3g steps, whose trajectories and operators exceed "
+                "physical memory" % (dt, ratio)
             )
         steps = max(1, int(np.ceil(ratio - 1e-12)))
         return self.T_final / steps, steps

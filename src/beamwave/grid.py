@@ -47,6 +47,7 @@ class TorusGrid:
 
     mode_lattice : (j - k, j + k)
     gather_index : (j - k) mod n, the slot of fhat(j - k)
+    in_range : whether j - k lies in [-n/2, n/2), the Weyl table of the multiplier 1
     chi_mask : the Bony-Weyl cutoff chi_eps(|j - k| / <j + k>)
     """
 
@@ -86,6 +87,11 @@ class TorusGrid:
     @cached_property
     def gather_index(self):
         return _read_only(self.mode_lattice[0] % self.n)
+
+    @cached_property
+    def in_range(self):
+        D = self.mode_lattice[0]
+        return _read_only((D >= -(self.n // 2)) & (D < self.n // 2))
 
     @cached_property
     def chi_mask(self):

@@ -18,8 +18,10 @@ linear part L minus frakA(0) (block diagonal, order 0), and the remainder is
 defined by subtraction so the decomposition reproduces the full right-hand
 side to machine precision.
 
-frakA and frakB are odd: each is held as its halves (pm, mp), 2n x 2n over
-(beam, wave), on the parity halves p = D u, m = i D^{-1} u_t of ``state``.
+frakA and frakB are odd: each is held as its halves (pm, mp) on the parity
+halves p = D u, m = i D^{-1} u_t of ``state``, each half a 2 x 2 tuple of
+n x n (beam, wave) blocks ((bb, bw), (wb, ww)), None for a block that is zero
+by structure, or, if diagonal, its diagonal (2n,) (frakA's pm).
 On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
@@ -133,42 +135,32 @@ class ParalinearizedSystem:
         return g.coeffs[self.grid.gather_index] * weyl_table(self.grid, mult, bony_weyl=True)
 
     def frak_A(self, V):
-        """The odd halves pm = -i diag(j^2, |j|), mp = -i blockdiag(diag(j^2) +
-        2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)) of diag(-iE Op^BW(A_b), -iE
-        Op^BW(A_w)); the system keeps them at V = None, and a background adds
-        its gathered g_1w |xi| block to a copy of mp."""
-        n = self.grid.n
+        """The odd halves of diag(-iE Op^BW(A_b), -iE Op^BW(A_w)): pm = -i
+        diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
+        blockdiag(diag(j^2) + 2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)), held as
+        its blocks ((bb, None), (None, ww)); the system keeps them at V = None,
+        and a background adds its gathered g_1w |xi| block to a new wave block."""
         if V is None:
             syms = self.assemble_symbols(None)
             # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
-            p = [syms[key][0](self.grid.modes) for key in ("A_b", "A_w")]
-            pm = np.diag(-1j * np.concatenate(p))
-            mp = pm.copy()
-            mp[:n, :n] -= 2j * bony_weyl_quantize(syms["A_b"][1])
-            mp[n:, n:] -= 2j * bony_weyl_quantize(syms["A_w"][1])
-            return pm, mp
-        pm, mp = self._A0[0], self._A0[1].copy()
-        mp[n:, n:] -= 2j * self._weyl_block(self.g_functions(V)[2], _ABS_XI)
-        return pm, mp
+            p_b, p_w = (-1j * syms[key][0](self.grid.modes) for key in ("A_b", "A_w"))
+            return np.concatenate([p_b, p_w]), (
+                (np.diag(p_b) - 2j * bony_weyl_quantize(syms["A_b"][1]), None),
+                (None, np.diag(p_w) - 2j * bony_weyl_quantize(syms["A_w"][1])))
+        pm, ((bb, _), (_, ww)) = self._A0
+        return pm, ((bb, None),
+                    (None, ww - 2j * self._weyl_block(self.g_functions(V)[2], _ABS_XI)))
 
     def frak_B(self, V):
-        """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w)):
-        pm = 0, mp = -i [[0, 2 F_12b], [2 F_12w, 0]] over (beam, wave).  A half
-        that is zero by structure (pm always; mp at V = None or where F has
-        no coupling slot, ``coupled``) is a read-only broadcast zero, not an
-        allocated array; mp holds only the coupling blocks F can make nonzero."""
-        n = self.grid.n
-        zero = np.broadcast_to(np.zeros((), dtype=complex), (2 * n, 2 * n))
+        """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w))
+        as 2 x 2 (beam, wave) blocks: pm = 0, mp = -i [[0, 2 F_12b], [2 F_12w,
+        0]].  A block that is zero by structure (all of pm; mp's at V = None
+        or where F has no coupling slot, ``coupled``) is None."""
         live = (False, False) if V is None else self.coupled()
-        if not any(live):
-            return zero, zero
-        mp = np.zeros((2 * n, 2 * n), dtype=complex)
-        g_12b, g_12w = self.g_functions(V)[3:]
-        if live[0]:
-            mp[:n, n:] = -2j * self._weyl_block(g_12b, _OFF)
-        if live[1]:
-            mp[n:, :n] = -2j * self._weyl_block(g_12w, _OFF)
-        return zero, mp
+        g_12b, g_12w = self.g_functions(V)[3:] if any(live) else (None, None)
+        bw, wb = (-2j * self._weyl_block(g, _OFF) if on else None
+                  for g, on in zip((g_12b, g_12w), live))
+        return ((None, None), (None, None)), ((None, bw), (wb, None))
 
     # -- real form -------------------------------------------------------
 
@@ -185,15 +177,13 @@ class ParalinearizedSystem:
         ``linear_rhs``; without R, frakA(0)'s halves by the odd rule above."""
         if include_R:
             return self.source.linear_rhs
-        n = self.grid.n
-        D = np.concatenate(complex_weights(self.grid))
-        pm, mp = self._A0
-        to_pos, to_vel = 1j * pm / np.outer(D, D), -1j * mp * np.outer(D, D)
+        pm, ((bb, _), (_, ww)) = self._A0
+        Db, Dw = complex_weights(self.grid)
+        pos_b, pos_w = (1j * p / (D * D) for p, D in zip(np.split(pm, 2), (Db, Dw)))
+        vel_b, vel_w = (-1j * M * np.outer(D, D) for M, D in ((bb, Db), (ww, Dw)))
 
         def L(u):
-            d_pos = np.concatenate([u[1], u[3]], axis=-1) @ to_pos.T
-            d_vel = np.concatenate([u[0], u[2]], axis=-1) @ to_vel.T
-            return np.array([d_pos[..., :n], d_vel[..., :n], d_pos[..., n:], d_vel[..., n:]])
+            return np.array([u[1] * pos_b, u[0] @ vel_b.T, u[3] * pos_w, u[2] @ vel_w.T])
 
         return L
 

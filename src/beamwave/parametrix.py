@@ -24,10 +24,12 @@ The modified energy is |V|^2_{V~,s} = <L_{2s} Phi V, Phi V> with
 L_{2s} = diag(Op^BW(lam_b^s |xi|^{2s}), Op^BW(lam_w^{2s} |xi|^{2s})).
 All residual diagnostics are measured on the resolved band (|j| <= n/3).
 
-Every operator is held by its parity halves (``state``), 2n x 2n over
-(beam, wave): D, D~, T, Phi, Psi are even (+ on p, - on m), the generator
-and Lambda odd (pm, mp).  The change keeps the Sobolev weights and the
-resolved band, so a residual's norm is the larger of its halves' norms.
+Every operator is held by its parity halves (``state``), each a 2 x 2
+tuple of n x n (beam, wave) blocks ((bb, bw), (wb, ww)), None for a block
+that is zero by structure: D, D~, T, Phi, Psi are even (+ on p, - on m),
+the generator and Lambda odd (pm, mp).  The change keeps the Sobolev
+weights and the resolved band, so a residual's norm is the larger of its
+halves' norms.  No 2n x 2n array is formed.
 
 Beam and wave couple only through T (t_b from g_12b, t_w from g_12w) and
 the generator's coupling blocks.  Where F has no coupling slot
@@ -36,9 +38,9 @@ product is formed through it: Phi and Psi get no coupling block on that
 side, and the residuals are products of 2 x 2 (beam, wave) blocks that skip
 every structurally zero term (``_product``).  With no coupling at all, as
 in headline, every residual half is block-diagonal and its norm takes one
-SVD per component (``quantize.exact_operator_norm``).  The Garding scan
-needs no Phi product either: a single-mode state's Phi-image is two columns
-of each half, and Phi(Delta V) is d_k Phi V.
+SVD per component (``quantize.exact_operator_norm`` of its blocks).  The
+Garding scan needs no Phi product either: a single-mode state's Phi-image
+is two columns of each block of each half, and Phi(Delta V) is d_k Phi V.
 """
 
 import operator
@@ -83,26 +85,21 @@ def _similarity(s1, s2):
     return S1 + S2, S1 - S2
 
 
-def _beam_wave(X):
-    """The matrix of 2 x 2 (beam, wave) blocks X = ((bb, bw), (wb, ww)) of
-    equal shape; a None block is zero."""
-    (b, bw), (wb, w) = X
-    r, c = b.shape
-    M = np.zeros((2 * r, 2 * c), dtype=complex)
-    M[:r, :c], M[r:, c:] = b, w
-    if bw is not None:
-        M[:r, c:] = bw
-    if wb is not None:
-        M[r:, :c] = wb
-    return M
+def _take(X, index, scale=None):
+    """The 2 x 2 blocks b[index] of X = ((bb, bw), (wb, ww)), those of column
+    component k times scale[k] if a scale is given; None stays None."""
+    return tuple(tuple(None if b is None else b[index] if scale is None else b[index] * scale[k]
+                       for k, b in enumerate(row)) for row in X)
 
 
-def _blocks(H, bw=False, wb=False):
-    """H as its 2 x 2 (beam, wave) blocks ((bb, bw), (wb, ww)), views; a
-    coupling block that is not flagged is zero by structure and given as None."""
-    r, c = H.shape[0] // 2, H.shape[1] // 2
-    return ((H[:r, :c], H[:r, c:] if bw else None),
-            (H[r:, :c] if wb else None, H[r:, c:]))
+def _apply(X, u):
+    """X u for the 2 x 2 blocks X on vectors u (..., 2n) over (beam, wave),
+    whose diagonal blocks are formed: a row with its coupling block formed
+    takes one product over both components, the others one over their own."""
+    parts = np.split(u, 2, axis=-1)
+    return np.concatenate([parts[i] @ row[i].T if row[1 - i] is None
+                           else u @ np.concatenate(row, axis=1).T
+                           for i, row in enumerate(X)], axis=-1)
 
 
 def _mul(A, B):
@@ -249,13 +246,15 @@ class Parametrix:
     """Phi, Psi, Lambda and L_{2s} at a frozen background V, held in halves.
 
     Phi = D(1 + T) and Psi = (1 - T)D~ are held as their even halves
-    Phi+-, Psi+- (2n x 2n over (beam, wave)), with D+- = blockdiag(D_b+-,
-    D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]], so each
-    half is blockdiag(D+-) or blockdiag(D~+-) plus one coupling block.  ``T``
-    holds the blocks (2 t_b, -2 t_w) quantized, None where F has no coupling
-    slot (``coupled``): t_b (t_w) is then zero by structure, and neither it
-    nor the coupling block of the halves it enters is formed.  Lambda and
-    L_{2s} are n x n blocks acting on each component.
+    Phi+-, Psi+-, each a 2 x 2 tuple of n x n (beam, wave) blocks, with D+- =
+    blockdiag(D_b+-, D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0],
+    [-2 t_w, 0]], so each half is blockdiag(D+-) or blockdiag(D~+-) plus one
+    coupling block, and its other coupling block is None.  ``T`` holds the
+    blocks (2 t_b, -2 t_w) quantized, None where F has no coupling slot
+    (``coupled``): t_b (t_w) is then zero by structure, and neither it nor
+    the coupling block of the halves it enters is formed.  Lambda and L_{2s}
+    are pairs of n x n blocks (beam, wave) acting on each component,
+    quantized on first use.
     """
 
     def __init__(self, para, V, s):
@@ -266,47 +265,48 @@ class Parametrix:
         a, d, g_1w, g_12b, g_12w = para.g_functions(V)
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
-        live_b, live_w = self.coupled = para.coupled()
+        live_b, live_w = para.coupled()
         t_b, t_w = build_T_correctors(a, g_12b, g_12w)
         self.T = (2.0 * bony_weyl_quantize(t_b) if live_b else None,
                   -2.0 * bony_weyl_quantize(t_w) if live_w else None)
         (Db_p, Db_m), (Dw_p, Dw_m) = self.beam.D_b, self.wave.D_w
         T_bw, T_wb = self.T
-        self.Phi = (_beam_wave(((Db_p, _mul(Db_p, T_bw)), (None, Dw_p))),
-                    _beam_wave(((Db_m, None), (_mul(Dw_m, T_wb), Dw_m))))
-
-        lam_b, lam_w = self.beam.lam_b, self.wave.lam_w
-        self.Lambda_b = _op(lam_b, FrequencyMultiplier.xi_power(2))
-        self.Lambda_w = _op(lam_w, FrequencyMultiplier.abs_xi())
-        s2 = 2.0 * self.s
-        mult = FrequencyMultiplier.abs_xi_power(s2)
-        self.L2s_b = _op(transform(grid, lam_b.values().real ** self.s), mult)
-        self.L2s_w = _op(transform(grid, lam_w.values().real ** s2), mult)
+        self.Phi = (((Db_p, _mul(Db_p, T_bw)), (None, Dw_p)),
+                    ((Db_m, None), (_mul(Dw_m, T_wb), Dw_m)))
 
     @cached_property
     def Psi(self):
         """Psi+-, built on first use: only the conjugation residuals apply it."""
         (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
         T_bw, T_wb = (None if t is None else -t for t in self.T)
-        return (_beam_wave(((Dtb_p, _mul(T_bw, Dtw_p)), (None, Dtw_p))),
-                _beam_wave(((Dtb_m, None), (_mul(T_wb, Dtb_m), Dtw_m))))
+        return (((Dtb_p, _mul(T_bw, Dtw_p)), (None, Dtw_p)),
+                ((Dtb_m, None), (_mul(T_wb, Dtb_m), Dtw_m)))
 
-    def halves(self, H, i):
-        """The 2 x 2 blocks of (rows or columns of) the even half i of Phi or
-        Psi: its coupling block is beam-wave in the + half (i = 0) and
-        wave-beam in the - half, None where ``T`` has none."""
-        return _blocks(H, bw=i == 0 and self.coupled[0], wb=i == 1 and self.coupled[1])
+    @cached_property
+    def Lambda(self):
+        """(Lambda_b, Lambda_w), quantized on first use: only the residuals read them."""
+        return (_op(self.beam.lam_b, FrequencyMultiplier.xi_power(2)),
+                _op(self.wave.lam_w, FrequencyMultiplier.abs_xi()))
+
+    @cached_property
+    def L2s(self):
+        """L_{2s}'s beam and wave blocks, quantized on first use: only the energy reads them."""
+        s2 = 2.0 * self.s
+        mult = FrequencyMultiplier.abs_xi_power(s2)
+        lam_b, lam_w = self.beam.lam_b.values().real, self.wave.lam_w.values().real
+        return (_op(transform(self.grid, lam_b ** self.s), mult),
+                _op(transform(self.grid, lam_w ** s2), mult))
 
     def phi(self, vec):
         """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
-        return parity_join(*(u @ h.T for h, u in zip(self.Phi, parity_split(vec))))
+        return parity_join(*(_apply(h, u) for h, u in zip(self.Phi, parity_split(vec))))
 
     def l2s(self, vec):
         """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
         the wave block on w and w-bar."""
-        blocks = (self.L2s_b, self.L2s_b, self.L2s_w, self.L2s_w)
+        b, w = self.L2s
         v = np.reshape(vec, np.shape(vec)[:-1] + (4, self.grid.n))
-        return np.concatenate([v[..., i, :] @ b.T for i, b in enumerate(blocks)], axis=-1)
+        return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
 
 
 def build_parametrix(para, V, s):
@@ -330,34 +330,23 @@ def conjugation_residual(P, para, V=None):
     larger of its two diagonal blocks' (``exact_operator_norm``).
     """
     grid = P.grid
-    n = grid.n
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
-    r2 = np.concatenate([r, r + n])  # R in (beam, wave)
+    cols = (slice(None), r)
     Phi, Psi = P.Phi, P.Psi
-    cb, cw = P.coupled
-    A_pm, mp = para.frak_A(V)  # mp is the caller's copy
-    pm = np.diagonal(A_pm)  # frakA's pm half is -i diag(j^2, |j|), frakB's is 0
-    B_mp = para.frak_B(V)[1]
-    if cb:
-        mp[:n, n:] += B_mp[:n, n:]
-    if cw:
-        mp[n:, :n] += B_mp[n:, :n]
-    lam = [-1j * b[np.ix_(r, r)] for b in (P.Lambda_b, P.Lambda_w)]
-    M = [_minus_diagonal(_product(P.halves(Phi[0][r2] * pm, 0), P.halves(Psi[1][:, r2], 1)),
-                         *lam),
-         _minus_diagonal(_product(_product(P.halves(Phi[1][r2], 1), _blocks(mp, cb, cw)),
-                                  P.halves(Psi[0][:, r2], 0)), *lam)]
+    pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
+    (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
+    mp = ((bb, bw), (wb, ww))
+    lam = [-1j * b[np.ix_(r, r)] for b in P.Lambda]
+    M = [_minus_diagonal(_product(_take(Phi[0], r, np.split(pm, 2)), _take(Psi[1], cols)), *lam),
+         _minus_diagonal(_product(_product(_take(Phi[1], r), mp), _take(Psi[0], cols)), *lam)]
     eye = np.eye(r.size)
-    inv = [_minus_diagonal(_product(P.halves(Psi[i][r2], i), P.halves(Phi[i][:, r2], i)),
-                           eye, eye) for i in (0, 1)]
+    inv = [_minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], cols)), eye, eye)
+           for i in (0, 1)]
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
-    beam, wave = slice(None, n), slice(n, None)
-    pairs = ((P.beam.D_b[1], beam, wave, P.wave.D_tilde_w[0]),
-             (P.wave.D_w[1], wave, beam, P.beam.D_tilde_b[0]))
-    bare = [D[r] @ mp[rows, cols] @ Dt[:, r]
-            for (D, rows, cols, Dt), live in zip(pairs, P.coupled) if live]
+    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, P.beam.D_tilde_b[0]))
+    bare = [D[r] @ L @ Dt[:, r] for D, L, Dt in pairs if L is not None]
 
     def norm(blocks, s_out=s):
         return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
@@ -369,9 +358,9 @@ def conjugation_residual(P, para, V=None):
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
         "s": s,
-        "n": n,
-        "conjugation_norm": norm(map(_beam_wave, M)),
-        "inverse_defect_norm": norm(map(_beam_wave, inv), s + 2.0),
+        "n": grid.n,
+        "conjugation_norm": norm(M),
+        "inverse_defect_norm": norm(inv, s + 2.0),
         "offdiag_norm": norm(offdiag(M)),
         "offdiag_without_T": norm(bare),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
@@ -416,15 +405,17 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     # the binding Garding constant lives at low modes; scan the single-mode
     # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically.
     # Such a state is p = (e_k + e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its
-    # component, so its Phi-image is two columns of each half, and
-    # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
+    # component, so its Phi-image is two columns of each block of each half,
+    # and Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
     k = np.arange(1, grid.dealias_cut + 1)
-    cols = np.concatenate([k, n + k])
-    refl = np.concatenate([grid.reflect[k], n + grid.reflect[k]])
-    phi_p, phi_m = P.Phi
+    refl, zero = grid.reflect[k], np.zeros((n, k.size))
+
+    def columns(half, op):  # (2n, 2|k|): op(half[:, k], half[:, -k]) per column component
+        return np.block([[zero if b is None else op(b[:, k], b[:, refl]) for b in row]
+                         for row in half])
+
     rt2 = np.sqrt(2.0)
-    u = parity_join((phi_p[:, cols] + phi_p[:, refl]).T / rt2,
-                    (phi_m[:, cols] - phi_m[:, refl]).T / rt2)
+    u = parity_join(columns(P.Phi[0], np.add).T / rt2, columns(P.Phi[1], np.subtract).T / rt2)
     lhs = np.concatenate([k**4.0, k**2.0]) * stacked_inner(grid, P.l2s(u), u, 0.0)
     # the Sobolev norms of e_k: ||Z||_{s+2}^2 of a beam state, ||W||_{s+1}^2
     # of a wave state, ||V||_s^2 of both

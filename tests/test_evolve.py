@@ -6,6 +6,7 @@ import pytest
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
+    KATO_OPERATORS,
     KATO_TRAJECTORIES,
     _full,
     _rk4,
@@ -118,6 +119,25 @@ def test_kato_peak_memory_is_within_the_counted_trajectories():
         tracemalloc.stop()
     assert run.termination == "converged"
     assert peak <= KATO_TRAJECTORIES * run.trajectory.nbytes
+
+
+def test_kato_peak_memory_at_large_n_is_within_the_counted_operators():
+    # a short solve at large N holds more in its n x n operators (the grid's
+    # lattices, frakA(0), the Weyl tables and the background blocks) than in
+    # its trajectories; the guard counts KATO_OPERATORS of them on top
+    import tracemalloc
+
+    g = TorusGrid(256)
+    sysm, fields = build_preset("mixed", g)
+    V0 = complexify(*fields).stacked()
+    tracemalloc.start()
+    try:
+        run = kato_solve(sysm, V0, SolverConfig(T_final=0.004))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > KATO_TRAJECTORIES * run.trajectory.nbytes
+    assert peak <= KATO_TRAJECTORIES * run.trajectory.nbytes + KATO_OPERATORS * g.n**2 * 16
 
 
 def test_heat_factor_layout():

@@ -20,11 +20,31 @@ from beamwave.state import (
 from beamwave.symbols import SeparableSymbol
 
 
-def odd_stacked_matrix(pm, mp):
+def dense_half(X, n):
+    """The 2n x 2n matrix of a parity half: X itself if it is one, the
+    diagonal matrix of a diagonal (2n,), or the 2 x 2 (beam, wave) blocks X
+    assembled, a None block zero."""
+    if isinstance(X, np.ndarray):
+        return np.diag(X) if X.ndim == 1 else X
+    zero = np.zeros((n, n), dtype=complex)
+    return np.block([[zero if b is None else b for b in row] for row in X])
+
+
+def odd_stacked_matrix(g, pm, mp):
     """The stacked 4n x 4n matrix of the odd operator with halves pm (m -> p)
-    and mp (p -> m): its action on the split identity."""
-    p, m = parity_split(np.eye(2 * len(pm)))
+    and mp (p -> m), in any form ``dense_half`` reads: its action on the
+    split identity."""
+    pm, mp = dense_half(pm, g.n), dense_half(mp, g.n)
+    p, m = parity_split(np.eye(4 * g.n))
     return parity_join(m @ pm.T, p @ mp.T).T
+
+
+def structural_zeros(half):
+    """The positions of the None blocks of a half in 2 x 2 block form."""
+    return {(i, k) for i, row in enumerate(half) for k, b in enumerate(row) if b is None}
+
+
+EVERY_BLOCK = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def coupled_system(n=32, amp=1e-2):
@@ -60,8 +80,9 @@ def test_decomposition_reproduces_full_rhs():
     # where the generator plus the Kato forcing is the real right-hand side
     g, sys, para, V = coupled_system()
     u = np.array(real_from_stacked(g, V))
-    halves = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    lin = (odd_stacked_matrix(*halves) + para.R_operator()) @ V
+    halves = [dense_half(a, g.n) + dense_half(b, g.n)
+              for a, b in zip(para.frak_A(V), para.frak_B(V))]
+    lin = (odd_stacked_matrix(g, *halves) + para.R_operator()) @ V
     total = lin + para.remainder(V, 0.0) + stacked_from_real(g, *para.forcing_G(0.0))
     assert np.max(np.abs(total - para.full_rhs(V, 0.0))) < 1e-12
     real_total = np.array(real_from_stacked(g, lin)) + para.kato_forcing(u, 0.0)
@@ -81,34 +102,49 @@ def test_trivial_background_generator_is_diagonal_phases():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
-    A = odd_stacked_matrix(*para.frak_A(None))
+    A = odd_stacked_matrix(g, *para.frak_A(None))
     j2 = g.modes.astype(float) ** 2
     expect = np.concatenate([-1j * j2, 1j * j2, -1j * np.abs(g.modes), 1j * np.abs(g.modes)])
     assert np.max(np.abs(A - np.diag(expect))) < 1e-12
-    assert np.max(np.abs(para.frak_B(None))) == 0.0
+    assert [structural_zeros(h) for h in para.frak_B(None)] == [EVERY_BLOCK] * 2
 
 
 def test_frak_B_allocates_no_half_that_is_zero_by_structure():
     # pm is zero for every system, and mp where F has no coupling slot (as in
-    # headline): such a half is a read-only broadcast zero owning no memory;
-    # an mp that is formed carries only the coupling blocks F can make nonzero
+    # headline): each of their blocks is None, owning no memory; an mp that
+    # is formed carries only the n x n coupling blocks F can make nonzero
     g = TorusGrid(32)
     n = g.n
     for name in ("headline", "mixed"):
         sysm, fields = build_preset(name, g)
         para = ParalinearizedSystem(sysm, g)
         pm, mp = para.frak_B(complexify(*fields).stacked())
-        zero_mp = name == "headline"
-        for half, zero in ((pm, True), (mp, zero_mp)):
-            assert half.shape == (2 * n, 2 * n)
-            assert (half.strides == (0, 0) and not half.flags.writeable) == zero
-        assert np.any(mp) != zero_mp
+        assert structural_zeros(pm) == EVERY_BLOCK
+        assert structural_zeros(mp) == (EVERY_BLOCK if name == "headline" else {(0, 0), (1, 1)})
+        assert all(b.shape == (n, n) and np.any(b) for row in mp for b in row if b is not None)
     F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
     F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
     para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2), g)
     assert para.coupled() == (True, False)
     _, mp = para.frak_B(complexify(*build_preset("linear", g)[1]).stacked())
-    assert np.any(mp[:n, n:]) and not np.any(mp[n:, :n])
+    assert structural_zeros(mp) == {(0, 0), (1, 0), (1, 1)} and np.any(mp[0][1])
+
+
+def test_frak_A_is_held_by_its_diagonal_and_its_diagonal_blocks():
+    # frakA(0)'s pm half is diagonal, held as its (2n,) diagonal; its mp half
+    # is block-diagonal, held as two n x n blocks; a background replaces the
+    # wave block only, and leaves the system's blocks as they were
+    g = TorusGrid(32)
+    n = g.n
+    sysm, fields = build_preset("mixed", g)
+    para = ParalinearizedSystem(sysm, g)
+    pm, mp = para._A0
+    assert pm.shape == (2 * n,) and structural_zeros(mp) == {(0, 1), (1, 0)}
+    held = [b.copy() for b in (mp[0][0], mp[1][1])]
+    pm_v, mp_v = para.frak_A(complexify(*fields).stacked())
+    assert pm_v is pm and mp_v[0][0] is mp[0][0] and structural_zeros(mp_v) == {(0, 1), (1, 0)}
+    assert np.any(mp_v[1][1] != mp[1][1])
+    assert all(np.array_equal(a, b) for a, b in zip(held, (mp[0][0], mp[1][1])))
 
 
 def test_R_operator_trivial_system_order_zero():
@@ -188,8 +224,8 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         B = np.zeros_like(A)
         B[:n2, n2:] = minus_iE_bw(syms["B_b"])
         B[n2:, :n2] = minus_iE_bw(syms["B_w"])
-        got_A = odd_stacked_matrix(*para.frak_A(v))
-        got_B = odd_stacked_matrix(*para.frak_B(v))
+        got_A = odd_stacked_matrix(g, *para.frak_A(v))
+        got_B = odd_stacked_matrix(g, *para.frak_B(v))
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
         g_v = None if v is None else para.prepass(real_from_stacked(g, v))[1]
@@ -198,7 +234,7 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
             expect = np.array(real_from_stacked(g, M @ stacked_from_real(g, *u)))
             got = para.real_generator(para.real_linear_part(include_R), g_v)(u)
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
-    assert not np.any(para.frak_B(None))
+    assert [structural_zeros(h) for h in para.frak_B(None)] == [EVERY_BLOCK] * 2
 
 
 def test_batched_kato_forcing_matches_single_vectors():

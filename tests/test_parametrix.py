@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import beamwave.parametrix
+import beamwave.quantize
 import beamwave.symbols
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import build_preset
@@ -33,6 +34,7 @@ from beamwave.state import (
     stacked_norm,
 )
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
+from test_paralin import dense_half, structural_zeros
 
 
 def variable_b_system(n, amp=0.2):
@@ -258,7 +260,7 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         assert (np.max(np.abs(dense["T"])) > 0.0) == (preset == "mixed")
         split = parity_split(np.eye(4 * n))
         for name in ("Phi", "Psi"):
-            halves = getattr(P, name)
+            halves = [dense_half(h, n) for h in getattr(P, name)]
             got = parity_join(*(u @ h.T for h, u in zip(halves, split))).T
             assert _rel(got, dense[name]) <= 1e-14, name
         rng = np.random.default_rng(n)
@@ -305,11 +307,12 @@ def _full_product_norms(P, para, V):
     halves, X L Y - Lambda, Psi Phi - 1 and D L D~ - Lambda, restricted to
     the resolved band afterwards, each norm the complex SVD of the weighted
     matrix."""
-    g, s = P.grid, P.s
+    g, s, n = P.grid, P.s, P.grid.n
     keep = np.tile(g.dealias_mask, 2)
     m = np.count_nonzero(g.dealias_mask)
-    L = [a + b for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    Lam = -1j * _beam_wave(P.Lambda_b, P.Lambda_w)
+    L = [dense_half(a, n) + dense_half(b, n) for a, b in zip(para.frak_A(V), para.frak_B(V))]
+    Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (P.Phi, P.Psi))
+    Lam = -1j * _beam_wave(*P.Lambda)
     D = [_beam_wave(b, w) for b, w in zip(P.beam.D_b, P.wave.D_w)]
     Dt = [_beam_wave(b, w) for b, w in zip(P.beam.D_tilde_b, P.wave.D_tilde_w)]
 
@@ -320,9 +323,9 @@ def _full_product_norms(P, para, V):
         W = weighted_matrix(g, mat, s, s_out, band="restricted")
         return float(np.linalg.svd(W, compute_uv=False)[0])
 
-    M = [on_band(P.Phi[i] @ L[i] @ P.Psi[1 - i] - Lam) for i in (0, 1)]
+    M = [on_band(Phi[i] @ L[i] @ Psi[1 - i] - Lam) for i in (0, 1)]
     bare = [on_band(D[i] @ L[i] @ Dt[1 - i] - Lam) for i in (0, 1)]
-    inv = [on_band(P.Psi[i] @ P.Phi[i]) - np.eye(2 * m) for i in (0, 1)]
+    inv = [on_band(Psi[i] @ Phi[i]) - np.eye(2 * m) for i in (0, 1)]
     return {
         "conjugation_norm": max(norm(h) for h in M),
         "inverse_defect_norm": max(norm(h, s + 2.0) for h in inv),
@@ -353,7 +356,7 @@ def test_parametrix_halves_carry_one_coupling_block_each():
     g, para, V = _preset_setup("mixed", 32)
     P = build_parametrix(para, V, 2.5)
     n = g.n
-    (phi_p, phi_m), (psi_p, psi_m) = P.Phi, P.Psi
+    phi_p, phi_m, psi_p, psi_m = (dense_half(h, n) for h in P.Phi + P.Psi)
     for absent in (phi_p[n:, :n], phi_m[:n, n:], psi_p[n:, :n], psi_m[:n, n:]):
         assert not np.any(absent)
     for carried in (phi_p[:n, n:], phi_m[n:, :n], psi_p[:n, n:], psi_m[n:, :n]):
@@ -477,13 +480,76 @@ def _array_sizes(obj, seen):
             yield from _array_sizes(value, seen)
 
 
-def test_parametrix_holds_no_array_larger_than_a_half_block():
-    # operators are held by their parity halves, 2n x 2n over (beam, wave);
-    # neither the parametrix nor the system holds a 4n x 4n array
+def test_system_and_parametrix_hold_no_array_larger_than_a_block():
+    # operators are held by their parity halves as 2 x 2 blocks of side n
+    # over (beam, wave); neither the system nor the parametrix, with every
+    # operator it builds on first use, holds an array larger than a block
     g, para, V = coupled_setup(32)
     P = build_parametrix(para, V, 2.5)
-    assert max(_array_sizes(P, set())) == (2 * g.n) ** 2
-    assert max(_array_sizes(para, set())) == (2 * g.n) ** 2
+    conjugation_residual(P, para, V)
+    modified_energy(P, V)
+    assert {"Psi", "Lambda", "L2s"} <= set(vars(P))
+    assert max(_array_sizes(P, set())) == g.n**2
+    assert max(_array_sizes(para, set())) == g.n**2
+
+
+def test_headline_holds_no_block_that_is_zero_by_structure():
+    # headline has no coupling slot: Phi+-, Psi+- and frakA(0)'s mp half
+    # hold their two diagonal blocks and no coupling block, frakA(0)'s pm
+    # half only its diagonal, and every block they hold is nonzero
+    g, para, V = _preset_setup("headline", 32)
+    P = build_parametrix(para, V, 2.5)
+    pm, mp = para._A0
+    assert pm.shape == (2 * g.n,) and np.any(pm)
+    for half in (mp,) + P.Phi + P.Psi:
+        assert structural_zeros(half) == {(0, 1), (1, 0)}
+        assert all(np.any(half[i][i]) for i in (0, 1))
+
+
+def test_ladder_rung_peak_memory():
+    # one N = 128 rung as the benchmark's parametrix ladder runs it: the
+    # build, the residuals, then the energy report (which builds its own
+    # parametrix) with the first parametrix alive.  Measured: 10.05 MB in a
+    # fresh process, 9.34 MB after it; the bound is that plus under 10%.
+    # Halves held as 2n x 2n arrays peaked at 18.2-18.9 MB here.
+    import tracemalloc
+
+    g = TorusGrid(128)
+    sysm, fields = build_preset("headline", g)
+    V = complexify(*fields).stacked()
+    tracemalloc.start()
+    try:
+        para = ParalinearizedSystem(sysm, g)
+        P = build_parametrix(para, V, 2.5)
+        conjugation_residual(P, para, V)
+        equivalence_and_garding_report(para, V, 2.5, sample_count=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.0e6, peak
+
+
+def test_multiplier_one_takes_no_weyl_table(monkeypatch):
+    # a headline build quantizes five symbols, S_1, S_2 and K^{-1} of the
+    # beam and S_1, S_2 of the wave, all of the multiplier 1, so it takes no
+    # table (b = 1, so M_{-1} has no term); Lambda and L_{2s} take one per
+    # component on first use, the residuals' and the energy's, and D~_b none
+    g, para, V = _preset_setup("headline", 64)
+    tables = []
+    original = beamwave.quantize.weyl_table
+
+    def counting(grid, mult, bony_weyl=False):
+        tables.append(mult.terms)
+        return original(grid, mult, bony_weyl)
+
+    monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
+    P = build_parametrix(para, V, 2.5)
+    assert tables == []
+    modified_energy(P, V)
+    conjugation_residual(P, para, V)
+    abs5, xi2, abs1 = (FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.xi_power(2),
+                       FrequencyMultiplier.abs_xi())
+    assert tables == [abs5.terms, abs5.terms, xi2.terms, abs1.terms]
 
 
 def test_cutoff_is_built_once_per_grid(monkeypatch):

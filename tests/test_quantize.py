@@ -11,6 +11,7 @@ from beamwave.quantize import (
     remainder_bw_minus_weyl,
     weighted_matrix,
     weyl_quantize,
+    weyl_table,
 )
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi
 
@@ -162,6 +163,17 @@ def test_quantize_cache_key_is_exact_under_hash_collisions(monkeypatch):
     assert np.max(np.abs(ops[0] - ops[1])) > 1.0
 
 
+def test_multiplier_one_quantizes_by_the_in_range_mask_bit_for_bit():
+    # the multiplier 1 takes no table: the grid's in-range mask stands for
+    # its table, with the same matrix to the last bit
+    g = TorusGrid(32)
+    f = transform(g, 1.0 + 0.3 * np.cos(g.x) + 0.1 * np.sin(3 * g.x))
+    table = weyl_table(g, FrequencyMultiplier.one())
+    assert np.array_equal(table != 0.0, g.in_range)
+    assert np.array_equal(weyl_quantize(SeparableSymbol.from_xfunc(f)),
+                          f.coeffs[g.gather_index] * table)
+
+
 def _svd_spy(monkeypatch, record=lambda a: np.asarray(a).dtype.kind):
     """Record the dtype (or ``record(a)``) of every matrix handed to np.linalg.svd."""
     seen, svd = [], np.linalg.svd
@@ -234,18 +246,23 @@ def test_zero_block_norm_is_exactly_zero_without_an_svd(monkeypatch):
 
 
 def _block_diagonal(blocks):
-    side = blocks[0].shape[0]
-    out = np.zeros((len(blocks) * side,) * 2, dtype=complex)
-    for i, b in enumerate(blocks):
-        out[i * side:(i + 1) * side, i * side:(i + 1) * side] = b
-    return out
+    """The component blocks of blockdiag(blocks), None off the diagonal."""
+    return tuple(tuple(b if i == k else None for k in range(len(blocks)))
+                 for i, b in enumerate(blocks))
+
+
+def _assembled(M):
+    side = next(b for row in M for b in row if b is not None).shape[0]
+    zero = np.zeros((side, side), dtype=complex)
+    return np.block([[zero if b is None else b for b in row] for row in M])
 
 
 @pytest.mark.parametrize("band", [None, "restricted"])
 def test_block_diagonal_norm_is_the_largest_component_norm(band, monkeypatch):
-    # sigma_max(blockdiag) = max sigma_max: each diagonal block takes its own
-    # SVD of one component's side (none for a zero block), and the norm
-    # equals the SVD of the whole weighted matrix
+    # sigma_max(blockdiag) = max sigma_max: handed over by its component
+    # blocks, each diagonal block takes its own SVD of one component's side
+    # (none for a zero block), and the norm equals the SVD of the whole
+    # weighted matrix
     g = TorusGrid(64)
     ops = list(_real_symbol_operators(g).values())
     if band == "restricted":
@@ -257,7 +274,7 @@ def test_block_diagonal_norm_is_the_largest_component_norm(band, monkeypatch):
                                       ((ops[2], ops[0], np.zeros_like(ops[0]), 0.5 * ops[1]),
                                        [2.5, 1.0, 0.0, 2.0], 1.0, 3)):
         W = _block_diagonal(blocks)
-        expect = svd(weighted_matrix(g, W, s_in, s_out, band), compute_uv=False)[0]
+        expect = svd(weighted_matrix(g, _assembled(W), s_in, s_out, band), compute_uv=False)[0]
         shapes.clear()
         got = exact_operator_norm(g, W, s_in, s_out, band=band)
         assert abs(got - expect) <= 1e-13 * expect, (len(blocks), got, expect)
@@ -272,10 +289,11 @@ def test_one_nonzero_off_diagonal_entry_takes_the_full_svd(band, monkeypatch):
         keep = g.dealias_mask
         ops = [M[np.ix_(keep, keep)] for M in ops]
     side = ops[0].shape[0]
-    W = _block_diagonal(ops[:2])
-    W[side + 1, 1] = 0.3
+    off = np.zeros_like(ops[0])
+    off[1, 1] = 0.3
+    W = ((ops[0], None), (off, ops[1]))
     shapes, svd = _svd_spy(monkeypatch, np.shape)
-    expect = svd(weighted_matrix(g, W, 1.0, 1.0, band), compute_uv=False)[0]
+    expect = svd(weighted_matrix(g, _assembled(W), 1.0, 1.0, band), compute_uv=False)[0]
     shapes.clear()
     got = exact_operator_norm(g, W, 1.0, 1.0, band=band)
     assert abs(got - expect) <= 1e-13 * expect
