@@ -31,6 +31,11 @@ the generator and Lambda odd (pm, mp).  The change keeps the Sobolev
 weights and the resolved band, so a residual's norm is the larger of its
 halves' norms.  No 2n x 2n array is formed.
 
+A ``Parametrix`` holds what the energy applies: Phi, T, the diagonalizers'
+D and L_{2s} (quantized on first use).  Psi, D~_b and Lambda enter the
+conjugation residual only; each residual call builds them once
+(``residual_operators``) and frees them on return.
+
 Beam and wave couple only through T (t_b from g_12b, t_w from g_12w) and
 the generator's coupling blocks.  Where F has no coupling slot
 (``ParalinearizedSystem.coupled``), t_b or t_w is zero by structure, and no
@@ -38,9 +43,19 @@ product is formed through it: Phi and Psi get no coupling block on that
 side, and the residuals are products of 2 x 2 (beam, wave) blocks that skip
 every structurally zero term (``_product``).  With no coupling at all, as
 in headline, every residual half is block-diagonal and its norm takes one
-SVD per component (``quantize.exact_operator_norm`` of its blocks).  The
-Garding scan needs no Phi product either: a single-mode state's Phi-image
-is two columns of each block of each half, and Phi(Delta V) is d_k Phi V.
+SVD per component (``quantize.exact_operator_norm`` of its blocks).
+
+L_{2s} is one block on z and z-bar (beam) and one on w and w-bar (wave),
+so the energy is a sum of quadratic forms, one per parity half h and
+component c,
+
+    <L_{2s} Phi V, Phi V> = (1/2) sum_{h = p, m} sum_{c = b, w}
+                            <L_c (Phi_h v_h)_c, (Phi_h v_h)_c>,
+
+each on one n-wide component block (``_energy``); no stacked 4n vector
+is formed.  The Garding scan needs no Phi product: a single-mode state's
+Phi-image is two columns of each block of each half, and Phi(Delta V) is
+d_k Phi V.
 """
 
 import operator
@@ -48,10 +63,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
 from .quantize import bony_weyl_quantize, exact_operator_norm
-from .state import conjugate_pair, parity_join, parity_split, stacked_inner, stacked_norm
+from .state import conjugate_pair, parity_split, stacked_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 
@@ -90,16 +105,6 @@ def _take(X, index, scale=None):
     component k times scale[k] if a scale is given; None stays None."""
     return tuple(tuple(None if b is None else b[index] if scale is None else b[index] * scale[k]
                        for k, b in enumerate(row)) for row in X)
-
-
-def _apply(X, u):
-    """X u for the 2 x 2 blocks X on vectors u (..., 2n) over (beam, wave),
-    whose diagonal blocks are formed: a row with its coupling block formed
-    takes one product over both components, the others one over their own."""
-    parts = np.split(u, 2, axis=-1)
-    return np.concatenate([parts[i] @ row[i].T if row[1 - i] is None
-                           else u @ np.concatenate(row, axis=1).T
-                           for i, row in enumerate(X)], axis=-1)
 
 
 def _mul(A, B):
@@ -147,9 +152,9 @@ class BeamDiagonalizer:
 
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
     an order-zero residual, uniformly in the truncation.  With M_{-1} =
-    [[0, O_m], [O_m, 0]], D_b and D~_b are held as their even halves
-    K^{-1}(1 +- O_m)(S_1 -+ S_2) and (S_1 +- S_2)(1 -+ O_m) K; D~_b is formed
-    on first use.
+    [[0, O_m], [O_m, 0]], D_b is held as its even halves
+    K^{-1}(1 +- O_m)(S_1 -+ S_2); D~_b's, (S_1 +- S_2)(1 -+ O_m) K, are
+    formed by ``right_inverse`` on each call.
     """
 
     def __init__(self, a, grid):
@@ -185,10 +190,10 @@ class BeamDiagonalizer:
         eye = np.eye(grid.n)
         self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
 
-    @cached_property
-    def D_tilde_b(self):
-        """D~_b's halves, built on first use (only Psi and the bare coupling
-        blocks of the conjugation residual apply it) from quantizations of its own."""
+    def right_inverse(self):
+        """D~_b's halves, formed anew from quantizations of their own and not
+        held: only Psi and the bare coupling blocks of the conjugation
+        residual apply them."""
         (S_p, S_m), O_m, K = _similarity(self.s1_b, self.s2_b), self.M_minus1, _op(self.k)
         eye = np.eye(self.grid.n)
         return S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
@@ -243,18 +248,18 @@ def build_T_correctors(a, g_12b, g_12w):
 
 
 class Parametrix:
-    """Phi, Psi, Lambda and L_{2s} at a frozen background V, held in halves.
+    """Phi, T and L_{2s} at a frozen background V, held in halves.
 
-    Phi = D(1 + T) and Psi = (1 - T)D~ are held as their even halves
-    Phi+-, Psi+-, each a 2 x 2 tuple of n x n (beam, wave) blocks, with D+- =
-    blockdiag(D_b+-, D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- = [[0, 0],
-    [-2 t_w, 0]], so each half is blockdiag(D+-) or blockdiag(D~+-) plus one
-    coupling block, and its other coupling block is None.  ``T`` holds the
-    blocks (2 t_b, -2 t_w) quantized, None where F has no coupling slot
-    (``coupled``): t_b (t_w) is then zero by structure, and neither it nor
-    the coupling block of the halves it enters is formed.  Lambda and L_{2s}
-    are pairs of n x n blocks (beam, wave) acting on each component,
-    quantized on first use.
+    Phi = D(1 + T) is held as its even halves Phi+-, each a 2 x 2 tuple of
+    n x n (beam, wave) blocks, with D+- = blockdiag(D_b+-, D_w+-), T+ =
+    [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]], so each half is
+    blockdiag(D+-) plus one coupling block, and its other coupling block is
+    None.  ``T`` holds the blocks (2 t_b, -2 t_w) quantized, None where F has
+    no coupling slot (``coupled``): t_b (t_w) is then zero by structure, and
+    neither it nor the coupling block of the halves it enters is formed.
+    L_{2s} is a pair of n x n blocks (beam, wave) acting on each component,
+    quantized on first use.  Psi, D~_b and Lambda are not held
+    (``residual_operators``).
     """
 
     def __init__(self, para, V, s):
@@ -275,20 +280,6 @@ class Parametrix:
                     ((Db_m, None), (_mul(Dw_m, T_wb), Dw_m)))
 
     @cached_property
-    def Psi(self):
-        """Psi+-, built on first use: only the conjugation residuals apply it."""
-        (Dtb_p, Dtb_m), (Dtw_p, Dtw_m) = self.beam.D_tilde_b, self.wave.D_tilde_w
-        T_bw, T_wb = (None if t is None else -t for t in self.T)
-        return (((Dtb_p, _mul(T_bw, Dtw_p)), (None, Dtw_p)),
-                ((Dtb_m, None), (_mul(T_wb, Dtb_m), Dtw_m)))
-
-    @cached_property
-    def Lambda(self):
-        """(Lambda_b, Lambda_w), quantized on first use: only the residuals read them."""
-        return (_op(self.beam.lam_b, FrequencyMultiplier.xi_power(2)),
-                _op(self.wave.lam_w, FrequencyMultiplier.abs_xi()))
-
-    @cached_property
     def L2s(self):
         """L_{2s}'s beam and wave blocks, quantized on first use: only the energy reads them."""
         s2 = 2.0 * self.s
@@ -297,20 +288,22 @@ class Parametrix:
         return (_op(transform(self.grid, lam_b ** self.s), mult),
                 _op(transform(self.grid, lam_w ** s2), mult))
 
-    def phi(self, vec):
-        """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
-        return parity_join(*(_apply(h, u) for h, u in zip(self.Phi, parity_split(vec))))
-
-    def l2s(self, vec):
-        """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
-        the wave block on w and w-bar."""
-        b, w = self.L2s
-        v = np.reshape(vec, np.shape(vec)[:-1] + (4, self.grid.n))
-        return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
-
 
 def build_parametrix(para, V, s):
     return Parametrix(para, V, s)
+
+
+def residual_operators(P):
+    """(Psi+-, D~_b's halves, (Lambda_b, Lambda_w)) of a parametrix, formed
+    anew on each call: Psi = (1 - T)D~ in the block layout of Phi, Lambda
+    quantized.  Only the conjugation residual applies them, so P holds none."""
+    Dt_b, (Dtw_p, Dtw_m) = P.beam.right_inverse(), P.wave.D_tilde_w
+    T_bw, T_wb = (None if t is None else -t for t in P.T)
+    Psi = (((Dt_b[0], _mul(T_bw, Dtw_p)), (None, Dtw_p)),
+           ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), Dtw_m)))
+    Lam = (_op(P.beam.lam_b, FrequencyMultiplier.xi_power(2)),
+           _op(P.wave.lam_w, FrequencyMultiplier.abs_xi()))
+    return Psi, Dt_b, Lam
 
 
 def conjugation_residual(P, para, V=None):
@@ -327,17 +320,18 @@ def conjugation_residual(P, para, V=None):
     through a coupling block that is zero by structure: T's and L_mp's where
     F has no coupling slot (``ParalinearizedSystem.coupled``), L_pm's always.
     Without coupling every residual half is block-diagonal, and its norm the
-    larger of its two diagonal blocks' (``exact_operator_norm``).
+    larger of its two diagonal blocks' (``exact_operator_norm``).  Psi, D~_b
+    and Lambda are built once per call and freed on return.
     """
     grid = P.grid
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     cols = (slice(None), r)
-    Phi, Psi = P.Phi, P.Psi
+    Phi, (Psi, Dt_b, Lam) = P.Phi, residual_operators(P)
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
     mp = ((bb, bw), (wb, ww))
-    lam = [-1j * b[np.ix_(r, r)] for b in P.Lambda]
+    lam = [-1j * b[np.ix_(r, r)] for b in Lam]
     M = [_minus_diagonal(_product(_take(Phi[0], r, np.split(pm, 2)), _take(Psi[1], cols)), *lam),
          _minus_diagonal(_product(_product(_take(Phi[1], r), mp), _take(Psi[0], cols)), *lam)]
     eye = np.eye(r.size)
@@ -345,7 +339,7 @@ def conjugation_residual(P, para, V=None):
            for i in (0, 1)]
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
-    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, P.beam.D_tilde_b[0]))
+    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
     bare = [D[r] @ L @ Dt[:, r] for D, L, Dt in pairs if L is not None]
 
     def norm(blocks, s_out=s):
@@ -368,10 +362,34 @@ def conjugation_residual(P, para, V=None):
     }
 
 
+def _energy(L2s, images):
+    """(1/2) sum of Re <L_c y, y> over Phi-images y (..., n) of parity halves,
+    each listed by its row components c = (beam, wave), None where zero."""
+    return 0.5 * sum(np.sum((y @ L.T) * y.conj(), axis=-1).real
+                     for image in images for L, y in zip(L2s, image) if y is not None)
+
+
+def _mode_energies(P):
+    """<L_{2s} Phi V, Phi V> of the single-mode beam states (z = e_k), then of
+    the wave states (w = e_k), 0 < k <= n/3.  Such a state is p = (e_k +
+    e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its component, so its Phi-image
+    is two columns of each block of each half."""
+    k = np.arange(1, P.grid.dealias_cut + 1)
+    refl, rt2 = P.grid.reflect[k], np.sqrt(2.0)
+
+    def images(c):  # (|k|, n) per row component: op(X[:, k], X[:, -k]) / sqrt2
+        return ([None if row[c] is None else op(row[c][:, k], row[c][:, refl]).T / rt2
+                 for row in X] for X, op in zip(P.Phi, (np.add, np.subtract)))
+
+    return np.concatenate([_energy(P.L2s, images(c)) for c in (0, 1)])
+
+
 def modified_energy(P, vec):
-    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n)."""
-    u = P.phi(vec)
-    return stacked_inner(P.grid, P.l2s(u), u, 0.0)
+    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n),
+    from the component blocks of Phi+ v_p and Phi- v_m."""
+    images = ([sum(u @ b.T for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
+               for row in X] for X, v in zip(P.Phi, parity_split(vec)))
+    return _energy(P.L2s, images)
 
 
 def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
@@ -387,6 +405,8 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     defect could not be bounded.  With any fraction below lam_min^s the defect
     is bounded and truncation-stable; 1/4 is used throughout.
     """
+    if sample_count < 1:
+        raise ConfigError("sample_count must be at least 1, got %r" % (sample_count,))
     grid = para.grid
     n = grid.n
     P = build_parametrix(para, V, sigma)
@@ -403,20 +423,10 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     upper = energy / nsq
     lower = energy / np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
     # the binding Garding constant lives at low modes; scan the single-mode
-    # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically.
-    # Such a state is p = (e_k + e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its
-    # component, so its Phi-image is two columns of each block of each half,
-    # and Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
+    # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically:
+    # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
     k = np.arange(1, grid.dealias_cut + 1)
-    refl, zero = grid.reflect[k], np.zeros((n, k.size))
-
-    def columns(half, op):  # (2n, 2|k|): op(half[:, k], half[:, -k]) per column component
-        return np.block([[zero if b is None else op(b[:, k], b[:, refl]) for b in row]
-                         for row in half])
-
-    rt2 = np.sqrt(2.0)
-    u = parity_join(columns(P.Phi[0], np.add).T / rt2, columns(P.Phi[1], np.subtract).T / rt2)
-    lhs = np.concatenate([k**4.0, k**2.0]) * stacked_inner(grid, P.l2s(u), u, 0.0)
+    lhs = np.concatenate([k**4.0, k**2.0]) * _mode_energies(P)
     # the Sobolev norms of e_k: ||Z||_{s+2}^2 of a beam state, ||W||_{s+1}^2
     # of a wave state, ||V||_s^2 of both
     def sq(s_):

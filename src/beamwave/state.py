@@ -71,7 +71,7 @@ def parity_split(vec):
     """Stacked (..., 4n) -> the parity halves p, m, each (..., 2n) over (beam, wave)."""
     vec = np.asarray(vec)
     z, zb, w, wb = np.split(vec, 4, axis=-1)
-    # written straight into one output, as in parity_join
+    # written straight into one output: no concatenated temporaries
     out = np.empty((2,) + vec.shape[:-1] + (vec.shape[-1] // 2,), dtype=np.result_type(vec, _RT2))
     (p_b, p_w), (m_b, m_w) = (np.split(h, 2, axis=-1) for h in out)
     np.add(z, zb, out=p_b)
@@ -80,21 +80,6 @@ def parity_split(vec):
     np.subtract(w, wb, out=m_w)
     out /= _RT2
     return out[0], out[1]
-
-
-def parity_join(p, m):
-    """The inverse of ``parity_split``: halves p, m (..., 2n) -> stacked (..., 4n)."""
-    (p_b, p_w), (m_b, m_w) = np.split(p, 2, axis=-1), np.split(m, 2, axis=-1)
-    # written straight into the one output: on the energy report's batches
-    # this is the peak of a parametrix diagnostic
-    out = np.empty(np.shape(p)[:-1] + (2 * np.shape(p)[-1],), dtype=np.result_type(p, m))
-    z, zb, w, wb = np.split(out, 4, axis=-1)
-    np.add(p_b, m_b, out=z)
-    np.subtract(p_b, m_b, out=zb)
-    np.add(p_w, m_w, out=w)
-    np.subtract(p_w, m_w, out=wb)
-    out /= _RT2
-    return out
 
 
 def conjugate_pair(grid, z, w):
@@ -145,14 +130,6 @@ def real_norm_weights(grid, s):
     round-off, as |z|^2 + |zbar|^2 = |D y|^2 + |D^{-1} y_t|^2 per mode, y and y_t complex."""
     w = 0.5 * grid.bracket_power(s) ** 2
     return np.array([w * D**p for D in complex_weights(grid) for p in (2, -2)])
-
-
-def stacked_inner(grid, u, v, s=0.0):
-    """<U, V> block pairing on stacked vectors (..., 4n) (real for conjugate pairs)."""
-    w = grid.bracket_power(s) ** 2
-    shape = np.shape(u)[:-1] + (4, grid.n)
-    per_component = np.sum(np.reshape(u, shape) * np.conj(np.reshape(v, shape)) * w, axis=-1)
-    return sum(np.moveaxis(0.5 * per_component, -1, 0)).real
 
 
 def is_conjugate_pair(grid, vec, tol=1e-10):

@@ -170,7 +170,7 @@ def test_criterion_03_diagonalization_identities():
             SeparableSymbol(gn, [(af, xi2), (2j * af.deriv(), FrequencyMultiplier.xi_power(1))])
         )
         lam = bony_weyl_quantize(SeparableSymbol(gn, [(b.lam_b, FrequencyMultiplier.xi_power(2))]))
-        (D_p, D_m), (Dt_p, Dt_m) = b.D_b, b.D_tilde_b
+        (D_p, D_m), (Dt_p, Dt_m) = b.D_b, b.right_inverse()
         resid = (D_p @ P @ Dt_m - lam, D_m @ (P + 2.0 * Q) @ Dt_p - lam)
         res.append(max(exact_operator_norm(gn, h, 2.0, 2.0, band="resolved") for h in resid))
     assert max(res) / min(res) < 1.25, "beam conjugation residual %r" % (res,)

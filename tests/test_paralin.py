@@ -11,13 +11,13 @@ from beamwave.quantize import bony_weyl_quantize
 from beamwave.state import (
     complexify,
     is_conjugate_pair,
-    parity_join,
     parity_split,
     real_from_stacked,
     stacked_from_real,
     stacked_norm,
 )
 from beamwave.symbols import SeparableSymbol
+from test_spectral_core import parity_join
 
 
 def dense_half(X, n):

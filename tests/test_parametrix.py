@@ -1,6 +1,8 @@
 """Diagonalizers, parametrix, modified energy."""
 
-from functools import cached_property
+import gc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,31 +12,40 @@ import beamwave.quantize
 import beamwave.symbols
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import build_preset
-from beamwave.errors import NumericalError, PreconditionError
+from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.grid import TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.parametrix import (
     BeamDiagonalizer,
-    Parametrix,
     WaveDiagonalizer,
+    _mode_energies,
     _periodic_antiderivative,
     build_parametrix,
     build_T_correctors,
     conjugation_residual,
     equivalence_and_garding_report,
     modified_energy,
+    residual_operators,
 )
 from beamwave.quantize import bony_weyl_quantize, exact_operator_norm, weighted_matrix
-from beamwave.state import (
-    complexify,
-    conjugate_pair,
-    parity_join,
-    parity_split,
-    stacked_inner,
-    stacked_norm,
-)
+from beamwave.state import complexify, conjugate_pair, parity_split, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 from test_paralin import dense_half, structural_zeros
+from test_spectral_core import parity_join, stacked_inner
+
+
+def phi(P, vec):
+    """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
+    n = P.grid.n
+    return parity_join(*(u @ dense_half(X, n).T for X, u in zip(P.Phi, parity_split(vec))))
+
+
+def l2s(P, vec):
+    """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
+    the wave block on w and w-bar."""
+    b, w = P.L2s
+    v = np.reshape(vec, np.shape(vec)[:-1] + (4, P.grid.n))
+    return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
 
 
 def variable_b_system(n, amp=0.2):
@@ -259,14 +270,40 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         g, para, V, P, dense = _dense_reference(preset, n)
         assert (np.max(np.abs(dense["T"])) > 0.0) == (preset == "mixed")
         split = parity_split(np.eye(4 * n))
-        for name in ("Phi", "Psi"):
-            halves = [dense_half(h, n) for h in getattr(P, name)]
+        for name, ops in (("Phi", P.Phi), ("Psi", residual_operators(P)[0])):
+            halves = [dense_half(h, n) for h in ops]
             got = parity_join(*(u @ h.T for h, u in zip(halves, split))).T
             assert _rel(got, dense[name]) <= 1e-14, name
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
-        assert _rel(P.phi(vec), dense["Phi"] @ vec) <= 1e-14
-        assert _rel(P.l2s(vec), dense["L2s"] @ vec) <= 1e-14
+        assert _rel(phi(P, vec), dense["Phi"] @ vec) <= 1e-14
+        assert _rel(l2s(P, vec), dense["L2s"] @ vec) <= 1e-14
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "wave_beam_only"])
+def test_energy_forms_match_dense_reference(preset):
+    # the per-half, per-component quadratic forms give <L_{2s} Phi V, Phi V>
+    # of the dense stacked Phi and L_{2s}, on a random batch of conjugate
+    # pairs and on the single-mode states of the Garding scan
+    for n in (32, 64):
+        g, para, V, P, dense = _dense_reference(preset, n)
+
+        def reference(vecs):
+            u = vecs @ dense["Phi"].T
+            return stacked_inner(g, u @ dense["L2s"].T, u)
+
+        rng = np.random.default_rng(n + 1)
+        z, w = rng.standard_normal((2, 6, n)) + 1j * rng.standard_normal((2, 6, n))
+        batch = conjugate_pair(g, z * g.bracket_power(-3.5), w * g.bracket_power(-3.5))
+        ref = reference(batch)
+        assert np.max(np.abs(modified_energy(P, batch) - ref) / np.abs(ref)) <= 1e-13
+        k = np.arange(1, g.dealias_cut + 1)
+        e_k, zero = np.eye(n)[k], np.zeros((k.size, n))
+        modes = np.concatenate([conjugate_pair(g, e_k, zero), conjugate_pair(g, zero, e_k)])
+        ref = reference(modes)
+        for got in (_mode_energies(P), modified_energy(P, modes)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
@@ -311,10 +348,11 @@ def _full_product_norms(P, para, V):
     keep = np.tile(g.dealias_mask, 2)
     m = np.count_nonzero(g.dealias_mask)
     L = [dense_half(a, n) + dense_half(b, n) for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (P.Phi, P.Psi))
-    Lam = -1j * _beam_wave(*P.Lambda)
+    Psi, Dt_b, Lam = residual_operators(P)
+    Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (P.Phi, Psi))
+    Lam = -1j * _beam_wave(*Lam)
     D = [_beam_wave(b, w) for b, w in zip(P.beam.D_b, P.wave.D_w)]
-    Dt = [_beam_wave(b, w) for b, w in zip(P.beam.D_tilde_b, P.wave.D_tilde_w)]
+    Dt = [_beam_wave(b, w) for b, w in zip(Dt_b, P.wave.D_tilde_w)]
 
     def on_band(mat):
         return mat[np.ix_(keep, keep)]
@@ -356,7 +394,7 @@ def test_parametrix_halves_carry_one_coupling_block_each():
     g, para, V = _preset_setup("mixed", 32)
     P = build_parametrix(para, V, 2.5)
     n = g.n
-    phi_p, phi_m, psi_p, psi_m = (dense_half(h, n) for h in P.Phi + P.Psi)
+    phi_p, phi_m, psi_p, psi_m = (dense_half(h, n) for h in P.Phi + residual_operators(P)[0])
     for absent in (phi_p[n:, :n], phi_m[:n, n:], psi_p[n:, :n], psi_m[:n, n:]):
         assert not np.any(absent)
     for carried in (phi_p[:n, n:], phi_m[n:, :n], psi_p[:n, n:], psi_m[n:, :n]):
@@ -412,7 +450,7 @@ def _per_vector_report(para, V, sigma, sample_count, seed):
     for k in range(1, grid.dealias_cut + 1):
         for zw in ((eye[k], zero), (zero, eye[k])):
             vec = conjugate_pair(grid, *zw)
-            lhs = stacked_inner(grid, P.l2s(P.phi(delta * vec)), P.phi(vec), 0.0)
+            lhs = stacked_inner(grid, l2s(P, phi(P, delta * vec)), phi(P, vec), 0.0)
             zsq = stacked_norm(grid, np.concatenate([vec[: 2 * n], zeros]), sigma + 2.0) ** 2
             wsq = stacked_norm(grid, np.concatenate([zeros, vec[2 * n :]]), sigma + 1.0) ** 2
             defects.append((lhs - 0.25 * (zsq + wsq)) / stacked_norm(grid, vec, sigma) ** 2)
@@ -441,7 +479,7 @@ def test_phi_l2s_and_energy_act_on_a_batch_vector_by_vector():
     P = build_parametrix(para, V, 2.5)
     rng = np.random.default_rng(11)
     batch = rng.standard_normal((5, 4 * g.n)) + 1j * rng.standard_normal((5, 4 * g.n))
-    for apply in (P.phi, P.l2s):
+    for apply in (partial(phi, P), partial(l2s, P)):
         got = apply(batch)
         assert got.shape == batch.shape
         for row, vec in zip(got, batch):
@@ -482,13 +520,15 @@ def _array_sizes(obj, seen):
 
 def test_system_and_parametrix_hold_no_array_larger_than_a_block():
     # operators are held by their parity halves as 2 x 2 blocks of side n
-    # over (beam, wave); neither the system nor the parametrix, with every
-    # operator it builds on first use, holds an array larger than a block
+    # over (beam, wave); neither the system nor the parametrix, with L_{2s}
+    # built on first use, holds an array larger than a block, and the
+    # parametrix holds none of the residual's Psi, Lambda and D~_b
     g, para, V = coupled_setup(32)
     P = build_parametrix(para, V, 2.5)
     conjugation_residual(P, para, V)
     modified_energy(P, V)
-    assert {"Psi", "Lambda", "L2s"} <= set(vars(P))
+    assert "L2s" in vars(P)
+    assert not {"Psi", "Lambda"} & set(vars(P)) and "D_tilde_b" not in vars(P.beam)
     assert max(_array_sizes(P, set())) == g.n**2
     assert max(_array_sizes(para, set())) == g.n**2
 
@@ -501,32 +541,34 @@ def test_headline_holds_no_block_that_is_zero_by_structure():
     P = build_parametrix(para, V, 2.5)
     pm, mp = para._A0
     assert pm.shape == (2 * g.n,) and np.any(pm)
-    for half in (mp,) + P.Phi + P.Psi:
+    for half in (mp,) + P.Phi + residual_operators(P)[0]:
         assert structural_zeros(half) == {(0, 1), (1, 0)}
         assert all(np.any(half[i][i]) for i in (0, 1))
 
 
 def test_ladder_rung_peak_memory():
-    # one N = 128 rung as the benchmark's parametrix ladder runs it: the
-    # build, the residuals, then the energy report (which builds its own
-    # parametrix) with the first parametrix alive.  Measured: 10.05 MB in a
-    # fresh process, 9.34 MB after it; the bound is that plus under 10%.
-    # Halves held as 2n x 2n arrays peaked at 18.2-18.9 MB here.
+    # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
+    # runs them: the build, the residuals, then the energy report (which
+    # builds its own parametrix) with the first parametrix alive.  Measured
+    # in a fresh process: 7.27 MB and 23.6 MB; the bounds are that plus
+    # under 10%.  With Psi, Lambda and D~_b held by the parametrix and the
+    # energy taken on stacked (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    g = TorusGrid(128)
-    sysm, fields = build_preset("headline", g)
-    V = complexify(*fields).stacked()
-    tracemalloc.start()
-    try:
-        para = ParalinearizedSystem(sysm, g)
-        P = build_parametrix(para, V, 2.5)
-        conjugation_residual(P, para, V)
-        equivalence_and_garding_report(para, V, 2.5, sample_count=50, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11.0e6, peak
+    for n, bound in ((128, 7.9e6), (256, 25.5e6)):
+        g = TorusGrid(n)
+        sysm, fields = build_preset("headline", g)
+        V = complexify(*fields).stacked()
+        tracemalloc.start()
+        try:
+            para = ParalinearizedSystem(sysm, g)
+            P = build_parametrix(para, V, 2.5)
+            conjugation_residual(P, para, V)
+            equivalence_and_garding_report(para, V, 2.5, sample_count=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (n, peak)
 
 
 def test_multiplier_one_takes_no_weyl_table(monkeypatch):
@@ -568,64 +610,71 @@ def test_cutoff_is_built_once_per_grid(monkeypatch):
     assert calls == [(g.n, g.n)]
 
 
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records (first argument, result)
+    of each call, and return the record."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(first, *args):
+        calls.append((first, original(first, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _freed_on_return(calls, arrays):
+    """Weak references to the arrays(result) of each recorded call, with the
+    record dropped: each dies once no one else holds its array."""
+    refs = [weakref.ref(a) for _, result in calls for a in arrays(result) if a is not None]
+    calls.clear()
+    gc.collect()
+    return refs
+
+
 def test_psi_is_built_only_for_the_residuals(monkeypatch):
+    # the energy never forms Psi (nor Lambda); one residual call forms them
+    # once, and frees them on return: the parametrix holds none of them
     g, para, V = coupled_setup(32)
-    built = []
-    original = Parametrix.Psi.func
-
-    def counting(self):
-        built.append(self)
-        return original(self)
-
-    psi = cached_property(counting)
-    psi.__set_name__(Parametrix, "Psi")
-    monkeypatch.setattr(Parametrix, "Psi", psi)
+    built = _counting(monkeypatch, beamwave.parametrix, "residual_operators")
     P = build_parametrix(para, V, 2.5)
     modified_energy(P, V)
-    assert "Psi" not in vars(P)
-
-    reports = []
-
-    def keeping(*args):
-        reports.append(Parametrix(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(beamwave.parametrix, "build_parametrix", keeping)
     equivalence_and_garding_report(para, V, 2.5, sample_count=4)
-    assert len(reports) == 1 and "Psi" not in vars(reports[0])
     assert built == []
 
     first = conjugation_residual(P, para, V)
+    assert [c[0] for c in built] == [P]
+    # Psi's two coupling blocks (both formed here) and Lambda's two blocks
+    refs = _freed_on_return(built, lambda r: (r[0][0][0][1], r[0][1][1][0]) + r[2])
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
     assert conjugation_residual(P, para, V) == first
-    assert built == [P]
+    assert [c[0] for c in built] == [P]
 
 
 def test_beam_d_tilde_is_built_only_for_the_residuals(monkeypatch):
     # D~_b enters Psi and the bare coupling blocks, never Phi: the energy
-    # report's own parametrix does not form it, a residual forms it once
+    # report never forms it, a residual call forms it once and frees it
     g, para, V = coupled_setup(32)
-    built = []
-    original = BeamDiagonalizer.D_tilde_b.func
-
-    def counting(self):
-        built.append(self)
-        return original(self)
-
-    d_tilde = cached_property(counting)
-    d_tilde.__set_name__(BeamDiagonalizer, "D_tilde_b")
-    monkeypatch.setattr(BeamDiagonalizer, "D_tilde_b", d_tilde)
-    reports = []
-
-    def keeping(*args):
-        reports.append(Parametrix(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(beamwave.parametrix, "build_parametrix", keeping)
+    built = _counting(monkeypatch, BeamDiagonalizer, "right_inverse")
     equivalence_and_garding_report(para, V, 2.5, sample_count=4)
-    assert len(reports) == 1 and "D_tilde_b" not in vars(reports[0].beam)
     assert built == []
 
-    P = Parametrix(para, V, 2.5)
+    P = build_parametrix(para, V, 2.5)
     first = conjugation_residual(P, para, V)
+    assert [c[0] for c in built] == [P.beam]
+    refs = _freed_on_return(built, lambda halves: halves)
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
     assert conjugation_residual(P, para, V) == first
-    assert built == [P.beam]
+    assert [c[0] for c in built] == [P.beam]
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_energy_report_refuses_no_samples(count, monkeypatch):
+    # sample_count < 1 is a configuration error, raised before any sample is
+    # drawn (numpy would raise on the empty or negative batch)
+    g, para, V = coupled_setup(32)
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a))
+    with pytest.raises(ConfigError, match="sample_count"):
+        equivalence_and_garding_report(para, V, 2.5, sample_count=count)
+    assert drawn == []

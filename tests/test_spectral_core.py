@@ -20,14 +20,30 @@ from beamwave.state import (
     complex_weights,
     complexify,
     is_conjugate_pair,
-    parity_join,
     parity_split,
     real_from_stacked,
     real_norm_weights,
     stacked_from_real,
-    stacked_inner,
     stacked_norm,
 )
+
+_RT2 = np.sqrt(2.0)
+
+
+def parity_join(p, m):
+    """The inverse of ``state.parity_split``: halves p, m (..., 2n) -> stacked
+    (..., 4n), for the dense references of the tests."""
+    (p_b, p_w), (m_b, m_w) = np.split(p, 2, axis=-1), np.split(m, 2, axis=-1)
+    return np.concatenate([p_b + m_b, p_b - m_b, p_w + m_w, p_w - m_w], axis=-1) / _RT2
+
+
+def stacked_inner(grid, u, v, s=0.0):
+    """<U, V> block pairing on stacked vectors (..., 4n) (real for conjugate
+    pairs): (1/2) sum over the four components of the H^s pairing."""
+    w = grid.bracket_power(s) ** 2
+    shape = np.shape(u)[:-1] + (4, grid.n)
+    per_component = np.sum(np.reshape(u, shape) * np.conj(np.reshape(v, shape)) * w, axis=-1)
+    return sum(np.moveaxis(0.5 * per_component, -1, 0)).real
 
 
 def random_real_function(grid, seed):
