@@ -141,6 +141,7 @@ class BridgeSystem:
         self._row_mult = np.array([d**k for _, _, k in rows])
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
         self._damping = np.array([self.alpha, self.beta], dtype=complex)
+        self._c_values = np.real(self.c.values())  # read by every wave margin
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
         # each F with terms and the row of (y_t, y_tt, theta_t, theta_tt) it adds to
         self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
@@ -226,21 +227,23 @@ class BridgeSystem:
         the partial is affine in h, so corners suffice)."""
         if R <= 0:
             raise ConfigError("radius R must be positive")
-        return self._wave_margin(self.F2.partial_affine_bounds(5, R), "smallness radius violated: ")
+        return self.check_wave_margin(self.F2.partial_affine_bounds(5, R),
+                                      "smallness radius violated: ")
 
-    def check_wave_margin(self, jets, context=""):
-        """min over the grid and the jet values ``jets`` (6, ..., n) of
-        c(x) + dF2/d(theta_xx), exactly: the wave ellipticity 1 + 2 a_w that
-        the smallness radius guarantees for every jet in its box.  A failure's
-        message starts with ``context``."""
-        return self._wave_margin(self.F2.partial_values(5, jets).real, context)
+    def wave_margin(self, partial):
+        """min over the grid of c(x) + dF2/d(theta_xx), per row (...) of the grid
+        values ``partial`` (..., n) of dF2/d(theta_xx): at a jet's values
+        (``F2.partial_values(5, jets)``) the exact wave ellipticity 1 + 2 a_w
+        that the smallness radius guarantees for every jet in its box."""
+        return np.min(self._c_values + np.real(partial), axis=-1)
 
-    def _wave_margin(self, partial, prefix):
-        worst = np.real(self.c.values()) + partial
-        c3 = float(np.min(worst))
+    def check_wave_margin(self, partial, context=""):
+        """The ``wave_margin`` of one row ``partial`` (n,), refused if it is not
+        positive, with a message that starts with ``context``."""
+        c3 = float(self.wave_margin(partial))
         if c3 <= 0.0:
-            x = self.grid.x[int(np.argmin(worst)) % self.grid.n]
-            raise PreconditionError(prefix + "c(x) + dF2/d(theta_xx) reaches %g at x = %g" % (c3, x))
+            x = self.grid.x[int(np.argmin(self._c_values + np.real(partial)))]
+            raise PreconditionError(context + "c(x) + dF2/d(theta_xx) reaches %g at x = %g" % (c3, x))
         return c3
 
     def check_parity(self):

@@ -16,7 +16,8 @@ initial data and ``RunResult.final`` the last node:
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
   half-step heat factors (skipped at eps = 0) around an RK4 step of the frozen
   paradifferential part, in its real form; backgrounds (as g-functions) and
-  forcing are given at the nodes.
+  forcing are given at the nodes, or, for a Kato sweep, read from the frozen
+  trajectory itself.
 * ``kato_solve`` -- the iteration (P)_n: sweep 1 solves the linear system at
   the zero background with G(t) at the nodes; sweep n solves it with
   coefficients frozen along V_{n-1} and inhomogeneity
@@ -26,13 +27,16 @@ initial data and ``RunResult.final`` the last node:
   (linear, constant-coefficient) system sweep one already solves the full
   problem and the first increment vanishes identically.
 
-Frozen backgrounds and forcing are evaluated at step midpoints (average of
-the two enclosing nodes; g is linear in V), making the coefficient freezing
-second-order accurate.  Each step applies ``real_generator``: the linear part
-(diagonal for constant coefficients) plus one gathered n x n block per
-g-function F can make nonzero.  Each sweep's pre-pass takes the jets F reads
-along the whole trajectory it freezes in one call, and from them its
-g-functions, Kato forcing and the exact margin c + dF2/d(theta_xx).
+Frozen backgrounds and forcing are evaluated at step midpoints (the average
+of the two enclosing nodes), making the coefficient freezing second-order
+accurate.  Each step applies ``real_generator``: the linear part (diagonal
+for constant coefficients) plus one n x n block per g-function F can make
+nonzero, the sum Q_k + Q_{k+1} of the halves of its two nodes' blocks (g is
+linear in V).  A sweep is one pass over the background it freezes: its march
+reads V_{n-1} a chunk of nodes at a time, takes their jets, g-functions and
+exact margin c + dF2/d(theta_xx) in one ``prepass``, their F and G, and forms
+each node's blocks once, for the node's Kato forcing and the two steps that
+meet there.  No array over the whole trajectory but V_{n-1} and V_n is held.
 """
 
 import copy
@@ -55,16 +59,17 @@ from .state import (
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
 # stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
-# its peak: V_{n-1} and its y, theta rows (2), jets (3), g (1.5), the forcing (2),
-# one F's values (1-1.5); 9.7-10.4 measured (tracemalloc, mixed, N = 16 and 64).
-# The n x n operators, which dominate short runs at large N, are counted apart.
-KATO_TRAJECTORIES = 12
+# its peak: V_{n-1} and V_n (2; it reads V_{n-1} a chunk of nodes at a time), and
+# at small n the bookkeeping around them: 3.41 measured (tracemalloc, mixed,
+# N = 16, T = 7.5; headline 3.20), 2.5-2.9 at N = 32, T = 4-8
+KATO_TRAJECTORIES = 4
 # n x n complex128 operators a Kato solve holds besides them: the grid's lattices
-# (about 2), frakA(0)'s two blocks, up to three Weyl tables, the background blocks
-# of a stage (up to 3) and their gather; beyond 12 trajectories, tracemalloc
-# measured 9.6 (mixed; headline 5.6) at N = 512, T = 0.004, and at most 11.7 over
-# N = 32-512 (mixed, N = 64, T = 0.01)
-KATO_OPERATORS = 12
+# (about 2), frakA(0)'s two blocks, up to three Weyl tables, two node blocks Q_k,
+# Q_{k+1} per table (the older one takes the step's midpoint block), and the chunk
+# of nodes it reads (about 2); beyond 4 trajectories, tracemalloc measured 13.9-15.3
+# (mixed; headline 7.9-9.2) at N = 64-512, T = 0.004 and 0.01, and at most 16.5 over
+# N = 32-512 (mixed, N = 32, T = 0.01)
+KATO_OPERATORS = 17
 
 
 class SolverConfig:
@@ -322,16 +327,69 @@ def _march(grid, ladder, dt, steps, u0, step):
     return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
 
 
+def _frozen_nodes(para, background, forcing, times):
+    """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of the
+    background there (none for a zero background) and the forcing f_k (4, n)
+    or None, reading ``linear_solve``'s background and forcing n // 8 nodes at
+    a time: about 16 rows of n per node, so that a chunk fits in two n x n
+    operators (at least 8 nodes, which below n = 64 keeps the per-chunk
+    calls from outweighing the per-node work).  Q_k is formed once, into the buffers of node k - 2, which the
+    march no longer reads.  A frozen trajectory (a ``RunResult``) is read by
+    its y and theta rows, and its wave margin checked, a chunk at a time;
+    its forcing, remainder + G, takes each node's blocks as they are formed."""
+    grid = para.grid
+    frozen = isinstance(background, RunResult)
+    size = max(8, grid.n // 8)
+    ring = [None, None]
+    for lo in range(0, len(times), size):
+        t = times[lo : lo + size]
+        g = f = None
+        if frozen:
+            y, theta = _full(grid, np.moveaxis(background.trajectory[lo : lo + size, ::2], 1, 0))
+            jets, g, margin = para.prepass((y, None, theta, None))
+            bad = np.flatnonzero(margin <= 0.0)
+            if bad.size:
+                k = lo + int(bad[0])
+                raise PreconditionError(
+                    "background outside the smallness radius at node %d (t = %.6g): "
+                    "c(x) + dF2/d(theta_xx) reaches %g" % (k, times[k], margin[bad[0]]))
+            f = para.forcing_G(t)
+            para.source.add_nonlinearity_hats(jets, f)
+            del jets
+        elif background is not None:
+            g = background[:, lo : lo + size]
+        if callable(forcing):
+            f = forcing(t)
+        elif forcing is not None:
+            f = np.moveaxis(forcing[lo : lo + size], 0, 1)
+        for i, k in enumerate(range(lo, lo + len(t))):
+            fk = None if f is None else f[:, i]
+            if g is None:
+                yield (), fk
+                continue
+            u = (y[i], None, theta[i], None) if frozen else None
+            blocks = para.frozen_node(g[:, i], ring[k % 2], u, fk if frozen else None)
+            ring[k % 2] = [Q for *_, Q in blocks]
+            yield blocks, fk
+
+
 def linear_solve(para, background_path, u0, forcing_path, config, include_R=True):
     """Strang splitting for the frozen-coefficient regularized linear system,
     from the real state u0 (4, n).
 
-    ``background_path``: None (zero background) or the g-functions of the
+    ``background_path``: None (zero background), the g-functions of the
     background at the nodes, shape (3, steps + 1, n), as from
-    ``ParalinearizedSystem.prepass``.  ``forcing_path``: None or real node
-    values (steps + 1, 4, n).  Both are averaged at step midpoints.  With
-    ``include_R=False`` the order-zero coupling R is dropped, leaving the
-    decoupled model flow whose H^s norms are exact isometries.
+    ``ParalinearizedSystem.prepass``, or a ``RunResult`` V_{n-1} on the same
+    time grid: the Kato step (P)_n, frozen along it with its forcing
+    remainder(V_{n-1}) + G (``forcing_path`` must then be None), refused at
+    the first node outside the wave margin.  ``forcing_path``: None, real node
+    values (steps + 1, 4, n), or a function of node times (m,) giving
+    (4, m, n), as ``ParalinearizedSystem.forcing_G``.  Both are read a chunk
+    of nodes at a time (``_frozen_nodes``).  Step k is frozen at its midpoint:
+    the background block Q_k + Q_{k+1} (Q = P / 2, each node's formed once)
+    and the forcing (f_k + f_{k+1}) / 2.  With ``include_R=False`` the
+    order-zero coupling R is dropped, leaving the decoupled model flow whose
+    H^s norms are exact isometries.
     """
     grid = para.grid
     dt, steps = _time_grid(para.source, config)
@@ -341,18 +399,29 @@ def linear_solve(para, background_path, u0, forcing_path, config, include_R=True
     if u0.shape != (4, n):
         raise PreconditionError("initial state must be a real state (y, y_t, theta, theta_t) "
                                 "of shape (4, n)")
-    for name, path, shape in (("background", background_path, (3, steps + 1, n)),
-                              ("forcing", forcing_path, (steps + 1, 4, n))):
-        if path is not None and np.shape(path) != shape:
-            raise PreconditionError("%s path must have %d node values" % (name, steps + 1))
-    bg, f = background_path, forcing_path
+    if isinstance(background_path, RunResult):
+        if len(background_path.times) != steps + 1 or forcing_path is not None:
+            raise PreconditionError("a frozen trajectory must have %d nodes and bring its "
+                                    "own forcing" % (steps + 1))
+    elif background_path is not None and np.shape(background_path) != (3, steps + 1, n):
+        raise PreconditionError("background path must have %d node values" % (steps + 1))
+    if (forcing_path is not None and not callable(forcing_path)
+            and np.shape(forcing_path) != (steps + 1, 4, n)):
+        raise PreconditionError("forcing path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
     linear_part = para.real_linear_part(include_R)
+    nodes = _frozen_nodes(para, background_path, forcing_path, dt * np.arange(steps + 1))
+    node = next(nodes)
 
     def step(k, u):
-        A = para.real_generator(linear_part, None if bg is None else 0.5 * (bg[:, k] + bg[:, k + 1]))
-        fk = (None,) * 3 if f is None else (f[k], 0.5 * (f[k] + f[k + 1]), f[k + 1])
+        nonlocal node
+        (now, f0), node = node, next(nodes)
+        nxt, f1 = node
+        # Q_k is dead after this step: its buffer takes the midpoint block
+        A = para.real_generator(linear_part, [(out, inp, np.add(Q0, Q1, out=Q0))
+                                              for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        fk = (None,) * 3 if f0 is None else (f0, 0.5 * (f0 + f1), f1)
         # at eps = 0 the heat factors are all ones, and skipped
         u = _rk4(A, half * u if config.eps else u, dt, fk)
         return half * u if config.eps else u
@@ -366,8 +435,9 @@ def kato_solve(sys, V0, config):
     continue it analytically), marched from its real state.  Sweep 1 solves the
     linear system at the zero background with forcing G at the nodes; sweep n
     freezes the coefficients along V_{n-1} and adds its quadratic remainder as
-    inhomogeneity.  Stops when the L^inf H^{s1} increment drops below
-    ``kato_tol``."""
+    inhomogeneity, both read from V_{n-1} a chunk of nodes at a time inside
+    its march; a node outside the wave margin stops it there.  Stops when the
+    L^inf H^{s1} increment drops below ``kato_tol``."""
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (4 * grid.n,) or not is_conjugate_pair(
@@ -378,23 +448,16 @@ def kato_solve(sys, V0, config):
     sys.check_ellipticity()
     radius = float(np.max(np.abs(sys.jets(u0[0], u0[2], slots=range(6)))))
     sys.check_radius_condition(2.0 * max(radius, 1e-12))
-    dt, steps = _time_grid(sys, config)
     para = ParalinearizedSystem(sys, grid)
-    times = dt * np.arange(steps + 1)
 
-    result = linear_solve(para, None, u0, np.moveaxis(para.forcing_G(times), 0, 1), config)
+    result = linear_solve(para, None, u0, para.forcing_G, config)
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
-        y, theta = _full(grid, np.moveaxis(result.trajectory[:, ::2], 1, 0))
-        u = (y, None, theta, None)  # all of V_{n-1} that prepass and kato_forcing read
-        jets, g = prepass = para.prepass(u)
-        sys.check_wave_margin(jets, "Kato sweep %d freezes a background outside the "
-                                    "smallness radius: " % sweep)
-        forcing = para.kato_forcing(u, times, prepass)
-        del jets, prepass, u, y, theta
-        nxt = linear_solve(para, g, u0, np.moveaxis(forcing, 0, 1), config)
-        del g, forcing
+        try:
+            nxt = linear_solve(para, result, u0, None, config)
+        except PreconditionError as err:
+            raise PreconditionError("Kato sweep %d freezes a %s" % (sweep, err)) from None
         inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
         increments.append(inc)
         result = nxt

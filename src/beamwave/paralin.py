@@ -26,8 +26,9 @@ On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
-theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in); ``prepass``,
-``kato_forcing`` and ``forcing_G`` act on real states (4, ..., n).  A stacked
+theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), formed per node as its
+half Q = P / 2 (``frozen_node``); ``prepass``, ``kato_forcing`` and
+``forcing_G`` act on real states (4, ..., n).  A stacked
 V enters only ``g_functions`` and the test references ``full_rhs``,
 ``remainder``, ``L_complex_matrix`` and ``R_operator``.
 """
@@ -53,9 +54,9 @@ class ParalinearizedSystem:
     wave block at V = 0) once.  A background V then changes only g_1w,
     g_12b and g_12w, each entering frakA / frakB through one gather against
     the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of g = |xi| or
-    <xi>^{-3/2} xi^2.  The real form holds those tables with P's weights
-    folded in, one per g-function that the term lists of F1 and F2 can make
-    nonzero.
+    <xi>^{-3/2} xi^2.  The real form holds those tables with half of P's
+    weights folded in, one per g-function that the term lists of F1 and F2
+    can make nonzero.
     """
 
     def __init__(self, source, grid):
@@ -66,12 +67,13 @@ class ParalinearizedSystem:
         self.d_fun = 0.5 * (source.c - one)
         self._A0 = self.frak_A(None)
         # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
-        # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its multiplier
+        # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its
+        # multiplier; each table holds half of P's weights, -2 / 2 = -1
         F1, F2, D = source.F1, source.F2, complex_weights(grid)
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
             (i, out, inp,
-             -2.0 * D[out // 2][:, None] * weyl_table(grid, mult, bony_weyl=True) * D[inp // 2])
+             -1.0 * D[out // 2][:, None] * weyl_table(grid, mult, bony_weyl=True) * D[inp // 2])
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
 
@@ -95,18 +97,22 @@ class ParalinearizedSystem:
     def prepass(self, u):
         """The jets (6, ..., n) at the slots F reads (``jets``) of real
         backgrounds u = (y, y_t, theta, theta_t) (4, ..., n), in one batched call
-        from the rows u[0] = y and u[2] = theta (the others may be None),
-        and the coefficients (3, ..., n) of g_1w, g_12b and g_12w: the dealiased
-        halves of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx) there.  F is
-        quadratic: g is linear in V."""
+        from the rows u[0] = y and u[2] = theta (the others may be None); the
+        coefficients (3, ..., n) of g_1w, g_12b and g_12w: the dealiased halves
+        of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx) there; and the wave
+        margin (...) of each background, read from the grid values of
+        dF2/d(theta_xx) before they are halved (``BridgeSystem.wave_margin``).
+        A Kato sweep calls it on a chunk of the nodes it freezes at a time.  F
+        is quadratic: g is linear in V."""
         jets = self.source.jets(u[0], u[2])
         F1, F2 = self.source.F1, self.source.F2
         g = np.zeros((3,) + jets.shape[1:], dtype=complex)  # transformed in place
         for row, (F, slot) in zip(g, ((F2, 5), (F1, 5), (F2, 2))):
             F.partial_values(slot, jets, out=row)
+        margin = self.source.wave_margin(g[0])
         g *= 0.5
         np.fft.fft(g, norm="forward", out=g)[..., ~self.grid.dealias_mask] = 0.0
-        return jets, g
+        return jets, g, margin
 
     # -- symbols -------------------------------------------------------
 
@@ -164,12 +170,26 @@ class ParalinearizedSystem:
 
     # -- real form -------------------------------------------------------
 
-    def background_blocks(self, g):
-        """The V-dependent part in real form at g-functions ``g`` (3, n): for
-        each block F can make nonzero, (out, in, P) adds P @ u[in] to d_t u[out];
-        P costs one gather."""
-        gather = self.grid.gather_index
-        return [(out, inp, g[i][gather] * table) for i, out, inp, table in self._real_blocks]
+    def frozen_node(self, g, bufs=None, u=None, r=None):
+        """One node of a frozen background, from its g-functions g (3, n): the
+        blocks (out, in, Q) of each g-function F can make nonzero, Q = P / 2
+        (into the n x n ``bufs`` if given), so that the block of a step is the
+        sum Q_k + Q_{k+1} of its two nodes'.  Given the node's real state u
+        (4, n; rows y and theta read) and its forcing r (4, n), the node's
+        P u = 2 Q u is subtracted from r in place (``kato_forcing``)."""
+        n = self.grid.n
+        # ghat[(j - k) mod n] over the slots (j, k), fft order: a Toeplitz view
+        # of row i of [ghat, ghat] from its slot n, with no gathered copy
+        twice = np.concatenate([g, g], axis=-1)
+        step = twice.itemsize
+        blocks = []
+        for (i, out, inp, table), buf in zip(self._real_blocks, bufs or [None] * 3):
+            toeplitz = np.ndarray((n, n), complex, twice, (2 * i + 1) * n * step, (step, -step))
+            Q = np.multiply(toeplitz, table, out=buf)
+            if r is not None:
+                r[out] -= 2.0 * (Q @ u[inp])
+            blocks.append((out, inp, Q))
+        return blocks
 
     def real_linear_part(self, include_R=True):
         """The V-independent part of the generator on real states u of shape
@@ -187,11 +207,10 @@ class ParalinearizedSystem:
 
         return L
 
-    def real_generator(self, linear_part, g=None):
+    def real_generator(self, linear_part, blocks=()):
         """The frozen generator frakA(V) + frakB(V) (+ R) in real form: u ->
-        linear_part(u) plus the background blocks at the g-functions g of V,
-        plus a ``forcing`` (4, ..., n) if given."""
-        blocks = () if g is None else self.background_blocks(g)
+        linear_part(u) plus P @ u[in] in row out for each background block
+        (out, in, P), plus a ``forcing`` (4, ..., n) if given."""
 
         def apply(u, forcing=None):
             du = linear_part(u)
@@ -246,11 +265,13 @@ class ParalinearizedSystem:
         cancels, leaving gamma f_b + F1 - P_12b theta in y_tt and
         delta f_w + F2 - P_1w theta - P_12w y in theta_tt, from the jets of u
         (``prepass``, if the caller holds ``self.prepass(u)``); P is applied
-        node by node.  As in ``prepass``, only the rows y and theta of u are read."""
-        jets, g = self.prepass(u) if prepass is None else prepass
+        node by node (``frozen_node``, which a Kato sweep's march calls on each
+        node as it reads it).  As in ``prepass``, only the rows y and theta of u
+        are read."""
+        jets, g, _ = self.prepass(u) if prepass is None else prepass
         r = self.forcing_G(t)
         self.source.add_nonlinearity_hats(jets, r)
         for idx in np.ndindex(np.shape(u[0])[:-1]):
-            for out, inp, P in self.background_blocks(g[(slice(None),) + idx]):
-                r[out][idx] -= P @ u[inp][idx]
+            node = (slice(None),) + idx
+            self.frozen_node(g[node], u=[None if v is None else v[idx] for v in u], r=r[node])
         return r

@@ -409,6 +409,10 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
         raise ConfigError("sample_count must be at least 1, got %r" % (sample_count,))
     grid = para.grid
     n = grid.n
+    if grid.dealias_cut < 1:
+        # the samples keep only modes 0 < |k| < n/2 and the scan 0 < k <= n/3
+        raise PreconditionError("a grid of %d points has no mode 0 < k <= n/3 for the "
+                                "equivalence and Garding samples" % n)
     P = build_parametrix(para, V, sigma)
     # smooth random conjugate pairs with zero mean modes, drawn state by state
     # as Re z, Im z, Re w, Im w

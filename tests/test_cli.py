@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,8 @@ def test_kato_trajectory_leaving_the_smallness_radius_exits_3(tmp_path, capsys):
     assert run_cli(args) == 3
     err = capsys.readouterr().err
     assert "smallness radius" in err and "Traceback" not in err
+    # the march stops at the first frozen node outside it, and names it
+    assert re.search(r"sweep 2 .* at node \d+ \(t = ", err), err
 
 
 def test_kato_trajectory_with_fast_speeds_inside_the_exact_margin_runs(tmp_path, capsys):

@@ -182,6 +182,12 @@ def test_linear_solve_background_shape_checks():
         linear_solve(para, None, u0.reshape(4 * g.n), None, cfg)
     with pytest.raises(PreconditionError, match="forcing"):
         linear_solve(para, None, u0, np.zeros((steps + 1, 4 * g.n)), cfg)
+    # a frozen trajectory brings its own forcing, on the same time grid
+    frozen = linear_solve(para, None, u0, None, cfg)
+    with pytest.raises(PreconditionError, match="frozen trajectory"):
+        linear_solve(para, frozen, u0, np.zeros((steps + 1, 4, g.n)), cfg)
+    with pytest.raises(PreconditionError, match="frozen trajectory"):
+        linear_solve(para, frozen, u0, None, SolverConfig(T_final=0.1))
 
 
 def test_blow_up_guard_stops_both_solvers():
@@ -327,6 +333,81 @@ def test_kato_matches_oracle_small():
     assert gap < 1e-6 * orc.sup_norm(cfg.ladder.s1)
 
 
+def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
+    # each step applies Q_k + Q_{k+1}, the halves of its two nodes' blocks,
+    # each formed once into one of two alternating buffers; a test-local march
+    # applies the block at the midpoint g-functions (g_k + g_{k+1}) / 2 as the
+    # sum's reference (g is linear), along a background that changes at every
+    # node: the two agree to round-off at every node
+    g = TorusGrid(32)
+    sysm, fields = build_preset("mixed", g)
+    para = ParalinearizedSystem(sysm, g)
+    u0 = real_state(fields)
+    cfg = SolverConfig(T_final=0.1)
+    dt, steps = cfg.resolve_dt(g, float(np.max(sysm.b.values().real)))
+    nodes = u0[:, None] * (1.0 + np.sin(np.arange(steps + 1)))[:, None]
+    bg = para.prepass(nodes)[1]
+    forcing = np.moveaxis(para.kato_forcing(nodes, dt * np.arange(steps + 1)), 0, 1)
+    run = linear_solve(para, bg, u0, forcing, cfg)
+    linear_part, u = para.real_linear_part(), u0
+    for k in range(steps):
+        mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]))
+        A = para.real_generator(linear_part, [(out, inp, Q + Q) for out, inp, Q in mid])
+        u = _rk4(A, u, dt, (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
+        err = np.max(np.abs(run.trajectory[k + 1] - u[:, : g.n // 2 + 1]))
+        assert err <= 1e-13 * np.max(np.abs(u)), (k, err)
+
+
+def kato_with_prepass(sys, V0, config):
+    """The Kato iteration with each sweep's pre-pass over the whole trajectory
+    it freezes (a reference for the streamed sweep): prepass, the wave margin
+    node by node, kato_forcing, then linear_solve on node paths."""
+    grid = sys.grid
+    para = ParalinearizedSystem(sys, grid)
+    u0 = np.array(real_from_stacked(grid, V0))
+    dt, steps = config.resolve_dt(grid, float(np.max(sys.b.values().real)))
+    times = dt * np.arange(steps + 1)
+    result = linear_solve(para, None, u0, np.moveaxis(para.forcing_G(times), 0, 1), config)
+    increments = []
+    while not increments or increments[-1] >= config.kato_tol:
+        y, theta = _full(grid, np.moveaxis(result.trajectory[:, ::2], 1, 0))
+        u = (y, None, theta, None)
+        jets, g, _ = prepass = para.prepass(u)
+        for partial in sys.F2.partial_values(5, jets):
+            sys.check_wave_margin(partial)
+        forcing = np.moveaxis(para.kato_forcing(u, times, prepass), 0, 1)
+        nxt = linear_solve(para, g, u0, forcing, config)
+        increments.append(trajectory_gap(grid, nxt, result, config.ladder.s1))
+        result = nxt
+    return result, increments
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
+@pytest.mark.parametrize("n, steps", [(32, 12), (64, 16), (64, 1)])
+def test_streamed_kato_sweeps_match_the_prepass_reference(preset, n, steps):
+    # the march reads each frozen trajectory max(8, n // 8) nodes at a time:
+    # 13 and 17 nodes are no multiple of that chunk, and a single step (2
+    # nodes) is shorter than one; the norms agree to the last bit, the
+    # trajectories and increments to round-off (measured: identical on every
+    # case here)
+    g = TorusGrid(n)
+    sysm, fields = build_preset(preset, g)
+    V0 = complexify(*fields).stacked()
+    limit = SolverConfig().max_stable_dt(g, float(np.max(sysm.b.values().real)))
+    cfg = SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
+    assert cfg.resolve_dt(g, float(np.max(sysm.b.values().real)))[1] == steps
+    assert (steps + 1) % max(8, n // 8) != 0
+    run = kato_solve(sysm, V0, cfg)
+    ref, increments = kato_with_prepass(sysm, V0, cfg)
+    for key in ("s0", "s1"):
+        assert np.array_equal(run.norms[key], ref.norms[key])
+    scale = np.max(np.abs(ref.trajectory))
+    assert np.max(np.abs(run.trajectory - ref.trajectory)) <= 1e-15 * scale
+    assert len(run.increments) == len(increments)
+    for got, want in zip(run.increments, increments):
+        assert abs(got - want) <= 1e-12 * want + 1e-30
+
+
 def test_kato_preserves_reality(marched):
     # on the marched nodes: the stored halves are real states by construction
     g, sys = headline_system(32)
@@ -450,14 +531,31 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     # F2 = theta theta_xx, so c + dF2/d(theta_xx) = 1 + theta; the forcing
     # delta sin t drives theta below -1 by T = 1.  The data start well inside
     # the radius and the check at t = 0 passes; the trajectory of sweep 1
-    # leaves the radius, so sweep 2 is refused
+    # leaves the radius, so sweep 2 is refused at the first node outside it
     g = TorusGrid(32)
     sys = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 3, 5)]), delta=-10.0)
     fields = make_fields(g)
     config = SolverConfig(T_final=1.0)
     assert sys.check_radius_condition(0.25) > 0.5
-    with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius"):
-        kato_solve(sys, complexify(*fields).stacked(), config)
+    # sweep 1 as kato_solve marches it, and its first node outside the margin
+    V0 = complexify(*fields).stacked()
+    para = ParalinearizedSystem(sys, g)
+    dt, steps = config.resolve_dt(g, 1.0)
+    times = dt * np.arange(steps + 1)
+    sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0)),
+                          np.moveaxis(para.forcing_G(times), 0, 1), config)
+    first = None
+    for k, half in enumerate(sweep1.trajectory):
+        y, _, theta, _ = _full(g, half)
+        try:
+            sys.check_wave_margin(sys.F2.partial_values(5, sys.jets(y, theta)))
+        except PreconditionError:
+            first = k
+            break
+    assert first is not None and 0 < first < steps
+    with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius") as err:
+        kato_solve(sys, V0, config)
+    assert "at node %d (t = %.6g)" % (first, times[first]) in str(err.value)
     # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
     theta = np.fft.irfft(oracle_solve(sys, *fields, config).trajectory[-1, 2], g.n, norm="forward")
     assert np.min(1.0 + theta.real) < 0.0

@@ -47,6 +47,13 @@ def structural_zeros(half):
 EVERY_BLOCK = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+def constant_background_blocks(para, g_v):
+    """The background blocks (out, in, P) of a step frozen at g-functions g_v
+    at both of its nodes: the midpoint block Q + Q of the halves
+    ``frozen_node`` forms; none for no background."""
+    return [] if g_v is None else [(out, inp, Q + Q) for out, inp, Q in para.frozen_node(g_v)]
+
+
 def coupled_system(n=32, amp=1e-2):
     g = TorusGrid(n)
     F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
@@ -229,10 +236,11 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
         g_v = None if v is None else para.prepass(real_from_stacked(g, v))[1]
+        blocks = constant_background_blocks(para, g_v)
         for include_R in (True, False):
             M = got_A + got_B + (para.R_operator() if include_R else 0.0)
             expect = np.array(real_from_stacked(g, M @ stacked_from_real(g, *u)))
-            got = para.real_generator(para.real_linear_part(include_R), g_v)(u)
+            got = para.real_generator(para.real_linear_part(include_R), blocks)(u)
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert [structural_zeros(h) for h in para.frak_B(None)] == [EVERY_BLOCK] * 2
 
@@ -274,8 +282,10 @@ def test_skipping_structurally_zero_blocks_is_bit_identical(preset):
     assert len(skipping._real_blocks) < len(every._real_blocks) == 3
     g_v = skipping.prepass(u)[1]
     for include_R in (True, False):
-        got = skipping.real_generator(skipping.real_linear_part(include_R), g_v)(u)
-        expect = every.real_generator(every.real_linear_part(include_R), g_v)(u)
+        got = skipping.real_generator(skipping.real_linear_part(include_R),
+                                      constant_background_blocks(skipping, g_v))(u)
+        expect = every.real_generator(every.real_linear_part(include_R),
+                                      constant_background_blocks(every, g_v))(u)
         assert np.array_equal(got, expect)
 
 

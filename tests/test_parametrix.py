@@ -678,3 +678,26 @@ def test_energy_report_refuses_no_samples(count, monkeypatch):
     with pytest.raises(ConfigError, match="sample_count"):
         equivalence_and_garding_report(para, V, 2.5, sample_count=count)
     assert drawn == []
+
+
+def test_energy_report_refuses_a_grid_without_sample_modes(monkeypatch):
+    # at N = 2 no mode 0 < k <= n/3 exists: the samples would be zero and the
+    # Garding scan empty, so the report refuses the grid before any draw
+    g = TorusGrid(2)
+    sysm, fields = build_preset("headline", g)
+    V = complexify(*fields).stacked()
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a))
+    with pytest.raises(PreconditionError, match="no mode 0 < k <= n/3"):
+        equivalence_and_garding_report(ParalinearizedSystem(sysm, g), V, 2.5, sample_count=4)
+    assert drawn == []
+
+
+def test_energy_report_at_the_smallest_grid_with_a_sample_mode():
+    # N = 4 keeps the mode k = 1: the report is finite
+    g = TorusGrid(4)
+    sysm, fields = build_preset("headline", g)
+    rep = equivalence_and_garding_report(ParalinearizedSystem(sysm, g),
+                                         complexify(*fields).stacked(), 2.5, sample_count=4)
+    assert rep["n"] == 4 and rep["samples"] == 4
+    assert all(np.isfinite(v) for k, v in rep.items() if k not in ("sigma", "n", "samples"))
