@@ -113,17 +113,17 @@ class BridgeSystem:
         F2=None,
     ):
         self.grid = grid
-        self.b = _profile_to_function(grid, b)
-        self.c = _profile_to_function(grid, c)
+        self.b = _profile_to_function(grid, b, "b")
+        self.c = _profile_to_function(grid, c, "c")
         self.B_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in B_terms]
         self.C_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in C_terms]
         for _, k in self.B_terms + self.C_terms:
             if k > 2 or k < 0:
                 raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.delta = float(delta)
+        self.alpha, self.beta, self.gamma, self.delta = map(float, (alpha, beta, gamma, delta))
+        for name in ("alpha", "beta", "gamma", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite, got %r" % (name, getattr(self, name)))
         self.f_b = f_b if f_b is not None else (lambda t: 0.0)
         self.f_w = f_w if f_w is not None else np.sin
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
@@ -224,11 +224,17 @@ class BridgeSystem:
 
     def check_radius_condition(self, R):
         """c3 = min over the grid and |h_i| <= R of c(x) + dF2/dh6 (exact:
-        the partial is affine in h, so corners suffice)."""
+        the partial is affine in h, so corners suffice), refused if it is not
+        positive: the ``wave_margin`` of the worst jet in the box."""
         if R <= 0:
             raise ConfigError("radius R must be positive")
-        return self.check_wave_margin(self.F2.partial_affine_bounds(5, R),
-                                      "smallness radius violated: ")
+        partial = self.F2.partial_affine_bounds(5, R)
+        c3 = float(self.wave_margin(partial))
+        if c3 <= 0.0:
+            x = self.grid.x[int(np.argmin(self._c_values + partial))]
+            raise PreconditionError("smallness radius violated: c(x) + dF2/d(theta_xx) "
+                                    "reaches %g at x = %g" % (c3, x))
+        return c3
 
     def wave_margin(self, partial):
         """min over the grid of c(x) + dF2/d(theta_xx), per row (...) of the grid
@@ -236,15 +242,6 @@ class BridgeSystem:
         (``F2.partial_values(5, jets)``) the exact wave ellipticity 1 + 2 a_w
         that the smallness radius guarantees for every jet in its box."""
         return np.min(self._c_values + np.real(partial), axis=-1)
-
-    def check_wave_margin(self, partial, context=""):
-        """The ``wave_margin`` of one row ``partial`` (n,), refused if it is not
-        positive, with a message that starts with ``context``."""
-        c3 = float(self.wave_margin(partial))
-        if c3 <= 0.0:
-            x = self.grid.x[int(np.argmin(self._c_values + np.real(partial)))]
-            raise PreconditionError(context + "c(x) + dF2/d(theta_xx) reaches %g at x = %g" % (c3, x))
-        return c3
 
     def check_parity(self):
         """True iff the system preserves odd (Dirichlet/hinged) data."""
@@ -282,26 +279,27 @@ class BridgeSystem:
         }
 
 
-def _profile_to_function(grid, spec_value):
-    """Named profile, constant, sample array or callable -> SpectralFunction."""
-    if isinstance(spec_value, SpectralFunction):
-        return spec_value
+def _profile_to_function(grid, spec_value, field="a coefficient"):
+    """Named profile, constant, sample array or callable -> SpectralFunction;
+    one that is not finite is a ConfigError naming ``field``."""
+    fun = spec_value
     if callable(spec_value):
-        return transform(grid, np.asarray(spec_value(grid.x), dtype=float))
-    if isinstance(spec_value, str):
+        fun = transform(grid, np.asarray(spec_value(grid.x), dtype=float))
+    elif isinstance(spec_value, str):
         name, _, arg = spec_value.partition(":")
         amp = float(arg) if arg else 1.0
-        if name == "constant":
-            return SpectralFunction.constant(grid, amp)
-        if name == "cosine":
-            return transform(grid, 1.0 + amp * np.cos(grid.x))
-        raise ConfigError("unknown profile %r" % spec_value)
-    arr = np.asarray(spec_value, dtype=float)
-    if arr.ndim == 0:
-        return SpectralFunction.constant(grid, float(arr))
-    if arr.shape != (grid.n,):
-        raise ConfigError("profile sample array must have length n = %d" % grid.n)
-    return transform(grid, arr)
+        if name not in ("constant", "cosine"):
+            raise ConfigError("unknown profile %r" % spec_value)
+        fun = (SpectralFunction.constant(grid, amp) if name == "constant"
+               else transform(grid, 1.0 + amp * np.cos(grid.x)))
+    elif not isinstance(spec_value, SpectralFunction):
+        arr = np.asarray(spec_value, dtype=float)
+        if arr.ndim and arr.shape != (grid.n,):
+            raise ConfigError("profile sample array must have length n = %d" % grid.n)
+        fun = transform(grid, arr) if arr.ndim else SpectralFunction.constant(grid, float(arr))
+    if not np.all(np.isfinite(fun.coeffs)):
+        raise ConfigError("%s is not finite" % field)
+    return fun
 
 
 def bridge_system_from_json(doc, grid=None):

@@ -15,9 +15,9 @@ initial data and ``RunResult.final`` the last node:
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
   half-step heat factors (skipped at eps = 0) around an RK4 step of the frozen
-  paradifferential part, in its real form; backgrounds (as g-functions) and
-  forcing are given at the nodes, or, for a Kato sweep, read from the frozen
-  trajectory itself.
+  paradifferential part, in its real form, forced by the system's G(t); a
+  background is given by its g-functions at the nodes, or, for a Kato sweep,
+  read from the frozen trajectory itself, which adds its remainder to G.
 * ``kato_solve`` -- the iteration (P)_n: sweep 1 solves the linear system at
   the zero background with G(t) at the nodes; sweep n solves it with
   coefficients frozen along V_{n-1} and inhomogeneity
@@ -64,11 +64,11 @@ RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axi
 # N = 16, T = 7.5; headline 3.20), 2.5-2.9 at N = 32, T = 4-8
 KATO_TRAJECTORIES = 4
 # n x n complex128 operators a Kato solve holds besides them: the grid's lattices
-# (about 2), frakA(0)'s two blocks, up to three Weyl tables, two node blocks Q_k,
+# (1.56-1.60), frakA(0)'s two blocks, up to three Weyl tables, two node blocks Q_k,
 # Q_{k+1} per table (the older one takes the step's midpoint block), and the chunk
-# of nodes it reads (about 2); beyond 4 trajectories, tracemalloc measured 13.9-15.3
-# (mixed; headline 7.9-9.2) at N = 64-512, T = 0.004 and 0.01, and at most 16.5 over
-# N = 32-512 (mixed, N = 32, T = 0.01)
+# of nodes it reads (about 2); beyond 4 trajectories, tracemalloc measured 13.4-15.1
+# (mixed; headline 7.4-8.9) at N = 64-512, T = 0.004 and 0.01, and at most 16.65 over
+# N = 32-512 (mixed, N = 32, T = 0.01; grid and system built while traced)
 KATO_OPERATORS = 17
 
 
@@ -327,23 +327,23 @@ def _march(grid, ladder, dt, steps, u0, step):
     return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
 
 
-def _frozen_nodes(para, background, forcing, times):
-    """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of the
-    background there (none for a zero background) and the forcing f_k (4, n)
-    or None, reading ``linear_solve``'s background and forcing n // 8 nodes at
-    a time: about 16 rows of n per node, so that a chunk fits in two n x n
-    operators (at least 8 nodes, which below n = 64 keeps the per-chunk
-    calls from outweighing the per-node work).  Q_k is formed once, into the buffers of node k - 2, which the
-    march no longer reads.  A frozen trajectory (a ``RunResult``) is read by
-    its y and theta rows, and its wave margin checked, a chunk at a time;
-    its forcing, remainder + G, takes each node's blocks as they are formed."""
+def _frozen_nodes(para, background, times):
+    """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of
+    ``linear_solve``'s background there (none for a zero background) and the
+    forcing f_k (4, n): the system's G, plus the remainder of a frozen
+    trajectory (a ``RunResult``, read by its y and theta rows and its wave
+    margin checked).  All are taken max(8, n // 8) nodes at a time: about 16
+    rows of n per node, so that a chunk fits in two n x n operators, and at
+    least 8, so that below n = 64 the per-chunk calls do not outweigh the
+    per-node work.  Q_k is formed once, into the buffers of node k - 2, which
+    the march no longer reads."""
     grid = para.grid
     frozen = isinstance(background, RunResult)
     size = max(8, grid.n // 8)
     ring = [None, None]
     for lo in range(0, len(times), size):
         t = times[lo : lo + size]
-        g = f = None
+        g = None
         if frozen:
             y, theta = _full(grid, np.moveaxis(background.trajectory[lo : lo + size, ::2], 1, 0))
             jets, g, margin = para.prepass((y, None, theta, None))
@@ -353,44 +353,33 @@ def _frozen_nodes(para, background, forcing, times):
                 raise PreconditionError(
                     "background outside the smallness radius at node %d (t = %.6g): "
                     "c(x) + dF2/d(theta_xx) reaches %g" % (k, times[k], margin[bad[0]]))
-            f = para.forcing_G(t)
-            para.source.add_nonlinearity_hats(jets, f)
-            del jets
         elif background is not None:
             g = background[:, lo : lo + size]
-        if callable(forcing):
-            f = forcing(t)
-        elif forcing is not None:
-            f = np.moveaxis(forcing[lo : lo + size], 0, 1)
+        f = para.forcing_G(t)  # after the prepass's temporaries are freed
+        if frozen:
+            para.source.add_nonlinearity_hats(jets, f)
+            del jets
         for i, k in enumerate(range(lo, lo + len(t))):
-            fk = None if f is None else f[:, i]
-            if g is None:
-                yield (), fk
-                continue
-            u = (y[i], None, theta[i], None) if frozen else None
-            blocks = para.frozen_node(g[:, i], ring[k % 2], u, fk if frozen else None)
-            ring[k % 2] = [Q for *_, Q in blocks]
-            yield blocks, fk
+            blocks = ()
+            if g is not None:  # a frozen trajectory's forcing loses P_k u_k here
+                u = (y[i], None, theta[i], None) if frozen else None
+                blocks = para.frozen_node(g[:, i], ring[k % 2], u, f[:, i] if frozen else None)
+                ring[k % 2] = [Q for *_, Q in blocks]
+            yield blocks, f[:, i]
 
 
-def linear_solve(para, background_path, u0, forcing_path, config, include_R=True):
+def linear_solve(para, background, u0, config):
     """Strang splitting for the frozen-coefficient regularized linear system,
-    from the real state u0 (4, n).
+    from the real state u0 (4, n), forced by the system's G(t).
 
-    ``background_path``: None (zero background), the g-functions of the
+    ``background``: None (zero background), the g-functions of the
     background at the nodes, shape (3, steps + 1, n), as from
     ``ParalinearizedSystem.prepass``, or a ``RunResult`` V_{n-1} on the same
-    time grid: the Kato step (P)_n, frozen along it with its forcing
-    remainder(V_{n-1}) + G (``forcing_path`` must then be None), refused at
-    the first node outside the wave margin.  ``forcing_path``: None, real node
-    values (steps + 1, 4, n), or a function of node times (m,) giving
-    (4, m, n), as ``ParalinearizedSystem.forcing_G``.  Both are read a chunk
-    of nodes at a time (``_frozen_nodes``).  Step k is frozen at its midpoint:
-    the background block Q_k + Q_{k+1} (Q = P / 2, each node's formed once)
-    and the forcing (f_k + f_{k+1}) / 2.  With ``include_R=False`` the
-    order-zero coupling R is dropped, leaving the decoupled model flow whose
-    H^s norms are exact isometries.
-    """
+    time grid: the Kato step (P)_n, frozen along it, whose forcing adds
+    remainder(V_{n-1}) to G, refused at the first node outside the wave margin.
+    It and G are read a chunk of nodes at a time (``_frozen_nodes``).  Step k is
+    frozen at its midpoint: the background block Q_k + Q_{k+1} (Q = P / 2,
+    each node's formed once) and the forcing (f_k + f_{k+1}) / 2."""
     grid = para.grid
     dt, steps = _time_grid(para.source, config)
     n = grid.n
@@ -399,19 +388,15 @@ def linear_solve(para, background_path, u0, forcing_path, config, include_R=True
     if u0.shape != (4, n):
         raise PreconditionError("initial state must be a real state (y, y_t, theta, theta_t) "
                                 "of shape (4, n)")
-    if isinstance(background_path, RunResult):
-        if len(background_path.times) != steps + 1 or forcing_path is not None:
-            raise PreconditionError("a frozen trajectory must have %d nodes and bring its "
-                                    "own forcing" % (steps + 1))
-    elif background_path is not None and np.shape(background_path) != (3, steps + 1, n):
+    if isinstance(background, RunResult):
+        if len(background.times) != steps + 1:
+            raise PreconditionError("a frozen trajectory must have %d nodes" % (steps + 1))
+    elif background is not None and np.shape(background) != (3, steps + 1, n):
         raise PreconditionError("background path must have %d node values" % (steps + 1))
-    if (forcing_path is not None and not callable(forcing_path)
-            and np.shape(forcing_path) != (steps + 1, 4, n)):
-        raise PreconditionError("forcing path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
-    linear_part = para.real_linear_part(include_R)
-    nodes = _frozen_nodes(para, background_path, forcing_path, dt * np.arange(steps + 1))
+    linear_part = para.real_linear_part()
+    nodes = _frozen_nodes(para, background, dt * np.arange(steps + 1))
     node = next(nodes)
 
     def step(k, u):
@@ -421,9 +406,8 @@ def linear_solve(para, background_path, u0, forcing_path, config, include_R=True
         # Q_k is dead after this step: its buffer takes the midpoint block
         A = para.real_generator(linear_part, [(out, inp, np.add(Q0, Q1, out=Q0))
                                               for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
-        fk = (None,) * 3 if f0 is None else (f0, 0.5 * (f0 + f1), f1)
         # at eps = 0 the heat factors are all ones, and skipped
-        u = _rk4(A, half * u if config.eps else u, dt, fk)
+        u = _rk4(A, half * u if config.eps else u, dt, (f0, 0.5 * (f0 + f1), f1))
         return half * u if config.eps else u
 
     return _march(grid, config.ladder, dt, steps, u0, step)
@@ -450,12 +434,12 @@ def kato_solve(sys, V0, config):
     sys.check_radius_condition(2.0 * max(radius, 1e-12))
     para = ParalinearizedSystem(sys, grid)
 
-    result = linear_solve(para, None, u0, para.forcing_G, config)
+    result = linear_solve(para, None, u0, config)
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
         try:
-            nxt = linear_solve(para, result, u0, None, config)
+            nxt = linear_solve(para, result, u0, config)
         except PreconditionError as err:
             raise PreconditionError("Kato sweep %d freezes a %s" % (sweep, err)) from None
         inc = trajectory_gap(grid, nxt, result, config.ladder.s1)

@@ -7,7 +7,8 @@ coefficients on a truncated mode set.  Conventions:
 
 so for samples on the uniform grid the forward transform is fft(values)/n.
 Coefficients are kept in numpy fft order; ``TorusGrid.modes`` gives the
-integer mode of each slot.
+integer mode of each slot.  The grid holds the n x n arrays that Bony-Weyl
+quantization reads, and views coefficients as the Toeplitz fhat(j - k).
 """
 
 import os
@@ -46,7 +47,6 @@ class TorusGrid:
     are built on first use and then held, read-only, by the grid:
 
     mode_lattice : (j - k, j + k)
-    gather_index : (j - k) mod n, the slot of fhat(j - k)
     in_range : whether j - k lies in [-n/2, n/2), the Weyl table of the multiplier 1
     chi_mask : the Bony-Weyl cutoff chi_eps(|j - k| / <j + k>)
     """
@@ -84,9 +84,12 @@ class TorusGrid:
         J = self.modes
         return _read_only(J[:, None] - J[None, :]), _read_only(J[:, None] + J[None, :])
 
-    @cached_property
-    def gather_index(self):
-        return _read_only(self.mode_lattice[0] % self.n)
+    def toeplitz(self, fhat):
+        """fhat[(j - k) mod n] over the slots (j, k), fft order: a read-only
+        n x n view of [fhat, fhat] from its slot n, with no n x n copy."""
+        twice = np.concatenate([fhat, fhat])
+        s = twice.itemsize
+        return _read_only(np.ndarray((self.n, self.n), twice.dtype, twice, self.n * s, (s, -s)))
 
     @cached_property
     def in_range(self):

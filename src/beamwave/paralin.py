@@ -52,11 +52,11 @@ class ParalinearizedSystem:
     The generator is linear in the symbols and every multiplier is fixed, so
     ``__init__`` quantizes the V-independent blocks (the beam block and the
     wave block at V = 0) once.  A background V then changes only g_1w,
-    g_12b and g_12w, each entering frakA / frakB through one gather against
-    the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of g = |xi| or
-    <xi>^{-3/2} xi^2.  The real form holds those tables with half of P's
-    weights folded in, one per g-function that the term lists of F1 and F2
-    can make nonzero.
+    g_12b and g_12w, each entering frakA / frakB as its Toeplitz view
+    (``grid.toeplitz``) times the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of
+    g = |xi| or <xi>^{-3/2} xi^2.  The real form holds those tables with half
+    of P's weights folded in, one per g-function that the term lists of F1
+    and F2 can make nonzero.
     """
 
     def __init__(self, source, grid):
@@ -73,7 +73,7 @@ class ParalinearizedSystem:
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
             (i, out, inp,
-             -1.0 * D[out // 2][:, None] * weyl_table(grid, mult, bony_weyl=True) * D[inp // 2])
+             -1.0 * D[out // 2][:, None] * (weyl_table(grid, mult) * grid.chi_mask) * D[inp // 2])
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
 
@@ -136,16 +136,16 @@ class ParalinearizedSystem:
     # -- block operators ----------------------------------------------
 
     def _weyl_block(self, g, mult):
-        """Op^BW(g(x) mult(xi)) as an n x n block: one gather of g against
-        the tabulated multiplier."""
-        return g.coeffs[self.grid.gather_index] * weyl_table(self.grid, mult, bony_weyl=True)
+        """Op^BW(g(x) mult(xi)) as an n x n block: the Toeplitz view of g
+        times the tabulated multiplier."""
+        return self.grid.toeplitz(g.coeffs) * (weyl_table(self.grid, mult) * self.grid.chi_mask)
 
     def frak_A(self, V):
         """The odd halves of diag(-iE Op^BW(A_b), -iE Op^BW(A_w)): pm = -i
         diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
         blockdiag(diag(j^2) + 2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)), held as
         its blocks ((bb, None), (None, ww)); the system keeps them at V = None,
-        and a background adds its gathered g_1w |xi| block to a new wave block."""
+        and a background adds its g_1w |xi| block to a new wave block."""
         if V is None:
             syms = self.assemble_symbols(None)
             # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
@@ -177,15 +177,9 @@ class ParalinearizedSystem:
         sum Q_k + Q_{k+1} of its two nodes'.  Given the node's real state u
         (4, n; rows y and theta read) and its forcing r (4, n), the node's
         P u = 2 Q u is subtracted from r in place (``kato_forcing``)."""
-        n = self.grid.n
-        # ghat[(j - k) mod n] over the slots (j, k), fft order: a Toeplitz view
-        # of row i of [ghat, ghat] from its slot n, with no gathered copy
-        twice = np.concatenate([g, g], axis=-1)
-        step = twice.itemsize
         blocks = []
         for (i, out, inp, table), buf in zip(self._real_blocks, bufs or [None] * 3):
-            toeplitz = np.ndarray((n, n), complex, twice, (2 * i + 1) * n * step, (step, -step))
-            Q = np.multiply(toeplitz, table, out=buf)
+            Q = np.multiply(self.grid.toeplitz(g[i]), table, out=buf)
             if r is not None:
                 r[out] -= 2.0 * (Q @ u[inp])
             blocks.append((out, inp, Q))
@@ -258,17 +252,16 @@ class ParalinearizedSystem:
         u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
         return stacked_from_real(self.grid, *(self.kato_forcing(u, t) - self.forcing_G(t)))
 
-    def kato_forcing(self, u, t=0.0, prepass=None):
+    def kato_forcing(self, u, t=0.0):
         """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V in real
         form, (4, ..., n) for real states u (4, ..., n) at times t (...): the
         inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}.  L V
         cancels, leaving gamma f_b + F1 - P_12b theta in y_tt and
         delta f_w + F2 - P_1w theta - P_12w y in theta_tt, from the jets of u
-        (``prepass``, if the caller holds ``self.prepass(u)``); P is applied
-        node by node (``frozen_node``, which a Kato sweep's march calls on each
-        node as it reads it).  As in ``prepass``, only the rows y and theta of u
-        are read."""
-        jets, g, _ = self.prepass(u) if prepass is None else prepass
+        (``prepass``); P is applied node by node (``frozen_node``, which a Kato
+        sweep's march calls on each node as it reads it).  As in ``prepass``,
+        only the rows y and theta of u are read."""
+        jets, g, _ = self.prepass(u)
         r = self.forcing_G(t)
         self.source.add_nonlinearity_hats(jets, r)
         for idx in np.ndindex(np.shape(u[0])[:-1]):

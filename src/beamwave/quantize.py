@@ -6,7 +6,10 @@ The Weyl matrix of a symbol a(x, xi) is
 
 the spatial transform evaluated at the frequency midpoint.  The Bony-Weyl
 (paradifferential) matrix multiplies each entry by chi_eps(|j-k| / <j+k>),
-restricting the symbol's spatial frequencies below the function's.
+restricting the symbol's spatial frequencies below the function's.  A
+separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
+sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
+fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``).
 Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
@@ -42,15 +45,14 @@ import numpy as np
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
-def weyl_table(grid, g, bony_weyl=False):
-    """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2), times the
-    Bony-Weyl mask chi_eps(|j-k|/<j+k>) if ``bony_weyl``.  The Weyl matrix of
-    f(x) g(xi) is the gather f.coeffs[grid.gather_index] * T."""
+def weyl_table(grid, g):
+    """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2).  The Weyl
+    matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix
+    that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n = grid.n
     half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
     gv = np.asarray(g(half_lattice), dtype=complex)[grid.mode_lattice[1] + n]
-    T = np.where(grid.in_range, gv, 0.0)
-    return T * grid.chi_mask if bony_weyl else T
+    return np.where(grid.in_range, gv, 0.0)
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()
@@ -61,10 +63,9 @@ def weyl_quantize(sym):
     """Op^W of a SeparableSymbol as a dense n x n array.  The multiplier 1
     takes no table: its table is the grid's in-range mask."""
     grid = sym.grid
-    idx = grid.gather_index
     M = np.zeros((grid.n, grid.n), dtype=complex)
     for f, g in sym.terms:
-        M += f.coeffs[idx] * (grid.in_range if g.terms == _ONE else weyl_table(grid, g))
+        M += grid.toeplitz(f.coeffs) * (grid.in_range if g.terms == _ONE else weyl_table(grid, g))
     return M
 
 

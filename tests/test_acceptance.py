@@ -17,7 +17,6 @@ from beamwave.evolve import (
     duhamel_smoothing_ratio,
     epsilon_continuation,
     kato_solve,
-    linear_solve,
     oracle_solve,
     trajectory_gap,
 )
@@ -39,6 +38,7 @@ from beamwave.quantize import (
 )
 from beamwave.state import complexify, is_conjugate_pair, real_from_stacked, stacked_from_real
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
+from test_evolve import decoupled_flow
 from test_parametrix import subprincipal_offdiagonal
 
 N_SWEEP = (32, 64, 128, 256)
@@ -248,7 +248,7 @@ def test_criterion_07_linear_exactness():
     g32 = TorusGrid(32)
     para = ParalinearizedSystem(BridgeSystem(g32, 1.0, 1.0), g32)
     u0 = np.array(real_from_stacked(g32, complexify(*make_fields(g32)).stacked()))
-    flow = linear_solve(para, None, u0, None, SolverConfig(T_final=1.0), include_R=False)
+    flow = decoupled_flow(para, u0, SolverConfig(T_final=1.0))
     drift = float(np.max(np.abs(flow.norms["s1"] - flow.norms["s1"][0])))
     assert drift < 1e-8 * flow.norms["s1"][0], "norm drift %.3e" % drift
 

@@ -266,6 +266,28 @@ def test_json_roundtrip():
     assert np.max(np.abs(b1 - b2)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [('{"b": NaN}', "'b'"), ('{"c": NaN}', "'c'"), ('{"b": "constant:inf"}', "'b'"),
+     ('{"B_terms": [[NaN, 2]]}', "'B_terms'"), ('{"F2": [[Infinity, 2, 5]]}', "'F2'"),
+     ('{"delta": NaN}', "delta"), ('{"alpha": "inf"}', "alpha")],
+)
+def test_a_non_finite_coefficient_is_a_config_error_naming_its_field(text, field):
+    # Python's json reads NaN and Infinity; no such value reaches a solver
+    with pytest.raises(ConfigError, match=field + ".* not finite|%s must be finite" % field):
+        bridge_system_from_json(text, TorusGrid(16))
+
+
+def test_the_python_api_refuses_a_non_finite_coefficient():
+    g = TorusGrid(16)
+    for kw, field in (({"b": np.nan}, "b"), ({"c": np.where(g.x > 1.0, np.nan, 1.0)}, "c"),
+                      ({"gamma": np.inf}, "gamma")):
+        with pytest.raises(ConfigError, match=field):
+            BridgeSystem(g, **{"b": 1.0, "c": 1.0, **kw})
+    with pytest.raises(ConfigError, match="not finite"):
+        QuadraticNonlinearity(g, [(np.inf, 2, 5)])
+
+
 def test_profile_strings():
     doc = {"n": 16, "b": "constant:2.0", "c": "cosine:0.1"}
     sys = bridge_system_from_json(doc)

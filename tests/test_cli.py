@@ -141,6 +141,14 @@ def test_sweep_N_refuses_values_that_are_not_finite_integers(values, tmp_path, m
     assert not list(tmp_path.iterdir())
 
 
+def test_a_system_file_with_a_non_finite_coefficient_exits_2(tmp_path, capsys):
+    (tmp_path / "nan_b.json").write_text('{"b": NaN}')
+    args = ["--system", str(tmp_path / "nan_b.json"), "--outdir", str(tmp_path)]
+    assert run_cli(["simulate", "--T", "0.01"] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "'b'" in err and "Traceback" not in err
+
+
 def test_cli_and_kato_solve_leave_sympy_unimported(tmp_path):
     # the CLI and a Kato solve run on numpy alone
     code = (

@@ -9,7 +9,9 @@ from beamwave.evolve import (
     KATO_OPERATORS,
     KATO_TRAJECTORIES,
     _full,
+    _march,
     _rk4,
+    _time_grid,
     RunResult,
     SolverConfig,
     bona_smith_experiment,
@@ -158,13 +160,23 @@ def test_duhamel_ratio_eps_zero_is_linear_in_t():
     assert abs(r - 0.5 * (1.0 + (g.n // 2) ** 2)) < 1e-9
 
 
+def decoupled_flow(para, u0, config):
+    """The decoupled model flow d_t u = frakA(0) u, the linear part without
+    the order-zero coupling R, unforced, marched by the solvers' RK4 step and
+    march: its H^s norms are exact isometries."""
+    dt, steps = _time_grid(para.source, config)
+    A = para.real_generator(para.real_linear_part(include_R=False))
+    return _march(para.grid, config.ladder, dt, steps, u0,
+                  lambda k, u: _rk4(A, u, dt, (None,) * 3))
+
+
 def test_decoupled_linear_flow_is_isometry():
     g = TorusGrid(32)
     sys = BridgeSystem(g, 1.0, 1.0)
     para = ParalinearizedSystem(sys, g)
     u0 = real_state(make_fields(g))
     cfg = SolverConfig(T_final=0.1)
-    run = linear_solve(para, None, u0, None, cfg, include_R=False)
+    run = decoupled_flow(para, u0, cfg)
     drift = np.max(np.abs(run.norms["s1"] - run.norms["s1"][0]))
     assert drift < 1e-10 * run.norms["s1"][0]
 
@@ -175,33 +187,42 @@ def test_linear_solve_background_shape_checks():
     para = ParalinearizedSystem(sys, g)
     u0 = real_state(make_fields(g))
     cfg = SolverConfig(T_final=0.01)
-    steps = cfg.resolve_dt(g, 1.0)[1]
     with pytest.raises(PreconditionError, match="background"):
-        linear_solve(para, np.zeros((3, 4 * g.n)), u0, None, cfg)
+        linear_solve(para, np.zeros((3, 4 * g.n)), u0, cfg)
     with pytest.raises(PreconditionError, match="initial state"):
-        linear_solve(para, None, u0.reshape(4 * g.n), None, cfg)
-    with pytest.raises(PreconditionError, match="forcing"):
-        linear_solve(para, None, u0, np.zeros((steps + 1, 4 * g.n)), cfg)
-    # a frozen trajectory brings its own forcing, on the same time grid
-    frozen = linear_solve(para, None, u0, None, cfg)
+        linear_solve(para, None, u0.reshape(4 * g.n), cfg)
+    # a frozen trajectory is read on the same time grid
+    frozen = linear_solve(para, None, u0, cfg)
     with pytest.raises(PreconditionError, match="frozen trajectory"):
-        linear_solve(para, frozen, u0, np.zeros((steps + 1, 4, g.n)), cfg)
-    with pytest.raises(PreconditionError, match="frozen trajectory"):
-        linear_solve(para, frozen, u0, None, SolverConfig(T_final=0.1))
+        linear_solve(para, frozen, u0, SolverConfig(T_final=0.1))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_linear_solve_is_forced_by_the_system(n):
+    # a linear system with constant coefficients: at the zero background the
+    # frozen flow is the system's own, and linear_solve takes its forcing G
+    # from the system at the nodes, the midpoint's as their average; for an
+    # affine f_b, f_w that average is the midpoint value, so it marches the
+    # oracle's RK4 steps to round-off
+    g = TorusGrid(n)
+    sys = BridgeSystem(g, 1.0, 1.0, gamma=0.5, delta=-0.3,
+                       f_b=lambda t: 2.0 + 30.0 * t, f_w=lambda t: -1.0 + 50.0 * t)
+    fields = make_fields(g)
+    cfg = SolverConfig(T_final=0.05)
+    run = linear_solve(ParalinearizedSystem(sys, g), None, real_state(fields), cfg)
+    orc = oracle_solve(sys, *fields, cfg)
+    scale = np.max(np.abs(orc.trajectory))
+    assert np.max(np.abs(run.trajectory - orc.trajectory)) <= 1e-13 * scale
+    assert abs(orc.trajectory[-1, 1, 0]) > 1e-2  # the forcing moved the zero mode
 
 
 def test_blow_up_guard_stops_both_solvers():
     g = TorusGrid(16)
     cfg = SolverConfig(T_final=0.01)
     fields = make_fields(g)
-    sys = BridgeSystem(g, 1.0, 1.0)
-    para = ParalinearizedSystem(sys, g)
-    steps = cfg.resolve_dt(g, 1.0)[1]
-    forcing = np.zeros((steps + 1, 4, g.n), dtype=complex)
-    forcing[steps // 2, 0, 0] = np.nan
-    with pytest.raises(NumericalError, match="non-finite"):
-        linear_solve(para, None, real_state(fields), forcing, cfg)
     forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: np.nan)
+    with pytest.raises(NumericalError, match="non-finite"):
+        linear_solve(ParalinearizedSystem(forced, g), None, real_state(fields), cfg)
     with pytest.raises(NumericalError, match="non-finite"):
         oracle_solve(forced, *fields, cfg)
 
@@ -209,12 +230,11 @@ def test_blow_up_guard_stops_both_solvers():
 def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
     g = TorusGrid(16)
     cfg = SolverConfig(T_final=0.01)
-    para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0), g)
-    steps = cfg.resolve_dt(g, 1.0)[1]
-    forcing = np.zeros((steps + 1, 4, g.n), dtype=complex)
-    forcing[steps // 2, 1, 1] = 1e12  # finite, in the acceleration of one beam mode
+    # finite, in the acceleration of the beam's zero mode, from T/2 on
+    forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: 1e12 if t >= 0.005 else 0.0)
+    para = ParalinearizedSystem(forced, g)
     with pytest.raises(NumericalError, match="blow-up guard"):
-        linear_solve(para, None, real_state(make_fields(g)), forcing, cfg)
+        linear_solve(para, None, real_state(make_fields(g)), cfg)
 
 
 @pytest.mark.parametrize("solver", ["oracle", "kato"])
@@ -259,8 +279,7 @@ def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marche
         u0 = real_state(fields)
         steps = cfg.resolve_dt(g, 1.0)[1]
         nodes = np.repeat(u0[:, None], steps + 1, axis=1)
-        run = linear_solve(para, para.prepass(nodes)[1], u0, np.moveaxis(
-            para.kato_forcing(nodes, np.zeros(steps + 1)), 0, 1), cfg)
+        run = linear_solve(para, para.prepass(nodes)[1], u0, cfg)
     full = np.array(marched[-1])
     assert full.shape == (len(run.times), 4, g.n)
     assert np.array_equal(run.trajectory, full[..., : g.n // 2 + 1])
@@ -338,17 +357,18 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
     # each formed once into one of two alternating buffers; a test-local march
     # applies the block at the midpoint g-functions (g_k + g_{k+1}) / 2 as the
     # sum's reference (g is linear), along a background that changes at every
-    # node: the two agree to round-off at every node
+    # node, forced by the system's G(t): the two agree to round-off at every node
     g = TorusGrid(32)
     sysm, fields = build_preset("mixed", g)
+    sysm.gamma, sysm.delta, sysm.f_b = 0.5, -0.3, np.cos
     para = ParalinearizedSystem(sysm, g)
     u0 = real_state(fields)
     cfg = SolverConfig(T_final=0.1)
     dt, steps = cfg.resolve_dt(g, float(np.max(sysm.b.values().real)))
     nodes = u0[:, None] * (1.0 + np.sin(np.arange(steps + 1)))[:, None]
     bg = para.prepass(nodes)[1]
-    forcing = np.moveaxis(para.kato_forcing(nodes, dt * np.arange(steps + 1)), 0, 1)
-    run = linear_solve(para, bg, u0, forcing, cfg)
+    forcing = np.moveaxis(para.forcing_G(dt * np.arange(steps + 1)), 0, 1)
+    run = linear_solve(para, bg, u0, cfg)
     linear_part, u = para.real_linear_part(), u0
     for k in range(steps):
         mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]))
@@ -358,25 +378,42 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
         assert err <= 1e-13 * np.max(np.abs(u)), (k, err)
 
 
+def march_node_paths(para, g, u0, forcing, config):
+    """The frozen flow along node paths, at eps = 0: the g-functions g
+    (3, steps + 1, n) and forcing (steps + 1, 4, n) at the nodes; step k
+    applies the sum Q_k + Q_{k+1} of the halves ``frozen_node`` forms at its
+    two nodes and the forcing at its ends and their average."""
+    dt, steps = _time_grid(para.source, config)
+    linear_part = para.real_linear_part()
+
+    def step(k, u):
+        now, nxt = para.frozen_node(g[:, k]), para.frozen_node(g[:, k + 1])
+        A = para.real_generator(linear_part, [(out, inp, Q0 + Q1)
+                                              for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        f0, f1 = forcing[k], forcing[k + 1]
+        return _rk4(A, u, dt, (f0, 0.5 * (f0 + f1), f1))
+
+    return _march(para.grid, config.ladder, dt, steps, u0, step)
+
+
 def kato_with_prepass(sys, V0, config):
     """The Kato iteration with each sweep's pre-pass over the whole trajectory
     it freezes (a reference for the streamed sweep): prepass, the wave margin
-    node by node, kato_forcing, then linear_solve on node paths."""
+    node by node, kato_forcing, then a march along the node paths."""
     grid = sys.grid
     para = ParalinearizedSystem(sys, grid)
     u0 = np.array(real_from_stacked(grid, V0))
-    dt, steps = config.resolve_dt(grid, float(np.max(sys.b.values().real)))
+    dt, steps = _time_grid(sys, config)
     times = dt * np.arange(steps + 1)
-    result = linear_solve(para, None, u0, np.moveaxis(para.forcing_G(times), 0, 1), config)
+    result = linear_solve(para, None, u0, config)
     increments = []
     while not increments or increments[-1] >= config.kato_tol:
         y, theta = _full(grid, np.moveaxis(result.trajectory[:, ::2], 1, 0))
         u = (y, None, theta, None)
-        jets, g, _ = prepass = para.prepass(u)
-        for partial in sys.F2.partial_values(5, jets):
-            sys.check_wave_margin(partial)
-        forcing = np.moveaxis(para.kato_forcing(u, times, prepass), 0, 1)
-        nxt = linear_solve(para, g, u0, forcing, config)
+        _, g, margin = para.prepass(u)
+        assert np.all(margin > 0.0)
+        forcing = np.moveaxis(para.kato_forcing(u, times), 0, 1)
+        nxt = march_node_paths(para, g, u0, forcing, config)
         increments.append(trajectory_gap(grid, nxt, result, config.ladder.s1))
         result = nxt
     return result, increments
@@ -510,7 +547,7 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
     )
     monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
     # the time-stepping path applies the real-form generator: the linear part
-    # by FFT plus gathered blocks, with no frakA / frakB matrix; the one frakA
+    # by FFT plus the background blocks, with no frakA / frakB matrix; the one frakA
     # call is the constructor's quantization of frakA(0)
     for name in ("frak_A", "frak_B"):
         fn = getattr(paralin.ParalinearizedSystem, name)
@@ -542,14 +579,11 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     para = ParalinearizedSystem(sys, g)
     dt, steps = config.resolve_dt(g, 1.0)
     times = dt * np.arange(steps + 1)
-    sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0)),
-                          np.moveaxis(para.forcing_G(times), 0, 1), config)
+    sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0)), config)
     first = None
     for k, half in enumerate(sweep1.trajectory):
         y, _, theta, _ = _full(g, half)
-        try:
-            sys.check_wave_margin(sys.F2.partial_values(5, sys.jets(y, theta)))
-        except PreconditionError:
+        if sys.wave_margin(sys.F2.partial_values(5, sys.jets(y, theta))) <= 0.0:
             first = k
             break
     assert first is not None and 0 < first < steps

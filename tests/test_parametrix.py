@@ -580,9 +580,9 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     tables = []
     original = beamwave.quantize.weyl_table
 
-    def counting(grid, mult, bony_weyl=False):
+    def counting(grid, mult):
         tables.append(mult.terms)
-        return original(grid, mult, bony_weyl)
+        return original(grid, mult)
 
     monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
     P = build_parametrix(para, V, 2.5)

@@ -103,13 +103,24 @@ def test_restricting_before_weighting_is_exact():
 
 def test_grid_lattice_arrays_are_held_read_only():
     g = TorusGrid(16)
-    assert not {"mode_lattice", "gather_index", "chi_mask"} & set(vars(g))  # built on first use
+    assert not {"mode_lattice", "in_range", "chi_mask"} & set(vars(g))  # built on first use
     D, S = g.mode_lattice
-    for a in (D, S, g.gather_index, g.chi_mask):
+    for a in (D, S, g.in_range, g.chi_mask):
         assert a.shape == (g.n, g.n)
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1
-    assert g.chi_mask is g.chi_mask and g.gather_index is g.gather_index
+    assert g.chi_mask is g.chi_mask and g.in_range is g.in_range
+    # the Toeplitz view fhat[(j - k) mod n], bit for bit, over [fhat, fhat] alone
+    rng = np.random.default_rng(3)
+    for n in (2, 16, 32):
+        g = TorusGrid(n)
+        fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        view = g.toeplitz(fhat)
+        assert view.shape == (n, n) and view.dtype == fhat.dtype
+        assert np.array_equal(view, fhat[(g.modes[:, None] - g.modes[None, :]) % n])
+        assert view.base.size == 2 * n
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1
 
 
 def test_bony_weyl_is_weyl_times_the_cutoff_bit_for_bit():
@@ -171,7 +182,7 @@ def test_multiplier_one_quantizes_by_the_in_range_mask_bit_for_bit():
     table = weyl_table(g, FrequencyMultiplier.one())
     assert np.array_equal(table != 0.0, g.in_range)
     assert np.array_equal(weyl_quantize(SeparableSymbol.from_xfunc(f)),
-                          f.coeffs[g.gather_index] * table)
+                          f.coeffs[g.mode_lattice[0] % g.n] * table)
 
 
 def _svd_spy(monkeypatch, record=lambda a: np.asarray(a).dtype.kind):
