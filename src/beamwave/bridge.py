@@ -306,8 +306,6 @@ def bridge_system_from_json(doc, grid=None):
     """Build a BridgeSystem from a JSON document (dict or JSON text)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if grid is None:
-        grid = TorusGrid(int(doc["n"]))
 
     def field(name, parse, default):
         """parse(doc[name]) (of ``default`` if absent); a value of the wrong
@@ -316,6 +314,16 @@ def bridge_system_from_json(doc, grid=None):
             return parse(doc.get(name, default))
         except (TypeError, ValueError) as exc:
             raise ConfigError("system field %r is malformed: %s" % (name, exc)) from None
+
+    def integer(value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("needs an integer, got %r" % (value,))
+        return value
+
+    if grid is None:
+        grid = TorusGrid(field("n", integer, None))
 
     def profile(entry):
         if isinstance(entry, dict):

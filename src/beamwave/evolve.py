@@ -37,6 +37,10 @@ reads V_{n-1} a chunk of nodes at a time, takes their jets, g-functions and
 exact margin c + dF2/d(theta_xx) in one ``prepass``, their F and G, and forms
 each node's blocks once, for the node's Kato forcing and the two steps that
 meet there.  No array over the whole trajectory but V_{n-1} and V_n is held.
+
+One paper experiment runs on top of them, ``epsilon_continuation`` (the
+``sweep --axis eps`` of the CLI): the gap between Kato runs at decreasing
+regularization eps.
 """
 
 import copy
@@ -48,14 +52,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import RegularityLadder, physical_memory_bytes
 from .paralin import ParalinearizedSystem
-from .state import (
-    conjugate_pair,
-    is_conjugate_pair,
-    real_from_stacked,
-    real_norm_weights,
-    stacked_from_real,
-    stacked_norm,
-)
+from .state import is_conjugate_pair, real_from_stacked, real_norm_weights, stacked_from_real
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
 # stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
@@ -238,27 +235,6 @@ def heat_factor(grid, eps, tau):
     return np.array([beam, beam, wave, wave])
 
 
-def duhamel_smoothing_ratio(grid, eps, t, kind="beam"):
-    """Sharp constant of the Duhamel heat bound: the H^{sigma} norm of
-    int_0^t e^{-eps(t-t') D} f dt' per unit sup-norm of f in the stated
-    weaker space (H^{sigma-2} beam, H^{sigma-1/2} wave), maximized over
-    single modes.  Scales as t^{1/2} eps^{-1/2} (beam), t^{3/4} eps^{-1/4}
-    (wave) once the saturating mode is resolved."""
-    j = np.abs(grid.modes.astype(float))
-    br = grid.brackets
-    if kind == "beam":
-        rate = eps * j**4
-        gain = br**2
-    elif kind == "wave":
-        rate = eps * j**2
-        gain = br**0.5
-    else:
-        raise ValueError("kind must be 'beam' or 'wave'")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integral = np.where(rate > 0, (1.0 - np.exp(-rate * t)) / np.where(rate > 0, rate, 1.0), t)
-    return float(np.max(integral * gain))
-
-
 def _time_grid(sys, config):
     """(dt, steps) for ``sys``: the CFL limit uses the largest beam coefficient."""
     return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)))
@@ -395,7 +371,6 @@ def linear_solve(para, background, u0, config):
         raise PreconditionError("background path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
-    linear_part = para.real_linear_part()
     nodes = _frozen_nodes(para, background, dt * np.arange(steps + 1))
     node = next(nodes)
 
@@ -404,8 +379,8 @@ def linear_solve(para, background, u0, config):
         (now, f0), node = node, next(nodes)
         nxt, f1 = node
         # Q_k is dead after this step: its buffer takes the midpoint block
-        A = para.real_generator(linear_part, [(out, inp, np.add(Q0, Q1, out=Q0))
-                                              for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        A = para.real_generator([(out, inp, np.add(Q0, Q1, out=Q0))
+                                 for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
         # at eps = 0 the heat factors are all ones, and skipped
         u = _rk4(A, half * u if config.eps else u, dt, (f0, 0.5 * (f0 + f1), f1))
         return half * u if config.eps else u
@@ -485,58 +460,6 @@ def trajectory_gap(grid, run_a, run_b, s):
         raise PreconditionError("runs must share a time grid")
     norm = _half_norm(grid, s)
     return max(norm(a - b) for a, b in zip(run_a.trajectory, run_b.trajectory))
-
-
-def _project_stacked(grid, vec, N):
-    """Zero all modes with |j| > N in each component."""
-    n = grid.n
-    keep = np.abs(grid.modes) <= N
-    out = vec.copy().reshape(4, n)
-    out[:, ~keep] = 0.0
-    return out.reshape(4 * n)
-
-
-def bona_smith_experiment(sys, V0, N_list, config, perturbation_sizes=()):
-    """Kato runs from frequency-truncated data Pi_N V0, compared against the
-    finest truncation; optionally perturbed-data runs for the continuity
-    modulus of the solution map."""
-    grid = sys.grid
-    V0 = np.asarray(V0, dtype=complex)
-    N_list = sorted(N_list)
-    s = config.ladder.s1
-    runs = {N: kato_solve(sys, _project_stacked(grid, V0, N), config) for N in N_list}
-    ref = runs[N_list[-1]]
-    gaps = {N: trajectory_gap(grid, runs[N], ref, s) for N in N_list[:-1]}
-    report = {
-        "N_list": list(N_list),
-        "gaps": {str(N): float(g) for N, g in gaps.items()},
-        "monotone": all(
-            gaps[N_list[i]] >= gaps[N_list[i + 1]] - 1e-12 for i in range(len(N_list) - 2)
-        ),
-    }
-    if perturbation_sizes:
-        base = kato_solve(sys, V0, config)
-        direction = _random_direction(grid, seed=7)
-        moduli = {}
-        for delta in perturbation_sizes:
-            pert = kato_solve(sys, V0 + delta * direction, config)
-            moduli[delta] = trajectory_gap(grid, pert, base, s) / delta
-        report["perturbation_moduli"] = {("%g" % d): float(m) for d, m in moduli.items()}
-    return report
-
-
-def _random_direction(grid, seed=0):
-    """Unit-H^{s} smooth conjugate-pair direction for perturbation studies."""
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    decay = grid.bracket_power(-6.0)
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-    if n % 2 == 0:
-        z[n // 2] = 0.0
-        w[n // 2] = 0.0
-    vec = conjugate_pair(grid, z, w)
-    return vec / stacked_norm(grid, vec, 2.5)
 
 
 def epsilon_continuation(sys, V0, eps_list, config):

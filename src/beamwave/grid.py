@@ -1,4 +1,4 @@
-"""Torus grid, Fourier transforms, Sobolev norms and inner products.
+"""Torus grid, Fourier transforms and grid products.
 
 Everything downstream works with 2pi-periodic functions stored as Fourier
 coefficients on a truncated mode set.  Conventions:
@@ -40,7 +40,7 @@ class TorusGrid:
     modes : integer mode j of each coefficient slot, fft order
     brackets : <j> = sqrt(1 + j^2) per slot
     reflect : slot of mode -j per slot; u(-x) has coefficients u.coeffs[reflect]
-    dealias_cut : largest |j| kept by the 2/3-rule product projection
+    dealias_cut : largest |j| kept by the 2/3 rule
     dealias_mask : True on the slots with |j| <= dealias_cut
 
     The n x n arrays over all pairs of slots (j, k) that quantization reads
@@ -147,9 +147,6 @@ class SpectralFunction:
             return v.real
         return v
 
-    def copy(self):
-        return SpectralFunction(self.grid, self.coeffs.copy(), self.is_real)
-
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other):
@@ -184,9 +181,6 @@ class SpectralFunction:
     def deriv(self, k=1):
         return apply_multiplier(self, (1j * self.grid.modes.astype(float)) ** k)
 
-    def norm(self, s=0.0):
-        return sobolev_norm(self, s)
-
 
 def transform(grid, values):
     """Grid samples -> SpectralFunction with uhat = fft(values)/n.
@@ -205,77 +199,21 @@ def transform(grid, values):
 
 
 def apply_multiplier(u, g):
-    """Multiply coefficients pointwise by g(j).
-
-    ``g`` is a callable on the integer mode array or a precomputed array.
-    Covers <D>^s (g = <j>^s), d/dx (g = ij) and projectors Pi_N.
-    """
-    gv = g(u.grid.modes) if callable(g) else np.asarray(g)
+    """Multiply coefficients pointwise by the array g(j) over ``grid.modes``,
+    as d/dx does with g = ij."""
+    gv = np.asarray(g)
     real = u.is_real and np.isrealobj(gv) and bool(np.all(gv == gv[u.grid.reflect]))
     return SpectralFunction(u.grid, u.coeffs * gv, is_real=real)
 
 
-def project(u, N):
-    """Pi_N: keep modes |j| <= N."""
-    mask = np.abs(u.grid.modes) <= N
-    return SpectralFunction(u.grid, np.where(mask, u.coeffs, 0.0), u.is_real)
-
-
-def sobolev_norm(u, s):
-    """||u||_{H^s} = sqrt(sum |uhat(j)|^2 <j>^{2s})."""
-    w = u.grid.bracket_power(s)
-    return float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2 * w**2)))
-
-
-def inner_product(u, v):
-    """Scalar L^2 product (u, v) = (1/2pi) int u conj(v) = sum uhat conj(vhat)."""
+def grid_product(u, v):
+    """Pointwise product on the grid, without dealiasing."""
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
-    return complex(np.sum(u.coeffs * np.conj(v.coeffs)))
-
-
-def grid_product(u, v, dealias=True):
-    """Pointwise product on the grid, optionally with the 2/3 rule.
-
-    With ``dealias`` both inputs and the output are truncated to
-    |j| <= n//3, which removes aliasing from quadratic products.
-    """
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch")
-    if dealias:
-        u = project(u, u.grid.dealias_cut)
-        v = project(v, v.grid.dealias_cut)
-    prod = u.values() * v.values()
-    out = transform(u.grid, prod)
-    if dealias:
-        out = project(out, u.grid.dealias_cut)
+    out = transform(u.grid, u.values() * v.values())
     if not (u.is_real and v.is_real):
         out = SpectralFunction(u.grid, out.coeffs, is_real=False)
     return out
-
-
-def check_tame_and_interpolation(u, v, s, s0, theta):
-    """Report both sides of the tame-product and interpolation inequalities.
-
-    Test utility only.  s = theta*s1 + (1-theta)*s2 is taken with
-    s1 = s, s2 = s0 for the interpolation line unless overridden by the
-    caller through the returned raw norms.
-    """
-    uv = grid_product(u, v, dealias=False)
-    tame_lhs = sobolev_norm(uv, s)
-    tame_rhs = sobolev_norm(u, s) * sobolev_norm(v, s0) + sobolev_norm(u, s0) * sobolev_norm(v, s)
-    s1 = s
-    s2 = s0
-    s_mid = theta * s1 + (1.0 - theta) * s2
-    interp_lhs = sobolev_norm(u, s_mid)
-    interp_rhs = sobolev_norm(u, s1) ** theta * sobolev_norm(u, s2) ** (1.0 - theta)
-    return {
-        "tame_lhs": tame_lhs,
-        "tame_rhs": tame_rhs,
-        "interp_lhs": interp_lhs,
-        "interp_rhs": interp_rhs,
-        "interp_index": s_mid,
-    }
 
 
 class RegularityLadder:

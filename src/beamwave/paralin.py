@@ -28,16 +28,16 @@ form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
 theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), formed per node as its
 half Q = P / 2 (``frozen_node``); ``prepass``, ``kato_forcing`` and
-``forcing_G`` act on real states (4, ..., n).  A stacked
-V enters only ``g_functions`` and the test references ``full_rhs``,
-``remainder``, ``L_complex_matrix`` and ``R_operator``.
+``forcing_G`` act on real states (4, ..., n).  A stacked V enters only
+``g_functions``; the dense stacked references of L, R, the full right-hand
+side and the remainder live beside their tests.
 """
 
 import numpy as np
 
 from .grid import SpectralFunction
 from .quantize import bony_weyl_quantize, weyl_table
-from .state import complex_weights, real_from_stacked, stacked_from_real
+from .state import complex_weights, real_from_stacked
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 _XI2 = FrequencyMultiplier.xi_power(2)
@@ -185,55 +185,20 @@ class ParalinearizedSystem:
             blocks.append((out, inp, Q))
         return blocks
 
-    def real_linear_part(self, include_R=True):
-        """The V-independent part of the generator on real states u of shape
-        (4, ..., n): L = frakA(0) + R, (y_t, y_tt, theta_t, theta_tt) from
-        ``linear_rhs``; without R, frakA(0)'s halves by the odd rule above."""
-        if include_R:
-            return self.source.linear_rhs
-        pm, ((bb, _), (_, ww)) = self._A0
-        Db, Dw = complex_weights(self.grid)
-        pos_b, pos_w = (1j * p / (D * D) for p, D in zip(np.split(pm, 2), (Db, Dw)))
-        vel_b, vel_w = (-1j * M * np.outer(D, D) for M, D in ((bb, Db), (ww, Dw)))
+    def real_generator(self, blocks):
+        """The frozen generator frakA(V) + frakB(V) + R in real form, forced:
+        (u, forcing) -> ``linear_rhs``(u) plus P @ u[in] in row out for each
+        background block (out, in, P), plus the forcing (4, ..., n)."""
+        linear_rhs = self.source.linear_rhs
 
-        def L(u):
-            return np.array([u[1] * pos_b, u[0] @ vel_b.T, u[3] * pos_w, u[2] @ vel_w.T])
-
-        return L
-
-    def real_generator(self, linear_part, blocks=()):
-        """The frozen generator frakA(V) + frakB(V) (+ R) in real form: u ->
-        linear_part(u) plus P @ u[in] in row out for each background block
-        (out, in, P), plus a ``forcing`` (4, ..., n) if given."""
-
-        def apply(u, forcing=None):
-            du = linear_part(u)
+        def apply(u, forcing):
+            du = linear_rhs(u)
             for out, inp, P in blocks:
                 du[out] += P @ u[inp]
-            if forcing is not None:
-                du += forcing
+            du += forcing
             return du
 
         return apply
-
-    # -- exact complexified linear part --------------------------------
-
-    def L_complex_matrix(self, include_R=True):
-        """Dense 4n x 4n matrix of L (of frakA(0) without R): its real form
-        carried through the complexification, applied to the identity."""
-        u = np.array(real_from_stacked(self.grid, np.eye(4 * self.grid.n)))
-        return stacked_from_real(self.grid, *self.real_linear_part(include_R)(u)).T
-
-    def R_operator(self):
-        """R := L - frakA(0); block diagonal, order <= 0."""
-        return self.L_complex_matrix() - self.L_complex_matrix(include_R=False)
-
-    # -- full right-hand side ------------------------------------------
-
-    def full_rhs(self, vec, t=0.0):
-        """Exact complexified right-hand side on a stacked vector."""
-        u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
-        return stacked_from_real(self.grid, *self.source.real_rhs(u, t))
 
     def forcing_G(self, t):
         """Forcing G(t) on real states, (4, ..., n) for times t (...): the
@@ -247,17 +212,13 @@ class ParalinearizedSystem:
                 G[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
         return G
 
-    def remainder(self, vec, t=0.0):
-        """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t) on a stacked V."""
-        u = np.array(real_from_stacked(self.grid, np.asarray(vec, dtype=complex)))
-        return stacked_from_real(self.grid, *(self.kato_forcing(u, t) - self.forcing_G(t)))
-
     def kato_forcing(self, u, t=0.0):
-        """remainder(V) + G(t) = full_rhs - (frakA(V) + frakB(V) + R)V in real
-        form, (4, ..., n) for real states u (4, ..., n) at times t (...): the
-        inhomogeneity of the Kato step (P)_n frozen at V = V_{n-1}.  L V
-        cancels, leaving gamma f_b + F1 - P_12b theta in y_tt and
-        delta f_w + F2 - P_1w theta - P_12w y in theta_tt, from the jets of u
+        """remainder(V) + G(t), the full right-hand side minus (frakA(V) +
+        frakB(V) + R)V, in real form, (4, ..., n) for real states u
+        (4, ..., n) at times t (...): the inhomogeneity of the Kato step
+        (P)_n frozen at V = V_{n-1}.  L V cancels, leaving gamma f_b + F1 -
+        P_12b theta in y_tt and delta f_w + F2 - P_1w theta - P_12w y in
+        theta_tt, from the jets of u
         (``prepass``); P is applied node by node (``frozen_node``, which a Kato
         sweep's march calls on each node as it reads it).  As in ``prepass``,
         only the rows y and theta of u are read."""

@@ -3,12 +3,8 @@
 A symbol of order m is represented as a finite sum of separable terms
 f_k(x) g_k(xi) where f_k is a SpectralFunction and g_k a FrequencyMultiplier:
 a sum of closed-form terms c xi^k |xi|^p <xi>^s psi(xi)^q evaluated in numpy.
-Multipliers carry exact xi-derivatives (never finite differences) so the
-seminorms
-
-    |a|_{m,s,n} = max_{beta<=n} sup_xi || <xi>^{beta-m} d_xi^beta a(., xi) ||_{H^s}
-
-can be evaluated cleanly up to n = 8.  The two smooth cutoffs chi
+Multipliers carry exact xi-derivatives (never finite differences), which the
+Poisson bracket of the composition a #_rho b reads.  The two smooth cutoffs chi
 (paradifferential truncation, plateaus |xi|<=1.1 / |xi|>=1.9) and psi
 (low-frequency excision, plateaus |xi|<=1/4 / |xi|>=1/2) are built from
 the standard bump step h(t) = g(t)/(g(t)+g(1-t)), g(t) = exp(-1/t).
@@ -109,11 +105,8 @@ class FrequencyMultiplier:
         ]
         return FrequencyMultiplier(terms, self.order + other.order)
 
-    def deriv(self, n=1):
-        terms = self.terms
-        for _ in range(n):
-            terms = [d for t in terms for d in _term_deriv(t)]
-        return FrequencyMultiplier(terms, self.order - n)
+    def deriv(self):
+        return FrequencyMultiplier([d for t in self.terms for d in _term_deriv(t)], self.order - 1)
 
     # evaluation ------------------------------------------------------
 
@@ -157,17 +150,6 @@ class SeparableSymbol:
             g = FrequencyMultiplier.one()
         return cls(f.grid, [(f, g)])
 
-    # evaluation ------------------------------------------------------
-
-    def eval(self, xi):
-        """Values a(x_i, xi_k), shape (grid.n, len(xi))."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros((self.grid.n, xi.size), dtype=complex)
-        for f, g in self.terms:
-            fv = np.asarray(f.values(), dtype=complex)
-            out += fv[:, None] * np.asarray(g(xi), dtype=complex)[None, :]
-        return out
-
     # algebra ---------------------------------------------------------
 
     def __add__(self, other):
@@ -186,7 +168,7 @@ class SeparableSymbol:
             out = []
             for f1, g1 in self.terms:
                 for f2, g2 in other.terms:
-                    out.append((grid_product(f1, f2, dealias=False), g1 * g2))
+                    out.append((grid_product(f1, f2), g1 * g2))
             return SeparableSymbol(self.grid, out)
         if isinstance(other, FrequencyMultiplier):
             return SeparableSymbol(self.grid, [(f, g * other) for f, g in self.terms])
@@ -197,39 +179,12 @@ class SeparableSymbol:
     def dx(self):
         return SeparableSymbol(self.grid, [(f.deriv(), g) for f, g in self.terms])
 
-    def dxi(self, n=1):
-        return SeparableSymbol(self.grid, [(f, g.deriv(n)) for f, g in self.terms])
+    def dxi(self):
+        return SeparableSymbol(self.grid, [(f, g.deriv()) for f, g in self.terms])
 
     def poisson(self, other):
         """{a, b} = d_xi a d_x b - d_x a d_xi b."""
         return self.dxi() * other.dx() + (-(self.dx() * other.dxi()))
-
-    def seminorm(self, m, s, n_der, xis=None):
-        """|a|_{m,s,n}: sup over the Weyl evaluation set (half-integer lattice)."""
-        if n_der > 8:
-            raise ValueError("analytic xi-derivatives available only up to order 8")
-        if xis is None:
-            xis = weyl_xi_lattice(self.grid)
-        xis = np.asarray(xis, dtype=float)
-        brk = np.sqrt(1.0 + xis**2)
-        w2s = self.grid.bracket_power(s) ** 2
-        best = 0.0
-        for beta in range(n_der + 1):
-            db = self.dxi(beta) if beta else self
-            if not db.terms:
-                continue
-            F = np.stack([f.coeffs for f, _ in db.terms])  # (terms, modes)
-            G = np.stack([np.asarray(g(xis), dtype=complex) for _, g in db.terms])
-            combo = F.T @ G  # (modes, xis)
-            norms = np.sqrt(np.sum(np.abs(combo) ** 2 * w2s[:, None], axis=0))
-            weighted = norms * brk ** (beta - m)
-            best = max(best, float(np.max(weighted)))
-        return best
-
-
-def weyl_xi_lattice(grid):
-    """Mode lattice plus half-integer midpoints: {j/2 : -n <= j < n}."""
-    return np.arange(-grid.n, grid.n) / 2.0
 
 
 def sharp_rho(a, b, rho):

@@ -13,8 +13,6 @@ from beamwave.errors import PreconditionError
 from beamwave.evolve import (
     _full,
     SolverConfig,
-    bona_smith_experiment,
-    duhamel_smoothing_ratio,
     epsilon_continuation,
     kato_solve,
     oracle_solve,
@@ -38,7 +36,7 @@ from beamwave.quantize import (
 )
 from beamwave.state import complexify, is_conjugate_pair, real_from_stacked, stacked_from_real
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
-from test_evolve import decoupled_flow
+from test_evolve import bona_smith_experiment, decoupled_flow, duhamel_smoothing_ratio
 from test_parametrix import subprincipal_offdiagonal
 
 N_SWEEP = (32, 64, 128, 256)

@@ -278,6 +278,15 @@ def test_a_non_finite_coefficient_is_a_config_error_naming_its_field(text, field
         bridge_system_from_json(text, TorusGrid(16))
 
 
+@pytest.mark.parametrize(
+    "text", ['{"n": 32.5}', '{"n": NaN}', '{"n": Infinity}', '{"n": "x"}', '{"n": true}', '{}'])
+def test_a_grid_size_that_is_missing_or_no_integer_is_a_config_error_naming_n(text):
+    # without a grid the document's n builds it: 32.5 is not read as 32
+    with pytest.raises(ConfigError, match="'n'"):
+        bridge_system_from_json(text)
+    assert bridge_system_from_json('{"n": 32.0}').grid.n == 32
+
+
 def test_the_python_api_refuses_a_non_finite_coefficient():
     g = TorusGrid(16)
     for kw, field in (({"b": np.nan}, "b"), ({"c": np.where(g.x > 1.0, np.nan, 1.0)}, "c"),

@@ -14,8 +14,6 @@ from beamwave.evolve import (
     _time_grid,
     RunResult,
     SolverConfig,
-    bona_smith_experiment,
-    duhamel_smoothing_ratio,
     epsilon_continuation,
     heat_factor,
     kato_solve,
@@ -28,12 +26,14 @@ from beamwave.paralin import ParalinearizedSystem
 from beamwave.cli import PRESETS, build_preset
 from beamwave.state import (
     complexify,
+    conjugate_pair,
     is_conjugate_pair,
     real_from_stacked,
     real_norm_weights,
     stacked_from_real,
     stacked_norm,
 )
+from test_paralin import odd_stacked_matrix
 
 
 def real_state(fields):
@@ -153,6 +153,27 @@ def test_heat_factor_layout():
         heat_factor(g, -1.0, 0.1)
 
 
+def duhamel_smoothing_ratio(grid, eps, t, kind="beam"):
+    """Sharp constant of the Duhamel heat bound: the H^{sigma} norm of
+    int_0^t e^{-eps(t-t') D} f dt' per unit sup-norm of f in the stated
+    weaker space (H^{sigma-2} beam, H^{sigma-1/2} wave), maximized over
+    single modes.  Scales as t^{1/2} eps^{-1/2} (beam), t^{3/4} eps^{-1/4}
+    (wave) once the saturating mode is resolved."""
+    j = np.abs(grid.modes.astype(float))
+    br = grid.brackets
+    if kind == "beam":
+        rate = eps * j**4
+        gain = br**2
+    elif kind == "wave":
+        rate = eps * j**2
+        gain = br**0.5
+    else:
+        raise ValueError("kind must be 'beam' or 'wave'")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integral = np.where(rate > 0, (1.0 - np.exp(-rate * t)) / np.where(rate > 0, rate, 1.0), t)
+    return float(np.max(integral * gain))
+
+
 def test_duhamel_ratio_eps_zero_is_linear_in_t():
     g = TorusGrid(64)
     r = duhamel_smoothing_ratio(g, 0.0, 0.5, "beam")
@@ -163,11 +184,16 @@ def test_duhamel_ratio_eps_zero_is_linear_in_t():
 def decoupled_flow(para, u0, config):
     """The decoupled model flow d_t u = frakA(0) u, the linear part without
     the order-zero coupling R, unforced, marched by the solvers' RK4 step and
-    march: its H^s norms are exact isometries."""
+    march: its H^s norms are exact isometries.  frakA(0) acts as its dense
+    stacked matrix, carried through the complexification."""
+    g = para.grid
     dt, steps = _time_grid(para.source, config)
-    A = para.real_generator(para.real_linear_part(include_R=False))
-    return _march(para.grid, config.ladder, dt, steps, u0,
-                  lambda k, u: _rk4(A, u, dt, (None,) * 3))
+    A0 = odd_stacked_matrix(g, *para.frak_A(None))
+
+    def A(u, _):
+        return np.array(real_from_stacked(g, A0 @ stacked_from_real(g, *u)))
+
+    return _march(g, config.ladder, dt, steps, u0, lambda k, u: _rk4(A, u, dt, (None,) * 3))
 
 
 def test_decoupled_linear_flow_is_isometry():
@@ -369,10 +395,10 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
     bg = para.prepass(nodes)[1]
     forcing = np.moveaxis(para.forcing_G(dt * np.arange(steps + 1)), 0, 1)
     run = linear_solve(para, bg, u0, cfg)
-    linear_part, u = para.real_linear_part(), u0
+    u = u0
     for k in range(steps):
         mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]))
-        A = para.real_generator(linear_part, [(out, inp, Q + Q) for out, inp, Q in mid])
+        A = para.real_generator([(out, inp, Q + Q) for out, inp, Q in mid])
         u = _rk4(A, u, dt, (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
         err = np.max(np.abs(run.trajectory[k + 1] - u[:, : g.n // 2 + 1]))
         assert err <= 1e-13 * np.max(np.abs(u)), (k, err)
@@ -384,12 +410,11 @@ def march_node_paths(para, g, u0, forcing, config):
     applies the sum Q_k + Q_{k+1} of the halves ``frozen_node`` forms at its
     two nodes and the forcing at its ends and their average."""
     dt, steps = _time_grid(para.source, config)
-    linear_part = para.real_linear_part()
 
     def step(k, u):
         now, nxt = para.frozen_node(g[:, k]), para.frozen_node(g[:, k + 1])
-        A = para.real_generator(linear_part, [(out, inp, Q0 + Q1)
-                                              for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        A = para.real_generator([(out, inp, Q0 + Q1)
+                                 for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
         f0, f1 = forcing[k], forcing[k + 1]
         return _rk4(A, u, dt, (f0, 0.5 * (f0 + f1), f1))
 
@@ -473,6 +498,58 @@ def test_epsilon_continuation_linear_slope():
     V0 = complexify(*make_fields(g)).stacked()
     rep = epsilon_continuation(sys, V0, [1e-2, 1e-3, 1e-4], SolverConfig(T_final=0.05))
     assert abs(rep["slope"] - 1.0) < 0.1
+
+
+def _project_stacked(grid, vec, N):
+    """Zero all modes with |j| > N in each component."""
+    n = grid.n
+    keep = np.abs(grid.modes) <= N
+    out = vec.copy().reshape(4, n)
+    out[:, ~keep] = 0.0
+    return out.reshape(4 * n)
+
+
+def bona_smith_experiment(sys, V0, N_list, config, perturbation_sizes=()):
+    """Kato runs from frequency-truncated data Pi_N V0, compared against the
+    finest truncation; optionally perturbed-data runs for the continuity
+    modulus of the solution map."""
+    grid = sys.grid
+    V0 = np.asarray(V0, dtype=complex)
+    N_list = sorted(N_list)
+    s = config.ladder.s1
+    runs = {N: kato_solve(sys, _project_stacked(grid, V0, N), config) for N in N_list}
+    ref = runs[N_list[-1]]
+    gaps = {N: trajectory_gap(grid, runs[N], ref, s) for N in N_list[:-1]}
+    report = {
+        "N_list": list(N_list),
+        "gaps": {str(N): float(g) for N, g in gaps.items()},
+        "monotone": all(
+            gaps[N_list[i]] >= gaps[N_list[i + 1]] - 1e-12 for i in range(len(N_list) - 2)
+        ),
+    }
+    if perturbation_sizes:
+        base = kato_solve(sys, V0, config)
+        direction = _random_direction(grid, seed=7)
+        moduli = {}
+        for delta in perturbation_sizes:
+            pert = kato_solve(sys, V0 + delta * direction, config)
+            moduli[delta] = trajectory_gap(grid, pert, base, s) / delta
+        report["perturbation_moduli"] = {("%g" % d): float(m) for d, m in moduli.items()}
+    return report
+
+
+def _random_direction(grid, seed=0):
+    """Unit-H^{s} smooth conjugate-pair direction for perturbation studies."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    decay = grid.bracket_power(-6.0)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
+    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
+    if n % 2 == 0:
+        z[n // 2] = 0.0
+        w[n // 2] = 0.0
+    vec = conjugate_pair(grid, z, w)
+    return vec / stacked_norm(grid, vec, 2.5)
 
 
 def test_bona_smith_monotone():
