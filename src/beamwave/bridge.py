@@ -8,12 +8,14 @@ of coefficient * d_x^k with k <= 2, and F1, F2 quadratic homogeneous in the
 jet (y, y_x, y_xx, theta, theta_x, theta_xx).  Nonlinearities are stored as
 explicit term lists so their partial derivatives (needed by the
 paralinearization symbols and the parity/radius checks) are exact.  The
-stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t) of shape
-(4, ..., n) to its derivative, one new array that the linear part, the jets
-and the dealiased F's write into.
+stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t) to its
+derivative, one new array that the linear part, the jets and the dealiased
+F's write into, in one of two layouts told by the last axis: n slots in fft
+order, or rfft's n//2 + 1 of real functions (Nyquist as +n/2), real on the grid.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,15 +38,19 @@ class QuadraticNonlinearity:
             if not (0 <= ia < 6 and 0 <= ib < 6):
                 raise ConfigError("jet slots must be in 0..5")
             self.terms.append((_profile_to_function(grid, coeff), ia, ib))
-        # each coefficient's grid values, transformed once
-        self._values = [(np.asarray(co.values(), dtype=complex), ia, ib) for co, ia, ib in self.terms]
+        # each coefficient's real grid values, transformed once
+        self._values = [(np.real(co.values()), ia, ib) for co, ia, ib in self.terms]
 
     def evaluate(self, jets, out=None):
-        """Grid values of F at jet values ``jets`` (shape (6, ..., n)), added
-        to ``out`` (..., n) if given."""
-        out = np.zeros(jets.shape[1:], dtype=complex) if out is None else out
-        for cv, ia, ib in self._values:
-            out += cv * jets[ia] * jets[ib]
+        """Grid values of F at jet values ``jets`` (6, ..., n), of their dtype,
+        written into ``out`` (..., n) if given: its first term, the rest added."""
+        out = np.empty(jets.shape[1:], dtype=jets.dtype) if out is None else out
+        if not self._values:
+            out.fill(0.0)
+        for i, (cv, ia, ib) in enumerate(self._values):
+            term = np.multiply(cv * jets[ia], jets[ib], out=None if i else out)
+            if i:
+                out += term
         return out
 
     def partial_values(self, slot, jets, out=None):
@@ -131,73 +137,88 @@ class BridgeSystem:
         # the products of B_cal = -b d^4 + B and W_cal = c d^2 + C per unknown
         # (0 = y, 1 = theta); a row with a nonzero fluctuation keeps its
         # unknown, the fluctuation's grid values and the multiplier (ij)^k
-        d = 1j * grid.modes.astype(float)
         parts = ([(-self.b, 4)] + self.B_terms, [(self.c, 2)] + self.C_terms)
-        self._symbol = np.array([sum(coeff.coeffs[0] * d**k for coeff, k in part) for part in parts])
         rows = [(u, coeff, k) for u, part in enumerate(parts) for coeff, k in part
                 if np.any(coeff.coeffs[1:])]
         self._row_unknown = np.array([u for u, _, _ in rows], dtype=int)
-        self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows])
-        self._row_mult = np.array([d**k for _, _, k in rows])
+        values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows])
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
         self._damping = np.array([self.alpha, self.beta], dtype=complex)
         self._c_values = np.real(self.c.values())  # read by every wave margin
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
         # each F with terms and the row of (y_t, y_tt, theta_t, theta_tt) it adds to
         self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
-        # per jet slot, the dealias projection times (ij)^(slot mod 3), complex (no casts)
-        self._jet_mult = [np.where(grid.dealias_mask, p, 0j) for p in (1.0, d, d**2)] * 2
+        # per layout (module docstring), by its length; at n = 2 the full one is kept
+        self._layout = {}
+        for modes, real in ((np.arange(grid.n // 2 + 1), True), (grid.modes, False)):
+            d, mask = 1j * modes.astype(float), np.abs(modes) <= grid.dealias_cut
+            self._layout[modes.size] = SimpleNamespace(
+                symbol=np.array([sum(co.coeffs[0] * d**k for co, k in part) for part in parts]),
+                row_mult=np.array([d**k for _, _, k in rows]), mask=mask,
+                row_values=values.real if real else values, dtype=float if real else complex,
+                jet_mult=[np.where(mask, p, 0j) for p in (1.0, d, d**2)] * 2,
+                inverse=np.fft.irfft if real else np.fft.ifft,
+                forward=np.fft.rfft if real else np.fft.fft)
 
     # -- right-hand side ---------------------------------------------
 
     def jets(self, y_hat, th_hat, slots=None):
-        """Dealias-projected jet values (6, ..., n) from coefficient arrays
-        (..., n) at ``slots`` (default ``jet_slots``), in one inverse FFT along
-        the last axis; every other slot is NaN, never a silent zero."""
-        slots = self.jet_slots if slots is None else list(slots)
-        out = np.full((6,) + np.shape(y_hat), np.nan, dtype=complex)
+        """Dealias-projected jet values (6, ..., n) from coefficients (..., n) or
+        (..., n//2 + 1) at ``slots`` (default ``jet_slots``), in one inverse FFT
+        into their rows; every other slot is NaN, never a silent zero."""
+        lay = self._layout[y_hat.shape[-1]]
+        slots = self.jet_slots if slots is None else sorted(slots)
+        out = np.empty((6,) + y_hat.shape[:-1] + (self.grid.n,), dtype=lay.dtype)
+        lo, hi = (slots[0], slots[-1] + 1) if slots else (6, 6)
+        out[:lo] = out[hi:] = np.nan
         if slots:
-            rows = np.empty((len(slots),) + np.shape(y_hat), dtype=complex)
+            rows = np.empty((len(slots),) + y_hat.shape, dtype=complex)
             for row, slot in zip(rows, slots):
-                np.multiply((y_hat, th_hat)[slot // 3], self._jet_mult[slot], out=row)
-            out[slots] = np.fft.ifft(rows, norm="forward", out=rows)
+                np.multiply((y_hat, th_hat)[slot // 3], lay.jet_mult[slot], out=row)
+            if hi - lo == len(slots):  # one block of rows
+                lay.inverse(rows, self.grid.n, norm="forward", out=out[lo:hi])
+            else:
+                out[lo:hi] = np.nan
+                out[slots] = lay.inverse(rows, self.grid.n, norm="forward")
         return out
 
     def add_nonlinearity_hats(self, jets, du):
         """Add the dealiased Fourier coefficients of F1, F2 at the jet values
         ``jets`` (6, ..., n) to the accelerations du[1], du[3] of a derivative
-        (4, ..., n); an F without terms adds nothing and is not transformed."""
+        (4, ..., n) or (4, ..., n//2 + 1); an F without terms is not transformed."""
+        lay = self._layout[du.shape[-1]]
         # one F at a time, in one buffer: on a Kato sweep's trajectory a batch of
         # both F's and its FFT set the sweep's memory peak
-        hat = np.empty(jets.shape[1:], dtype=complex)
+        values = np.empty(jets.shape[1:], dtype=jets.dtype)
+        hat = np.empty(du.shape[1:], dtype=complex) if lay.dtype is float else values
         for F, row in self._live_F:
-            hat.fill(0.0)
-            np.fft.fft(F.evaluate(jets, hat), norm="forward", out=hat)
-            np.add(du[row], hat, out=du[row], where=self.grid.dealias_mask)  # dealiased
+            lay.forward(F.evaluate(jets, values), norm="forward", out=hat)
+            np.add(du[row], hat, out=du[row], where=lay.mask)  # dealiased
 
     def linear_rhs(self, u):
         """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one
-        new array, from real states u = (y, y_t, theta, theta_t) of shape (4, ..., n),
-        which may be complex.  Fluctuations multiply on the grid without
+        new array, from real states u = (y, y_t, theta, theta_t), (4, ..., n) (may
+        be complex) or (4, ..., n//2 + 1).  Fluctuations multiply on the grid without
         dealiasing: each coeff d^k acts as the circulant of coeff times (ij)^k."""
-        du = np.empty(np.shape(u), dtype=complex)
+        lay = self._layout[u.shape[-1]]
+        du = np.empty(u.shape, dtype=complex)
         lead = (2,) + (1,) * (du.ndim - 2)
         du[0::2] = u[1::2]
-        np.multiply(self._symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
+        np.multiply(lay.symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
         if self.alpha or self.beta:
             du[1::2] += self._damping.reshape(lead + (1,)) * u[1::2]
         if self._row_unknown.size:
-            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * self._row_mult
+            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * lay.row_mult
             # fft(f * ifft(u) * n) / n: the factors n cancel
-            products = self._row_values * np.fft.ifft(rows)
-            sums = np.fft.fft(np.add.reduceat(products, self._row_starts, axis=-2))
+            products = lay.row_values * lay.inverse(rows, self.grid.n)
+            sums = lay.forward(np.add.reduceat(products, self._row_starts, axis=-2))
             du[2 * self._unknowns + 1] += np.moveaxis(sums, -2, 0)
         return du
 
     def real_rhs(self, u, t):
         """The derivative (y_t, y_tt, theta_t, theta_tt) at time t as one new array,
-        from real states u (4, ..., n); u may be complex (the analytic
-        continuation the complexified system uses)."""
+        from real states u in either layout; a full-layout u (4, ..., n) may be
+        complex (the analytic continuation the complexified system uses)."""
         du = self.linear_rhs(u)
         if self._live_F:
             self.add_nonlinearity_hats(self.jets(u[0], u[2]), du)

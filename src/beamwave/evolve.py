@@ -1,17 +1,17 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
-(``_rk4``, of a stage (4, n) -> (4, n), summed in place) and one march
-(``_march``) of the real coefficients (4, n) of (y, y_t, theta, theta_t),
-normed and guarded with real weights as marched and stored by their j >= 0
-half, (nodes, 4, n//2 + 1), as u_{-j} = conj u_j for real functions.  The
-stacked V = (z, zbar, w, wbar) appears only where ``kato_solve`` converts its
-initial data and ``RunResult.final`` the last node:
+(``_rk4``, summed in place) and one march (``_march``) of the real
+coefficients (4, n) of (y, y_t, theta, theta_t), or of their j >= 0 half
+(4, n//2 + 1) (the oracle), normed and guarded with real weights as marched
+and stored by that half, (nodes, 4, n//2 + 1), as u_{-j} = conj u_j for real
+functions.  The stacked V = (z, zbar, w, wbar) appears only where
+``kato_solve`` converts its initial data and ``RunResult.final`` the last node:
 
-* ``oracle_solve`` -- direct method-of-lines RK4 on the real system, whose
-  stage is ``BridgeSystem.real_rhs`` itself (pseudo-spectral derivatives and
-  de-aliased pointwise nonlinearities); it never touches the
-  paradifferential machinery and serves as the independent validator.
+* ``oracle_solve`` -- direct method-of-lines RK4 on the real system's half,
+  by ``BridgeSystem.real_rhs`` (pseudo-spectral derivatives, de-aliased
+  pointwise nonlinearities); it never touches the paradifferential machinery
+  and serves as the independent validator.
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
   system d_t V = (frakA + frakB + R)(V~) V + forcing - eps Delta V: exact
   half-step heat factors (skipped at eps = 0) around an RK4 step of the frozen
@@ -177,10 +177,9 @@ class RunResult:
     def sup_norm(self, s):
         return max(map(_half_norm(self.grid, s), self.trajectory))
 
-    def fitted_growth(self, key=None):
-        """Least-squares slope of log ||V(t)||; the measured growth constant."""
-        key = key if key is not None else sorted(self.norms)[0]
-        vals = self.norms[key]
+    def fitted_growth(self):
+        """Least-squares slope of log ||V(t)|| (the first norm by key); the growth constant."""
+        vals = self.norms[sorted(self.norms)[0]]
         mask = vals > 0
         if np.sum(mask) < 2:
             return 0.0
@@ -280,15 +279,16 @@ def _full(grid, half):
 
 
 def _march(grid, ladder, dt, steps, u0, step):
-    """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) from u0, stored
-    by each node's j >= 0 half, (steps + 1, 4, n//2 + 1), with its H^{s0},
-    H^{s1} norms, taken node by node on the marched state.
+    """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) or their halves
+    (4, n//2 + 1) from u0, stored by each node's half, (steps + 1, 4, n//2 + 1),
+    with its H^{s0}, H^{s1} norms, taken node by node on the marched state.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
     traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex)
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
-    norm_of = {key: _norm(grid, getattr(ladder, key)) for key in norms}
+    weights = _half_norm if u0.shape[-1] == traj.shape[-1] else _norm
+    norm_of = {key: weights(grid, getattr(ladder, key)) for key in norms}
     u = u0
     for k in range(steps + 1):
         if k:
@@ -437,15 +437,15 @@ def kato_solve(sys, V0, config):
 def oracle_solve(sys, y0, y1, theta0, theta1, config):
     """Direct RK4 on the real system; the independent validator.
 
-    State (y, y_t, theta, theta_t) as one (4, n) array of Fourier
-    coefficients, stored as the other solvers store theirs; spectral
-    derivatives and de-aliased pointwise nonlinearities through
-    ``sys.real_rhs``.
+    State (y, y_t, theta, theta_t) as the j >= 0 half (4, n//2 + 1) of its
+    Fourier coefficients in ``np.fft.rfft``'s layout, marched and stored as it
+    is; spectral derivatives and de-aliased pointwise nonlinearities through
+    ``sys.real_rhs``, which maps halves to halves.
     """
     grid = sys.grid
     sys.check_ellipticity()
     dt, steps = _time_grid(sys, config)
-    state = np.array([u.coeffs for u in (y0, y1, theta0, theta1)], dtype=complex)
+    state = np.array([u.coeffs[: grid.n // 2 + 1] for u in (y0, y1, theta0, theta1)])
 
     def step(k, state):
         t = k * dt

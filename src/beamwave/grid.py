@@ -130,8 +130,8 @@ class SpectralFunction:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls, grid, is_real=True):
-        return cls(grid, np.zeros(grid.n, dtype=complex), is_real=is_real)
+    def zero(cls, grid):
+        return cls(grid, np.zeros(grid.n, dtype=complex), is_real=True)
 
     @classmethod
     def constant(cls, grid, value):

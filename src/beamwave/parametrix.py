@@ -321,26 +321,18 @@ def conjugation_residual(P, para, V=None):
     F has no coupling slot (``ParalinearizedSystem.coupled``), L_pm's always.
     Without coupling every residual half is block-diagonal, and its norm the
     larger of its two diagonal blocks' (``exact_operator_norm``).  Psi, D~_b
-    and Lambda are built once per call and freed on return.
+    and Lambda[R, R] are held for the call, each half normed as it is formed.
     """
     grid = P.grid
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     cols = (slice(None), r)
-    Phi, (Psi, Dt_b, Lam) = P.Phi, residual_operators(P)
+    Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
+    lam = [-1j * b[np.ix_(r, r)] for b in lam]
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
     mp = ((bb, bw), (wb, ww))
-    lam = [-1j * b[np.ix_(r, r)] for b in Lam]
-    M = [_minus_diagonal(_product(_take(Phi[0], r, np.split(pm, 2)), _take(Psi[1], cols)), *lam),
-         _minus_diagonal(_product(_product(_take(Phi[1], r), mp), _take(Psi[0], cols)), *lam)]
     eye = np.eye(r.size)
-    inv = [_minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], cols)), eye, eye)
-           for i in (0, 1)]
-    # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
-    # D L D~ - Lambda; those of the pm half are zero
-    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
-    bare = [D[r] @ L @ Dt[:, r] for D, L, Dt in pairs if L is not None]
 
     def norm(blocks, s_out=s):
         return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
@@ -349,13 +341,30 @@ def conjugation_residual(P, para, V=None):
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
+    def conjugation_halves():  # X+ L_pm Y- - Lambda_pm, X- L_mp Y+ - Lambda_mp
+        yield _minus_diagonal(_product(_take(Phi[0], r, np.split(pm, 2)), _take(Psi[1], cols)), *lam)
+        yield _minus_diagonal(_product(_product(_take(Phi[1], r), mp), _take(Psi[0], cols)), *lam)
+
+    conj, inv = [], 0.0  # each residual half is normed and freed before the next is formed
+    for X in conjugation_halves():
+        conj.append((norm([X]), norm(offdiag([X]))))
+        del X
+    for i in (0, 1):
+        X = _minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], cols)), eye, eye)
+        inv = max(inv, norm([X], s + 2.0))
+        del X
+    # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
+    # D L D~ - Lambda; those of the pm half are zero
+    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
+    bare = [D[r] @ L @ Dt[:, r] for D, L, Dt in pairs if L is not None]
+
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
         "s": s,
         "n": grid.n,
-        "conjugation_norm": norm(M),
-        "inverse_defect_norm": norm(inv, s + 2.0),
-        "offdiag_norm": norm(offdiag(M)),
+        "conjugation_norm": max(c for c, _ in conj),
+        "inverse_defect_norm": inv,
+        "offdiag_norm": max(o for _, o in conj),
         "offdiag_without_T": norm(bare),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),

@@ -10,7 +10,7 @@ from beamwave.bridge import (
     arioli_gazzola_preset,
     bridge_system_from_json,
 )
-from beamwave.cli import build_preset
+from beamwave.cli import PRESETS, build_preset
 from beamwave.errors import ConfigError, PreconditionError
 from beamwave.grid import TorusGrid, transform
 
@@ -135,10 +135,11 @@ def test_real_rhs_matches_grid_products_of_spectral_derivatives():
 @pytest.fixture
 def fft_calls_of(monkeypatch):
     """fft_calls_of(f, *args) calls f(*args) and returns the FFTs made through
-    beamwave.bridge's numpy (by any module), as (name, number of rows)."""
+    beamwave.bridge's numpy (by any module), complex or real, as (name,
+    number of rows)."""
     calls = []
     fft = beamwave.bridge.np.fft
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(a, *args, _name=name, _fn=getattr(fft, name), **kwargs):
             calls.append((_name, int(np.prod(np.shape(a)[:-1]))))
             return _fn(a, *args, **kwargs)
@@ -248,6 +249,98 @@ def test_read_slot_jets_equal_the_six_slot_jets():
     assert np.all(np.isnan(read[[1, 3]])) and not np.any(np.isnan(full))
     assert np.array_equal(F1.evaluate(read), F1.evaluate(full))
     assert np.array_equal(F2.partial_values(5, read), F2.partial_values(5, full))
+
+
+# the variable-coefficient system of the CI's oracle step (variable.json)
+VARIABLE = {"b": "cosine:0.3", "c": "cosine:0.2",
+            "B_terms": [["cosine:0.1", 2], [0.5, 0]], "C_terms": [["cosine:0.1", 1]],
+            "alpha": -0.1, "beta": -0.1,
+            "F1": [[1.0, 4, 5]], "F2": [[1.0, 2, 5], [0.5, 5, 5]]}
+
+
+def system_and_state(name, n):
+    """A preset (or VARIABLE, with the headline data) and its initial real state (4, n)."""
+    g = TorusGrid(n)
+    if name == "variable":
+        return bridge_system_from_json(VARIABLE, g), real_fields(build_preset("headline", g)[1])
+    sys, fields = build_preset(name, g)
+    return sys, real_fields(fields)
+
+
+def real_fields(fields):
+    return np.array([f.coeffs for f in fields])
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("name", PRESETS + ("variable",))
+def test_the_half_layout_stage_agrees_with_the_full_layout(name, n):
+    # a real state's j >= 0 half (4, n//2 + 1) maps to the half of the full
+    # layout's derivative on modes 0..n/2-1 (the Nyquist slot: the next test),
+    # and its jets are the real part of the full layout's, as real values; the
+    # initial data plus a real state on every mode, so that the dealias mask acts
+    sys, u = system_and_state(name, n)
+    g = sys.grid
+    rng = np.random.default_rng(n)
+    u = u + [1e-4 * transform(g, rng.standard_normal(n)).coeffs / (1.0 + g.modes**2) for _ in u]
+    half = u[:, : n // 2 + 1].copy()
+    for f, args in ((sys.real_rhs, (0.3,)), (sys.linear_rhs, ())):
+        full, got = f(u, *args), f(half, *args)
+        assert got.shape == half.shape
+        assert np.max(np.abs(got[:, :-1] - full[:, : n // 2])) <= 1e-14 * np.max(np.abs(full))
+    full, got = sys.jets(u[0], u[2], slots=range(6)), sys.jets(half[0], half[2], slots=range(6))
+    assert got.dtype == float and got.shape == full.shape
+    assert np.max(np.abs(got - full.real)) <= 1e-14 * np.max(np.abs(full))
+
+
+def test_the_half_stage_nyquist_slot_is_that_of_the_real_state_the_half_holds():
+    # The Nyquist slot of a fluctuating product aliases the products of modes
+    # +-(n/2 - 1): the full layout reads both stored slots, the half one and
+    # its conjugate.  transform's coefficients are Hermitian to round-off
+    # only, amplified near n/2 by the (n/2)^4 of y_xxxx, so on the variable
+    # system at N = 64 the y_tt Nyquist slots differ by 4.3e-14 (1.9e-12 of
+    # the derivative's largest coefficient): a mode that the 2/3 rule keeps
+    # out of every jet.  On the Hermitian full state of the half the two
+    # layouts agree in every slot.
+    n = 64
+    sys, u = system_and_state("variable", n)
+    half = u[:, : n // 2 + 1].copy()
+    hermitian = np.concatenate([half, np.conj(half[:, n // 2 - 1 : 0 : -1])], axis=-1)
+    got, full = sys.real_rhs(half, 0.3), sys.real_rhs(hermitian, 0.3)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(got - full[:, : n // 2 + 1])) <= 1e-14 * scale
+    stored = sys.real_rhs(u, 0.3)
+    assert np.max(np.abs(got[:, :-1] - stored[:, : n // 2])) <= 1e-14 * scale
+    assert abs(got[1, -1] - stored[1, n // 2]) <= 1e-11 * scale
+    assert np.all(got[:, -1].imag == 0.0)  # rfft's Nyquist slot of a real function
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("headline", [("irfft", 1), ("rfft", 1)]),  # F2 = theta_xx^2: one slot, one live F
+    ("mixed", [("irfft", 3), ("rfft", 1), ("rfft", 1)]),  # slots 2, 4, 5 in one call; F1, F2
+    ("variable", [("irfft", 4), ("rfft", 2), ("irfft", 3), ("rfft", 1), ("rfft", 1)]),
+])
+def test_the_half_stage_makes_one_irfft_and_one_rfft_per_live_F(name, calls, fft_calls_of):
+    # and no complex transform; the variable system's linear part adds its
+    # fluctuation rows' pair first (b, c and one B and one C term: four rows,
+    # summed into two unknowns)
+    sys, u = system_and_state(name, 32)
+    assert fft_calls_of(sys.real_rhs, u[:, :17].copy(), 0.0) == calls
+
+
+@pytest.mark.parametrize("slots", [None, [5], [2, 3, 4], [0, 2, 5], range(6), []])
+@pytest.mark.parametrize("layout", ["full", "half"])
+def test_jets_leave_every_unread_slot_nan_in_both_layouts(layout, slots):
+    # the read slots are finite jet values, the others NaN, never a silent
+    # zero: complex from the full layout, real from the half
+    sys, u = system_and_state("mixed", 32)
+    if layout == "half":
+        u = u[:, :17].copy()
+    jets = sys.jets(u[0], u[2], slots=slots)
+    read = sys.jet_slots if slots is None else list(slots)
+    assert jets.shape == (6, 32) and jets.dtype == (float if layout == "half" else complex)
+    assert np.all(np.isfinite(jets[read]))
+    assert np.all(np.isnan(jets[[h for h in range(6) if h not in read]]))
+    assert np.array_equal(jets[read], sys.jets(u[0], u[2], slots=range(6))[read])
 
 
 def test_json_roundtrip():

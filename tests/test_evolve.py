@@ -266,10 +266,11 @@ def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
 @pytest.mark.parametrize("solver", ["oracle", "kato"])
 def test_march_stores_the_real_nodes_and_their_norms(solver, marched):
     # the nodes are stored by the j >= 0 half of each marched real state
-    # (4, n): node 0 is the half of the input coefficients bit for bit
-    # (kato_solve's input is its stacked data, turned real once), and each
-    # stored norm, taken from the real coordinates of the marched node, is
-    # stacked_norm of its complexification to round-off
+    # (4, n), or as the oracle marches them, (4, n//2 + 1): node 0 is the half
+    # of the input coefficients bit for bit (kato_solve's input is its stacked
+    # data, turned real once), and each stored norm, taken from the real
+    # coordinates of the marched node, is stacked_norm of its
+    # complexification to round-off
     g, sys = headline_system(32)
     fields = make_fields(g)
     cfg = SolverConfig(T_final=0.1)
@@ -284,6 +285,7 @@ def test_march_stores_the_real_nodes_and_their_norms(solver, marched):
     for key in ("s0", "s1"):
         s = getattr(cfg.ladder, key)
         for u, norm in zip(marched[-1], run.norms[key]):
+            u = _full(g, u) if solver == "oracle" else u
             expect = stacked_norm(g, stacked_from_real(g, *u), s)
             assert abs(norm - expect) <= 1e-14 * expect
     assert np.array_equal(run.final, stacked_from_real(g, *_full(g, run.trajectory[-1])))
@@ -307,7 +309,8 @@ def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marche
         nodes = np.repeat(u0[:, None], steps + 1, axis=1)
         run = linear_solve(para, para.prepass(nodes)[1], u0, cfg)
     full = np.array(marched[-1])
-    assert full.shape == (len(run.times), 4, g.n)
+    width = g.n // 2 + 1 if solver == "oracle" else g.n  # the oracle marches the half
+    assert full.shape == (len(run.times), 4, width)
     assert np.array_equal(run.trajectory, full[..., : g.n // 2 + 1])
 
 
