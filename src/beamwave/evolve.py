@@ -3,10 +3,12 @@
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
 (``_rk4``, summed in place) and one march (``_march``) of the real
 coefficients (4, n) of (y, y_t, theta, theta_t), or of their j >= 0 half
-(4, n//2 + 1) (the oracle), normed and guarded with real weights as marched
-and stored by that half, (nodes, 4, n//2 + 1), as u_{-j} = conj u_j for real
-functions.  The stacked V = (z, zbar, w, wbar) appears only where
-``kato_solve`` converts its initial data and ``RunResult.final`` the last node:
+(4, n//2 + 1) (the oracle), stored, normed and guarded by that half, (nodes,
+4, n//2 + 1), as u_{-j} = conj u_j for real functions: a Kato state's slot
+n//2 stays exactly 0, as no background block reaches the unpaired mode -n/2
+off its diagonal (``TorusGrid.chi_mask``).  The stacked V = (z, zbar, w,
+wbar) appears only where ``kato_solve`` converts its initial data and
+``RunResult.final`` the last node:
 
 * ``oracle_solve`` -- direct method-of-lines RK4 on the real system's half,
   by ``BridgeSystem.real_rhs`` (pseudo-spectral derivatives, de-aliased
@@ -61,11 +63,12 @@ RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axi
 # N = 16, T = 7.5; headline 3.20), 2.5-2.9 at N = 32, T = 4-8
 KATO_TRAJECTORIES = 4
 # n x n complex128 operators a Kato solve holds besides them: the grid's lattices
-# (1.56-1.60), frakA(0)'s two blocks, up to three Weyl tables, two node blocks Q_k,
-# Q_{k+1} per table (the older one takes the step's midpoint block), and the chunk
-# of nodes it reads (about 2); beyond 4 trajectories, tracemalloc measured 13.4-15.1
-# (mixed; headline 7.4-8.9) at N = 64-512, T = 0.004 and 0.01, and at most 16.65 over
-# N = 32-512 (mixed, N = 32, T = 0.01; grid and system built while traced)
+# (1.56-1.60), frakA(0)'s two blocks, up to three Weyl tables (complex; the float64
+# ``weyl_table`` each is built from is freed), two node blocks Q_k, Q_{k+1} per table
+# (the older one takes the step's midpoint block), and the chunk of nodes it reads
+# (about 2); beyond 4 trajectories, tracemalloc measured 13.4-15.1 (mixed; headline
+# 7.4-8.9) at N = 64-512, T = 0.004 and 0.01, and at most 16.63 over N = 32-512
+# (mixed, N = 32, T = 0.01; grid and system built while traced)
 KATO_OPERATORS = 17
 
 
@@ -80,7 +83,6 @@ class SolverConfig:
         cfl_safety=0.9,
         kato_tol=1e-10,
         kato_max_iter=25,
-        ladder=None,
     ):
         for name, value in (("T_final", T_final), ("dt", dt), ("eps", eps),
                             ("cfl_safety", cfl_safety)):
@@ -104,7 +106,7 @@ class SolverConfig:
         self.cfl_safety = float(cfl_safety)
         self.kato_tol = float(kato_tol)
         self.kato_max_iter = int(kato_max_iter)
-        self.ladder = ladder if ladder is not None else RegularityLadder()
+        self.ladder = RegularityLadder()
 
     def max_stable_dt(self, grid, b_max):
         """dt <= cfl_safety * 2.8 / (sqrt(max b) j_max^2)."""
@@ -255,16 +257,9 @@ def _rk4(f, u, dt, args):
     return acc
 
 
-def _norm(grid, s):
-    """u -> the H^s norm of one real state (4, n): the stacked norm of its
-    complexification up to round-off."""
-    w = real_norm_weights(grid, s).astype(complex)  # as u: no cast per node
-    return lambda u: float(np.sqrt(np.vdot(u, w * u).real))
-
-
 def _half_norm(grid, s):
-    """h -> the same norm from a stored half (4, n//2 + 1), by its Hermitian
-    weights w_0, 2 w_j (0 < j < n/2), w_{n/2}."""
+    """h -> the H^s norm of a real state from its stored half (4, n//2 + 1), by
+    the Hermitian weights w_0, 2 w_j (0 < j < n/2), w_{n/2}."""
     w = real_norm_weights(grid, s)[:, : grid.n // 2 + 1].astype(complex)
     w[:, 1:-1] *= 2.0
     return lambda h: float(np.sqrt(np.vdot(h, w * h).real))
@@ -281,21 +276,20 @@ def _full(grid, half):
 def _march(grid, ladder, dt, steps, u0, step):
     """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) or their halves
     (4, n//2 + 1) from u0, stored by each node's half, (steps + 1, 4, n//2 + 1),
-    with its H^{s0}, H^{s1} norms, taken node by node on the marched state.
+    with its H^{s0}, H^{s1} norms, taken node by node on the stored half.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
     traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex)
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
-    weights = _half_norm if u0.shape[-1] == traj.shape[-1] else _norm
-    norm_of = {key: weights(grid, getattr(ladder, key)) for key in norms}
+    norm_of = {key: _half_norm(grid, getattr(ladder, key)) for key in norms}
     u = u0
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
         traj[k] = u[:, : grid.n // 2 + 1]
         for key, norm in norm_of.items():
-            norms[key][k] = norm(u)
+            norms[key][k] = norm(traj[k])
         if not norms["s1"][k] <= 1e6 * max(norms["s1"][0], 1e-300):
             if not np.all(np.isfinite(u)):
                 raise NumericalError("non-finite state encountered")

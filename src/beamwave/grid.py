@@ -9,6 +9,10 @@ so for samples on the uniform grid the forward transform is fft(values)/n.
 Coefficients are kept in numpy fft order; ``TorusGrid.modes`` gives the
 integer mode of each slot.  The grid holds the n x n arrays that Bony-Weyl
 quantization reads, and views coefficients as the Toeplitz fhat(j - k).
+
+Unlike on the paper's Z, the lattice's mode -n/2 has no partner +n/2; no
+dealiased state holds it, and the Bony-Weyl cutoff gives it no entry off the
+diagonal, so a real symbol's matrix has M[-j, -k] = conj M[j, k] in every row.
 """
 
 import os
@@ -98,10 +102,15 @@ class TorusGrid:
 
     @cached_property
     def chi_mask(self):
+        """chi_eps(|j - k| / <j + k>); the row and column of the mode -n/2 keep only
+        chi_eps(0) = 1 on the diagonal, so constant symbols stay diagonal there."""
         from .symbols import cutoff_chi  # symbols builds on this module
 
         D, S = self.mode_lattice
-        return _read_only(cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2)))
+        chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
+        nyq, off = self.n // 2, self.modes != -(self.n // 2)
+        chi[nyq, off] = chi[off, nyq] = 0.0
+        return _read_only(chi)
 
 
 def _read_only(a):
@@ -137,7 +146,7 @@ class SpectralFunction:
     def constant(cls, grid, value):
         c = np.zeros(grid.n, dtype=complex)
         c[0] = value
-        return cls(grid, c, is_real=np.isrealobj(np.asarray(value)) or np.imag(value) == 0)
+        return cls(grid, c, is_real=True)
 
     # -- evaluation ---------------------------------------------------
 
@@ -179,7 +188,7 @@ class SpectralFunction:
     # -- calculus -----------------------------------------------------
 
     def deriv(self, k=1):
-        return apply_multiplier(self, (1j * self.grid.modes.astype(float)) ** k)
+        return SpectralFunction(self.grid, self.coeffs * (1j * self.grid.modes.astype(float)) ** k)
 
 
 def transform(grid, values):
@@ -198,14 +207,6 @@ def transform(grid, values):
     return SpectralFunction(grid, coeffs, is_real=is_real)
 
 
-def apply_multiplier(u, g):
-    """Multiply coefficients pointwise by the array g(j) over ``grid.modes``,
-    as d/dx does with g = ij."""
-    gv = np.asarray(g)
-    real = u.is_real and np.isrealobj(gv) and bool(np.all(gv == gv[u.grid.reflect]))
-    return SpectralFunction(u.grid, u.coeffs * gv, is_real=real)
-
-
 def grid_product(u, v):
     """Pointwise product on the grid, without dealiasing."""
     if u.grid != v.grid:
@@ -217,18 +218,10 @@ def grid_product(u, v):
 
 
 class RegularityLadder:
-    """Sobolev index ladder s0 < s1 < s2 < s_frak <= s used by the solver."""
+    """The Sobolev indices s0 < s1 < s2 = s of the solver: its norms are taken
+    in H^{s0} and H^{s1}, its Kato increment in H^{s1}."""
 
-    def __init__(self, s0=1.0, s=None):
-        if s0 <= 0.5:
-            raise ValueError("s0 must exceed 1/2, got %g" % s0)
-        self.s0 = float(s0)
-        self.s1 = self.s0 + 1.5
-        self.s2 = self.s1 + 2.0
-        self.s_frak = self.s2 + 1.0
-        self.s = float(s) if s is not None else self.s2
-        if self.s < self.s2:
-            raise ValueError("s must be >= s2 = %g, got %g" % (self.s2, self.s))
-
-    def __repr__(self):
-        return "RegularityLadder(s0=%g, s=%g)" % (self.s0, self.s)
+    s0 = 1.0
+    s1 = s0 + 1.5
+    s2 = s1 + 2.0
+    s = s2

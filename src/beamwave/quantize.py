@@ -22,13 +22,14 @@ mode, the norm is taken in the cosine-sine basis of each component: the
 unitary Q pairing each mode j with -j into cos jx, sin jx (and keeping
 j = 0), applied in place to pairs of rows and of columns; the weights are
 even in j, so they commute with Q.  An operator from a real symbol maps
-real functions to real functions, M[-j, -k] = conj M[j, k], so X = Q W Q^H
-is real times a global phase (1 for the parametrix products, -i for the
-generator residuals): the SVD is taken of Re X when max|Im X| <= 1e-8
-max|Re X|, of Im X the other way round, and of the complex W otherwise --
-a matrix that is not real in this basis (a product whose inner sum runs
-through the unpaired Nyquist mode, as the N = 32 parametrix residuals at
-about 1e-7), and every norm on all n modes.
+real functions to real functions, M[-j, -k] = conj M[j, k] (no product's
+inner sum runs through the unpaired mode -n/2, which ``TorusGrid.chi_mask``
+keeps diagonal), so X = Q W Q^H is real times a global phase (1 for the
+parametrix products, -i for the generator residuals): the SVD is taken of
+Re X when max|Im X| <= 1e-8 max|Re X|, of Im X the other way round, and of
+the complex W otherwise -- a matrix not real in this basis to that tolerance
+(the operators suite's Op^W - Op^BW at N = 128: 5e-8 of round-off from
+``transform`` weighted by <j>^4), and every norm on all n modes.
 
 A matrix may be handed over by its component blocks, None for a block that
 is zero by structure, as the parity halves of the parametrix residuals
@@ -46,12 +47,12 @@ from .symbols import FrequencyMultiplier, sharp_rho
 
 
 def weyl_table(grid, g):
-    """T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2).  The Weyl
-    matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix
-    that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
+    """The real n x n table T[j, k] = g((j + k)/2), zero where j - k leaves
+    [-n/2, n/2).  The Weyl matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T,
+    its Bony-Weyl matrix that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n = grid.n
     half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
-    gv = np.asarray(g(half_lattice), dtype=complex)[grid.mode_lattice[1] + n]
+    gv = g(half_lattice)[grid.mode_lattice[1] + n]
     return np.where(grid.in_range, gv, 0.0)
 
 
@@ -148,7 +149,7 @@ def _abs_max(a):
 def exact_operator_norm(grid, M, s_in, s_out, band=None):
     """H^{s_in} -> H^{s_out} norm of M by dense SVD: of the real matrix of the
     cosine-sine basis on the resolved band when M is real there up to a
-    global phase, of the complex weighted matrix otherwise.
+    global phase and ``_PHASE_TOL``, of the complex weighted matrix otherwise.
 
     M may be given by its component blocks, a square tuple of tuples with
     None for a zero block.  If every off-diagonal block is None, M is

@@ -482,6 +482,18 @@ def test_kato_preserves_reality(marched):
         assert is_conjugate_pair(g, stacked_from_real(g, *u), tol=1e-10)
 
 
+@pytest.mark.parametrize("preset, n, T", [("mixed", 16, 7.5), ("headline", 64, 0.1)])
+def test_kato_keeps_the_unpaired_nyquist_mode_at_zero(preset, n, T, marched):
+    # no background block reaches the mode -n/2 off its diagonal, so the slot
+    # n//2 of every node stays exactly 0, as marched and as stored; mixed at
+    # N = 16, T = 7.5 is a long run, in which such entries would reach 1e-6
+    g = TorusGrid(n)
+    sysm, fields = build_preset(preset, g)
+    run = kato_solve(sysm, complexify(*fields).stacked(), SolverConfig(T_final=T))
+    assert not np.any(run.trajectory[:, :, n // 2])
+    assert not any(np.any(u[:, n // 2]) for nodes in marched for u in nodes)
+
+
 def test_oracle_trivial_exact_phases():
     # constant coefficients, no nonlinearity: y_j(t) = cos(j^2 t) y_j(0)
     g = TorusGrid(16)

@@ -17,6 +17,7 @@ from beamwave.state import (
     stacked_norm,
 )
 from beamwave.symbols import SeparableSymbol
+from test_quantize import conjugation_break
 from test_spectral_core import parity_join, sobolev_norm
 
 
@@ -330,3 +331,19 @@ def test_L_complex_matrix_is_the_linear_right_hand_side(system):
     V = complexify(*fields).stacked()
     expect = full_rhs(para, V, 0.0)
     assert np.linalg.norm(L_complex_matrix(para) @ V - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128, 512])
+def test_frozen_node_blocks_of_a_real_background_map_real_states_to_real_states(n):
+    # every background block of the mixed preset (all three g-functions live)
+    # at a random real dealiased background: Q[-j, -k] = conj Q[j, k] in every
+    # row and column, the unpaired mode -n/2 included
+    g = TorusGrid(n)
+    para = ParalinearizedSystem(build_preset("mixed", g)[0], g)
+    coeffs = np.fft.fft(np.random.default_rng(n).standard_normal((3, n)), norm="forward")
+    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, g.reflect]))  # Hermitian bit for bit
+    coeffs[:, ~g.dealias_mask] = 0.0
+    blocks = para.frozen_node(coeffs)
+    assert len(blocks) == 3
+    for *_, Q in blocks:
+        assert conjugation_break(g, Q) <= 1e-15

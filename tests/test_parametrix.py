@@ -31,6 +31,7 @@ from beamwave.quantize import bony_weyl_quantize, exact_operator_norm, weighted_
 from beamwave.state import complexify, conjugate_pair, parity_split, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 from test_paralin import dense_half, structural_zeros
+from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
 
 
@@ -386,6 +387,18 @@ def test_residual_norms_match_full_products_and_complex_svds(preset):
                 assert got[key] == ref == 0.0, (key, n)
             else:
                 assert abs(got[key] - ref) <= 1e-13 * ref, (key, n, got[key], ref)
+
+
+@pytest.mark.parametrize("preset", ["headline", "mixed"])
+def test_residual_norms_take_only_real_svds(preset, monkeypatch):
+    # Phi+-, Psi+- and the generator's halves hold no entry of the unpaired
+    # mode -n/2 off the diagonal, so no product's inner sum runs through it:
+    # every band norm is real in the cosine-sine basis
+    seen, _ = _svd_spy(monkeypatch)
+    for n in (32, 64, 128):
+        g, para, V = _preset_setup(preset, n)
+        conjugation_residual(build_parametrix(para, V, 2.5), para, V)
+    assert seen and set(seen) == {"f"}, seen
 
 
 def test_parametrix_halves_carry_one_coupling_block_each():

@@ -131,6 +131,9 @@ def test_bony_weyl_is_weyl_times_the_cutoff_bit_for_bit():
     J = g.modes
     D, S = J[:, None] - J[None, :], J[:, None] + J[None, :]
     chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
+    # the unpaired mode -n/2 keeps chi_eps(0) = 1 on the diagonal and nothing off it
+    off = J != -(g.n // 2)
+    chi[g.n // 2, off] = chi[off, g.n // 2] = 0.0
     assert np.array_equal(bony_weyl_quantize(sym), weyl_quantize(sym) * chi)
 
 
@@ -206,6 +209,24 @@ def _real_symbol_operators(g):
     a = SeparableSymbol.from_xfunc(transform(g, 1.0 + 0.2 * np.cos(g.x)))
     return {"even": bony_weyl_quantize(even), "odd_times_i": bony_weyl_quantize(odd),
             "minus_i_residual": -1j * composition_residual(a, even, 2.0)}
+
+
+def conjugation_break(g, M):
+    """max |M[-j, -k] - conj M[j, k]| relative to max |M|: zero for an
+    operator that maps real functions to real functions."""
+    r = g.reflect
+    return np.max(np.abs(M[np.ix_(r, r)] - np.conj(M))) / np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("n", [16, 32, 128, 512])
+def test_bony_weyl_blocks_of_real_symbols_map_real_functions_to_real_functions(n):
+    # Op^BW(cos x xi^2) and Op^BW(i sin x xi) in every row and column, the
+    # lattice's unpaired mode -n/2 included: the cutoff gives it no entry off
+    # the diagonal, so M[-j, -k] = conj M[j, k] holds to round-off
+    g = TorusGrid(n)
+    for f, mult in ((transform(g, np.cos(g.x)), FrequencyMultiplier.xi_power(2)),
+                    (1j * transform(g, np.sin(g.x)), FrequencyMultiplier.xi_power(1))):
+        assert conjugation_break(g, bony_weyl_quantize(SeparableSymbol(g, [(f, mult)]))) <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["even", "odd_times_i", "minus_i_residual"])
