@@ -14,13 +14,12 @@ F's write into, in one of two layouts told by the last axis: n slots in fft
 order, or rfft's n//2 + 1 of real functions (Nyquist as +n/2), real on the grid.
 """
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .grid import SpectralFunction, TorusGrid, transform
+from .grid import SpectralFunction, transform
 
 # jet slot order and parity sign under (x, y, theta) -> (-x, -y, -theta)
 JET_NAMES = ("y", "y_x", "y_xx", "theta", "theta_x", "theta_xx")
@@ -279,26 +278,6 @@ class BridgeSystem:
                     return False
         return True
 
-    # -- serialization -------------------------------------------------
-
-    def to_json_dict(self):
-        def fun(u):
-            return {"values": list(np.real(u.values()))}
-
-        return {
-            "n": self.grid.n,
-            "b": fun(self.b),
-            "c": fun(self.c),
-            "B_terms": [[list(np.real(co.values())), k] for co, k in self.B_terms],
-            "C_terms": [[list(np.real(co.values())), k] for co, k in self.C_terms],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "F1": [[list(np.real(co.values())), ia, ib] for co, ia, ib in self.F1.terms],
-            "F2": [[list(np.real(co.values())), ia, ib] for co, ia, ib in self.F2.terms],
-        }
-
 
 def _profile_to_function(grid, spec_value, field="a coefficient"):
     """Named profile, constant, sample array or callable -> SpectralFunction;
@@ -323,10 +302,8 @@ def _profile_to_function(grid, spec_value, field="a coefficient"):
     return fun
 
 
-def bridge_system_from_json(doc, grid=None):
-    """Build a BridgeSystem from a JSON document (dict or JSON text)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def bridge_system_from_json(doc, grid):
+    """Build a BridgeSystem on ``grid`` from a parsed system document (a dict)."""
 
     def field(name, parse, default):
         """parse(doc[name]) (of ``default`` if absent); a value of the wrong
@@ -335,16 +312,6 @@ def bridge_system_from_json(doc, grid=None):
             return parse(doc.get(name, default))
         except (TypeError, ValueError) as exc:
             raise ConfigError("system field %r is malformed: %s" % (name, exc)) from None
-
-    def integer(value):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError("needs an integer, got %r" % (value,))
-        return value
-
-    if grid is None:
-        grid = TorusGrid(field("n", integer, None))
 
     def profile(entry):
         if isinstance(entry, dict):

@@ -85,6 +85,20 @@ def _config_hash(doc):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _request(args, config, **fields):
+    """The resolved request of a command, whose hash names its artifacts: the
+    command's own ``fields``, the system, grid and data, and the solver config."""
+    return dict(fields, command=args.command, preset=args.preset, system=args.system,
+                n=args.n, amplitude=args.amplitude, config=config.to_json_dict())
+
+
+def _write_json(path, doc):
+    """Every JSON artifact: sorted keys, indented, numpy scalars as floats."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
 def _outdir(args):
     root = args.outdir or os.environ.get("BEAMWAVE_OUT", ".")
     os.makedirs(root, exist_ok=True)
@@ -102,7 +116,7 @@ def _solver_config(args):
     )
 
 
-def _load_system(args, grid):
+def _load_system(args, grid, amplitude):
     if args.system:
         try:
             with open(args.system) as fh:
@@ -115,24 +129,16 @@ def _load_system(args, grid):
             raise ConfigError("system file %r has n = %r but the grid has n = %d"
                               % (args.system, doc["n"], grid.n))
         sysm = bridge_system_from_json(doc, grid)
-        _, data = build_preset("linear", grid, args.amplitude)
+        _, data = build_preset("linear", grid, amplitude)
         return sysm, data
-    return build_preset(args.preset, grid, args.amplitude)
+    return build_preset(args.preset, grid, amplitude)
 
 
 def cmd_simulate(args):
     grid = TorusGrid(args.n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid)
+    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
     config = _solver_config(args)
-    doc = {
-        "command": "simulate",
-        "preset": args.preset,
-        "system": args.system,
-        "n": args.n,
-        "amplitude": args.amplitude,
-        "solver": args.solver,
-        "config": config.to_json_dict(),
-    }
+    doc = _request(args, config, solver=args.solver)
     tag = _config_hash(doc)
     if args.solver == "oracle":
         result = oracle_solve(sysm, y0, y1, t0, t1, config)
@@ -142,7 +148,7 @@ def cmd_simulate(args):
     out = _outdir(args)
     base = os.path.join(out, "run_%s" % tag)
     result.write_csv(base + ".csv")
-    result.write_manifest(base + ".json", config, extra={"config_hash": tag, "request": doc})
+    _write_json(base + ".json", dict(result.to_json_dict(config), config_hash=tag, request=doc))
     print("run %s: %s, %d nodes, final |V|_s1 = %.6e" % (
         tag, result.termination, len(result.times), result.norms["s1"][-1]))
     return 0
@@ -181,10 +187,16 @@ def _suite_operators(args):
 
 def _paralinearized(args, n):
     grid = TorusGrid(n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid)
+    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
     para = ParalinearizedSystem(sysm, grid)
     V = complexify(y0, y1, t0, t1).stacked()
     return para, V
+
+
+def _residual(args, n):
+    """The conjugation residual report of the parametrix at s = 2.5 on n points."""
+    para, V = _paralinearized(args, n)
+    return conjugation_residual(build_parametrix(para, V, 2.5), para, V)
 
 
 def _spread(norms):
@@ -195,11 +207,7 @@ def _spread(norms):
 
 def _suite_parametrix(args):
     checks = {}
-    reports = []
-    for n in (32, 64, 128):
-        para, V = _paralinearized(args, n)
-        P = build_parametrix(para, V, 2.5)
-        reports.append(conjugation_residual(P, para, V))
+    reports = [_residual(args, n) for n in (32, 64, 128)]
     checks["residuals"] = reports
     conj = [r["conjugation_norm"] for r in reports]
     inv = [r["inverse_defect_norm"] for r in reports]
@@ -225,7 +233,7 @@ def _suite_energy(args):
 
 def _suite_oracle(args):
     grid = TorusGrid(args.n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid)
+    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
     config = _solver_config(args)
     kat = kato_solve(sysm, complexify(y0, y1, t0, t1).stacked(), config)
     orc = oracle_solve(sysm, y0, y1, t0, t1, config)
@@ -251,25 +259,18 @@ SUITES = {
 def cmd_verify(args):
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
-    doc = {"command": "verify", "suite": args.suite, "n": args.n, "preset": args.preset,
-           "system": args.system, "seed": args.seed}
-    tag = _config_hash(doc)
+    tag = _config_hash(_request(args, _solver_config(args), suite=args.suite, seed=args.seed))
     out = _outdir(args)
     path = os.path.join(out, "verify_%s_%s.json" % (args.suite, tag))
     try:
         checks, ok = SUITES[args.suite](args)
     except PreconditionError as exc:
-        report = {"suite": args.suite, "config_hash": tag, "passed": False,
-                  "precondition_failure": str(exc)}
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
+        _write_json(path, {"suite": args.suite, "config_hash": tag, "passed": False,
+                           "precondition_failure": str(exc)})
         print("verify %s: precondition failure: %s" % (args.suite, exc))
         return 3
-    report = {"suite": args.suite, "config_hash": tag, "passed": bool(ok), "checks": checks}
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(path, {"suite": args.suite, "config_hash": tag, "passed": bool(ok),
+                       "checks": checks})
     print("verify %s: %s (%s)" % (args.suite, "pass" if ok else "FAIL", path))
     return 0 if ok else 1
 
@@ -281,9 +282,8 @@ def cmd_sweep(args):
         raise ConfigError("cannot parse sweep values %r" % args.values) from None
     if len(values) < 2:
         raise PreconditionError("sweep needs at least 2 values")
-    doc = {"command": "sweep", "axis": args.axis, "values": values, "preset": args.preset,
-           "n": args.n}
-    tag = _config_hash(doc)
+    config = _solver_config(args)
+    tag = _config_hash(_request(args, config, axis=args.axis, values=values))
     out = _outdir(args)
     rows = []
     failures = {}
@@ -295,10 +295,7 @@ def cmd_sweep(args):
             raise ConfigError("sweep values of N must be integers, got %r" % bad[0])
         for n in map(int, values):
             try:
-                para, V = _paralinearized(args, n)
-                P = build_parametrix(para, V, 2.5)
-                rep = conjugation_residual(P, para, V)
-                rows.append((n, rep["conjugation_norm"]))
+                rows.append((n, _residual(args, n)["conjugation_norm"]))
             except (PreconditionError, NumericalError) as exc:  # flagged per value
                 failures[str(n)] = str(exc)
         vals = [m for _, m in rows]
@@ -306,18 +303,16 @@ def cmd_sweep(args):
         extra = {"bounded": bounded}
     elif args.axis == "eps":
         grid = TorusGrid(args.n)
-        sysm, (y0, y1, t0, t1) = _load_system(args, grid)
-        config = _solver_config(args)
+        sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
         rep = epsilon_continuation(sysm, complexify(y0, y1, t0, t1).stacked(), values, config)
         rows = [(a, g) for a, _, g in rep["gaps"]]
         slope = rep["slope"]
         extra = {"slope": slope}
     elif args.axis == "amplitude":
         grid = TorusGrid(args.n)
-        config = _solver_config(args)
         for v in values:
             try:
-                sysm, (y0, y1, t0, t1) = build_preset(args.preset, grid, v)
+                sysm, (y0, y1, t0, t1) = _load_system(args, grid, v)
                 run = kato_solve(sysm, complexify(y0, y1, t0, t1).stacked(), config)
                 rows.append((v, run.sup_norm(config.ladder.s1)))
             except (PreconditionError, NumericalError) as exc:
@@ -336,9 +331,7 @@ def cmd_sweep(args):
             fh.write("%.12g,%.12g\n" % (v, m))
     report = {"axis": args.axis, "config_hash": tag, "rows": rows, "failures": failures}
     report.update(extra)
-    with open(os.path.join(out, "sweep_%s_%s.json" % (args.axis, tag)), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(os.path.join(out, "sweep_%s_%s.json" % (args.axis, tag)), report)
     print("sweep %s: %d values, %d failures%s" % (
         args.axis, len(values), len(failures),
         (", slope %.4f" % slope) if slope is not None else ""))

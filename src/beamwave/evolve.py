@@ -47,7 +47,6 @@ regularization eps.
 
 import copy
 import csv
-import json
 
 import numpy as np
 
@@ -214,14 +213,6 @@ class RunResult:
             w.writerow(["t"] + ["norm_H%s" % k for k in keys])
             for i, t in enumerate(self.times):
                 w.writerow(["%.12g" % t] + ["%.12g" % self.norms[k][i] for k in keys])
-
-    def write_manifest(self, path, config=None, extra=None):
-        doc = self.to_json_dict(config)
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def heat_factor(grid, eps, tau):

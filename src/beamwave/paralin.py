@@ -136,11 +136,6 @@ class ParalinearizedSystem:
 
     # -- block operators ----------------------------------------------
 
-    def _weyl_block(self, g, mult):
-        """Op^BW(g(x) mult(xi)) as an n x n block: the Toeplitz view of g
-        times the tabulated multiplier."""
-        return self.grid.toeplitz(g.coeffs) * (weyl_table(self.grid, mult) * self.grid.chi_mask)
-
     def frak_A(self, V):
         """The odd halves of diag(-iE Op^BW(A_b), -iE Op^BW(A_w)): pm = -i
         diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
@@ -155,8 +150,8 @@ class ParalinearizedSystem:
                 (np.diag(p_b) - 2j * bony_weyl_quantize(syms["A_b"][1]), None),
                 (None, np.diag(p_w) - 2j * bony_weyl_quantize(syms["A_w"][1])))
         pm, ((bb, _), (_, ww)) = self._A0
-        return pm, ((bb, None),
-                    (None, ww - 2j * self._weyl_block(self.g_functions(V)[2], _ABS_XI)))
+        q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)
+        return pm, ((bb, None), (None, ww - 2j * bony_weyl_quantize(q_w)))
 
     def frak_B(self, V):
         """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w))
@@ -165,7 +160,7 @@ class ParalinearizedSystem:
         or where F has no coupling slot, ``coupled``) is None."""
         live = (False, False) if V is None else self.coupled()
         g_12b, g_12w = self.g_functions(V)[3:] if any(live) else (None, None)
-        bw, wb = (-2j * self._weyl_block(g, _OFF) if on else None
+        bw, wb = (-2j * bony_weyl_quantize(SeparableSymbol.from_xfunc(g, _OFF)) if on else None
                   for g, on in zip((g_12b, g_12w), live))
         return ((None, None), (None, None)), ((None, bw), (wb, None))
 

@@ -75,10 +75,10 @@ def _dx_values(grid, values):
     return transform(grid, values).deriv().values().real
 
 
-def _periodic_antiderivative(grid, values, tol=1e-10):
-    """Mean-zero periodic primitive; the input must have (near-)zero mean."""
+def _periodic_antiderivative(grid, values):
+    """Mean-zero periodic primitive; the input must have zero mean to 1e-10."""
     coeffs = transform(grid, values).coeffs
-    if abs(coeffs[0]) > tol:
+    if abs(coeffs[0]) > 1e-10:
         raise NumericalError(
             "gauge integrand has nonzero mean %.3e; no periodic primitive" % abs(coeffs[0])
         )
@@ -128,26 +128,38 @@ def _minus_diagonal(X, b, w):
     return ((bb - b, bw), (wb, ww - w))
 
 
-def _pointwise_identity_defect(s1, s2, lam):
-    """max over grid points of |S^{-1}E(1+Ua)S - E lam| (exact algebra)."""
-    s1, s2, lam = (u.values().real for u in (s1, s2, lam))
-    a = (lam**2 - 1.0) / 2.0
-    E = np.diag([1.0, -1.0])
-    S, Si = (np.moveaxis(np.array([[s1, t], [t, s1]]), -1, 0) for t in (s2, -s2))
-    A = E @ (np.eye(2) + a[:, None, None])  # one 2 x 2 matrix per grid point
-    return float(np.max(np.abs(Si @ A @ S - E * lam[:, None, None])))
+class _Diagonalizer:
+    """The pointwise similarity S = [[s1, s2], [s2, s1]] with S^{-1}E(1 + U a)S
+    = E lam, lam = sqrt(1 + 2a), of a background a(x) that keeps 1 + 2a > 0.
+    ``lam``, ``s1`` and ``s2`` are held transformed; a subclass builds its
+    operators from their grid values (``_build``)."""
+
+    refusal = None  # the PreconditionError message, formatted with min(1 + 2a)
+
+    def __init__(self, a, grid):
+        self.grid = grid
+        av = a.values().real
+        ell = np.min(1.0 + 2.0 * av)
+        if ell <= 0.0:
+            raise PreconditionError(self.refusal % ell)
+        lam = np.sqrt(1.0 + 2.0 * av)
+        den = np.sqrt(2.0 * lam * (1.0 + av + lam))
+        s1 = (1.0 + av + lam) / den
+        s2 = -av / den
+        self.lam, self.s1, self.s2 = (transform(grid, v) for v in (lam, s1, s2))
+        self._build(av, lam, s1, s2)
+
+    def pointwise_identity_defect(self):
+        """max over grid points of |S^{-1}E(1+Ua)S - E lam| (exact algebra)."""
+        s1, s2, lam = (u.values().real for u in (self.s1, self.s2, self.lam))
+        a = (lam**2 - 1.0) / 2.0
+        E = np.diag([1.0, -1.0])
+        S, Si = (np.moveaxis(np.array([[s1, t], [t, s1]]), -1, 0) for t in (s2, -s2))
+        A = E @ (np.eye(2) + a[:, None, None])  # one 2 x 2 matrix per grid point
+        return float(np.max(np.abs(Si @ A @ S - E * lam[:, None, None])))
 
 
-def _eigenvector_entries(a_values):
-    """(lam, s1, s2) grid values diagonalizing E(1 + U a) -> E lam."""
-    lam = np.sqrt(1.0 + 2.0 * a_values)
-    den = np.sqrt(2.0 * lam * (1.0 + a_values + lam))
-    s1 = (1.0 + a_values + lam) / den
-    s2 = -a_values / den
-    return lam, s1, s2
-
-
-class BeamDiagonalizer:
+class BeamDiagonalizer(_Diagonalizer):
     """D_b = Op^BW(k^{-1})(1+M_{-1})Op^BW(S_b^{-1}) and its right inverse.
 
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
@@ -157,19 +169,10 @@ class BeamDiagonalizer:
     formed by ``right_inverse`` on each call.
     """
 
-    def __init__(self, a, grid):
-        self.grid = grid
-        av = a.values().real if isinstance(a, SpectralFunction) else np.asarray(a, dtype=float)
-        ell = np.min(1.0 + 2.0 * av)
-        if ell <= 0.0:
-            raise PreconditionError(
-                "beam ellipticity fails: min(1 + 2a) = %.6g <= 0" % ell
-            )
-        lam, s1, s2 = _eigenvector_entries(av)
-        self.lam_b = transform(grid, lam)
-        self.s1_b = transform(grid, s1)
-        self.s2_b = transform(grid, s2)
+    refusal = "beam ellipticity fails: min(1 + 2a) = %.6g <= 0"
 
+    def _build(self, av, lam, s1, s2):
+        grid = self.grid
         ax = _dx_values(grid, av)
         lamx = _dx_values(grid, lam)
         s1x = _dx_values(grid, s1)
@@ -185,7 +188,7 @@ class BeamDiagonalizer:
         m_coef = transform(grid, self.n12 / (2.0 * lam))
         self.M_minus1 = O_m = _op(1j * m_coef, FrequencyMultiplier.psi_over_xi())
 
-        S_p, S_m = _similarity(self.s1_b, self.s2_b)
+        S_p, S_m = _similarity(self.s1, self.s2)
         K_inv = _op(transform(grid, np.exp(-phi)))
         eye = np.eye(grid.n)
         self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
@@ -194,35 +197,20 @@ class BeamDiagonalizer:
         """D~_b's halves, formed anew from quantizations of their own and not
         held: only Psi and the bare coupling blocks of the conjugation
         residual apply them."""
-        (S_p, S_m), O_m, K = _similarity(self.s1_b, self.s2_b), self.M_minus1, _op(self.k)
+        (S_p, S_m), O_m, K = _similarity(self.s1, self.s2), self.M_minus1, _op(self.k)
         eye = np.eye(self.grid.n)
         return S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
 
-    def pointwise_identity_defect(self):
-        return _pointwise_identity_defect(self.s1_b, self.s2_b, self.lam_b)
 
-
-class WaveDiagonalizer:
+class WaveDiagonalizer(_Diagonalizer):
     """D_w = Op^BW(S_w^{-1}), D~_w = Op^BW(S_w) (even halves); first order
     is principal for the half-wave so no smoothing corrector or gauge is needed."""
 
-    def __init__(self, a_w, grid):
-        self.grid = grid
-        av = a_w.values().real if isinstance(a_w, SpectralFunction) else np.asarray(a_w, dtype=float)
-        ell = np.min(1.0 + 2.0 * av)
-        if ell <= 0.0:
-            raise PreconditionError(
-                "wave smallness condition fails: min(1 + 2a_w) = %.6g <= 0" % ell
-            )
-        lam, s1, s2 = _eigenvector_entries(av)
-        self.lam_w = transform(grid, lam)
-        self.s1_w = transform(grid, s1)
-        self.s2_w = transform(grid, s2)
-        self.D_tilde_w = _similarity(self.s1_w, self.s2_w)
-        self.D_w = self.D_tilde_w[::-1]
+    refusal = "wave smallness condition fails: min(1 + 2a_w) = %.6g <= 0"
 
-    def pointwise_identity_defect(self):
-        return _pointwise_identity_defect(self.s1_w, self.s2_w, self.lam_w)
+    def _build(self, av, lam, s1, s2):
+        self.D_tilde_w = _similarity(self.s1, self.s2)
+        self.D_w = self.D_tilde_w[::-1]
 
 
 def build_T_correctors(a, g_12b, g_12w):
@@ -284,7 +272,7 @@ class Parametrix:
         """L_{2s}'s beam and wave blocks, quantized on first use: only the energy reads them."""
         s2 = 2.0 * self.s
         mult = FrequencyMultiplier.abs_xi_power(s2)
-        lam_b, lam_w = self.beam.lam_b.values().real, self.wave.lam_w.values().real
+        lam_b, lam_w = self.beam.lam.values().real, self.wave.lam.values().real
         return (_op(transform(self.grid, lam_b ** self.s), mult),
                 _op(transform(self.grid, lam_w ** s2), mult))
 
@@ -301,8 +289,8 @@ def residual_operators(P):
     T_bw, T_wb = (None if t is None else -t for t in P.T)
     Psi = (((Dt_b[0], _mul(T_bw, Dtw_p)), (None, Dtw_p)),
            ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), Dtw_m)))
-    Lam = (_op(P.beam.lam_b, FrequencyMultiplier.xi_power(2)),
-           _op(P.wave.lam_w, FrequencyMultiplier.abs_xi()))
+    Lam = (_op(P.beam.lam, FrequencyMultiplier.xi_power(2)),
+           _op(P.wave.lam, FrequencyMultiplier.abs_xi()))
     return Psi, Dt_b, Lam
 
 

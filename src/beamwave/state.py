@@ -36,8 +36,6 @@ Parseval pairing.
 
 import numpy as np
 
-from .grid import SpectralFunction
-
 _RT2 = np.sqrt(2.0)
 
 
@@ -90,28 +88,15 @@ def conjugate_pair(grid, z, w):
 
 
 class StateVector:
-    """V with components z (beam) and w (wave); conjugates implicit."""
+    """V by the coefficient arrays z (beam) and w (wave); conjugates implicit."""
 
-    def __init__(self, z, w):
-        if z.grid != w.grid:
-            raise ValueError("z and w must share a grid")
-        self.grid = z.grid
+    def __init__(self, grid, z, w):
+        self.grid = grid
         self.z = z
         self.w = w
 
-    @classmethod
-    def from_stacked(cls, grid, vec):
-        vec = np.asarray(vec, dtype=complex)
-        n = grid.n
-        if vec.shape != (4 * n,):
-            raise ValueError("stacked state must have length 4n")
-        return cls(
-            SpectralFunction(grid, vec[:n], is_real=False),
-            SpectralFunction(grid, vec[2 * n : 3 * n], is_real=False),
-        )
-
     def stacked(self):
-        return conjugate_pair(self.grid, self.z.coeffs, self.w.coeffs)
+        return conjugate_pair(self.grid, self.z, self.w)
 
 
 def stacked_norm(grid, vec, s):
@@ -145,6 +130,7 @@ def complexify(y, y_t, theta, theta_t):
     for u in (y, y_t, theta, theta_t):
         if not u.is_real:
             raise ValueError("complexify expects real fields")
-    vec = stacked_from_real(grid, y.coeffs, y_t.coeffs, theta.coeffs, theta_t.coeffs)
-    return StateVector.from_stacked(grid, vec)
+    z, _, w, _ = np.split(stacked_from_real(grid, y.coeffs, y_t.coeffs, theta.coeffs,
+                                            theta_t.coeffs), 4)
+    return StateVector(grid, z, w)
 

@@ -132,12 +132,6 @@ class SeparableSymbol:
         self.grid = grid
         self.terms = [(f, g) for (f, g) in terms if np.any(f.coeffs)]
 
-    @property
-    def order(self):
-        if not self.terms:
-            return 0.0
-        return max(g.order for _, g in self.terms)
-
     # constructors ----------------------------------------------------
 
     @classmethod
@@ -156,9 +150,6 @@ class SeparableSymbol:
         if isinstance(other, SeparableSymbol):
             return SeparableSymbol(self.grid, self.terms + other.terms)
         raise TypeError("can only add symbols")
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return SeparableSymbol(self.grid, [(-f, g) for f, g in self.terms])

@@ -13,6 +13,7 @@ import pytest
 import beamwave.cli
 from beamwave.cli import build_preset, main
 from beamwave.grid import TorusGrid
+from test_bridge import VARIABLE
 
 
 def run_cli(args):
@@ -229,6 +230,42 @@ def test_sweep_N_artifacts(tmp_path, capsys):
     assert len(doc["rows"]) == 2 and doc["failures"] == {}
     csv_text = next(tmp_path.glob("sweep_N_*.csv")).read_text()
     assert csv_text.startswith("value,metric\n")
+
+
+def test_amplitude_sweep_reads_the_system_file(tmp_path):
+    system = tmp_path / "variable.json"
+    system.write_text(json.dumps(VARIABLE))
+    sweep = ["sweep", "--axis", "amplitude", "--values", "1e-2,2e-2", "--n", "16", "--T", "0.01"]
+    csvs = []
+    for name, extra in (("preset", []), ("system", ["--system", str(system)])):
+        assert run_cli(sweep + extra + ["--outdir", str(tmp_path / name)]) == 0
+        csvs.append(next((tmp_path / name).glob("sweep_amplitude_*.csv")))
+    assert csvs[0].name != csvs[1].name
+    assert csvs[0].read_text() != csvs[1].read_text()
+
+
+@pytest.mark.parametrize(
+    "command, runs",
+    [
+        (["sweep", "--axis", "eps", "--values", "1e-2,1e-3", "--n", "16"],
+         [["--T", "0.01"], ["--T", "0.02"]]),
+        (["verify", "--suite", "oracle", "--n", "16"],
+         [["--T", "0.01"], ["--T", "0.02", "--amplitude", "2e-2"]]),
+    ],
+    ids=["sweep_eps", "verify_oracle"],
+)
+def test_runs_with_different_settings_keep_their_own_artifacts(command, runs, tmp_path):
+    # the hash names every setting the run reads, as simulate's does
+    for extra in runs:
+        assert run_cli(command + extra + ["--outdir", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.json"))) == len(runs)
+
+
+def test_simulate_artifact_names_are_those_of_earlier_releases(tmp_path):
+    args = ["simulate", "--preset", "headline", "--n", "32", "--T", "0.02", "--outdir", str(tmp_path)]
+    assert run_cli(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_68a2da0b0a52.csv",
+                                                          "run_68a2da0b0a52.json"]
 
 
 @pytest.mark.parametrize(

@@ -587,12 +587,8 @@ def test_run_result_csv_and_manifest(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,norm_Hs0,norm_Hs1"
     assert len(lines) == len(run.times) + 1
-    man_path = tmp_path / "run.json"
-    run.write_manifest(man_path, cfg, extra={"tag": "x"})
-    import json
-
-    doc = json.loads(man_path.read_text())
-    assert doc["termination"] == "converged" and doc["tag"] == "x"
+    doc = run.to_json_dict(cfg)
+    assert doc["termination"] == "converged"
     assert doc["config"]["T_final"] == 0.02
 
 

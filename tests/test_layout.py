@@ -7,7 +7,8 @@ capability that only a test reaches belongs beside that test.
 
 Known blind spot: references are matched by bare name, not resolved, so a
 name that another definition or attribute also uses (``order``, ``terms``)
-counts as referenced for all of them.
+counts as referenced for all of them.  ``test_reach`` runs the CLI and
+resolves what it enters.
 """
 
 import ast

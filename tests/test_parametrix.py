@@ -98,7 +98,7 @@ def test_smallness_precondition():
     with pytest.raises(PreconditionError):
         WaveDiagonalizer(transform(g, -0.6 + 0.0 * g.x), g)
     with pytest.raises(PreconditionError):
-        BeamDiagonalizer(np.full(g.n, -0.7), g)
+        BeamDiagonalizer(transform(g, np.full(g.n, -0.7)), g)
 
 
 def subprincipal_offdiagonal(beam, xi):
@@ -122,7 +122,7 @@ def test_subprincipal_vanishes_above_half():
 def test_trivial_background_gauge_collapses():
     # a = 0: S = identity entries, k = 1, M_{-1} = 0, both halves of D_b = identity
     g = TorusGrid(16)
-    d = BeamDiagonalizer(np.zeros(g.n), g)
+    d = BeamDiagonalizer(transform(g, np.zeros(g.n)), g)
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
     assert np.max(np.abs(d.M_minus1)) == 0.0
     for half in d.D_b:
@@ -226,12 +226,12 @@ def _dense_reference(preset, n):
 
     b, w = P.beam, P.wave
     zero, one = np.zeros((n, n)), np.eye(n)
-    S1, S2, K = quantized(b.s1_b), quantized(b.s2_b), quantized(b.k)
+    S1, S2, K = quantized(b.s1), quantized(b.s2), quantized(b.k)
     K_inv = quantized(transform(g, 1.0 / b.k.values().real))
     M = _pair(zero, b.M_minus1)
     D_b = _pair(K_inv, zero) @ (np.eye(2 * n) + M) @ _pair(S1, -S2)
     Dt_b = _pair(S1, S2) @ (np.eye(2 * n) - M) @ _pair(K, zero)
-    S1w, S2w = quantized(w.s1_w), quantized(w.s2_w)
+    S1w, S2w = quantized(w.s1), quantized(w.s2)
     D, Dt = _beam_wave(D_b, _pair(S1w, -S2w)), _beam_wave(Dt_b, _pair(S1w, S2w))
     a, _, _, g_12b, g_12w = para.g_functions(V)
     t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
@@ -241,12 +241,12 @@ def _dense_reference(preset, n):
 
     minus_iE = np.diag(np.tile(np.repeat([-1j, 1j], n), 2))
     Lam = minus_iE @ _beam_wave(
-        _pair(quantized(b.lam_b, FrequencyMultiplier.xi_power(2)), zero),
-        _pair(quantized(w.lam_w, FrequencyMultiplier.abs_xi()), zero),
+        _pair(quantized(b.lam, FrequencyMultiplier.xi_power(2)), zero),
+        _pair(quantized(w.lam, FrequencyMultiplier.abs_xi()), zero),
     )
     abs5 = FrequencyMultiplier.abs_xi_power(5.0)
-    W = _beam_wave(_pair(quantized(transform(g, b.lam_b.values().real ** 2.5), abs5), zero),
-                   _pair(quantized(transform(g, w.lam_w.values().real ** 5.0), abs5), zero))
+    W = _beam_wave(_pair(quantized(transform(g, b.lam.values().real ** 2.5), abs5), zero),
+                   _pair(quantized(transform(g, w.lam.values().real ** 5.0), abs5), zero))
 
     def bw_pair(parts):
         p, q = parts
@@ -588,7 +588,8 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     # a headline build quantizes five symbols, S_1, S_2 and K^{-1} of the
     # beam and S_1, S_2 of the wave, all of the multiplier 1, so it takes no
     # table (b = 1, so M_{-1} has no term); Lambda and L_{2s} take one per
-    # component on first use, the residuals' and the energy's, and D~_b none
+    # component on first use, the residuals' and the energy's, D~_b none, and
+    # the residuals' generator one, for its g_1w |xi| block
     g, para, V = _preset_setup("headline", 64)
     tables = []
     original = beamwave.quantize.weyl_table
@@ -604,7 +605,7 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     conjugation_residual(P, para, V)
     abs5, xi2, abs1 = (FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.xi_power(2),
                        FrequencyMultiplier.abs_xi())
-    assert tables == [abs5.terms, abs5.terms, xi2.terms, abs1.terms]
+    assert tables == [abs5.terms, abs5.terms, xi2.terms, abs1.terms, abs1.terms]
 
 
 def test_cutoff_is_built_once_per_grid(monkeypatch):

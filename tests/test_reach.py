@@ -1,0 +1,123 @@
+"""`src/` holds only what the CLI and the benchmark run, checked by running them.
+
+The CLI commands that CI runs, at small N, run here in-process under
+``sys.setprofile``: every preset, a system file, each verification suite,
+each sweep axis and a regularized run, and the commands CI expects to be
+refused.  Every module- or class-level function of ``src/beamwave`` must
+be entered by one of them, or be named in ``perfbench/`` (``test_layout``'s
+names: the benchmark's tracer names its targets by dotted strings).  This
+resolves what ``test_layout`` matches by bare name only, for the CLI: a
+method that shares its name with one the program calls is still found.
+Dunder methods are left out, as the interpreter calls them (hashing,
+printing).
+"""
+
+import ast
+import json
+import os
+import sys
+from collections import Counter
+
+from beamwave.cli import main
+from test_bridge import VARIABLE
+from test_layout import ROOT, _names, _trees
+
+# name -> why it stays though no command enters it
+ALLOWED = {
+    "check_parity": "ROADMAP item 6: verify --suite oracle is to gate parity along the flow",
+    "parity_sign_ok": "called by check_parity only",
+    "_has_parity": "called by check_parity and parity_sign_ok only",
+}
+
+SYSTEMS = {
+    "variable.json": json.dumps(VARIABLE),
+    "nan_b.json": '{"b": NaN}',
+    "leaves_radius.json": '{"n": 32, "F2": [[1.0, 3, 5]], "delta": -10.0}',
+    "beam_wave_only.json": '{"F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}',
+    "wave_beam_only.json": '{"F2": [[1.0, 2, 5]]}',
+}
+
+SHORT = ["--n", "16", "--T", "0.01"]
+
+# (argv, exit code); a system file is named by its key in SYSTEMS
+COMMANDS = [
+    (["simulate", "--n", "63"], 2),
+    (["simulate", "--dt", "1e-300"], 2),
+    (["sweep", "--axis", "N", "--values", "2,4"], 0),
+    (["sweep", "--axis", "N", "--values", "16,32"], 0),
+    (["sweep", "--axis", "eps", "--values", "1e-2,1e-3"] + SHORT, 0),
+    (["sweep", "--axis", "amplitude", "--values", "1e-2,2e-2", "--system", "variable.json"]
+     + SHORT, 0),
+    (["sweep", "--axis", "N", "--values", "32,inf"], 2),
+    (["verify", "--suite", "energy", "--n", "32", "--seed=-1"], 2),
+    (["simulate", "--system", "nan_b.json"], 2),
+    (["verify", "--suite", "parametrix", "--system", "nan_b.json"], 2),
+    (["simulate", "--system", "leaves_radius.json", "--n", "32", "--T", "1.0"], 3),
+    (["verify", "--suite", "operators"], 0),
+    (["verify", "--suite", "parametrix"], 0),
+    (["verify", "--suite", "energy"], 0),
+    (["verify", "--suite", "parametrix", "--system", "variable.json"], 0),
+    (["verify", "--suite", "energy", "--system", "variable.json"], 0),
+    (["verify", "--suite", "parametrix", "--system", "beam_wave_only.json"], 0),
+    (["verify", "--suite", "energy", "--system", "wave_beam_only.json"], 0),
+    (["verify", "--suite", "oracle", "--system", "variable.json"] + SHORT, 0),
+    (["simulate", "--solver", "oracle", "--system", "variable.json"] + SHORT, 0),
+    (["simulate", "--eps", "1e-3"] + SHORT, 0),
+    (["preset", "list"], 0),
+] + [(["verify", "--suite", "oracle", "--preset", preset] + SHORT, 0)
+     for preset in ("linear", "headline", "mixed", "parity", "damped", "arioli_gazzola")]
+
+
+def definitions():
+    """(file, first line, qualified name) of each module- or class-level
+    function in src/beamwave, dunders aside; the first line is a
+    decorator's if it has one, as in its code object."""
+    found = []
+
+    def walk(path, body, owner=""):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(path, node.body, owner + node.name + ".")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    found.append((os.path.realpath(path), line, owner + node.name))
+
+    for path in sorted((ROOT / "src" / "beamwave").glob("*.py")):
+        walk(path, ast.parse(path.read_text(), str(path)).body)
+    return found
+
+
+def entered(tmp_path):
+    """(file, first line) of every code object that the commands enter."""
+    for name, text in SYSTEMS.items():
+        (tmp_path / name).write_text(text)
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for argv, code in COMMANDS:
+            argv = [str(tmp_path / a) if a in SYSTEMS else a for a in argv]
+            out = [] if argv[0] == "preset" else ["--outdir", str(tmp_path / "out")]
+            assert main(argv + out) == code, argv
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes
+            if "beamwave" in c.co_filename}
+
+
+def test_every_function_in_src_is_run_by_the_cli_or_named_by_the_benchmark(tmp_path):
+    reached = entered(tmp_path)
+    named = sum((_names(t, strings=True) for t in _trees(ROOT / "perfbench").values()), Counter())
+    idle = [(path, line, name) for path, line, name in definitions()
+            if (path, line) not in reached and not named[name.rsplit(".", 1)[-1]]]
+    missing = [entry for entry in idle if entry[2].rsplit(".", 1)[-1] not in ALLOWED]
+    assert not missing, "in src/ but run by no CLI command and named by no benchmark code:\n" + (
+        "\n".join("%s:%d %s" % entry for entry in missing))
+    stale = set(ALLOWED) - {name.rsplit(".", 1)[-1] for *_, name in idle}
+    assert not stale, "allow-listed, but now run or named, or no longer defined: %s" % sorted(stale)

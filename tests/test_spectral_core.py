@@ -10,6 +10,7 @@ from beamwave.state import (
     StateVector,
     complex_weights,
     complexify,
+    conjugate_pair,
     is_conjugate_pair,
     parity_split,
     real_from_stacked,
@@ -262,6 +263,15 @@ def test_stacked_inner_real_for_conjugate_pairs():
 def test_state_vector_stack_unstack():
     g = TorusGrid(16)
     V = complexify(*(random_real_function(g, k) for k in range(4)))
-    W = StateVector.from_stacked(g, V.stacked())
-    assert np.max(np.abs(W.z.coeffs - V.z.coeffs)) == 0.0
-    assert np.max(np.abs(W.w.coeffs - V.w.coeffs)) == 0.0
+    vec = V.stacked()
+    W = StateVector(g, vec[: g.n], vec[2 * g.n : 3 * g.n])
+    assert np.max(np.abs(W.z - V.z)) == 0.0
+    assert np.max(np.abs(W.w - V.w)) == 0.0
+
+
+def test_complexify_stacks_the_z_and_w_quarters_of_stacked_from_real():
+    # the stacked V that the CLI and the benchmark start from, bit for bit
+    g = TorusGrid(32)
+    fields = [random_real_function(g, k) for k in range(4)]
+    z, _, w, _ = np.split(stacked_from_real(g, *(f.coeffs for f in fields)), 4)
+    assert np.array_equal(complexify(*fields).stacked(), conjugate_pair(g, z, w))
