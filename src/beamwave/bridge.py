@@ -280,12 +280,10 @@ class BridgeSystem:
 
 
 def _profile_to_function(grid, spec_value, field="a coefficient"):
-    """Named profile, constant, sample array or callable -> SpectralFunction;
+    """Named profile, constant or sample array -> SpectralFunction;
     one that is not finite is a ConfigError naming ``field``."""
     fun = spec_value
-    if callable(spec_value):
-        fun = transform(grid, np.asarray(spec_value(grid.x), dtype=float))
-    elif isinstance(spec_value, str):
+    if isinstance(spec_value, str):
         name, _, arg = spec_value.partition(":")
         amp = float(arg) if arg else 1.0
         if name not in ("constant", "cosine"):

@@ -14,12 +14,7 @@ import sys as _sys
 
 import numpy as np
 
-from .bridge import (
-    BridgeSystem,
-    QuadraticNonlinearity,
-    arioli_gazzola_preset,
-    bridge_system_from_json,
-)
+from .bridge import arioli_gazzola_preset, bridge_system_from_json
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import TorusGrid, transform
 from .paralin import ParalinearizedSystem
@@ -40,44 +35,44 @@ from .evolve import (
     SolverConfig,
     epsilon_continuation,
     kato_solve,
+    loglog_slope,
     oracle_solve,
     trajectory_gap,
 )
 
-PRESETS = ("linear", "headline", "mixed", "parity", "damped", "arioli_gazzola")
+# each preset but arioli_gazzola as its system document, the --system format
+PRESET_SYSTEMS = {
+    "linear": {},
+    "headline": {"F2": [[1.0, 5, 5]]},  # theta_xx^2
+    "mixed": {"F1": [[1.0, 4, 5]],  # theta_x theta_xx
+              "F2": [[1.0, 2, 5], [0.5, 5, 5]]},  # y_xx theta_xx + theta_xx^2/2
+    "parity": {"F2": [[1.0, 0, 4]]},  # y theta_x, parity-passing
+    "damped": {"F2": [[1.0, 5, 5]], "alpha": -0.5, "beta": -0.5},
+}
+PRESETS = tuple(PRESET_SYSTEMS) + ("arioli_gazzola",)
+
+
+def _initial_data(grid, amplitude, odd=False):
+    """(y0, y1, theta0, theta1) of the given amplitude: the generic data, or
+    the odd (Dirichlet) data of the parity preset."""
+    if not np.isfinite(amplitude):
+        raise ConfigError("amplitude must be finite, got %r" % (amplitude,))
+    a, x = amplitude, grid.x
+    if odd:
+        values = (a * np.sin(x), 0.5 * a * np.sin(2 * x), a * np.sin(2 * x), 0.5 * a * np.sin(x))
+    else:
+        values = (a * np.sin(x), 0.5 * a * np.cos(x), a * np.sin(2 * x), 0.5 * a * np.cos(2 * x))
+    return tuple(transform(grid, v) for v in values)
 
 
 def build_preset(name, grid, amplitude=1e-2):
     """(BridgeSystem, (y0, y1, theta0, theta1)) for a named preset."""
-    if not np.isfinite(amplitude):
-        raise ConfigError("amplitude must be finite, got %r" % (amplitude,))
-    a = amplitude
-    x = grid.x
-
-    def fields(y0, y1, t0, t1):
-        return tuple(transform(grid, v) for v in (y0, y1, t0, t1))
-
-    generic = fields(a * np.sin(x), 0.5 * a * np.cos(x), a * np.sin(2 * x), 0.5 * a * np.cos(2 * x))
-    odd = fields(a * np.sin(x), 0.5 * a * np.sin(2 * x), a * np.sin(2 * x), 0.5 * a * np.sin(x))
-
-    if name == "linear":
-        return BridgeSystem(grid, 1.0, 1.0), generic
-    if name == "headline":
-        F2 = QuadraticNonlinearity(grid, [(1.0, 5, 5)])  # theta_xx^2
-        return BridgeSystem(grid, 1.0, 1.0, F2=F2), generic
-    if name == "mixed":
-        F1 = QuadraticNonlinearity(grid, [(1.0, 4, 5)])  # theta_x theta_xx
-        F2 = QuadraticNonlinearity(grid, [(1.0, 2, 5), (0.5, 5, 5)])  # y_xx theta_xx + theta_xx^2/2
-        return BridgeSystem(grid, 1.0, 1.0, F1=F1, F2=F2), generic
-    if name == "parity":
-        F2 = QuadraticNonlinearity(grid, [(1.0, 0, 4)])  # y theta_x, parity-passing
-        return BridgeSystem(grid, 1.0, 1.0, F2=F2), odd
-    if name == "damped":
-        F2 = QuadraticNonlinearity(grid, [(1.0, 5, 5)])
-        return BridgeSystem(grid, 1.0, 1.0, F2=F2, alpha=-0.5, beta=-0.5), generic
+    data = _initial_data(grid, amplitude, odd=name == "parity")
     if name == "arioli_gazzola":
-        return arioli_gazzola_preset(grid), generic
-    raise ConfigError("unknown preset %r (choose from %s)" % (name, ", ".join(PRESETS)))
+        return arioli_gazzola_preset(grid), data
+    if name not in PRESET_SYSTEMS:
+        raise ConfigError("unknown preset %r (choose from %s)" % (name, ", ".join(PRESETS)))
+    return bridge_system_from_json(PRESET_SYSTEMS[name], grid), data
 
 
 def _config_hash(doc):
@@ -116,35 +111,44 @@ def _solver_config(args):
     )
 
 
-def _load_system(args, grid, amplitude):
-    if args.system:
-        try:
-            with open(args.system) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("cannot read system file %r: %s" % (args.system, exc)) from None
-        if not isinstance(doc, dict):
-            raise ConfigError("system file %r is not a JSON object" % args.system)
-        if doc.get("n", grid.n) != grid.n:
-            raise ConfigError("system file %r has n = %r but the grid has n = %d"
-                              % (args.system, doc["n"], grid.n))
-        sysm = bridge_system_from_json(doc, grid)
-        _, data = build_preset("linear", grid, amplitude)
-        return sysm, data
-    return build_preset(args.preset, grid, amplitude)
+def _problem(args, n=None, amplitude=None):
+    """(grid, system, data) of a command: its --system file or preset on n
+    points (default --n), with initial data of ``amplitude`` (default --amplitude)."""
+    grid = TorusGrid(args.n if n is None else n)
+    amplitude = args.amplitude if amplitude is None else amplitude
+    if not args.system:
+        return (grid,) + build_preset(args.preset, grid, amplitude)
+    try:
+        with open(args.system) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read system file %r: %s" % (args.system, exc)) from None
+    if not isinstance(doc, dict):
+        raise ConfigError("system file %r is not a JSON object" % args.system)
+    if doc.get("n", grid.n) != grid.n:
+        raise ConfigError("system file %r has n = %r but the grid has n = %d"
+                          % (args.system, doc["n"], grid.n))
+    return grid, bridge_system_from_json(doc, grid), _initial_data(grid, amplitude)
+
+
+def _kato(system, data, config, eps_list=None):
+    """The Kato solve from real data (y0, y1, theta0, theta1), or with
+    ``eps_list`` its epsilon continuation: the CLI's one conversion to a stacked V0."""
+    V0 = complexify(*data).stacked()
+    if eps_list is None:
+        return kato_solve(system, V0, config)
+    return epsilon_continuation(system, V0, eps_list, config)
 
 
 def cmd_simulate(args):
-    grid = TorusGrid(args.n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
+    _, sysm, data = _problem(args)
     config = _solver_config(args)
     doc = _request(args, config, solver=args.solver)
     tag = _config_hash(doc)
     if args.solver == "oracle":
-        result = oracle_solve(sysm, y0, y1, t0, t1, config)
+        result = oracle_solve(sysm, *data, config)
     else:
-        V0 = complexify(y0, y1, t0, t1).stacked()
-        result = kato_solve(sysm, V0, config)
+        result = _kato(sysm, data, config)
     out = _outdir(args)
     base = os.path.join(out, "run_%s" % tag)
     result.write_csv(base + ".csv")
@@ -186,11 +190,8 @@ def _suite_operators(args):
 
 
 def _paralinearized(args, n):
-    grid = TorusGrid(n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
-    para = ParalinearizedSystem(sysm, grid)
-    V = complexify(y0, y1, t0, t1).stacked()
-    return para, V
+    grid, sysm, data = _problem(args, n)
+    return ParalinearizedSystem(sysm, grid), complexify(*data).stacked()
 
 
 def _residual(args, n):
@@ -232,11 +233,10 @@ def _suite_energy(args):
 
 
 def _suite_oracle(args):
-    grid = TorusGrid(args.n)
-    sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
+    grid, sysm, data = _problem(args)
     config = _solver_config(args)
-    kat = kato_solve(sysm, complexify(y0, y1, t0, t1).stacked(), config)
-    orc = oracle_solve(sysm, y0, y1, t0, t1, config)
+    kat = _kato(sysm, data, config)
+    orc = oracle_solve(sysm, *data, config)
     s1 = config.ladder.s1
     gap = trajectory_gap(grid, kat, orc, s1)
     rel = gap / max(orc.sup_norm(s1), 1e-300)
@@ -287,7 +287,6 @@ def cmd_sweep(args):
     out = _outdir(args)
     rows = []
     failures = {}
-    slope = None
 
     if args.axis == "N":
         bad = [v for v in values if not (np.isfinite(v) and v == int(v))]
@@ -302,27 +301,18 @@ def cmd_sweep(args):
         bounded = bool(vals) and _spread(vals) < 1.25
         extra = {"bounded": bounded}
     elif args.axis == "eps":
-        grid = TorusGrid(args.n)
-        sysm, (y0, y1, t0, t1) = _load_system(args, grid, args.amplitude)
-        rep = epsilon_continuation(sysm, complexify(y0, y1, t0, t1).stacked(), values, config)
+        _, sysm, data = _problem(args)
+        rep = _kato(sysm, data, config, eps_list=values)
         rows = [(a, g) for a, _, g in rep["gaps"]]
-        slope = rep["slope"]
-        extra = {"slope": slope}
-    elif args.axis == "amplitude":
-        grid = TorusGrid(args.n)
+        extra = {"slope": rep["slope"]}
+    else:  # amplitude
         for v in values:
             try:
-                sysm, (y0, y1, t0, t1) = _load_system(args, grid, v)
-                run = kato_solve(sysm, complexify(y0, y1, t0, t1).stacked(), config)
-                rows.append((v, run.sup_norm(config.ladder.s1)))
+                _, sysm, data = _problem(args, amplitude=v)
+                rows.append((v, _kato(sysm, data, config).sup_norm(config.ladder.s1)))
             except (PreconditionError, NumericalError) as exc:
                 failures[str(v)] = str(exc)
-        good = [(v, m) for v, m in rows if m > 0]
-        if len(good) >= 2:
-            slope = float(np.polyfit(np.log([v for v, _ in good]), np.log([m for _, m in good]), 1)[0])
-        extra = {"slope": slope}
-    else:
-        raise ConfigError("unknown sweep axis %r" % args.axis)
+        extra = {"slope": loglog_slope(rows)}
 
     csv_path = os.path.join(out, "sweep_%s_%s.csv" % (args.axis, tag))
     with open(csv_path, "w") as fh:
@@ -332,6 +322,7 @@ def cmd_sweep(args):
     report = {"axis": args.axis, "config_hash": tag, "rows": rows, "failures": failures}
     report.update(extra)
     _write_json(os.path.join(out, "sweep_%s_%s.json" % (args.axis, tag)), report)
+    slope = extra.get("slope")
     print("sweep %s: %d values, %d failures%s" % (
         args.axis, len(values), len(failures),
         (", slope %.4f" % slope) if slope is not None else ""))
@@ -339,11 +330,9 @@ def cmd_sweep(args):
 
 
 def cmd_preset(args):
-    if args.action == "list":
-        for name in PRESETS:
-            print(name)
-        return 0
-    raise ConfigError("unknown preset action %r" % args.action)
+    for name in PRESETS:  # argparse admits the action "list" only
+        print(name)
+    return 0
 
 
 def _add_common(p):

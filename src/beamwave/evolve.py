@@ -447,6 +447,15 @@ def trajectory_gap(grid, run_a, run_b, s):
     return max(norm(a - b) for a, b in zip(run_a.trajectory, run_b.trajectory))
 
 
+def loglog_slope(points):
+    """Least-squares slope of log y against log x over the points (x, y) whose
+    x and y are both positive and finite; None with fewer than two such points."""
+    pos = [(x, y) for x, y in points if 0 < x < np.inf and 0 < y < np.inf]
+    if len(pos) < 2:
+        return None
+    return float(np.polyfit(np.log([x for x, _ in pos]), np.log([y for _, y in pos]), 1)[0])
+
+
 def epsilon_continuation(sys, V0, eps_list, config):
     """Kato runs at decreasing regularization strengths; pairwise trajectory
     gaps in H^{s1} decay linearly in eps for band-limited data."""
@@ -466,15 +475,9 @@ def epsilon_continuation(sys, V0, eps_list, config):
     gaps = []
     for (ea, ra), (eb, rb) in zip(runs[:-1], runs[1:]):
         gaps.append((ea, eb, trajectory_gap(grid, ra, rb, s)))
-    pos = [(ea, gap) for ea, eb, gap in gaps if gap > 0 and ea > 0]
-    slope = float("nan")
-    if len(pos) >= 2:
-        xs = np.log([p[0] for p in pos])
-        ys = np.log([p[1] for p in pos])
-        slope = float(np.polyfit(xs, ys, 1)[0])
     return {
         "eps_list": list(eps_list),
         "gaps": [(float(a), float(b), float(g)) for a, b, g in gaps],
-        "slope": slope,
+        "slope": loglog_slope((ea, gap) for ea, _, gap in gaps),
         "runs": runs,
     }

@@ -161,8 +161,6 @@ class SeparableSymbol:
                 for f2, g2 in other.terms:
                     out.append((grid_product(f1, f2), g1 * g2))
             return SeparableSymbol(self.grid, out)
-        if isinstance(other, FrequencyMultiplier):
-            return SeparableSymbol(self.grid, [(f, g * other) for f, g in self.terms])
         return SeparableSymbol(self.grid, [(f * other, g) for f, g in self.terms])
 
     __rmul__ = __mul__

@@ -387,3 +387,34 @@ def test_system_file_n_must_match_the_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n = 64" in err and "n = 32" in err
     assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize(
+    "field, text", [("b", '{"b": "bogus"}'), ("c", '{"c": {"values": [1.0, 2.0, 3.0]}}')]
+)
+def test_a_malformed_system_field_exits_2_naming_it(field, text, tmp_path, capsys):
+    (tmp_path / "system.json").write_text(text)
+    args = ["--system", str(tmp_path / "system.json"), "--outdir", str(tmp_path)]
+    assert run_cli(["simulate", "--T", "0.01"] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "%r" % field in err and "Traceback" not in err
+
+
+# the presets' system documents, as README lists them
+PRESET_DOCUMENTS = {
+    "linear": {},
+    "headline": {"F2": [[1.0, 5, 5]]},
+    "mixed": {"F1": [[1.0, 4, 5]], "F2": [[1.0, 2, 5], [0.5, 5, 5]]},
+    "damped": {"F2": [[1.0, 5, 5]], "alpha": -0.5, "beta": -0.5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DOCUMENTS))
+def test_a_preset_and_its_system_document_give_the_same_run(name, tmp_path):
+    (tmp_path / "system.json").write_text(json.dumps(PRESET_DOCUMENTS[name]))
+    short = ["--n", "32", "--T", "0.02"]
+    assert run_cli(["simulate", "--preset", name, "--outdir", str(tmp_path / "preset")] + short) == 0
+    assert run_cli(["simulate", "--system", str(tmp_path / "system.json"),
+                    "--outdir", str(tmp_path / "system")] + short) == 0
+    (preset,), (system,) = (list((tmp_path / d).glob("run_*.csv")) for d in ("preset", "system"))
+    assert preset.read_bytes() == system.read_bytes()

@@ -9,7 +9,8 @@ names: the benchmark's tracer names its targets by dotted strings).  This
 resolves what ``test_layout`` matches by bare name only, for the CLI: a
 method that shares its name with one the program calls is still found.
 Dunder methods are left out, as the interpreter calls them (hashing,
-printing).
+printing).  Every JSON artifact the commands write must be strict JSON,
+with no NaN or Infinity.
 """
 
 import ast
@@ -17,6 +18,8 @@ import json
 import os
 import sys
 from collections import Counter
+
+import pytest
 
 from beamwave.cli import main
 from test_bridge import VARIABLE
@@ -35,6 +38,8 @@ SYSTEMS = {
     "leaves_radius.json": '{"n": 32, "F2": [[1.0, 3, 5]], "delta": -10.0}',
     "beam_wave_only.json": '{"F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}',
     "wave_beam_only.json": '{"F2": [[1.0, 2, 5]]}',
+    "bogus_b.json": '{"b": "bogus"}',
+    "short_c.json": '{"c": {"values": [1.0, 2.0, 3.0]}}',
 }
 
 SHORT = ["--n", "16", "--T", "0.01"]
@@ -48,9 +53,15 @@ COMMANDS = [
     (["sweep", "--axis", "eps", "--values", "1e-2,1e-3"] + SHORT, 0),
     (["sweep", "--axis", "amplitude", "--values", "1e-2,2e-2", "--system", "variable.json"]
      + SHORT, 0),
+    (["sweep", "--axis", "N", "--values", "16,32", "--amplitude", "10"], 0),  # each value fails
+    (["sweep", "--axis", "amplitude", "--values", "1e-2,1e3"], 0),  # 1e3 fails
+    (["sweep", "--axis", "amplitude", "--values=-1e-2,1e-2"] + SHORT, 0),
+    (["simulate", "--kato-max-iter", "1", "--n", "32", "--T", "0.01"], 4),
     (["sweep", "--axis", "N", "--values", "32,inf"], 2),
     (["verify", "--suite", "energy", "--n", "32", "--seed=-1"], 2),
     (["simulate", "--system", "nan_b.json"], 2),
+    (["simulate", "--system", "bogus_b.json"], 2),
+    (["simulate", "--system", "short_c.json"], 2),
     (["verify", "--suite", "parametrix", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "leaves_radius.json", "--n", "32", "--T", "1.0"], 3),
     (["verify", "--suite", "operators"], 0),
@@ -111,8 +122,15 @@ def entered(tmp_path):
             if "beamwave" in c.co_filename}
 
 
-def test_every_function_in_src_is_run_by_the_cli_or_named_by_the_benchmark(tmp_path):
-    reached = entered(tmp_path)
+@pytest.fixture(scope="module")
+def ran(tmp_path_factory):
+    """The directory the commands ran in, and what they entered."""
+    tmp_path = tmp_path_factory.mktemp("reach")
+    return tmp_path, entered(tmp_path)
+
+
+def test_every_function_in_src_is_run_by_the_cli_or_named_by_the_benchmark(ran):
+    reached = ran[1]
     named = sum((_names(t, strings=True) for t in _trees(ROOT / "perfbench").values()), Counter())
     idle = [(path, line, name) for path, line, name in definitions()
             if (path, line) not in reached and not named[name.rsplit(".", 1)[-1]]]
@@ -121,3 +139,14 @@ def test_every_function_in_src_is_run_by_the_cli_or_named_by_the_benchmark(tmp_p
         "\n".join("%s:%d %s" % entry for entry in missing))
     stale = set(ALLOWED) - {name.rsplit(".", 1)[-1] for *_, name in idle}
     assert not stale, "allow-listed, but now run or named, or no longer defined: %s" % sorted(stale)
+
+
+def _refuse(constant):
+    raise ValueError("%s is not JSON" % constant)
+
+
+def test_every_json_artifact_is_strict_json(ran):
+    paths = sorted((ran[0] / "out").glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_refuse)
