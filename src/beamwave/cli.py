@@ -242,7 +242,7 @@ def _suite_oracle(args):
     rel = gap / max(orc.sup_norm(s1), 1e-300)
     checks = {
         "relative_discrepancy": rel,
-        "kato_sweeps": len(kat.increments),
+        "kato_sweeps": len(kat.increments) + 1,  # the first sweep leaves no increment
         "increment_ratios": kat.increment_ratios(),
     }
     return checks, rel <= 1e-4

@@ -21,7 +21,8 @@ side to machine precision.
 frakA and frakB are odd: each is held as its halves (pm, mp) on the parity
 halves p = D u, m = i D^{-1} u_t of ``state``, each half a 2 x 2 tuple of
 n x n (beam, wave) blocks ((bb, bw), (wb, ww)), None for a block that is zero
-by structure, or, if diagonal, its diagonal (2n,) (frakA's pm).
+by structure, or, if diagonal, its diagonal (2n,) (frakA's pm) or (n,) (a
+block of frakA(0)'s mp with constant coefficients: b, or c, constant).
 On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
@@ -44,6 +45,15 @@ _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
+
+
+def _diagonal_block(p, q):
+    """diag(p) - 2i Op^BW(q), or its diagonal (n,) when every coefficient of
+    q is constant: the matrix is then exactly zero off its diagonal."""
+    Q = bony_weyl_quantize(q)
+    if any(f.coeffs[1:].any() for f, _ in q.terms):
+        return np.diag(p) - 2j * Q
+    return p - 2j * np.diagonal(Q)
 
 
 class ParalinearizedSystem:
@@ -140,17 +150,20 @@ class ParalinearizedSystem:
         """The odd halves of diag(-iE Op^BW(A_b), -iE Op^BW(A_w)): pm = -i
         diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
         blockdiag(diag(j^2) + 2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)), held as
-        its blocks ((bb, None), (None, ww)); the system keeps them at V = None,
-        and a background adds its g_1w |xi| block to a new wave block."""
+        its blocks ((bb, None), (None, ww)), each by its diagonal (n,) where q
+        has constant coefficients; the system keeps them at V = None, and a
+        background adds its g_1w |xi| block to a new, dense, wave block."""
         if V is None:
             syms = self.assemble_symbols(None)
             # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
             p_b, p_w = (-1j * syms[key][0](self.grid.modes) for key in ("A_b", "A_w"))
             return np.concatenate([p_b, p_w]), (
-                (np.diag(p_b) - 2j * bony_weyl_quantize(syms["A_b"][1]), None),
-                (None, np.diag(p_w) - 2j * bony_weyl_quantize(syms["A_w"][1])))
+                (_diagonal_block(p_b, syms["A_b"][1]), None),
+                (None, _diagonal_block(p_w, syms["A_w"][1])))
         pm, ((bb, _), (_, ww)) = self._A0
         q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)
+        if ww.ndim == 1:
+            ww = np.diag(ww)
         return pm, ((bb, None), (None, ww - 2j * bony_weyl_quantize(q_w)))
 
     def frak_B(self, V):

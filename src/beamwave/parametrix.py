@@ -31,6 +31,14 @@ the generator and Lambda odd (pm, mp).  The change keeps the Sobolev
 weights and the resolved band, so a residual's norm is the larger of its
 halves' norms.  No 2n x 2n array is formed.
 
+A block quantized from a constant x-coefficient is held as its diagonal
+(n,), bit for bit its Bony-Weyl matrix's (``_op``): for constant b, S_b^{+-1},
+K^{+-1}, M_{-1}, D_b, D~_b, Lambda_b and L_{2s}'s beam block, and the wave's
+where a_w = d + g_1w is constant.  A diagonal multiplies entrywise or scales
+rows or columns (``_mul``, ``_apply``); its matrix is formed only at a
+restricted take (``_take``) or beside a dense block in a sum (``_combine``),
+so every norm takes the SVD it would of dense blocks.
+
 A ``Parametrix`` holds what the energy applies: Phi, T, the diagonalizers'
 D and L_{2s} (quantized on first use).  Psi, D~_b and Lambda enter the
 conjugation residual only; each residual call builds them once
@@ -89,27 +97,55 @@ def _periodic_antiderivative(grid, values):
 
 
 def _op(f, mult=None):
-    """Op^BW(f(x) mult(xi)) (mult = 1 by default)."""
-    return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+    """Op^BW(f(x) mult(xi)) (mult = 1 by default); for a constant f its
+    diagonal f^(0) mult(j), bit for bit the matrix's: the Toeplitz view is
+    f^(0) I and chi_eps(0) = 1, the Nyquist slot included.  The diagonal is
+    summed onto +0.0 as the quantizer's is, so no zero keeps a minus sign."""
+    if f.coeffs[1:].any():
+        return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+    return 0.0 + f.coeffs[0] * (np.ones(f.grid.n) if mult is None else mult(f.grid.modes))
 
 
 def _similarity(s1, s2):
     """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]];
     S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
     S1, S2 = _op(s1), _op(s2)
-    return S1 + S2, S1 - S2
+    return _combine(operator.add, S1, S2), _combine(operator.sub, S1, S2)
+
+
+def _dense(b):
+    """A block as an array of its side: a diagonal (n,) as its diagonal matrix."""
+    return np.diag(b) if b.ndim == 1 else b
+
+
+def _combine(op, A, B):
+    """op(A, B), a sum or difference of two blocks; a diagonal beside a dense
+    block is formed as its matrix."""
+    return op(A, B) if A.ndim == B.ndim else op(_dense(A), _dense(B))
+
+
+def _apply(b, u):
+    """A block applied to vectors u (..., n): u @ b.T, or u b for a diagonal."""
+    return u * b if b.ndim == 1 else u @ b.T
 
 
 def _take(X, index, scale=None):
     """The 2 x 2 blocks b[index] of X = ((bb, bw), (wb, ww)), those of column
-    component k times scale[k] if a scale is given; None stays None."""
-    return tuple(tuple(None if b is None else b[index] if scale is None else b[index] * scale[k]
+    component k times scale[k] if a scale is given; None stays None, and a
+    diagonal is taken from its matrix."""
+    return tuple(tuple(None if b is None else _dense(b)[index] if scale is None
+                       else _dense(b)[index] * scale[k]
                        for k, b in enumerate(row)) for row in X)
 
 
 def _mul(A, B):
-    """A @ B, or None when a factor is zero by structure (None)."""
-    return None if A is None or B is None else A @ B
+    """A @ B, or None when a factor is zero by structure (None); a diagonal
+    factor scales the other's rows (on the left) or columns (on the right)."""
+    if A is None or B is None:
+        return None
+    if B.ndim == 1:
+        return A * B
+    return A[:, None] * B if A.ndim == 1 else A @ B
 
 
 def _product(X, Y):
@@ -125,7 +161,7 @@ def _product(X, Y):
 def _minus_diagonal(X, b, w):
     """X - blockdiag(b, w) for 2 x 2 blocks X whose diagonal blocks are formed."""
     (bb, bw), (wb, ww) = X
-    return ((bb - b, bw), (wb, ww - w))
+    return ((_combine(operator.sub, bb, b), bw), (wb, _combine(operator.sub, ww, w)))
 
 
 class _Diagonalizer:
@@ -190,16 +226,18 @@ class BeamDiagonalizer(_Diagonalizer):
 
         S_p, S_m = _similarity(self.s1, self.s2)
         K_inv = _op(transform(grid, np.exp(-phi)))
-        eye = np.eye(grid.n)
-        self.D_b = K_inv @ (eye + O_m) @ S_m, K_inv @ (eye - O_m) @ S_p
+        one = np.ones(grid.n)
+        self.D_b = (_mul(_mul(K_inv, _combine(operator.add, one, O_m)), S_m),
+                    _mul(_mul(K_inv, _combine(operator.sub, one, O_m)), S_p))
 
     def right_inverse(self):
         """D~_b's halves, formed anew from quantizations of their own and not
         held: only Psi and the bare coupling blocks of the conjugation
         residual apply them."""
         (S_p, S_m), O_m, K = _similarity(self.s1, self.s2), self.M_minus1, _op(self.k)
-        eye = np.eye(self.grid.n)
-        return S_p @ (eye - O_m) @ K, S_m @ (eye + O_m) @ K
+        one = np.ones(self.grid.n)
+        return (_mul(_mul(S_p, _combine(operator.sub, one, O_m)), K),
+                _mul(_mul(S_m, _combine(operator.add, one, O_m)), K))
 
 
 class WaveDiagonalizer(_Diagonalizer):
@@ -239,13 +277,14 @@ class Parametrix:
     """Phi, T and L_{2s} at a frozen background V, held in halves.
 
     Phi = D(1 + T) is held as its even halves Phi+-, each a 2 x 2 tuple of
-    n x n (beam, wave) blocks, with D+- = blockdiag(D_b+-, D_w+-), T+ =
-    [[0, 2 t_b], [0, 0]] and T- = [[0, 0], [-2 t_w, 0]], so each half is
+    (beam, wave) blocks, n x n or diagonals (n,), with D+- =
+    blockdiag(D_b+-, D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- =
+    [[0, 0], [-2 t_w, 0]], so each half is
     blockdiag(D+-) plus one coupling block, and its other coupling block is
     None.  ``T`` holds the blocks (2 t_b, -2 t_w) quantized, None where F has
     no coupling slot (``coupled``): t_b (t_w) is then zero by structure, and
     neither it nor the coupling block of the halves it enters is formed.
-    L_{2s} is a pair of n x n blocks (beam, wave) acting on each component,
+    L_{2s} is a pair of blocks (beam, wave) acting on each component,
     quantized on first use.  Psi, D~_b and Lambda are not held
     (``residual_operators``).
     """
@@ -316,7 +355,7 @@ def conjugation_residual(P, para, V=None):
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     cols = (slice(None), r)
     Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
-    lam = [-1j * b[np.ix_(r, r)] for b in lam]
+    lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
     mp = ((bb, bw), (wb, ww))
@@ -344,7 +383,7 @@ def conjugation_residual(P, para, V=None):
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
     pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
-    bare = [D[r] @ L @ Dt[:, r] for D, L, Dt in pairs if L is not None]
+    bare = [_dense(D)[r] @ L @ _dense(Dt)[:, r] for D, L, Dt in pairs if L is not None]
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
@@ -362,7 +401,7 @@ def conjugation_residual(P, para, V=None):
 def _energy(L2s, images):
     """(1/2) sum of Re <L_c y, y> over Phi-images y (..., n) of parity halves,
     each listed by its row components c = (beam, wave), None where zero."""
-    return 0.5 * sum(np.sum((y @ L.T) * y.conj(), axis=-1).real
+    return 0.5 * sum(np.sum(_apply(L, y) * y.conj(), axis=-1).real
                      for image in images for L, y in zip(L2s, image) if y is not None)
 
 
@@ -374,9 +413,13 @@ def _mode_energies(P):
     k = np.arange(1, P.grid.dealias_cut + 1)
     refl, rt2 = P.grid.reflect[k], np.sqrt(2.0)
 
-    def images(c):  # (|k|, n) per row component: op(X[:, k], X[:, -k]) / sqrt2
-        return ([None if row[c] is None else op(row[c][:, k], row[c][:, refl]).T / rt2
-                 for row in X] for X, op in zip(P.Phi, (np.add, np.subtract)))
+    def image(b, op):  # (|k|, n) of a block X: op(X[:, k], X[:, -k]) / sqrt2
+        b = _dense(b)
+        return op(b[:, k], b[:, refl]).T / rt2
+
+    def images(c):  # per row component of each half
+        return ([None if row[c] is None else image(row[c], op) for row in X]
+                for X, op in zip(P.Phi, (np.add, np.subtract)))
 
     return np.concatenate([_energy(P.L2s, images(c)) for c in (0, 1)])
 
@@ -384,7 +427,7 @@ def _mode_energies(P):
 def modified_energy(P, vec):
     """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n),
     from the component blocks of Phi+ v_p and Phi- v_m."""
-    images = ([sum(u @ b.T for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
+    images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
                for row in X] for X, v in zip(P.Phi, parity_split(vec)))
     return _energy(P.L2s, images)
 

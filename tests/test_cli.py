@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 import beamwave.cli
+import beamwave.evolve
 from beamwave.cli import build_preset, main
 from beamwave.grid import TorusGrid
 from test_bridge import VARIABLE
+
+
+# constant b and c with both coupling slots: the beam side of its parametrix
+# is diagonal, with s_2 != 0 and lambda_b != 1
+CONSTANT_BC = {"b": 2.0, "c": 1.5, "F1": [[1.0, 4, 5]], "F2": [[1.0, 2, 5], [0.5, 5, 5]]}
 
 
 def run_cli(args):
@@ -302,6 +308,26 @@ def test_verify_operators_pass(tmp_path, capsys):
     assert code == 0
     doc = json.loads(next(tmp_path.glob("verify_operators_*.json")).read_text())
     assert doc["passed"] is True
+
+
+def test_oracle_suite_reports_one_kato_sweep_per_linear_solve(tmp_path, monkeypatch):
+    # each Kato sweep is one linear solve, and every sweep but the first
+    # leaves an increment; the constant b, c system converges in four sweeps at N = 32
+    solves, linear_solve = [], beamwave.evolve.linear_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return linear_solve(*args, **kwargs)
+
+    monkeypatch.setattr(beamwave.evolve, "linear_solve", counting)
+    system = tmp_path / "constant_bc.json"
+    system.write_text(json.dumps(CONSTANT_BC))
+    code = run_cli(["verify", "--suite", "oracle", "--system", str(system), "--n", "32",
+                    "--outdir", str(tmp_path)])
+    assert code == 0
+    doc = json.loads(next(tmp_path.glob("verify_oracle_*.json")).read_text())
+    assert doc["checks"]["kato_sweeps"] == len(solves) == 4
+    assert len(doc["checks"]["increment_ratios"]) == len(solves) - 2
 
 
 def test_kato_trajectory_leaving_the_smallness_radius_exits_3(tmp_path, capsys):

@@ -21,14 +21,21 @@ from test_quantize import conjugation_break
 from test_spectral_core import parity_join, sobolev_norm
 
 
+def dense_block(b, n):
+    """The matrix of a block held in any form the operators take: b itself
+    if it is one, the diagonal matrix of a diagonal, zero (n x n) for None."""
+    if b is None:
+        return np.zeros((n, n), dtype=complex)
+    return np.diag(b) if b.ndim == 1 else b
+
+
 def dense_half(X, n):
     """The 2n x 2n matrix of a parity half: X itself if it is one, the
     diagonal matrix of a diagonal (2n,), or the 2 x 2 (beam, wave) blocks X
-    assembled, a None block zero."""
+    assembled (``dense_block``)."""
     if isinstance(X, np.ndarray):
-        return np.diag(X) if X.ndim == 1 else X
-    zero = np.zeros((n, n), dtype=complex)
-    return np.block([[zero if b is None else b for b in row] for row in X])
+        return dense_block(X, 2 * n)
+    return np.block([[dense_block(b, n) for b in row] for row in X])
 
 
 def odd_stacked_matrix(g, pm, mp):
@@ -166,18 +173,20 @@ def test_frak_B_allocates_no_half_that_is_zero_by_structure():
 
 def test_frak_A_is_held_by_its_diagonal_and_its_diagonal_blocks():
     # frakA(0)'s pm half is diagonal, held as its (2n,) diagonal; its mp half
-    # is block-diagonal, held as two n x n blocks; a background replaces the
-    # wave block only, and leaves the system's blocks as they were
+    # is block-diagonal, held as two blocks, here diagonals (n,) as b and c are
+    # constant; a background replaces the wave block only, by a dense one, and
+    # leaves the system's blocks as they were
     g = TorusGrid(32)
     n = g.n
     sysm, fields = build_preset("mixed", g)
     para = ParalinearizedSystem(sysm, g)
     pm, mp = para._A0
     assert pm.shape == (2 * n,) and structural_zeros(mp) == {(0, 1), (1, 0)}
+    assert mp[0][0].shape == mp[1][1].shape == (n,)
     held = [b.copy() for b in (mp[0][0], mp[1][1])]
     pm_v, mp_v = para.frak_A(complexify(*fields).stacked())
     assert pm_v is pm and mp_v[0][0] is mp[0][0] and structural_zeros(mp_v) == {(0, 1), (1, 0)}
-    assert np.any(mp_v[1][1] != mp[1][1])
+    assert mp_v[1][1].shape == (n, n) and np.any(mp_v[1][1] != dense_block(mp[1][1], n))
     assert all(np.array_equal(a, b) for a, b in zip(held, (mp[0][0], mp[1][1])))
 
 

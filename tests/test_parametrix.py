@@ -13,7 +13,7 @@ import beamwave.symbols
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import build_preset
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
-from beamwave.grid import TorusGrid, transform
+from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.parametrix import (
     BeamDiagonalizer,
@@ -30,7 +30,7 @@ from beamwave.parametrix import (
 from beamwave.quantize import bony_weyl_quantize, exact_operator_norm, weighted_matrix
 from beamwave.state import complexify, conjugate_pair, parity_split, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
-from test_paralin import dense_half, structural_zeros
+from test_paralin import dense_block, dense_half, structural_zeros
 from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
 
@@ -44,8 +44,9 @@ def phi(P, vec):
 def l2s(P, vec):
     """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
     the wave block on w and w-bar."""
-    b, w = P.L2s
-    v = np.reshape(vec, np.shape(vec)[:-1] + (4, P.grid.n))
+    n = P.grid.n
+    b, w = (dense_block(h, n) for h in P.L2s)
+    v = np.reshape(vec, np.shape(vec)[:-1] + (4, n))
     return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
 
 
@@ -126,7 +127,7 @@ def test_trivial_background_gauge_collapses():
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
     assert np.max(np.abs(d.M_minus1)) == 0.0
     for half in d.D_b:
-        assert np.max(np.abs(half - np.eye(g.n))) < 1e-12
+        assert np.max(np.abs(dense_block(half, g.n) - np.eye(g.n))) < 1e-12
 
 
 def test_conjugation_residual_stable_in_n():
@@ -228,7 +229,7 @@ def _dense_reference(preset, n):
     zero, one = np.zeros((n, n)), np.eye(n)
     S1, S2, K = quantized(b.s1), quantized(b.s2), quantized(b.k)
     K_inv = quantized(transform(g, 1.0 / b.k.values().real))
-    M = _pair(zero, b.M_minus1)
+    M = _pair(zero, dense_block(b.M_minus1, n))
     D_b = _pair(K_inv, zero) @ (np.eye(2 * n) + M) @ _pair(S1, -S2)
     Dt_b = _pair(S1, S2) @ (np.eye(2 * n) - M) @ _pair(K, zero)
     S1w, S2w = quantized(w.s1), quantized(w.s2)
@@ -351,9 +352,9 @@ def _full_product_norms(P, para, V):
     L = [dense_half(a, n) + dense_half(b, n) for a, b in zip(para.frak_A(V), para.frak_B(V))]
     Psi, Dt_b, Lam = residual_operators(P)
     Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (P.Phi, Psi))
-    Lam = -1j * _beam_wave(*Lam)
-    D = [_beam_wave(b, w) for b, w in zip(P.beam.D_b, P.wave.D_w)]
-    Dt = [_beam_wave(b, w) for b, w in zip(Dt_b, P.wave.D_tilde_w)]
+    Lam = -1j * _beam_wave(*(dense_block(b, n) for b in Lam))
+    D, Dt = ([_beam_wave(dense_block(b, n), dense_block(w, n)) for b, w in zip(*halves)]
+             for halves in ((P.beam.D_b, P.wave.D_w), (Dt_b, P.wave.D_tilde_w)))
 
     def on_band(mat):
         return mat[np.ix_(keep, keep)]
@@ -587,8 +588,9 @@ def test_ladder_rung_peak_memory():
 def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     # a headline build quantizes five symbols, S_1, S_2 and K^{-1} of the
     # beam and S_1, S_2 of the wave, all of the multiplier 1, so it takes no
-    # table (b = 1, so M_{-1} has no term); Lambda and L_{2s} take one per
-    # component on first use, the residuals' and the energy's, D~_b none, and
+    # table (b = 1, so M_{-1} has no term); Lambda and L_{2s} take one for
+    # their wave block on first use, the residuals' and the energy's, and none
+    # for their beam block, a diagonal as b is constant; D~_b takes none, and
     # the residuals' generator one, for its g_1w |xi| block
     g, para, V = _preset_setup("headline", 64)
     tables = []
@@ -603,9 +605,40 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     assert tables == []
     modified_energy(P, V)
     conjugation_residual(P, para, V)
-    abs5, xi2, abs1 = (FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.xi_power(2),
-                       FrequencyMultiplier.abs_xi())
-    assert tables == [abs5.terms, abs5.terms, xi2.terms, abs1.terms, abs1.terms]
+    abs5, abs1 = FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.abs_xi()
+    assert tables == [abs5.terms, abs1.terms, abs1.terms]
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_constant_coefficient_operator_is_exactly_its_diagonal(n):
+    # for a constant f, Op^BW(f m) is held as its diagonal f^(0) m(j): bit for
+    # bit the diagonal of the quantized matrix, which is exactly zero off its
+    # diagonal, for every multiplier the parametrix quantizes, the Nyquist
+    # slot n/2 included
+    g = TorusGrid(n)
+    mults = [None, FrequencyMultiplier.xi_power(2), FrequencyMultiplier.abs_xi(),
+             FrequencyMultiplier.psi_over_xi(), FrequencyMultiplier.abs_xi_power(5.0)]
+    for value in (1.0, 0.7071, -0.3 + 0.4j, 0.0):
+        f = SpectralFunction.constant(g, value)
+        for mult in mults:
+            M = bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+            d = beamwave.parametrix._op(f, mult)
+            assert d.shape == (n,) and d.tobytes() == np.diag(M).tobytes(), (value, mult)
+            assert not np.any(M - np.diag(np.diag(M)))
+
+
+@pytest.mark.parametrize("preset", ["linear", "headline", "mixed", "parity", "damped"])
+def test_constant_coefficient_preset_holds_no_dense_beam_block(preset):
+    # b and c are constant: D_b, D~_b, K^{+-1} and M_{-1}, Lambda_b, L_{2s}'s
+    # beam block, the beam blocks of Phi and Psi and frakA(0)'s mp blocks
+    # are held as diagonals (n,), and the beam diagonalizer holds no n x n array
+    g, para, V = _preset_setup(preset, 32)
+    P = build_parametrix(para, V, 2.5)
+    Psi, Dt_b, Lam = residual_operators(P)
+    beam = [P.L2s[0], Lam[0], *Dt_b, *(X[0][0] for X in P.Phi + Psi),
+            *(para._A0[1][i][i] for i in (0, 1))]
+    assert all(b.shape == (g.n,) for b in beam)
+    assert max(_array_sizes(P.beam, {id(g)})) == g.n
 
 
 def test_cutoff_is_built_once_per_grid(monkeypatch):
