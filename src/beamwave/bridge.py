@@ -8,13 +8,11 @@ of coefficient * d_x^k with k <= 2, and F1, F2 quadratic homogeneous in the
 jet (y, y_x, y_xx, theta, theta_x, theta_xx).  Nonlinearities are stored as
 explicit term lists so their partial derivatives (needed by the
 paralinearization symbols and the parity/radius checks) are exact.  The
-stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t) to its
-derivative, one new array that the linear part, the jets and the dealiased
-F's write into, in one of two layouts told by the last axis: n slots in fft
-order, or rfft's n//2 + 1 of real functions (Nyquist as +n/2), real on the grid.
+stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t), held by the
+j >= 0 half (4, ..., n//2 + 1) of its coefficients (``np.fft.rfft``'s layout,
+Nyquist as +n/2), to its derivative, one new array that the linear part, the
+jets and the dealiased F's write into through ``irfft``/``rfft``.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,14 +78,9 @@ class QuadraticNonlinearity:
         for coeff, ia, ib in self.terms:
             if JET_PARITY[ia] * JET_PARITY[ib] != -1:
                 return False
-            if not _has_parity(coeff.grid, coeff.coeffs, +1):
-                return False
+            if not np.max(np.abs(coeff.coeffs[coeff.grid.reflect] - coeff.coeffs)) <= 1e-10:
+                return False  # coeff(-j) != coeff(j): not even
         return True
-
-
-def _has_parity(grid, coeffs, sign, tol=1e-10):
-    """True iff coeffs(-j) = sign * coeffs(j) within tol: an even (+1) or odd (-1) function."""
-    return float(np.max(np.abs(coeffs[grid.reflect] - sign * coeffs))) <= tol
 
 
 class BridgeSystem:
@@ -140,84 +133,75 @@ class BridgeSystem:
         rows = [(u, coeff, k) for u, part in enumerate(parts) for coeff, k in part
                 if np.any(coeff.coeffs[1:])]
         self._row_unknown = np.array([u for u, _, _ in rows], dtype=int)
-        values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows])
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
         self._damping = np.array([self.alpha, self.beta], dtype=complex)
         self._c_values = np.real(self.c.values())  # read by every wave margin
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
         # each F with terms and the row of (y_t, y_tt, theta_t, theta_tt) it adds to
         self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
-        # per layout (module docstring), by its length; at n = 2 the full one is kept
-        self._layout = {}
-        for modes, real in ((np.arange(grid.n // 2 + 1), True), (grid.modes, False)):
-            d, mask = 1j * modes.astype(float), np.abs(modes) <= grid.dealias_cut
-            self._layout[modes.size] = SimpleNamespace(
-                symbol=np.array([sum(co.coeffs[0] * d**k for co, k in part) for part in parts]),
-                row_mult=np.array([d**k for _, _, k in rows]), mask=mask,
-                row_values=values.real if real else values, dtype=float if real else complex,
-                jet_mult=[np.where(mask, p, 0j) for p in (1.0, d, d**2)] * 2,
-                inverse=np.fft.irfft if real else np.fft.ifft,
-                forward=np.fft.rfft if real else np.fft.fft)
+        # on the half layout (module docstring): modes 0..n/2
+        d = 1j * np.arange(grid.n // 2 + 1.0)
+        self._mask = np.arange(d.size) <= grid.dealias_cut
+        self._symbol = np.array([sum(co.coeffs[0] * d**k for co, k in part) for part in parts])
+        self._row_mult = np.array([d**k for _, _, k in rows])
+        self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows]).real
+        self._jet_mult = [np.where(self._mask, p, 0j) for p in (1.0, d, d**2)] * 2
 
     # -- right-hand side ---------------------------------------------
 
     def jets(self, y_hat, th_hat, slots=None):
-        """Dealias-projected jet values (6, ..., n) from coefficients (..., n) or
-        (..., n//2 + 1) at ``slots`` (default ``jet_slots``), in one inverse FFT
-        into their rows; every other slot is NaN, never a silent zero."""
-        lay = self._layout[y_hat.shape[-1]]
+        """Dealias-projected real jet values (6, ..., n) from halves (..., n//2 + 1)
+        at ``slots`` (default ``jet_slots``), in one ``irfft`` into their rows;
+        every other slot is NaN, never a silent zero."""
         slots = self.jet_slots if slots is None else sorted(slots)
-        out = np.empty((6,) + y_hat.shape[:-1] + (self.grid.n,), dtype=lay.dtype)
+        out = np.empty((6,) + y_hat.shape[:-1] + (self.grid.n,))
         lo, hi = (slots[0], slots[-1] + 1) if slots else (6, 6)
         out[:lo] = out[hi:] = np.nan
         if slots:
             rows = np.empty((len(slots),) + y_hat.shape, dtype=complex)
             for row, slot in zip(rows, slots):
-                np.multiply((y_hat, th_hat)[slot // 3], lay.jet_mult[slot], out=row)
+                np.multiply((y_hat, th_hat)[slot // 3], self._jet_mult[slot], out=row)
             if hi - lo == len(slots):  # one block of rows
-                lay.inverse(rows, self.grid.n, norm="forward", out=out[lo:hi])
+                np.fft.irfft(rows, self.grid.n, norm="forward", out=out[lo:hi])
             else:
                 out[lo:hi] = np.nan
-                out[slots] = lay.inverse(rows, self.grid.n, norm="forward")
+                out[slots] = np.fft.irfft(rows, self.grid.n, norm="forward")
         return out
 
     def add_nonlinearity_hats(self, jets, du):
-        """Add the dealiased Fourier coefficients of F1, F2 at the jet values
-        ``jets`` (6, ..., n) to the accelerations du[1], du[3] of a derivative
-        (4, ..., n) or (4, ..., n//2 + 1); an F without terms is not transformed."""
-        lay = self._layout[du.shape[-1]]
+        """Add the dealiased coefficients of F1, F2 at the jet values ``jets``
+        (6, ..., n) to the accelerations du[1], du[3] of a derivative
+        (4, ..., n//2 + 1); an F without terms is not transformed."""
         # one F at a time, in one buffer: on a Kato sweep's trajectory a batch of
         # both F's and its FFT set the sweep's memory peak
-        values = np.empty(jets.shape[1:], dtype=jets.dtype)
-        hat = np.empty(du.shape[1:], dtype=complex) if lay.dtype is float else values
+        values = np.empty(jets.shape[1:])
+        hat = np.empty(du.shape[1:], dtype=complex)
         for F, row in self._live_F:
-            lay.forward(F.evaluate(jets, values), norm="forward", out=hat)
-            np.add(du[row], hat, out=du[row], where=lay.mask)  # dealiased
+            np.fft.rfft(F.evaluate(jets, values), norm="forward", out=hat)
+            np.add(du[row], hat, out=du[row], where=self._mask)  # dealiased
 
     def linear_rhs(self, u):
         """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one
-        new array, from real states u = (y, y_t, theta, theta_t), (4, ..., n) (may
-        be complex) or (4, ..., n//2 + 1).  Fluctuations multiply on the grid without
-        dealiasing: each coeff d^k acts as the circulant of coeff times (ij)^k."""
-        lay = self._layout[u.shape[-1]]
+        new array, from real states u = (y, y_t, theta, theta_t), (4, ..., n//2 + 1).
+        Fluctuations multiply on the grid without dealiasing: each coeff d^k acts
+        as the circulant of coeff times (ij)^k."""
         du = np.empty(u.shape, dtype=complex)
         lead = (2,) + (1,) * (du.ndim - 2)
         du[0::2] = u[1::2]
-        np.multiply(lay.symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
+        np.multiply(self._symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
         if self.alpha or self.beta:
             du[1::2] += self._damping.reshape(lead + (1,)) * u[1::2]
         if self._row_unknown.size:
-            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * lay.row_mult
-            # fft(f * ifft(u) * n) / n: the factors n cancel
-            products = lay.row_values * lay.inverse(rows, self.grid.n)
-            sums = lay.forward(np.add.reduceat(products, self._row_starts, axis=-2))
+            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * self._row_mult
+            # rfft(f * irfft(u) * n) / n: the factors n cancel
+            products = self._row_values * np.fft.irfft(rows, self.grid.n)
+            sums = np.fft.rfft(np.add.reduceat(products, self._row_starts, axis=-2))
             du[2 * self._unknowns + 1] += np.moveaxis(sums, -2, 0)
         return du
 
     def real_rhs(self, u, t):
         """The derivative (y_t, y_tt, theta_t, theta_tt) at time t as one new array,
-        from real states u in either layout; a full-layout u (4, ..., n) may be
-        complex (the analytic continuation the complexified system uses)."""
+        from real states u (4, ..., n//2 + 1)."""
         du = self.linear_rhs(u)
         if self._live_F:
             self.add_nonlinearity_hats(self.jets(u[0], u[2]), du)
@@ -269,13 +253,12 @@ class BridgeSystem:
             return False
         g = self.grid
         for j in range(1, min(5, g.n // 2)):
-            # sin jx = (e^{ijx} - e^{-ijx}) / 2i, exactly: the symbol, up to
-            # (n/2)^4, would multiply the round-off of transform(sin jx)
-            s = np.zeros(g.n, dtype=complex)
-            s[j], s[-j] = -0.5j, 0.5j
-            for out in self.linear_rhs(np.array([s, 0.0 * s, s, 0.0 * s])):
-                if not _has_parity(g, out, -1, tol=1e-9):
-                    return False
+            # sin jx as a half, exactly (the symbol, up to (n/2)^4, would multiply
+            # the round-off of transform(sin jx)); odd: u_j + u_{-j} = 2 Re u_j = 0
+            s = np.zeros(g.n // 2 + 1, dtype=complex)
+            s[j] = -0.5j
+            if np.max(np.abs(2.0 * self.linear_rhs(np.array([s, 0 * s, s, 0 * s])).real)) > 1e-9:
+                return False
         return True
 
 

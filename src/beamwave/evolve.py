@@ -1,12 +1,11 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
-(``_rk4``, summed in place) and one march (``_march``) of the real
-coefficients (4, n) of (y, y_t, theta, theta_t), or of their j >= 0 half
-(4, n//2 + 1) (the oracle), stored, normed and guarded by that half, (nodes,
-4, n//2 + 1), as u_{-j} = conj u_j for real functions: a Kato state's slot
-n//2 stays exactly 0, as no background block reaches the unpaired mode -n/2
-off its diagonal (``TorusGrid.chi_mask``).  The stacked V = (z, zbar, w,
+(``_rk4``, summed in place) and one march (``_march``) of the real state (y,
+y_t, theta, theta_t) by the j >= 0 half (4, n//2 + 1) of its coefficients in
+``np.fft.rfft``'s layout (u_{-j} = conj u_j), stored as marched.  A Kato state's
+slot n//2 stays exactly 0, as no background block reaches the unpaired mode
+-n/2 off its diagonal (``TorusGrid.chi_mask``).  The stacked V = (z, zbar, w,
 wbar) appears only where ``kato_solve`` converts its initial data and
 ``RunResult.final`` the last node:
 
@@ -32,13 +31,13 @@ wbar) appears only where ``kato_solve`` converts its initial data and
 Frozen backgrounds and forcing are evaluated at step midpoints (the average
 of the two enclosing nodes), making the coefficient freezing second-order
 accurate.  Each step applies ``real_generator``: the linear part (diagonal
-for constant coefficients) plus one n x n block per g-function F can make
-nonzero, the sum Q_k + Q_{k+1} of the halves of its two nodes' blocks (g is
-linear in V).  A sweep is one pass over the background it freezes: its march
-reads V_{n-1} a chunk of nodes at a time, takes their jets, g-functions and
-exact margin c + dF2/d(theta_xx) in one ``prepass``, their F and G, and forms
-each node's blocks once, for the node's Kato forcing and the two steps that
-meet there.  No array over the whole trajectory but V_{n-1} and V_n is held.
+for constant coefficients) plus one block per g-function F can make nonzero,
+by the rows 0..n/2 a half reads, the sum Q_k + Q_{k+1} of the halves of its two
+nodes' blocks (g is linear in V).  A sweep is one pass over the background it
+freezes: its march reads V_{n-1} a chunk of nodes at a time, takes their jets,
+g-functions and exact margin c + dF2/d(theta_xx) in one ``prepass``, their F
+and G, and forms each node's blocks once, for the node's Kato forcing and the
+two steps that meet there.  No array over the whole trajectory but V_{n-1} and V_n is held.
 
 One paper experiment runs on top of them, ``epsilon_continuation`` (the
 ``sweep --axis eps`` of the CLI): the gap between Kato runs at decreasing
@@ -58,17 +57,18 @@ from .state import is_conjugate_pair, real_from_stacked, real_norm_weights, stac
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
 # stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
 # its peak: V_{n-1} and V_n (2; it reads V_{n-1} a chunk of nodes at a time), and
-# at small n the bookkeeping around them: 3.41 measured (tracemalloc, mixed,
-# N = 16, T = 7.5; headline 3.20), 2.5-2.9 at N = 32, T = 4-8
+# at small n the bookkeeping around them: 2.94 measured (tracemalloc, mixed,
+# N = 16, T = 7.5; headline 2.79), 2.3-2.6 at N = 32, T = 4-8
 KATO_TRAJECTORIES = 4
 # n x n complex128 operators a Kato solve holds besides them: the grid's lattices
-# (1.56-1.60), frakA(0)'s two blocks, up to three Weyl tables (complex; the float64
-# ``weyl_table`` each is built from is freed), two node blocks Q_k, Q_{k+1} per table
-# (the older one takes the step's midpoint block), and the chunk of nodes it reads
-# (about 2); beyond 4 trajectories, tracemalloc measured 13.4-15.1 (mixed; headline
-# 7.4-8.9) at N = 64-512, T = 0.004 and 0.01, and at most 16.63 over N = 32-512
-# (mixed, N = 32, T = 0.01; grid and system built while traced)
-KATO_OPERATORS = 17
+# (1.56-1.60), frakA(0)'s two blocks, and, by their n//2 + 1 rows, up to three Weyl
+# tables (complex) and two node blocks Q_k, Q_{k+1} per table (the older takes the
+# step's midpoint block), and the chunk of nodes it reads (about 1); beyond 4
+# trajectories, tracemalloc measured 5.4-7.7 (mixed), 2.4-5.7 (headline, damped)
+# and 4.4-6.5 (arioli_gazzola) at N = 64-512, T = 0.004 and 0.01, and at most 17.07
+# over N = 32-512 (mixed, N = 32, T = 0.004, one step: its fixed bookkeeping
+# outweighs 16 kB operators; grid and system built while traced)
+KATO_OPERATORS = 18
 
 
 class SolverConfig:
@@ -173,7 +173,7 @@ class RunResult:
     @property
     def final(self):
         """The last node as a stacked (z, zbar, w, wbar), 4n."""
-        return stacked_from_real(self.grid, *_full(self.grid, self.trajectory[-1]))
+        return stacked_from_real(self.grid, *self.grid.full(self.trajectory[-1]))
 
     def sup_norm(self, s):
         return max(map(_half_norm(self.grid, s), self.trajectory))
@@ -216,12 +216,12 @@ class RunResult:
 
 
 def heat_factor(grid, eps, tau):
-    """Diagonal heat multipliers (4, n) on the real state: e^{-eps tau j^4} on
-    (y, y_t), e^{-eps tau j^2} on (theta, theta_t).  Each pair shares its
-    factor, so it acts on the stacked pairs the same way."""
+    """Diagonal heat multipliers (4, n//2 + 1) on the real state's half:
+    e^{-eps tau j^4} on (y, y_t), e^{-eps tau j^2} on (theta, theta_t).  Each
+    pair shares its factor, so it acts on the stacked pairs the same way."""
     if eps < 0 or tau < 0:
         raise PreconditionError("heat factor requires eps, tau >= 0")
-    j = grid.modes.astype(float)
+    j = np.arange(grid.n // 2 + 1.0)
     beam = np.exp(-eps * tau * j**4)
     wave = np.exp(-eps * tau * j**2)
     return np.array([beam, beam, wave, wave])
@@ -256,18 +256,10 @@ def _half_norm(grid, s):
     return lambda h: float(np.sqrt(np.vdot(h, w * h).real))
 
 
-def _full(grid, half):
-    """Real functions' coefficients (..., n) from their stored half (..., n//2 + 1),
-    read as ``np.fft.irfft`` reads it: u_{-j} = conj u_j, modes 0 and n/2 real."""
-    out = np.concatenate([half, np.conj(half[..., grid.n // 2 - 1 : 0 : -1])], axis=-1)
-    out.imag[..., [0, grid.n // 2]] = 0.0
-    return out
-
-
 def _march(grid, ladder, dt, steps, u0, step):
-    """Trajectory u_{k+1} = step(k, u_k) of real states (4, n) or their halves
-    (4, n//2 + 1) from u0, stored by each node's half, (steps + 1, 4, n//2 + 1),
-    with its H^{s0}, H^{s1} norms, taken node by node on the stored half.
+    """Trajectory u_{k+1} = step(k, u_k) of real states' halves (4, n//2 + 1)
+    from u0, stored as marched, (steps + 1, 4, n//2 + 1), with its H^{s0},
+    H^{s1} norms, taken node by node.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
@@ -278,7 +270,7 @@ def _march(grid, ladder, dt, steps, u0, step):
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
-        traj[k] = u[:, : grid.n // 2 + 1]
+        traj[k] = u
         for key, norm in norm_of.items():
             norms[key][k] = norm(traj[k])
         if not norms["s1"][k] <= 1e6 * max(norms["s1"][0], 1e-300):
@@ -291,13 +283,14 @@ def _march(grid, ladder, dt, steps, u0, step):
 def _frozen_nodes(para, background, times):
     """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of
     ``linear_solve``'s background there (none for a zero background) and the
-    forcing f_k (4, n): the system's G, plus the remainder of a frozen
+    forcing f_k (4, n//2 + 1): the system's G, plus the remainder of a frozen
     trajectory (a ``RunResult``, read by its y and theta rows and its wave
-    margin checked).  All are taken max(8, n // 8) nodes at a time: about 16
-    rows of n per node, so that a chunk fits in two n x n operators, and at
-    least 8, so that below n = 64 the per-chunk calls do not outweigh the
-    per-node work.  Q_k is formed once, into the buffers of node k - 2, which
-    the march no longer reads."""
+    margin checked).  All are taken max(8, n // 8) nodes at a time: about 7
+    complex rows of n per node (the real jets, the halves of g and of f), so
+    that a chunk fits in one n x n operator, and at least 8, so that below
+    n = 64 the per-chunk calls do not outweigh the per-node work.  Q_k is
+    formed once, into the buffers of node k - 2, which the march no longer
+    reads."""
     grid = para.grid
     frozen = isinstance(background, RunResult)
     size = max(8, grid.n // 8)
@@ -306,7 +299,7 @@ def _frozen_nodes(para, background, times):
         t = times[lo : lo + size]
         g = None
         if frozen:
-            y, theta = _full(grid, np.moveaxis(background.trajectory[lo : lo + size, ::2], 1, 0))
+            y, theta = np.moveaxis(background.trajectory[lo : lo + size, ::2], 1, 0)
             jets, g, margin = para.prepass((y, None, theta, None))
             bad = np.flatnonzero(margin <= 0.0)
             if bad.size:
@@ -331,10 +324,10 @@ def _frozen_nodes(para, background, times):
 
 def linear_solve(para, background, u0, config):
     """Strang splitting for the frozen-coefficient regularized linear system,
-    from the real state u0 (4, n), forced by the system's G(t).
+    from the real state's half u0 (4, n//2 + 1), forced by the system's G(t).
 
-    ``background``: None (zero background), the g-functions of the
-    background at the nodes, shape (3, steps + 1, n), as from
+    ``background``: None (zero background), the halves of the g-functions of
+    the background at the nodes, shape (3, steps + 1, n//2 + 1), as from
     ``ParalinearizedSystem.prepass``, or a ``RunResult`` V_{n-1} on the same
     time grid: the Kato step (P)_n, frozen along it, whose forcing adds
     remainder(V_{n-1}) to G, refused at the first node outside the wave margin.
@@ -343,16 +336,16 @@ def linear_solve(para, background, u0, config):
     each node's formed once) and the forcing (f_k + f_{k+1}) / 2."""
     grid = para.grid
     dt, steps = _time_grid(para.source, config)
-    n = grid.n
+    h = grid.n // 2 + 1
 
     u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (4, n):
-        raise PreconditionError("initial state must be a real state (y, y_t, theta, theta_t) "
-                                "of shape (4, n)")
+    if u0.shape != (4, h):
+        raise PreconditionError("initial state must be the half of a real state (y, y_t, "
+                                "theta, theta_t), of shape (4, n//2 + 1)")
     if isinstance(background, RunResult):
         if len(background.times) != steps + 1:
             raise PreconditionError("a frozen trajectory must have %d nodes" % (steps + 1))
-    elif background is not None and np.shape(background) != (3, steps + 1, n):
+    elif background is not None and np.shape(background) != (3, steps + 1, h):
         raise PreconditionError("background path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
@@ -375,8 +368,8 @@ def linear_solve(para, background, u0, config):
 
 def kato_solve(sys, V0, config):
     """The iteration (P)_n on the paralinearized complex system from a stacked
-    conjugate pair V0 (any other V0 is refused: the real-form march would
-    continue it analytically), marched from its real state.  Sweep 1 solves the
+    conjugate pair V0 (any other V0 is refused: the half of its real state would
+    drop what is not real), marched from that half (4, n//2 + 1).  Sweep 1 solves the
     linear system at the zero background with forcing G at the nodes; sweep n
     freezes the coefficients along V_{n-1} and adds its quadratic remainder as
     inhomogeneity, both read from V_{n-1} a chunk of nodes at a time inside
@@ -388,7 +381,7 @@ def kato_solve(sys, V0, config):
             grid, V0, tol=1e-12 * float(np.max(np.abs(V0)))):
         raise PreconditionError("initial state must be a stacked conjugate pair "
                                 "(z, zbar, w, wbar) of length 4n")
-    u0 = np.array(real_from_stacked(grid, V0))
+    u0 = np.array([u[: grid.n // 2 + 1] for u in real_from_stacked(grid, V0)])
     sys.check_ellipticity()
     radius = float(np.max(np.abs(sys.jets(u0[0], u0[2], slots=range(6)))))
     sys.check_radius_condition(2.0 * max(radius, 1e-12))

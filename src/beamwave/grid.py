@@ -7,8 +7,10 @@ coefficients on a truncated mode set.  Conventions:
 
 so for samples on the uniform grid the forward transform is fft(values)/n.
 Coefficients are kept in numpy fft order; ``TorusGrid.modes`` gives the
-integer mode of each slot.  The grid holds the n x n arrays that Bony-Weyl
-quantization reads, and views coefficients as the Toeplitz fhat(j - k).
+integer mode of each slot, and ``TorusGrid.full`` reads a real function's
+j >= 0 half (``np.fft.rfft``'s layout, which the solvers march) into them.  The
+grid holds the n x n arrays that Bony-Weyl quantization reads, and views
+coefficients as the Toeplitz fhat(j - k).
 
 Unlike on the paper's Z, the lattice's mode -n/2 has no partner +n/2; no
 dealiased state holds it, and the Bony-Weyl cutoff gives it no entry off the
@@ -87,6 +89,13 @@ class TorusGrid:
     def mode_lattice(self):
         J = self.modes
         return _read_only(J[:, None] - J[None, :]), _read_only(J[:, None] + J[None, :])
+
+    def full(self, half):
+        """Real functions' fft-order coefficients (..., n) from their j >= 0 halves
+        (..., n//2 + 1), read as ``np.fft.irfft`` does: u_{-j} = conj u_j, 0 and n/2 real."""
+        out = np.concatenate([half, np.conj(half[..., self.n // 2 - 1 : 0 : -1])], axis=-1)
+        out.imag[..., [0, self.n // 2]] = 0.0
+        return out
 
     def toeplitz(self, fhat):
         """fhat[(j - k) mod n] over the slots (j, k), fft order: a read-only

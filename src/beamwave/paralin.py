@@ -28,8 +28,10 @@ u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
 theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), formed per node as its
-half Q = P / 2 (``frozen_node``); ``prepass``, ``kato_forcing`` and
-``forcing_G`` act on real states (4, ..., n).  A stacked V enters only
+half Q = P / 2 (``frozen_node``) by its rows 0..n/2 (Q[-j, -k] = conj Q[j, k]),
+applied to the full coefficients (``TorusGrid.full``) of the row it reads; it,
+``prepass``, ``kato_forcing`` and ``forcing_G`` act on real states by their
+j >= 0 halves (4, ..., n//2 + 1), ``np.fft.rfft``'s layout.  A stacked V enters only
 ``g_functions``; the dense stacked references of L, R, the full right-hand
 side and the remainder live beside their tests.
 """
@@ -64,9 +66,9 @@ class ParalinearizedSystem:
     wave block at V = 0) once.  A background V then changes only g_1w,
     g_12b and g_12w, each entering frakA / frakB as its Toeplitz view
     (``grid.toeplitz``) times the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of
-    g = |xi| or <xi>^{-3/2} xi^2.  The real form holds those tables with half
-    of P's weights folded in, one per g-function that the term lists of F1
-    and F2 can make nonzero.
+    g = |xi| or <xi>^{-3/2} xi^2.  The real form holds the rows 0..n/2 of
+    those tables with half of P's weights folded in, one per g-function that
+    the term lists of F1 and F2 can make nonzero.
     """
 
     def __init__(self, source, grid):
@@ -78,13 +80,13 @@ class ParalinearizedSystem:
         self._A0 = self.frak_A(None)
         # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
         # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its
-        # multiplier; each table holds half of P's weights, -2 / 2 = -1, and is
-        # complex, as a float one is cast in every node's form (25-40% slower at N = 128)
+        # multiplier; each table holds rows 0..n/2 of half of P's weights, -2 / 2 =
+        # -1, complex, as a float one is cast in every node's form (25-40% slower at N = 128)
         F1, F2, D = source.F1, source.F2, complex_weights(grid)
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
             (i, out, inp, (-1.0 * D[out // 2][:, None] * (weyl_table(grid, mult) * grid.chi_mask)
-                           * D[inp // 2]).astype(complex))
+                           * D[inp // 2])[: grid.n // 2 + 1].astype(complex))
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
 
@@ -101,28 +103,30 @@ class ParalinearizedSystem:
         if V is None:
             zero = SpectralFunction.zero(self.grid)
             return self.a_fun, self.d_fun, zero, zero, zero
+        half = np.array(real_from_stacked(self.grid, V))[:, : self.grid.n // 2 + 1]
         return (self.a_fun, self.d_fun) + tuple(
-            SpectralFunction(self.grid, h, is_real=True)
-            for h in self.prepass(real_from_stacked(self.grid, V))[1])
+            SpectralFunction(self.grid, self.grid.full(h), is_real=True)
+            for h in self.prepass(half)[1])
 
     def prepass(self, u):
         """The jets (6, ..., n) at the slots F reads (``jets``) of real
-        backgrounds u = (y, y_t, theta, theta_t) (4, ..., n), in one batched call
-        from the rows u[0] = y and u[2] = theta (the others may be None); the
-        coefficients (3, ..., n) of g_1w, g_12b and g_12w: the dealiased halves
-        of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx) there; and the wave
-        margin (...) of each background, read from the grid values of
-        dF2/d(theta_xx) before they are halved (``BridgeSystem.wave_margin``).
-        A Kato sweep calls it on a chunk of the nodes it freezes at a time.  F
-        is quadratic: g is linear in V."""
+        backgrounds u = (y, y_t, theta, theta_t) (4, ..., n//2 + 1), in one
+        batched call from the rows u[0] = y and u[2] = theta (the others may be
+        None); the halves (3, ..., n//2 + 1) of g_1w, g_12b and g_12w: the
+        dealiased halves of dF2/d(theta_xx), dF1/d(theta_xx) and dF2/d(y_xx)
+        there; and the wave margin (...) of each background, read from the grid
+        values of dF2/d(theta_xx) before they are halved
+        (``BridgeSystem.wave_margin``).  A Kato sweep calls it on a chunk of the
+        nodes it freezes at a time.  F is quadratic: g is linear in V."""
         jets = self.source.jets(u[0], u[2])
         F1, F2 = self.source.F1, self.source.F2
-        g = np.zeros((3,) + jets.shape[1:], dtype=complex)  # transformed in place
-        for row, (F, slot) in zip(g, ((F2, 5), (F1, 5), (F2, 2))):
+        values = np.zeros((3,) + jets.shape[1:])
+        for row, (F, slot) in zip(values, ((F2, 5), (F1, 5), (F2, 2))):
             F.partial_values(slot, jets, out=row)
-        margin = self.source.wave_margin(g[0])
-        g *= 0.5
-        np.fft.fft(g, norm="forward", out=g)[..., ~self.grid.dealias_mask] = 0.0
+        margin = self.source.wave_margin(values[0])
+        values *= 0.5
+        g = np.fft.rfft(values, norm="forward")
+        g[..., self.grid.dealias_cut + 1 :] = 0.0
         return jets, g, margin
 
     # -- symbols -------------------------------------------------------
@@ -180,42 +184,44 @@ class ParalinearizedSystem:
     # -- real form -------------------------------------------------------
 
     def frozen_node(self, g, bufs=None, u=None, r=None):
-        """One node of a frozen background, from its g-functions g (3, n): the
-        blocks (out, in, Q) of each g-function F can make nonzero, Q = P / 2
-        (into the n x n ``bufs`` if given), so that the block of a step is the
-        sum Q_k + Q_{k+1} of its two nodes'.  Given the node's real state u
-        (4, n; rows y and theta read) and its forcing r (4, n), the node's
-        P u = 2 Q u is subtracted from r in place (``kato_forcing``)."""
-        blocks = []
+        """One node of a frozen background, from its g-functions' halves g (3,
+        n//2 + 1): the blocks (out, in, Q) of each g-function F can make nonzero,
+        Q = P / 2 by its rows 0..n/2 (into the ``bufs`` if given), so that a
+        step's block is the sum Q_k + Q_{k+1} of its two nodes'.  Given the node's
+        real state u and forcing r (4, n//2 + 1; rows y and theta of u read), the
+        node's P u = 2 Q u is subtracted from r in place (``kato_forcing``)."""
+        grid, blocks = self.grid, []
+        g = grid.full(g)
         for (i, out, inp, table), buf in zip(self._real_blocks, bufs or [None] * 3):
-            Q = np.multiply(self.grid.toeplitz(g[i]), table, out=buf)
+            Q = np.multiply(grid.toeplitz(g[i])[: grid.n // 2 + 1], table, out=buf)
             if r is not None:
-                r[out] -= 2.0 * (Q @ u[inp])
+                r[out] -= 2.0 * (Q @ grid.full(u[inp]))
             blocks.append((out, inp, Q))
         return blocks
 
     def real_generator(self, blocks):
         """The frozen generator frakA(V) + frakB(V) + R in real form, forced:
         (u, forcing) -> ``linear_rhs``(u) plus P @ u[in] in row out for each
-        background block (out, in, P), plus the forcing (4, ..., n)."""
-        linear_rhs = self.source.linear_rhs
+        background block (out, in, P) by its rows 0..n/2, u[in] read in full,
+        plus the forcing; u and the forcing are halves (4, n//2 + 1)."""
+        linear_rhs, full = self.source.linear_rhs, self.grid.full
 
         def apply(u, forcing):
             du = linear_rhs(u)
             for out, inp, P in blocks:
-                du[out] += P @ u[inp]
+                du[out] += P @ full(u[inp])
             du += forcing
             return du
 
         return apply
 
     def forcing_G(self, t):
-        """Forcing G(t) on real states, (4, ..., n) for times t (...): the
+        """Forcing G(t) on real states, (4, ..., n//2 + 1) for times t (...): the
         zero-mode accelerations gamma f_b(t), delta f_w(t) in the y_tt and
         theta_tt rows, zero elsewhere."""
         src = self.source
         t = np.asarray(t, dtype=float)
-        G = np.zeros((4,) + t.shape + (self.grid.n,), dtype=complex)
+        G = np.zeros((4,) + t.shape + (self.grid.n // 2 + 1,), dtype=complex)
         for row, amp, f in ((1, src.gamma, src.f_b), (3, src.delta, src.f_w)):
             if amp != 0.0:
                 G[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
@@ -223,8 +229,8 @@ class ParalinearizedSystem:
 
     def kato_forcing(self, u, t=0.0):
         """remainder(V) + G(t), the full right-hand side minus (frakA(V) +
-        frakB(V) + R)V, in real form, (4, ..., n) for real states u
-        (4, ..., n) at times t (...): the inhomogeneity of the Kato step
+        frakB(V) + R)V, in real form, (4, ..., n//2 + 1) for real states u
+        (4, ..., n//2 + 1) at times t (...): the inhomogeneity of the Kato step
         (P)_n frozen at V = V_{n-1}.  L V cancels, leaving gamma f_b + F1 -
         P_12b theta in y_tt and delta f_w + F2 - P_1w theta - P_12w y in
         theta_tt, from the jets of u

@@ -12,7 +12,7 @@ conjugating z, so they stay valid off the conjugate-pair subspace (analytic
 continuation), where the paralinearization evaluates the nonlinearities.
 
 The solvers march, store and norm the real state u = (y, y_t, theta,
-theta_t) as one (4, ..., n) array, normed by ``real_norm_weights``.  The
+theta_t) by its j >= 0 half (4, ..., n//2 + 1), normed by ``real_norm_weights``.  The
 stacked V is the paper's operand: the initial data of ``kato_solve``,
 ``RunResult.final``, the g-functions of the parametrix and energy
 diagnostics, and the dense test references.

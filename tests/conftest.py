@@ -7,9 +7,9 @@ import beamwave.evolve as evolve
 
 @pytest.fixture
 def marched(monkeypatch):
-    """The full real states (4, n) each march of the test marches, one list
-    of nodes per ``_march`` call (a Kato solve's last list is its result);
-    the trajectories themselves store only their j >= 0 halves."""
+    """The real states' halves (4, n//2 + 1) each march of the test marches,
+    one list of nodes per ``_march`` call (a Kato solve's last list is its
+    result), as the step returns them."""
     runs = []
     march = evolve._march
 

@@ -11,7 +11,6 @@ import pytest
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
 from beamwave.errors import PreconditionError
 from beamwave.evolve import (
-    _full,
     SolverConfig,
     epsilon_continuation,
     kato_solve,
@@ -246,7 +245,7 @@ def test_criterion_07_linear_exactness():
     # trivial decoupled flow: H^s isometry, drift < 1e-8 over unit time
     g32 = TorusGrid(32)
     para = ParalinearizedSystem(BridgeSystem(g32, 1.0, 1.0), g32)
-    u0 = np.array(real_from_stacked(g32, complexify(*make_fields(g32)).stacked()))
+    u0 = np.array(real_from_stacked(g32, complexify(*make_fields(g32)).stacked()))[:, :17]
     flow = decoupled_flow(para, u0, SolverConfig(T_final=1.0))
     drift = float(np.max(np.abs(flow.norms["s1"] - flow.norms["s1"][0])))
     assert drift < 1e-8 * flow.norms["s1"][0], "norm drift %.3e" % drift
@@ -312,12 +311,13 @@ def test_criterion_11_bona_smith_and_continuity():
 
 
 def test_criterion_12_structure_preservation(marched):
-    # reality over the full horizon, on the marched nodes (the stored halves
-    # are real states by construction)
+    # reality over the full horizon, on the marched halves: their slots 0 and
+    # n/2, where a half could hold a non-real value, are real
     g, sys = headline_system(64)
     kato_solve(sys, complexify(*make_fields(g)).stacked(), SolverConfig(T_final=0.1))
     for u in marched[-1]:
-        assert is_conjugate_pair(g, stacked_from_real(g, *u), tol=1e-10)
+        assert np.max(np.abs(u[:, [0, g.n // 2]].imag)) <= 1e-10
+        assert is_conjugate_pair(g, stacked_from_real(g, *g.full(u)), tol=1e-10)
 
     # parity: odd data for a parity-passing coupling stays odd
     gp = TorusGrid(32)
@@ -335,7 +335,7 @@ def test_criterion_12_structure_preservation(marched):
     )
     runp = kato_solve(sysp, complexify(*odd).stacked(), SolverConfig(T_final=0.05))
     idx = (-np.arange(gp.n)) % gp.n
-    y, _, th, _ = _full(gp, runp.trajectory[-1])
+    y, _, th, _ = gp.full(runp.trajectory[-1])
     for u in (y, th):
         assert float(np.max(np.abs(u[idx] + u))) < 1e-10
 

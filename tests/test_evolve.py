@@ -8,7 +8,6 @@ from beamwave.errors import NumericalError, PreconditionError
 from beamwave.evolve import (
     KATO_OPERATORS,
     KATO_TRAJECTORIES,
-    _full,
     _march,
     _rk4,
     _time_grid,
@@ -37,8 +36,8 @@ from test_paralin import odd_stacked_matrix
 
 
 def real_state(fields):
-    """The real state (4, n) of coefficient arrays of (y, y_t, theta, theta_t)."""
-    return np.array([u.coeffs for u in fields], dtype=complex)
+    """The real state's half (4, n//2 + 1) of the fields (y, y_t, theta, theta_t)."""
+    return np.array([u.coeffs[: u.grid.n // 2 + 1] for u in fields])
 
 
 def make_fields(g, amp=1e-2):
@@ -145,8 +144,8 @@ def test_kato_peak_memory_at_large_n_is_within_the_counted_operators():
 def test_heat_factor_layout():
     g = TorusGrid(8)
     h = heat_factor(g, 0.1, 0.5)
-    j = g.modes.astype(float)
-    assert h.shape == (4, 8)
+    j = np.arange(5.0)
+    assert h.shape == (4, 5)
     assert np.allclose(h[:2], np.exp(-0.05 * j**4))
     assert np.allclose(h[2:], np.exp(-0.05 * j**2))
     with pytest.raises(PreconditionError):
@@ -184,14 +183,15 @@ def test_duhamel_ratio_eps_zero_is_linear_in_t():
 def decoupled_flow(para, u0, config):
     """The decoupled model flow d_t u = frakA(0) u, the linear part without
     the order-zero coupling R, unforced, marched by the solvers' RK4 step and
-    march: its H^s norms are exact isometries.  frakA(0) acts as its dense
-    stacked matrix, carried through the complexification."""
+    march: its H^s norms are exact isometries.  frakA(0) acts on real states'
+    halves as its dense stacked matrix, carried through the complexification."""
     g = para.grid
     dt, steps = _time_grid(para.source, config)
     A0 = odd_stacked_matrix(g, *para.frak_A(None))
 
     def A(u, _):
-        return np.array(real_from_stacked(g, A0 @ stacked_from_real(g, *u)))
+        v = A0 @ stacked_from_real(g, *g.full(u))
+        return np.array(real_from_stacked(g, v))[:, : g.n // 2 + 1]
 
     return _march(g, config.ladder, dt, steps, u0, lambda k, u: _rk4(A, u, dt, (None,) * 3))
 
@@ -215,8 +215,9 @@ def test_linear_solve_background_shape_checks():
     cfg = SolverConfig(T_final=0.01)
     with pytest.raises(PreconditionError, match="background"):
         linear_solve(para, np.zeros((3, 4 * g.n)), u0, cfg)
-    with pytest.raises(PreconditionError, match="initial state"):
-        linear_solve(para, None, u0.reshape(4 * g.n), cfg)
+    for bad in (u0.reshape(-1), g.full(u0)):  # the half of a real state only
+        with pytest.raises(PreconditionError, match="initial state"):
+            linear_solve(para, None, bad, cfg)
     # a frozen trajectory is read on the same time grid
     frozen = linear_solve(para, None, u0, cfg)
     with pytest.raises(PreconditionError, match="frozen trajectory"):
@@ -265,12 +266,11 @@ def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
 
 @pytest.mark.parametrize("solver", ["oracle", "kato"])
 def test_march_stores_the_real_nodes_and_their_norms(solver, marched):
-    # the nodes are stored by the j >= 0 half of each marched real state
-    # (4, n), or as the oracle marches them, (4, n//2 + 1): node 0 is the half
-    # of the input coefficients bit for bit (kato_solve's input is its stacked
-    # data, turned real once), and each stored norm, taken from the real
-    # coordinates of the marched node, is stacked_norm of its
-    # complexification to round-off
+    # the nodes are stored as each solver marches them, by the j >= 0 half
+    # (4, n//2 + 1) of the real state: node 0 is the half of the input
+    # coefficients bit for bit (kato_solve's input is its stacked data, turned
+    # real once), and each stored norm, taken from the real coordinates of the
+    # marched node, is stacked_norm of its complexification to round-off
     g, sys = headline_system(32)
     fields = make_fields(g)
     cfg = SolverConfig(T_final=0.1)
@@ -278,22 +278,22 @@ def test_march_stores_the_real_nodes_and_their_norms(solver, marched):
         run, u0 = oracle_solve(sys, *fields, cfg), real_state(fields)
     else:
         V0 = complexify(*fields).stacked()
-        run, u0 = kato_solve(sys, V0, cfg), np.array(real_from_stacked(g, V0))
+        run, u0 = kato_solve(sys, V0, cfg), np.array(real_from_stacked(g, V0))[:, : g.n // 2 + 1]
     assert run.trajectory.shape == (12, 4, g.n // 2 + 1)
-    assert np.array_equal(run.trajectory[0], u0[:, : g.n // 2 + 1])
+    assert np.array_equal(run.trajectory[0], u0)
     assert len(marched[-1]) == 12
     for key in ("s0", "s1"):
         s = getattr(cfg.ladder, key)
         for u, norm in zip(marched[-1], run.norms[key]):
-            u = _full(g, u) if solver == "oracle" else u
-            expect = stacked_norm(g, stacked_from_real(g, *u), s)
+            expect = stacked_norm(g, stacked_from_real(g, *g.full(u)), s)
             assert abs(norm - expect) <= 1e-14 * expect
-    assert np.array_equal(run.final, stacked_from_real(g, *_full(g, run.trajectory[-1])))
+    assert np.array_equal(run.final, stacked_from_real(g, *g.full(run.trajectory[-1])))
 
 
 @pytest.mark.parametrize("solver", ["oracle", "kato", "linear"])
 def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marched):
-    # modes 0..n/2 of every marched node, bit for bit, the Nyquist mode as marched
+    # every marched node as it is, bit for bit: each solver marches the half
+    # (4, n//2 + 1), modes 0..n/2, the Nyquist mode as marched
     g = TorusGrid(32)
     sysm, fields = build_preset("mixed", g)
     cfg = SolverConfig(T_final=0.05, eps=1e-3 if solver == "linear" else 0.0)
@@ -308,10 +308,9 @@ def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marche
         steps = cfg.resolve_dt(g, 1.0)[1]
         nodes = np.repeat(u0[:, None], steps + 1, axis=1)
         run = linear_solve(para, para.prepass(nodes)[1], u0, cfg)
-    full = np.array(marched[-1])
-    width = g.n // 2 + 1 if solver == "oracle" else g.n  # the oracle marches the half
-    assert full.shape == (len(run.times), 4, width)
-    assert np.array_equal(run.trajectory, full[..., : g.n // 2 + 1])
+    nodes = np.array(marched[-1])
+    assert nodes.shape == (len(run.times), 4, g.n // 2 + 1)
+    assert np.array_equal(run.trajectory, nodes)
 
 
 @pytest.mark.parametrize("preset", ["headline", "mixed", "parity"])
@@ -403,13 +402,13 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
         mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]))
         A = para.real_generator([(out, inp, Q + Q) for out, inp, Q in mid])
         u = _rk4(A, u, dt, (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
-        err = np.max(np.abs(run.trajectory[k + 1] - u[:, : g.n // 2 + 1]))
+        err = np.max(np.abs(run.trajectory[k + 1] - u))
         assert err <= 1e-13 * np.max(np.abs(u)), (k, err)
 
 
 def march_node_paths(para, g, u0, forcing, config):
     """The frozen flow along node paths, at eps = 0: the g-functions g
-    (3, steps + 1, n) and forcing (steps + 1, 4, n) at the nodes; step k
+    (3, steps + 1, n//2 + 1) and forcing (steps + 1, 4, n//2 + 1) at the nodes; step k
     applies the sum Q_k + Q_{k+1} of the halves ``frozen_node`` forms at its
     two nodes and the forcing at its ends and their average."""
     dt, steps = _time_grid(para.source, config)
@@ -430,13 +429,13 @@ def kato_with_prepass(sys, V0, config):
     node by node, kato_forcing, then a march along the node paths."""
     grid = sys.grid
     para = ParalinearizedSystem(sys, grid)
-    u0 = np.array(real_from_stacked(grid, V0))
+    u0 = np.array(real_from_stacked(grid, V0))[:, : grid.n // 2 + 1]
     dt, steps = _time_grid(sys, config)
     times = dt * np.arange(steps + 1)
     result = linear_solve(para, None, u0, config)
     increments = []
     while not increments or increments[-1] >= config.kato_tol:
-        y, theta = _full(grid, np.moveaxis(result.trajectory[:, ::2], 1, 0))
+        y, theta = np.moveaxis(result.trajectory[:, ::2], 1, 0)
         u = (y, None, theta, None)
         _, g, margin = para.prepass(u)
         assert np.all(margin > 0.0)
@@ -474,12 +473,15 @@ def test_streamed_kato_sweeps_match_the_prepass_reference(preset, n, steps):
 
 
 def test_kato_preserves_reality(marched):
-    # on the marched nodes: the stored halves are real states by construction
+    # the marched halves hold real states: their slots 0 and n/2, where a half
+    # could hold a non-real value (the full coefficients drop its imaginary
+    # part), are real
     g, sys = headline_system(32)
     kato_solve(sys, complexify(*make_fields(g)).stacked(), SolverConfig(T_final=0.05))
     nodes = marched[-1]
     for u in nodes[:: max(1, len(nodes) // 5)]:
-        assert is_conjugate_pair(g, stacked_from_real(g, *u), tol=1e-10)
+        assert np.max(np.abs(u[:, [0, g.n // 2]].imag)) <= 1e-10
+        assert is_conjugate_pair(g, stacked_from_real(g, *g.full(u)), tol=1e-10)
 
 
 @pytest.mark.parametrize("preset, n, T", [("mixed", 16, 7.5), ("headline", 64, 0.1)])
@@ -667,10 +669,10 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
     para = ParalinearizedSystem(sys, g)
     dt, steps = config.resolve_dt(g, 1.0)
     times = dt * np.arange(steps + 1)
-    sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0)), config)
+    sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0))[:, : g.n // 2 + 1],
+                          config)
     first = None
-    for k, half in enumerate(sweep1.trajectory):
-        y, _, theta, _ = _full(g, half)
+    for k, (y, _, theta, _) in enumerate(sweep1.trajectory):
         if sys.wave_margin(sys.F2.partial_values(5, sys.jets(y, theta))) <= 0.0:
             first = k
             break

@@ -5,10 +5,12 @@ import pytest
 
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_preset
 from beamwave.cli import build_preset
-from beamwave.grid import TorusGrid, transform
+from beamwave.evolve import SolverConfig, kato_solve
+from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import bony_weyl_quantize
 from beamwave.state import (
+    complex_weights,
     complexify,
     is_conjugate_pair,
     parity_split,
@@ -16,7 +18,7 @@ from beamwave.state import (
     stacked_from_real,
     stacked_norm,
 )
-from beamwave.symbols import SeparableSymbol
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
 from test_quantize import conjugation_break
 from test_spectral_core import parity_join, sobolev_norm
 
@@ -47,12 +49,43 @@ def odd_stacked_matrix(g, pm, mp):
     return parity_join(m @ pm.T, p @ mp.T).T
 
 
+def half_of(g, vec):
+    """The real state's half (4, ..., n//2 + 1) of stacked vectors (..., 4n)."""
+    return np.array(real_from_stacked(g, vec))[..., : g.n // 2 + 1]
+
+
+def on_conjugate_pairs(g, f, vec):
+    """A map f of real states' halves (4, ..., n//2 + 1) carried to stacked
+    conjugate pairs (..., 4n): complexified, it maps V to the stacked form of
+    f's value."""
+    vec = np.asarray(vec, dtype=complex)
+    assert all(is_conjugate_pair(g, v) for v in vec.reshape(-1, 4 * g.n))
+    return stacked_from_real(g, *g.full(f(half_of(g, vec))))
+
+
+def conjugate_swap(g, vec):
+    """J (z, zbar, w, wbar) = (conj zbar(-j), conj z(-j), conj wbar(-j), conj w(-j))
+    on stacked vectors (..., 4n); its fixed points are the conjugate pairs."""
+    z, zb, w, wb = (c[..., g.reflect] for c in np.split(np.conj(vec), 4, axis=-1))
+    return np.concatenate([zb, z, wb, w], axis=-1)
+
+
+def complex_linear_extension(g, f, vec):
+    """The complex-linear extension of a real-linear map f of real states'
+    halves to any stacked vectors (..., 4n): vec = c1 + i c2 with the
+    conjugate pairs c1 = (vec + J vec) / 2 and c2 = (vec - J vec) / 2i, and
+    f(vec) = f(c1) + i f(c2), each carried by ``on_conjugate_pairs``."""
+    Jv = conjugate_swap(g, vec)
+    return (on_conjugate_pairs(g, f, 0.5 * (vec + Jv))
+            + 1j * on_conjugate_pairs(g, f, (vec - Jv) / 2j))
+
+
 def L_complex_matrix(para):
-    """Dense 4n x 4n matrix of L = frakA(0) + R: its real form ``linear_rhs``
-    carried through the complexification, applied to the identity."""
+    """Dense 4n x 4n matrix of L = frakA(0) + R: the complex-linear extension
+    of its real form ``linear_rhs`` (``complex_linear_extension``), applied to
+    the identity."""
     g = para.grid
-    u = np.array(real_from_stacked(g, np.eye(4 * g.n)))
-    return stacked_from_real(g, *para.source.linear_rhs(u)).T
+    return complex_linear_extension(g, para.source.linear_rhs, np.eye(4 * g.n)).T
 
 
 def R_operator(para):
@@ -61,16 +94,14 @@ def R_operator(para):
 
 
 def full_rhs(para, vec, t=0.0):
-    """Exact complexified right-hand side on a stacked vector."""
-    u = np.array(real_from_stacked(para.grid, np.asarray(vec, dtype=complex)))
-    return stacked_from_real(para.grid, *para.source.real_rhs(u, t))
+    """Exact complexified right-hand side on a stacked conjugate pair."""
+    return on_conjugate_pairs(para.grid, lambda u: para.source.real_rhs(u, t), vec)
 
 
 def remainder(para, vec, t=0.0):
     """remainder(V) := full_rhs - frakA(V)V - frakB(V)V - RV - G(t) on a
-    stacked V: the Kato forcing less G."""
-    u = np.array(real_from_stacked(para.grid, np.asarray(vec, dtype=complex)))
-    return stacked_from_real(para.grid, *(para.kato_forcing(u, t) - para.forcing_G(t)))
+    stacked conjugate pair V: the Kato forcing less G."""
+    return on_conjugate_pairs(para.grid, lambda u: para.kato_forcing(u, t) - para.forcing_G(t), vec)
 
 
 def structural_zeros(half):
@@ -107,7 +138,7 @@ def test_full_rhs_matches_real_system():
     # complexified right-hand side must be the exact transport of the real one
     g, sys, para, V = coupled_system()
     u = np.array(real_from_stacked(g, V))
-    _, ytt, _, thtt = sys.real_rhs(u, 0.0)
+    _, ytt, _, thtt = g.full(sys.real_rhs(half_of(g, V), 0.0))
     rhs = full_rhs(para, V, 0.0)
     br = g.brackets
     rt2 = np.sqrt(2.0)
@@ -120,13 +151,13 @@ def test_decomposition_reproduces_full_rhs():
     # precision; G and the Kato forcing remainder + G act on the real state,
     # where the generator plus the Kato forcing is the real right-hand side
     g, sys, para, V = coupled_system()
-    u = np.array(real_from_stacked(g, V))
+    u = half_of(g, V)
     halves = [dense_half(a, g.n) + dense_half(b, g.n)
               for a, b in zip(para.frak_A(V), para.frak_B(V))]
     lin = (odd_stacked_matrix(g, *halves) + R_operator(para)) @ V
-    total = lin + remainder(para, V, 0.0) + stacked_from_real(g, *para.forcing_G(0.0))
+    total = lin + remainder(para, V, 0.0) + stacked_from_real(g, *g.full(para.forcing_G(0.0)))
     assert np.max(np.abs(total - full_rhs(para, V, 0.0))) < 1e-12
-    real_total = np.array(real_from_stacked(g, lin)) + para.kato_forcing(u, 0.0)
+    real_total = half_of(g, lin) + para.kato_forcing(u, 0.0)
     assert np.max(np.abs(real_total - sys.real_rhs(u, 0.0))) < 1e-12
 
 
@@ -206,8 +237,13 @@ def test_R_operator_trivial_system_order_zero():
 
 
 def test_rhs_preserves_conjugate_pairing():
+    # a half holds a real function but in its slots 0 and n/2, whose imaginary
+    # parts the full coefficients drop: there the stage's derivative of a real
+    # state is real, exactly, so the stacked right-hand side is a conjugate pair
     g, sys, para, V = coupled_system()
     assert is_conjugate_pair(g, V)
+    du = sys.real_rhs(half_of(g, V), 0.0)
+    assert not np.any(du[:, [0, g.n // 2]].imag)
     assert is_conjugate_pair(g, full_rhs(para, V, 0.0))
 
 
@@ -215,8 +251,8 @@ def test_forcing_G_conjugate_structure():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0, gamma=1.0, delta=0.5, f_b=np.cos)
     para = ParalinearizedSystem(sys, g)
-    assert para.forcing_G(0.7).shape == (4, g.n)
-    G = stacked_from_real(g, *para.forcing_G(0.7))
+    assert para.forcing_G(0.7).shape == (4, g.n // 2 + 1)
+    G = stacked_from_real(g, *g.full(para.forcing_G(0.7)))
     n = g.n
     assert G[n] == np.conj(G[0])
     assert G[3 * n] == np.conj(G[2 * n])
@@ -239,8 +275,8 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
     # halves, equal -iE Op^BW of the assembled symbols I p + U q, each part
     # quantized here on its own and laid out as the stacked symmetric pair
     # [[A, B], [B, A]], at zero, at the preset data and at a perturbed V; the
-    # real-form generator's action equals the sum of the matrices, with R,
-    # carried through the complexification
+    # real-form generator's action on real states equals the sum of the
+    # matrices, with R, carried through the complexification
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -249,8 +285,7 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         *(transform(g, 0.3 * u.values().real + 4e-3 * np.cos(3 * g.x)) for u in fields)
     ).stacked()
     n2 = 2 * g.n
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal((4, g.n)) + 1j * rng.standard_normal((4, g.n))
+    u = np.fft.rfft(np.random.default_rng(3).standard_normal((4, g.n)), norm="forward")
     E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
 
     def minus_iE_bw(parts):
@@ -271,9 +306,9 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         got_B = odd_stacked_matrix(g, *para.frak_B(v))
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(got_B - B) <= 1e-12 * max(np.linalg.norm(B), 1e-300)
-        g_v = None if v is None else para.prepass(real_from_stacked(g, v))[1]
+        g_v = None if v is None else para.prepass(half_of(g, v))[1]
         M = got_A + got_B + R_operator(para)
-        expect = np.array(real_from_stacked(g, M @ stacked_from_real(g, *u)))
+        expect = half_of(g, M @ stacked_from_real(g, *g.full(u)))
         got = para.real_generator(constant_background_blocks(para, g_v))(u, 0.0)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert [structural_zeros(h) for h in para.frak_B(None)] == [EVERY_BLOCK] * 2
@@ -286,7 +321,7 @@ def test_batched_kato_forcing_matches_single_vectors():
     sysm, fields = build_preset("mixed", g)
     sysm.gamma, sysm.delta = 0.5, -0.3
     para = ParalinearizedSystem(sysm, g)
-    u = np.array([f.coeffs for f in fields], dtype=complex)
+    u = np.array([f.coeffs[: g.n // 2 + 1] for f in fields])
     traj = np.stack([s * u for s in (1.0, 0.5, -2.0, 0.25)], axis=1)
     times = np.array([0.0, 0.1, 0.2, 0.3])
     batched = para.kato_forcing(traj, times)
@@ -304,8 +339,7 @@ def test_skipping_structurally_zero_blocks_is_bit_identical(preset):
     # system keeps every block through terms with coefficient 0
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
-    V = complexify(*fields).stacked()
-    u = np.array(real_from_stacked(g, V))
+    u = half_of(g, complexify(*fields).stacked())
     skipping = ParalinearizedSystem(sysm, g)
     zero_terms = BridgeSystem(
         g, sysm.b, sysm.c, B_terms=sysm.B_terms, C_terms=sysm.C_terms,
@@ -345,14 +379,51 @@ def test_L_complex_matrix_is_the_linear_right_hand_side(system):
 @pytest.mark.parametrize("n", [16, 32, 128, 512])
 def test_frozen_node_blocks_of_a_real_background_map_real_states_to_real_states(n):
     # every background block of the mixed preset (all three g-functions live)
-    # at a random real dealiased background: Q[-j, -k] = conj Q[j, k] in every
-    # row and column, the unpaired mode -n/2 included
+    # at a random real dealiased background is held by its rows 0..n/2,
+    # (n/2 + 1) x n: those of its dense reference Q = -diag(D_out)
+    # Op^BW(g m) diag(D_in) (``bony_weyl_quantize``).  The reference has
+    # Q[-j, -k] = conj Q[j, k] in every row and column, the unpaired mode -n/2
+    # included, so the rows j < 0 that the block leaves out are the conjugates
+    # of those it holds, and it maps a real state's full coefficients to the
+    # half of a real state
     g = TorusGrid(n)
     para = ParalinearizedSystem(build_preset("mixed", g)[0], g)
-    coeffs = np.fft.fft(np.random.default_rng(n).standard_normal((3, n)), norm="forward")
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, g.reflect]))  # Hermitian bit for bit
-    coeffs[:, ~g.dealias_mask] = 0.0
-    blocks = para.frozen_node(coeffs)
+    g_half = np.fft.rfft(np.random.default_rng(n).standard_normal((3, n)), norm="forward")
+    g_half[:, g.dealias_cut + 1 :] = 0.0
+    blocks = para.frozen_node(g_half)
     assert len(blocks) == 3
-    for *_, Q in blocks:
-        assert conjugation_break(g, Q) <= 1e-15
+    D = complex_weights(g)
+    off = FrequencyMultiplier.bracket(-1.5) * FrequencyMultiplier.xi_power(2)
+    specs = {(3, 2): (0, FrequencyMultiplier.abs_xi()), (1, 2): (1, off), (3, 0): (2, off)}
+    for out, inp, Q in blocks:
+        i, mult = specs[out, inp]
+        f = SpectralFunction(g, g.full(g_half[i]), is_real=True)
+        Op = bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+        ref = -D[out // 2][:, None] * Op * D[inp // 2]
+        assert Q.shape == (n // 2 + 1, n)
+        assert np.max(np.abs(Q - ref[: n // 2 + 1])) <= 1e-15 * np.max(np.abs(ref))
+        assert conjugation_break(g, ref) <= 1e-15
+
+
+def test_every_kato_node_block_holds_the_rows_j_ge_0(monkeypatch):
+    # every block a Kato solve forms, for its forcing and its steps, and every
+    # midpoint block its generator applies, is (n/2 + 1) x n
+    g = TorusGrid(32)
+    sysm, fields = build_preset("mixed", g)
+    shapes = set()
+    generator = ParalinearizedSystem.real_generator
+    frozen_node = ParalinearizedSystem.frozen_node
+
+    def recording_generator(self, blocks):
+        shapes.update(("step", P.shape) for *_, P in blocks)
+        return generator(self, blocks)
+
+    def recording_node(self, *args, **kwargs):
+        blocks = frozen_node(self, *args, **kwargs)
+        shapes.update(("node", Q.shape) for *_, Q in blocks)
+        return blocks
+
+    monkeypatch.setattr(ParalinearizedSystem, "real_generator", recording_generator)
+    monkeypatch.setattr(ParalinearizedSystem, "frozen_node", recording_node)
+    kato_solve(sysm, complexify(*fields).stacked(), SolverConfig(T_final=0.02))
+    assert shapes == {("step", (g.n // 2 + 1, g.n)), ("node", (g.n // 2 + 1, g.n))}

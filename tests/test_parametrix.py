@@ -564,12 +564,14 @@ def test_ladder_rung_peak_memory():
     # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
     # runs them: the build, the residuals, then the energy report (which
     # builds its own parametrix) with the first parametrix alive.  Measured
-    # in a fresh process: 7.27 MB and 23.6 MB; the bounds are that plus
-    # under 10%.  With Psi, Lambda and D~_b held by the parametrix and the
-    # energy taken on stacked (..., 4n) batches: 10.05 MB and 35.3 MB.
+    # in a fresh process: 4.54 MB and 11.87 MB; the bounds are that plus
+    # under 10%.  With every beam block dense (constant b quantized as a
+    # matrix, not held by its diagonal): 6.36 MB and 19.18 MB; with Psi,
+    # Lambda and D~_b held by the parametrix and the energy taken on stacked
+    # (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    for n, bound in ((128, 7.9e6), (256, 25.5e6)):
+    for n, bound in ((128, 4.9e6), (256, 12.9e6)):
         g = TorusGrid(n)
         sysm, fields = build_preset("headline", g)
         V = complexify(*fields).stacked()

@@ -29,7 +29,6 @@ from test_layout import ROOT, _names, _trees
 ALLOWED = {
     "check_parity": "ROADMAP item 6: verify --suite oracle is to gate parity along the flow",
     "parity_sign_ok": "called by check_parity only",
-    "_has_parity": "called by check_parity and parity_sign_ok only",
 }
 
 SYSTEMS = {
