@@ -37,7 +37,10 @@ nodes' blocks (g is linear in V).  A sweep is one pass over the background it
 freezes: its march reads V_{n-1} a chunk of nodes at a time, takes their jets,
 g-functions and exact margin c + dF2/d(theta_xx) in one ``prepass``, their F
 and G, and forms each node's blocks once, for the node's Kato forcing and the
-two steps that meet there.  No array over the whole trajectory but V_{n-1} and V_n is held.
+two steps that meet there.  Once node k is read, the march writes V_n(t_k) over
+V_{n-1}(t_k) and takes ||V_n(t_k) - V_{n-1}(t_k)||_{H^{s1}} into the sweep's
+increment, a running maximum: a Kato solve holds one trajectory, and each
+solver is refused, before its march, by a plan of the arrays it allocates.
 
 One paper experiment runs on top of them, ``epsilon_continuation`` (the
 ``sweep --axis eps`` of the CLI): the gap between Kato runs at decreasing
@@ -55,20 +58,16 @@ from .paralin import ParalinearizedSystem
 from .state import is_conjugate_pair, real_from_stacked, real_norm_weights, stacked_from_real
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
-# stored halves, (steps + 1) x 4 x (n//2 + 1) complex128 each, a Kato sweep holds at
-# its peak: V_{n-1} and V_n (2; it reads V_{n-1} a chunk of nodes at a time), and
-# at small n the bookkeeping around them: 2.94 measured (tracemalloc, mixed,
-# N = 16, T = 7.5; headline 2.79), 2.3-2.6 at N = 32, T = 4-8
-KATO_TRAJECTORIES = 4
-# n x n complex128 operators a Kato solve holds besides them: the grid's lattices
-# (1.56-1.60), frakA(0)'s two blocks, and, by their n//2 + 1 rows, up to three Weyl
-# tables (complex) and two node blocks Q_k, Q_{k+1} per table (the older takes the
-# step's midpoint block), and the chunk of nodes it reads (about 1); beyond 4
-# trajectories, tracemalloc measured 5.4-7.7 (mixed), 2.4-5.7 (headline, damped)
-# and 4.4-6.5 (arioli_gazzola) at N = 64-512, T = 0.004 and 0.01, and at most 17.07
-# over N = 32-512 (mixed, N = 32, T = 0.004, one step: its fixed bookkeeping
-# outweighs 16 kB operators; grid and system built while traced)
-KATO_OPERATORS = 18
+# Each solver's plan (``_kato_plan``, ``_oracle_plan``) counts the bytes it holds
+# at its peak from the arrays it allocates; ``resolve_dt`` checks it against
+# physical memory before the march allocates any.  Four terms are measured: the
+# largest tracemalloc peaks beyond the arrays counted by their size, over
+# headline, mixed, damped and arioli_gazzola at N = 16-256, 1 and 100 steps, grid
+# and system built while traced (tests/test_evolve.py)
+PLAN_FIXED = 64 * 1024  # Python objects and the interpreter's caches
+PLAN_ROW = 64 * 16  # per grid point: data, RK4 stages, one state's jets (64 complex rows)
+PLAN_CHUNK_NODE = 12 * 16  # per grid point and node of the chunk: jets, g, F, forcing
+PLAN_SETUP = 88  # per n x n entry: chi_mask's temporaries, frakA(0)'s first Weyl matrix held
 
 
 class SolverConfig:
@@ -112,11 +111,11 @@ class SolverConfig:
         j_max = grid.n // 2
         return self.cfl_safety * RK4_IMAG_LIMIT / (np.sqrt(b_max) * j_max**2)
 
-    def resolve_dt(self, grid, b_max):
+    def resolve_dt(self, grid, b_max, plan=None):
         """The actual step: validated config dt, or the largest stable step
-        dividing T_final into an integer number of steps.  A step count whose
-        trajectories (``KATO_TRAJECTORIES`` of them) and n x n operators
-        (``KATO_OPERATORS``) would not fit in physical memory is refused."""
+        dividing T_final into an integer number of steps.  Given a solver's
+        ``plan``, steps -> the bytes its march holds at its peak, a step count
+        whose plan exceeds physical memory is refused, before any array."""
         limit = self.max_stable_dt(grid, b_max)
         if self.dt is not None:
             if self.dt > limit * (1.0 + 1e-12):
@@ -126,16 +125,13 @@ class SolverConfig:
             dt = self.dt
         else:
             dt = limit
-        ratio = self.T_final / dt
-        need = (KATO_TRAJECTORIES * (ratio + 2.0) * 4 * (grid.n // 2 + 1)
-                + KATO_OPERATORS * grid.n**2) * 16
-        if need > physical_memory_bytes():
+        steps = max(1.0, float(np.ceil(self.T_final / dt - 1e-12)))
+        if plan is not None and plan(steps) > physical_memory_bytes():
             raise ConfigError(
-                "dt = %.3e needs %.3g steps, whose trajectories and operators exceed "
-                "physical memory" % (dt, ratio)
+                "dt = %.3e needs %.3g steps, whose trajectory and working arrays exceed "
+                "physical memory" % (dt, steps)
             )
-        steps = max(1, int(np.ceil(ratio - 1e-12)))
-        return self.T_final / steps, steps
+        return self.T_final / steps, int(steps)
 
     def to_json_dict(self):
         return {
@@ -157,7 +153,8 @@ class SolverConfig:
 class RunResult:
     """Real trajectory of (y, y_t, theta, theta_t), stored by its j >= 0 half
     (nodes, 4, n//2 + 1) in ``np.fft.rfft``'s layout (modes 0..n/2), norm time
-    series, iteration record, termination cause."""
+    series, iteration record (a Kato solve's increments; one sweep's
+    increment over the trajectory it overwrote), termination cause."""
 
     def __init__(self, grid, times, trajectory, norms, termination, increments=None):
         self.grid = grid
@@ -227,9 +224,40 @@ def heat_factor(grid, eps, tau):
     return np.array([beam, beam, wave, wave])
 
 
-def _time_grid(sys, config):
+def _time_grid(sys, config, plan=None):
     """(dt, steps) for ``sys``: the CFL limit uses the largest beam coefficient."""
-    return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)))
+    return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)), plan)
+
+
+def _trajectory_bytes(grid, steps):
+    """A stored trajectory: (steps + 1) x 4 x (n//2 + 1) complex."""
+    return (steps + 1) * 4 * (grid.n // 2 + 1) * 16
+
+
+def _chunk_nodes(n):
+    """Nodes a frozen background is read by at a time (``_frozen_nodes``)."""
+    return max(8, n // 8)
+
+
+def _kato_plan(para, steps):
+    """The plan of a Kato solve, which each ``linear_solve`` checks: frakA(0)'s
+    arrays and the bookkeeping, plus the larger of the set-up (``PLAN_SETUP``)
+    and the march: the grid's lattices (two int64, a bool and a float n x n),
+    per live g-function its table and two node blocks, (n//2 + 1) x n complex
+    each, the chunk and the one trajectory."""
+    grid = para.grid
+    n, h = grid.n, grid.n // 2 + 1
+    pm, ((bb, _), (_, ww)) = para._A0
+    march = (25 * n * n + len(para._real_blocks) * 3 * h * n * 16
+             + min(_chunk_nodes(n), steps + 1) * n * PLAN_CHUNK_NODE
+             + _trajectory_bytes(grid, steps))
+    return (PLAN_FIXED + PLAN_ROW * n + pm.nbytes + bb.nbytes + ww.nbytes
+            + max(PLAN_SETUP * n * n, march))
+
+
+def _oracle_plan(grid, steps):
+    """The oracle's plan: its one trajectory and its RK4 stages."""
+    return PLAN_FIXED + PLAN_ROW * grid.n + _trajectory_bytes(grid, steps)
 
 
 def _rk4(f, u, dt, args):
@@ -256,20 +284,27 @@ def _half_norm(grid, s):
     return lambda h: float(np.sqrt(np.vdot(h, w * h).real))
 
 
-def _march(grid, ladder, dt, steps, u0, step):
+def _march(grid, ladder, dt, steps, u0, step, over=None):
     """Trajectory u_{k+1} = step(k, u_k) of real states' halves (4, n//2 + 1)
     from u0, stored as marched, (steps + 1, 4, n//2 + 1), with its H^{s0},
-    H^{s1} norms, taken node by node.
+    H^{s1} norms, taken node by node.  Given a trajectory ``over`` of that
+    shape, each node is stored into its slot once the H^{s1} norm of the node
+    minus the slot's old value has entered a running maximum, the result's one
+    increment sup_t ||u - over||_{H^{s1}}: ``step(k, u_k)`` must have read
+    every slot up to k + 1 it needs.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
-    traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex)
+    traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex) if over is None else over
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
     norm_of = {key: _half_norm(grid, getattr(ladder, key)) for key in norms}
+    increment = 0.0
     u = u0
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
+        if over is not None:
+            increment = max(increment, norm_of["s1"](u - traj[k]))
         traj[k] = u
         for key, norm in norm_of.items():
             norms[key][k] = norm(traj[k])
@@ -277,29 +312,31 @@ def _march(grid, ladder, dt, steps, u0, step):
             if not np.all(np.isfinite(u)):
                 raise NumericalError("non-finite state encountered")
             raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
-    return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed")
+    return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed",
+                     None if over is None else [increment])
 
 
-def _frozen_nodes(para, background, times):
+def _frozen_nodes(para, times, g_path=None, frozen=None):
     """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of
-    ``linear_solve``'s background there (none for a zero background) and the
-    forcing f_k (4, n//2 + 1): the system's G, plus the remainder of a frozen
-    trajectory (a ``RunResult``, read by its y and theta rows and its wave
-    margin checked).  All are taken max(8, n // 8) nodes at a time: about 7
+    ``linear_solve``'s background there (none for a zero background; the
+    halves of its g-functions ``g_path``, or a frozen trajectory's stored
+    halves ``frozen``) and the forcing f_k (4, n//2 + 1): the system's G, plus
+    the remainder of a frozen trajectory (read by its y and theta rows and its
+    wave margin checked).  All are taken max(8, n // 8) nodes at a time: about 7
     complex rows of n per node (the real jets, the halves of g and of f), so
     that a chunk fits in one n x n operator, and at least 8, so that below
     n = 64 the per-chunk calls do not outweigh the per-node work.  Q_k is
     formed once, into the buffers of node k - 2, which the march no longer
-    reads."""
+    reads.  Node k of ``frozen`` is read (its chunk's prepass, its forcing
+    product) by the time node k is yielded."""
     grid = para.grid
-    frozen = isinstance(background, RunResult)
-    size = max(8, grid.n // 8)
+    size = _chunk_nodes(grid.n)
     ring = [None, None]
     for lo in range(0, len(times), size):
         t = times[lo : lo + size]
         g = None
-        if frozen:
-            y, theta = np.moveaxis(background.trajectory[lo : lo + size, ::2], 1, 0)
+        if frozen is not None:
+            y, theta = np.moveaxis(frozen[lo : lo + size, ::2], 1, 0)
             jets, g, margin = para.prepass((y, None, theta, None))
             bad = np.flatnonzero(margin <= 0.0)
             if bad.size:
@@ -307,17 +344,17 @@ def _frozen_nodes(para, background, times):
                 raise PreconditionError(
                     "background outside the smallness radius at node %d (t = %.6g): "
                     "c(x) + dF2/d(theta_xx) reaches %g" % (k, times[k], margin[bad[0]]))
-        elif background is not None:
-            g = background[:, lo : lo + size]
+        elif g_path is not None:
+            g = g_path[:, lo : lo + size]
         f = para.forcing_G(t)  # after the prepass's temporaries are freed
-        if frozen:
+        if frozen is not None:
             para.source.add_nonlinearity_hats(jets, f)
             del jets
         for i, k in enumerate(range(lo, lo + len(t))):
             blocks = ()
             if g is not None:  # a frozen trajectory's forcing loses P_k u_k here
-                u = (y[i], None, theta[i], None) if frozen else None
-                blocks = para.frozen_node(g[:, i], ring[k % 2], u, f[:, i] if frozen else None)
+                u = (y[i], None, theta[i], None) if frozen is not None else None
+                blocks = para.frozen_node(g[:, i], ring[k % 2], u, None if u is None else f[:, i])
                 ring[k % 2] = [Q for *_, Q in blocks]
             yield blocks, f[:, i]
 
@@ -333,23 +370,33 @@ def linear_solve(para, background, u0, config):
     remainder(V_{n-1}) to G, refused at the first node outside the wave margin.
     It and G are read a chunk of nodes at a time (``_frozen_nodes``).  Step k is
     frozen at its midpoint: the background block Q_k + Q_{k+1} (Q = P / 2,
-    each node's formed once) and the forcing (f_k + f_{k+1}) / 2."""
+    each node's formed once) and the forcing (f_k + f_{k+1}) / 2.
+
+    A frozen ``RunResult`` gives up its trajectory to the call, which has no
+    other: the march writes V_n(t_k) over V_{n-1}(t_k) once node k is read,
+    and the result records sup_t ||V_n - V_{n-1}||_{H^{s1}} as its one
+    increment.  A refused sweep leaves that buffer holding nodes of both, in
+    no ``RunResult``: the frozen one has no ``trajectory`` left to read."""
     grid = para.grid
-    dt, steps = _time_grid(para.source, config)
+    dt, steps = _time_grid(para.source, config, lambda steps: _kato_plan(para, steps))
     h = grid.n // 2 + 1
 
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (4, h):
         raise PreconditionError("initial state must be the half of a real state (y, y_t, "
                                 "theta, theta_t), of shape (4, n//2 + 1)")
+    frozen = None
     if isinstance(background, RunResult):
         if len(background.times) != steps + 1:
             raise PreconditionError("a frozen trajectory must have %d nodes" % (steps + 1))
+        frozen = background.trajectory
+        del background.trajectory  # the march overwrites it node by node
+        background = None
     elif background is not None and np.shape(background) != (3, steps + 1, h):
         raise PreconditionError("background path must have %d node values" % (steps + 1))
 
     half = heat_factor(grid, config.eps, dt / 2.0)
-    nodes = _frozen_nodes(para, background, dt * np.arange(steps + 1))
+    nodes = _frozen_nodes(para, dt * np.arange(steps + 1), background, frozen)
     node = next(nodes)
 
     def step(k, u):
@@ -363,7 +410,7 @@ def linear_solve(para, background, u0, config):
         u = _rk4(A, half * u if config.eps else u, dt, (f0, 0.5 * (f0 + f1), f1))
         return half * u if config.eps else u
 
-    return _march(grid, config.ladder, dt, steps, u0, step)
+    return _march(grid, config.ladder, dt, steps, u0, step, frozen)
 
 
 def kato_solve(sys, V0, config):
@@ -373,7 +420,8 @@ def kato_solve(sys, V0, config):
     linear system at the zero background with forcing G at the nodes; sweep n
     freezes the coefficients along V_{n-1} and adds its quadratic remainder as
     inhomogeneity, both read from V_{n-1} a chunk of nodes at a time inside
-    its march; a node outside the wave margin stops it there.  Stops when the
+    its march, which writes V_n over V_{n-1} and takes their increment as it
+    goes; a node outside the wave margin stops it there.  Stops when the
     L^inf H^{s1} increment drops below ``kato_tol``."""
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
@@ -391,13 +439,12 @@ def kato_solve(sys, V0, config):
     increments = []
     prev_inc = None
     for sweep in range(2, config.kato_max_iter + 2):
-        try:
-            nxt = linear_solve(para, result, u0, config)
+        try:  # sweep n overwrites V_{n-1}: one trajectory per solve
+            result = linear_solve(para, result, u0, config)
         except PreconditionError as err:
             raise PreconditionError("Kato sweep %d freezes a %s" % (sweep, err)) from None
-        inc = trajectory_gap(grid, nxt, result, config.ladder.s1)
+        inc, = result.increments
         increments.append(inc)
-        result = nxt
         if inc < config.kato_tol:
             result.termination, result.increments = "converged", increments
             return result
@@ -422,7 +469,7 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     """
     grid = sys.grid
     sys.check_ellipticity()
-    dt, steps = _time_grid(sys, config)
+    dt, steps = _time_grid(sys, config, lambda steps: _oracle_plan(grid, steps))
     state = np.array([u.coeffs[: grid.n // 2 + 1] for u in (y0, y1, theta0, theta1)])
 
     def step(k, state):

@@ -35,9 +35,10 @@ A block quantized from a constant x-coefficient is held as its diagonal
 (n,), bit for bit its Bony-Weyl matrix's (``_op``): for constant b, S_b^{+-1},
 K^{+-1}, M_{-1}, D_b, D~_b, Lambda_b and L_{2s}'s beam block, and the wave's
 where a_w = d + g_1w is constant.  A diagonal multiplies entrywise or scales
-rows or columns (``_mul``, ``_apply``); its matrix is formed only at a
-restricted take (``_take``) or beside a dense block in a sum (``_combine``),
-so every norm takes the SVD it would of dense blocks.
+rows or columns (``_mul``, ``_apply``), stays one, by its values at the
+resolved slots, at a restricted take (``_take``), and is formed as a matrix
+only beside a dense block in a sum (``_combine``); a residual block that
+stays diagonal is normed by its largest weighted entry, with no SVD.
 
 A ``Parametrix`` holds what the energy applies: Phi, T, the diagonalizers'
 D and L_{2s} (quantized on first use).  Psi, D~_b and Lambda enter the
@@ -129,31 +130,43 @@ def _apply(b, u):
     return u * b if b.ndim == 1 else u @ b.T
 
 
-def _take(X, index, scale=None):
-    """The 2 x 2 blocks b[index] of X = ((bb, bw), (wb, ww)), those of column
-    component k times scale[k] if a scale is given; None stays None, and a
-    diagonal is taken from its matrix."""
-    return tuple(tuple(None if b is None else _dense(b)[index] if scale is None
-                       else _dense(b)[index] * scale[k]
-                       for k, b in enumerate(row)) for row in X)
+def _take(X, r, axis=0, scale=None):
+    """The rows (axis 0) or columns (axis 1) r of the 2 x 2 blocks of X =
+    ((bb, bw), (wb, ww)), those of column component k times scale[k] if a
+    scale is given; None stays None, and a diagonal stays one, restricted to
+    its values at r."""
+    def take(b, k):
+        if b.ndim == 1:
+            return (b if scale is None else b * scale[k])[r]
+        b = b[r] if axis == 0 else b[:, r]
+        return b if scale is None else b * scale[k]
+
+    return tuple(tuple(None if b is None else take(b, k) for k, b in enumerate(row)) for row in X)
 
 
-def _mul(A, B):
+def _mul(A, B, r=None):
     """A @ B, or None when a factor is zero by structure (None); a diagonal
-    factor scales the other's rows (on the left) or columns (on the right)."""
+    factor scales the other's rows (on the left) or columns (on the right).
+    A diagonal restricted to the slots r (``_take``) reads the other factor's
+    rows (on the left) or columns (on the right) r."""
     if A is None or B is None:
         return None
+    if r is not None and A.shape[-1] > B.shape[0]:
+        A = A[..., r]
+    elif r is not None and A.shape[-1] < B.shape[0]:
+        B = B[r]
     if B.ndim == 1:
         return A * B
     return A[:, None] * B if A.ndim == 1 else A @ B
 
 
-def _product(X, Y):
+def _product(X, Y, r=None):
     """The 2 x 2 block product XY over (beam, wave), forming only the block
-    products that can be nonzero; a block with no such term is None."""
+    products that can be nonzero; a block with no such term is None.  Blocks
+    taken at the slots r (``_take``) are multiplied as such (``_mul``)."""
     def block(i, k):
-        terms = [t for t in (_mul(X[i][j], Y[j][k]) for j in (0, 1)) if t is not None]
-        return reduce(operator.add, terms) if terms else None
+        terms = [t for t in (_mul(X[i][j], Y[j][k], r) for j in (0, 1)) if t is not None]
+        return reduce(lambda a, b: _combine(operator.add, a, b), terms) if terms else None
 
     return tuple(tuple(block(i, k) for k in (0, 1)) for i in (0, 1))
 
@@ -353,13 +366,12 @@ def conjugation_residual(P, para, V=None):
     grid = P.grid
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
-    cols = (slice(None), r)
     Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
     lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
     mp = ((bb, bw), (wb, ww))
-    eye = np.eye(r.size)
+    one = np.ones(r.size)
 
     def norm(blocks, s_out=s):
         return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
@@ -369,15 +381,17 @@ def conjugation_residual(P, para, V=None):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
     def conjugation_halves():  # X+ L_pm Y- - Lambda_pm, X- L_mp Y+ - Lambda_mp
-        yield _minus_diagonal(_product(_take(Phi[0], r, np.split(pm, 2)), _take(Psi[1], cols)), *lam)
-        yield _minus_diagonal(_product(_product(_take(Phi[1], r), mp), _take(Psi[0], cols)), *lam)
+        yield _minus_diagonal(
+            _product(_take(Phi[0], r, scale=np.split(pm, 2)), _take(Psi[1], r, 1), r), *lam)
+        yield _minus_diagonal(
+            _product(_product(_take(Phi[1], r), mp, r), _take(Psi[0], r, 1), r), *lam)
 
     conj, inv = [], 0.0  # each residual half is normed and freed before the next is formed
     for X in conjugation_halves():
         conj.append((norm([X]), norm(offdiag([X]))))
         del X
     for i in (0, 1):
-        X = _minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], cols)), eye, eye)
+        X = _minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], r, 1), r), one, one)
         inv = max(inv, norm([X], s + 2.0))
         del X
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of

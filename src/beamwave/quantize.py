@@ -152,17 +152,25 @@ def exact_operator_norm(grid, M, s_in, s_out, band=None):
     global phase and ``_PHASE_TOL``, of the complex weighted matrix otherwise.
 
     M may be given by its component blocks, a square tuple of tuples with
-    None for a zero block.  If every off-diagonal block is None, M is
-    block-diagonal, and its norm is the largest of its diagonal blocks'
-    norms, each taken alone; otherwise the blocks are assembled."""
+    None for a zero block, and a diagonal block by its diagonal.  If every
+    off-diagonal block is None, M is block-diagonal, and its norm is the
+    largest of its diagonal blocks' norms, each taken alone; otherwise the
+    blocks are assembled.  A diagonal M of one component, given by its
+    diagonal d, has the norm max_j |d_j| <j>^{s_out} / <j>^{s_in}, with no SVD."""
     if isinstance(M, tuple):
         c = len(M)
         s_in, s_out = ([v] * c if np.isscalar(v) else v for v in (s_in, s_out))
         if all(M[i][k] is None for i in range(c) for k in range(c) if i != k):
             return float(np.max([exact_operator_norm(grid, M[i][i], s_in[i], s_out[i], band)
                                  for i in range(c) if M[i][i] is not None], initial=0.0))
-        zero = np.zeros(next(b for row in M for b in row if b is not None).shape)
-        M = np.block([[zero if b is None else b for b in row] for row in M])
+        side = next(b.shape[0] for row in M for b in row if b is not None)
+        M = np.block([[np.zeros((side, side)) if b is None else np.diag(b) if b.ndim == 1 else b
+                       for b in row] for row in M])
+    if np.ndim(M) == 1:  # weighted as weighted_matrix weights its diagonal
+        slots = grid.dealias_mask if band else slice(None)
+        d = M[slots] if band == "resolved" else M
+        w_out, w_in = (grid.bracket_power(v)[slots] for v in (s_out, s_in))
+        return float(np.max(np.abs(d * w_out / w_in), initial=0.0))
     X = weighted_matrix(grid, M, s_in, s_out, band)
     if not X.any():
         return 0.0

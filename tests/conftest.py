@@ -13,7 +13,7 @@ def marched(monkeypatch):
     runs = []
     march = evolve._march
 
-    def recording(grid, ladder, dt, steps, u0, step):
+    def recording(grid, ladder, dt, steps, u0, step, over=None):
         nodes = [u0]
         runs.append(nodes)
 
@@ -21,7 +21,7 @@ def marched(monkeypatch):
             nodes.append(step(k, u))
             return nodes[-1]
 
-        return march(grid, ladder, dt, steps, u0, recorded_step)
+        return march(grid, ladder, dt, steps, u0, recorded_step, over)
 
     monkeypatch.setattr(evolve, "_march", recording)
     return runs

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
-from beamwave.errors import NumericalError, PreconditionError
+import beamwave.evolve as evolve
+from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.evolve import (
-    KATO_OPERATORS,
-    KATO_TRAJECTORIES,
+    PLAN_FIXED,
+    PLAN_ROW,
     _march,
     _rk4,
     _time_grid,
@@ -100,45 +101,88 @@ def test_rk4_step_is_the_textbook_combination_bit_for_bit():
     assert np.array_equal(u, u_before)
 
 
-def test_kato_peak_memory_is_within_the_counted_trajectories():
-    # the step-count guard refuses a run whose KATO_TRAJECTORIES trajectories
-    # exceed memory; a long small-N Kato solve of the mixed preset (every
-    # background block and both nonlinearities) stays within that count
+def solve_steps(solver, preset, n, steps):
+    """(grid, system, run) of one solve of ``steps`` steps from the preset's data."""
+    g = TorusGrid(n)
+    sysm, fields = build_preset(preset, g)
+    limit = SolverConfig().max_stable_dt(g, float(np.max(sysm.b.values().real)))
+    cfg = SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
+    if solver == "oracle":
+        return g, sysm, oracle_solve(sysm, *fields, cfg)
+    return g, sysm, kato_solve(sysm, complexify(*fields).stacked(), cfg)
+
+
+@pytest.fixture(scope="module")
+def warm_interpreter():
+    # the first solves of a process fill interpreter and numpy caches, which
+    # tracemalloc would count as the traced solve's
+    for solver in ("kato", "oracle"):
+        solve_steps(solver, "mixed", 16, 3)
+
+
+@pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
+@pytest.mark.parametrize("n", [16, 32, 64, 256])
+@pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
+@pytest.mark.parametrize("solver", ["kato", "oracle"])
+def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, warm_interpreter):
+    # the memory refusal checks each solver's plan (evolve.py): the arrays it
+    # allocates, by their sizes, plus its bookkeeping, PLAN_FIXED + PLAN_ROW n.
+    # The traced peak, grid and system built while traced, stays within the
+    # plan, and the plan exceeds it by less than 10% beyond the bookkeeping:
+    # a Kato solve holding a second trajectory (long: +0.83 MB at mixed,
+    # N = 256, where the plan's slack is 0.36 MB) or full n x n node blocks
+    # (one step and long, mixed, N = 32-256) fails here.  Measured plan / peak:
+    # Kato 1.015-1.041 at N = 256, up to 2.43 at N = 16; the oracle 1.15-4.73,
+    # its bookkeeping most of its plan at one step
     import tracemalloc
 
-    g = TorusGrid(16)
-    sysm, fields = build_preset("mixed", g)
-    cfg = SolverConfig(T_final=7.5)
-    steps = cfg.resolve_dt(g, float(np.max(sysm.b.values())))[1]
-    assert steps > 150
-    V0 = complexify(*fields).stacked()
     tracemalloc.start()
     try:
-        run = kato_solve(sysm, V0, cfg)
+        g, sysm, run = solve_steps(solver, preset, n, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run.termination == "converged"
-    assert peak <= KATO_TRAJECTORIES * run.trajectory.nbytes
+    assert len(run.times) == steps + 1
+    if solver == "oracle":
+        plan = evolve._oracle_plan(g, steps)
+    else:
+        plan = evolve._kato_plan(ParalinearizedSystem(sysm, g), steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
 
 
-def test_kato_peak_memory_at_large_n_is_within_the_counted_operators():
-    # a short solve at large N holds more in its n x n operators (the grid's
-    # lattices, frakA(0), the Weyl tables and the background blocks) than in
-    # its trajectories; the guard counts KATO_OPERATORS of them on top
-    import tracemalloc
-
-    g = TorusGrid(256)
+def test_memory_refusal_admits_and_refuses_by_each_solvers_plan(monkeypatch, marched):
+    # physical memory exactly a plan admits its step count; one step more is
+    # refused, with ConfigError before any march, so before any trajectory
+    g = TorusGrid(32)
     sysm, fields = build_preset("mixed", g)
     V0 = complexify(*fields).stacked()
-    tracemalloc.start()
-    try:
-        run = kato_solve(sysm, V0, SolverConfig(T_final=0.004))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak > KATO_TRAJECTORIES * run.trajectory.nbytes
-    assert peak <= KATO_TRAJECTORIES * run.trajectory.nbytes + KATO_OPERATORS * g.n**2 * 16
+    limit = SolverConfig().max_stable_dt(g, float(np.max(sysm.b.values().real)))
+
+    def config(steps):
+        return SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
+
+    memory = []
+    monkeypatch.setattr(evolve, "physical_memory_bytes", lambda: memory[-1])
+    kato_plan = evolve._kato_plan(ParalinearizedSystem(sysm, g), 100)
+    oracle_plan = evolve._oracle_plan(g, 100)
+    # the former budget, four trajectories and 18 n x n operators, refused this run
+    assert (4 * (100 + 2) * 4 * (g.n // 2 + 1) + 18 * g.n**2) * 16 > 2 * kato_plan
+    memory.append(kato_plan)
+    assert kato_solve(sysm, V0, config(100)).termination == "converged"
+    marched.clear()
+    with pytest.raises(ConfigError, match="physical memory"):
+        kato_solve(sysm, V0, config(101))
+    assert marched == []
+    # the oracle is judged by its own plan: the Kato solve's refuses its run
+    memory.append(oracle_plan)
+    assert oracle_plan < kato_plan
+    assert len(oracle_solve(sysm, *fields, config(100)).times) == 101
+    marched.clear()
+    for refused in (lambda: oracle_solve(sysm, *fields, config(101)),
+                    lambda: kato_solve(sysm, V0, config(100))):
+        with pytest.raises(ConfigError, match="physical memory"):
+            refused()
+    assert marched == []
 
 
 def test_heat_factor_layout():
@@ -654,7 +698,7 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
     assert per_run[0]["frak_A"] == 1 and "frak_B" not in per_run[0], per_run
 
 
-def test_kato_sweep_leaving_the_smallness_radius_is_refused():
+def test_kato_sweep_leaving_the_smallness_radius_is_refused(monkeypatch):
     # F2 = theta theta_xx, so c + dF2/d(theta_xx) = 1 + theta; the forcing
     # delta sin t drives theta below -1 by T = 1.  The data start well inside
     # the radius and the check at t = 0 passes; the trajectory of sweep 1
@@ -677,9 +721,24 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused():
             first = k
             break
     assert first is not None and 0 < first < steps
+    made, solve = [], evolve.linear_solve
+
+    def recording(*args):
+        made.append(solve(*args))
+        return made[-1]
+
+    monkeypatch.setattr(evolve, "linear_solve", recording)
     with pytest.raises(PreconditionError, match="sweep 2 .* smallness radius") as err:
         kato_solve(sys, V0, config)
     assert "at node %d (t = %.6g)" % (first, times[first]) in str(err.value)
+    # sweep 2 wrote its nodes over sweep 1's up to the refused chunk: the run it
+    # froze gave up that buffer, so no RunResult is left that reads it
+    assert len(made) == 1 and not hasattr(made[0], "trajectory")
+    with pytest.raises(PreconditionError, match="smallness radius"):
+        solve(para, sweep1, sweep1.trajectory[0], config)
+    for stale in (lambda: sweep1.trajectory, lambda: sweep1.final, lambda: sweep1.sup_norm(1.0)):
+        with pytest.raises(AttributeError):
+            stale()
     # the refusal is genuine: on the oracle's trajectory 1 + theta turns negative
     theta = np.fft.irfft(oracle_solve(sys, *fields, config).trajectory[-1, 2], g.n, norm="forward")
     assert np.min(1.0 + theta.real) < 0.0

@@ -440,6 +440,25 @@ def test_residuals_form_no_product_through_a_zero_coupling_block(preset, monkeyp
         assert (2 * m, 2 * m) in shapes and (m, m) in shapes
 
 
+def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatch):
+    # arioli_gazzola has constant b and c and no F: every block of its
+    # residual halves is a diagonal, normed by its largest weighted entry,
+    # but the wave block of frakA(V)'s mp half, which a background makes
+    # dense; six SVDs of side |R| when the diagonals were formed as matrices
+    g, para, V = _preset_setup("arioli_gazzola", 64)
+    P = build_parametrix(para, V, 2.5)
+    m = 2 * g.dealias_cut + 1
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    conjugation_residual(P, para, V)
+    assert shapes == [(m, m)]
+
+
 def _per_vector_report(para, V, sigma, sample_count, seed):
     """The constants of equivalence_and_garding_report, one vector at a time."""
     grid = para.grid

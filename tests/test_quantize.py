@@ -330,3 +330,29 @@ def test_one_nonzero_off_diagonal_entry_takes_the_full_svd(band, monkeypatch):
     got = exact_operator_norm(g, W, 1.0, 1.0, band=band)
     assert abs(got - expect) <= 1e-13 * expect
     assert shapes == [(2 * side, 2 * side)]
+
+
+@pytest.mark.parametrize("band", [None, "resolved", "restricted"])
+def test_a_diagonal_is_normed_by_its_largest_weighted_entry_without_an_svd(band, monkeypatch):
+    # a block held by its diagonal d has the norm max_j |d_j| <j>^{s_out - s_in}:
+    # the SVD of its matrix to round-off, alone and as a component block, with
+    # no SVD; beside an off-diagonal block it is assembled as its matrix
+    g = TorusGrid(64)
+    rng = np.random.default_rng(7)
+    d = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    if band == "restricted":
+        d = d[g.dealias_mask]
+    shapes, svd = _svd_spy(monkeypatch, np.shape)
+    expect = svd(weighted_matrix(g, np.diag(d), 1.0, 3.5, band), compute_uv=False)[0]
+    shapes.clear()
+    for M in (d, _block_diagonal((d, None))):
+        got = exact_operator_norm(g, M, 1.0, 3.5, band=band)
+        assert abs(got - expect) <= 1e-14 * expect
+    assert shapes == []
+    if band != "resolved":
+        off = np.zeros((d.size, d.size))
+        off[1, 2] = 0.3
+        W = ((d, None), (off, d))
+        expect = svd(weighted_matrix(g, _assembled(((np.diag(d), None), (off, np.diag(d)))),
+                                     1.0, 1.0, band), compute_uv=False)[0]
+        assert abs(exact_operator_norm(g, W, 1.0, 1.0, band=band) - expect) <= 1e-13 * expect
