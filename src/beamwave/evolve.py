@@ -58,16 +58,17 @@ from .paralin import ParalinearizedSystem
 from .state import is_conjugate_pair, real_from_stacked, real_norm_weights, stacked_from_real
 
 RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axis
-# Each solver's plan (``_kato_plan``, ``_oracle_plan``) counts the bytes it holds
-# at its peak from the arrays it allocates; ``resolve_dt`` checks it against
-# physical memory before the march allocates any.  Four terms are measured: the
-# largest tracemalloc peaks beyond the arrays counted by their size, over
-# headline, mixed, damped and arioli_gazzola at N = 16-256, 1 and 100 steps, grid
-# and system built while traced (tests/test_evolve.py)
+# Each solver's plan (``_kato_plan``, ``_oracle_plan``) counts the bytes it holds at its
+# peak from the arrays it allocates; ``resolve_dt`` checks it against physical memory
+# before the march allocates any.  Five terms are the largest tracemalloc peaks beyond
+# the arrays counted by their size, over headline, mixed, damped and arioli_gazzola at
+# N = 16-256, 1 and 100 steps, and mixed at N = 256 in one chunk (tests/test_evolve.py)
 PLAN_FIXED = 64 * 1024  # Python objects and the interpreter's caches
+PLAN_BUFFER = 8192 * 16  # numpy's ufunc buffer: 8192 complex, or an n x n array's
 PLAN_ROW = 64 * 16  # per grid point: data, RK4 stages, one state's jets (64 complex rows)
-PLAN_CHUNK_NODE = 12 * 16  # per grid point and node of the chunk: jets, g, F, forcing
-PLAN_SETUP = 88  # per n x n entry: chi_mask's temporaries, frakA(0)'s first Weyl matrix held
+PLAN_CHUNK_NODE = 10 * 16  # per grid point and node of the chunk: jets, g, F, two chunks' forcing
+PLAN_ONE_CHUNK_NODE = 4 * 16  # the same in a run of one chunk, whose prepass precedes every block
+PLAN_SETUP = 36  # per n x n entry: frakA(0)'s first block held as the grid forms chi_mask
 
 
 class SolverConfig:
@@ -241,18 +242,19 @@ def _chunk_nodes(n):
 
 def _kato_plan(para, steps):
     """The plan of a Kato solve, which each ``linear_solve`` checks: frakA(0)'s
-    arrays and the bookkeeping, plus the larger of the set-up (``PLAN_SETUP``)
-    and the march: the grid's lattices (two int64, a bool and a float n x n),
-    per live g-function its table and two node blocks, (n//2 + 1) x n complex
-    each, the chunk and the one trajectory."""
+    arrays, bookkeeping and numpy's buffer, plus the larger of the set-up
+    (``PLAN_SETUP``) and the march: chi and the in-range mask (9 n^2 bytes), per
+    live g-function its table and two (n//2 + 1) x n complex node blocks, the
+    chunk (one alone at its own peak) and the one trajectory."""
     grid = para.grid
     n, h = grid.n, grid.n // 2 + 1
     pm, ((bb, _), (_, ww)) = para._A0
-    march = (25 * n * n + len(para._real_blocks) * 3 * h * n * 16
-             + min(_chunk_nodes(n), steps + 1) * n * PLAN_CHUNK_NODE
+    nodes, size = steps + 1, _chunk_nodes(n)
+    march = (9 * n * n + len(para._real_blocks) * 3 * h * n * 16
+             + min(size, nodes) * n * (PLAN_CHUNK_NODE if nodes > size else PLAN_ONE_CHUNK_NODE)
              + _trajectory_bytes(grid, steps))
-    return (PLAN_FIXED + PLAN_ROW * n + pm.nbytes + bb.nbytes + ww.nbytes
-            + max(PLAN_SETUP * n * n, march))
+    return (PLAN_FIXED + PLAN_ROW * n + min(PLAN_BUFFER, 16 * n * n) + pm.nbytes + bb.nbytes
+            + ww.nbytes + max(PLAN_SETUP * n * n, march))
 
 
 def _oracle_plan(grid, steps):

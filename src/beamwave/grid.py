@@ -50,9 +50,9 @@ class TorusGrid:
     dealias_mask : True on the slots with |j| <= dealias_cut
 
     The n x n arrays over all pairs of slots (j, k) that quantization reads
-    are built on first use and then held, read-only, by the grid:
+    are built on first use and then held, read-only, by the grid, 9 bytes an
+    entry; the lattice j -/+ k they are read from is formed only meanwhile:
 
-    mode_lattice : (j - k, j + k)
     in_range : whether j - k lies in [-n/2, n/2), the Weyl table of the multiplier 1
     chi_mask : the Bony-Weyl cutoff chi_eps(|j - k| / <j + k>)
     """
@@ -85,11 +85,6 @@ class TorusGrid:
         """Diagonal weights <j>^s in fft order."""
         return self.brackets ** s
 
-    @cached_property
-    def mode_lattice(self):
-        J = self.modes
-        return _read_only(J[:, None] - J[None, :]), _read_only(J[:, None] + J[None, :])
-
     def full(self, half):
         """Real functions' fft-order coefficients (..., n) from their j >= 0 halves
         (..., n//2 + 1), read as ``np.fft.irfft`` does: u_{-j} = conj u_j, 0 and n/2 real."""
@@ -106,18 +101,26 @@ class TorusGrid:
 
     @cached_property
     def in_range(self):
-        D = self.mode_lattice[0]
+        D = np.subtract.outer(self.modes, self.modes)
         return _read_only((D >= -(self.n // 2)) & (D < self.n // 2))
 
     @cached_property
     def chi_mask(self):
-        """chi_eps(|j - k| / <j + k>); the row and column of the mode -n/2 keep only
+        """chi_eps(|j - k| / <j + k>), by ``cutoff_chi`` on the cone 1.1 < xi/eps < 1.9
+        alone (1 below it, +0.0 above); the row and column of the mode -n/2 keep only
         chi_eps(0) = 1 on the diagonal, so constant symbols stay diagonal there."""
-        from .symbols import cutoff_chi  # symbols builds on this module
+        from .symbols import EPS_PARA, cutoff_chi  # symbols builds on this module
 
-        D, S = self.mode_lattice
-        chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
-        nyq, off = self.n // 2, self.modes != -(self.n // 2)
+        J, n = self.modes.astype(float), self.n
+        u, chi = np.add.outer(J, J), np.subtract.outer(J, J)  # j + k, j - k
+        np.sqrt(np.add(np.square(u, out=u), 1.0, out=u), out=u)  # <j + k>
+        u = np.divide(np.abs(chi, out=chi), u, out=u)  # xi
+        u /= EPS_PARA
+        chi[...] = u <= 1.1
+        j, k = np.nonzero((u > 1.1) & (u < 1.9))
+        del u
+        chi[j, k] = cutoff_chi(np.abs(J[j] - J[k]) / np.sqrt(1.0 + (J[j] + J[k]) ** 2))
+        nyq, off = n // 2, self.modes != -(n // 2)
         chi[nyq, off] = chi[off, nyq] = 0.0
         return _read_only(chi)
 

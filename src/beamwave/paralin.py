@@ -82,11 +82,11 @@ class ParalinearizedSystem:
         # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its
         # multiplier; each table holds rows 0..n/2 of half of P's weights, -2 / 2 =
         # -1, complex, as a float one is cast in every node's form (25-40% slower at N = 128)
-        F1, F2, D = source.F1, source.F2, complex_weights(grid)
+        F1, F2, D, h = source.F1, source.F2, complex_weights(grid), grid.n // 2 + 1
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
-            (i, out, inp, (-1.0 * D[out // 2][:, None] * (weyl_table(grid, mult) * grid.chi_mask)
-                           * D[inp // 2])[: grid.n // 2 + 1].astype(complex))
+            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult)[:h]
+                           * grid.chi_mask[:h]) * D[inp // 2]).astype(complex))
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
 
@@ -155,8 +155,8 @@ class ParalinearizedSystem:
         diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
         blockdiag(diag(j^2) + 2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)), held as
         its blocks ((bb, None), (None, ww)), each by its diagonal (n,) where q
-        has constant coefficients; the system keeps them at V = None, and a
-        background adds its g_1w |xi| block to a new, dense, wave block."""
+        has constant coefficients; the system keeps them at V = None, and a background
+        adds its g_1w |xi| block to a new, dense, wave block (none if F2 has no theta_xx)."""
         if V is None:
             syms = self.assemble_symbols(None)
             # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
@@ -164,6 +164,8 @@ class ParalinearizedSystem:
             return np.concatenate([p_b, p_w]), (
                 (_diagonal_block(p_b, syms["A_b"][1]), None),
                 (None, _diagonal_block(p_w, syms["A_w"][1])))
+        if 0 not in {i for i, *_ in self._real_blocks}:  # F2 has no theta_xx slot: g_1w = 0
+            return self._A0
         pm, ((bb, _), (_, ww)) = self._A0
         q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)
         if ww.ndim == 1:

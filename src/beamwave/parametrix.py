@@ -476,6 +476,7 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     z, w = (z_re + 1j * z_im) * decay, (w_re + 1j * w_im) * decay
     z[:, [0, n // 2]] = w[:, [0, n // 2]] = 0.0  # the mean and (n even) Nyquist modes
     samples = conjugate_pair(grid, z, w)
+    del z_re, z_im, w_re, w_im, z, w  # the draws, before the energy's images
     nsq = stacked_norm(grid, samples, sigma) ** 2
     energy = modified_energy(P, samples)
     upper = energy / nsq

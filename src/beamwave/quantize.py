@@ -9,7 +9,8 @@ the spatial transform evaluated at the frequency midpoint.  The Bony-Weyl
 restricting the symbol's spatial frequencies below the function's.  A
 separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
 sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
-fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``).
+fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``); a
+block is summed into its first term's product, which chi multiplies in place.
 Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
@@ -50,10 +51,10 @@ def weyl_table(grid, g):
     """The real n x n table T[j, k] = g((j + k)/2), zero where j - k leaves
     [-n/2, n/2).  The Weyl matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T,
     its Bony-Weyl matrix that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
-    n = grid.n
-    half_lattice = np.arange(-n, n - 1) / 2.0  # all values of (j+k)/2
-    gv = g(half_lattice)[grid.mode_lattice[1] + n]
-    return np.where(grid.in_range, gv, 0.0)
+    n, J = grid.n, grid.modes
+    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J, J + n)]  # g at each (j + k)/2
+    T[~grid.in_range] = 0.0
+    return T
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()
@@ -63,16 +64,17 @@ _ONE = FrequencyMultiplier.one().terms
 def weyl_quantize(sym):
     """Op^W of a SeparableSymbol as a dense n x n array.  The multiplier 1
     takes no table: its table is the grid's in-range mask."""
-    grid = sym.grid
-    M = np.zeros((grid.n, grid.n), dtype=complex)
+    grid, M = sym.grid, 0.0  # each term's product takes the sum so far, first 0.0: -0.0 to +0.0
     for f, g in sym.terms:
-        M += grid.toeplitz(f.coeffs) * (grid.in_range if g.terms == _ONE else weyl_table(grid, g))
-    return M
+        t = grid.toeplitz(f.coeffs) * (grid.in_range if g.terms == _ONE else weyl_table(grid, g))
+        M = np.add(t, M, out=t)
+    return M if sym.terms else np.zeros((grid.n, grid.n), dtype=complex)
 
 
 def bony_weyl_quantize(sym):
     """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
-    return weyl_quantize(sym) * sym.grid.chi_mask
+    M = weyl_quantize(sym)
+    return np.multiply(M, sym.grid.chi_mask, out=M)
 
 
 def _components(grid, M, side):

@@ -120,20 +120,8 @@ def warm_interpreter():
         solve_steps(solver, "mixed", 16, 3)
 
 
-@pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
-@pytest.mark.parametrize("n", [16, 32, 64, 256])
-@pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
-@pytest.mark.parametrize("solver", ["kato", "oracle"])
-def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, warm_interpreter):
-    # the memory refusal checks each solver's plan (evolve.py): the arrays it
-    # allocates, by their sizes, plus its bookkeeping, PLAN_FIXED + PLAN_ROW n.
-    # The traced peak, grid and system built while traced, stays within the
-    # plan, and the plan exceeds it by less than 10% beyond the bookkeeping:
-    # a Kato solve holding a second trajectory (long: +0.83 MB at mixed,
-    # N = 256, where the plan's slack is 0.36 MB) or full n x n node blocks
-    # (one step and long, mixed, N = 32-256) fails here.  Measured plan / peak:
-    # Kato 1.015-1.041 at N = 256, up to 2.43 at N = 16; the oracle 1.15-4.73,
-    # its bookkeeping most of its plan at one step
+def traced_plan(solver, preset, n, steps):
+    """(grid, traced peak, plan) of one solve, grid and system built while traced."""
     import tracemalloc
 
     tracemalloc.start()
@@ -144,10 +132,41 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
         tracemalloc.stop()
     assert len(run.times) == steps + 1
     if solver == "oracle":
-        plan = evolve._oracle_plan(g, steps)
-    else:
-        plan = evolve._kato_plan(ParalinearizedSystem(sysm, g), steps)
+        return g, peak, evolve._oracle_plan(g, steps)
+    return g, peak, evolve._kato_plan(ParalinearizedSystem(sysm, g), steps)
+
+
+@pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
+@pytest.mark.parametrize("n", [16, 32, 64, 256])
+@pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
+@pytest.mark.parametrize("solver", ["kato", "oracle"])
+def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, warm_interpreter):
+    # the memory refusal checks each solver's plan (evolve.py): the arrays it
+    # allocates, by their sizes, plus its bookkeeping, PLAN_FIXED + PLAN_ROW n.
+    # The traced peak, grid and system built while traced, stays within the
+    # plan, and the plan exceeds it by less than 10% beyond the bookkeeping:
+    # a Kato solve holding a second trajectory (long: +0.83 MB at mixed,
+    # N = 256, where the plan's slack is 0.23 MB), full n x n node blocks
+    # (one step and long, mixed, N = 32-256) or the grid's chi formed on the
+    # whole lattice fails here.  Measured plan / peak: Kato 1.03-1.13 at
+    # N = 256, up to 2.78 at N = 16; the oracle 1.15-4.73, its bookkeeping
+    # most of its plan at one step
+    g, peak, plan = traced_plan(solver, preset, n, steps)
     assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+
+
+def test_a_run_of_one_chunk_is_planned_at_its_one_chunk_peak(warm_interpreter):
+    # mixed at N = 256, 27 steps: 28 nodes in one chunk of max(8, n/8) = 32,
+    # so the prepass runs before any node block exists and no chunk's forcing
+    # is held beside the next one's.  Planned at the multi-chunk peak, its
+    # slack was about four trajectories (0.23 MB each); planned at its own
+    # peak, the slack is less than one, so a solve holding a second
+    # trajectory exceeds its plan
+    n, steps = 256, 27
+    assert steps + 1 < evolve._chunk_nodes(n)
+    g, peak, plan = traced_plan("kato", "mixed", n, steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+    assert plan - peak < evolve._trajectory_bytes(g, steps)
 
 
 def test_memory_refusal_admits_and_refuses_by_each_solvers_plan(monkeypatch, marched):

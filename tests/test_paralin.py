@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import beamwave.paralin as paralin
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_preset
 from beamwave.cli import build_preset
 from beamwave.evolve import SolverConfig, kato_solve
@@ -202,7 +203,7 @@ def test_frak_B_allocates_no_half_that_is_zero_by_structure():
     assert structural_zeros(mp) == {(0, 0), (1, 0), (1, 1)} and np.any(mp[0][1])
 
 
-def test_frak_A_is_held_by_its_diagonal_and_its_diagonal_blocks():
+def test_frak_A_is_held_by_its_diagonal_and_its_diagonal_blocks(monkeypatch):
     # frakA(0)'s pm half is diagonal, held as its (2n,) diagonal; its mp half
     # is block-diagonal, held as two blocks, here diagonals (n,) as b and c are
     # constant; a background replaces the wave block only, by a dense one, and
@@ -219,6 +220,16 @@ def test_frak_A_is_held_by_its_diagonal_and_its_diagonal_blocks():
     assert pm_v is pm and mp_v[0][0] is mp[0][0] and structural_zeros(mp_v) == {(0, 1), (1, 0)}
     assert mp_v[1][1].shape == (n, n) and np.any(mp_v[1][1] != dense_block(mp[1][1], n))
     assert all(np.array_equal(a, b) for a, b in zip(held, (mp[0][0], mp[1][1])))
+    # where F2 has no theta_xx slot, g_1w is zero: a background leaves frakA(0)
+    # as it is, its wave block a diagonal, and quantizes nothing
+    for preset in ("linear", "parity", "arioli_gazzola"):
+        sysm, fields = build_preset(preset, g)
+        para = ParalinearizedSystem(sysm, g)
+        assert 0 not in {i for i, *_ in para._real_blocks}
+        monkeypatch.setattr(paralin, "bony_weyl_quantize", None)
+        assert para.frak_A(complexify(*fields).stacked()) is para._A0
+        assert para._A0[1][1][1].shape == (n,)
+        monkeypatch.undo()
 
 
 def test_R_operator_trivial_system_order_zero():

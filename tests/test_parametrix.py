@@ -443,11 +443,12 @@ def test_residuals_form_no_product_through_a_zero_coupling_block(preset, monkeyp
 def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatch):
     # arioli_gazzola has constant b and c and no F: every block of its
     # residual halves is a diagonal, normed by its largest weighted entry,
-    # but the wave block of frakA(V)'s mp half, which a background makes
-    # dense; six SVDs of side |R| when the diagonals were formed as matrices
+    # the wave block of frakA(V)'s mp half too, as F2 has no theta_xx slot
+    # and frakA(V) is frakA(0); six SVDs of side |R| when the diagonals were
+    # formed as matrices, one while frakA(V) quantized a zero g_1w
     g, para, V = _preset_setup("arioli_gazzola", 64)
     P = build_parametrix(para, V, 2.5)
-    m = 2 * g.dealias_cut + 1
+    assert para.frak_A(V) is para._A0
     shapes, svd = [], np.linalg.svd
 
     def spy(a, *args, **kwargs):
@@ -456,7 +457,7 @@ def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatc
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     conjugation_residual(P, para, V)
-    assert shapes == [(m, m)]
+    assert shapes == []
 
 
 def _per_vector_report(para, V, sigma, sample_count, seed):
@@ -583,14 +584,17 @@ def test_ladder_rung_peak_memory():
     # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
     # runs them: the build, the residuals, then the energy report (which
     # builds its own parametrix) with the first parametrix alive.  Measured
-    # in a fresh process: 4.54 MB and 11.87 MB; the bounds are that plus
-    # under 10%.  With every beam block dense (constant b quantized as a
-    # matrix, not held by its diagonal): 6.36 MB and 19.18 MB; with Psi,
-    # Lambda and D~_b held by the parametrix and the energy taken on stacked
-    # (..., 4n) batches: 10.05 MB and 35.3 MB.
+    # in a fresh process: 3.71 MB and 9.77 MB; the bounds are that plus
+    # under 10%.  With the grid holding its int64 mode lattice (j - k, j + k)
+    # beside chi: 3.98 MB and 10.82 MB; with chi also formed on the whole
+    # lattice, each Weyl matrix summed onto zeros and the energy's normal
+    # draws held: 4.54 MB and 11.87 MB; with every beam block dense (constant
+    # b quantized as a matrix, not held by its diagonal): 6.36 MB and
+    # 19.18 MB; with Psi, Lambda and D~_b held by the parametrix and the
+    # energy taken on stacked (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    for n, bound in ((128, 4.9e6), (256, 12.9e6)):
+    for n, bound in ((128, 3.9e6), (256, 10.6e6)):
         g = TorusGrid(n)
         sysm, fields = build_preset("headline", g)
         V = complexify(*fields).stacked()
@@ -664,7 +668,9 @@ def test_constant_coefficient_preset_holds_no_dense_beam_block(preset):
 
 def test_cutoff_is_built_once_per_grid(monkeypatch):
     # the Bony-Weyl cutoff is held by the grid: the system, the parametrix
-    # and its residuals quantize many symbols but evaluate chi once
+    # and its residuals quantize many symbols but evaluate chi once, on the
+    # entries of its cone (about 13% of the n x n lattice), where it is
+    # neither 1 nor 0
     calls = []
     original = beamwave.symbols.cutoff_chi
 
@@ -675,7 +681,9 @@ def test_cutoff_is_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(beamwave.symbols, "cutoff_chi", counting)
     g, para, V = coupled_setup(32)
     conjugation_residual(build_parametrix(para, V, 2.5), para, V)
-    assert calls == [(g.n, g.n)]
+    (cone,), = calls
+    assert 0 < cone < 0.2 * g.n**2
+    assert cone >= np.count_nonzero((g.chi_mask > 0.0) & (g.chi_mask < 1.0))
 
 
 def _counting(monkeypatch, owner, name):

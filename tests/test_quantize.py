@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+import beamwave.paralin as paralin
+import beamwave.parametrix as parametrix
+import beamwave.quantize as quantize
+from beamwave.cli import PRESETS, build_preset
 from beamwave.grid import TorusGrid, transform
+from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import (
     bony_weyl_quantize,
     composition_residual,
@@ -13,6 +18,7 @@ from beamwave.quantize import (
     weyl_quantize,
     weyl_table,
 )
+from beamwave.state import complex_weights, complexify
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi
 
 
@@ -101,15 +107,39 @@ def test_restricting_before_weighting_is_exact():
         weighted_matrix(g, M, 0.0, 0.0, band="restricted")
 
 
+def _lattice(g):
+    """The mode lattice (j - k, j + k) over the slots (j, k), int64, which the
+    grid forms only while it builds its masks."""
+    J = g.modes
+    return J[:, None] - J[None, :], J[:, None] + J[None, :]
+
+
+def _closed_chi(g):
+    """chi_eps(|j - k| / <j + k>) by one call of cutoff_chi on the whole
+    lattice; the unpaired mode -n/2 keeps chi_eps(0) = 1 on the diagonal and
+    nothing off it."""
+    D, S = _lattice(g)
+    chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
+    off = g.modes != -(g.n // 2)
+    chi[g.n // 2, off] = chi[off, g.n // 2] = 0.0
+    return chi
+
+
 def test_grid_lattice_arrays_are_held_read_only():
+    # the grid holds chi and the in-range mask, 9 bytes an entry, and not
+    # the int64 lattice they are read from
     g = TorusGrid(16)
-    assert not {"mode_lattice", "in_range", "chi_mask"} & set(vars(g))  # built on first use
-    D, S = g.mode_lattice
-    for a in (D, S, g.in_range, g.chi_mask):
+    assert not {"in_range", "chi_mask"} & set(vars(g))  # built on first use
+    for a in (g.in_range, g.chi_mask):
         assert a.shape == (g.n, g.n)
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1
     assert g.chi_mask is g.chi_mask and g.in_range is g.in_range
+    assert not hasattr(g, "mode_lattice")
+    held = [v for v in vars(g).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert sum(a.nbytes for a in held) == 9 * g.n**2
+    D = _lattice(g)[0]
+    assert np.array_equal(g.in_range, (D >= -(g.n // 2)) & (D < g.n // 2))
     # the Toeplitz view fhat[(j - k) mod n], bit for bit, over [fhat, fhat] alone
     rng = np.random.default_rng(3)
     for n in (2, 16, 32):
@@ -128,13 +158,87 @@ def test_bony_weyl_is_weyl_times_the_cutoff_bit_for_bit():
     sym = SeparableSymbol(g, [(transform(g, np.cos(g.x) + 0.2 * np.sin(3 * g.x)),
                                FrequencyMultiplier.xi_power(2)),
                               (transform(g, np.sin(2 * g.x)), FrequencyMultiplier.abs_xi())])
-    J = g.modes
-    D, S = J[:, None] - J[None, :], J[:, None] + J[None, :]
-    chi = cutoff_chi(np.abs(D) / np.sqrt(1.0 + S.astype(float) ** 2))
-    # the unpaired mode -n/2 keeps chi_eps(0) = 1 on the diagonal and nothing off it
-    off = J != -(g.n // 2)
-    chi[g.n // 2, off] = chi[off, g.n // 2] = 0.0
-    assert np.array_equal(bony_weyl_quantize(sym), weyl_quantize(sym) * chi)
+    assert np.array_equal(bony_weyl_quantize(sym), weyl_quantize(sym) * _closed_chi(g))
+
+
+def _bits(a):
+    """The bytes of an array's entries, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 32, 100, 128, 256, 512, 1024])
+def test_chi_mask_is_the_closed_formula_bit_for_bit(n):
+    # the grid evaluates cutoff_chi on the cone 1.1 < |xi| / eps < 1.9
+    # alone, and sets 1 below it and +0.0 above it: the closed formula's
+    # entries, signed zeros included
+    assert np.array_equal(_bits(TorusGrid(n).chi_mask), _bits(_closed_chi(TorusGrid(n))))
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_chi_mask_is_formed_in_28_bytes_an_entry(n):
+    # the closed formula takes about 72 bytes an entry of float temporaries;
+    # the grid's cone takes 19 (measured at N = 256-1024), 8 of them the
+    # result.  Below N = 256 numpy's fixed ufunc buffer (8192 complex) is
+    # more than 2 bytes an entry
+    import tracemalloc
+
+    g = TorusGrid(n)
+    tracemalloc.start()
+    try:
+        g.chi_mask
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n * n, peak / n**2
+
+
+def _reference_table(g, m):
+    """m((j + k)/2), zero where j - k leaves [-n/2, n/2), from the local lattice."""
+    D, S = _lattice(g)
+    return np.where((D >= -(g.n // 2)) & (D < g.n // 2),
+                    m(np.arange(-g.n, g.n - 1) / 2.0)[S + g.n], 0.0)
+
+
+def _reference_bony_weyl(sym):
+    """zeros + sum_i toeplitz(fhat_i) * T_i, then times chi: the quantizer's
+    arithmetic written as a plain sum."""
+    g = sym.grid
+    M = np.zeros((g.n, g.n), dtype=complex)
+    for f, m in sym.terms:
+        M += g.toeplitz(f.coeffs) * _reference_table(g, m)
+    return M * _closed_chi(g)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, monkeypatch):
+    # every Bony-Weyl block that the system, its generator at a background,
+    # the parametrix, its residuals and the energy quantize, and the tables
+    # of the real form's background blocks, against a sum that starts from
+    # zeros and a closed-formula chi: the quantizer multiplies its first term
+    # straight into the result and chi in place, with the same bits
+    g = TorusGrid(32)
+    seen = []
+
+    def checked(sym):
+        M = quantize.bony_weyl_quantize(sym)
+        seen.append(np.array_equal(_bits(M), _bits(_reference_bony_weyl(sym))))
+        return M
+
+    for module in (paralin, parametrix):
+        monkeypatch.setattr(module, "bony_weyl_quantize", checked)
+    sysm, fields = build_preset(preset, g)
+    V = complexify(*fields).stacked()
+    para = ParalinearizedSystem(sysm, g)
+    para.frak_A(V), para.frak_B(V)
+    P = parametrix.build_parametrix(para, V, 2.5)
+    parametrix.conjugation_residual(P, para, V)
+    parametrix.modified_energy(P, V)
+    assert seen and all(seen)
+    D, h = complex_weights(g), g.n // 2 + 1
+    for i, out, inp, table in para._real_blocks:
+        T = _reference_table(g, paralin._ABS_XI if i == 0 else paralin._OFF) * _closed_chi(g)
+        ref = (-1.0 * D[out // 2][:, None] * T * D[inp // 2])[:h].astype(complex)
+        assert np.array_equal(_bits(table), _bits(ref))
 
 
 def test_remainder_bw_minus_weyl_two_smoothing():
@@ -185,7 +289,7 @@ def test_multiplier_one_quantizes_by_the_in_range_mask_bit_for_bit():
     table = weyl_table(g, FrequencyMultiplier.one())
     assert np.array_equal(table != 0.0, g.in_range)
     assert np.array_equal(weyl_quantize(SeparableSymbol.from_xfunc(f)),
-                          f.coeffs[g.mode_lattice[0] % g.n] * table)
+                          f.coeffs[_lattice(g)[0] % g.n] * table)
 
 
 def _svd_spy(monkeypatch, record=lambda a: np.asarray(a).dtype.kind):
