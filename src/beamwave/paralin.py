@@ -21,8 +21,9 @@ side to machine precision.
 frakA and frakB are odd: each is held as its halves (pm, mp) on the parity
 halves p = D u, m = i D^{-1} u_t of ``state``, each half a 2 x 2 tuple of
 n x n (beam, wave) blocks ((bb, bw), (wb, ww)), None for a block that is zero
-by structure, or, if diagonal, its diagonal (2n,) (frakA's pm) or (n,) (a
-block of frakA(0)'s mp with constant coefficients: b, or c, constant).
+by structure, or, if diagonal, its diagonal: (2n,) for frakA's pm, (n,) for a
+block of constant x-coefficients (``bony_weyl_quantize``): frakA(0)'s where b,
+or c, is constant, and a background's where its g-function is (at V = 0).
 On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
 form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
@@ -36,10 +37,12 @@ j >= 0 halves (4, ..., n//2 + 1), ``np.fft.rfft``'s layout.  A stacked V enters 
 side and the remainder live beside their tests.
 """
 
+import operator
+
 import numpy as np
 
 from .grid import SpectralFunction
-from .quantize import bony_weyl_quantize, weyl_table
+from .quantize import bony_weyl_quantize, combine, weyl_table
 from .state import complex_weights, real_from_stacked
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -47,15 +50,6 @@ _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
-
-
-def _diagonal_block(p, q):
-    """diag(p) - 2i Op^BW(q), or its diagonal (n,) when every coefficient of
-    q is constant: the matrix is then exactly zero off its diagonal."""
-    Q = bony_weyl_quantize(q)
-    if any(f.coeffs[1:].any() for f, _ in q.terms):
-        return np.diag(p) - 2j * Q
-    return p - 2j * np.diagonal(Q)
 
 
 class ParalinearizedSystem:
@@ -85,7 +79,7 @@ class ParalinearizedSystem:
         F1, F2, D, h = source.F1, source.F2, complex_weights(grid), grid.n // 2 + 1
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
-            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult)[:h]
+            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult, h)
                            * grid.chi_mask[:h]) * D[inp // 2]).astype(complex))
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
@@ -137,13 +131,15 @@ class ParalinearizedSystem:
 
         Each 2 x 2 symbol is I p + U q, so its quantization
         I Op^BW(p) + U Op^BW(q) has the even halves Op^BW(p) + 2 Op^BW(q) and
-        Op^BW(p).  Each key maps to (p, q): p a constant-coefficient
-        FrequencyMultiplier (None for the coupling blocks), q a SeparableSymbol."""
+        Op^BW(p).  Each key maps to (p, q), SeparableSymbols: p of constant
+        coefficients (None for the coupling blocks)."""
         grid = self.grid
         a, d, g_1w, g_12b, g_12w = self.g_functions(V)
         return {
-            "A_b": (_XI2, SeparableSymbol(grid, [(a, _XI2), (2j * a.deriv(), _XI1)])),
-            "A_w": (_ABS_XI, SeparableSymbol(grid, [(d + g_1w, _ABS_XI)])),
+            "A_b": (SeparableSymbol.from_multiplier(grid, _XI2),
+                    SeparableSymbol(grid, [(a, _XI2), (2j * a.deriv(), _XI1)])),
+            "A_w": (SeparableSymbol.from_multiplier(grid, _ABS_XI),
+                    SeparableSymbol(grid, [(d + g_1w, _ABS_XI)])),
             "B_b": (None, SeparableSymbol(grid, [(g_12b, _OFF)])),
             "B_w": (None, SeparableSymbol(grid, [(g_12w, _OFF)])),
         }
@@ -155,22 +151,21 @@ class ParalinearizedSystem:
         diag(j^2, |j|), held as its diagonal (2n,), and mp = -i
         blockdiag(diag(j^2) + 2 Op^BW(q_b), diag(|j|) + 2 Op^BW(q_w)), held as
         its blocks ((bb, None), (None, ww)), each by its diagonal (n,) where q
-        has constant coefficients; the system keeps them at V = None, and a background
-        adds its g_1w |xi| block to a new, dense, wave block (none if F2 has no theta_xx)."""
+        has constant coefficients; the system keeps them at V = None, and a
+        background adds its g_1w |xi| block to a new wave block (none if F2 has
+        no theta_xx), dense unless g_1w and c are constant."""
         if V is None:
             syms = self.assemble_symbols(None)
-            # p has constant coefficients, so Op^BW(p) = diag(p(j)) (chi_eps(0) = 1)
-            p_b, p_w = (-1j * syms[key][0](self.grid.modes) for key in ("A_b", "A_w"))
-            return np.concatenate([p_b, p_w]), (
-                (_diagonal_block(p_b, syms["A_b"][1]), None),
-                (None, _diagonal_block(p_w, syms["A_w"][1])))
+            # p has constant coefficients: Op^BW(p) comes back as its diagonal (n,)
+            p_b, p_w = (-1j * bony_weyl_quantize(syms[key][0]) for key in ("A_b", "A_w"))
+            bb, ww = (combine(operator.sub, p, 2j * bony_weyl_quantize(syms[key][1]))
+                      for p, key in ((p_b, "A_b"), (p_w, "A_w")))
+            return np.concatenate([p_b, p_w]), ((bb, None), (None, ww))
         if 0 not in {i for i, *_ in self._real_blocks}:  # F2 has no theta_xx slot: g_1w = 0
             return self._A0
         pm, ((bb, _), (_, ww)) = self._A0
         q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)
-        if ww.ndim == 1:
-            ww = np.diag(ww)
-        return pm, ((bb, None), (None, ww - 2j * bony_weyl_quantize(q_w)))
+        return pm, ((bb, None), (None, combine(operator.sub, ww, 2j * bony_weyl_quantize(q_w))))
 
     def frak_B(self, V):
         """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w))

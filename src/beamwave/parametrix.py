@@ -31,28 +31,20 @@ the generator and Lambda odd (pm, mp).  The change keeps the Sobolev
 weights and the resolved band, so a residual's norm is the larger of its
 halves' norms.  No 2n x 2n array is formed.
 
-A block quantized from a constant x-coefficient is held as its diagonal
-(n,), bit for bit its Bony-Weyl matrix's (``_op``): for constant b, S_b^{+-1},
-K^{+-1}, M_{-1}, D_b, D~_b, Lambda_b and L_{2s}'s beam block, and the wave's
-where a_w = d + g_1w is constant.  A diagonal multiplies entrywise or scales
-rows or columns (``_mul``, ``_apply``), stays one, by its values at the
-resolved slots, at a restricted take (``_take``), and is formed as a matrix
-only beside a dense block in a sum (``_combine``); a residual block that
-stays diagonal is normed by its largest weighted entry, with no SVD.
+A block quantized from constant x-coefficients comes back from
+``bony_weyl_quantize`` as its diagonal (n,): for constant b, S_b^{+-1},
+K^{+-1}, M_{-1}, D_b, D~_b, Lambda_b and L_{2s}'s beam block, the wave's
+where a_w = d + g_1w is constant, and T and the generator's blocks where
+their g-function is (at V = 0, for one).  A diagonal multiplies entrywise or
+scales rows or columns (``_mul``, ``_apply``), stays one, by its values at
+the resolved slots, at a restricted take (``_take``), and is formed as a
+matrix only beside a dense block in a sum (``quantize.combine``,
+``_product``); a residual block that stays diagonal is normed by its
+largest weighted entry, with no SVD.
 
-A ``Parametrix`` holds what the energy applies: Phi, T, the diagonalizers'
-D and L_{2s} (quantized on first use).  Psi, D~_b and Lambda enter the
-conjugation residual only; each residual call builds them once
-(``residual_operators``) and frees them on return.
-
-Beam and wave couple only through T (t_b from g_12b, t_w from g_12w) and
-the generator's coupling blocks.  Where F has no coupling slot
-(``ParalinearizedSystem.coupled``), t_b or t_w is zero by structure, and no
-product is formed through it: Phi and Psi get no coupling block on that
-side, and the residuals are products of 2 x 2 (beam, wave) blocks that skip
-every structurally zero term (``_product``).  With no coupling at all, as
-in headline, every residual half is block-diagonal and its norm takes one
-SVD per component (``quantize.exact_operator_norm`` of its blocks).
+Beam and wave couple only through T and the generator's coupling blocks.
+Where F has no coupling slot (``ParalinearizedSystem.coupled``), neither is
+formed, and every product skips them (``_product``).
 
 L_{2s} is one block on z and z-bar (beam) and one on w and w-bar (wave),
 so the energy is a sum of quadratic forms, one per parity half h and
@@ -62,9 +54,7 @@ component c,
                             <L_c (Phi_h v_h)_c, (Phi_h v_h)_c>,
 
 each on one n-wide component block (``_energy``); no stacked 4n vector
-is formed.  The Garding scan needs no Phi product: a single-mode state's
-Phi-image is two columns of each block of each half, and Phi(Delta V) is
-d_k Phi V.
+is formed.
 """
 
 import operator
@@ -74,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import bony_weyl_quantize, exact_operator_norm
+from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm
 from .state import conjugate_pair, parity_split, stacked_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -98,31 +88,15 @@ def _periodic_antiderivative(grid, values):
 
 
 def _op(f, mult=None):
-    """Op^BW(f(x) mult(xi)) (mult = 1 by default); for a constant f its
-    diagonal f^(0) mult(j), bit for bit the matrix's: the Toeplitz view is
-    f^(0) I and chi_eps(0) = 1, the Nyquist slot included.  The diagonal is
-    summed onto +0.0 as the quantizer's is, so no zero keeps a minus sign."""
-    if f.coeffs[1:].any():
-        return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
-    return 0.0 + f.coeffs[0] * (np.ones(f.grid.n) if mult is None else mult(f.grid.modes))
+    """Op^BW(f(x) mult(xi)) (mult = 1 by default): its diagonal (n,) for a constant f."""
+    return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
 
 
 def _similarity(s1, s2):
     """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]];
     S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
     S1, S2 = _op(s1), _op(s2)
-    return _combine(operator.add, S1, S2), _combine(operator.sub, S1, S2)
-
-
-def _dense(b):
-    """A block as an array of its side: a diagonal (n,) as its diagonal matrix."""
-    return np.diag(b) if b.ndim == 1 else b
-
-
-def _combine(op, A, B):
-    """op(A, B), a sum or difference of two blocks; a diagonal beside a dense
-    block is formed as its matrix."""
-    return op(A, B) if A.ndim == B.ndim else op(_dense(A), _dense(B))
+    return combine(operator.add, S1, S2), combine(operator.sub, S1, S2)
 
 
 def _apply(b, u):
@@ -163,10 +137,15 @@ def _mul(A, B, r=None):
 def _product(X, Y, r=None):
     """The 2 x 2 block product XY over (beam, wave), forming only the block
     products that can be nonzero; a block with no such term is None.  Blocks
-    taken at the slots r (``_take``) are multiplied as such (``_mul``)."""
+    taken at the slots r (``_take``) are multiplied as such (``_mul``); a
+    diagonal term at the rows r beside the rows r of a dense one is formed as
+    those rows of its matrix."""
     def block(i, k):
         terms = [t for t in (_mul(X[i][j], Y[j][k], r) for j in (0, 1)) if t is not None]
-        return reduce(lambda a, b: _combine(operator.add, a, b), terms) if terms else None
+        wide = [t.shape[1] for t in terms if t.ndim == 2 and t.shape[0] < t.shape[1]]
+        terms = [(np.arange(wide[0]) == r[:, None]) * t[:, None] if wide and t.ndim == 1 else t
+                 for t in terms]
+        return reduce(lambda a, b: combine(operator.add, a, b), terms) if terms else None
 
     return tuple(tuple(block(i, k) for k in (0, 1)) for i in (0, 1))
 
@@ -174,7 +153,7 @@ def _product(X, Y, r=None):
 def _minus_diagonal(X, b, w):
     """X - blockdiag(b, w) for 2 x 2 blocks X whose diagonal blocks are formed."""
     (bb, bw), (wb, ww) = X
-    return ((_combine(operator.sub, bb, b), bw), (wb, _combine(operator.sub, ww, w)))
+    return ((combine(operator.sub, bb, b), bw), (wb, combine(operator.sub, ww, w)))
 
 
 class _Diagonalizer:
@@ -240,8 +219,8 @@ class BeamDiagonalizer(_Diagonalizer):
         S_p, S_m = _similarity(self.s1, self.s2)
         K_inv = _op(transform(grid, np.exp(-phi)))
         one = np.ones(grid.n)
-        self.D_b = (_mul(_mul(K_inv, _combine(operator.add, one, O_m)), S_m),
-                    _mul(_mul(K_inv, _combine(operator.sub, one, O_m)), S_p))
+        self.D_b = (_mul(_mul(K_inv, combine(operator.add, one, O_m)), S_m),
+                    _mul(_mul(K_inv, combine(operator.sub, one, O_m)), S_p))
 
     def right_inverse(self):
         """D~_b's halves, formed anew from quantizations of their own and not
@@ -249,8 +228,8 @@ class BeamDiagonalizer(_Diagonalizer):
         residual apply them."""
         (S_p, S_m), O_m, K = _similarity(self.s1, self.s2), self.M_minus1, _op(self.k)
         one = np.ones(self.grid.n)
-        return (_mul(_mul(S_p, _combine(operator.sub, one, O_m)), K),
-                _mul(_mul(S_m, _combine(operator.add, one, O_m)), K))
+        return (_mul(_mul(S_p, combine(operator.sub, one, O_m)), K),
+                _mul(_mul(S_m, combine(operator.add, one, O_m)), K))
 
 
 class WaveDiagonalizer(_Diagonalizer):
@@ -397,7 +376,8 @@ def conjugation_residual(P, para, V=None):
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
     pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
-    bare = [_dense(D)[r] @ L @ _dense(Dt)[:, r] for D, L, Dt in pairs if L is not None]
+    bare = [as_matrix(D)[r] @ as_matrix(L) @ as_matrix(Dt)[:, r]
+            for D, L, Dt in pairs if L is not None]
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
@@ -428,7 +408,7 @@ def _mode_energies(P):
     refl, rt2 = P.grid.reflect[k], np.sqrt(2.0)
 
     def image(b, op):  # (|k|, n) of a block X: op(X[:, k], X[:, -k]) / sqrt2
-        b = _dense(b)
+        b = as_matrix(b)
         return op(b[:, k], b[:, refl]).T / rt2
 
     def images(c):  # per row component of each half

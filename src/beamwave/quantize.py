@@ -11,6 +11,12 @@ separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
 sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
 fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``); a
 block is summed into its first term's product, which chi multiplies in place.
+A symbol whose x-coefficients are all constant has an exactly diagonal
+Bony-Weyl matrix (the Toeplitz views are fhat_i(0) I, chi_eps(0) = 1, the
+Nyquist slot included): ``bony_weyl_quantize`` returns it as its diagonal
+(n,), and every caller must expect either form.  ``combine`` and
+``as_matrix`` are the one rule that forms a diagonal as its matrix beside a
+dense block, where numpy would broadcast the pair into a wrong array.
 Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
@@ -31,29 +37,23 @@ Re X when max|Im X| <= 1e-8 max|Re X|, of Im X the other way round, and of
 the complex W otherwise -- a matrix not real in this basis to that tolerance
 (the operators suite's Op^W - Op^BW at N = 128: 5e-8 of round-off from
 ``transform`` weighted by <j>^4), and every norm on all n modes.
-
-A matrix may be handed over by its component blocks, None for a block that
-is zero by structure, as the parity halves of the parametrix residuals
-are.  If no off-diagonal block is formed, the matrix is block-diagonal, and
-its top singular value is the largest of its diagonal blocks': each is
-taken alone, as above, by an SVD of one component's side.  This is exact; a
-parity half that no coupling block reaches (``ParalinearizedSystem.coupled``)
-takes two SVDs of side |R| instead of one of side 2|R|.  An all-zero matrix
-has norm exactly 0.0 and takes no SVD.
 """
+
+import operator
 
 import numpy as np
 
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
-def weyl_table(grid, g):
+def weyl_table(grid, g, rows=None):
     """The real n x n table T[j, k] = g((j + k)/2), zero where j - k leaves
-    [-n/2, n/2).  The Weyl matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T,
-    its Bony-Weyl matrix that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
+    [-n/2, n/2), or its first ``rows`` rows alone.  The Weyl matrix of f(x) g(xi)
+    is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix that times
+    chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n, J = grid.n, grid.modes
-    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J, J + n)]  # g at each (j + k)/2
-    T[~grid.in_range] = 0.0
+    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[:rows], J + n)]  # g at each (j + k)/2
+    T[~grid.in_range[:rows]] = 0.0
     return T
 
 
@@ -72,9 +72,27 @@ def weyl_quantize(sym):
 
 
 def bony_weyl_quantize(sym):
-    """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>)."""
-    M = weyl_quantize(sym)
-    return np.multiply(M, sym.grid.chi_mask, out=M)
+    """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>); if
+    every x-coefficient is constant, its diagonal 0.0 + sum_i fhat_i(0) g_i(j)
+    (n,), summed in term order as ``weyl_quantize`` sums, so bit for bit the
+    matrix's: zeros for a symbol of no terms."""
+    grid = sym.grid
+    if any(f.coeffs[1:].any() for f, _ in sym.terms):
+        M = weyl_quantize(sym)
+        return np.multiply(M, grid.chi_mask, out=M)
+    return sum((f.coeffs[0] * g(grid.modes) for f, g in sym.terms), np.zeros(grid.n, complex))
+
+
+def as_matrix(b):
+    """A block as an array of its side: a diagonal (n,) as its diagonal matrix."""
+    return np.diag(b) if b.ndim == 1 else b
+
+
+def combine(op, A, B):
+    """op(A, B), a sum or difference of two blocks; a diagonal beside a dense
+    block is formed as its matrix.  op is ``operator.add`` or ``operator.sub``,
+    not the ufunc: numpy may then write the result over a temporary operand."""
+    return op(A, B) if A.ndim == B.ndim else op(as_matrix(A), as_matrix(B))
 
 
 def _components(grid, M, side):
@@ -166,8 +184,8 @@ def exact_operator_norm(grid, M, s_in, s_out, band=None):
             return float(np.max([exact_operator_norm(grid, M[i][i], s_in[i], s_out[i], band)
                                  for i in range(c) if M[i][i] is not None], initial=0.0))
         side = next(b.shape[0] for row in M for b in row if b is not None)
-        M = np.block([[np.zeros((side, side)) if b is None else np.diag(b) if b.ndim == 1 else b
-                       for b in row] for row in M])
+        M = np.block([[np.zeros((side, side)) if b is None else as_matrix(b) for b in row]
+                      for row in M])
     if np.ndim(M) == 1:  # weighted as weighted_matrix weights its diagonal
         slots = grid.dealias_mask if band else slice(None)
         d = M[slots] if band == "resolved" else M
@@ -190,9 +208,10 @@ def exact_operator_norm(grid, M, s_in, s_out, band=None):
 
 def remainder_bw_minus_weyl(sym):
     """R = Op^W(a) - Op^BW(a); smoothing of order rho in tests."""
-    return weyl_quantize(sym) - bony_weyl_quantize(sym)
+    return combine(operator.sub, weyl_quantize(sym), bony_weyl_quantize(sym))
 
 
 def composition_residual(a, b, rho):
     """Op^BW(a) Op^BW(b) - Op^BW(a #_rho b)."""
-    return bony_weyl_quantize(a) @ bony_weyl_quantize(b) - bony_weyl_quantize(sharp_rho(a, b, rho))
+    A, B = (as_matrix(bony_weyl_quantize(s)) for s in (a, b))
+    return combine(operator.sub, A @ B, bony_weyl_quantize(sharp_rho(a, b, rho)))

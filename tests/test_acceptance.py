@@ -27,6 +27,7 @@ from beamwave.parametrix import (
     equivalence_and_garding_report,
 )
 from beamwave.quantize import (
+    as_matrix,
     bony_weyl_quantize,
     composition_residual,
     exact_operator_norm,
@@ -163,7 +164,7 @@ def test_criterion_03_diagonalization_identities():
         # even, so the residual is one n x n product per half
         af = transform(gn, 0.2 * np.cos(gn.x))
         xi2 = FrequencyMultiplier.xi_power(2)
-        P = bony_weyl_quantize(SeparableSymbol.from_multiplier(gn, xi2))
+        P = as_matrix(bony_weyl_quantize(SeparableSymbol.from_multiplier(gn, xi2)))
         Q = bony_weyl_quantize(
             SeparableSymbol(gn, [(af, xi2), (2j * af.deriv(), FrequencyMultiplier.xi_power(1))])
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 import beamwave.evolve as evolve
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.evolve import (
@@ -102,9 +102,13 @@ def test_rk4_step_is_the_textbook_combination_bit_for_bit():
 
 
 def solve_steps(solver, preset, n, steps):
-    """(grid, system, run) of one solve of ``steps`` steps from the preset's data."""
+    """(grid, system, run) of one solve of ``steps`` steps from the preset's data,
+    or of a system document with the data the CLI gives a system file."""
     g = TorusGrid(n)
-    sysm, fields = build_preset(preset, g)
+    if isinstance(preset, dict):
+        sysm, fields = bridge_system_from_json(preset, g), build_preset("linear", g)[1]
+    else:
+        sysm, fields = build_preset(preset, g)
     limit = SolverConfig().max_stable_dt(g, float(np.max(sysm.b.values().real)))
     cfg = SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
     if solver == "oracle":
@@ -152,6 +156,19 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
     # N = 256, up to 2.78 at N = 16; the oracle 1.15-4.73, its bookkeeping
     # most of its plan at one step
     g, peak, plan = traced_plan(solver, preset, n, steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+
+
+@pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
+def test_a_dense_frakA0_with_no_table_is_planned_at_its_set_up(steps, warm_interpreter):
+    # b and c profiles and no F: frakA(0)'s blocks are dense, so set-up forms
+    # chi, though no table or node block exists; at one step the set-up term
+    # (PLAN_SETUP) is the plan's larger one.  The traced peak is within the
+    # plan test's bound
+    n, doc = 256, {"b": "cosine:0.3", "c": "cosine:0.2"}
+    g, peak, plan = traced_plan("kato", doc, n, steps)
+    para = ParalinearizedSystem(bridge_system_from_json(doc, g), g)
+    assert para._real_blocks == [] and para._A0[1][0][0].shape == (n, n)
     assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
 
 
@@ -701,7 +718,8 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
     monkeypatch.setattr(paralin, "bony_weyl_quantize", counting("bw", quantize.bony_weyl_quantize))
     # the time-stepping path applies the real-form generator: the linear part
     # by FFT plus the background blocks, with no frakA / frakB matrix; the one frakA
-    # call is the constructor's quantization of frakA(0)
+    # call is the constructor's quantization of frakA(0), whose two blocks
+    # I p + U q each quantize p and q once
     for name in ("frak_A", "frak_B"):
         fn = getattr(paralin.ParalinearizedSystem, name)
         monkeypatch.setattr(paralin.ParalinearizedSystem, name, counting(name, fn))
@@ -712,9 +730,7 @@ def test_kato_assembles_symbols_independently_of_step_count(monkeypatch):
         counts.clear()
         kato_solve(sys, V0, SolverConfig(T_final=T))
         per_run.append(dict(counts))
-    assert per_run[0] == per_run[1]
-    assert all(c <= 2 for c in per_run[0].values()), per_run
-    assert per_run[0]["frak_A"] == 1 and "frak_B" not in per_run[0], per_run
+    assert per_run[0] == per_run[1] == {"assemble": 1, "bw": 4, "frak_A": 1}, per_run
 
 
 def test_kato_sweep_leaving_the_smallness_radius_is_refused(monkeypatch):

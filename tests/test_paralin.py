@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 import beamwave.paralin as paralin
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, arioli_gazzola_preset
+from beamwave.bridge import (
+    BridgeSystem,
+    QuadraticNonlinearity,
+    arioli_gazzola_preset,
+    bridge_system_from_json,
+)
 from beamwave.cli import build_preset
 from beamwave.evolve import SolverConfig, kato_solve
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
-from beamwave.quantize import bony_weyl_quantize
+from beamwave.quantize import as_matrix, bony_weyl_quantize
 from beamwave.state import (
     complex_weights,
     complexify,
@@ -280,14 +285,35 @@ def test_g_functions_from_nonlinearity():
     assert all(sobolev_norm(z, 0.0) == 0.0 for z in (z1, z2, z3))
 
 
+def minus_iE_bw(g, parts):
+    """-iE Op^BW(I p + U q) of a part (p, q) of ``assemble_symbols``, each of
+    Op^BW(p), Op^BW(q) formed as its matrix, as the stacked symmetric pair
+    [[P + Q, Q], [Q, P + Q]]."""
+    p, q = parts
+    E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
+    Q = as_matrix(bony_weyl_quantize(q))
+    P = 0.0 if p is None else as_matrix(bony_weyl_quantize(p))
+    return -1j * (E @ np.block([[P + Q, Q], [Q, P + Q]]))
+
+
+def dense_frak_A(g, para, V):
+    """The stacked 4n x 4n frakA(V) = blockdiag(-iE Op^BW(A_b), -iE Op^BW(A_w))."""
+    syms, n2 = para.assemble_symbols(V), 2 * g.n
+    A = np.zeros((2 * n2, 2 * n2), dtype=complex)
+    A[:n2, :n2], A[n2:, n2:] = minus_iE_bw(g, syms["A_b"]), minus_iE_bw(g, syms["A_w"])
+    return A
+
+
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_tabulated_generator_matches_quantized_symbols(preset):
     # frakA / frakB from the precomputed tables, embedded from their odd
     # halves, equal -iE Op^BW of the assembled symbols I p + U q, each part
     # quantized here on its own and laid out as the stacked symmetric pair
-    # [[A, B], [B, A]], at zero, at the preset data and at a perturbed V; the
-    # real-form generator's action on real states equals the sum of the
-    # matrices, with R, carried through the complexification
+    # [[A, B], [B, A]], at V = None, at V = 0 (every g-function zero, so
+    # frakA's wave block and frakB's blocks come back as diagonals), at the
+    # preset data and at a perturbed V; the real-form generator's action on
+    # real states equals the sum of the matrices, with R, carried through the
+    # complexification
     g = TorusGrid(32)
     sysm, fields = build_preset(preset, g)
     para = ParalinearizedSystem(sysm, g)
@@ -297,22 +323,12 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
     ).stacked()
     n2 = 2 * g.n
     u = np.fft.rfft(np.random.default_rng(3).standard_normal((4, g.n)), norm="forward")
-    E = np.kron(np.diag([1.0, -1.0]), np.eye(g.n))
-
-    def minus_iE_bw(parts):
-        p, q = parts
-        Q = bony_weyl_quantize(q)
-        P = 0.0 if p is None else bony_weyl_quantize(SeparableSymbol.from_multiplier(g, p))
-        return -1j * (E @ np.block([[P + Q, Q], [Q, P + Q]]))
-
-    for v in (None, V, V + bumped):
+    for v in (None, 0.0 * V, V, V + bumped):
         syms = para.assemble_symbols(v)
-        A = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        A[:n2, :n2] = minus_iE_bw(syms["A_b"])
-        A[n2:, n2:] = minus_iE_bw(syms["A_w"])
+        A = dense_frak_A(g, para, v)
         B = np.zeros_like(A)
-        B[:n2, n2:] = minus_iE_bw(syms["B_b"])
-        B[n2:, :n2] = minus_iE_bw(syms["B_w"])
+        B[:n2, n2:] = minus_iE_bw(g, syms["B_b"])
+        B[n2:, :n2] = minus_iE_bw(g, syms["B_w"])
         got_A = odd_stacked_matrix(g, *para.frak_A(v))
         got_B = odd_stacked_matrix(g, *para.frak_B(v))
         assert np.linalg.norm(got_A - A) <= 1e-12 * np.linalg.norm(A)
@@ -323,6 +339,26 @@ def test_tabulated_generator_matches_quantized_symbols(preset):
         got = para.real_generator(constant_background_blocks(para, g_v))(u, 0.0)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert [structural_zeros(h) for h in para.frak_B(None)] == [EVERY_BLOCK] * 2
+
+
+@pytest.mark.parametrize("c", [1.0, "cosine:0.2"], ids=["constant_c", "c_profile"])
+def test_frak_A_at_a_constant_nonzero_g_1w_equals_its_dense_reference(c):
+    # F2 = y theta_xx on constant y data: g_1w = y/2 is a nonzero constant, so
+    # Op^BW(g_1w |xi|) comes back as its diagonal (n,); frakA(V)'s wave block
+    # is then a diagonal beside c's constant diagonal, or beside the dense
+    # block of a c profile, and equals the dense reference either way (numpy
+    # would broadcast a diagonal against a matrix into a wrong array)
+    g = TorusGrid(32)
+    sysm = bridge_system_from_json({"c": c, "F2": [[1.0, 0, 5]]}, g)
+    fields = build_preset("headline", g)[1]
+    V = complexify(SpectralFunction.constant(g, 0.3), *fields[1:]).stacked()
+    para = ParalinearizedSystem(sysm, g)
+    g_1w = para.g_functions(V)[2]
+    assert g_1w.coeffs[0] != 0.0 and not g_1w.coeffs[1:].any()
+    pm, mp = para.frak_A(V)
+    assert mp[1][1].shape == para._A0[1][1][1].shape == ((g.n,) if c == 1.0 else (g.n, g.n))
+    A = dense_frak_A(g, para, V)
+    assert np.linalg.norm(odd_stacked_matrix(g, pm, mp) - A) <= 1e-12 * np.linalg.norm(A)
 
 
 def test_batched_kato_forcing_matches_single_vectors():

@@ -7,11 +7,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+import beamwave.paralin
 import beamwave.parametrix
 import beamwave.quantize
 import beamwave.symbols
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
-from beamwave.cli import build_preset
+from beamwave.cli import PRESETS, build_preset
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
@@ -27,8 +28,15 @@ from beamwave.parametrix import (
     modified_energy,
     residual_operators,
 )
-from beamwave.quantize import bony_weyl_quantize, exact_operator_norm, weighted_matrix
-from beamwave.state import complexify, conjugate_pair, parity_split, stacked_norm
+from beamwave.quantize import (
+    as_matrix,
+    bony_weyl_quantize,
+    exact_operator_norm,
+    weighted_matrix,
+    weyl_quantize,
+    weyl_table,
+)
+from beamwave.state import complex_weights, complexify, conjugate_pair, parity_split, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 from test_paralin import dense_block, dense_half, structural_zeros
 from test_quantize import _svd_spy
@@ -223,7 +231,7 @@ def _dense_reference(preset, n):
     P = build_parametrix(para, V, 2.5)
 
     def quantized(f, mult=None):
-        return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+        return as_matrix(bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult)))
 
     b, w = P.beam, P.wave
     zero, one = np.zeros((n, n)), np.eye(n)
@@ -235,7 +243,7 @@ def _dense_reference(preset, n):
     S1w, S2w = quantized(w.s1), quantized(w.s2)
     D, Dt = _beam_wave(D_b, _pair(S1w, -S2w)), _beam_wave(Dt_b, _pair(S1w, S2w))
     a, _, _, g_12b, g_12w = para.g_functions(V)
-    t_b, t_w = (bony_weyl_quantize(t) for t in build_T_correctors(a, g_12b, g_12w))
+    t_b, t_w = (as_matrix(bony_weyl_quantize(t)) for t in build_T_correctors(a, g_12b, g_12w))
     T = np.zeros_like(D)
     T[: 2 * n, 2 * n :], T[2 * n :, : 2 * n] = _pair(t_b, t_b), _pair(-t_w, t_w)
     eye = np.eye(4 * n)
@@ -251,8 +259,8 @@ def _dense_reference(preset, n):
 
     def bw_pair(parts):
         p, q = parts
-        Q = bony_weyl_quantize(q)
-        Pm = 0.0 if p is None else bony_weyl_quantize(SeparableSymbol.from_multiplier(g, p))
+        Q = as_matrix(bony_weyl_quantize(q))
+        Pm = 0.0 if p is None else as_matrix(bony_weyl_quantize(p))
         return _pair(Pm + Q, Q)
 
     syms = para.assemble_symbols(V)
@@ -634,22 +642,79 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     assert tables == [abs5.terms, abs1.terms, abs1.terms]
 
 
-@pytest.mark.parametrize("n", [16, 32, 128])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_constant_coefficient_operator_is_exactly_its_diagonal(n):
-    # for a constant f, Op^BW(f m) is held as its diagonal f^(0) m(j): bit for
-    # bit the diagonal of the quantized matrix, which is exactly zero off its
-    # diagonal, for every multiplier the parametrix quantizes, the Nyquist
-    # slot n/2 included
+    # a symbol whose x-coefficients are all constant is quantized as its
+    # diagonal (n,): bit for bit, signed zeros included, the diagonal of the
+    # Weyl matrix times chi, which is exactly zero off its diagonal, the
+    # Nyquist slot n/2 included.  Inputs: one term of each multiplier the
+    # parametrix quantizes, frakA(0)'s q_b and q_w of every preset, a sum of
+    # three terms and the symbol of no terms.  The real form's tables, formed
+    # on their rows 0..n/2, are those rows of the full tables' product
     g = TorusGrid(n)
-    mults = [None, FrequencyMultiplier.xi_power(2), FrequencyMultiplier.abs_xi(),
-             FrequencyMultiplier.psi_over_xi(), FrequencyMultiplier.abs_xi_power(5.0)]
-    for value in (1.0, 0.7071, -0.3 + 0.4j, 0.0):
-        f = SpectralFunction.constant(g, value)
-        for mult in mults:
-            M = bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
-            d = beamwave.parametrix._op(f, mult)
-            assert d.shape == (n,) and d.tobytes() == np.diag(M).tobytes(), (value, mult)
-            assert not np.any(M - np.diag(np.diag(M)))
+    xi2, abs1, one = (FrequencyMultiplier.xi_power(2), FrequencyMultiplier.abs_xi(),
+                      FrequencyMultiplier.one())
+    mults = [one, xi2, abs1, FrequencyMultiplier.psi_over_xi(),
+             FrequencyMultiplier.abs_xi_power(5.0)]
+    syms = [SeparableSymbol.from_xfunc(SpectralFunction.constant(g, value), mult)
+            for value in (1.0, 0.7071, -0.3 + 0.4j, 0.0) for mult in mults]
+    syms.append(SeparableSymbol(g, [(SpectralFunction.constant(g, c), m)
+                                    for c, m in ((0.7, xi2), (-0.3 + 0.2j, abs1), (0.1, one))]))
+    paras = [ParalinearizedSystem(build_preset(preset, g)[0], g) for preset in PRESETS]
+    syms += [para.assemble_symbols(None)[key][1] for para in paras for key in ("A_b", "A_w")]
+    syms.append(SeparableSymbol(g, []))
+    for sym in syms:
+        d, M = bony_weyl_quantize(sym), weyl_quantize(sym) * g.chi_mask
+        assert d.shape == (n,) and d.tobytes() == np.diagonal(M).tobytes(), sym.terms
+        assert not np.any(M - np.diag(np.diagonal(M)))
+    D, h = complex_weights(g), n // 2 + 1
+    for para in paras:
+        for i, out, inp, table in para._real_blocks:
+            full = weyl_table(g, beamwave.paralin._ABS_XI if i == 0 else beamwave.paralin._OFF)
+            ref = (-1.0 * D[out // 2][:h, None] * (full * g.chi_mask)[:h] * D[inp // 2])
+            assert table.tobytes() == ref.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, monkeypatch):
+    # where a g-function is constant, its blocks come back from the quantizer
+    # as diagonals (n,): mixed at V = 0, where all are zero; F1 = y theta_xx,
+    # F2 = y theta_xx + y_xx theta on constant y and theta, where all three
+    # are nonzero constants, so that frakA(V)'s wave block, frakB's coupling
+    # blocks and T are diagonal; and b = 1 + 0.3 cos x with F2 = y y_xx on
+    # constant y, where frakB's wave-beam block is diagonal and T's, through
+    # 1 + 2a, dense, so a product's block sums a diagonal term with a dense one.
+    # The report equals that of the same blocks formed as matrices, as the
+    # quantizer returned them before it returned diagonals: bit for bit at
+    # V = 0, and to round-off on the nonzero constants, where a matrix product
+    # rounds as it will.  The diagonalizers' blocks (``_op``) are the same in both
+    g, para, V = _preset_setup("mixed", n)
+    fields = build_preset("linear", g)[1]
+    const_V = complexify(SpectralFunction.constant(g, 0.3), fields[1],
+                         SpectralFunction.constant(g, -0.2), fields[3]).stacked()
+    cases = [(para, 0.0 * V)] + [
+        (ParalinearizedSystem(bridge_system_from_json(doc, g), g), const_V)
+        for doc in ({"F1": [[1.0, 0, 5]], "F2": [[1.0, 0, 5], [1.0, 2, 3]]},
+                    {"b": "cosine:0.3", "F2": [[1.0, 0, 2]]})]
+
+    def blocks(p, v):  # the forms of T, frakB(V)'s coupling blocks, frakA(V)'s wave block
+        (_, bw), (wb, _) = p.frak_B(v)[1]
+        T = build_parametrix(p, v, 2.5).T
+        return [None if b is None else b.ndim for b in (*T, bw, wb, p.frak_A(v)[1][1][1])]
+
+    assert [blocks(p, v) for p, v in cases] == [[1] * 5, [1] * 5, [None, 2, None, 1, 1]]
+    got = [conjugation_residual(build_parametrix(p, v, 2.5), p, v) for p, v in cases]
+    quantized = beamwave.quantize.bony_weyl_quantize
+    monkeypatch.setattr(beamwave.parametrix, "_op", lambda f, mult=None: quantized(
+        SeparableSymbol.from_xfunc(f, mult)))
+    for module in (beamwave.paralin, beamwave.parametrix):
+        monkeypatch.setattr(module, "bony_weyl_quantize", lambda sym: as_matrix(quantized(sym)))
+    assert [blocks(p, v) for p, v in cases] == [[2] * 5, [2] * 5, [None, 2, None, 2, 1]]
+    ref = [conjugation_residual(build_parametrix(p, v, 2.5), p, v) for p, v in cases]
+    assert got[0] == ref[0]
+    for report, expect in zip(got[1:], ref[1:]):
+        assert expect["offdiag_without_T"] > 0.1 and expect["offdiag_norm"] > 0.1
+        assert all(abs(report[k] - expect[k]) <= 1e-14 * max(expect[k], 1.0) for k in expect)
 
 
 @pytest.mark.parametrize("preset", ["linear", "headline", "mixed", "parity", "damped"])

@@ -7,7 +7,7 @@ import beamwave.paralin as paralin
 import beamwave.parametrix as parametrix
 import beamwave.quantize as quantize
 from beamwave.cli import PRESETS, build_preset
-from beamwave.grid import TorusGrid, transform
+from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import (
     bony_weyl_quantize,
@@ -19,7 +19,7 @@ from beamwave.quantize import (
     weyl_table,
 )
 from beamwave.state import complex_weights, complexify
-from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi
+from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi, sharp_rho
 
 
 def test_weyl_of_xfunc_is_exact_multiplication():
@@ -220,8 +220,11 @@ def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, 
     seen = []
 
     def checked(sym):
-        M = quantize.bony_weyl_quantize(sym)
-        seen.append(np.array_equal(_bits(M), _bits(_reference_bony_weyl(sym))))
+        M, ref = quantize.bony_weyl_quantize(sym), _reference_bony_weyl(sym)
+        if M.ndim == 1:  # constant coefficients: the block by its diagonal
+            assert not np.any(ref - np.diag(np.diagonal(ref)))
+            ref = np.diagonal(ref)
+        seen.append(np.array_equal(_bits(M), _bits(ref)))
         return M
 
     for module in (paralin, parametrix):
@@ -261,6 +264,27 @@ def test_composition_residual_stable():
             exact_operator_norm(g, composition_residual(a, b, 2.0), 2.0, 2.0, band="resolved")
         )
     assert max(norms) / min(norms) < 1.25
+
+
+def test_residuals_of_a_constant_coefficient_symbol_equal_their_dense_references():
+    # Op^BW of a symbol of constant x-coefficients comes back as its diagonal
+    # (n,): Op^W - Op^BW and the composition residual, with such a symbol on
+    # either side or both, still equal their dense formulas, where numpy would
+    # broadcast a diagonal against a matrix into a wrong array with no error
+    g = TorusGrid(32)
+    xi2 = FrequencyMultiplier.xi_power(2)
+    const = SeparableSymbol(g, [(SpectralFunction.constant(g, 0.7), xi2),
+                                (SpectralFunction.constant(g, -0.2j), FrequencyMultiplier.abs_xi())])
+    var = SeparableSymbol(g, [(transform(g, np.cos(g.x)), xi2)])
+    assert bony_weyl_quantize(const).shape == (g.n,)
+    R = remainder_bw_minus_weyl(const)
+    assert R.shape == (g.n, g.n)
+    assert np.array_equal(R, weyl_quantize(const) - _reference_bony_weyl(const))
+    assert not R.any()  # Op^W = Op^BW on a diagonal symbol: chi_eps(0) = 1
+    for a, b in ((const, var), (var, const), (const, const)):
+        ref = (_reference_bony_weyl(a) @ _reference_bony_weyl(b)
+               - _reference_bony_weyl(sharp_rho(a, b, 2.0)))
+        assert np.array_equal(composition_residual(a, b, 2.0), ref)
 
 
 def test_quantize_cache_key_is_exact_under_hash_collisions(monkeypatch):
