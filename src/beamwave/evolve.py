@@ -62,15 +62,19 @@ RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axi
 # peak from the arrays it allocates; ``resolve_dt`` checks it against physical memory
 # before the march allocates any.  Five terms are the largest tracemalloc peaks beyond
 # the arrays counted by their size, over headline, mixed, damped and arioli_gazzola at
-# N = 16-256, 1 and 100 steps, and mixed at N = 256 in one chunk (tests/test_evolve.py);
-# PLAN_SETUP over the set-ups that form chi at N = 256-1024, beyond frakA(0)'s arrays:
-# 24.2-24.5 bytes an entry for headline, 25.1-25.6 for b and c profiles with no F
+# N = 16-256, 1 and 100 steps, and mixed at N = 256 in one chunk (tests/test_evolve.py),
+# checked once at N = 512 and, for headline, mixed and arioli_gazzola at N = 256 and
+# 512, at 13-200 steps, short last chunks included;
+# PLAN_SETUP over the set-ups that their march does not cover (a dense frakA(0) and no
+# table: b and c profiles with no F) at N = 256 / 512 / 1024, beyond frakA(0)'s arrays:
+# 15.7 / 10.8 / 9.5 bytes an entry, chi and its mask 9 of them; a set-up that forms a
+# table (headline: 24.2-24.5) is within its march's chi, table and node blocks (33 or more)
 PLAN_FIXED = 64 * 1024  # Python objects and the interpreter's caches
 PLAN_BUFFER = 8192 * 16  # numpy's ufunc buffer: 8192 complex, or an n x n array's
 PLAN_ROW = 64 * 16  # per grid point: data, RK4 stages, one state's jets (64 complex rows)
-PLAN_CHUNK_NODE = 10 * 16  # per grid point and node of the chunk: jets, g, F, two chunks' forcing
-PLAN_ONE_CHUNK_NODE = 4 * 16  # the same in a run of one chunk, whose prepass precedes every block
-PLAN_SETUP = 26  # per n x n entry: chi, its mask and scratch, a table's rows or frakA(0)'s operand
+PLAN_CHUNK_NODE = 17 * 8  # per grid point and node of a chunk's prepass: jets, g, F, forcing
+PLAN_MARCH_NODE = 4 * 16  # per grid point and node of the chunk marched: its g and forcing
+PLAN_SETUP = 12  # per n x n entry: chi, its mask and a row block's scratch
 
 
 class SolverConfig:
@@ -247,16 +251,23 @@ def _kato_plan(para, steps):
     arrays, bookkeeping and numpy's buffer, plus the larger of the set-up
     (``PLAN_SETUP``) and the march: chi and the in-range mask (9 n^2 bytes), per
     live g-function its table and two (n//2 + 1) x n complex node blocks, the
-    chunk (one alone at its own peak) and the one trajectory.  Only a table or a
-    dense block of frakA(0) forms chi; without one, no n x n array is formed, and
+    chunk and the one trajectory.  The chunk is the largest of the first chunk's
+    prepass, before any node block, a chunk marched beside the node blocks, and
+    the second chunk's prepass (it may be short) beside them and the first
+    chunk's forcing, which the march still reads.  Only a table or a dense
+    block of frakA(0) forms chi; without one, no n x n array is formed, and
     neither chi, the set-up nor the buffer is counted."""
     grid = para.grid
     n, h = grid.n, grid.n // 2 + 1
     pm, ((bb, _), (_, ww)) = para._A0
     nodes, size = steps + 1, _chunk_nodes(n)
     chi = bool(para._real_blocks) or bb.ndim == 2 or ww.ndim == 2
-    march = (9 * n * n * chi + len(para._real_blocks) * 3 * h * n * 16
-             + min(size, nodes) * n * (PLAN_CHUNK_NODE if nodes > size else PLAN_ONE_CHUNK_NODE)
+    first, blocks = min(size, nodes), len(para._real_blocks) * 2 * h * n * 16
+    chunk = max(PLAN_CHUNK_NODE * first * n, blocks + PLAN_MARCH_NODE * first * n)
+    if nodes > size:  # the second chunk's prepass beside the first's forcing, 4 rows of h
+        chunk = max(chunk, blocks + 4 * h * 16 * size
+                    + PLAN_CHUNK_NODE * min(size, nodes - size) * n)
+    march = (9 * n * n * chi + len(para._real_blocks) * h * n * 16 + chunk
              + _trajectory_bytes(grid, steps))
     return (PLAN_FIXED + PLAN_ROW * n + min(PLAN_BUFFER, 16 * n * n) * chi + pm.nbytes
             + bb.nbytes + ww.nbytes + max(PLAN_SETUP * n * n * chi, march))

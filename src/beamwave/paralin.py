@@ -37,12 +37,10 @@ j >= 0 halves (4, ..., n//2 + 1), ``np.fft.rfft``'s layout.  A stacked V enters 
 side and the remainder live beside their tests.
 """
 
-import operator
-
 import numpy as np
 
 from .grid import SpectralFunction
-from .quantize import bony_weyl_quantize, combine, weyl_table
+from .quantize import bony_weyl_quantize, subtract_into, weyl_table
 from .state import complex_weights, real_from_stacked
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -50,6 +48,12 @@ _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
+
+
+def _minus_2i_bw(A, sym):
+    """A - 2i Op^BW(sym), formed in the buffer of Op^BW(sym) (``subtract_into``)."""
+    Q = bony_weyl_quantize(sym)
+    return subtract_into(A, np.multiply(2j, Q, out=Q))
 
 
 class ParalinearizedSystem:
@@ -79,7 +83,7 @@ class ParalinearizedSystem:
         F1, F2, D, h = source.F1, source.F2, complex_weights(grid), grid.n // 2 + 1
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
         self._real_blocks = [
-            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult, h)
+            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult, slice(h))
                            * grid.chi_mask[:h]) * D[inp // 2]).astype(complex))
             for i, (F, slot, out, inp, mult) in enumerate(specs)
             if any(slot in term[1:] for term in F.terms)]
@@ -158,14 +162,13 @@ class ParalinearizedSystem:
             syms = self.assemble_symbols(None)
             # p has constant coefficients: Op^BW(p) comes back as its diagonal (n,)
             p_b, p_w = (-1j * bony_weyl_quantize(syms[key][0]) for key in ("A_b", "A_w"))
-            bb, ww = (combine(operator.sub, p, 2j * bony_weyl_quantize(syms[key][1]))
-                      for p, key in ((p_b, "A_b"), (p_w, "A_w")))
+            bb, ww = (_minus_2i_bw(p, syms[key][1]) for p, key in ((p_b, "A_b"), (p_w, "A_w")))
             return np.concatenate([p_b, p_w]), ((bb, None), (None, ww))
         if 0 not in {i for i, *_ in self._real_blocks}:  # F2 has no theta_xx slot: g_1w = 0
             return self._A0
         pm, ((bb, _), (_, ww)) = self._A0
         q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)
-        return pm, ((bb, None), (None, combine(operator.sub, ww, 2j * bony_weyl_quantize(q_w))))
+        return pm, ((bb, None), (None, _minus_2i_bw(ww, q_w)))
 
     def frak_B(self, V):
         """The odd halves (pm, mp) of antidiag(-iE Op^BW(B_b), -iE Op^BW(B_w))

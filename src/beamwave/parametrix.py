@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm
+from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm, row_blocks
 from .state import conjugate_pair, parity_split, stacked_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -94,9 +94,16 @@ def _op(f, mult=None):
 
 def _similarity(s1, s2):
     """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]];
-    S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped."""
+    S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped.  Formed in the buffers of
+    S_1 and S_2, a row block at a time (``row_blocks``)."""
     S1, S2 = _op(s1), _op(s2)
-    return combine(operator.add, S1, S2), combine(operator.sub, S1, S2)
+    if S1.ndim != S2.ndim:
+        return combine(operator.add, S1, S2), combine(operator.sub, S1, S2)
+    for r in row_blocks(len(S1)):
+        d = S1[r] - S2[r]
+        S1[r] += S2[r]
+        S2[r] = d
+    return S1, S2
 
 
 def _apply(b, u):
@@ -347,9 +354,7 @@ def conjugation_residual(P, para, V=None):
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
     lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
-    pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
-    mp = ((bb, bw), (wb, ww))
     one = np.ones(r.size)
 
     def norm(blocks, s_out=s):
@@ -359,11 +364,14 @@ def conjugation_residual(P, para, V=None):
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
-    def conjugation_halves():  # X+ L_pm Y- - Lambda_pm, X- L_mp Y+ - Lambda_mp
+    def conjugation_halves():  # X- L_mp Y+ - Lambda_mp, X+ L_pm Y- - Lambda_pm
+        pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
+        XL = _product(_take(Phi[1], r), ((bb, bw), (wb, ww)), r)
+        del bb, ww  # frakA(V)'s mp blocks, before Y+'s columns are taken
+        yield _minus_diagonal(_product(XL, _take(Psi[0], r, 1), r), *lam)
+        del XL
         yield _minus_diagonal(
             _product(_take(Phi[0], r, scale=np.split(pm, 2)), _take(Psi[1], r, 1), r), *lam)
-        yield _minus_diagonal(
-            _product(_product(_take(Phi[1], r), mp, r), _take(Psi[0], r, 1), r), *lam)
 
     conj, inv = [], 0.0  # each residual half is normed and freed before the next is formed
     for X in conjugation_halves():
@@ -408,8 +416,14 @@ def _mode_energies(P):
     refl, rt2 = P.grid.reflect[k], np.sqrt(2.0)
 
     def image(b, op):  # (|k|, n) of a block X: op(X[:, k], X[:, -k]) / sqrt2
-        b = as_matrix(b)
-        return op(b[:, k], b[:, refl]).T / rt2
+        if b.ndim == 2:
+            y = b[:, k]
+            op(y, b[:, refl], out=y)
+        else:  # a diagonal's columns: op(b_k, 0) at k, op(0, b_-k) at -k
+            y, i = np.zeros((b.size, k.size), b.dtype), np.arange(k.size)
+            y[k, i], y[refl, i] = op(b[k], 0.0), op(0.0, b[refl])
+        y /= rt2
+        return y.T
 
     def images(c):  # per row component of each half
         return ([None if row[c] is None else image(row[c], op) for row in X]
@@ -419,10 +433,12 @@ def _mode_energies(P):
 
 
 def modified_energy(P, vec):
-    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n),
-    from the component blocks of Phi+ v_p and Phi- v_m."""
+    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n), or on
+    their parity halves (v_p, v_m), a tuple, from the component blocks of
+    Phi+ v_p and Phi- v_m."""
+    halves = vec if isinstance(vec, tuple) else parity_split(vec)
     images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
-               for row in X] for X, v in zip(P.Phi, parity_split(vec)))
+               for row in X] for X, v in zip(P.Phi, halves))
     return _energy(P.L2s, images)
 
 
@@ -458,9 +474,12 @@ def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
     samples = conjugate_pair(grid, z, w)
     del z_re, z_im, w_re, w_im, z, w  # the draws, before the energy's images
     nsq = stacked_norm(grid, samples, sigma) ** 2
-    energy = modified_energy(P, samples)
+    low = np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
+    halves = parity_split(samples)
+    del samples  # normed: the energy reads the parity halves alone
+    energy = modified_energy(P, halves)
     upper = energy / nsq
-    lower = energy / np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
+    lower = energy / low
     # the binding Garding constant lives at low modes; scan the single-mode
     # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically:
     # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave

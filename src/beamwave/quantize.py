@@ -10,13 +10,15 @@ restricting the symbol's spatial frequencies below the function's.  A
 separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
 sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
 fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``); a
-block is summed into its first term's product, which chi multiplies in place.
+block is formed in its own buffer by row blocks (``row_blocks``), with no
+n x n scratch, and chi multiplies it in place.
 A symbol whose x-coefficients are all constant has an exactly diagonal
 Bony-Weyl matrix (the Toeplitz views are fhat_i(0) I, chi_eps(0) = 1, the
 Nyquist slot included): ``bony_weyl_quantize`` returns it as its diagonal
 (n,), and every caller must expect either form.  ``combine`` and
 ``as_matrix`` are the one rule that forms a diagonal as its matrix beside a
-dense block, where numpy would broadcast the pair into a wrong array.
+dense block, where numpy would broadcast the pair into a wrong array;
+``subtract_into`` forms a difference in the dense block its caller gives up.
 Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
@@ -46,15 +48,22 @@ import numpy as np
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
-def weyl_table(grid, g, rows=None):
+def weyl_table(grid, g, rows=slice(None)):
     """The real n x n table T[j, k] = g((j + k)/2), zero where j - k leaves
-    [-n/2, n/2), or its first ``rows`` rows alone.  The Weyl matrix of f(x) g(xi)
-    is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix that times
+    [-n/2, n/2), or its rows ``rows`` (a slice) alone.  The Weyl matrix of
+    f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix that times
     chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n, J = grid.n, grid.modes
-    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[:rows], J + n)]  # g at each (j + k)/2
-    T[~grid.in_range[:rows]] = 0.0
+    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[rows], J + n)]  # g at each (j + k)/2
+    T[~grid.in_range[rows]] = 0.0
     return T
+
+
+def row_blocks(n):
+    """The slices of consecutive rows, about 2^14 entries each, by which an
+    n x n operator is formed in its own buffer with no n x n scratch."""
+    step = max(1, (1 << 14) // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()
@@ -62,13 +71,21 @@ _ONE = FrequencyMultiplier.one().terms
 
 
 def weyl_quantize(sym):
-    """Op^W of a SeparableSymbol as a dense n x n array.  The multiplier 1
+    """Op^W of a SeparableSymbol as a dense n x n array, formed by row blocks
+    (``row_blocks``): each term's product, its Toeplitz view times its table,
+    is added to the sum so far, first 0.0 (-0.0 to +0.0).  The multiplier 1
     takes no table: its table is the grid's in-range mask."""
-    grid, M = sym.grid, 0.0  # each term's product takes the sum so far, first 0.0: -0.0 to +0.0
-    for f, g in sym.terms:
-        t = grid.toeplitz(f.coeffs) * (grid.in_range if g.terms == _ONE else weyl_table(grid, g))
-        M = np.add(t, M, out=t)
-    return M if sym.terms else np.zeros((grid.n, grid.n), dtype=complex)
+    grid, n = sym.grid, sym.grid.n
+    if not sym.terms:
+        return np.zeros((n, n), dtype=complex)
+    M = np.empty((n, n), dtype=complex)
+    terms = [(grid.toeplitz(f.coeffs), g.terms == _ONE, g) for f, g in sym.terms]
+    for r in row_blocks(n):
+        for i, (F, one, g) in enumerate(terms):  # the first term's product is formed in M
+            t = np.multiply(F[r], grid.in_range[r] if one else weyl_table(grid, g, r),
+                            out=None if i else M[r])
+            np.add(t, M[r] if i else 0.0, out=M[r])
+    return M
 
 
 def bony_weyl_quantize(sym):
@@ -93,6 +110,20 @@ def combine(op, A, B):
     block is formed as its matrix.  op is ``operator.add`` or ``operator.sub``,
     not the ufunc: numpy may then write the result over a temporary operand."""
     return op(A, B) if A.ndim == B.ndim else op(as_matrix(A), as_matrix(B))
+
+
+def subtract_into(A, B):
+    """A - B, as ``combine`` forms it, written over B when B is a dense block:
+    the caller gives B up.  A diagonal A is then subtracted on B's diagonal,
+    with 0.0 - B off it, as its matrix's zeros would be."""
+    if B.ndim == 1:
+        return combine(operator.sub, A, B)
+    if A.ndim == 2:
+        return np.subtract(A, B, out=B)
+    d = A - B.diagonal()
+    np.subtract(0.0, B, out=B)
+    np.fill_diagonal(B, d)
+    return B
 
 
 def _components(grid, M, side):
@@ -208,10 +239,10 @@ def exact_operator_norm(grid, M, s_in, s_out, band=None):
 
 def remainder_bw_minus_weyl(sym):
     """R = Op^W(a) - Op^BW(a); smoothing of order rho in tests."""
-    return combine(operator.sub, weyl_quantize(sym), bony_weyl_quantize(sym))
+    return subtract_into(weyl_quantize(sym), bony_weyl_quantize(sym))
 
 
 def composition_residual(a, b, rho):
     """Op^BW(a) Op^BW(b) - Op^BW(a #_rho b)."""
     A, B = (as_matrix(bony_weyl_quantize(s)) for s in (a, b))
-    return combine(operator.sub, A @ B, bony_weyl_quantize(sharp_rho(a, b, rho)))
+    return subtract_into(A @ B, bony_weyl_quantize(sharp_rho(a, b, rho)))

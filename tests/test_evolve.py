@@ -186,6 +186,18 @@ def test_a_run_of_one_chunk_is_planned_at_its_one_chunk_peak(warm_interpreter):
     assert plan - peak < evolve._trajectory_bytes(g, steps)
 
 
+@pytest.mark.parametrize("preset, steps", [("headline", 40), ("arioli_gazzola", 27)])
+def test_a_short_second_chunk_and_a_first_prepass_are_planned(preset, steps, warm_interpreter):
+    # N = 256, chunks of 32 nodes.  headline, 40 steps: a second chunk of 9
+    # nodes, planned at the full chunk on both sides of the change of chunk,
+    # read plan / peak 1.31.  arioli_gazzola, 27 steps: one chunk, no table,
+    # so no node block absorbs the first chunk's prepass, which a plan of
+    # the march alone missed (plan / peak 0.85)
+    n = 256
+    g, peak, plan = traced_plan("kato", preset, n, steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+
+
 def test_memory_refusal_admits_and_refuses_by_each_solvers_plan(monkeypatch, marched):
     # physical memory exactly a plan admits its step count; one step more is
     # refused, with ConfigError before any march, so before any trajectory

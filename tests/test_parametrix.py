@@ -592,17 +592,21 @@ def test_ladder_rung_peak_memory():
     # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
     # runs them: the build, the residuals, then the energy report (which
     # builds its own parametrix) with the first parametrix alive.  Measured
-    # in a fresh process: 3.71 MB and 9.77 MB; the bounds are that plus
-    # under 10%.  With the grid holding its int64 mode lattice (j - k, j + k)
-    # beside chi: 3.98 MB and 10.82 MB; with chi also formed on the whole
-    # lattice, each Weyl matrix summed onto zeros and the energy's normal
-    # draws held: 4.54 MB and 11.87 MB; with every beam block dense (constant
-    # b quantized as a matrix, not held by its diagonal): 6.36 MB and
-    # 19.18 MB; with Psi, Lambda and D~_b held by the parametrix and the
-    # energy taken on stacked (..., 4n) batches: 10.05 MB and 35.3 MB.
+    # in the suite: 3.25 MB and 8.38 MB (3.31 MB and 8.38 MB in a fresh
+    # process); the bounds are that plus under 10%.  With S_1 +- S_2 formed
+    # as four n x n arrays, each table with its n x n gather index, the
+    # Garding scan's diagonal blocks formed as matrices and the samples held
+    # beside their parity halves: 3.71 MB and 9.77 MB; with the grid also
+    # holding its int64 mode lattice (j - k, j + k) beside chi: 3.98 MB and
+    # 10.82 MB; with chi also formed on the whole lattice, each Weyl matrix
+    # summed onto zeros and the energy's normal draws held: 4.54 MB and
+    # 11.87 MB; with every beam block dense (constant b quantized as a
+    # matrix, not held by its diagonal): 6.36 MB and 19.18 MB; with Psi,
+    # Lambda and D~_b held by the parametrix and the energy taken on stacked
+    # (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    for n, bound in ((128, 3.9e6), (256, 10.6e6)):
+    for n, bound in ((128, 3.5e6), (256, 8.6e6)):
         g = TorusGrid(n)
         sysm, fields = build_preset("headline", g)
         V = complexify(*fields).stacked()
@@ -618,20 +622,44 @@ def test_ladder_rung_peak_memory():
         assert peak <= bound, (n, peak)
 
 
+def test_residual_peak_memory_at_n512():
+    # the headline conjugation residual at N = 512, the system and parametrix
+    # built first, as ``sweep --axis N`` forms it.  Measured: 11.69 MB, the
+    # bound that plus under 10%.  With frakA(V)'s wave block held through
+    # both halves and formed as 2i Op^BW(q_w), then its difference with ww,
+    # four blocks at once: 13.56 MB
+    import tracemalloc
+
+    g = TorusGrid(512)
+    sysm, fields = build_preset("headline", g)
+    V = complexify(*fields).stacked()
+    para = ParalinearizedSystem(sysm, g)
+    P = build_parametrix(para, V, 2.5)
+    tracemalloc.start()
+    try:
+        conjugation_residual(P, para, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.6e6, peak
+
+
 def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     # a headline build quantizes five symbols, S_1, S_2 and K^{-1} of the
     # beam and S_1, S_2 of the wave, all of the multiplier 1, so it takes no
     # table (b = 1, so M_{-1} has no term); Lambda and L_{2s} take one for
     # their wave block on first use, the residuals' and the energy's, and none
     # for their beam block, a diagonal as b is constant; D~_b takes none, and
-    # the residuals' generator one, for its g_1w |xi| block
+    # the residuals' generator one, for its g_1w |xi| block.  A quantization
+    # forms its table by row blocks; it is counted at its first
     g, para, V = _preset_setup("headline", 64)
     tables = []
     original = beamwave.quantize.weyl_table
 
-    def counting(grid, mult):
-        tables.append(mult.terms)
-        return original(grid, mult)
+    def counting(grid, mult, rows=slice(None)):
+        if not rows.start:
+            tables.append(mult.terms)
+        return original(grid, mult, rows)
 
     monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
     P = build_parametrix(para, V, 2.5)

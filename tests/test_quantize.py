@@ -1,5 +1,7 @@
 """Quantization matrices, operator norms, calculus residuals."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import (
     bony_weyl_quantize,
+    combine,
     composition_residual,
     exact_operator_norm,
     remainder_bw_minus_weyl,
+    subtract_into,
     weighted_matrix,
     weyl_quantize,
     weyl_table,
@@ -190,6 +194,53 @@ def test_chi_mask_is_formed_in_28_bytes_an_entry(n):
     finally:
         tracemalloc.stop()
     assert peak <= 28 * n * n, peak / n**2
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_weyl_quantize_forms_no_n_by_n_scratch(n):
+    # a Bony-Weyl matrix is formed in its own buffer, 16 bytes an entry, by
+    # row blocks of 2^14 entries, each with its lattice j + k, table,
+    # in-range mask and second term's product (33 bytes an entry of the
+    # block, bounded by 48), beside numpy's ufunc buffer (8192 complex):
+    # measured 26.3 and 18.6 bytes an entry at N = 256 and 512.  One term of
+    # |xi| and two terms (a xi^2 + 2i a_x xi, frakA's q_b); each term's
+    # n x n table with its int64 index, or a product per term, exceeds it
+    import tracemalloc
+
+    g = TorusGrid(n)
+    g.chi_mask, g.in_range
+    a = transform(g, 0.3 * np.cos(g.x))
+    for sym in (SeparableSymbol.from_xfunc(a, FrequencyMultiplier.abs_xi()),
+                SeparableSymbol(g, [(a, FrequencyMultiplier.xi_power(2)),
+                                    (2j * a.deriv(), FrequencyMultiplier.xi_power(1))])):
+        tracemalloc.start()
+        try:
+            bony_weyl_quantize(sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n + 48 * 2**14 + 8192 * 16, peak / n**2
+
+
+def test_subtract_into_is_the_difference_combine_forms():
+    # A - B written over a dense B is, byte for byte, signed zeros included,
+    # the difference combine forms (off a diagonal A: 0.0 - B, not -B), for
+    # each pairing of a diagonal (n,) and a dense block; a diagonal B is not
+    # written over
+    rng = np.random.default_rng(0)
+
+    def block(*shape):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b.flat[:3] = 0.0, -0.0, complex(-0.0, -0.0)
+        return b
+
+    for A in (block(8), block(8, 8)):
+        for B in (block(8), block(8, 8)):
+            expect = combine(operator.sub, A, B)
+            given = B.copy()
+            got = subtract_into(A, given)
+            assert got.tobytes() == expect.tobytes()
+            assert (got is given) == (B.ndim == 2)
 
 
 def _reference_table(g, m):
