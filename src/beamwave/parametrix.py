@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import SpectralFunction, transform
-from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm, row_blocks
+from .quantize import bony_weyl_quantize, combine, exact_operator_norm, row_blocks
 from .state import conjugate_pair, parity_split, stacked_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
@@ -111,18 +111,14 @@ def _apply(b, u):
     return u * b if b.ndim == 1 else u @ b.T
 
 
-def _take(X, r, axis=0, scale=None):
+def _take(X, r, axis=0):
     """The rows (axis 0) or columns (axis 1) r of the 2 x 2 blocks of X =
-    ((bb, bw), (wb, ww)), those of column component k times scale[k] if a
-    scale is given; None stays None, and a diagonal stays one, restricted to
-    its values at r."""
-    def take(b, k):
-        if b.ndim == 1:
-            return (b if scale is None else b * scale[k])[r]
-        b = b[r] if axis == 0 else b[:, r]
-        return b if scale is None else b * scale[k]
+    ((bb, bw), (wb, ww)); None stays None, and a diagonal stays one, restricted
+    to its values at r."""
+    def take(b):
+        return b[r] if b.ndim == 1 or axis == 0 else b[:, r]
 
-    return tuple(tuple(None if b is None else take(b, k) for k, b in enumerate(row)) for row in X)
+    return tuple(tuple(None if b is None else take(b) for b in row) for row in X)
 
 
 def _mul(A, B, r=None):
@@ -332,7 +328,7 @@ def residual_operators(P):
     return Psi, Dt_b, Lam
 
 
-def conjugation_residual(P, para, V=None):
+def conjugation_residual(P, para, V):
     """Measured norms of the conjugation and inverse identities.
 
     All operator norms are resolved-band H^s -> H^s (or H^s -> H^{s+2})
@@ -341,10 +337,11 @@ def conjugation_residual(P, para, V=None):
     odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
     Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).  Only the
     resolved rows and columns R of each product are formed: X[R, :] L Y[:, R].
-    L_pm = -i diag(j^2, |j|) is applied as a column scale, and every product
-    is taken over the 2 x 2 (beam, wave) blocks, forming no block product
-    through a coupling block that is zero by structure: T's and L_mp's where
-    F has no coupling slot (``ParalinearizedSystem.coupled``), L_pm's always.
+    Every product, L_pm = -i diag(j^2, |j|) by its two diagonal blocks
+    included, is taken over the 2 x 2 (beam, wave) blocks (``_product``),
+    forming no block product through a coupling block that is zero by
+    structure: T's and L_mp's where F has no coupling slot
+    (``ParalinearizedSystem.coupled``), L_pm's always.
     Without coupling every residual half is block-diagonal, and its norm the
     larger of its two diagonal blocks' (``exact_operator_norm``).  Psi, D~_b
     and Lambda[R, R] are held for the call, each half normed as it is formed.
@@ -354,12 +351,12 @@ def conjugation_residual(P, para, V=None):
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
     lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
-    (_, bw), (wb, _) = para.frak_B(V)[1]  # frakB's pm half is zero
+    B_mp = para.frak_B(V)[1]  # frakB's pm half is zero
+    (_, bw), (wb, _) = B_mp
     one = np.ones(r.size)
 
     def norm(blocks, s_out=s):
-        return max((exact_operator_norm(grid, b, s, s_out, band="restricted") for b in blocks),
-                   default=0.0)
+        return max((exact_operator_norm(grid, b, s, s_out) for b in blocks), default=0.0)
 
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
@@ -370,8 +367,9 @@ def conjugation_residual(P, para, V=None):
         del bb, ww  # frakA(V)'s mp blocks, before Y+'s columns are taken
         yield _minus_diagonal(_product(XL, _take(Psi[0], r, 1), r), *lam)
         del XL
-        yield _minus_diagonal(
-            _product(_take(Phi[0], r, scale=np.split(pm, 2)), _take(Psi[1], r, 1), r), *lam)
+        pm_b, pm_w = np.split(pm, 2)
+        XL = _product(_take(Phi[0], r), ((pm_b, None), (None, pm_w)), r)
+        yield _minus_diagonal(_product(XL, _take(Psi[1], r, 1), r), *lam)
 
     conj, inv = [], 0.0  # each residual half is normed and freed before the next is formed
     for X in conjugation_halves():
@@ -383,9 +381,9 @@ def conjugation_residual(P, para, V=None):
         del X
     # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
     # D L D~ - Lambda; those of the pm half are zero
-    pairs = ((P.beam.D_b[1], bw, P.wave.D_tilde_w[0]), (P.wave.D_w[1], wb, Dt_b[0]))
-    bare = [as_matrix(D)[r] @ as_matrix(L) @ as_matrix(Dt)[:, r]
-            for D, L, Dt in pairs if L is not None]
+    D_m = ((P.beam.D_b[1], None), (None, P.wave.D_w[1]))
+    Dt_p = ((Dt_b[0], None), (None, P.wave.D_tilde_w[0]))
+    bare = _product(_product(_take(D_m, r), B_mp, r), _take(Dt_p, r, 1), r)
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
@@ -394,7 +392,7 @@ def conjugation_residual(P, para, V=None):
         "conjugation_norm": max(c for c, _ in conj),
         "inverse_defect_norm": inv,
         "offdiag_norm": max(o for _, o in conj),
-        "offdiag_without_T": norm(bare),
+        "offdiag_without_T": norm(offdiag([bare])),
         "beam_pointwise_defect": P.beam.pointwise_identity_defect(),
         "wave_pointwise_defect": P.wave.pointwise_identity_defect(),
     }

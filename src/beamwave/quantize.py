@@ -23,22 +23,25 @@ Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
 2 x 2 blocks of side n instead.
-Operator norms between Sobolev spaces are the largest singular value of the
-bracket-weighted matrix W.
 
-On the resolved band |j| <= n/3, which is symmetric and holds no Nyquist
-mode, the norm is taken in the cosine-sine basis of each component: the
-unitary Q pairing each mode j with -j into cos jx, sin jx (and keeping
-j = 0), applied in place to pairs of rows and of columns; the weights are
-even in j, so they commute with Q.  An operator from a real symbol maps
-real functions to real functions, M[-j, -k] = conj M[j, k] (no product's
-inner sum runs through the unpaired mode -n/2, which ``TorusGrid.chi_mask``
-keeps diagonal), so X = Q W Q^H is real times a global phase (1 for the
-parametrix products, -i for the generator residuals): the SVD is taken of
-Re X when max|Im X| <= 1e-8 max|Re X|, of Im X the other way round, and of
-the complex W otherwise -- a matrix not real in this basis to that tolerance
-(the operators suite's Op^W - Op^BW at N = 128: 5e-8 of round-off from
-``transform`` weighted by <j>^4), and every norm on all n modes.
+Operator norms between Sobolev spaces are the largest singular value of the
+bracket-weighted matrix W of a block formed on the resolved band |j| <= n/3
+alone (``exact_operator_norm``): rows near |j| = n/2 of operator products
+carry lattice-truncation artifacts, their intermediate mode sum cut at the
+band edge, consistent with the 2/3 de-aliasing of the states.
+
+The band is symmetric and holds no Nyquist mode, so the norm is taken in the
+cosine-sine basis of each component: the unitary Q pairing each mode j with
+-j into cos jx, sin jx (and keeping j = 0), applied in place to pairs of rows
+and of columns; the weights are even in j, so they commute with Q.  An
+operator from a real symbol maps real functions to real functions, M[-j, -k]
+= conj M[j, k] (no product's inner sum runs through the unpaired mode -n/2,
+which ``TorusGrid.chi_mask`` keeps diagonal), so X = Q W Q^H is real times a
+global phase (1 for the parametrix products, -i for the generator
+residuals): the SVD is taken of Re X when max|Im X| <= 1e-8 max|Re X|, of
+Im X the other way round, and of the complex W otherwise -- a matrix not
+real in this basis to that tolerance (the operators suite's Op^W - Op^BW at
+N = 128: 5e-8 of round-off from ``transform`` weighted by <j>^4).
 """
 
 import operator
@@ -126,52 +129,6 @@ def subtract_into(A, B):
     return B
 
 
-def _components(grid, M, side):
-    """Number of stacked components of side ``side`` of the square array M."""
-    c = M.shape[0] // side
-    if c < 1 or M.shape != (c * side, c * side):
-        raise ValueError("matrix shape %r is not a stack of components on %r" % (M.shape, grid))
-    return c
-
-
-def _component_weights(grid, s, c, slots):
-    if np.isscalar(s):
-        s = [s] * c
-    if len(s) != c:
-        raise ValueError("need one Sobolev index per component")
-    return np.concatenate([grid.bracket_power(si)[slots] for si in s])
-
-
-def weighted_matrix(grid, M, s_in, s_out, band=None):
-    """diag(<j>^{s_out}) M diag(<k>^{-s_in}); its largest singular value is
-    the H^{s_in} -> H^{s_out} operator norm.
-
-    ``band`` says which slots of each component M acts on:
-
-    * None: all n, so the component count is M.shape[0] // grid.n;
-    * "resolved": all n, and M is first restricted to the rows and columns
-      with |mode| <= n // 3 (per component), then weighted;
-    * "restricted": M is already on those rows and columns, as formed by a
-      caller that builds only them.
-
-    Rows near |j| = n/2 of operator products carry lattice-truncation
-    artifacts -- the intermediate mode sum is cut at the band edge -- so
-    residual diagnostics are measured on the resolved band, consistent with
-    the 2/3 de-aliasing of the states.
-    """
-    if band not in (None, "resolved", "restricted"):
-        raise ValueError("band must be None, 'resolved' or 'restricted'")
-    M = np.asarray(M, dtype=complex)
-    slots = grid.dealias_mask if band else slice(None)
-    if band == "resolved":
-        keep = np.tile(slots, _components(grid, M, grid.n))
-        M = M[np.ix_(keep, keep)]
-    c = _components(grid, M, grid.n if band is None else np.count_nonzero(slots))
-    W = M * _component_weights(grid, s_out, c, slots)[:, None]
-    W /= _component_weights(grid, s_in, c, slots)[None, :]
-    return W
-
-
 _PHASE_TOL = 1e-8  # the part of X dropped against the part kept, relatively
 
 
@@ -197,43 +154,46 @@ def _abs_max(a):
     return max(a.max(), -a.min())
 
 
-def exact_operator_norm(grid, M, s_in, s_out, band=None):
-    """H^{s_in} -> H^{s_out} norm of M by dense SVD: of the real matrix of the
-    cosine-sine basis on the resolved band when M is real there up to a
-    global phase and ``_PHASE_TOL``, of the complex weighted matrix otherwise.
+def exact_operator_norm(grid, M, s_in, s_out):
+    """H^{s_in} -> H^{s_out} norm of a block M on the resolved band R (|j| <=
+    n/3): the largest singular value of W = diag(<j>^{s_out}) M diag(<k>^{-s_in}),
+    by the SVD of the real matrix of the cosine-sine basis when W is real there
+    up to a global phase and ``_PHASE_TOL``, of the complex W otherwise.
 
-    M may be given by its component blocks, a square tuple of tuples with
-    None for a zero block, and a diagonal block by its diagonal.  If every
-    off-diagonal block is None, M is block-diagonal, and its norm is the
-    largest of its diagonal blocks' norms, each taken alone; otherwise the
-    blocks are assembled.  A diagonal M of one component, given by its
-    diagonal d, has the norm max_j |d_j| <j>^{s_out} / <j>^{s_in}, with no SVD."""
+    M is an |R| x |R| block, its diagonal (|R|,), normed by its largest
+    weighted entry with no SVD, or a square tuple of tuples of such blocks, one
+    row and column per component, None for a zero block.  If every off-diagonal
+    block is None, the norm is the largest of its diagonal blocks' norms, each
+    taken alone; otherwise the blocks are assembled."""
+    c = 1
     if isinstance(M, tuple):
         c = len(M)
-        s_in, s_out = ([v] * c if np.isscalar(v) else v for v in (s_in, s_out))
         if all(M[i][k] is None for i in range(c) for k in range(c) if i != k):
-            return float(np.max([exact_operator_norm(grid, M[i][i], s_in[i], s_out[i], band)
+            return float(np.max([exact_operator_norm(grid, M[i][i], s_in, s_out)
                                  for i in range(c) if M[i][i] is not None], initial=0.0))
         side = next(b.shape[0] for row in M for b in row if b is not None)
         M = np.block([[np.zeros((side, side)) if b is None else as_matrix(b) for b in row]
                       for row in M])
-    if np.ndim(M) == 1:  # weighted as weighted_matrix weights its diagonal
-        slots = grid.dealias_mask if band else slice(None)
-        d = M[slots] if band == "resolved" else M
-        w_out, w_in = (grid.bracket_power(v)[slots] for v in (s_out, s_in))
-        return float(np.max(np.abs(d * w_out / w_in), initial=0.0))
-    X = weighted_matrix(grid, M, s_in, s_out, band)
+    w_out, w_in = (np.tile(grid.bracket_power(s)[grid.dealias_mask], c) for s in (s_out, s_in))
+    if np.ndim(M) == 1:
+        return float(np.max(np.abs(M * w_out / w_in), initial=0.0))
+
+    def weighted():
+        W = np.asarray(M, dtype=complex) * w_out[:, None]
+        W /= w_in
+        return W
+
+    X = weighted()
     if not X.any():
         return 0.0
-    if band is not None:
-        _to_cosine_sine(grid, X)
-        re, im = _abs_max(X.real), _abs_max(X.imag)
-        if im <= _PHASE_TOL * re:
-            X = X.real
-        elif re <= _PHASE_TOL * im:
-            X = X.imag
-        else:  # not real in this basis
-            X = weighted_matrix(grid, M, s_in, s_out, band)
+    _to_cosine_sine(grid, X)
+    re, im = _abs_max(X.real), _abs_max(X.imag)
+    if im <= _PHASE_TOL * re:
+        X = X.real
+    elif re <= _PHASE_TOL * im:
+        X = X.imag
+    else:  # not real in this basis: W weighted again, not copied before the change of basis
+        X = weighted()
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 

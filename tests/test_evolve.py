@@ -162,9 +162,10 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
 @pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
 def test_a_dense_frakA0_with_no_table_is_planned_at_its_set_up(steps, warm_interpreter):
     # b and c profiles and no F: frakA(0)'s blocks are dense, so set-up forms
-    # chi, though no table or node block exists; at one step the set-up term
-    # (PLAN_SETUP) is the plan's larger one.  The traced peak is within the
-    # plan test's bound
+    # chi, though no table or node block exists.  The plan has no set-up term:
+    # frakA(0)'s arrays beside the march's chi and mask cover the set-up
+    # (plan / peak 1.006 at one step, 1.091 at 100).  The traced peak is
+    # within the plan test's bound
     n, doc = 256, {"b": "cosine:0.3", "c": "cosine:0.2"}
     g, peak, plan = traced_plan("kato", doc, n, steps)
     para = ParalinearizedSystem(bridge_system_from_json(doc, g), g)

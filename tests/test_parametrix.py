@@ -32,12 +32,12 @@ from beamwave.quantize import (
     as_matrix,
     bony_weyl_quantize,
     exact_operator_norm,
-    weighted_matrix,
     weyl_quantize,
     weyl_table,
 )
 from beamwave.state import complex_weights, complexify, conjugate_pair, parity_split, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
+from conftest import weighted_matrix
 from test_paralin import dense_block, dense_half, structural_zeros
 from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
@@ -206,6 +206,11 @@ def _beam_wave(B, W):
 ONE_SIDED = {
     "beam_wave_only": ({"F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}, (True, False)),
     "wave_beam_only": ({"F2": [[1.0, 2, 5]]}, (False, True)),
+    # with a variable b, D_b's halves differ, and so do D~_b's: each bare
+    # coupling block tells them apart
+    "beam_wave_variable_b": ({"b": "cosine:0.3", "F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]},
+                             (True, False)),
+    "wave_beam_variable_b": ({"b": "cosine:0.3", "F2": [[1.0, 2, 5]]}, (False, True)),
 }
 
 
@@ -332,8 +337,10 @@ def test_residual_norms_match_dense_svd(preset):
             out[:h, h:], out[h:, :h] = mat[:h, h:], mat[h:, :h]
             return out
 
-        def norm(mat, s_out=s):
-            return exact_operator_norm(g, mat, s, s_out, band="resolved")
+        def norm(mat, s_out=s):  # by its 4 x 4 component blocks on the resolved band
+            band = np.ix_(g.dealias_mask, g.dealias_mask)
+            blocks = tuple(tuple(b[band] for b in np.hsplit(row, 4)) for row in np.vsplit(mat, 4))
+            return exact_operator_norm(g, blocks, s, s_out)
 
         expect = {
             "conjugation_norm": norm(M),

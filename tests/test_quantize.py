@@ -18,12 +18,12 @@ from beamwave.quantize import (
     exact_operator_norm,
     remainder_bw_minus_weyl,
     subtract_into,
-    weighted_matrix,
     weyl_quantize,
     weyl_table,
 )
 from beamwave.state import complex_weights, complexify
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi, sharp_rho
+from conftest import reference_norm, weighted_matrix
 
 
 def test_weyl_of_xfunc_is_exact_multiplication():
@@ -69,46 +69,44 @@ def test_weyl_self_adjoint_for_real_symbol():
 
 
 def test_operator_norm_diagonal_exact():
-    # H^2 -> H^0 norm of <D>^2 is exactly 1 on 1, 2 and 4 components; the
-    # component count comes from the matrix side
+    # H^2 -> H^0 norm of <D>^2 on the resolved band is exactly 1: as a block,
+    # as its diagonal, and as the diagonal blocks of 2 and 4 components, held
+    # apart or assembled beside a zero block
     g = TorusGrid(16)
-    for components in (1, 2, 4):
-        M = np.diag(np.tile(g.brackets**2, components))
+    d = g.brackets[g.dealias_mask] ** 2
+    D = np.diag(d)
+    for M in (D, d, _block_diagonal((D, d)), _block_diagonal((d,) * 4),
+              ((D, np.zeros_like(D)), (None, d))):
         assert abs(exact_operator_norm(g, M, 2.0, 0.0) - 1.0) < 1e-12
 
 
 def test_matrix_not_a_stack_of_components_is_refused():
+    # a norm takes one component's block on the resolved band, its diagonal,
+    # or a tuple of them: a block of all n modes, a stack of two components
+    # given as one array, or a block of another side is refused
     g = TorusGrid(16)
-    for M in (np.eye(g.n + 1), np.eye(3 * g.n - 2), np.ones((g.n, 2 * g.n)), np.eye(4)):
-        with pytest.raises(ValueError, match="not a stack of components"):
+    m = np.count_nonzero(g.dealias_mask)
+    for M in (np.eye(g.n), np.ones(g.n), np.eye(2 * m), np.ones((m, 2 * m)), np.eye(4)):
+        with pytest.raises(ValueError):
             exact_operator_norm(g, M, 0.0, 0.0)
 
 
-def test_resolved_band_restriction():
-    g = TorusGrid(32)
-    eye = np.eye(g.n)
-    W = weighted_matrix(g, eye, 0.0, 0.0, band="resolved")
-    keep = 2 * g.dealias_cut + 1
-    assert W.shape == (keep, keep)
-    with pytest.raises(ValueError):
-        weighted_matrix(g, eye, 0.0, 0.0, band="junk")
-
-
 def test_restricting_before_weighting_is_exact():
-    # the band restriction and the diagonal weights commute entry by entry,
-    # and a matrix formed on the band alone is weighted by the same path
+    # an operator on all n modes restricted to the resolved band by one
+    # np.ix_, per component, and normed, is the SVD of its weighted matrix on
+    # all modes restricted afterwards, bit for bit where the SVD is complex
     g = TorusGrid(32)
     rng = np.random.default_rng(3)
     M = rng.standard_normal((2 * g.n, 2 * g.n)) + 1j * rng.standard_normal((2 * g.n, 2 * g.n))
-    keep = np.tile(g.dealias_mask, 2)
-    for s_in, s_out in ((2.5, 2.5), (2.5, 4.5), ([1.0, 2.0], [3.0, 0.5])):
+    band = np.ix_(g.dealias_mask, g.dealias_mask)
+    blocks = tuple(tuple(b[band] for b in np.hsplit(row, 2)) for row in np.vsplit(M, 2))
+    for s_in, s_out in ((2.5, 2.5), (2.5, 4.5)):
+        keep = np.tile(g.dealias_mask, 2)
         full = weighted_matrix(g, M, s_in, s_out)
-        got = weighted_matrix(g, M, s_in, s_out, band="resolved")
-        assert np.array_equal(got, full[np.ix_(keep, keep)])
-        on_band = weighted_matrix(g, M[np.ix_(keep, keep)], s_in, s_out, band="restricted")
-        assert np.array_equal(on_band, got)
-    with pytest.raises(ValueError, match="not a stack of components"):
-        weighted_matrix(g, M, 0.0, 0.0, band="restricted")
+        expect = float(np.linalg.svd(full[np.ix_(keep, keep)], compute_uv=False)[0])
+        assert exact_operator_norm(g, blocks, s_in, s_out) == expect
+        assert exact_operator_norm(g, blocks[0][0], s_in, s_out) == reference_norm(
+            g, M[: g.n, : g.n], s_in, s_out, "resolved")
 
 
 def _lattice(g):
@@ -301,7 +299,8 @@ def test_remainder_bw_minus_weyl_two_smoothing():
     for n in (32, 64, 128):
         g = TorusGrid(n)
         a = SeparableSymbol(g, [(transform(g, np.cos(g.x)), FrequencyMultiplier.xi_power(2))])
-        norms.append(exact_operator_norm(g, remainder_bw_minus_weyl(a), 2.0, 4.0, band="resolved"))
+        band = np.ix_(g.dealias_mask, g.dealias_mask)
+        norms.append(exact_operator_norm(g, remainder_bw_minus_weyl(a)[band], 2.0, 4.0))
     assert max(norms) / min(norms) < 1.25
 
 
@@ -311,9 +310,8 @@ def test_composition_residual_stable():
         g = TorusGrid(n)
         a = SeparableSymbol.from_xfunc(transform(g, np.cos(g.x)))
         b = SeparableSymbol(g, [(transform(g, np.sin(g.x)), FrequencyMultiplier.xi_power(2))])
-        norms.append(
-            exact_operator_norm(g, composition_residual(a, b, 2.0), 2.0, 2.0, band="resolved")
-        )
+        band = np.ix_(g.dealias_mask, g.dealias_mask)
+        norms.append(exact_operator_norm(g, composition_residual(a, b, 2.0)[band], 2.0, 2.0))
     assert max(norms) / min(norms) < 1.25
 
 
@@ -408,36 +406,47 @@ def test_bony_weyl_blocks_of_real_symbols_map_real_functions_to_real_functions(n
         assert conjugation_break(g, bony_weyl_quantize(SeparableSymbol(g, [(f, mult)]))) <= 1e-15
 
 
+def _on_band(g, M):
+    """The resolved band of an operator on all n modes of each component: the
+    rows and columns of a block, the entries of a diagonal, and each block of
+    a tuple of component blocks."""
+    if isinstance(M, tuple):
+        return tuple(tuple(None if b is None else _on_band(g, b) for b in row) for row in M)
+    keep = g.dealias_mask
+    return M[keep] if M.ndim == 1 else M[np.ix_(keep, keep)]
+
+
 @pytest.mark.parametrize("name", ["even", "odd_times_i", "minus_i_residual"])
 def test_real_basis_norm_equals_the_complex_svd(name, monkeypatch):
     # an operator from a real symbol is real (up to its phase) in the
     # cosine-sine basis of the resolved band: its norm takes a real SVD and
-    # equals the complex SVD of the weighted matrix; on one component, on a
-    # stack of two, and on a matrix formed on the band only
+    # equals the complex SVD of the weighted matrix; on one component and on
+    # a stack of two
     g = TorusGrid(64)
-    M = _real_symbol_operators(g)[name]
-    keep = np.tile(g.dealias_mask, 2)
-    stack = np.block([[M, 0.5 * M], [np.zeros_like(M), M]])
+    M = _on_band(g, _real_symbol_operators(g)[name])
+    stack = ((M, 0.5 * M), (None, M))
     seen, svd = _svd_spy(monkeypatch)
-    for mat, band, s_in, s_out in ((M, "resolved", 2.0, 0.0), (stack, "resolved", 2.5, [2.5, 1.0]),
-                                   (stack[np.ix_(keep, keep)], "restricted", [1.0, 2.0], 2.0)):
-        expect = svd(weighted_matrix(g, mat, s_in, s_out, band), compute_uv=False)[0]
-        got = exact_operator_norm(g, mat, s_in, s_out, band=band)
-        assert abs(got - expect) <= 1e-13 * expect, (band, got, expect)
+    for mat, s_in, s_out in ((M, 2.0, 0.0), (stack, 2.5, 2.5), (stack, 1.0, 2.0)):
+        ref = _assembled(mat) if isinstance(mat, tuple) else mat
+        expect = svd(weighted_matrix(g, ref, s_in, s_out, "restricted"), compute_uv=False)[0]
+        got = exact_operator_norm(g, mat, s_in, s_out)
+        assert abs(got - expect) <= 1e-13 * expect, (got, expect)
     assert seen == ["f", "f", "f"]
 
 
 def test_norm_not_real_in_the_cosine_sine_basis_takes_the_complex_svd(monkeypatch):
+    # a block not real in the cosine-sine basis, alone and in a stack of two,
+    # is normed by the complex SVD of its weighted matrix, bit for bit
     g = TorusGrid(32)
+    m = np.count_nonzero(g.dealias_mask)
     rng = np.random.default_rng(5)
-    M = rng.standard_normal((2 * g.n, 2 * g.n)) + 1j * rng.standard_normal((2 * g.n, 2 * g.n))
+    M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     seen, svd = _svd_spy(monkeypatch)
-    for band in (None, "resolved"):
-        expect = float(svd(weighted_matrix(g, M, 1.0, 2.0, band), compute_uv=False)[0])
-        assert exact_operator_norm(g, M, 1.0, 2.0, band=band) == expect
-    # a real-symbol operator on all n modes (Nyquist unpaired) also stays complex
-    exact_operator_norm(g, _real_symbol_operators(g)["even"], 2.0, 0.0)
-    assert seen == ["c"] * 3
+    for mat in (M, ((M, None), (M.T, 2.0 * M))):
+        ref = _assembled(mat) if isinstance(mat, tuple) else mat
+        expect = float(svd(weighted_matrix(g, ref, 1.0, 2.0, "restricted"), compute_uv=False)[0])
+        assert exact_operator_norm(g, mat, 1.0, 2.0) == expect
+    assert seen == ["c"] * 2
 
 
 def test_zero_block_norm_is_exactly_zero_without_an_svd(monkeypatch):
@@ -446,14 +455,14 @@ def test_zero_block_norm_is_exactly_zero_without_an_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     g = TorusGrid(32)
-    m = 2 * g.dealias_cut + 1
-    for M, band in ((np.zeros((g.n, g.n)), None), (np.zeros((2 * g.n, 2 * g.n)), "resolved"),
-                    (np.zeros((m, m), dtype=complex), "restricted")):
-        assert exact_operator_norm(g, M, 2.5, 4.5, band=band) == 0.0
+    m = np.count_nonzero(g.dealias_mask)
+    Z = np.zeros((m, m), dtype=complex)
+    for M in (Z, ((Z, Z), (Z, Z))):
+        assert exact_operator_norm(g, M, 2.5, 4.5) == 0.0
     # nonzero entries outside the band leave a zero block on it
     M = np.zeros((g.n, g.n))
     M[g.n // 2, 0] = 1.0
-    assert exact_operator_norm(g, M, 0.0, 0.0, band="resolved") == 0.0
+    assert exact_operator_norm(g, _on_band(g, M), 0.0, 0.0) == 0.0
 
 
 def _block_diagonal(blocks):
@@ -463,31 +472,47 @@ def _block_diagonal(blocks):
 
 
 def _assembled(M):
+    """The dense matrix of a block, a diagonal or a tuple of component blocks."""
+    if not isinstance(M, tuple):
+        M = ((M,),)
     side = next(b for row in M for b in row if b is not None).shape[0]
     zero = np.zeros((side, side), dtype=complex)
-    return np.block([[zero if b is None else b for b in row] for row in M])
+    return np.block([[zero if b is None else np.diag(b) if b.ndim == 1 else b for b in row]
+                     for row in M])
+
+
+def _reference(g, M, s_in, s_out, band):
+    """The dense weighted matrix whose largest singular value is the norm of
+    ``_on_band(g, M)``, for M on all n modes of each component, formed three
+    ways: on all n modes with the rows and columns off the band zeroed (band
+    None), on all n modes restricted by the reference ("resolved"), or on the
+    band alone ("restricted")."""
+    if band == "restricted":
+        return weighted_matrix(g, _assembled(_on_band(g, M)), s_in, s_out, band)
+    A = _assembled(M)
+    if band is None:
+        keep = np.tile(g.dealias_mask, A.shape[0] // g.n)
+        A = np.where(keep[:, None] & keep[None, :], A, 0.0)
+    return weighted_matrix(g, A, s_in, s_out, band)
 
 
 @pytest.mark.parametrize("band", [None, "restricted"])
 def test_block_diagonal_norm_is_the_largest_component_norm(band, monkeypatch):
     # sigma_max(blockdiag) = max sigma_max: handed over by its component
-    # blocks, each diagonal block takes its own SVD of one component's side
-    # (none for a zero block), and the norm equals the SVD of the whole
-    # weighted matrix
+    # blocks on the resolved band, each diagonal block takes its own SVD of
+    # one component's side (none for a zero block), and the norm equals the
+    # SVD of the whole weighted matrix, formed as ``band`` says
     g = TorusGrid(64)
     ops = list(_real_symbol_operators(g).values())
-    if band == "restricted":
-        keep = g.dealias_mask
-        ops = [M[np.ix_(keep, keep)] for M in ops]
-    side = ops[0].shape[0]
+    side = np.count_nonzero(g.dealias_mask)
     shapes, svd = _svd_spy(monkeypatch, np.shape)
     for blocks, s_in, s_out, svds in (((ops[0], ops[1]), 2.0, 0.0, 2),
                                       ((ops[2], ops[0], np.zeros_like(ops[0]), 0.5 * ops[1]),
-                                       [2.5, 1.0, 0.0, 2.0], 1.0, 3)):
+                                       2.5, 1.0, 3)):
         W = _block_diagonal(blocks)
-        expect = svd(weighted_matrix(g, _assembled(W), s_in, s_out, band), compute_uv=False)[0]
+        expect = svd(_reference(g, W, s_in, s_out, band), compute_uv=False)[0]
         shapes.clear()
-        got = exact_operator_norm(g, W, s_in, s_out, band=band)
+        got = exact_operator_norm(g, _on_band(g, W), s_in, s_out)
         assert abs(got - expect) <= 1e-13 * expect, (len(blocks), got, expect)
         assert shapes == [(side, side)] * svds
 
@@ -496,42 +521,36 @@ def test_block_diagonal_norm_is_the_largest_component_norm(band, monkeypatch):
 def test_one_nonzero_off_diagonal_entry_takes_the_full_svd(band, monkeypatch):
     g = TorusGrid(64)
     ops = list(_real_symbol_operators(g).values())
-    if band == "restricted":
-        keep = g.dealias_mask
-        ops = [M[np.ix_(keep, keep)] for M in ops]
-    side = ops[0].shape[0]
+    side = np.count_nonzero(g.dealias_mask)
     off = np.zeros_like(ops[0])
     off[1, 1] = 0.3
     W = ((ops[0], None), (off, ops[1]))
     shapes, svd = _svd_spy(monkeypatch, np.shape)
-    expect = svd(weighted_matrix(g, _assembled(W), 1.0, 1.0, band), compute_uv=False)[0]
+    expect = svd(_reference(g, W, 1.0, 1.0, band), compute_uv=False)[0]
     shapes.clear()
-    got = exact_operator_norm(g, W, 1.0, 1.0, band=band)
+    got = exact_operator_norm(g, _on_band(g, W), 1.0, 1.0)
     assert abs(got - expect) <= 1e-13 * expect
     assert shapes == [(2 * side, 2 * side)]
 
 
 @pytest.mark.parametrize("band", [None, "resolved", "restricted"])
 def test_a_diagonal_is_normed_by_its_largest_weighted_entry_without_an_svd(band, monkeypatch):
-    # a block held by its diagonal d has the norm max_j |d_j| <j>^{s_out - s_in}:
-    # the SVD of its matrix to round-off, alone and as a component block, with
-    # no SVD; beside an off-diagonal block it is assembled as its matrix
+    # a block held by its diagonal d has the norm max_j |d_j| <j>^{s_out - s_in}
+    # over the resolved band: the SVD of its matrix to round-off, formed as
+    # ``band`` says, alone and as a component block, with no SVD; beside an
+    # off-diagonal block it is assembled as its matrix
     g = TorusGrid(64)
     rng = np.random.default_rng(7)
     d = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    if band == "restricted":
-        d = d[g.dealias_mask]
     shapes, svd = _svd_spy(monkeypatch, np.shape)
-    expect = svd(weighted_matrix(g, np.diag(d), 1.0, 3.5, band), compute_uv=False)[0]
+    expect = svd(_reference(g, d, 1.0, 3.5, band), compute_uv=False)[0]
     shapes.clear()
     for M in (d, _block_diagonal((d, None))):
-        got = exact_operator_norm(g, M, 1.0, 3.5, band=band)
+        got = exact_operator_norm(g, _on_band(g, M), 1.0, 3.5)
         assert abs(got - expect) <= 1e-14 * expect
     assert shapes == []
-    if band != "resolved":
-        off = np.zeros((d.size, d.size))
-        off[1, 2] = 0.3
-        W = ((d, None), (off, d))
-        expect = svd(weighted_matrix(g, _assembled(((np.diag(d), None), (off, np.diag(d)))),
-                                     1.0, 1.0, band), compute_uv=False)[0]
-        assert abs(exact_operator_norm(g, W, 1.0, 1.0, band=band) - expect) <= 1e-13 * expect
+    off = np.zeros((d.size, d.size))
+    off[1, 2] = 0.3
+    W = ((d, None), (off, d))
+    expect = svd(_reference(g, W, 1.0, 1.0, band), compute_uv=False)[0]
+    assert abs(exact_operator_norm(g, _on_band(g, W), 1.0, 1.0) - expect) <= 1e-13 * expect
