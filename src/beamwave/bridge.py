@@ -1,7 +1,7 @@
 """The beam--wave suspension-bridge system on the torus.
 
-    y_tt     = B_cal y + F1(jet) + alpha y_t + gamma f_b(t)
-    theta_tt = W_cal theta + F2(jet) + beta theta_t + delta f_w(t)
+    y_tt     = B_cal y + F1(jet) + alpha y_t
+    theta_tt = W_cal theta + F2(jet) + beta theta_t + delta sin t
 
 with B_cal = -b(x) d_x^4 + B, W_cal = c(x) d_x^2 + C, B and C finite sums
 of coefficient * d_x^k with k <= 2, and F1, F2 quadratic homogeneous in the
@@ -38,10 +38,9 @@ class QuadraticNonlinearity:
         # each coefficient's real grid values, transformed once
         self._values = [(np.real(co.values()), ia, ib) for co, ia, ib in self.terms]
 
-    def evaluate(self, jets, out=None):
-        """Grid values of F at jet values ``jets`` (6, ..., n), of their dtype,
-        written into ``out`` (..., n) if given: its first term, the rest added."""
-        out = np.empty(jets.shape[1:], dtype=jets.dtype) if out is None else out
+    def evaluate(self, jets, out):
+        """Grid values of F at jet values ``jets`` (6, ..., n), written into
+        ``out`` (..., n): its first term, the rest added."""
         if not self._values:
             out.fill(0.0)
         for i, (cv, ia, ib) in enumerate(self._values):
@@ -50,10 +49,9 @@ class QuadraticNonlinearity:
                 out += term
         return out
 
-    def partial_values(self, slot, jets, out=None):
+    def partial_values(self, slot, jets, out):
         """Grid values of dF/dh_slot at the jet (6, ..., n) (affine in the jet),
-        added to ``out`` (..., n) if given."""
-        out = np.zeros(jets.shape[1:], dtype=complex) if out is None else out
+        added to ``out`` (..., n)."""
         for cv, ia, ib in self._values:
             if ia == slot:
                 out += cv * jets[ib]
@@ -103,10 +101,7 @@ class BridgeSystem:
         C_terms=(),
         alpha=0.0,
         beta=0.0,
-        gamma=0.0,
         delta=0.0,
-        f_b=None,
-        f_w=None,
         F1=None,
         F2=None,
     ):
@@ -118,12 +113,10 @@ class BridgeSystem:
         for _, k in self.B_terms + self.C_terms:
             if k > 2 or k < 0:
                 raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-        self.alpha, self.beta, self.gamma, self.delta = map(float, (alpha, beta, gamma, delta))
-        for name in ("alpha", "beta", "gamma", "delta"):
+        self.alpha, self.beta, self.delta = map(float, (alpha, beta, delta))
+        for name in ("alpha", "beta", "delta"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError("%s must be finite, got %r" % (name, getattr(self, name)))
-        self.f_b = f_b if f_b is not None else (lambda t: 0.0)
-        self.f_w = f_w if f_w is not None else np.sin
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
         self.F2 = F2 if F2 is not None else QuadraticNonlinearity(grid, ())
         # the products of B_cal = -b d^4 + B and W_cal = c d^2 + C per unknown
@@ -205,11 +198,14 @@ class BridgeSystem:
         du = self.linear_rhs(u)
         if self._live_F:
             self.add_nonlinearity_hats(self.jets(u[0], u[2]), du)
-        if self.gamma != 0.0:
-            du[1, ..., 0] += self.gamma * self.f_b(t)
         if self.delta != 0.0:
-            du[3, ..., 0] += self.delta * self.f_w(t)
+            du[3, ..., 0] += self.forcing(t)
         return du
+
+    def forcing(self, t):
+        """delta sin t, the acceleration of theta's mean mode at times t, which
+        both solvers read: ``real_rhs`` and ``ParalinearizedSystem.forcing_G``."""
+        return self.delta * np.sin(t)
 
     # -- hypotheses ---------------------------------------------------
 
@@ -283,59 +279,61 @@ def _profile_to_function(grid, spec_value, field="a coefficient"):
     return fun
 
 
-def bridge_system_from_json(doc, grid):
-    """Build a BridgeSystem on ``grid`` from a parsed system document (a dict)."""
+def _profile(grid, entry):
+    """A coefficient profile: a named profile, constant or sample array, or an
+    object holding one as its 'profile' or 'values'; null is the constant 1."""
+    if isinstance(entry, dict):
+        entry = entry.get("profile", entry.get("values"))
+        if entry is None:
+            raise ValueError("an object needs a 'profile' or 'values' entry")
+    return _profile_to_function(grid, 1.0 if entry is None else entry)
 
-    def field(name, parse, default):
-        """parse(doc[name]) (of ``default`` if absent); a value of the wrong
-        type or shape is a ConfigError naming the field."""
+
+def _terms(grid, entry):
+    return [(_profile_to_function(grid, coeff), int(k)) for coeff, k in entry or ()]
+
+
+def _number(grid, entry):
+    return float(entry)
+
+
+def _quadratic(grid, entry):
+    return QuadraticNonlinearity(grid, entry or ())
+
+
+# each field a system document may hold, with its parser; ``n`` is the CLI's
+SYSTEM_FIELDS = {"b": _profile, "c": _profile, "B_terms": _terms, "C_terms": _terms,
+                 "alpha": _number, "beta": _number, "delta": _number,
+                 "F1": _quadratic, "F2": _quadratic}
+
+
+def bridge_system_from_json(doc, grid):
+    """Build a BridgeSystem on ``grid`` from a parsed system document (a dict):
+    each field it holds parsed (``SYSTEM_FIELDS``), each it omits
+    BridgeSystem's default, b and c the constant 1.  A field the program does
+    not read, or one of the wrong type or shape, is a ConfigError naming it."""
+    unknown = sorted(set(doc) - set(SYSTEM_FIELDS) - {"n"})
+    if unknown:
+        raise ConfigError("unknown system field(s) %s: the fields are %s and n"
+                          % (", ".join(map(repr, unknown)), ", ".join(SYSTEM_FIELDS)))
+    fields = {}
+    for name, parse in SYSTEM_FIELDS.items():
         try:
-            return parse(doc.get(name, default))
+            if name in doc:
+                fields[name] = parse(grid, doc[name])
         except (TypeError, ValueError) as exc:
             raise ConfigError("system field %r is malformed: %s" % (name, exc)) from None
-
-    def profile(entry):
-        if isinstance(entry, dict):
-            entry = entry.get("profile", entry.get("values"))
-            if entry is None:
-                raise ValueError("an object needs a 'profile' or 'values' entry")
-        return _profile_to_function(grid, 1.0 if entry is None else entry)
-
-    def terms(entry):
-        return [(_profile_to_function(grid, coeff), int(k)) for coeff, k in entry or ()]
-
-    def quadratic(entry):
-        return QuadraticNonlinearity(grid, entry or ())
-
-    return BridgeSystem(
-        grid,
-        b=field("b", profile, None),
-        c=field("c", profile, None),
-        B_terms=field("B_terms", terms, ()),
-        C_terms=field("C_terms", terms, ()),
-        alpha=field("alpha", float, 0.0),
-        beta=field("beta", float, 0.0),
-        gamma=field("gamma", float, 0.0),
-        delta=field("delta", float, 0.0),
-        F1=field("F1", quadratic, ()),
-        F2=field("F2", quadratic, ()),
-    )
+    return BridgeSystem(grid, fields.pop("b", 1.0), fields.pop("c", 1.0), **fields)
 
 
 # -- Arioli-Gazzola preset --------------------------------------------
 
+# the fish-bone bridge's masses M and m, stiffnesses EI and GK, width ell, cable
+# tension H0 and hanger profile xi
+M_MASS, m_MASS, EI, GK, ELL, H0, XI = 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
 
-def arioli_gazzola_preset(
-    grid,
-    M_mass=10.0,
-    m_mass=1.0,
-    EI=1.0,
-    GK=1.0,
-    ell=1.0,
-    H0=1.0,
-    xi_profile=1.0,
-    **system_kwargs,
-):
+
+def arioli_gazzola_preset(grid):
     """Fish-bone bridge coefficients:
 
         b = EI/(M + 2 m xi),
@@ -344,21 +342,13 @@ def arioli_gazzola_preset(
     with the cable-tension operator d_x((2H0/xi^2) d_x .) expanded into the
     bounded parts B, C (all terms of order <= 2 after dividing by the mass
     densities)."""
-    for name, v in (("M", M_mass), ("m", m_mass), ("EI", EI), ("GK", GK), ("ell", ell)):
-        if v <= 0:
-            raise ConfigError("physical constant %s must be positive" % name)
-    if H0 < 0:
-        raise ConfigError("H0 must be nonnegative")
-    xi = _profile_to_function(grid, xi_profile)
-    xi_v = np.real(xi.values())
-    if np.min(xi_v) <= 0:
-        raise ConfigError("xi profile must be strictly positive")
-    mb = M_mass + 2 * m_mass * xi_v
-    mw = (M_mass + 6 * m_mass * xi_v) / 3.0
+    xi_v = np.real(_profile_to_function(grid, XI).values())
+    mb = M_MASS + 2 * m_MASS * xi_v
+    mw = (M_MASS + 6 * m_MASS * xi_v) / 3.0
     tau = 2.0 * H0 / xi_v**2
     tau_x = np.real(transform(grid, tau).deriv().values())
     b = transform(grid, EI / mb)
-    c = transform(grid, GK / (ell**2 * mw) + tau / mw)
+    c = transform(grid, GK / (ELL**2 * mw) + tau / mw)
     B_terms = [(transform(grid, tau / mb), 2), (transform(grid, tau_x / mb), 1)]
     C_terms = [(transform(grid, tau_x / mw), 1)]
-    return BridgeSystem(grid, b, c, B_terms=B_terms, C_terms=C_terms, **system_kwargs)
+    return BridgeSystem(grid, b, c, B_terms=B_terms, C_terms=C_terms)

@@ -100,15 +100,13 @@ def _outdir(args):
     return root
 
 
+# the solver flags' destinations, SolverConfig's parameters; a flag the user
+# does not set is absent from the parsed arguments, and SolverConfig's default holds
+SOLVER_FLAGS = ("dt", "T_final", "eps", "cfl_safety", "kato_tol", "kato_max_iter")
+
+
 def _solver_config(args):
-    return SolverConfig(
-        dt=args.dt,
-        T_final=args.T,
-        eps=args.eps,
-        cfl_safety=args.cfl_safety,
-        kato_tol=args.kato_tol,
-        kato_max_iter=args.kato_max_iter,
-    )
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in SOLVER_FLAGS})
 
 
 def _problem(args, n=None, amplitude=None):
@@ -339,12 +337,13 @@ def _add_common(p):
     p.add_argument("--system", default=None, help="JSON system description path")
     p.add_argument("--n", type=int, default=128, help="grid size (modes)")
     p.add_argument("--amplitude", type=float, default=1e-2, help="initial data amplitude")
-    p.add_argument("--T", type=float, default=0.1, help="time horizon")
-    p.add_argument("--dt", type=float, default=None, help="time step (default: CFL limit)")
-    p.add_argument("--eps", type=float, default=0.0, help="parabolic regularization")
-    p.add_argument("--cfl-safety", dest="cfl_safety", type=float, default=0.9)
-    p.add_argument("--kato-tol", dest="kato_tol", type=float, default=1e-10)
-    p.add_argument("--kato-max-iter", dest="kato_max_iter", type=int, default=25)
+    solver = p.add_argument_group("solver", argument_default=argparse.SUPPRESS)
+    solver.add_argument("--T", dest="T_final", metavar="T", type=float, help="time horizon")
+    solver.add_argument("--dt", type=float, help="time step (default: CFL limit)")
+    solver.add_argument("--eps", type=float, help="parabolic regularization")
+    solver.add_argument("--cfl-safety", dest="cfl_safety", type=float)
+    solver.add_argument("--kato-tol", dest="kato_tol", type=float)
+    solver.add_argument("--kato-max-iter", dest="kato_max_iter", type=int)
     p.add_argument("--outdir", default=None, help="output directory (default $BEAMWAVE_OUT or .)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed of verify --suite energy")
 

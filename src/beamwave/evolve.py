@@ -116,11 +116,11 @@ class SolverConfig:
         j_max = grid.n // 2
         return self.cfl_safety * RK4_IMAG_LIMIT / (np.sqrt(b_max) * j_max**2)
 
-    def resolve_dt(self, grid, b_max, plan=None):
+    def resolve_dt(self, grid, b_max, plan):
         """The actual step: validated config dt, or the largest stable step
-        dividing T_final into an integer number of steps.  Given a solver's
-        ``plan``, steps -> the bytes its march holds at its peak, a step count
-        whose plan exceeds physical memory is refused, before any array."""
+        dividing T_final into an integer number of steps.  A step count whose
+        ``plan`` (a solver's, steps -> the bytes its march holds at its peak)
+        exceeds physical memory is refused, before any array."""
         limit = self.max_stable_dt(grid, b_max)
         if self.dt is not None:
             if self.dt > limit * (1.0 + 1e-12):
@@ -131,7 +131,7 @@ class SolverConfig:
         else:
             dt = limit
         steps = max(1.0, float(np.ceil(self.T_final / dt - 1e-12)))
-        if plan is not None and plan(steps) > physical_memory_bytes():
+        if plan(steps) > physical_memory_bytes():
             raise ConfigError(
                 "dt = %.3e needs %.3g steps, whose trajectory and working arrays exceed "
                 "physical memory" % (dt, steps)
@@ -161,7 +161,7 @@ class RunResult:
     series, iteration record (a Kato solve's increments; one sweep's
     increment over the trajectory it overwrote), termination cause."""
 
-    def __init__(self, grid, times, trajectory, norms, termination, increments=None):
+    def __init__(self, grid, times, trajectory, norms, termination, increments):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.trajectory = np.asarray(trajectory, dtype=complex)
@@ -170,7 +170,7 @@ class RunResult:
                                     "of shape (nodes, 4, n//2 + 1)")
         self.norms = {k: np.asarray(v, dtype=float) for k, v in norms.items()}
         self.termination = termination
-        self.increments = list(increments) if increments is not None else []
+        self.increments = list(increments)
 
     @property
     def final(self):
@@ -192,8 +192,8 @@ class RunResult:
         inc = [x for x in self.increments if x > 0]
         return [inc[i + 1] / inc[i] for i in range(len(inc) - 1)]
 
-    def to_json_dict(self, config=None):
-        out = {
+    def to_json_dict(self, config):
+        return {
             "n": self.grid.n,
             "steps": len(self.times) - 1,
             "T_final": float(self.times[-1]) if len(self.times) else 0.0,
@@ -202,10 +202,8 @@ class RunResult:
             "increment_ratios": [float(r) for r in self.increment_ratios()],
             "final_norms": {k: float(v[-1]) for k, v in self.norms.items()},
             "fitted_growth": self.fitted_growth(),
+            "config": config.to_json_dict(),
         }
-        if config is not None:
-            out["config"] = config.to_json_dict()
-        return out
 
     def write_csv(self, path):
         """Time series: one row per node, columns t then each recorded norm."""
@@ -229,8 +227,9 @@ def heat_factor(grid, eps, tau):
     return np.array([beam, beam, wave, wave])
 
 
-def _time_grid(sys, config, plan=None):
-    """(dt, steps) for ``sys``: the CFL limit uses the largest beam coefficient."""
+def _time_grid(sys, config, plan):
+    """(dt, steps) for ``sys`` under a solver's ``plan``: the CFL limit uses the
+    largest beam coefficient."""
     return config.resolve_dt(sys.grid, float(np.max(sys.b.values().real)), plan)
 
 
@@ -328,10 +327,10 @@ def _march(grid, ladder, dt, steps, u0, step, over=None):
                 raise NumericalError("non-finite state encountered")
             raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
     return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed",
-                     None if over is None else [increment])
+                     [] if over is None else [increment])
 
 
-def _frozen_nodes(para, times, g_path=None, frozen=None):
+def _frozen_nodes(para, times, g_path, frozen):
     """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of
     ``linear_solve``'s background there (none for a zero background; the
     halves of its g-functions ``g_path``, or a frozen trajectory's stored
@@ -369,7 +368,7 @@ def _frozen_nodes(para, times, g_path=None, frozen=None):
             blocks = ()
             if g is not None:  # a frozen trajectory's forcing loses P_k u_k here
                 u = (y[i], None, theta[i], None) if frozen is not None else None
-                blocks = para.frozen_node(g[:, i], ring[k % 2], u, None if u is None else f[:, i])
+                blocks = para.frozen_node(g[:, i], u, None if u is None else f[:, i], ring[k % 2])
                 ring[k % 2] = [Q for *_, Q in blocks]
             yield blocks, f[:, i]
 

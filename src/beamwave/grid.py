@@ -199,8 +199,8 @@ class SpectralFunction:
 
     # -- calculus -----------------------------------------------------
 
-    def deriv(self, k=1):
-        return SpectralFunction(self.grid, self.coeffs * (1j * self.grid.modes.astype(float)) ** k)
+    def deriv(self):
+        return SpectralFunction(self.grid, self.coeffs * (1j * self.grid.modes.astype(float)))
 
 
 def transform(grid, values):

@@ -183,13 +183,14 @@ class ParalinearizedSystem:
 
     # -- real form -------------------------------------------------------
 
-    def frozen_node(self, g, bufs=None, u=None, r=None):
+    def frozen_node(self, g, u, r, bufs=None):
         """One node of a frozen background, from its g-functions' halves g (3,
         n//2 + 1): the blocks (out, in, Q) of each g-function F can make nonzero,
         Q = P / 2 by its rows 0..n/2 (into the ``bufs`` if given), so that a
         step's block is the sum Q_k + Q_{k+1} of its two nodes'.  Given the node's
         real state u and forcing r (4, n//2 + 1; rows y and theta of u read), the
-        node's P u = 2 Q u is subtracted from r in place (``kato_forcing``)."""
+        node's P u = 2 Q u is subtracted from r in place (``kato_forcing``); u and
+        r are None for a background given by its g-functions alone."""
         grid, blocks = self.grid, []
         g = grid.full(g)
         for (i, out, inp, table), buf in zip(self._real_blocks, bufs or [None] * 3):
@@ -217,23 +218,21 @@ class ParalinearizedSystem:
 
     def forcing_G(self, t):
         """Forcing G(t) on real states, (4, ..., n//2 + 1) for times t (...): the
-        zero-mode accelerations gamma f_b(t), delta f_w(t) in the y_tt and
-        theta_tt rows, zero elsewhere."""
-        src = self.source
+        zero-mode acceleration delta sin t (``BridgeSystem.forcing``) in the
+        theta_tt row, zero elsewhere."""
         t = np.asarray(t, dtype=float)
         G = np.zeros((4,) + t.shape + (self.grid.n // 2 + 1,), dtype=complex)
-        for row, amp, f in ((1, src.gamma, src.f_b), (3, src.delta, src.f_w)):
-            if amp != 0.0:
-                G[row, ..., 0] = amp * np.vectorize(f, otypes=[float])(t)
+        if self.source.delta != 0.0:
+            G[3, ..., 0] = self.source.forcing(t)
         return G
 
     def kato_forcing(self, u, t=0.0):
         """remainder(V) + G(t), the full right-hand side minus (frakA(V) +
         frakB(V) + R)V, in real form, (4, ..., n//2 + 1) for real states u
         (4, ..., n//2 + 1) at times t (...): the inhomogeneity of the Kato step
-        (P)_n frozen at V = V_{n-1}.  L V cancels, leaving gamma f_b + F1 -
-        P_12b theta in y_tt and delta f_w + F2 - P_1w theta - P_12w y in
-        theta_tt, from the jets of u
+        (P)_n frozen at V = V_{n-1}.  L V cancels, leaving F1 - P_12b theta in
+        y_tt and delta sin t + F2 - P_1w theta - P_12w y in theta_tt, from the
+        jets of u
         (``prepass``); P is applied node by node (``frozen_node``, which a Kato
         sweep's march calls on each node as it reads it).  As in ``prepass``,
         only the rows y and theta of u are read."""
@@ -242,5 +241,5 @@ class ParalinearizedSystem:
         self.source.add_nonlinearity_hats(jets, r)
         for idx in np.ndindex(np.shape(u[0])[:-1]):
             node = (slice(None),) + idx
-            self.frozen_node(g[node], u=[None if v is None else v[idx] for v in u], r=r[node])
+            self.frozen_node(g[node], [None if v is None else v[idx] for v in u], r[node])
         return r

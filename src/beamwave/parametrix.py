@@ -137,7 +137,7 @@ def _mul(A, B, r=None):
     return A[:, None] * B if A.ndim == 1 else A @ B
 
 
-def _product(X, Y, r=None):
+def _product(X, Y, r):
     """The 2 x 2 block product XY over (beam, wave), forming only the block
     products that can be nonzero; a block with no such term is None.  Blocks
     taken at the slots r (``_take``) are multiplied as such (``_mul``); a
@@ -430,17 +430,16 @@ def _mode_energies(P):
     return np.concatenate([_energy(P.L2s, images(c)) for c in (0, 1)])
 
 
-def modified_energy(P, vec):
-    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> on stacked vectors (..., 4n), or on
-    their parity halves (v_p, v_m), a tuple, from the component blocks of
-    Phi+ v_p and Phi- v_m."""
-    halves = vec if isinstance(vec, tuple) else parity_split(vec)
+def modified_energy(P, halves):
+    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> of stacked vectors V by their parity
+    halves (v_p, v_m), each (..., 2n) (``state.parity_split``), from the
+    component blocks of Phi+ v_p and Phi- v_m."""
     images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
                for row in X] for X, v in zip(P.Phi, halves))
     return _energy(P.L2s, images)
 
 
-def equivalence_and_garding_report(para, V, sigma, sample_count=100, seed=0):
+def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
     """Empirical constants in the norm equivalence and the Garding bound.
 
     Equivalence:  C^{-1}(||V||_s^2 - ||V||_{-2}^2) <= |V|^2 <= C ||V||_s^2.

@@ -51,9 +51,9 @@ import numpy as np
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
-def weyl_table(grid, g, rows=slice(None)):
-    """The real n x n table T[j, k] = g((j + k)/2), zero where j - k leaves
-    [-n/2, n/2), or its rows ``rows`` (a slice) alone.  The Weyl matrix of
+def weyl_table(grid, g, rows):
+    """The rows ``rows`` (a slice) of the real n x n table T[j, k] = g((j + k)/2),
+    zero where j - k leaves [-n/2, n/2).  The Weyl matrix of
     f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix that times
     chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n, J = grid.n, grid.modes

@@ -117,8 +117,8 @@ def real_norm_weights(grid, s):
     return np.array([w * D**p for D in complex_weights(grid) for p in (2, -2)])
 
 
-def is_conjugate_pair(grid, vec, tol=1e-10):
-    """Check that slots 1, 3 are the conjugate functions of slots 0, 2."""
+def is_conjugate_pair(grid, vec, tol):
+    """Check that slots 1, 3 are the conjugate functions of slots 0, 2, to ``tol``."""
     n = grid.n
     pair = conjugate_pair(grid, vec[:n], vec[2 * n : 3 * n])
     return bool(np.max(np.abs(vec - pair)) <= tol)

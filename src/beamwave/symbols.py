@@ -49,7 +49,7 @@ def _term_deriv(term):
 
 
 class FrequencyMultiplier:
-    """g(xi) = sum of terms c xi^k |xi|^p <xi>^s psi(xi)^q, with an order tag.
+    """g(xi) = sum of terms c xi^k |xi|^p <xi>^s psi(xi)^q.
 
     Exponents are kept as the floats given.  A term with q > 0 is 0 where
     psi is, which keeps psi/xi regular at xi = 0.
@@ -58,19 +58,18 @@ class FrequencyMultiplier:
     # read by perfbench/child.py --trace as its lambdify count; stays empty
     _lambdified = {}
 
-    def __init__(self, terms, order):
+    def __init__(self, terms):
         self.terms = tuple(tuple(float(v) for v in t) for t in terms)
-        self.order = float(order)
 
     # constructors ----------------------------------------------------
 
     @classmethod
     def one(cls):
-        return cls([(1, 0, 0, 0, 0)], 0.0)
+        return cls([(1, 0, 0, 0, 0)])
 
     @classmethod
     def xi_power(cls, k):
-        return cls([(1, k, 0, 0, 0)], k)
+        return cls([(1, k, 0, 0, 0)])
 
     @classmethod
     def abs_xi(cls):
@@ -78,20 +77,20 @@ class FrequencyMultiplier:
 
     @classmethod
     def abs_xi_power(cls, p):
-        return cls([(1, 0, p, 0, 0)], p)
+        return cls([(1, 0, p, 0, 0)])
 
     @classmethod
     def bracket(cls, s):
-        return cls([(1, 0, 0, s, 0)], s)
+        return cls([(1, 0, 0, s, 0)])
 
     @classmethod
     def psi(cls):
-        return cls([(1, 0, 0, 0, 1)], 0.0)
+        return cls([(1, 0, 0, 0, 1)])
 
     @classmethod
-    def psi_over_xi(cls, power=1):
-        """psi(xi)/xi^power, extended by 0 across the psi plateau at 0."""
-        return cls([(1, -power, 0, 0, 1)], -power)
+    def psi_over_xi(cls):
+        """psi(xi)/xi, extended by 0 across the psi plateau at 0."""
+        return cls([(1, -1, 0, 0, 1)])
 
     # algebra ---------------------------------------------------------
 
@@ -103,10 +102,10 @@ class FrequencyMultiplier:
             for c1, k1, p1, s1, q1 in self.terms
             for c2, k2, p2, s2, q2 in other.terms
         ]
-        return FrequencyMultiplier(terms, self.order + other.order)
+        return FrequencyMultiplier(terms)
 
     def deriv(self):
-        return FrequencyMultiplier([d for t in self.terms for d in _term_deriv(t)], self.order - 1)
+        return FrequencyMultiplier([d for t in self.terms for d in _term_deriv(t)])
 
     # evaluation ------------------------------------------------------
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamwave.bridge
 import beamwave.cli
 import beamwave.evolve
 from beamwave.cli import build_preset, main
@@ -416,7 +417,10 @@ def test_system_file_n_must_match_the_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, text", [("b", '{"b": "bogus"}'), ("c", '{"c": {"values": [1.0, 2.0, 3.0]}}')]
+    "field, text",
+    [("b", '{"b": "bogus"}'), ("c", '{"c": {"values": [1.0, 2.0, 3.0]}}'),
+     # fields the program does not read: one it read and ignored once, a typo
+     ("gamma", '{"F2": [[1.0, 5, 5]], "gamma": 0.7}'), ("alpah", '{"alpah": -0.5}')],
 )
 def test_a_malformed_system_field_exits_2_naming_it(field, text, tmp_path, capsys):
     (tmp_path / "system.json").write_text(text)
@@ -424,6 +428,32 @@ def test_a_malformed_system_field_exits_2_naming_it(field, text, tmp_path, capsy
     assert run_cli(["simulate", "--T", "0.01"] + args) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and "%r" % field in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run_*"))
+
+
+# a nonzero value of each field the system loader reads
+FIELD_VALUES = {"b": 2.0, "c": 2.0, "B_terms": [[0.5, 0]], "C_terms": [[0.5, 0]],
+                "alpha": -0.5, "beta": -0.5, "delta": 1.0,
+                "F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}
+
+
+@pytest.mark.parametrize("field", sorted(beamwave.bridge.SYSTEM_FIELDS))
+def test_every_system_field_moves_the_run(field, tmp_path):
+    # a document that sets one field alone gives a run CSV other than the
+    # linear preset's (the empty document) on at least one solver: no field is
+    # read and then ignored
+    (tmp_path / "system.json").write_text(json.dumps({field: FIELD_VALUES[field]}))
+    moved = []
+    for solver in ("kato", "oracle"):
+        csvs = []
+        for name, source in (("preset", ["--preset", "linear"]),
+                             ("system", ["--system", str(tmp_path / "system.json")])):
+            out = tmp_path / solver / name
+            assert run_cli(["simulate", "--solver", solver, "--n", "16", "--T", "0.01",
+                            "--outdir", str(out)] + source) == 0
+            csvs += [p.read_bytes() for p in out.glob("run_*.csv")]
+        moved.append(csvs[0] != csvs[1])
+    assert any(moved), "system field %r changes no run" % field
 
 
 # the presets' system documents, as README lists them

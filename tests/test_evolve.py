@@ -41,6 +41,11 @@ def real_state(fields):
     return np.array([u.coeffs[: u.grid.n // 2 + 1] for u in fields])
 
 
+def no_plan(steps):
+    """A memory plan of no bytes: ``resolve_dt``'s step count alone."""
+    return 0
+
+
 def make_fields(g, amp=1e-2):
     return tuple(
         transform(g, v)
@@ -71,11 +76,11 @@ def test_solver_config_validation():
 def test_resolve_dt_integer_steps_and_cfl():
     g = TorusGrid(32)
     cfg = SolverConfig(T_final=0.1)
-    dt, steps = cfg.resolve_dt(g, 1.0)
+    dt, steps = cfg.resolve_dt(g, 1.0, no_plan)
     assert abs(dt * steps - 0.1) < 1e-15
     assert dt <= cfg.max_stable_dt(g, 1.0) * (1 + 1e-12)
     with pytest.raises(PreconditionError):
-        SolverConfig(dt=1.0, T_final=0.1).resolve_dt(g, 1.0)
+        SolverConfig(dt=1.0, T_final=0.1).resolve_dt(g, 1.0, no_plan)
 
 
 def test_rk4_step_is_the_textbook_combination_bit_for_bit():
@@ -279,7 +284,7 @@ def decoupled_flow(para, u0, config):
     march: its H^s norms are exact isometries.  frakA(0) acts on real states'
     halves as its dense stacked matrix, carried through the complexification."""
     g = para.grid
-    dt, steps = _time_grid(para.source, config)
+    dt, steps = _time_grid(para.source, config, no_plan)
     A0 = odd_stacked_matrix(g, *para.frak_A(None))
 
     def A(u, _):
@@ -318,40 +323,43 @@ def test_linear_solve_background_shape_checks():
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_linear_solve_is_forced_by_the_system(n):
+def test_linear_solve_is_forced_by_the_system(n, monkeypatch):
     # a linear system with constant coefficients: at the zero background the
     # frozen flow is the system's own, and linear_solve takes its forcing G
-    # from the system at the nodes, the midpoint's as their average; for an
-    # affine f_b, f_w that average is the midpoint value, so it marches the
-    # oracle's RK4 steps to round-off
+    # from the system at the nodes, the midpoint's as their average; for a
+    # forcing affine in t (patched in for delta sin t, which both solvers read
+    # from BridgeSystem.forcing) that average is the midpoint value, so it
+    # marches the oracle's RK4 steps to round-off
     g = TorusGrid(n)
-    sys = BridgeSystem(g, 1.0, 1.0, gamma=0.5, delta=-0.3,
-                       f_b=lambda t: 2.0 + 30.0 * t, f_w=lambda t: -1.0 + 50.0 * t)
+    sys = BridgeSystem(g, 1.0, 1.0, delta=1.0)
+    monkeypatch.setattr(sys, "forcing", lambda t: 2.0 + 30.0 * np.asarray(t))
     fields = make_fields(g)
     cfg = SolverConfig(T_final=0.05)
     run = linear_solve(ParalinearizedSystem(sys, g), None, real_state(fields), cfg)
     orc = oracle_solve(sys, *fields, cfg)
     scale = np.max(np.abs(orc.trajectory))
     assert np.max(np.abs(run.trajectory - orc.trajectory)) <= 1e-13 * scale
-    assert abs(orc.trajectory[-1, 1, 0]) > 1e-2  # the forcing moved the zero mode
+    assert abs(orc.trajectory[-1, 3, 0]) > 1e-2  # the forcing moved the zero mode
 
 
-def test_blow_up_guard_stops_both_solvers():
+def test_blow_up_guard_stops_both_solvers(monkeypatch):
     g = TorusGrid(16)
     cfg = SolverConfig(T_final=0.01)
     fields = make_fields(g)
-    forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: np.nan)
+    forced = BridgeSystem(g, 1.0, 1.0, delta=1.0)
+    monkeypatch.setattr(forced, "forcing", lambda t: np.full(np.shape(t), np.nan))
     with pytest.raises(NumericalError, match="non-finite"):
         linear_solve(ParalinearizedSystem(forced, g), None, real_state(fields), cfg)
     with pytest.raises(NumericalError, match="non-finite"):
         oracle_solve(forced, *fields, cfg)
 
 
-def test_blow_up_guard_trips_above_1e6_times_the_initial_norm():
+def test_blow_up_guard_trips_above_1e6_times_the_initial_norm(monkeypatch):
     g = TorusGrid(16)
     cfg = SolverConfig(T_final=0.01)
-    # finite, in the acceleration of the beam's zero mode, from T/2 on
-    forced = BridgeSystem(g, 1.0, 1.0, gamma=1.0, f_b=lambda t: 1e12 if t >= 0.005 else 0.0)
+    # finite, in the acceleration of the wave's zero mode, from T/2 on
+    forced = BridgeSystem(g, 1.0, 1.0, delta=1.0)
+    monkeypatch.setattr(forced, "forcing", lambda t: np.where(np.asarray(t) >= 0.005, 1e12, 0.0))
     para = ParalinearizedSystem(forced, g)
     with pytest.raises(NumericalError, match="blow-up guard"):
         linear_solve(para, None, real_state(make_fields(g)), cfg)
@@ -398,7 +406,7 @@ def test_each_solver_stores_the_j_ge_0_half_of_its_marched_states(solver, marche
     else:
         para = ParalinearizedSystem(sysm, g)
         u0 = real_state(fields)
-        steps = cfg.resolve_dt(g, 1.0)[1]
+        steps = cfg.resolve_dt(g, 1.0, no_plan)[1]
         nodes = np.repeat(u0[:, None], steps + 1, axis=1)
         run = linear_solve(para, para.prepass(nodes)[1], u0, cfg)
     nodes = np.array(marched[-1])
@@ -449,8 +457,8 @@ def test_run_result_refuses_a_trajectory_that_is_not_a_half():
     g = TorusGrid(16)
     for nodes in (np.zeros((2, 4, g.n)), np.zeros((2, 4, g.n // 2)), np.zeros((2, 4 * g.n))):
         with pytest.raises(PreconditionError, match="j >= 0 half"):
-            RunResult(g, [0.0, 0.1], nodes, {}, "completed")
-    RunResult(g, [0.0, 0.1], np.zeros((2, 4, g.n // 2 + 1)), {}, "completed")
+            RunResult(g, [0.0, 0.1], nodes, {}, "completed", [])
+    RunResult(g, [0.0, 0.1], np.zeros((2, 4, g.n // 2 + 1)), {}, "completed", [])
 
 
 def test_trivial_kato_one_sweep_exact():
@@ -481,18 +489,18 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
     # node, forced by the system's G(t): the two agree to round-off at every node
     g = TorusGrid(32)
     sysm, fields = build_preset("mixed", g)
-    sysm.gamma, sysm.delta, sysm.f_b = 0.5, -0.3, np.cos
+    sysm.delta = -0.3
     para = ParalinearizedSystem(sysm, g)
     u0 = real_state(fields)
     cfg = SolverConfig(T_final=0.1)
-    dt, steps = cfg.resolve_dt(g, float(np.max(sysm.b.values().real)))
+    dt, steps = cfg.resolve_dt(g, float(np.max(sysm.b.values().real)), no_plan)
     nodes = u0[:, None] * (1.0 + np.sin(np.arange(steps + 1)))[:, None]
     bg = para.prepass(nodes)[1]
     forcing = np.moveaxis(para.forcing_G(dt * np.arange(steps + 1)), 0, 1)
     run = linear_solve(para, bg, u0, cfg)
     u = u0
     for k in range(steps):
-        mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]))
+        mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]), None, None)
         A = para.real_generator([(out, inp, Q + Q) for out, inp, Q in mid])
         u = _rk4(A, u, dt, (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
         err = np.max(np.abs(run.trajectory[k + 1] - u))
@@ -504,10 +512,10 @@ def march_node_paths(para, g, u0, forcing, config):
     (3, steps + 1, n//2 + 1) and forcing (steps + 1, 4, n//2 + 1) at the nodes; step k
     applies the sum Q_k + Q_{k+1} of the halves ``frozen_node`` forms at its
     two nodes and the forcing at its ends and their average."""
-    dt, steps = _time_grid(para.source, config)
+    dt, steps = _time_grid(para.source, config, no_plan)
 
     def step(k, u):
-        now, nxt = para.frozen_node(g[:, k]), para.frozen_node(g[:, k + 1])
+        now, nxt = (para.frozen_node(g[:, i], None, None) for i in (k, k + 1))
         A = para.real_generator([(out, inp, Q0 + Q1)
                                  for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
         f0, f1 = forcing[k], forcing[k + 1]
@@ -523,7 +531,7 @@ def kato_with_prepass(sys, V0, config):
     grid = sys.grid
     para = ParalinearizedSystem(sys, grid)
     u0 = np.array(real_from_stacked(grid, V0))[:, : grid.n // 2 + 1]
-    dt, steps = _time_grid(sys, config)
+    dt, steps = _time_grid(sys, config, no_plan)
     times = dt * np.arange(steps + 1)
     result = linear_solve(para, None, u0, config)
     increments = []
@@ -552,7 +560,7 @@ def test_streamed_kato_sweeps_match_the_prepass_reference(preset, n, steps):
     V0 = complexify(*fields).stacked()
     limit = SolverConfig().max_stable_dt(g, float(np.max(sysm.b.values().real)))
     cfg = SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
-    assert cfg.resolve_dt(g, float(np.max(sysm.b.values().real)))[1] == steps
+    assert cfg.resolve_dt(g, float(np.max(sysm.b.values().real)), no_plan)[1] == steps
     assert (steps + 1) % max(8, n // 8) != 0
     run = kato_solve(sysm, V0, cfg)
     ref, increments = kato_with_prepass(sysm, V0, cfg)
@@ -687,14 +695,11 @@ def test_run_result_csv_and_manifest(tmp_path):
     assert doc["config"]["T_final"] == 0.02
 
 
-@pytest.mark.parametrize(
-    "forcing", [{"gamma": 0.5, "f_b": np.cos}, {"delta": 0.5, "f_w": np.cos}]
-)
-def test_forced_kato_matches_oracle(forcing):
-    # the Kato forcing carries G(t) exactly once
+def test_forced_kato_matches_oracle():
+    # the Kato forcing carries G(t) = delta sin t exactly once
     g = TorusGrid(32)
     F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F2=F2, **forcing)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=F2, delta=0.5)
     y0, y1, th0, th1 = make_fields(g)
     cfg = SolverConfig(T_final=0.02)
     kat = kato_solve(sys, complexify(y0, y1, th0, th1).stacked(), cfg)
@@ -759,13 +764,13 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused(monkeypatch):
     # sweep 1 as kato_solve marches it, and its first node outside the margin
     V0 = complexify(*fields).stacked()
     para = ParalinearizedSystem(sys, g)
-    dt, steps = config.resolve_dt(g, 1.0)
+    dt, steps = config.resolve_dt(g, 1.0, no_plan)
     times = dt * np.arange(steps + 1)
     sweep1 = linear_solve(para, None, np.array(real_from_stacked(g, V0))[:, : g.n // 2 + 1],
                           config)
     first = None
     for k, (y, _, theta, _) in enumerate(sweep1.trajectory):
-        if sys.wave_margin(sys.F2.partial_values(5, sys.jets(y, theta))) <= 0.0:
+        if sys.wave_margin(sys.F2.partial_values(5, sys.jets(y, theta), np.zeros(g.n))) <= 0.0:
             first = k
             break
     assert first is not None and 0 < first < steps

@@ -21,7 +21,7 @@ from beamwave.quantize import (
     weyl_quantize,
     weyl_table,
 )
-from beamwave.state import complex_weights, complexify
+from beamwave.state import complex_weights, complexify, parity_split
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_chi, sharp_rho
 from conftest import reference_norm, weighted_matrix
 
@@ -284,7 +284,7 @@ def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, 
     para.frak_A(V), para.frak_B(V)
     P = parametrix.build_parametrix(para, V, 2.5)
     parametrix.conjugation_residual(P, para, V)
-    parametrix.modified_energy(P, V)
+    parametrix.modified_energy(P, parity_split(V))
     assert seen and all(seen)
     D, h = complex_weights(g), g.n // 2 + 1
     for i, out, inp, table in para._real_blocks:
@@ -359,7 +359,7 @@ def test_multiplier_one_quantizes_by_the_in_range_mask_bit_for_bit():
     # its table, with the same matrix to the last bit
     g = TorusGrid(32)
     f = transform(g, 1.0 + 0.3 * np.cos(g.x) + 0.1 * np.sin(3 * g.x))
-    table = weyl_table(g, FrequencyMultiplier.one())
+    table = weyl_table(g, FrequencyMultiplier.one(), slice(None))
     assert np.array_equal(table != 0.0, g.in_range)
     assert np.array_equal(weyl_quantize(SeparableSymbol.from_xfunc(f)),
                           f.coeffs[_lattice(g)[0] % g.n] * table)

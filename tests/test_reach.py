@@ -39,6 +39,8 @@ SYSTEMS = {
     "wave_beam_only.json": '{"F2": [[1.0, 2, 5]]}',
     "bogus_b.json": '{"b": "bogus"}',
     "short_c.json": '{"c": {"values": [1.0, 2.0, 3.0]}}',
+    "gamma.json": '{"F2": [[1.0, 5, 5]], "gamma": 0.7}',
+    "alpah.json": '{"alpah": -0.5}',
 }
 
 SHORT = ["--n", "16", "--T", "0.01"]
@@ -61,6 +63,8 @@ COMMANDS = [
     (["simulate", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "bogus_b.json"], 2),
     (["simulate", "--system", "short_c.json"], 2),
+    (["simulate", "--system", "gamma.json"], 2),  # a field the program does not read
+    (["simulate", "--system", "alpah.json"], 2),
     (["verify", "--suite", "parametrix", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "leaves_radius.json", "--n", "32", "--T", "1.0"], 3),
     (["verify", "--suite", "operators"], 0),
