@@ -29,12 +29,10 @@ class QuadraticNonlinearity:
 
     def __init__(self, grid, terms):
         self.grid = grid
-        self.terms = []
-        for coeff, ia, ib in terms:
-            ia, ib = int(ia), int(ib)
-            if not (0 <= ia < 6 and 0 <= ib < 6):
-                raise ConfigError("jet slots must be in 0..5")
-            self.terms.append((_profile_to_function(grid, coeff), ia, ib))
+        self.terms = [(_profile_to_function(grid, coeff), int(ia), int(ib))
+                      for coeff, ia, ib in terms]
+        if any(not (0 <= ia < 6 and 0 <= ib < 6) for _, ia, ib in self.terms):
+            raise ConfigError("jet slots must be in 0..5")
         # each coefficient's real grid values, transformed once
         self._values = [(np.real(co.values()), ia, ib) for co, ia, ib in self.terms]
 
@@ -92,31 +90,17 @@ class BridgeSystem:
     ``jets`` transforms only the slots F1 and F2 read (``jet_slots``).
     """
 
-    def __init__(
-        self,
-        grid,
-        b,
-        c,
-        B_terms=(),
-        C_terms=(),
-        alpha=0.0,
-        beta=0.0,
-        delta=0.0,
-        F1=None,
-        F2=None,
-    ):
+    def __init__(self, grid, b=1.0, c=1.0, B_terms=(), C_terms=(), alpha=0.0, beta=0.0,
+                 delta=0.0, F1=None, F2=None):
         self.grid = grid
-        self.b = _profile_to_function(grid, b, "b")
-        self.c = _profile_to_function(grid, c, "c")
-        self.B_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in B_terms]
-        self.C_terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in C_terms]
-        for _, k in self.B_terms + self.C_terms:
-            if k > 2 or k < 0:
-                raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-        self.alpha, self.beta, self.delta = map(float, (alpha, beta, delta))
-        for name in ("alpha", "beta", "delta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError("%s must be finite, got %r" % (name, getattr(self, name)))
+        # each field coerced here, once, a malformed one a ConfigError naming it
+        self.b = _coerce("b", _profile_to_function, grid, b)
+        self.c = _coerce("c", _profile_to_function, grid, c)
+        self.B_terms = _coerce("B_terms", _bounded_terms, grid, B_terms)
+        self.C_terms = _coerce("C_terms", _bounded_terms, grid, C_terms)
+        self.alpha = _coerce("alpha", _finite, alpha)
+        self.beta = _coerce("beta", _finite, beta)
+        self.delta = _coerce("delta", _finite, delta)
         self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
         self.F2 = F2 if F2 is not None else QuadraticNonlinearity(grid, ())
         # the products of B_cal = -b d^4 + B and W_cal = c d^2 + C per unknown
@@ -210,10 +194,8 @@ class BridgeSystem:
     # -- hypotheses ---------------------------------------------------
 
     def check_ellipticity(self):
-        bv = np.real(self.b.values())
-        cv = np.real(self.c.values())
-        c1 = float(np.min(bv))
-        c2 = float(np.min(cv))
+        bv, cv = np.real(self.b.values()), self._c_values
+        c1, c2 = float(np.min(bv)), float(np.min(cv))
         if c1 <= 0.0 or c2 <= 0.0:
             bad = self.grid.x[(bv <= 0) | (cv <= 0)]
             raise PreconditionError(
@@ -258,97 +240,65 @@ class BridgeSystem:
         return True
 
 
-def _profile_to_function(grid, spec_value, field="a coefficient"):
-    """Named profile, constant or sample array -> SpectralFunction;
-    one that is not finite is a ConfigError naming ``field``."""
-    fun = spec_value
-    if isinstance(spec_value, str):
+def _coerce(field, coerce, *args):
+    """``coerce(*args)``, the one coercion of system field ``field``; a
+    TypeError or ValueError it raises is a ConfigError naming the field."""
+    try:
+        return coerce(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("system field %r is malformed: %s" % (field, exc)) from None
+
+
+def _profile_to_function(grid, spec_value):
+    """A coefficient profile -> SpectralFunction: "constant:v", "cosine:amp"
+    (1 + amp cos x), a number or a sample array of length n (or a
+    SpectralFunction); any other form, or one not finite, is a ConfigError."""
+    if isinstance(spec_value, str):  # a named profile: its constant or its samples
         name, _, arg = spec_value.partition(":")
-        amp = float(arg) if arg else 1.0
         if name not in ("constant", "cosine"):
             raise ConfigError("unknown profile %r" % spec_value)
-        fun = (SpectralFunction.constant(grid, amp) if name == "constant"
-               else transform(grid, 1.0 + amp * np.cos(grid.x)))
-    elif not isinstance(spec_value, SpectralFunction):
+        amp = float(arg) if arg else 1.0
+        spec_value = amp if name == "constant" else 1.0 + amp * np.cos(grid.x)
+    fun = spec_value
+    if not isinstance(spec_value, SpectralFunction):
         arr = np.asarray(spec_value, dtype=float)
         if arr.ndim and arr.shape != (grid.n,):
             raise ConfigError("profile sample array must have length n = %d" % grid.n)
         fun = transform(grid, arr) if arr.ndim else SpectralFunction.constant(grid, float(arr))
     if not np.all(np.isfinite(fun.coeffs)):
-        raise ConfigError("%s is not finite" % field)
+        raise ConfigError("a coefficient is not finite")
     return fun
 
 
-def _profile(grid, entry):
-    """A coefficient profile: a named profile, constant or sample array, or an
-    object holding one as its 'profile' or 'values'; null is the constant 1."""
-    if isinstance(entry, dict):
-        entry = entry.get("profile", entry.get("values"))
-        if entry is None:
-            raise ValueError("an object needs a 'profile' or 'values' entry")
-    return _profile_to_function(grid, 1.0 if entry is None else entry)
+def _bounded_terms(grid, terms):
+    """The (coefficient profile, k) pairs of B or C, each k of order 0..2."""
+    terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in terms]
+    if any(not 0 <= k <= 2 for _, k in terms):
+        raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
+    return terms
 
 
-def _terms(grid, entry):
-    return [(_profile_to_function(grid, coeff), int(k)) for coeff, k in entry or ()]
+def _finite(value):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError("%r is not finite" % value)
+    return value
 
 
-def _number(grid, entry):
-    return float(entry)
-
-
-def _quadratic(grid, entry):
-    return QuadraticNonlinearity(grid, entry or ())
-
-
-# each field a system document may hold, with its parser; ``n`` is the CLI's
-SYSTEM_FIELDS = {"b": _profile, "c": _profile, "B_terms": _terms, "C_terms": _terms,
-                 "alpha": _number, "beta": _number, "delta": _number,
-                 "F1": _quadratic, "F2": _quadratic}
+# the fields a system document may hold, BridgeSystem's parameters; ``n`` is the CLI's
+SYSTEM_FIELDS = ("b", "c", "B_terms", "C_terms", "alpha", "beta", "delta", "F1", "F2")
 
 
 def bridge_system_from_json(doc, grid):
     """Build a BridgeSystem on ``grid`` from a parsed system document (a dict):
-    each field it holds parsed (``SYSTEM_FIELDS``), each it omits
-    BridgeSystem's default, b and c the constant 1.  A field the program does
-    not read, or one of the wrong type or shape, is a ConfigError naming it."""
+    F1 and F2 from their term lists [coefficient, slot, slot], each other
+    field as BridgeSystem coerces it, and each omitted field BridgeSystem's
+    default (b and c the constant 1).  A field the program does not read,
+    or one of the wrong type or shape, is a ConfigError naming it."""
     unknown = sorted(set(doc) - set(SYSTEM_FIELDS) - {"n"})
     if unknown:
         raise ConfigError("unknown system field(s) %s: the fields are %s and n"
                           % (", ".join(map(repr, unknown)), ", ".join(SYSTEM_FIELDS)))
-    fields = {}
-    for name, parse in SYSTEM_FIELDS.items():
-        try:
-            if name in doc:
-                fields[name] = parse(grid, doc[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("system field %r is malformed: %s" % (name, exc)) from None
-    return BridgeSystem(grid, fields.pop("b", 1.0), fields.pop("c", 1.0), **fields)
-
-
-# -- Arioli-Gazzola preset --------------------------------------------
-
-# the fish-bone bridge's masses M and m, stiffnesses EI and GK, width ell, cable
-# tension H0 and hanger profile xi
-M_MASS, m_MASS, EI, GK, ELL, H0, XI = 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
-
-
-def arioli_gazzola_preset(grid):
-    """Fish-bone bridge coefficients:
-
-        b = EI/(M + 2 m xi),
-        c = 3GK/(ell^2 (M + 6 m xi)) + 6 H0/(xi^2 (M + 6 m xi)),
-
-    with the cable-tension operator d_x((2H0/xi^2) d_x .) expanded into the
-    bounded parts B, C (all terms of order <= 2 after dividing by the mass
-    densities)."""
-    xi_v = np.real(_profile_to_function(grid, XI).values())
-    mb = M_MASS + 2 * m_MASS * xi_v
-    mw = (M_MASS + 6 * m_MASS * xi_v) / 3.0
-    tau = 2.0 * H0 / xi_v**2
-    tau_x = np.real(transform(grid, tau).deriv().values())
-    b = transform(grid, EI / mb)
-    c = transform(grid, GK / (ELL**2 * mw) + tau / mw)
-    B_terms = [(transform(grid, tau / mb), 2), (transform(grid, tau_x / mb), 1)]
-    C_terms = [(transform(grid, tau_x / mw), 1)]
-    return BridgeSystem(grid, b, c, B_terms=B_terms, C_terms=C_terms)
+    fields = {name: _coerce(name, QuadraticNonlinearity, grid, value) if name in ("F1", "F2")
+              else value for name, value in doc.items() if name != "n"}
+    return BridgeSystem(grid, **fields)

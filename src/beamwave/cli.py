@@ -14,7 +14,7 @@ import sys as _sys
 
 import numpy as np
 
-from .bridge import arioli_gazzola_preset, bridge_system_from_json
+from .bridge import bridge_system_from_json
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import TorusGrid, transform
 from .paralin import ParalinearizedSystem
@@ -40,7 +40,7 @@ from .evolve import (
     trajectory_gap,
 )
 
-# each preset but arioli_gazzola as its system document, the --system format
+# each preset as its system document, the --system format
 PRESET_SYSTEMS = {
     "linear": {},
     "headline": {"F2": [[1.0, 5, 5]]},  # theta_xx^2
@@ -48,8 +48,13 @@ PRESET_SYSTEMS = {
               "F2": [[1.0, 2, 5], [0.5, 5, 5]]},  # y_xx theta_xx + theta_xx^2/2
     "parity": {"F2": [[1.0, 0, 4]]},  # y theta_x, parity-passing
     "damped": {"F2": [[1.0, 5, 5]], "alpha": -0.5, "beta": -0.5},
+    # the fish-bone bridge of masses M = 10, m = 1, EI = GK = ell = H0 = 1 and a
+    # constant hanger profile xi = 1, with cable tension tau = 2 H0/xi^2:
+    # b = EI/(M + 2m xi), c = (3GK/ell^2 + 3 tau)/(M + 6m xi), B = tau/(M + 2m xi) d_x^2;
+    # the d_x terms of B and C, tau'/(M + 2m xi) and 3 tau'/(M + 6m xi), vanish
+    "arioli_gazzola": {"b": 1 / 12, "c": 9 / 16, "B_terms": [[1 / 6, 2]]},
 }
-PRESETS = tuple(PRESET_SYSTEMS) + ("arioli_gazzola",)
+PRESETS = tuple(PRESET_SYSTEMS)
 
 
 def _initial_data(grid, amplitude, odd=False):
@@ -68,8 +73,6 @@ def _initial_data(grid, amplitude, odd=False):
 def build_preset(name, grid, amplitude=1e-2):
     """(BridgeSystem, (y0, y1, theta0, theta1)) for a named preset."""
     data = _initial_data(grid, amplitude, odd=name == "parity")
-    if name == "arioli_gazzola":
-        return arioli_gazzola_preset(grid), data
     if name not in PRESET_SYSTEMS:
         raise ConfigError("unknown preset %r (choose from %s)" % (name, ", ".join(PRESETS)))
     return bridge_system_from_json(PRESET_SYSTEMS[name], grid), data

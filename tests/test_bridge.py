@@ -6,21 +6,11 @@ import numpy as np
 import pytest
 
 import beamwave.bridge
-from beamwave.bridge import (
-    EI,
-    ELL,
-    GK,
-    H0,
-    M_MASS,
-    BridgeSystem,
-    QuadraticNonlinearity,
-    arioli_gazzola_preset,
-    bridge_system_from_json,
-    m_MASS,
-)
+from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import PRESETS, build_preset
 from beamwave.errors import ConfigError, PreconditionError
 from beamwave.grid import SpectralFunction, TorusGrid, transform
+from beamwave.paralin import ParalinearizedSystem
 
 
 def make_system(n=32, **kw):
@@ -33,11 +23,18 @@ def deriv(f, k):
     return SpectralFunction(f.grid, f.coeffs * (1j * f.grid.modes.astype(float)) ** k)
 
 
+# the arioli_gazzola preset's fish-bone bridge: masses M and m, stiffnesses EI
+# and GK, width ell, cable tension H0 and the constant hanger profile XI
+M_MASS, m_MASS, EI, GK, ELL, H0, XI = 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
+
+
 def variable_arioli_gazzola(g, **fields):
-    """The Arioli-Gazzola system of the hanger profile xi = 1 + 0.3 cos x (the
-    preset's xi is constant) and the preset's other constants, by the
-    preset's formulas, as a system document of sample arrays with ``fields``."""
-    xi = transform(g, 1.0 + 0.3 * np.cos(g.x)).values().real
+    """The Arioli-Gazzola system of the hanger profile xi = XI + 0.3 cos x and
+    the preset's other constants, by the fish-bone formulas b = EI/(M + 2m xi),
+    c = (3GK/ell^2 + 3 tau)/(M + 6m xi) and the cable's d_x(tau d_x),
+    tau = 2 H0/xi^2, over the mass densities as B and C, as a system document
+    of sample arrays with ``fields``."""
+    xi = transform(g, XI + 0.3 * np.cos(g.x)).values().real
     mb, mw = M_MASS + 2 * m_MASS * xi, (M_MASS + 6 * m_MASS * xi) / 3.0
     tau = 2.0 * H0 / xi**2
     tau_x = transform(g, tau).deriv().values().real
@@ -416,7 +413,7 @@ def test_json_roundtrip():
     g = TorusGrid(16)
     F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
     sys = BridgeSystem(g, 1.0, 1.0, F2=F2, alpha=-0.25, delta=0.5)
-    doc = {"b": {"values": [1.0] * g.n}, "c": {"profile": "constant:1.0"},
+    doc = {"b": [1.0] * g.n, "c": "constant:1.0",
            "B_terms": [], "C_terms": [], "alpha": -0.25, "beta": 0.0,
            "delta": 0.5, "F1": [], "F2": [[[1.0] * g.n, 5, 5]]}
     back = bridge_system_from_json(doc, g)
@@ -460,8 +457,17 @@ def test_profile_strings():
     assert np.max(np.abs(sys.c.values().real - (1.0 + 0.1 * np.cos(g.x)))) < 1e-12
 
 
-def test_arioli_gazzola_preset_elliptic():
-    g = TorusGrid(32)
-    sys = arioli_gazzola_preset(g)
+@pytest.mark.parametrize("n", [42, 98, 100])
+def test_arioli_gazzola_is_an_exactly_constant_elliptic_system(n):
+    # its constants hold no round-off off the mean, also at N where a grid
+    # transform of the constant samples leaves some: the linear part acts by
+    # its symbol alone, and A(0)'s beam and wave blocks are held by their diagonals
+    g = TorusGrid(n)
+    sys, _ = build_preset("arioli_gazzola", g)
+    for coeff in [sys.b, sys.c] + [coeff for coeff, _ in sys.B_terms + sys.C_terms]:
+        assert not np.any(coeff.coeffs[1:])
+    assert sys._row_unknown.size == 0
+    _, ((bb, _), (_, ww)) = ParalinearizedSystem(sys, g).frak_A(None)
+    assert bb.ndim == 1 and ww.ndim == 1
     c1, c2 = sys.check_ellipticity()
     assert c1 > 0 and c2 > 0

@@ -418,7 +418,12 @@ def test_system_file_n_must_match_the_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, text",
-    [("b", '{"b": "bogus"}'), ("c", '{"c": {"values": [1.0, 2.0, 3.0]}}'),
+    [("b", '{"b": "bogus"}'), ("c", '{"c": [1.0, 2.0, 3.0]}'),
+     # a bounded part's order above 2
+     ("B_terms", '{"B_terms": [[1.0, 3]]}'), ("C_terms", '{"C_terms": [[1.0, 3]]}'),
+     # a profile is "constant:v", "cosine:amp", a number or a sample array only
+     ("b", '{"b": {"values": 2.0}}'), ("c", '{"c": {"profile": "constant:1.0"}}'),
+     ("b", '{"b": null}'),
      # fields the program does not read: one it read and ignored once, a typo
      ("gamma", '{"F2": [[1.0, 5, 5]], "gamma": 0.7}'), ("alpah", '{"alpah": -0.5}')],
 )
@@ -462,6 +467,8 @@ PRESET_DOCUMENTS = {
     "headline": {"F2": [[1.0, 5, 5]]},
     "mixed": {"F1": [[1.0, 4, 5]], "F2": [[1.0, 2, 5], [0.5, 5, 5]]},
     "damped": {"F2": [[1.0, 5, 5]], "alpha": -0.5, "beta": -0.5},
+    "arioli_gazzola": {"b": 0.08333333333333333, "c": 0.5625,
+                       "B_terms": [[0.16666666666666666, 2]]},
 }
 
 

@@ -38,7 +38,7 @@ SYSTEMS = {
     "beam_wave_only.json": '{"F1": [[1.0, 4, 5]], "F2": [[1.0, 5, 5]]}',
     "wave_beam_only.json": '{"F2": [[1.0, 2, 5]]}',
     "bogus_b.json": '{"b": "bogus"}',
-    "short_c.json": '{"c": {"values": [1.0, 2.0, 3.0]}}',
+    "short_c.json": '{"c": [1.0, 2.0, 3.0]}',
     "gamma.json": '{"F2": [[1.0, 5, 5]], "gamma": 0.7}',
     "alpah.json": '{"alpah": -0.5}',
 }
