@@ -80,7 +80,8 @@ class QuadraticNonlinearity:
 
 
 class BridgeSystem:
-    """Coefficients, lower-order operators, damping, forcing, nonlinearities.
+    """Coefficients, lower-order operators, damping, forcing, nonlinearities,
+    each field in its system document's form.
 
     The linear part (B_cal y + alpha y_t, W_cal theta + beta theta_t) is one
     pseudo-spectral action, ``linear_rhs``: each product coeff(x) d_x^k of
@@ -91,7 +92,7 @@ class BridgeSystem:
     """
 
     def __init__(self, grid, b=1.0, c=1.0, B_terms=(), C_terms=(), alpha=0.0, beta=0.0,
-                 delta=0.0, F1=None, F2=None):
+                 delta=0.0, F1=(), F2=()):
         self.grid = grid
         # each field coerced here, once, a malformed one a ConfigError naming it
         self.b = _coerce("b", _profile_to_function, grid, b)
@@ -101,8 +102,8 @@ class BridgeSystem:
         self.alpha = _coerce("alpha", _finite, alpha)
         self.beta = _coerce("beta", _finite, beta)
         self.delta = _coerce("delta", _finite, delta)
-        self.F1 = F1 if F1 is not None else QuadraticNonlinearity(grid, ())
-        self.F2 = F2 if F2 is not None else QuadraticNonlinearity(grid, ())
+        self.F1 = _coerce("F1", QuadraticNonlinearity, grid, F1)
+        self.F2 = _coerce("F2", QuadraticNonlinearity, grid, F2)
         # the products of B_cal = -b d^4 + B and W_cal = c d^2 + C per unknown
         # (0 = y, 1 = theta); a row with a nonzero fluctuation keeps its
         # unknown, the fluctuation's grid values and the multiplier (ij)^k
@@ -249,22 +250,22 @@ def _coerce(field, coerce, *args):
         raise ConfigError("system field %r is malformed: %s" % (field, exc)) from None
 
 
-def _profile_to_function(grid, spec_value):
+def _profile_to_function(grid, profile):
     """A coefficient profile -> SpectralFunction: "constant:v", "cosine:amp"
-    (1 + amp cos x), a number or a sample array of length n (or a
-    SpectralFunction); any other form, or one not finite, is a ConfigError."""
-    if isinstance(spec_value, str):  # a named profile: its constant or its samples
-        name, _, arg = spec_value.partition(":")
-        if name not in ("constant", "cosine"):
-            raise ConfigError("unknown profile %r" % spec_value)
-        amp = float(arg) if arg else 1.0
-        spec_value = amp if name == "constant" else 1.0 + amp * np.cos(grid.x)
-    fun = spec_value
-    if not isinstance(spec_value, SpectralFunction):
-        arr = np.asarray(spec_value, dtype=float)
-        if arr.ndim and arr.shape != (grid.n,):
-            raise ConfigError("profile sample array must have length n = %d" % grid.n)
-        fun = transform(grid, arr) if arr.ndim else SpectralFunction.constant(grid, float(arr))
+    (1 + amp cos x), a number or an array of n samples; any other form is a
+    ConfigError that lists these, and one not finite a ConfigError too."""
+    try:
+        if isinstance(profile, str):  # a named profile: its constant or its samples
+            name, _, arg = profile.partition(":")
+            amp = float(arg) if arg else 1.0
+            profile = {"constant": amp, "cosine": 1.0 + amp * np.cos(grid.x)}[name]
+        arr = None if profile is None else np.asarray(profile, dtype=float)
+    except (KeyError, TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape not in ((), (grid.n,)):
+        raise ConfigError('a profile is "constant:v", "cosine:amp", a number or an array '
+                          "of n = %d samples" % grid.n)
+    fun = transform(grid, arr) if arr.ndim else SpectralFunction.constant(grid, float(arr))
     if not np.all(np.isfinite(fun.coeffs)):
         raise ConfigError("a coefficient is not finite")
     return fun
@@ -290,15 +291,12 @@ SYSTEM_FIELDS = ("b", "c", "B_terms", "C_terms", "alpha", "beta", "delta", "F1",
 
 
 def bridge_system_from_json(doc, grid):
-    """Build a BridgeSystem on ``grid`` from a parsed system document (a dict):
-    F1 and F2 from their term lists [coefficient, slot, slot], each other
-    field as BridgeSystem coerces it, and each omitted field BridgeSystem's
-    default (b and c the constant 1).  A field the program does not read,
-    or one of the wrong type or shape, is a ConfigError naming it."""
+    """Build a BridgeSystem on ``grid`` from a parsed system document (a dict),
+    each omitted field BridgeSystem's default (b and c the constant 1).  A
+    field the program does not read, or one of the wrong type or shape, is a
+    ConfigError naming it."""
     unknown = sorted(set(doc) - set(SYSTEM_FIELDS) - {"n"})
     if unknown:
         raise ConfigError("unknown system field(s) %s: the fields are %s and n"
                           % (", ".join(map(repr, unknown)), ", ".join(SYSTEM_FIELDS)))
-    fields = {name: _coerce(name, QuadraticNonlinearity, grid, value) if name in ("F1", "F2")
-              else value for name, value in doc.items() if name != "n"}
-    return BridgeSystem(grid, **fields)
+    return BridgeSystem(grid, **{name: value for name, value in doc.items() if name != "n"})

@@ -107,22 +107,31 @@ class TorusGrid:
     @cached_property
     def chi_mask(self):
         """chi_eps(|j - k| / <j + k>), by ``cutoff_chi`` on the cone 1.1 < xi/eps < 1.9
-        alone (1 below it, +0.0 above); the row and column of the mode -n/2 keep only
-        chi_eps(0) = 1 on the diagonal, so constant symbols stay diagonal there."""
+        alone (1 below it, +0.0 above), by row blocks (``row_blocks``); the row and column
+        of the mode -n/2 keep only chi_eps(0) = 1 on the diagonal, so constant symbols
+        stay diagonal there."""
         from .symbols import EPS_PARA, cutoff_chi  # symbols builds on this module
 
         J, n = self.modes.astype(float), self.n
-        u, chi = np.add.outer(J, J), np.subtract.outer(J, J)  # j + k, j - k
-        np.sqrt(np.add(np.square(u, out=u), 1.0, out=u), out=u)  # <j + k>
-        u = np.divide(np.abs(chi, out=chi), u, out=u)  # xi
-        u /= EPS_PARA
-        chi[...] = u <= 1.1
-        j, k = np.nonzero((u > 1.1) & (u < 1.9))
-        del u
-        chi[j, k] = cutoff_chi(np.abs(J[j] - J[k]) / np.sqrt(1.0 + (J[j] + J[k]) ** 2))
+        chi = np.empty((n, n))
+        for r in row_blocks(n):  # the lattice j -/+ k of a block of rows at a time
+            u, xi = np.add.outer(J[r], J), np.subtract.outer(J[r], J)
+            np.sqrt(np.add(np.square(u, out=u), 1.0, out=u), out=u)  # <j + k>
+            u = np.divide(np.abs(xi, out=xi), u, out=u)  # xi
+            u /= EPS_PARA
+            chi[r] = u <= 1.1
+            j, k = np.nonzero((u > 1.1) & (u < 1.9))
+            chi[r][j, k] = cutoff_chi(np.abs(J[r][j] - J[k]) / np.sqrt(1.0 + (J[r][j] + J[k]) ** 2))
         nyq, off = n // 2, self.modes != -(n // 2)
         chi[nyq, off] = chi[off, nyq] = 0.0
         return _read_only(chi)
+
+
+def row_blocks(n):
+    """The slices of consecutive rows, about 2^14 entries each, by which an
+    n x n array is formed in its own buffer with no n x n scratch."""
+    step = max(1, (1 << 14) // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _read_only(a):

@@ -63,9 +63,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
-from .grid import SpectralFunction, transform
-from .quantize import bony_weyl_quantize, combine, exact_operator_norm, row_blocks
-from .state import conjugate_pair, parity_split, stacked_norm
+from .grid import SpectralFunction, row_blocks, transform
+from .quantize import bony_weyl_quantize, combine, exact_operator_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 
@@ -432,8 +431,8 @@ def _mode_energies(P):
 
 def modified_energy(P, halves):
     """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> of stacked vectors V by their parity
-    halves (v_p, v_m), each (..., 2n) (``state.parity_split``), from the
-    component blocks of Phi+ v_p and Phi- v_m."""
+    halves v_p = (z + zbar)/sqrt2, v_m = (z - zbar)/sqrt2 over (beam, wave),
+    each (..., 2n), from the component blocks of Phi+ v_p and Phi- v_m."""
     images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
                for row in X] for X, v in zip(P.Phi, halves))
     return _energy(P.L2s, images)
@@ -468,12 +467,20 @@ def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
     decay = grid.bracket_power(-(sigma + 1.0))
     z, w = (z_re + 1j * z_im) * decay, (w_re + 1j * w_im) * decay
     z[:, [0, n // 2]] = w[:, [0, n // 2]] = 0.0  # the mean and (n even) Nyquist modes
-    samples = conjugate_pair(grid, z, w)
-    del z_re, z_im, w_re, w_im, z, w  # the draws, before the energy's images
-    nsq = stacked_norm(grid, samples, sigma) ** 2
-    low = np.maximum(nsq - stacked_norm(grid, samples, -2.0) ** 2, 1e-300)
-    halves = parity_split(samples)
-    del samples  # normed: the energy reads the parity halves alone
+    del z_re, z_im, w_re, w_im  # the draws, before the energy's images
+    # ||V||_s^2 = ||z||_s^2 + ||w||_s^2, and V's parity halves over (beam, wave),
+    # p = (z + zbar)/sqrt2 and m = (z - zbar)/sqrt2 with zbar(j) = conj(z(-j)),
+    # written straight into one array
+    power = z.real**2 + z.imag**2 + w.real**2 + w.imag**2
+    nsq = power @ grid.bracket_power(sigma) ** 2
+    low = np.maximum(nsq - power @ grid.bracket_power(-2.0) ** 2, 1e-300)
+    halves = np.empty((2, sample_count, 2 * n), dtype=complex)
+    for v, (p, m) in zip((z, w), np.split(halves, 2, axis=-1)):
+        v_bar = np.conj(v[:, grid.reflect])
+        np.add(v, v_bar, out=p)
+        np.subtract(v, v_bar, out=m)
+    halves /= np.sqrt(2.0)
+    del z, w, v, v_bar
     energy = modified_energy(P, halves)
     upper = energy / nsq
     lower = energy / low

@@ -10,7 +10,7 @@ restricting the symbol's spatial frequencies below the function's.  A
 separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
 sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
 fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``); a
-block is formed in its own buffer by row blocks (``row_blocks``), with no
+block is formed in its own buffer by row blocks (``grid.row_blocks``), with no
 n x n scratch, and chi multiplies it in place.
 A symbol whose x-coefficients are all constant has an exactly diagonal
 Bony-Weyl matrix (the Toeplitz views are fhat_i(0) I, chi_eps(0) = 1, the
@@ -48,6 +48,7 @@ import operator
 
 import numpy as np
 
+from .grid import row_blocks
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
@@ -60,13 +61,6 @@ def weyl_table(grid, g, rows):
     T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[rows], J + n)]  # g at each (j + k)/2
     T[~grid.in_range[rows]] = 0.0
     return T
-
-
-def row_blocks(n):
-    """The slices of consecutive rows, about 2^14 entries each, by which an
-    n x n operator is formed in its own buffer with no n x n scratch."""
-    step = max(1, (1 << 14) // n)
-    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 _op_cache = {}  # never filled; the benchmark's tracer binds this name at install()

@@ -65,21 +65,6 @@ def real_from_stacked(grid, vec):
     return tuple(out)
 
 
-def parity_split(vec):
-    """Stacked (..., 4n) -> the parity halves p, m, each (..., 2n) over (beam, wave)."""
-    vec = np.asarray(vec)
-    z, zb, w, wb = np.split(vec, 4, axis=-1)
-    # written straight into one output: no concatenated temporaries
-    out = np.empty((2,) + vec.shape[:-1] + (vec.shape[-1] // 2,), dtype=np.result_type(vec, _RT2))
-    (p_b, p_w), (m_b, m_w) = (np.split(h, 2, axis=-1) for h in out)
-    np.add(z, zb, out=p_b)
-    np.add(w, wb, out=p_w)
-    np.subtract(z, zb, out=m_b)
-    np.subtract(w, wb, out=m_w)
-    out /= _RT2
-    return out[0], out[1]
-
-
 def conjugate_pair(grid, z, w):
     """Stacked (z, zbar, w, wbar) of shape (..., 4n) from coefficient arrays z
     and w of shape (..., n), with zbar(j) = conj(z(-j))."""

@@ -1,4 +1,5 @@
-"""Shared fixtures, and the dense weighted-SVD reference of the norm tests."""
+"""Shared fixtures, the parity split of stacked vectors, and the dense
+weighted-SVD reference of the norm tests."""
 
 import numpy as np
 import pytest
@@ -50,3 +51,21 @@ def weighted_matrix(grid, M, s_in, s_out, band=None):
 def reference_norm(grid, M, s_in, s_out, band=None):
     """The largest singular value of ``weighted_matrix``: the complex SVD."""
     return float(np.linalg.svd(weighted_matrix(grid, M, s_in, s_out, band), compute_uv=False)[0])
+
+
+def parity_split(vec):
+    """Stacked (..., 4n) -> the parity halves p = (z + zbar)/sqrt2, m = (z -
+    zbar)/sqrt2, each (..., 2n) over (beam, wave): the operand of every
+    paradifferential operator's halves (``beamwave.state``)."""
+    vec = np.asarray(vec)
+    z, zb, w, wb = np.split(vec, 4, axis=-1)
+    # written straight into one output: no concatenated temporaries
+    rt2 = np.sqrt(2.0)
+    out = np.empty((2,) + vec.shape[:-1] + (vec.shape[-1] // 2,), dtype=np.result_type(vec, rt2))
+    (p_b, p_w), (m_b, m_w) = (np.split(h, 2, axis=-1) for h in out)
+    np.add(z, zb, out=p_b)
+    np.add(w, wb, out=p_w)
+    np.subtract(z, zb, out=m_b)
+    np.subtract(w, wb, out=m_w)
+    out /= rt2
+    return out[0], out[1]

@@ -8,7 +8,7 @@ N = 128) are module-scoped fixtures.
 import numpy as np
 import pytest
 
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity
+from beamwave.bridge import BridgeSystem
 from beamwave.errors import PreconditionError
 from beamwave.evolve import (
     SolverConfig,
@@ -57,23 +57,20 @@ def make_fields(g, amp=1e-2):
 
 def headline_system(n):
     g = TorusGrid(n)
-    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])  # theta_xx^2
-    return g, BridgeSystem(g, 1.0, 1.0, F2=F2)
+    return g, BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 5, 5)])  # theta_xx^2
 
 
 def mixed_system(n):
     g = TorusGrid(n)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])  # theta_x theta_xx
-    F2 = QuadraticNonlinearity(g, [(1.0, 2, 5), (0.5, 5, 5)])
+    F1 = [(1.0, 4, 5)]  # theta_x theta_xx
+    F2 = [(1.0, 2, 5), (0.5, 5, 5)]
     return g, BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2)
 
 
 def coupled_paralin(n, amp=0.05):
     """Variable-b system with beam-wave coupling; stresses the parametrix."""
     g = TorusGrid(n)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
-    F2 = QuadraticNonlinearity(g, [(1.0, 2, 5), (0.5, 5, 5)])
-    sys = BridgeSystem(g, transform(g, 1.0 + 0.2 * np.cos(g.x)), 1.0, F1=F1, F2=F2)
+    sys = BridgeSystem(g, "cosine:0.2", 1.0, F1=[(1.0, 4, 5)], F2=[(1.0, 2, 5), (0.5, 5, 5)])
     para = ParalinearizedSystem(sys, g)
     V = complexify(*make_fields(g, amp)).stacked()
     return g, para, V
@@ -320,7 +317,7 @@ def test_criterion_12_structure_preservation(marched):
 
     # parity: odd data for a parity-passing coupling stays odd
     gp = TorusGrid(32)
-    sysp = BridgeSystem(gp, 1.0, 1.0, F2=QuadraticNonlinearity(gp, [(1.0, 0, 4)]))
+    sysp = BridgeSystem(gp, 1.0, 1.0, F2=[(1.0, 0, 4)])
     assert sysp.check_parity()
     amp = 1e-2
     odd = tuple(

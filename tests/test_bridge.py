@@ -7,7 +7,7 @@ import pytest
 
 import beamwave.bridge
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
-from beamwave.cli import PRESETS, build_preset
+from beamwave.cli import PRESET_SYSTEMS, PRESETS, build_preset
 from beamwave.errors import ConfigError, PreconditionError
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
@@ -52,10 +52,10 @@ def half(coeffs):
 
 def test_quadratic_nonlinearity_evaluate():
     g = TorusGrid(32)
-    F = QuadraticNonlinearity(g, [(2.0, 0, 3)])  # 2 y theta
     y = transform(g, np.cos(g.x))
     th = transform(g, np.sin(g.x))
-    _, sys = make_system(32, F1=F)  # its jets hold the slots F reads
+    _, sys = make_system(32, F1=[(2.0, 0, 3)])  # 2 y theta; its jets hold the slots F reads
+    F = sys.F1
     jets = sys.jets(half(y.coeffs), half(th.coeffs))
     vals = F.evaluate(jets, np.empty(g.n))
     assert np.max(np.abs(vals.real - 2.0 * np.cos(g.x) * np.sin(g.x))) < 1e-10
@@ -63,8 +63,8 @@ def test_quadratic_nonlinearity_evaluate():
 
 def test_partial_values_affine():
     g = TorusGrid(32)
-    F = QuadraticNonlinearity(g, [(1.0, 5, 5)])  # theta_xx^2
-    _, sys = make_system(32, F2=F)
+    _, sys = make_system(32, F2=[(1.0, 5, 5)])  # theta_xx^2
+    F = sys.F2
     th = transform(g, np.sin(2 * g.x))
     jets = sys.jets(np.zeros(g.n // 2 + 1, dtype=complex), half(th.coeffs))
     dF = F.partial_values(5, jets, np.zeros(g.n))
@@ -79,11 +79,10 @@ def test_jet_slot_validation():
 
 def test_ellipticity_check():
     g = TorusGrid(32)
-    b = transform(g, 1.0 + 0.5 * np.cos(g.x))
-    sys = BridgeSystem(g, b, 1.0)
+    sys = BridgeSystem(g, 1.0 + 0.5 * np.cos(g.x), 1.0)
     c1, c2 = sys.check_ellipticity()
     assert abs(c1 - 0.5) < 1e-10 and abs(c2 - 1.0) < 1e-10
-    bad = BridgeSystem(g, transform(g, np.cos(g.x)), 1.0)
+    bad = BridgeSystem(g, np.cos(g.x), 1.0)
     with pytest.raises(PreconditionError):
         bad.check_ellipticity()
 
@@ -93,8 +92,7 @@ def test_radius_condition_example():
     # c + dF2/d(theta_xx) = 1 + theta_xx >= 1 - R > 0 for R < 1; at
     # coefficient 0.5 the bound is 1 - 2*0.5*R, positive iff R < 1
     g = TorusGrid(32)
-    F2 = QuadraticNonlinearity(g, [(0.5, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F2=F2)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=[(0.5, 5, 5)])
     c3 = sys.check_radius_condition(0.25)
     assert abs(c3 - 0.75) < 1e-10
     with pytest.raises(PreconditionError):
@@ -103,8 +101,8 @@ def test_radius_condition_example():
 
 def test_parity_passing_and_failing_couplings():
     g = TorusGrid(32)
-    good = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 0, 4)]))  # y theta_x
-    bad = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 1, 4)]))  # y_x theta_x
+    good = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 0, 4)])  # y theta_x
+    bad = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 1, 4)])  # y_x theta_x
     assert good.check_parity()
     assert not bad.check_parity()
 
@@ -225,10 +223,9 @@ def test_real_rhs_on_a_batch_equals_single_state_calls():
     # batch of three real states' halves (4, 3, n//2 + 1) gives each state's
     # derivative as a call on it alone
     g = TorusGrid(32)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
-    F2 = QuadraticNonlinearity(g, [("cosine:0.2", 2, 5), (0.5, 5, 5)])
     sys = BridgeSystem(g, "cosine:0.3", 1.5, B_terms=[("cosine:0.1", 1), (0.5, 0)],
-                       C_terms=[(-0.3, 0)], alpha=-0.5, beta=-0.25, delta=-0.4, F1=F1, F2=F2)
+                       C_terms=[(-0.3, 0)], alpha=-0.5, beta=-0.25, delta=-0.4,
+                       F1=[(1.0, 4, 5)], F2=[("cosine:0.2", 2, 5), (0.5, 5, 5)])
     rng = np.random.default_rng(4)
     u = 1e-2 * np.fft.rfft(rng.standard_normal((4, 3, g.n)), norm="forward")
     batch = sys.real_rhs(u, 0.3)
@@ -269,9 +266,8 @@ def test_nonlinearity_holds_its_coefficient_values(fft_calls_of):
 
 def test_read_slot_jets_equal_the_six_slot_jets():
     g = TorusGrid(32)
-    F1 = QuadraticNonlinearity(g, [(1.0, 0, 4)])
-    F2 = QuadraticNonlinearity(g, [(0.5, 2, 5), (1.0, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2)
+    sys = BridgeSystem(g, 1.0, 1.0, F1=[(1.0, 0, 4)], F2=[(0.5, 2, 5), (1.0, 5, 5)])
+    F1, F2 = sys.F1, sys.F2
     assert sys.jet_slots == [0, 2, 4, 5]
     rng = np.random.default_rng(1)
     y_hat, th_hat = np.fft.rfft(rng.standard_normal((2, 3, g.n)), norm="forward")
@@ -288,6 +284,11 @@ VARIABLE = {"b": "cosine:0.3", "c": "cosine:0.2",
             "B_terms": [["cosine:0.1", 2], [0.5, 0]], "C_terms": [["cosine:0.1", 1]],
             "alpha": -0.1, "beta": -0.1,
             "F1": [[1.0, 4, 5]], "F2": [[1.0, 2, 5], [0.5, 5, 5]]}
+
+
+def document(name):
+    """The system document of a preset, or VARIABLE."""
+    return VARIABLE if name == "variable" else PRESET_SYSTEMS[name]
 
 
 def system_and_state(name, n):
@@ -359,8 +360,9 @@ def test_the_half_layout_stage_agrees_with_the_full_layout(name, n):
     assert got.shape == u.shape
     assert np.max(np.abs(got[:, :-1] - full[:, : n // 2])) <= 1e-14 * np.max(np.abs(full))
     lin = sys.linear_rhs(u)
-    full_lin, _ = full_layout_stage(BridgeSystem(g, sys.b, sys.c, sys.B_terms, sys.C_terms,
-                                                 sys.alpha, sys.beta), g.full(u), 0.3)
+    # the linear part alone: the same document without F1, F2 and the forcing
+    linear = BridgeSystem(g, **dict(document(name), F1=(), F2=(), delta=0.0))
+    full_lin, _ = full_layout_stage(linear, g.full(u), 0.3)
     assert np.max(np.abs(lin[:, :-1] - full_lin[:, : n // 2])) <= 1e-14 * np.max(np.abs(full_lin))
     jets = sys.jets(u[0], u[2], slots=range(6))
     assert jets.dtype == float and jets.shape == full_jets.shape
@@ -409,10 +411,20 @@ def test_jets_leave_every_unread_slot_nan_in_both_layouts(layout, slots):
     assert np.array_equal(jets[read], sys.jets(u[0], u[2], slots=range(6))[read])
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_a_preset_document_as_keywords_is_the_preset_bit_for_bit(name):
+    # BridgeSystem is the one coercion of a system document: its fields as
+    # keyword arguments give the preset's stage on a state on every mode
+    g = TorusGrid(32)
+    preset, fields = build_preset(name, g)
+    u = on_every_mode(g, real_fields(fields))
+    got = BridgeSystem(g, **PRESET_SYSTEMS[name]).real_rhs(u, 0.3)
+    assert np.array_equal(got, preset.real_rhs(u, 0.3))
+
+
 def test_json_roundtrip():
     g = TorusGrid(16)
-    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F2=F2, alpha=-0.25, delta=0.5)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 5, 5)], alpha=-0.25, delta=0.5)
     doc = {"b": [1.0] * g.n, "c": "constant:1.0",
            "B_terms": [], "C_terms": [], "alpha": -0.25, "beta": 0.0,
            "delta": 0.5, "F1": [], "F2": [[[1.0] * g.n, 5, 5]]}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
+from beamwave.bridge import BridgeSystem, bridge_system_from_json
 import beamwave.evolve as evolve
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.evolve import (
@@ -60,8 +60,7 @@ def make_fields(g, amp=1e-2):
 
 def headline_system(n):
     g = TorusGrid(n)
-    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
-    return g, BridgeSystem(g, 1.0, 1.0, F2=F2)
+    return g, BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 5, 5)])
 
 
 def test_solver_config_validation():
@@ -698,8 +697,7 @@ def test_run_result_csv_and_manifest(tmp_path):
 def test_forced_kato_matches_oracle():
     # the Kato forcing carries G(t) = delta sin t exactly once
     g = TorusGrid(32)
-    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F2=F2, delta=0.5)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 5, 5)], delta=0.5)
     y0, y1, th0, th1 = make_fields(g)
     cfg = SolverConfig(T_final=0.02)
     kat = kato_solve(sys, complexify(y0, y1, th0, th1).stacked(), cfg)
@@ -757,7 +755,7 @@ def test_kato_sweep_leaving_the_smallness_radius_is_refused(monkeypatch):
     # the radius and the check at t = 0 passes; the trajectory of sweep 1
     # leaves the radius, so sweep 2 is refused at the first node outside it
     g = TorusGrid(32)
-    sys = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 3, 5)]), delta=-10.0)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 3, 5)], delta=-10.0)
     fields = make_fields(g)
     config = SolverConfig(T_final=1.0)
     assert sys.check_radius_condition(0.25) > 0.5
@@ -803,7 +801,7 @@ def test_kato_checks_the_exact_margin_not_the_speeds():
     # hypothesis involves the jet only, and 1 + theta stays above 0.8, so
     # every sweep runs and the result matches the oracle
     g = TorusGrid(32)
-    sys = BridgeSystem(g, 1.0, 1.0, F2=QuadraticNonlinearity(g, [(1.0, 3, 5)]), delta=-1000.0)
+    sys = BridgeSystem(g, 1.0, 1.0, F2=[(1.0, 3, 5)], delta=-1000.0)
     fields = make_fields(g)
     config = SolverConfig(T_final=0.1)
     kat = kato_solve(sys, complexify(*fields).stacked(), config)

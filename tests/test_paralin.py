@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import beamwave.paralin as paralin
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
-from beamwave.cli import build_preset
+from beamwave.bridge import BridgeSystem, bridge_system_from_json
+from beamwave.cli import PRESET_SYSTEMS, build_preset
 from beamwave.evolve import SolverConfig, kato_solve
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
@@ -14,13 +14,12 @@ from beamwave.state import (
     complex_weights,
     complexify,
     is_conjugate_pair,
-    parity_split,
     real_from_stacked,
     stacked_from_real,
     stacked_norm,
 )
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
-from conftest import reference_norm
+from conftest import parity_split, reference_norm
 from test_bridge import variable_arioli_gazzola
 from test_quantize import conjugation_break
 from test_spectral_core import parity_join, sobolev_norm
@@ -126,9 +125,7 @@ def constant_background_blocks(para, g_v):
 
 def coupled_system(n=32, amp=1e-2):
     g = TorusGrid(n)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
-    F2 = QuadraticNonlinearity(g, [(1.0, 2, 5), (0.5, 5, 5)])
-    sys = BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2)
+    sys = BridgeSystem(g, 1.0, 1.0, F1=[(1.0, 4, 5)], F2=[(1.0, 2, 5), (0.5, 5, 5)])
     fields = (
         amp * np.sin(g.x),
         0.5 * amp * np.cos(g.x),
@@ -175,6 +172,24 @@ def test_remainder_is_quadratically_small():
     assert r2 < 2e-2 * r1
 
 
+def test_headline_set_up_peak_at_n512():
+    # the set-up holds the grid's chi and in-range mask (9 bytes an entry)
+    # and the real-form table of g_1w; chi is formed by row blocks, so its
+    # lattice never sets the peak: measured 21.3 bytes an entry, 24.4 with
+    # chi formed over the whole lattice at once
+    import tracemalloc
+
+    g = TorusGrid(512)
+    system, _ = build_preset("headline", g)
+    tracemalloc.start()
+    try:
+        ParalinearizedSystem(system, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22.5 * g.n**2, peak / g.n**2
+
+
 def test_trivial_background_generator_is_diagonal_phases():
     g = TorusGrid(16)
     sys = BridgeSystem(g, 1.0, 1.0)
@@ -199,9 +214,7 @@ def test_frak_B_allocates_no_half_that_is_zero_by_structure():
         assert structural_zeros(pm) == EVERY_BLOCK
         assert structural_zeros(mp) == (EVERY_BLOCK if name == "headline" else {(0, 0), (1, 1)})
         assert all(b.shape == (n, n) and np.any(b) for row in mp for b in row if b is not None)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
-    F2 = QuadraticNonlinearity(g, [(1.0, 5, 5)])
-    para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0, F1=F1, F2=F2), g)
+    para = ParalinearizedSystem(BridgeSystem(g, 1.0, 1.0, F1=[(1.0, 4, 5)], F2=[(1.0, 5, 5)]), g)
     assert para.coupled() == (True, False)
     _, mp = para.frak_B(complexify(*build_preset("linear", g)[1]).stacked())
     assert structural_zeros(mp) == {(0, 0), (1, 0), (1, 1)} and np.any(mp[0][1])
@@ -385,11 +398,9 @@ def test_skipping_structurally_zero_blocks_is_bit_identical(preset):
     sysm, fields = build_preset(preset, g)
     u = half_of(g, complexify(*fields).stacked())
     skipping = ParalinearizedSystem(sysm, g)
-    zero_terms = BridgeSystem(
-        g, sysm.b, sysm.c, B_terms=sysm.B_terms, C_terms=sysm.C_terms,
-        F1=QuadraticNonlinearity(g, sysm.F1.terms + [(0.0, 5, 5)]),
-        F2=QuadraticNonlinearity(g, sysm.F2.terms + [(0.0, 2, 5)]),
-    )
+    doc = PRESET_SYSTEMS[preset]
+    zero_terms = BridgeSystem(g, **dict(doc, F1=doc.get("F1", []) + [[0.0, 5, 5]],
+                                        F2=doc.get("F2", []) + [[0.0, 2, 5]]))
     every = ParalinearizedSystem(zero_terms, g)
     assert len(skipping._real_blocks) < len(every._real_blocks) == 3
     g_v = skipping.prepass(u)[1]

@@ -11,7 +11,7 @@ import beamwave.paralin
 import beamwave.parametrix
 import beamwave.quantize
 import beamwave.symbols
-from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
+from beamwave.bridge import BridgeSystem, bridge_system_from_json
 from beamwave.cli import PRESETS, build_preset
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
 from beamwave.grid import SpectralFunction, TorusGrid, transform
@@ -35,9 +35,9 @@ from beamwave.quantize import (
     weyl_quantize,
     weyl_table,
 )
-from beamwave.state import complex_weights, complexify, conjugate_pair, parity_split, stacked_norm
+from beamwave.state import complex_weights, complexify, conjugate_pair, stacked_norm
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
-from conftest import weighted_matrix
+from conftest import parity_split, weighted_matrix
 from test_paralin import dense_block, dense_half, structural_zeros
 from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
@@ -60,16 +60,13 @@ def l2s(P, vec):
 
 def variable_b_system(n, amp=0.2):
     g = TorusGrid(n)
-    b = transform(g, 1.0 + amp * np.cos(g.x))
-    sys = BridgeSystem(g, b, 1.0)
+    sys = BridgeSystem(g, 1.0 + amp * np.cos(g.x), 1.0)
     return g, sys, ParalinearizedSystem(sys, g)
 
 
 def coupled_setup(n, amp=0.05):
     g = TorusGrid(n)
-    F1 = QuadraticNonlinearity(g, [(1.0, 4, 5)])
-    F2 = QuadraticNonlinearity(g, [(1.0, 2, 5), (0.5, 5, 5)])
-    sys = BridgeSystem(g, transform(g, 1.0 + 0.2 * np.cos(g.x)), 1.0, F1=F1, F2=F2)
+    sys = BridgeSystem(g, "cosine:0.2", 1.0, F1=[(1.0, 4, 5)], F2=[(1.0, 2, 5), (0.5, 5, 5)])
     para = ParalinearizedSystem(sys, g)
     fields = (
         amp * np.sin(g.x),

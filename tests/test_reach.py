@@ -41,6 +41,10 @@ SYSTEMS = {
     "short_c.json": '{"c": [1.0, 2.0, 3.0]}',
     "gamma.json": '{"F2": [[1.0, 5, 5]], "gamma": 0.7}',
     "alpah.json": '{"alpah": -0.5}',
+    # profiles of no documented form
+    "null_b.json": '{"b": null}',
+    "null_F2.json": '{"F2": [[null, 5, 5]]}',
+    "values_b.json": '{"b": {"values": [1.0]}}',
 }
 
 SHORT = ["--n", "16", "--T", "0.01"]
@@ -65,6 +69,9 @@ COMMANDS = [
     (["simulate", "--system", "short_c.json"], 2),
     (["simulate", "--system", "gamma.json"], 2),  # a field the program does not read
     (["simulate", "--system", "alpah.json"], 2),
+    (["simulate", "--system", "null_b.json"], 2),
+    (["simulate", "--system", "null_F2.json"], 2),
+    (["simulate", "--system", "values_b.json"], 2),
     (["verify", "--suite", "parametrix", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "leaves_radius.json", "--n", "32", "--T", "1.0"], 3),
     (["verify", "--suite", "operators"], 0),
@@ -153,3 +160,15 @@ def test_every_json_artifact_is_strict_json(ran):
     assert paths
     for path in paths:
         json.loads(path.read_text(), parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("name, field", [("null_b.json", "b"), ("null_F2.json", "F2"),
+                                         ("values_b.json", "b")])
+def test_a_profile_of_no_documented_form_exits_2_listing_the_forms(name, field, tmp_path, capsys):
+    (tmp_path / name).write_text(SYSTEMS[name])
+    argv = ["simulate", "--system", str(tmp_path / name), "--n", "16", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "system field %r" % field in err and "Traceback" not in err
+    for form in ('"constant:v"', '"cosine:amp"', "a number", "n = 16 samples"):
+        assert form in err, err

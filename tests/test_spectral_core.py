@@ -12,18 +12,18 @@ from beamwave.state import (
     complexify,
     conjugate_pair,
     is_conjugate_pair,
-    parity_split,
     real_from_stacked,
     real_norm_weights,
     stacked_from_real,
     stacked_norm,
 )
+from conftest import parity_split
 
 _RT2 = np.sqrt(2.0)
 
 
 def parity_join(p, m):
-    """The inverse of ``state.parity_split``: halves p, m (..., 2n) -> stacked
+    """The inverse of ``conftest.parity_split``: halves p, m (..., 2n) -> stacked
     (..., 4n), for the dense references of the tests."""
     (p_b, p_w), (m_b, m_w) = np.split(p, 2, axis=-1), np.split(m, 2, axis=-1)
     return np.concatenate([p_b + m_b, p_b - m_b, p_w + m_w, p_w - m_w], axis=-1) / _RT2
