@@ -14,6 +14,8 @@ Nyquist as +n/2), to its derivative, one new array that the linear part, the
 jets and the dealiased F's write into through ``irfft``/``rfft``.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
@@ -29,10 +31,10 @@ class QuadraticNonlinearity:
 
     def __init__(self, grid, terms):
         self.grid = grid
-        self.terms = [(_profile_to_function(grid, coeff), int(ia), int(ib))
-                      for coeff, ia, ib in terms]
-        if any(not (0 <= ia < 6 and 0 <= ib < 6) for _, ia, ib in self.terms):
-            raise ConfigError("jet slots must be in 0..5")
+        form = "[profile, slot, slot], each slot an integer 0..5"
+        self.terms = [(_profile_to_function(grid, coeff),
+                       *(_integer(h, 5, "a jet slot") for h in (ia, ib)))
+                      for coeff, ia, ib in _entries(terms, 3, form)]
         # each coefficient's real grid values, transformed once
         self._values = [(np.real(co.values()), ia, ib) for co, ia, ib in self.terms]
 
@@ -259,12 +261,13 @@ def _profile_to_function(grid, profile):
             name, _, arg = profile.partition(":")
             amp = float(arg) if arg else 1.0
             profile = {"constant": amp, "cosine": 1.0 + amp * np.cos(grid.x)}[name]
-        arr = None if profile is None else np.asarray(profile, dtype=float)
+        arr = None if profile is None else np.asarray(profile)
     except (KeyError, TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape not in ((), (grid.n,)):
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape not in ((), (grid.n,)):
         raise ConfigError('a profile is "constant:v", "cosine:amp", a number or an array '
                           "of n = %d samples" % grid.n)
+    arr = arr.astype(float)
     fun = transform(grid, arr) if arr.ndim else SpectralFunction.constant(grid, float(arr))
     if not np.all(np.isfinite(fun.coeffs)):
         raise ConfigError("a coefficient is not finite")
@@ -273,10 +276,30 @@ def _profile_to_function(grid, profile):
 
 def _bounded_terms(grid, terms):
     """The (coefficient profile, k) pairs of B or C, each k of order 0..2."""
-    terms = [(_profile_to_function(grid, coeff), int(k)) for coeff, k in terms]
-    if any(not 0 <= k <= 2 for _, k in terms):
-        raise ConfigError("bounded parts B, C only admit derivatives of order <= 2")
-    return terms
+    return [(_profile_to_function(grid, coeff), _integer(k, 2, "a derivative order k"))
+            for coeff, k in _entries(terms, 2, "[profile, k], k an integer 0..2")]
+
+
+def _entries(terms, size, form):
+    """The entries of a term list, each a tuple of ``size`` items; a list or
+    an entry of another shape is a ConfigError that gives their ``form``."""
+    try:
+        entries = [tuple(entry) for entry in terms]
+    except TypeError:
+        entries = None
+    if entries is None or any(len(entry) != size for entry in entries):
+        raise ConfigError("a term list holds entries %s" % form)
+    return entries
+
+
+def _integer(value, top, what):
+    """A derivative order or a jet slot, an integer 0..top: a float with an
+    integer value is one; a bool, a fraction or any other value is a
+    ConfigError (``int`` would truncate)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or not 0 <= value <= top):
+        raise ConfigError("%s is an integer 0..%d, not %r" % (what, top, value))
+    return int(value)
 
 
 def _finite(value):

@@ -85,8 +85,9 @@ def _config_hash(doc):
 
 def _request(args, config, **fields):
     """The resolved request of a command, whose hash names its artifacts: the
-    command's own ``fields``, the system, grid and data, and the solver config."""
-    return dict(fields, command=args.command, preset=args.preset, system=args.system,
+    command's own ``fields``, the system (the --system document, not its
+    path), grid and data, and the solver config."""
+    return dict(fields, command=args.command, preset=args.preset, system=args.document,
                 n=args.n, amplitude=args.amplitude, config=config.to_json_dict())
 
 
@@ -112,20 +113,26 @@ def _solver_config(args):
     return SolverConfig(**{k: v for k, v in vars(args).items() if k in SOLVER_FLAGS})
 
 
+def _system_document(path):
+    """The --system file's JSON object, read once per command."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read system file %r: %s" % (path, exc)) from None
+    if not isinstance(doc, dict):
+        raise ConfigError("system file %r is not a JSON object" % path)
+    return doc
+
+
 def _problem(args, n=None, amplitude=None):
-    """(grid, system, data) of a command: its --system file or preset on n
+    """(grid, system, data) of a command: its --system document or preset on n
     points (default --n), with initial data of ``amplitude`` (default --amplitude)."""
     grid = TorusGrid(args.n if n is None else n)
     amplitude = args.amplitude if amplitude is None else amplitude
-    if not args.system:
+    doc = args.document
+    if doc is None:
         return (grid,) + build_preset(args.preset, grid, amplitude)
-    try:
-        with open(args.system) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError("cannot read system file %r: %s" % (args.system, exc)) from None
-    if not isinstance(doc, dict):
-        raise ConfigError("system file %r is not a JSON object" % args.system)
     if doc.get("n", grid.n) != grid.n:
         raise ConfigError("system file %r has n = %r but the grid has n = %d"
                           % (args.system, doc["n"], grid.n))
@@ -385,6 +392,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.document = _system_document(args.system) if getattr(args, "system", None) else None
         return args.func(args)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=_sys.stderr)

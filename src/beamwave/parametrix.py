@@ -31,13 +31,23 @@ the generator and Lambda odd (pm, mp).  The change keeps the Sobolev
 weights and the resolved band, so a residual's norm is the larger of its
 halves' norms.  No 2n x 2n array is formed.
 
+A parametrix (``Parametrix``) holds only symbols of n values each: lam,
+s_1, s_2 of both diagonalizers, the beam's k, k^{-1} and M_{-1}'s
+coefficient m, and T's t_b, t_w.  Every n x n block is formed by the call
+that applies it, and freed on its return: ``energy_operators`` forms Phi+-
+and L_{2s} once for the energy report, its samples and its Garding scan;
+``residual_operators`` forms Phi+-, Psi+- (D and D~ among their blocks), T
+and Lambda for the conjugation residual, all but the wave blocks S_1 +- S_2
+of D~_w, of which the residual forms only the rows or columns R that each
+product reads, with one of S_1, S_2 whole at a time (``_wave_cut``).
+
 A block quantized from constant x-coefficients comes back from
 ``bony_weyl_quantize`` as its diagonal (n,): for constant b, S_b^{+-1},
 K^{+-1}, M_{-1}, D_b, D~_b, Lambda_b and L_{2s}'s beam block, the wave's
 where a_w = d + g_1w is constant, and T and the generator's blocks where
 their g-function is (at V = 0, for one).  A diagonal multiplies entrywise or
 scales rows or columns (``_mul``, ``_apply``), stays one, by its values at
-the resolved slots, at a restricted take (``_take``), and is formed as a
+the resolved slots, at a restricted take (``_cut``), and is formed as a
 matrix only beside a dense block in a sum (``quantize.combine``,
 ``_product``); a residual block that stays diagonal is normed by its
 largest weighted entry, with no SVD.
@@ -58,13 +68,13 @@ is formed.
 """
 
 import operator
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
 from .grid import SpectralFunction, row_blocks, transform
-from .quantize import bony_weyl_quantize, combine, exact_operator_norm
+from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
 
 
@@ -110,20 +120,16 @@ def _apply(b, u):
     return u * b if b.ndim == 1 else u @ b.T
 
 
-def _take(X, r, axis=0):
-    """The rows (axis 0) or columns (axis 1) r of the 2 x 2 blocks of X =
-    ((bb, bw), (wb, ww)); None stays None, and a diagonal stays one, restricted
-    to its values at r."""
-    def take(b):
-        return b[r] if b.ndim == 1 or axis == 0 else b[:, r]
-
-    return tuple(tuple(None if b is None else take(b) for b in row) for row in X)
+def _cut(b, r, axis):
+    """The rows (axis 0) or columns (axis 1) r of a block; a diagonal stays
+    one, restricted to its values at r."""
+    return b[r] if b.ndim == 1 or axis == 0 else b[:, r]
 
 
 def _mul(A, B, r=None):
     """A @ B, or None when a factor is zero by structure (None); a diagonal
     factor scales the other's rows (on the left) or columns (on the right).
-    A diagonal restricted to the slots r (``_take``) reads the other factor's
+    A diagonal restricted to the slots r (``_cut``) reads the other factor's
     rows (on the left) or columns (on the right) r."""
     if A is None or B is None:
         return None
@@ -139,7 +145,7 @@ def _mul(A, B, r=None):
 def _product(X, Y, r):
     """The 2 x 2 block product XY over (beam, wave), forming only the block
     products that can be nonzero; a block with no such term is None.  Blocks
-    taken at the slots r (``_take``) are multiplied as such (``_mul``); a
+    taken at the slots r (``_cut``) are multiplied as such (``_mul``); a
     diagonal term at the rows r beside the rows r of a dense one is formed as
     those rows of its matrix."""
     def block(i, k):
@@ -153,16 +159,28 @@ def _product(X, Y, r):
 
 
 def _minus_diagonal(X, b, w):
-    """X - blockdiag(b, w) for 2 x 2 blocks X whose diagonal blocks are formed."""
+    """X - blockdiag(b, w) for 2 x 2 blocks X whose diagonal blocks are formed,
+    as ``combine`` forms it, written over X's dense diagonal blocks: the caller
+    gives X up.  A diagonal is subtracted on a dense block's diagonal, as
+    x - 0.0 is x off it."""
+    def minus(A, B):
+        if A.ndim == 1:
+            return combine(operator.sub, A, B)
+        if B.ndim == 1:
+            A.flat[::A.shape[1] + 1] -= B
+        else:
+            A -= B
+        return A
+
     (bb, bw), (wb, ww) = X
-    return ((combine(operator.sub, bb, b), bw), (wb, combine(operator.sub, ww, w)))
+    return ((minus(bb, b), bw), (wb, minus(ww, w)))
 
 
 class _Diagonalizer:
     """The pointwise similarity S = [[s1, s2], [s2, s1]] with S^{-1}E(1 + U a)S
     = E lam, lam = sqrt(1 + 2a), of a background a(x) that keeps 1 + 2a > 0.
-    ``lam``, ``s1`` and ``s2`` are held transformed; a subclass builds its
-    operators from their grid values (``_build``)."""
+    ``lam``, ``s1`` and ``s2`` are held transformed; a subclass adds its own
+    symbols from their grid values (``_build``)."""
 
     refusal = None  # the PreconditionError message, formatted with min(1 + 2a)
 
@@ -179,6 +197,9 @@ class _Diagonalizer:
         self.lam, self.s1, self.s2 = (transform(grid, v) for v in (lam, s1, s2))
         self._build(av, lam, s1, s2)
 
+    def _build(self, av, lam, s1, s2):
+        """No symbol beyond lam, s1 and s2."""
+
     def pointwise_identity_defect(self):
         """max over grid points of |S^{-1}E(1+Ua)S - E lam| (exact algebra)."""
         s1, s2, lam = (u.values().real for u in (self.s1, self.s2, self.lam))
@@ -194,9 +215,10 @@ class BeamDiagonalizer(_Diagonalizer):
 
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
     an order-zero residual, uniformly in the truncation.  With M_{-1} =
-    [[0, O_m], [O_m, 0]], D_b is held as its even halves
-    K^{-1}(1 +- O_m)(S_1 -+ S_2); D~_b's, (S_1 +- S_2)(1 -+ O_m) K, are
-    formed by ``right_inverse`` on each call.
+    [[0, O_m], [O_m, 0]], D_b's even halves are K^{-1}(1 +- O_m)(S_1 -+ S_2)
+    (``halves``) and D~_b's (S_1 +- S_2)(1 -+ O_m) K (``right_inverse``).
+    Only the symbols are held: k, k^{-1} and M_{-1}'s coefficient m beside
+    lam, s1 and s2; each block is formed on each call.
     """
 
     refusal = "beam ellipticity fails: min(1 + 2a) = %.6g <= 0"
@@ -213,22 +235,25 @@ class BeamDiagonalizer(_Diagonalizer):
         self.n12 = 3.0 * ax * (s1 + s2) ** 2 + 2.0 * lam * (s1 * s2x - s2 * s1x)
 
         phi = _periodic_antiderivative(grid, self.mu / (2.0 * lam))
-        self.k = transform(grid, np.exp(phi))
+        self.k, self.k_inv = (transform(grid, np.exp(v)) for v in (phi, -phi))
+        self.m = transform(grid, self.n12 / (2.0 * lam))
 
-        m_coef = transform(grid, self.n12 / (2.0 * lam))
-        self.M_minus1 = O_m = _op(1j * m_coef, FrequencyMultiplier.psi_over_xi())
+    def M_minus1(self):
+        """O_m = Op^BW(i m psi(xi)/xi), M_{-1}'s block, formed on each call."""
+        return _op(1j * self.m, FrequencyMultiplier.psi_over_xi())
 
+    def halves(self, O_m):
+        """D_b's halves, formed on each call from M_{-1}'s block (``M_minus1``)."""
         S_p, S_m = _similarity(self.s1, self.s2)
-        K_inv = _op(transform(grid, np.exp(-phi)))
-        one = np.ones(grid.n)
-        self.D_b = (_mul(_mul(K_inv, combine(operator.add, one, O_m)), S_m),
-                    _mul(_mul(K_inv, combine(operator.sub, one, O_m)), S_p))
+        K_inv = _op(self.k_inv)
+        one = np.ones(self.grid.n)
+        return (_mul(_mul(K_inv, combine(operator.add, one, O_m)), S_m),
+                _mul(_mul(K_inv, combine(operator.sub, one, O_m)), S_p))
 
-    def right_inverse(self):
-        """D~_b's halves, formed anew from quantizations of their own and not
-        held: only Psi and the bare coupling blocks of the conjugation
-        residual apply them."""
-        (S_p, S_m), O_m, K = _similarity(self.s1, self.s2), self.M_minus1, _op(self.k)
+    def right_inverse(self, O_m):
+        """D~_b's halves, formed on each call from M_{-1}'s block: only Psi and
+        the bare coupling blocks of the conjugation residual apply them."""
+        (S_p, S_m), K = _similarity(self.s1, self.s2), _op(self.k)
         one = np.ones(self.grid.n)
         return (_mul(_mul(S_p, combine(operator.sub, one, O_m)), K),
                 _mul(_mul(S_m, combine(operator.add, one, O_m)), K))
@@ -236,13 +261,14 @@ class BeamDiagonalizer(_Diagonalizer):
 
 class WaveDiagonalizer(_Diagonalizer):
     """D_w = Op^BW(S_w^{-1}), D~_w = Op^BW(S_w) (even halves); first order
-    is principal for the half-wave so no smoothing corrector or gauge is needed."""
+    is principal for the half-wave so no smoothing corrector or gauge is
+    needed.  D_w's halves are D~_w's swapped: D_w+- = D~_w-+."""
 
     refusal = "wave smallness condition fails: min(1 + 2a_w) = %.6g <= 0"
 
-    def _build(self, av, lam, s1, s2):
-        self.D_tilde_w = _similarity(self.s1, self.s2)
-        self.D_w = self.D_tilde_w[::-1]
+    def right_inverse(self):
+        """D~_w's halves (S_1 + S_2, S_1 - S_2), formed on each call."""
+        return _similarity(self.s1, self.s2)
 
 
 def build_T_correctors(a, g_12b, g_12w):
@@ -268,19 +294,14 @@ def build_T_correctors(a, g_12b, g_12w):
 
 
 class Parametrix:
-    """Phi, T and L_{2s} at a frozen background V, held in halves.
+    """Phi and L_{2s} at a frozen background V, held by their symbols.
 
-    Phi = D(1 + T) is held as its even halves Phi+-, each a 2 x 2 tuple of
-    (beam, wave) blocks, n x n or diagonals (n,), with D+- =
-    blockdiag(D_b+-, D_w+-), T+ = [[0, 2 t_b], [0, 0]] and T- =
-    [[0, 0], [-2 t_w, 0]], so each half is
-    blockdiag(D+-) plus one coupling block, and its other coupling block is
-    None.  ``T`` holds the blocks (2 t_b, -2 t_w) quantized, None where F has
-    no coupling slot (``coupled``): t_b (t_w) is then zero by structure, and
-    neither it nor the coupling block of the halves it enters is formed.
-    L_{2s} is a pair of blocks (beam, wave) acting on each component,
-    quantized on first use.  Psi, D~_b and Lambda are not held
-    (``residual_operators``).
+    Building one checks the ellipticity of both diagonalizers and keeps
+    their symbols and T's, t_b and t_w, None where F has no coupling slot
+    (``coupled``): t_b (t_w) is then zero by structure, and neither it nor
+    the coupling block of the halves it enters is formed.  No block is held:
+    T's (``T``), L_{2s}'s (``L2s``) and Phi's halves are formed by the call
+    that applies them, ``energy_operators`` or ``residual_operators``.
     """
 
     def __init__(self, para, V, s):
@@ -291,18 +312,16 @@ class Parametrix:
         a, d, g_1w, g_12b, g_12w = para.g_functions(V)
         self.beam = BeamDiagonalizer(a, grid)
         self.wave = WaveDiagonalizer(d + g_1w, grid)
-        live_b, live_w = para.coupled()
-        t_b, t_w = build_T_correctors(a, g_12b, g_12w)
-        self.T = (2.0 * bony_weyl_quantize(t_b) if live_b else None,
-                  -2.0 * bony_weyl_quantize(t_w) if live_w else None)
-        (Db_p, Db_m), (Dw_p, Dw_m) = self.beam.D_b, self.wave.D_w
-        T_bw, T_wb = self.T
-        self.Phi = (((Db_p, _mul(Db_p, T_bw)), (None, Dw_p)),
-                    ((Db_m, None), (_mul(Dw_m, T_wb), Dw_m)))
+        self.t = tuple(t if live else None
+                       for t, live in zip(build_T_correctors(a, g_12b, g_12w), para.coupled()))
 
-    @cached_property
+    def T(self):
+        """T's blocks (2 Op^BW(t_b), -2 Op^BW(t_w)), None for a zero one."""
+        return tuple(None if t is None else c * bony_weyl_quantize(t)
+                     for t, c in zip(self.t, (2.0, -2.0)))
+
     def L2s(self):
-        """L_{2s}'s beam and wave blocks, quantized on first use: only the energy reads them."""
+        """L_{2s}'s beam and wave blocks."""
         s2 = 2.0 * self.s
         mult = FrequencyMultiplier.abs_xi_power(s2)
         lam_b, lam_w = self.beam.lam.values().real, self.wave.lam.values().real
@@ -314,17 +333,62 @@ def build_parametrix(para, V, s):
     return Parametrix(para, V, s)
 
 
+def energy_operators(P):
+    """(Phi+-, L_{2s}) of a parametrix, formed anew on each call: only the
+    energy report applies them, so P holds none.  Phi's halves are
+    blockdiag(D_b+-, D_w+-), D_w+- = D~_w-+, plus one coupling block each,
+    D_b+ T_bw and D_w- T_wb (T+ = [[0, T_bw], [0, 0]], T- = [[0, 0], [T_wb, 0]])."""
+    (Db_p, Db_m), (Dw_m, Dw_p) = P.beam.halves(P.beam.M_minus1()), P.wave.right_inverse()
+    T_bw, T_wb = P.T()
+    Phi = (((Db_p, _mul(Db_p, T_bw)), (None, Dw_p)),
+           ((Db_m, None), (_mul(Dw_m, T_wb), Dw_m)))
+    return Phi, P.L2s()
+
+
 def residual_operators(P):
-    """(Psi+-, D~_b's halves, (Lambda_b, Lambda_w)) of a parametrix, formed
-    anew on each call: Psi = (1 - T)D~ in the block layout of Phi, Lambda
-    quantized.  Only the conjugation residual applies them, so P holds none."""
-    Dt_b, (Dtw_p, Dtw_m) = P.beam.right_inverse(), P.wave.D_tilde_w
-    T_bw, T_wb = (None if t is None else -t for t in P.T)
-    Psi = (((Dt_b[0], _mul(T_bw, Dtw_p)), (None, Dtw_p)),
-           ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), Dtw_m)))
-    Lam = (_op(P.beam.lam, FrequencyMultiplier.xi_power(2)),
+    """(Phi+-, Psi+-, (Lambda_b, Lambda_w)) of a parametrix for the
+    conjugation residual, formed anew on each call with M_{-1} and T once
+    for all, Psi = (1 - T)D~ in the block layout of Phi, but with each wave
+    block, S_1 +- S_2 of D~_w, left None: the residual forms only the rows or
+    columns of those it reads (``_wave_cut``).  D~_w+ is formed whole only for
+    the coupling blocks D_w- T_wb and -T_bw D~_w+ where T has a block, and
+    freed on return.  Only the conjugation residual applies them, so P holds
+    none."""
+    beam, T = P.beam, P.T()
+    O_m = beam.M_minus1()
+    (Db_p, Db_m), Dt_b = beam.halves(O_m), beam.right_inverse(O_m)
+    A = P.wave.right_inverse()[0] if any(t is not None for t in T) else None  # D~_w+ = D_w-
+    T_bw, T_wb = T
+    Phi = (((Db_p, _mul(Db_p, T_bw)), (None, None)),
+           ((Db_m, None), (_mul(A, T_wb), None)))
+    T_bw, T_wb = (None if t is None else -t for t in T)
+    Psi = (((Dt_b[0], _mul(T_bw, A)), (None, None)),
+           ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), None)))
+    Lam = (_op(beam.lam, FrequencyMultiplier.xi_power(2)),
            _op(P.wave.lam, FrequencyMultiplier.abs_xi()))
-    return Psi, Dt_b, Lam
+    return Phi, Psi, Lam
+
+
+def _wave_cut(wave, op, r, axis):
+    """The rows (axis 0) or columns (axis 1) r of D~_w's half op(S_1, S_2), op
+    ``np.add`` (D~_w+ = D_w-) or ``np.subtract`` (D~_w- = D_w+), bit for
+    bit those of ``_similarity``'s halves, but with one of S_1, S_2 formed
+    whole at a time: S_1's rows or columns r are held, and S_2's are added to
+    or subtracted from them a row block at a time.  A diagonal stays one,
+    restricted to r, unless the other is dense (``combine``)."""
+    S = _op(wave.s1)
+    cut = S if S.ndim == 1 else _cut(S, r, axis)
+    del S
+    S = _op(wave.s2)
+    if cut.ndim == S.ndim == 1:
+        return op(cut, S)[r]
+    if cut.ndim == 1:
+        cut = _cut(as_matrix(cut), r, axis)
+    if S.ndim == 1:
+        return op(cut, _cut(as_matrix(S), r, axis))
+    for b in row_blocks(len(S)):
+        op(cut[b], S[r[b]] if axis == 0 else S[b][:, r], out=cut[b])
+    return cut
 
 
 def conjugation_residual(P, para, V):
@@ -342,14 +406,18 @@ def conjugation_residual(P, para, V):
     structure: T's and L_mp's where F has no coupling slot
     (``ParalinearizedSystem.coupled``), L_pm's always.
     Without coupling every residual half is block-diagonal, and its norm the
-    larger of its two diagonal blocks' (``exact_operator_norm``).  Psi, D~_b
-    and Lambda[R, R] are held for the call, each half normed as it is formed.
+    larger of its two diagonal blocks' (``exact_operator_norm``).  Phi, Psi,
+    D, D~ and Lambda[R, R] are formed once for the call (``residual_operators``),
+    all but their wave blocks, of which only the rows or columns R are formed,
+    each as a product reads it (``_wave_cut``).
     """
     grid = P.grid
     s = P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
-    Phi, (Psi, Dt_b, lam) = P.Phi, residual_operators(P)
+    Phi, Psi, lam = residual_operators(P)
     lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
+    D_m = ((Phi[1][0][0], None), (None, None))  # blockdiag(D_b-, D_w-), as Phi- its wave block
+    Dt_p = ((Psi[0][0][0], None), (None, None))  # blockdiag(D~_b+, D~_w+)
     B_mp = para.frak_B(V)[1]  # frakB's pm half is zero
     (_, bw), (wb, _) = B_mp
     one = np.ones(r.size)
@@ -360,29 +428,50 @@ def conjugation_residual(P, para, V):
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
-    def conjugation_halves():  # X- L_mp Y+ - Lambda_mp, X+ L_pm Y- - Lambda_pm
-        pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
-        XL = _product(_take(Phi[1], r), ((bb, bw), (wb, ww)), r)
-        del bb, ww  # frakA(V)'s mp blocks, before Y+'s columns are taken
-        yield _minus_diagonal(_product(XL, _take(Psi[0], r, 1), r), *lam)
-        del XL
-        pm_b, pm_w = np.split(pm, 2)
-        XL = _product(_take(Phi[0], r), ((pm_b, None), (None, pm_w)), r)
-        yield _minus_diagonal(_product(XL, _take(Psi[1], r, 1), r), *lam)
+    def wave(op, axis):  # the rows or columns R of D~_w+ (add) or D~_w- (subtract)
+        return _wave_cut(P.wave, op, r, axis)
 
-    conj, inv = [], 0.0  # each residual half is normed and freed before the next is formed
-    for X in conjugation_halves():
-        conj.append((norm([X]), norm(offdiag([X]))))
-        del X
-    for i in (0, 1):
-        X = _minus_diagonal(_product(_take(Psi[i], r), _take(Phi[i], r, 1), r), one, one)
-        inv = max(inv, norm([X], s + 2.0))
-        del X
-    # the coupling blocks D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of
-    # D L D~ - Lambda; those of the pm half are zero
-    D_m = ((P.beam.D_b[1], None), (None, P.wave.D_w[1]))
-    Dt_p = ((Dt_b[0], None), (None, P.wave.D_tilde_w[0]))
-    bare = _product(_product(_take(D_m, r), B_mp, r), _take(Dt_p, r, 1), r)
+    def take(X, cut, axis=0):  # the rows or columns R of a half, its wave block ``cut``
+        (bb, bw), (wb, _) = X
+        bb, bw, wb = (None if b is None else _cut(b, r, axis) for b in (bb, bw, wb))
+        return (bb, bw), (wb, cut)
+
+    # Each wave block is formed as the rows or columns R that one product
+    # reads, when it reads them, and freed once read for the last time; each
+    # residual half is normed and freed before the next cut is formed.  So at
+    # most two cuts are held at once, and frakA(V)'s wave block beside only
+    # one.  D~_w+ = D_w- enters X- L_mp Y+ and the bare coupling blocks
+    # D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of D L D~ - Lambda (those
+    # of the pm half are zero), D~_w- = D_w+ enters X+ L_pm Y-, and both enter
+    # Psi+- Phi+- - 1
+    A_r = wave(np.add, 0)
+    pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
+    XL = _product(take(Phi[1], A_r), ((bb, bw), (wb, ww)), r)
+    DB = _product(take(D_m, A_r), B_mp, r)
+    del bb, ww, A_r
+    A_c = wave(np.add, 1)
+    bare = _product(DB, take(Dt_p, A_c, 1), r)
+    X = _minus_diagonal(_product(XL, take(Psi[0], A_c, 1), r), *lam)
+    del XL, DB
+    conj = [(norm([X]), norm(offdiag([X])))]
+    del X
+    B_r = wave(np.subtract, 0)
+    X = _minus_diagonal(_product(take(Psi[1], B_r), take(Phi[1], A_c, 1), r), one, one)
+    del A_c
+    inv = norm([X], s + 2.0)
+    del X
+    pm_b, pm_w = np.split(pm, 2)
+    XL = _product(take(Phi[0], B_r), ((pm_b, None), (None, pm_w)), r)
+    del B_r
+    B_c = wave(np.subtract, 1)
+    X = _minus_diagonal(_product(XL, take(Psi[1], B_c, 1), r), *lam)
+    del XL, lam
+    conj.append((norm([X]), norm(offdiag([X]))))
+    del X
+    A_r = wave(np.add, 0)
+    X = _minus_diagonal(_product(take(Psi[0], A_r), take(Phi[0], B_c, 1), r), one, one)
+    del A_r, B_c
+    inv = max(inv, norm([X], s + 2.0))
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {
@@ -404,13 +493,13 @@ def _energy(L2s, images):
                      for image in images for L, y in zip(L2s, image) if y is not None)
 
 
-def _mode_energies(P):
+def _mode_energies(grid, Phi, L2s):
     """<L_{2s} Phi V, Phi V> of the single-mode beam states (z = e_k), then of
     the wave states (w = e_k), 0 < k <= n/3.  Such a state is p = (e_k +
     e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its component, so its Phi-image
     is two columns of each block of each half."""
-    k = np.arange(1, P.grid.dealias_cut + 1)
-    refl, rt2 = P.grid.reflect[k], np.sqrt(2.0)
+    k = np.arange(1, grid.dealias_cut + 1)
+    refl, rt2 = grid.reflect[k], np.sqrt(2.0)
 
     def image(b, op):  # (|k|, n) of a block X: op(X[:, k], X[:, -k]) / sqrt2
         if b.ndim == 2:
@@ -424,18 +513,18 @@ def _mode_energies(P):
 
     def images(c):  # per row component of each half
         return ([None if row[c] is None else image(row[c], op) for row in X]
-                for X, op in zip(P.Phi, (np.add, np.subtract)))
+                for X, op in zip(Phi, (np.add, np.subtract)))
 
-    return np.concatenate([_energy(P.L2s, images(c)) for c in (0, 1)])
+    return np.concatenate([_energy(L2s, images(c)) for c in (0, 1)])
 
 
-def modified_energy(P, halves):
+def modified_energy(Phi, L2s, halves):
     """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> of stacked vectors V by their parity
     halves v_p = (z + zbar)/sqrt2, v_m = (z - zbar)/sqrt2 over (beam, wave),
     each (..., 2n), from the component blocks of Phi+ v_p and Phi- v_m."""
     images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
-               for row in X] for X, v in zip(P.Phi, halves))
-    return _energy(P.L2s, images)
+               for row in X] for X, v in zip(Phi, halves))
+    return _energy(L2s, images)
 
 
 def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
@@ -481,14 +570,15 @@ def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
         np.subtract(v, v_bar, out=m)
     halves /= np.sqrt(2.0)
     del z, w, v, v_bar
-    energy = modified_energy(P, halves)
+    Phi, L2s = energy_operators(P)  # for the samples and the scan
+    energy = modified_energy(Phi, L2s, halves)
     upper = energy / nsq
     lower = energy / low
     # the binding Garding constant lives at low modes; scan the single-mode
     # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically:
     # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
     k = np.arange(1, grid.dealias_cut + 1)
-    lhs = np.concatenate([k**4.0, k**2.0]) * _mode_energies(P)
+    lhs = np.concatenate([k**4.0, k**2.0]) * _mode_energies(grid, Phi, L2s)
     # the Sobolev norms of e_k: ||Z||_{s+2}^2 of a beam state, ||W||_{s+1}^2
     # of a wave state, ||V||_s^2 of both
     def sq(s_):

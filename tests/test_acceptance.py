@@ -163,7 +163,8 @@ def test_criterion_03_diagonalization_identities():
             SeparableSymbol(gn, [(af, xi2), (2j * af.deriv(), FrequencyMultiplier.xi_power(1))])
         )
         lam = bony_weyl_quantize(SeparableSymbol(gn, [(b.lam, FrequencyMultiplier.xi_power(2))]))
-        (D_p, D_m), (Dt_p, Dt_m) = b.D_b, b.right_inverse()
+        O_m = b.M_minus1()
+        (D_p, D_m), (Dt_p, Dt_m) = b.halves(O_m), b.right_inverse(O_m)
         resid = (D_p @ P @ Dt_m - lam, D_m @ (P + 2.0 * Q) @ Dt_p - lam)
         band = np.ix_(gn.dealias_mask, gn.dealias_mask)
         res.append(max(exact_operator_norm(gn, h[band], 2.0, 2.0) for h in resid))

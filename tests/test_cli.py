@@ -268,6 +268,21 @@ def test_runs_with_different_settings_keep_their_own_artifacts(command, runs, tm
     assert len(list(tmp_path.glob("*.json"))) == len(runs)
 
 
+def test_run_id_hashes_the_system_document_not_its_path(tmp_path):
+    # two documents written in turn to one path run as two run ids, and one
+    # document as the same id every time, whose manifest records it
+    path, out = tmp_path / "system.json", tmp_path / "out"
+    argv = ["simulate", "--system", str(path), "--n", "16", "--T", "0.01", "--outdir", str(out)]
+    names = []
+    for doc in ({"b": 1.0}, {"b": 2.0}, {"b": 1.0}):
+        path.write_text(json.dumps(doc))
+        assert run_cli(argv) == 0
+        names.append(sorted(p.name for p in out.glob("run_*.json")))
+    assert len(names[1]) == 2 and names[2] == names[1]
+    manifests = [json.loads((out / name).read_text()) for name in names[1]]
+    assert sorted(m["request"]["system"]["b"] for m in manifests) == [1.0, 2.0]
+
+
 def test_simulate_artifact_names_are_those_of_earlier_releases(tmp_path):
     args = ["simulate", "--preset", "headline", "--n", "32", "--T", "0.02", "--outdir", str(tmp_path)]
     assert run_cli(args) == 0

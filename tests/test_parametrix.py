@@ -21,9 +21,12 @@ from beamwave.parametrix import (
     WaveDiagonalizer,
     _mode_energies,
     _periodic_antiderivative,
+    _similarity,
+    _wave_cut,
     build_parametrix,
     build_T_correctors,
     conjugation_residual,
+    energy_operators,
     equivalence_and_garding_report,
     modified_energy,
     residual_operators,
@@ -43,19 +46,34 @@ from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
 
 
-def phi(P, vec):
-    """Phi V on stacked vectors (..., 4n): Phi+ on the p half, Phi- on the m half."""
-    n = P.grid.n
-    return parity_join(*(u @ dense_half(X, n).T for X, u in zip(P.Phi, parity_split(vec))))
+def phi(Phi, vec):
+    """Phi V on stacked vectors (..., 4n) from Phi's halves: Phi+ on the p
+    half, Phi- on the m half."""
+    n = np.shape(vec)[-1] // 4
+    return parity_join(*(u @ dense_half(X, n).T for X, u in zip(Phi, parity_split(vec))))
 
 
-def l2s(P, vec):
-    """L_{2s} V on stacked vectors (..., 4n): the beam block on z and z-bar,
-    the wave block on w and w-bar."""
-    n = P.grid.n
-    b, w = (dense_block(h, n) for h in P.L2s)
+def l2s(L2s, vec):
+    """L_{2s} V on stacked vectors (..., 4n) from L_{2s}'s blocks: the beam
+    block on z and z-bar, the wave block on w and w-bar."""
+    n = np.shape(vec)[-1] // 4
+    b, w = (dense_block(h, n) for h in L2s)
     v = np.reshape(vec, np.shape(vec)[:-1] + (4, n))
     return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
+
+
+def formed(P):
+    """(Phi+-, Psi+-, Lambda) of ``residual_operators``, each wave block, which
+    it leaves to the residual's cuts, filled with D~_w's half: D_w+- = D~_w-+."""
+    Phi, Psi, Lam = residual_operators(P)
+    Dt_w = P.wave.right_inverse()
+
+    def fill(X, w):
+        (bb, bw), (wb, _) = X
+        return (bb, bw), (wb, w)
+
+    return ((fill(Phi[0], Dt_w[1]), fill(Phi[1], Dt_w[0])),
+            (fill(Psi[0], Dt_w[0]), fill(Psi[1], Dt_w[1])), Lam)
 
 
 def variable_b_system(n, amp=0.2):
@@ -130,8 +148,8 @@ def test_trivial_background_gauge_collapses():
     g = TorusGrid(16)
     d = BeamDiagonalizer(transform(g, np.zeros(g.n)), g)
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
-    assert np.max(np.abs(d.M_minus1)) == 0.0
-    for half in d.D_b:
+    assert np.max(np.abs(d.M_minus1())) == 0.0
+    for half in d.halves(d.M_minus1()):
         assert np.max(np.abs(dense_block(half, g.n) - np.eye(g.n))) < 1e-12
 
 
@@ -179,8 +197,8 @@ def test_garding_defect_bounded_across_n():
 def test_modified_energy_scalar_quadratic():
     g, para, V = coupled_setup(32)
     P = build_parametrix(para, V, 2.5)
-    e1 = modified_energy(P, parity_split(V))
-    e2 = modified_energy(P, parity_split(2.0 * V))
+    e1 = modified_energy(*energy_operators(P), parity_split(V))
+    e2 = modified_energy(*energy_operators(P), parity_split(2.0 * V))
     assert abs(e2 - 4.0 * e1) < 1e-8 * max(abs(e1), 1.0)
 
 
@@ -239,7 +257,7 @@ def _dense_reference(preset, n):
     zero, one = np.zeros((n, n)), np.eye(n)
     S1, S2, K = quantized(b.s1), quantized(b.s2), quantized(b.k)
     K_inv = quantized(transform(g, 1.0 / b.k.values().real))
-    M = _pair(zero, dense_block(b.M_minus1, n))
+    M = _pair(zero, dense_block(b.M_minus1(), n))
     D_b = _pair(K_inv, zero) @ (np.eye(2 * n) + M) @ _pair(S1, -S2)
     Dt_b = _pair(S1, S2) @ (np.eye(2 * n) - M) @ _pair(K, zero)
     S1w, S2w = quantized(w.s1), quantized(w.s2)
@@ -282,14 +300,15 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         g, para, V, P, dense = _dense_reference(preset, n)
         assert (np.max(np.abs(dense["T"])) > 0.0) == (preset == "mixed")
         split = parity_split(np.eye(4 * n))
-        for name, ops in (("Phi", P.Phi), ("Psi", residual_operators(P)[0])):
+        Phi, L2s = energy_operators(P)
+        for name, ops in (("Phi", Phi), ("Phi", formed(P)[0]), ("Psi", formed(P)[1])):
             halves = [dense_half(h, n) for h in ops]
             got = parity_join(*(u @ h.T for h, u in zip(halves, split))).T
             assert _rel(got, dense[name]) <= 1e-14, name
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
-        assert _rel(phi(P, vec), dense["Phi"] @ vec) <= 1e-14
-        assert _rel(l2s(P, vec), dense["L2s"] @ vec) <= 1e-14
+        assert _rel(phi(Phi, vec), dense["Phi"] @ vec) <= 1e-14
+        assert _rel(l2s(L2s, vec), dense["L2s"] @ vec) <= 1e-14
 
 
 @pytest.mark.parametrize("preset", ["headline", "mixed", "wave_beam_only"])
@@ -308,13 +327,14 @@ def test_energy_forms_match_dense_reference(preset):
         z, w = rng.standard_normal((2, 6, n)) + 1j * rng.standard_normal((2, 6, n))
         batch = conjugate_pair(g, z * g.bracket_power(-3.5), w * g.bracket_power(-3.5))
         ref = reference(batch)
-        got = modified_energy(P, parity_split(batch))
+        Phi, L2s = energy_operators(P)
+        got = modified_energy(Phi, L2s, parity_split(batch))
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
         k = np.arange(1, g.dealias_cut + 1)
         e_k, zero = np.eye(n)[k], np.zeros((k.size, n))
         modes = np.concatenate([conjugate_pair(g, e_k, zero), conjugate_pair(g, zero, e_k)])
         ref = reference(modes)
-        for got in (_mode_energies(P), modified_energy(P, parity_split(modes))):
+        for got in (_mode_energies(g, Phi, L2s), modified_energy(Phi, L2s, parity_split(modes))):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
@@ -363,11 +383,11 @@ def _full_product_norms(P, para, V):
     keep = np.tile(g.dealias_mask, 2)
     m = np.count_nonzero(g.dealias_mask)
     L = [dense_half(a, n) + dense_half(b, n) for a, b in zip(para.frak_A(V), para.frak_B(V))]
-    Psi, Dt_b, Lam = residual_operators(P)
-    Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (P.Phi, Psi))
+    Phi, Psi, Lam = formed(P)
+    D, Dt = ([_beam_wave(dense_block(X[0][0], n), dense_block(X[1][1], n)) for X in halves]
+             for halves in (Phi, Psi))
+    Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (Phi, Psi))
     Lam = -1j * _beam_wave(*(dense_block(b, n) for b in Lam))
-    D, Dt = ([_beam_wave(dense_block(b, n), dense_block(w, n)) for b, w in zip(*halves)]
-             for halves in ((P.beam.D_b, P.wave.D_w), (Dt_b, P.wave.D_tilde_w)))
 
     def on_band(mat):
         return mat[np.ix_(keep, keep)]
@@ -421,7 +441,8 @@ def test_parametrix_halves_carry_one_coupling_block_each():
     g, para, V = _preset_setup("mixed", 32)
     P = build_parametrix(para, V, 2.5)
     n = g.n
-    phi_p, phi_m, psi_p, psi_m = (dense_half(h, n) for h in P.Phi + residual_operators(P)[0])
+    Phi, Psi, _ = formed(P)
+    phi_p, phi_m, psi_p, psi_m = (dense_half(h, n) for h in Phi + Psi)
     for absent in (phi_p[n:, :n], phi_m[:n, n:], psi_p[n:, :n], psi_m[:n, n:]):
         assert not np.any(absent)
     for carried in (phi_p[:n, n:], phi_m[n:, :n], psi_p[:n, n:], psi_m[n:, :n]):
@@ -437,7 +458,7 @@ def test_residuals_form_no_product_through_a_zero_coupling_block(preset, monkeyp
     g, para, V = _preset_setup(preset, 64)
     P = build_parametrix(para, V, 2.5)
     cb, cw = para.coupled()
-    assert [t is None for t in P.T] == [not cb, not cw]
+    assert [t is None for t in P.T()] == [not cb, not cw]
     m = 2 * g.dealias_cut + 1
     shapes, svd = [], np.linalg.svd
 
@@ -473,11 +494,37 @@ def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatc
     assert shapes == []
 
 
+def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
+    # the rows and columns R that the residual forms of D~_w+ (add) and D~_w-
+    # (subtract), one of S_1, S_2 whole at a time, are those of the halves
+    # _similarity forms: for a dense pair (headline), a diagonal pair (linear,
+    # a_w constant) and a diagonal beside a dense block, formed as its matrix
+    from types import SimpleNamespace
+
+    g = TorusGrid(32)
+    r = np.flatnonzero(g.dealias_mask)
+    waves = [build_parametrix(*_preset_setup(preset, 32)[1:], 2.5).wave
+             for preset in ("headline", "linear")]
+    varying = transform(g, 0.3 + 0.1 * np.cos(g.x))
+    waves += [SimpleNamespace(s1=SpectralFunction.constant(g, 0.9), s2=varying),
+              SimpleNamespace(s1=varying, s2=SpectralFunction.constant(g, 0.2))]
+    ndims = []
+    for wave in waves:
+        halves = _similarity(wave.s1, wave.s2)
+        for op, half in zip((np.add, np.subtract), halves):
+            for axis in (0, 1):
+                cut = _wave_cut(wave, op, r, axis)
+                ref = half[r] if half.ndim == 1 or axis == 0 else half[:, r]
+                assert cut.shape == ref.shape and cut.tobytes() == ref.tobytes()
+        ndims.append(halves[0].ndim)
+    assert ndims == [2, 1, 2, 2]
+
+
 def _per_vector_report(para, V, sigma, sample_count, seed):
     """The constants of equivalence_and_garding_report, one vector at a time."""
     grid = para.grid
     n = grid.n
-    P = build_parametrix(para, V, sigma)
+    Phi, L2s = energy_operators(build_parametrix(para, V, sigma))
     rng = np.random.default_rng(seed)
     decay = grid.bracket_power(-(sigma + 1.0))
     upper, lower = [], []
@@ -487,7 +534,7 @@ def _per_vector_report(para, V, sigma, sample_count, seed):
         z[[0, n // 2]] = w[[0, n // 2]] = 0.0
         vec = conjugate_pair(grid, z, w)
         nsq = stacked_norm(grid, vec, sigma) ** 2
-        energy = modified_energy(P, parity_split(vec))
+        energy = modified_energy(Phi, L2s, parity_split(vec))
         upper.append(energy / nsq)
         lower.append(energy / max(nsq - stacked_norm(grid, vec, -2.0) ** 2, 1e-300))
     j = grid.modes.astype(float)
@@ -497,7 +544,7 @@ def _per_vector_report(para, V, sigma, sample_count, seed):
     for k in range(1, grid.dealias_cut + 1):
         for zw in ((eye[k], zero), (zero, eye[k])):
             vec = conjugate_pair(grid, *zw)
-            lhs = stacked_inner(grid, l2s(P, phi(P, delta * vec)), phi(P, vec), 0.0)
+            lhs = stacked_inner(grid, l2s(L2s, phi(Phi, delta * vec)), phi(Phi, vec), 0.0)
             zsq = stacked_norm(grid, np.concatenate([vec[: 2 * n], zeros]), sigma + 2.0) ** 2
             wsq = stacked_norm(grid, np.concatenate([zeros, vec[2 * n :]]), sigma + 1.0) ** 2
             defects.append((lhs - 0.25 * (zsq + wsq)) / stacked_norm(grid, vec, sigma) ** 2)
@@ -523,18 +570,18 @@ def test_batched_energy_report_matches_per_vector_reference(preset):
 
 def test_phi_l2s_and_energy_act_on_a_batch_vector_by_vector():
     g, para, V = _preset_setup("mixed", 32)
-    P = build_parametrix(para, V, 2.5)
+    Phi, L2s = energy_operators(build_parametrix(para, V, 2.5))
     rng = np.random.default_rng(11)
     batch = rng.standard_normal((5, 4 * g.n)) + 1j * rng.standard_normal((5, 4 * g.n))
-    for apply in (partial(phi, P), partial(l2s, P)):
+    for apply in (partial(phi, Phi), partial(l2s, L2s)):
         got = apply(batch)
         assert got.shape == batch.shape
         for row, vec in zip(got, batch):
             assert _rel(row, apply(vec)) <= 1e-14
-    energies = modified_energy(P, parity_split(batch))
+    energies = modified_energy(Phi, L2s, parity_split(batch))
     assert energies.shape == (5,)
     for e, vec in zip(energies, batch):
-        assert abs(e - modified_energy(P, parity_split(vec))) <= 1e-14 * abs(e)
+        assert abs(e - modified_energy(Phi, L2s, parity_split(vec))) <= 1e-14 * abs(e)
 
 
 def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
@@ -565,18 +612,21 @@ def _array_sizes(obj, seen):
             yield from _array_sizes(value, seen)
 
 
-def test_system_and_parametrix_hold_no_array_larger_than_a_block():
+def test_system_and_parametrix_hold_no_array_larger_than_a_block(monkeypatch):
     # operators are held by their parity halves as 2 x 2 blocks of side n
-    # over (beam, wave); neither the system nor the parametrix, with L_{2s}
-    # built on first use, holds an array larger than a block, and the
-    # parametrix holds none of the residual's Psi, Lambda and D~_b
+    # over (beam, wave): the system holds no array larger than a block, and a
+    # parametrix, the residual's and the energy report's own, only symbols of
+    # n entries (its grid's chi and mask aside), once the residual and the
+    # report have formed and applied every block
     g, para, V = coupled_setup(32)
-    P = build_parametrix(para, V, 2.5)
+    built = _counting(monkeypatch, beamwave.parametrix, "build_parametrix")
+    P = beamwave.parametrix.build_parametrix(para, V, 2.5)
     conjugation_residual(P, para, V)
-    modified_energy(P, parity_split(V))
-    assert "L2s" in vars(P)
-    assert not {"Psi", "Lambda"} & set(vars(P)) and "D_tilde_b" not in vars(P.beam)
-    assert max(_array_sizes(P, set())) == g.n**2
+    equivalence_and_garding_report(para, V, 2.5, sample_count=4)
+    assert len(built) == 2 and built[0][1] is P
+    for _, Q in built:
+        assert all(t is not None for t in Q.t)
+        assert max(_array_sizes(Q, {id(g)})) == g.n
     assert max(_array_sizes(para, set())) == g.n**2
 
 
@@ -588,7 +638,7 @@ def test_headline_holds_no_block_that_is_zero_by_structure():
     P = build_parametrix(para, V, 2.5)
     pm, mp = para._A0
     assert pm.shape == (2 * g.n,) and np.any(pm)
-    for half in (mp,) + P.Phi + residual_operators(P)[0]:
+    for half in (mp,) + formed(P)[0] + formed(P)[1]:
         assert structural_zeros(half) == {(0, 1), (1, 0)}
         assert all(np.any(half[i][i]) for i in (0, 1))
 
@@ -597,11 +647,14 @@ def test_ladder_rung_peak_memory():
     # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
     # runs them: the build, the residuals, then the energy report (which
     # builds its own parametrix) with the first parametrix alive.  Measured
-    # in the suite: 3.25 MB and 8.38 MB (3.31 MB and 8.38 MB in a fresh
-    # process); the bounds are that plus under 10%.  With S_1 +- S_2 formed
-    # as four n x n arrays, each table with its n x n gather index, the
-    # Garding scan's diagonal blocks formed as matrices and the samples held
-    # beside their parity halves: 3.71 MB and 9.77 MB; with the grid also
+    # in the suite: 2.12 MB and 6.38 MB (2.83 MB and 6.39 MB in a fresh
+    # process); the bounds are the larger plus under 10%.  With Phi, T and
+    # L_{2s} held by the parametrix, so that the report ran beside the first
+    # parametrix's blocks: 3.25 MB and 8.38 MB (3.31 MB and 8.38 MB fresh);
+    # with S_1 +- S_2 also formed as four n x n arrays, each table with its
+    # n x n gather index, the Garding scan's diagonal blocks formed as
+    # matrices and the samples held beside their parity halves: 3.71 MB and
+    # 9.77 MB; with the grid also
     # holding its int64 mode lattice (j - k, j + k) beside chi: 3.98 MB and
     # 10.82 MB; with chi also formed on the whole lattice, each Weyl matrix
     # summed onto zeros and the energy's normal draws held: 4.54 MB and
@@ -611,7 +664,7 @@ def test_ladder_rung_peak_memory():
     # (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    for n, bound in ((128, 3.5e6), (256, 8.6e6)):
+    for n, bound in ((128, 3.1e6), (256, 7.0e6)):
         g = TorusGrid(n)
         sysm, fields = build_preset("headline", g)
         V = complexify(*fields).stacked()
@@ -669,7 +722,7 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
     P = build_parametrix(para, V, 2.5)
     assert tables == []
-    modified_energy(P, parity_split(V))
+    modified_energy(*energy_operators(P), parity_split(V))
     conjugation_residual(P, para, V)
     abs5, abs1 = FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.abs_xi()
     assert tables == [abs5.terms, abs1.terms, abs1.terms]
@@ -733,7 +786,7 @@ def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, mo
 
     def blocks(p, v):  # the forms of T, frakB(V)'s coupling blocks, frakA(V)'s wave block
         (_, bw), (wb, _) = p.frak_B(v)[1]
-        T = build_parametrix(p, v, 2.5).T
+        T = build_parametrix(p, v, 2.5).T()
         return [None if b is None else b.ndim for b in (*T, bw, wb, p.frak_A(v)[1][1][1])]
 
     assert [blocks(p, v) for p, v in cases] == [[1] * 5, [1] * 5, [None, 2, None, 1, 1]]
@@ -758,8 +811,8 @@ def test_constant_coefficient_preset_holds_no_dense_beam_block(preset):
     # are held as diagonals (n,), and the beam diagonalizer holds no n x n array
     g, para, V = _preset_setup(preset, 32)
     P = build_parametrix(para, V, 2.5)
-    Psi, Dt_b, Lam = residual_operators(P)
-    beam = [P.L2s[0], Lam[0], *Dt_b, *(X[0][0] for X in P.Phi + Psi),
+    Phi, Psi, Lam = residual_operators(P)
+    beam = [P.L2s()[0], Lam[0], *(X[0][0] for X in Phi + Psi),
             *(para._A0[1][i][i] for i in (0, 1))]
     assert all(b.shape == (g.n,) for b in beam)
     assert max(_array_sizes(P.beam, {id(g)})) == g.n
@@ -807,23 +860,50 @@ def _freed_on_return(calls, arrays):
     return refs
 
 
+def _blocks(ops):
+    """The distinct arrays in nested tuples of blocks, None skipped."""
+    if isinstance(ops, np.ndarray):
+        return {id(ops): ops}
+    return {k: b for op in ops if op is not None for k, b in _blocks(op).items()}
+
+
 def test_psi_is_built_only_for_the_residuals(monkeypatch):
-    # the energy never forms Psi (nor Lambda); one residual call forms them
-    # once, and frees them on return: the parametrix holds none of them
+    # the energy never forms Psi (nor Lambda); one residual call forms them,
+    # with Phi, D and D~, once but for their wave blocks (``_wave_cut``), and
+    # frees every block on return: the parametrix holds none of them
     g, para, V = coupled_setup(32)
     built = _counting(monkeypatch, beamwave.parametrix, "residual_operators")
     P = build_parametrix(para, V, 2.5)
-    modified_energy(P, parity_split(V))
+    modified_energy(*energy_operators(P), parity_split(V))
     equivalence_and_garding_report(para, V, 2.5, sample_count=4)
     assert built == []
 
     first = conjugation_residual(P, para, V)
     assert [c[0] for c in built] == [P]
-    # Psi's two coupling blocks (both formed here) and Lambda's two blocks
-    refs = _freed_on_return(built, lambda r: (r[0][0][0][1], r[0][1][1][0]) + r[2])
-    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    # the beam and coupling blocks of Phi and Psi, 4 each, and Lambda's 2
+    refs = _freed_on_return(built, lambda r: _blocks(r).values())
+    assert len(refs) == 10 and all(ref() is None for ref in refs)
     assert conjugation_residual(P, para, V) == first
     assert [c[0] for c in built] == [P]
+
+
+def test_phi_and_l2s_are_formed_once_per_energy_report(monkeypatch):
+    # the report forms Phi+- and L_{2s} once, for the samples' energy and the
+    # Garding scan both, and frees them on return; the residual forms its
+    # Phi with Psi (``residual_operators``), not through energy_operators
+    g, para, V = coupled_setup(32)
+    built = _counting(monkeypatch, beamwave.parametrix, "energy_operators")
+    P = build_parametrix(para, V, 2.5)
+    conjugation_residual(P, para, V)
+    assert built == []
+
+    first = equivalence_and_garding_report(para, V, 2.5, sample_count=4)
+    assert len(built) == 1
+    # Phi's 6 blocks (both coupling blocks formed here) and L_{2s}'s 2
+    refs = _freed_on_return(built, lambda r: _blocks(r).values())
+    assert len(refs) == 8 and all(ref() is None for ref in refs)
+    assert equivalence_and_garding_report(para, V, 2.5, sample_count=4) == first
+    assert len(built) == 1
 
 
 def test_beam_d_tilde_is_built_only_for_the_residuals(monkeypatch):

@@ -45,6 +45,13 @@ SYSTEMS = {
     "null_b.json": '{"b": null}',
     "null_F2.json": '{"F2": [[null, 5, 5]]}',
     "values_b.json": '{"b": {"values": [1.0]}}',
+    # an order or a slot that is no integer, a boolean profile, a term entry
+    # of another shape
+    "order_B_terms.json": '{"B_terms": [[1.0, 2.5]]}',
+    "slot_F2.json": '{"F2": [[1.0, 5, 5.7]]}',
+    "true_b.json": '{"b": true}',
+    "short_B_terms.json": '{"B_terms": [[1.0]]}',
+    "number_F2.json": '{"F2": 3}',
 }
 
 SHORT = ["--n", "16", "--T", "0.01"]
@@ -72,6 +79,11 @@ COMMANDS = [
     (["simulate", "--system", "null_b.json"], 2),
     (["simulate", "--system", "null_F2.json"], 2),
     (["simulate", "--system", "values_b.json"], 2),
+    (["simulate", "--system", "order_B_terms.json"], 2),
+    (["simulate", "--system", "slot_F2.json"], 2),
+    (["simulate", "--system", "true_b.json"], 2),
+    (["simulate", "--system", "short_B_terms.json"], 2),
+    (["simulate", "--system", "number_F2.json"], 2),
     (["verify", "--suite", "parametrix", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "leaves_radius.json", "--n", "32", "--T", "1.0"], 3),
     (["verify", "--suite", "operators"], 0),
@@ -172,3 +184,21 @@ def test_a_profile_of_no_documented_form_exits_2_listing_the_forms(name, field, 
     assert "system field %r" % field in err and "Traceback" not in err
     for form in ('"constant:v"', '"cosine:amp"', "a number", "n = 16 samples"):
         assert form in err, err
+
+
+@pytest.mark.parametrize("name, field, says", [
+    ("order_B_terms.json", "B_terms", "a derivative order k is an integer 0..2, not 2.5"),
+    ("slot_F2.json", "F2", "a jet slot is an integer 0..5, not 5.7"),
+    ("true_b.json", "b", '"constant:v", "cosine:amp", a number or an array'),
+    ("short_B_terms.json", "B_terms", "entries [profile, k], k an integer 0..2"),
+    ("number_F2.json", "F2", "entries [profile, slot, slot], each slot an integer 0..5"),
+])
+def test_a_malformed_term_or_profile_exits_2_naming_its_field(name, field, says, tmp_path, capsys):
+    # int() would truncate an order or a slot, and numpy reads true as 1; a
+    # term entry of another shape is named by its form, not by Python's words
+    (tmp_path / name).write_text(SYSTEMS[name])
+    argv = ["simulate", "--system", str(tmp_path / name), "--n", "16", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "system field %r" % field in err and says in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run_*"))
