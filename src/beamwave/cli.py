@@ -86,9 +86,10 @@ def _config_hash(doc):
 def _request(args, config, **fields):
     """The resolved request of a command, whose hash names its artifacts: the
     command's own ``fields``, the system (the --system document, not its
-    path), grid and data, and the solver config."""
-    return dict(fields, command=args.command, preset=args.preset, system=args.document,
-                n=args.n, amplitude=args.amplitude, config=config.to_json_dict())
+    path, or else the preset), grid and data, and the solver config."""
+    preset = {} if args.document is not None else {"preset": args.preset}
+    return dict(fields, **preset, command=args.command, system=args.document, n=args.n,
+                amplitude=args.amplitude, config=config.to_json_dict())
 
 
 def _write_json(path, doc):

@@ -257,13 +257,13 @@ def _kato_plan(para, steps):
     n, h = grid.n, grid.n // 2 + 1
     pm, ((bb, _), (_, ww)) = para._A0
     nodes, size = steps + 1, _chunk_nodes(n)
-    chi = bool(para._real_blocks) or bb.ndim == 2 or ww.ndim == 2
-    first, blocks = min(size, nodes), len(para._real_blocks) * 2 * h * n * 16
+    chi = bool(para._specs) or bb.ndim == 2 or ww.ndim == 2
+    first, blocks = min(size, nodes), len(para._specs) * 2 * h * n * 16
     chunk = max(PLAN_CHUNK_NODE * first * n, blocks + PLAN_MARCH_NODE * first * n)
     if nodes > size:  # the second chunk's prepass beside the first's forcing, 4 rows of h
         chunk = max(chunk, blocks + 4 * h * 16 * size
                     + PLAN_CHUNK_NODE * min(size, nodes - size) * n)
-    march = (9 * n * n * chi + len(para._real_blocks) * h * n * 16 + chunk
+    march = (9 * n * n * chi + len(para._specs) * h * n * 16 + chunk
              + _trajectory_bytes(grid, steps))
     return (PLAN_FIXED + PLAN_ROW * n + min(PLAN_BUFFER, 16 * n * n) * chi + pm.nbytes
             + bb.nbytes + ww.nbytes + march)

@@ -37,9 +37,11 @@ j >= 0 halves (4, ..., n//2 + 1), ``np.fft.rfft``'s layout.  A stacked V enters 
 side and the remainder live beside their tests.
 """
 
+from functools import cached_property
+
 import numpy as np
 
-from .grid import SpectralFunction
+from .grid import SpectralFunction, row_blocks
 from .quantize import bony_weyl_quantize, subtract_into, weyl_table
 from .state import complex_weights, real_from_stacked
 from .symbols import FrequencyMultiplier, SeparableSymbol
@@ -66,7 +68,7 @@ class ParalinearizedSystem:
     (``grid.toeplitz``) times the table chi_eps(|j-k|/<j+k>) g((j+k)/2) of
     g = |xi| or <xi>^{-3/2} xi^2.  The real form holds the rows 0..n/2 of
     those tables with half of P's weights folded in, one per g-function that
-    the term lists of F1 and F2 can make nonzero.
+    the term lists of F1 and F2 can make nonzero, formed on first read.
     """
 
     def __init__(self, source, grid):
@@ -78,20 +80,33 @@ class ParalinearizedSystem:
         self._A0 = self.frak_A(None)
         # g_1w, g_12b, g_12w: the F and jet slot each is half the partial of,
         # the rows (out, in) of u = (y, y_t, theta, theta_t) of its block, its
-        # multiplier; each table holds rows 0..n/2 of half of P's weights, -2 / 2 =
-        # -1, complex, as a float one is cast in every node's form (25-40% slower at N = 128)
-        F1, F2, D, h = source.F1, source.F2, complex_weights(grid), grid.n // 2 + 1
+        # multiplier; the specs of the tables F can make nonzero
+        F1, F2 = source.F1, source.F2
         specs = ((F2, 5, 3, 2, _ABS_XI), (F1, 5, 1, 2, _OFF), (F2, 2, 3, 0, _OFF))
-        self._real_blocks = [
-            (i, out, inp, (-1.0 * D[out // 2][:h, None] * (weyl_table(grid, mult, slice(h))
-                           * grid.chi_mask[:h]) * D[inp // 2]).astype(complex))
-            for i, (F, slot, out, inp, mult) in enumerate(specs)
-            if any(slot in term[1:] for term in F.terms)]
+        self._specs = [(i, out, inp, mult) for i, (F, slot, out, inp, mult) in enumerate(specs)
+                       if any(slot in term[1:] for term in F.terms)]
+
+    @cached_property
+    def _real_blocks(self):
+        """(i, out, in, table) per ``_specs`` entry, formed on first read (a plan,
+        ``coupled`` and the parametrix read only the specs) in one float row block
+        at a time: rows 0..n/2 of half of P's weights, -2 / 2 = -1, complex, as a
+        float table is cast in every node's form (25-40% slower at N = 128)."""
+        grid, D, h, blocks = self.grid, complex_weights(self.grid), self.grid.n // 2 + 1, []
+        for i, out, inp, mult in self._specs:
+            table = np.empty((h, grid.n), dtype=complex)
+            for r in (slice(b.start, min(b.stop, h)) for b in row_blocks(grid.n) if b.start < h):
+                W = weyl_table(grid, mult, r)
+                W *= grid.chi_mask[r]
+                np.multiply(-1.0 * D[out // 2][r, None], W, out=W)
+                table[r] = np.multiply(W, D[inp // 2], out=W)
+            blocks.append((i, out, inp, table))
+        return blocks
 
     def coupled(self):
         """(beam-wave, wave-beam): whether the term lists of F can make g_12b,
         g_12w nonzero, and so frakB's coupling block in its mp half."""
-        live = {i for i, *_ in self._real_blocks}
+        live = {i for i, *_ in self._specs}
         return 1 in live, 2 in live
 
     # -- g-functions ---------------------------------------------------
@@ -164,7 +179,7 @@ class ParalinearizedSystem:
             p_b, p_w = (-1j * bony_weyl_quantize(syms[key][0]) for key in ("A_b", "A_w"))
             bb, ww = (_minus_2i_bw(p, syms[key][1]) for p, key in ((p_b, "A_b"), (p_w, "A_w")))
             return np.concatenate([p_b, p_w]), ((bb, None), (None, ww))
-        if 0 not in {i for i, *_ in self._real_blocks}:  # F2 has no theta_xx slot: g_1w = 0
+        if 0 not in {i for i, *_ in self._specs}:  # F2 has no theta_xx slot: g_1w = 0
             return self._A0
         pm, ((bb, _), (_, ww)) = self._A0
         q_w = SeparableSymbol.from_xfunc(self.g_functions(V)[2], _ABS_XI)

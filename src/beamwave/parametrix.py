@@ -34,12 +34,12 @@ halves' norms.  No 2n x 2n array is formed.
 A parametrix (``Parametrix``) holds only symbols of n values each: lam,
 s_1, s_2 of both diagonalizers, the beam's k, k^{-1} and M_{-1}'s
 coefficient m, and T's t_b, t_w.  Every n x n block is formed by the call
-that applies it, and freed on its return: ``energy_operators`` forms Phi+-
-and L_{2s} once for the energy report, its samples and its Garding scan;
-``residual_operators`` forms Phi+-, Psi+- (D and D~ among their blocks), T
-and Lambda for the conjugation residual, all but the wave blocks S_1 +- S_2
-of D~_w, of which the residual forms only the rows or columns R that each
-product reads, with one of S_1, S_2 whole at a time (``_wave_cut``).
+that applies it, and freed on its return: the energy report forms L_{2s}
+once, and one half of Phi at a time (``energy_operators``) for its samples
+and its Garding scan; ``residual_operators`` forms Phi+-, Psi+- (D and D~
+among their blocks), T and Lambda for the conjugation residual, all but the
+wave blocks S_1 +- S_2 of D~_w, of which the residual forms only the rows or
+columns R that each product reads (``_wave_cut``), each in one quantization.
 
 A block quantized from constant x-coefficients comes back from
 ``bony_weyl_quantize`` as its diagonal (n,): for constant b, S_b^{+-1},
@@ -63,8 +63,9 @@ component c,
     <L_{2s} Phi V, Phi V> = (1/2) sum_{h = p, m} sum_{c = b, w}
                             <L_c (Phi_h v_h)_c, (Phi_h v_h)_c>,
 
-each on one n-wide component block (``_energy``); no stacked 4n vector
-is formed.
+each on one n-wide component block (``_energy``), summed in that order
+(p-beam, p-wave, m-beam, m-wave) as each half is formed; no stacked 4n
+vector is formed.
 """
 
 import operator
@@ -73,9 +74,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
-from .grid import SpectralFunction, row_blocks, transform
-from .quantize import as_matrix, bony_weyl_quantize, combine, exact_operator_norm
+from .grid import SpectralFunction, transform
+from .quantize import bony_weyl_quantize, combine, exact_operator_norm
 from .symbols import FrequencyMultiplier, SeparableSymbol
+
+_SIGNS = (operator.add, operator.sub)  # the sign of each even half, + then -
 
 
 def _dx_values(grid, values):
@@ -101,18 +104,13 @@ def _op(f, mult=None):
     return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
 
 
-def _similarity(s1, s2):
-    """The even halves (S_1 + S_2, S_1 - S_2) of Op^BW(S), S = [[s1, s2], [s2, s1]];
-    S^{-1} = [[s1, -s2], [-s2, s1]] has them swapped.  Formed in the buffers of
-    S_1 and S_2, a row block at a time (``row_blocks``)."""
-    S1, S2 = _op(s1), _op(s2)
-    if S1.ndim != S2.ndim:
-        return combine(operator.add, S1, S2), combine(operator.sub, S1, S2)
-    for r in row_blocks(len(S1)):
-        d = S1[r] - S2[r]
-        S1[r] += S2[r]
-        S2[r] = d
-    return S1, S2
+def _similarity(s1, s2, op):
+    """S_1 + S_2 (op ``operator.add``) or S_1 - S_2 (``operator.sub``), an even
+    half of Op^BW(S), S = [[s1, s2], [s2, s1]]; S^{-1} = [[s1, -s2], [-s2, s1]]
+    has them swapped.  One quantization, Op^BW(s1 op s2), as Op^BW is linear in
+    its symbol: bit for bit Op^BW(s1) op Op^BW(s2) where s1 and s2 are
+    constant, to round-off otherwise."""
+    return _op(op(s1, s2))
 
 
 def _apply(b, u):
@@ -216,7 +214,7 @@ class BeamDiagonalizer(_Diagonalizer):
     The conjugation D_b (E Op^BW(A_b)) D~_b equals E Op^BW(lam_b xi^2) plus
     an order-zero residual, uniformly in the truncation.  With M_{-1} =
     [[0, O_m], [O_m, 0]], D_b's even halves are K^{-1}(1 +- O_m)(S_1 -+ S_2)
-    (``halves``) and D~_b's (S_1 +- S_2)(1 -+ O_m) K (``right_inverse``).
+    (``half``) and D~_b's (S_1 +- S_2)(1 -+ O_m) K (``right_inverse``).
     Only the symbols are held: k, k^{-1} and M_{-1}'s coefficient m beside
     lam, s1 and s2; each block is formed on each call.
     """
@@ -242,21 +240,19 @@ class BeamDiagonalizer(_Diagonalizer):
         """O_m = Op^BW(i m psi(xi)/xi), M_{-1}'s block, formed on each call."""
         return _op(1j * self.m, FrequencyMultiplier.psi_over_xi())
 
-    def halves(self, O_m):
-        """D_b's halves, formed on each call from M_{-1}'s block (``M_minus1``)."""
-        S_p, S_m = _similarity(self.s1, self.s2)
-        K_inv = _op(self.k_inv)
-        one = np.ones(self.grid.n)
-        return (_mul(_mul(K_inv, combine(operator.add, one, O_m)), S_m),
-                _mul(_mul(K_inv, combine(operator.sub, one, O_m)), S_p))
+    def half(self, O_m, h):
+        """D_b's half h (0: +, 1: -), formed on each call from M_{-1}'s block
+        (``M_minus1``), one similarity half with it (``_similarity``)."""
+        plus, minus = _SIGNS[h], _SIGNS[1 - h]
+        return _mul(_mul(_op(self.k_inv), combine(plus, np.ones(self.grid.n), O_m)),
+                    _similarity(self.s1, self.s2, minus))
 
     def right_inverse(self, O_m):
         """D~_b's halves, formed on each call from M_{-1}'s block: only Psi and
         the bare coupling blocks of the conjugation residual apply them."""
-        (S_p, S_m), K = _similarity(self.s1, self.s2), _op(self.k)
-        one = np.ones(self.grid.n)
-        return (_mul(_mul(S_p, combine(operator.sub, one, O_m)), K),
-                _mul(_mul(S_m, combine(operator.add, one, O_m)), K))
+        K, one = _op(self.k), np.ones(self.grid.n)
+        return tuple(_mul(_mul(_similarity(self.s1, self.s2, plus), combine(minus, one, O_m)), K)
+                     for plus, minus in (_SIGNS, _SIGNS[::-1]))
 
 
 class WaveDiagonalizer(_Diagonalizer):
@@ -266,9 +262,10 @@ class WaveDiagonalizer(_Diagonalizer):
 
     refusal = "wave smallness condition fails: min(1 + 2a_w) = %.6g <= 0"
 
-    def right_inverse(self):
-        """D~_w's halves (S_1 + S_2, S_1 - S_2), formed on each call."""
-        return _similarity(self.s1, self.s2)
+    def right_inverse(self, op):
+        """D~_w's half S_1 op S_2 (``_similarity``), formed on each call: D~_w+ =
+        D_w- (op ``operator.add``) or D~_w- = D_w+ (``operator.sub``)."""
+        return _similarity(self.s1, self.s2, op)
 
 
 def build_T_correctors(a, g_12b, g_12w):
@@ -315,10 +312,10 @@ class Parametrix:
         self.t = tuple(t if live else None
                        for t, live in zip(build_T_correctors(a, g_12b, g_12w), para.coupled()))
 
-    def T(self):
-        """T's blocks (2 Op^BW(t_b), -2 Op^BW(t_w)), None for a zero one."""
-        return tuple(None if t is None else c * bony_weyl_quantize(t)
-                     for t, c in zip(self.t, (2.0, -2.0)))
+    def T(self, h):
+        """T's block in its half h: T_bw = 2 Op^BW(t_b) of T+ (h = 0) or T_wb =
+        -2 Op^BW(t_w) of T- (h = 1), None for a zero one."""
+        return None if self.t[h] is None else (2.0, -2.0)[h] * bony_weyl_quantize(self.t[h])
 
     def L2s(self):
         """L_{2s}'s beam and wave blocks."""
@@ -333,16 +330,13 @@ def build_parametrix(para, V, s):
     return Parametrix(para, V, s)
 
 
-def energy_operators(P):
-    """(Phi+-, L_{2s}) of a parametrix, formed anew on each call: only the
-    energy report applies them, so P holds none.  Phi's halves are
-    blockdiag(D_b+-, D_w+-), D_w+- = D~_w-+, plus one coupling block each,
-    D_b+ T_bw and D_w- T_wb (T+ = [[0, T_bw], [0, 0]], T- = [[0, 0], [T_wb, 0]])."""
-    (Db_p, Db_m), (Dw_m, Dw_p) = P.beam.halves(P.beam.M_minus1()), P.wave.right_inverse()
-    T_bw, T_wb = P.T()
-    Phi = (((Db_p, _mul(Db_p, T_bw)), (None, Dw_p)),
-           ((Db_m, None), (_mul(Dw_m, T_wb), Dw_m)))
-    return Phi, P.L2s()
+def energy_operators(P, h):
+    """Phi's half h (0: Phi+, 1: Phi-), formed anew on each call, one at a time
+    by the energy report: blockdiag(D_b,h, D_w,h), D_w+- = D~_w-+, plus one
+    coupling block, D_b+ T_bw in Phi+ or D_w- T_wb in Phi- (T+ = [[0, T_bw],
+    [0, 0]], T- = [[0, 0], [T_wb, 0]])."""
+    D_b, D_w, T = P.beam.half(P.beam.M_minus1(), h), P.wave.right_inverse(_SIGNS[1 - h]), P.T(h)
+    return ((D_b, _mul(D_b, T)), (None, D_w)) if h == 0 else ((D_b, None), (_mul(D_w, T), D_w))
 
 
 def residual_operators(P):
@@ -354,10 +348,10 @@ def residual_operators(P):
     the coupling blocks D_w- T_wb and -T_bw D~_w+ where T has a block, and
     freed on return.  Only the conjugation residual applies them, so P holds
     none."""
-    beam, T = P.beam, P.T()
+    beam, T = P.beam, (P.T(0), P.T(1))
     O_m = beam.M_minus1()
-    (Db_p, Db_m), Dt_b = beam.halves(O_m), beam.right_inverse(O_m)
-    A = P.wave.right_inverse()[0] if any(t is not None for t in T) else None  # D~_w+ = D_w-
+    (Db_p, Db_m), Dt_b = (beam.half(O_m, h) for h in (0, 1)), beam.right_inverse(O_m)
+    A = P.wave.right_inverse(operator.add) if any(t is not None for t in T) else None  # D_w-
     T_bw, T_wb = T
     Phi = (((Db_p, _mul(Db_p, T_bw)), (None, None)),
            ((Db_m, None), (_mul(A, T_wb), None)))
@@ -370,25 +364,10 @@ def residual_operators(P):
 
 
 def _wave_cut(wave, op, r, axis):
-    """The rows (axis 0) or columns (axis 1) r of D~_w's half op(S_1, S_2), op
-    ``np.add`` (D~_w+ = D_w-) or ``np.subtract`` (D~_w- = D_w+), bit for
-    bit those of ``_similarity``'s halves, but with one of S_1, S_2 formed
-    whole at a time: S_1's rows or columns r are held, and S_2's are added to
-    or subtracted from them a row block at a time.  A diagonal stays one,
-    restricted to r, unless the other is dense (``combine``)."""
-    S = _op(wave.s1)
-    cut = S if S.ndim == 1 else _cut(S, r, axis)
-    del S
-    S = _op(wave.s2)
-    if cut.ndim == S.ndim == 1:
-        return op(cut, S)[r]
-    if cut.ndim == 1:
-        cut = _cut(as_matrix(cut), r, axis)
-    if S.ndim == 1:
-        return op(cut, _cut(as_matrix(S), r, axis))
-    for b in row_blocks(len(S)):
-        op(cut[b], S[r[b]] if axis == 0 else S[b][:, r], out=cut[b])
-    return cut
+    """The rows (axis 0) or columns (axis 1) r (``_cut``) of D~_w's half S_1 op
+    S_2, op ``operator.add`` (D~_w+ = D_w-) or ``operator.sub`` (D~_w- = D_w+),
+    one quantization (``right_inverse``) held whole only until it is cut."""
+    return _cut(wave.right_inverse(op), r, axis)
 
 
 def conjugation_residual(P, para, V):
@@ -428,9 +407,6 @@ def conjugation_residual(P, para, V):
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
-    def wave(op, axis):  # the rows or columns R of D~_w+ (add) or D~_w- (subtract)
-        return _wave_cut(P.wave, op, r, axis)
-
     def take(X, cut, axis=0):  # the rows or columns R of a half, its wave block ``cut``
         (bb, bw), (wb, _) = X
         bb, bw, wb = (None if b is None else _cut(b, r, axis) for b in (bb, bw, wb))
@@ -444,18 +420,18 @@ def conjugation_residual(P, para, V):
     # D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of D L D~ - Lambda (those
     # of the pm half are zero), D~_w- = D_w+ enters X+ L_pm Y-, and both enter
     # Psi+- Phi+- - 1
-    A_r = wave(np.add, 0)
+    A_r = _wave_cut(P.wave, operator.add, r, 0)
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
     XL = _product(take(Phi[1], A_r), ((bb, bw), (wb, ww)), r)
     DB = _product(take(D_m, A_r), B_mp, r)
     del bb, ww, A_r
-    A_c = wave(np.add, 1)
+    A_c = _wave_cut(P.wave, operator.add, r, 1)
     bare = _product(DB, take(Dt_p, A_c, 1), r)
     X = _minus_diagonal(_product(XL, take(Psi[0], A_c, 1), r), *lam)
     del XL, DB
     conj = [(norm([X]), norm(offdiag([X])))]
     del X
-    B_r = wave(np.subtract, 0)
+    B_r = _wave_cut(P.wave, operator.sub, r, 0)
     X = _minus_diagonal(_product(take(Psi[1], B_r), take(Phi[1], A_c, 1), r), one, one)
     del A_c
     inv = norm([X], s + 2.0)
@@ -463,12 +439,12 @@ def conjugation_residual(P, para, V):
     pm_b, pm_w = np.split(pm, 2)
     XL = _product(take(Phi[0], B_r), ((pm_b, None), (None, pm_w)), r)
     del B_r
-    B_c = wave(np.subtract, 1)
+    B_c = _wave_cut(P.wave, operator.sub, r, 1)
     X = _minus_diagonal(_product(XL, take(Psi[1], B_c, 1), r), *lam)
     del XL, lam
     conj.append((norm([X]), norm(offdiag([X]))))
     del X
-    A_r = wave(np.add, 0)
+    A_r = _wave_cut(P.wave, operator.add, r, 0)
     X = _minus_diagonal(_product(take(Psi[0], A_r), take(Phi[0], B_c, 1), r), one, one)
     del A_r, B_c
     inv = max(inv, norm([X], s + 2.0))
@@ -486,22 +462,24 @@ def conjugation_residual(P, para, V):
     }
 
 
-def _energy(L2s, images):
-    """(1/2) sum of Re <L_c y, y> over Phi-images y (..., n) of parity halves,
-    each listed by its row components c = (beam, wave), None where zero."""
-    return 0.5 * sum(np.sum(_apply(L, y) * y.conj(), axis=-1).real
-                     for image in images for L, y in zip(L2s, image) if y is not None)
+def _energy(L2s, image, total):
+    """total plus the sum of Re <L_c y, y> over the row components c = (beam,
+    wave) of a Phi_h-image y (..., n), None where zero: the share of Phi's half
+    h in <L_{2s} Phi V, Phi V>, half the sum of the shares p-beam, p-wave,
+    m-beam, m-wave, added in that order."""
+    return sum((np.sum(_apply(L, y) * y.conj(), axis=-1).real
+                for L, y in zip(L2s, image) if y is not None), total)
 
 
-def _mode_energies(grid, Phi, L2s):
-    """<L_{2s} Phi V, Phi V> of the single-mode beam states (z = e_k), then of
-    the wave states (w = e_k), 0 < k <= n/3.  Such a state is p = (e_k +
-    e_-k)/sqrt2, m = (e_k - e_-k)/sqrt2 on its component, so its Phi-image
-    is two columns of each block of each half."""
+def _mode_energies(grid, X, h, L2s, totals):
+    """totals plus the shares (``_energy``) of Phi's half X = Phi_h, h = 0 (+)
+    or 1 (-), of the beam states z = e_k and of the wave states w = e_k, 0 < k
+    <= n/3, a pair of (|k|,) sums.  Such a state's half is (e_k +- e_-k)/sqrt2
+    on its component, so its image is two columns of each block of X."""
     k = np.arange(1, grid.dealias_cut + 1)
-    refl, rt2 = grid.reflect[k], np.sqrt(2.0)
+    refl, rt2, op = grid.reflect[k], np.sqrt(2.0), (np.add, np.subtract)[h]
 
-    def image(b, op):  # (|k|, n) of a block X: op(X[:, k], X[:, -k]) / sqrt2
+    def image(b):  # (|k|, n) of a block B: op(B[:, k], B[:, -k]) / sqrt2
         if b.ndim == 2:
             y = b[:, k]
             op(y, b[:, refl], out=y)
@@ -511,20 +489,18 @@ def _mode_energies(grid, Phi, L2s):
         y /= rt2
         return y.T
 
-    def images(c):  # per row component of each half
-        return ([None if row[c] is None else image(row[c], op) for row in X]
-                for X, op in zip(Phi, (np.add, np.subtract)))
-
-    return np.concatenate([_energy(L2s, images(c)) for c in (0, 1)])
+    # one state component at a time: its images are freed before the other's
+    return [_energy(L2s, [None if row[c] is None else image(row[c]) for row in X], total)
+            for c, total in zip((0, 1), totals)]
 
 
-def modified_energy(Phi, L2s, halves):
-    """|V|^2_{V~,s} = <L_{2s} Phi V, Phi V> of stacked vectors V by their parity
-    halves v_p = (z + zbar)/sqrt2, v_m = (z - zbar)/sqrt2 over (beam, wave),
-    each (..., 2n), from the component blocks of Phi+ v_p and Phi- v_m."""
-    images = ([sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
-               for row in X] for X, v in zip(Phi, halves))
-    return _energy(L2s, images)
+def modified_energy(X, L2s, v, total):
+    """total plus the share (``_energy``) of Phi's half X = Phi_h in |V|^2_{V~,s}
+    = <L_{2s} Phi V, Phi V> of stacked vectors V, from their half v_h (..., 2n)
+    over (beam, wave), v_p = (z + zbar)/sqrt2 or v_m = (z - zbar)/sqrt2."""
+    image = [sum(_apply(b, u) for b, u in zip(row, np.split(v, 2, axis=-1)) if b is not None)
+             for row in X]
+    return _energy(L2s, image, total)
 
 
 def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
@@ -570,15 +546,21 @@ def equivalence_and_garding_report(para, V, sigma, sample_count, seed=0):
         np.subtract(v, v_bar, out=m)
     halves /= np.sqrt(2.0)
     del z, w, v, v_bar
-    Phi, L2s = energy_operators(P)  # for the samples and the scan
-    energy = modified_energy(Phi, L2s, halves)
-    upper = energy / nsq
-    lower = energy / low
     # the binding Garding constant lives at low modes; scan the single-mode
     # beam and wave states (z or w = e_k, 0 < k <= n/3) deterministically:
-    # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave
+    # Phi(Delta V) = d_k Phi V with d_k = k^4 on the beam and k^2 on the wave.
+    # Phi's halves are formed one at a time, each freed before the other is
+    L2s = P.L2s()
+    energy, scan = 0, (0, 0)
+    for h, v in enumerate(halves):
+        X = energy_operators(P, h)
+        energy, scan = modified_energy(X, L2s, v, energy), _mode_energies(grid, X, h, L2s, scan)
+        del X
+    energy = 0.5 * energy
+    upper = energy / nsq
+    lower = energy / low
     k = np.arange(1, grid.dealias_cut + 1)
-    lhs = np.concatenate([k**4.0, k**2.0]) * _mode_energies(grid, Phi, L2s)
+    lhs = np.concatenate([k**4.0, k**2.0]) * (0.5 * np.concatenate(scan))
     # the Sobolev norms of e_k: ||Z||_{s+2}^2 of a beam state, ||W||_{s+1}^2
     # of a wave state, ||V||_s^2 of both
     def sq(s_):

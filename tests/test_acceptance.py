@@ -164,7 +164,7 @@ def test_criterion_03_diagonalization_identities():
         )
         lam = bony_weyl_quantize(SeparableSymbol(gn, [(b.lam, FrequencyMultiplier.xi_power(2))]))
         O_m = b.M_minus1()
-        (D_p, D_m), (Dt_p, Dt_m) = b.halves(O_m), b.right_inverse(O_m)
+        (D_p, D_m), (Dt_p, Dt_m) = (b.half(O_m, h) for h in (0, 1)), b.right_inverse(O_m)
         resid = (D_p @ P @ Dt_m - lam, D_m @ (P + 2.0 * Q) @ Dt_p - lam)
         band = np.ix_(gn.dealias_mask, gn.dealias_mask)
         res.append(max(exact_operator_norm(gn, h[band], 2.0, 2.0) for h in resid))

@@ -283,6 +283,20 @@ def test_run_id_hashes_the_system_document_not_its_path(tmp_path):
     assert sorted(m["request"]["system"]["b"] for m in manifests) == [1.0, 2.0]
 
 
+def test_a_document_run_id_does_not_hash_the_unread_preset(tmp_path):
+    # with --system, the --preset flag is not read (``_problem``), so one
+    # document run with two --preset values is one run id, as the same run
+    # without the flag
+    path, out = tmp_path / "system.json", tmp_path / "out"
+    path.write_text(json.dumps({"b": 2.0}))
+    argv = ["simulate", "--system", str(path), "--n", "16", "--T", "0.01", "--outdir", str(out)]
+    for extra in (["--preset", "headline"], ["--preset", "mixed"], []):
+        assert run_cli(argv + extra) == 0
+    assert len(list(out.glob("run_*.json"))) == 1
+    manifest = json.loads(next(out.glob("run_*.json")).read_text())
+    assert "preset" not in manifest["request"] and manifest["request"]["system"] == {"b": 2.0}
+
+
 def test_simulate_artifact_names_are_those_of_earlier_releases(tmp_path):
     args = ["simulate", "--preset", "headline", "--n", "32", "--T", "0.02", "--outdir", str(tmp_path)]
     assert run_cli(args) == 0

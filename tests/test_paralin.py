@@ -173,17 +173,21 @@ def test_remainder_is_quadratically_small():
 
 
 def test_headline_set_up_peak_at_n512():
-    # the set-up holds the grid's chi and in-range mask (9 bytes an entry)
-    # and the real-form table of g_1w; chi is formed by row blocks, so its
-    # lattice never sets the peak: measured 21.3 bytes an entry, 24.4 with
-    # chi formed over the whole lattice at once
+    # the set-up, with the first read of the real-form tables (the first
+    # frozen node's), holds the grid's chi and in-range mask (9 bytes an
+    # entry) and the table of g_1w; chi and the table are formed by row
+    # blocks, so neither its lattice nor the table's temporaries set the
+    # peak: measured 20.6 bytes an entry, 21.3 with the table formed through
+    # four (n/2 + 1) x n temporaries, 24.4 with chi also formed over the
+    # whole lattice at once
     import tracemalloc
 
     g = TorusGrid(512)
     system, _ = build_preset("headline", g)
     tracemalloc.start()
     try:
-        ParalinearizedSystem(system, g)
+        para = ParalinearizedSystem(system, g)
+        assert len(para._real_blocks) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

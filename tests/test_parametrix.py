@@ -1,8 +1,10 @@
 """Diagonalizers, parametrix, modified energy."""
 
 import gc
+import operator
 import weakref
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import beamwave.symbols
 from beamwave.bridge import BridgeSystem, bridge_system_from_json
 from beamwave.cli import PRESETS, build_preset
 from beamwave.errors import ConfigError, NumericalError, PreconditionError
+from beamwave.evolve import _kato_plan
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.parametrix import (
@@ -62,11 +65,35 @@ def l2s(L2s, vec):
     return np.concatenate([v[..., i, :] @ h.T for i, h in enumerate((b, b, w, w))], axis=-1)
 
 
+def phi_and_l2s(P):
+    """(Phi+-, L_{2s}) of a parametrix: both halves of Phi
+    (``energy_operators``), which the energy report forms one at a time."""
+    return tuple(energy_operators(P, h) for h in (0, 1)), P.L2s()
+
+
+def energy_of(Phi, L2s, halves):
+    """<L_{2s} Phi V, Phi V> of stacked vectors by their parity halves: half
+    the sum of the halves' shares (``modified_energy``), p's first."""
+    total = 0
+    for X, v in zip(Phi, halves):
+        total = modified_energy(X, L2s, v, total)
+    return 0.5 * total
+
+
+def mode_energies_of(g, Phi, L2s):
+    """<L_{2s} Phi V, Phi V> of the Garding scan's single-mode states, beam
+    states first (``_mode_energies``)."""
+    scan = (0, 0)
+    for h, X in enumerate(Phi):
+        scan = _mode_energies(g, X, h, L2s, scan)
+    return 0.5 * np.concatenate(scan)
+
+
 def formed(P):
     """(Phi+-, Psi+-, Lambda) of ``residual_operators``, each wave block, which
     it leaves to the residual's cuts, filled with D~_w's half: D_w+- = D~_w-+."""
     Phi, Psi, Lam = residual_operators(P)
-    Dt_w = P.wave.right_inverse()
+    Dt_w = [P.wave.right_inverse(op) for op in (operator.add, operator.sub)]
 
     def fill(X, w):
         (bb, bw), (wb, _) = X
@@ -149,7 +176,7 @@ def test_trivial_background_gauge_collapses():
     d = BeamDiagonalizer(transform(g, np.zeros(g.n)), g)
     assert np.max(np.abs(d.k.values().real - 1.0)) < 1e-12
     assert np.max(np.abs(d.M_minus1())) == 0.0
-    for half in d.halves(d.M_minus1()):
+    for half in (d.half(d.M_minus1(), h) for h in (0, 1)):
         assert np.max(np.abs(dense_block(half, g.n) - np.eye(g.n))) < 1e-12
 
 
@@ -197,8 +224,8 @@ def test_garding_defect_bounded_across_n():
 def test_modified_energy_scalar_quadratic():
     g, para, V = coupled_setup(32)
     P = build_parametrix(para, V, 2.5)
-    e1 = modified_energy(*energy_operators(P), parity_split(V))
-    e2 = modified_energy(*energy_operators(P), parity_split(2.0 * V))
+    e1 = energy_of(*phi_and_l2s(P), parity_split(V))
+    e2 = energy_of(*phi_and_l2s(P), parity_split(2.0 * V))
     assert abs(e2 - 4.0 * e1) < 1e-8 * max(abs(e1), 1.0)
 
 
@@ -300,7 +327,7 @@ def test_blocked_parametrix_matches_dense_formula(preset):
         g, para, V, P, dense = _dense_reference(preset, n)
         assert (np.max(np.abs(dense["T"])) > 0.0) == (preset == "mixed")
         split = parity_split(np.eye(4 * n))
-        Phi, L2s = energy_operators(P)
+        Phi, L2s = phi_and_l2s(P)
         for name, ops in (("Phi", Phi), ("Phi", formed(P)[0]), ("Psi", formed(P)[1])):
             halves = [dense_half(h, n) for h in ops]
             got = parity_join(*(u @ h.T for h, u in zip(halves, split))).T
@@ -327,14 +354,14 @@ def test_energy_forms_match_dense_reference(preset):
         z, w = rng.standard_normal((2, 6, n)) + 1j * rng.standard_normal((2, 6, n))
         batch = conjugate_pair(g, z * g.bracket_power(-3.5), w * g.bracket_power(-3.5))
         ref = reference(batch)
-        Phi, L2s = energy_operators(P)
-        got = modified_energy(Phi, L2s, parity_split(batch))
+        Phi, L2s = phi_and_l2s(P)
+        got = energy_of(Phi, L2s, parity_split(batch))
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
         k = np.arange(1, g.dealias_cut + 1)
         e_k, zero = np.eye(n)[k], np.zeros((k.size, n))
         modes = np.concatenate([conjugate_pair(g, e_k, zero), conjugate_pair(g, zero, e_k)])
         ref = reference(modes)
-        for got in (_mode_energies(g, Phi, L2s), modified_energy(Phi, L2s, parity_split(modes))):
+        for got in (mode_energies_of(g, Phi, L2s), energy_of(Phi, L2s, parity_split(modes))):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
@@ -458,7 +485,7 @@ def test_residuals_form_no_product_through_a_zero_coupling_block(preset, monkeyp
     g, para, V = _preset_setup(preset, 64)
     P = build_parametrix(para, V, 2.5)
     cb, cw = para.coupled()
-    assert [t is None for t in P.T()] == [not cb, not cw]
+    assert [P.T(h) is None for h in (0, 1)] == [not cb, not cw]
     m = 2 * g.dealias_cut + 1
     shapes, svd = [], np.linalg.svd
 
@@ -496,11 +523,9 @@ def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatc
 
 def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
     # the rows and columns R that the residual forms of D~_w+ (add) and D~_w-
-    # (subtract), one of S_1, S_2 whole at a time, are those of the halves
-    # _similarity forms: for a dense pair (headline), a diagonal pair (linear,
-    # a_w constant) and a diagonal beside a dense block, formed as its matrix
-    from types import SimpleNamespace
-
+    # (subtract), one quantization each, are those of the halves _similarity
+    # forms: for a dense pair (headline), a diagonal pair (linear, a_w
+    # constant) and a diagonal beside a dense block, whose sum is dense
     g = TorusGrid(32)
     r = np.flatnonzero(g.dealias_mask)
     waves = [build_parametrix(*_preset_setup(preset, 32)[1:], 2.5).wave
@@ -508,10 +533,12 @@ def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
     varying = transform(g, 0.3 + 0.1 * np.cos(g.x))
     waves += [SimpleNamespace(s1=SpectralFunction.constant(g, 0.9), s2=varying),
               SimpleNamespace(s1=varying, s2=SpectralFunction.constant(g, 0.2))]
+    for wave in waves[2:]:
+        wave.right_inverse = partial(WaveDiagonalizer.right_inverse, wave)
     ndims = []
     for wave in waves:
-        halves = _similarity(wave.s1, wave.s2)
-        for op, half in zip((np.add, np.subtract), halves):
+        halves = [_similarity(wave.s1, wave.s2, op) for op in (operator.add, operator.sub)]
+        for op, half in zip((operator.add, operator.sub), halves):
             for axis in (0, 1):
                 cut = _wave_cut(wave, op, r, axis)
                 ref = half[r] if half.ndim == 1 or axis == 0 else half[:, r]
@@ -520,11 +547,38 @@ def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
     assert ndims == [2, 1, 2, 2]
 
 
+def test_similarity_halves_are_the_sum_and_difference_of_its_quantizations():
+    # S_1 +- S_2 is one quantization, Op^BW(s1 +- s2), as Op^BW is linear in
+    # its symbol: within round-off of Op^BW(s1) +- Op^BW(s2) where both vary
+    # (headline's wave, a variable-b beam, a dense pair with s2 >> s1), bit
+    # for bit where both are constant (linear's and parity's wave, mixed's beam, a
+    # pair that sums to zero)
+    g = TorusGrid(64)
+    dense = [build_parametrix(*_preset_setup("headline", 64)[1:], 2.5).wave,
+             build_parametrix(*_preset_setup("beam_wave_variable_b", 64)[1:], 2.5).beam]
+    dense.append(SimpleNamespace(s1=transform(g, 1e-3 * np.cos(g.x)),
+                                 s2=transform(g, 1.0 + 0.5 * np.sin(3 * g.x))))
+    constant = [build_parametrix(*_preset_setup(preset, 64)[1:], 2.5).wave
+                for preset in ("linear", "parity")]
+    constant += [build_parametrix(*_preset_setup("mixed", 64)[1:], 2.5).beam,
+                 SimpleNamespace(s1=SpectralFunction.constant(g, 0.7),
+                                 s2=SpectralFunction.constant(g, -0.7))]
+    for d, exact in [(d, False) for d in dense] + [(d, True) for d in constant]:
+        parts = [bony_weyl_quantize(SeparableSymbol.from_xfunc(f)) for f in (d.s1, d.s2)]
+        for op in (operator.add, operator.sub):
+            got, ref = _similarity(d.s1, d.s2, op), op(*parts)
+            if exact:
+                assert got.shape == (g.n,) and got.tobytes() == ref.tobytes()
+            else:
+                assert got.shape == ref.shape == (g.n, g.n)
+                assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
+
+
 def _per_vector_report(para, V, sigma, sample_count, seed):
     """The constants of equivalence_and_garding_report, one vector at a time."""
     grid = para.grid
     n = grid.n
-    Phi, L2s = energy_operators(build_parametrix(para, V, sigma))
+    Phi, L2s = phi_and_l2s(build_parametrix(para, V, sigma))
     rng = np.random.default_rng(seed)
     decay = grid.bracket_power(-(sigma + 1.0))
     upper, lower = [], []
@@ -534,7 +588,7 @@ def _per_vector_report(para, V, sigma, sample_count, seed):
         z[[0, n // 2]] = w[[0, n // 2]] = 0.0
         vec = conjugate_pair(grid, z, w)
         nsq = stacked_norm(grid, vec, sigma) ** 2
-        energy = modified_energy(Phi, L2s, parity_split(vec))
+        energy = energy_of(Phi, L2s, parity_split(vec))
         upper.append(energy / nsq)
         lower.append(energy / max(nsq - stacked_norm(grid, vec, -2.0) ** 2, 1e-300))
     j = grid.modes.astype(float)
@@ -570,7 +624,7 @@ def test_batched_energy_report_matches_per_vector_reference(preset):
 
 def test_phi_l2s_and_energy_act_on_a_batch_vector_by_vector():
     g, para, V = _preset_setup("mixed", 32)
-    Phi, L2s = energy_operators(build_parametrix(para, V, 2.5))
+    Phi, L2s = phi_and_l2s(build_parametrix(para, V, 2.5))
     rng = np.random.default_rng(11)
     batch = rng.standard_normal((5, 4 * g.n)) + 1j * rng.standard_normal((5, 4 * g.n))
     for apply in (partial(phi, Phi), partial(l2s, L2s)):
@@ -578,10 +632,10 @@ def test_phi_l2s_and_energy_act_on_a_batch_vector_by_vector():
         assert got.shape == batch.shape
         for row, vec in zip(got, batch):
             assert _rel(row, apply(vec)) <= 1e-14
-    energies = modified_energy(Phi, L2s, parity_split(batch))
+    energies = energy_of(Phi, L2s, parity_split(batch))
     assert energies.shape == (5,)
     for e, vec in zip(energies, batch):
-        assert abs(e - modified_energy(Phi, L2s, parity_split(vec))) <= 1e-14 * abs(e)
+        assert abs(e - energy_of(Phi, L2s, parity_split(vec))) <= 1e-14 * abs(e)
 
 
 def test_parametrix_build_evaluates_g_functions_once(monkeypatch):
@@ -630,6 +684,19 @@ def test_system_and_parametrix_hold_no_array_larger_than_a_block(monkeypatch):
     assert max(_array_sizes(para, set())) == g.n**2
 
 
+def test_the_plan_and_the_parametrix_path_form_no_real_form_table():
+    # the Kato tables are formed on first read, a Kato march's: the system's
+    # coupling, the Kato plan and both parametrix diagnostics read only their
+    # specs, so a plan is checked before any table exists
+    g, para, V = coupled_setup(32)
+    assert para.coupled() == (True, True) and _kato_plan(para, 100) > 0
+    P = build_parametrix(para, V, 2.5)
+    conjugation_residual(P, para, V)
+    equivalence_and_garding_report(para, V, 2.5, sample_count=4)
+    assert "_real_blocks" not in vars(para)
+    assert len(para._real_blocks) == 3 and "_real_blocks" in vars(para)
+
+
 def test_headline_holds_no_block_that_is_zero_by_structure():
     # headline has no coupling slot: Phi+-, Psi+- and frakA(0)'s mp half
     # hold their two diagonal blocks and no coupling block, frakA(0)'s pm
@@ -647,8 +714,12 @@ def test_ladder_rung_peak_memory():
     # one N = 128 and one N = 256 rung as the benchmark's parametrix ladder
     # runs them: the build, the residuals, then the energy report (which
     # builds its own parametrix) with the first parametrix alive.  Measured
-    # in the suite: 2.12 MB and 6.38 MB (2.83 MB and 6.39 MB in a fresh
-    # process); the bounds are the larger plus under 10%.  With Phi, T and
+    # in the suite: 1.72 MB and 4.79 MB (2.43 MB and 4.80 MB in a fresh
+    # process); the bounds are the larger plus under 10%.  With both halves
+    # of Phi formed at once for the report, each wave cut formed from two
+    # whole quantizations and the system forming its real-form table (and
+    # so chi) at its set-up: 2.12 MB and 6.38 MB (2.83 MB and 6.39 MB in a
+    # fresh process).  With Phi, T and
     # L_{2s} held by the parametrix, so that the report ran beside the first
     # parametrix's blocks: 3.25 MB and 8.38 MB (3.31 MB and 8.38 MB fresh);
     # with S_1 +- S_2 also formed as four n x n arrays, each table with its
@@ -664,7 +735,7 @@ def test_ladder_rung_peak_memory():
     # (..., 4n) batches: 10.05 MB and 35.3 MB.
     import tracemalloc
 
-    for n, bound in ((128, 3.1e6), (256, 7.0e6)):
+    for n, bound in ((128, 2.65e6), (256, 5.25e6)):
         g = TorusGrid(n)
         sysm, fields = build_preset("headline", g)
         V = complexify(*fields).stacked()
@@ -682,8 +753,13 @@ def test_ladder_rung_peak_memory():
 
 def test_residual_peak_memory_at_n512():
     # the headline conjugation residual at N = 512, the system and parametrix
-    # built first, as ``sweep --axis N`` forms it.  Measured: 11.69 MB, the
-    # bound that plus under 10%.  With frakA(V)'s wave block held through
+    # built first, as ``sweep --axis N`` forms it, and the grid's chi, which it
+    # holds for its lifetime, before the window: headline's system forms no
+    # n x n array, so the residual's first quantization would form chi (2.4 MB
+    # with the in-range mask).  Measured: 11.70 MB (14.06 MB with chi inside
+    # the window); the bound is 11.69 MB, measured with chi formed by the
+    # system's tables, plus under 10%.  With each wave cut formed from two
+    # whole quantizations: 12.14 MB; with frakA(V)'s wave block held through
     # both halves and formed as 2i Op^BW(q_w), then its difference with ww,
     # four blocks at once: 13.56 MB
     import tracemalloc
@@ -693,6 +769,7 @@ def test_residual_peak_memory_at_n512():
     V = complexify(*fields).stacked()
     para = ParalinearizedSystem(sysm, g)
     P = build_parametrix(para, V, 2.5)
+    g.chi_mask
     tracemalloc.start()
     try:
         conjugation_residual(P, para, V)
@@ -722,7 +799,7 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
     P = build_parametrix(para, V, 2.5)
     assert tables == []
-    modified_energy(*energy_operators(P), parity_split(V))
+    energy_of(*phi_and_l2s(P), parity_split(V))
     conjugation_residual(P, para, V)
     abs5, abs1 = FrequencyMultiplier.abs_xi_power(5.0), FrequencyMultiplier.abs_xi()
     assert tables == [abs5.terms, abs1.terms, abs1.terms]
@@ -786,7 +863,7 @@ def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, mo
 
     def blocks(p, v):  # the forms of T, frakB(V)'s coupling blocks, frakA(V)'s wave block
         (_, bw), (wb, _) = p.frak_B(v)[1]
-        T = build_parametrix(p, v, 2.5).T()
+        T = [build_parametrix(p, v, 2.5).T(h) for h in (0, 1)]
         return [None if b is None else b.ndim for b in (*T, bw, wb, p.frak_A(v)[1][1][1])]
 
     assert [blocks(p, v) for p, v in cases] == [[1] * 5, [1] * 5, [None, 2, None, 1, 1]]
@@ -874,7 +951,7 @@ def test_psi_is_built_only_for_the_residuals(monkeypatch):
     g, para, V = coupled_setup(32)
     built = _counting(monkeypatch, beamwave.parametrix, "residual_operators")
     P = build_parametrix(para, V, 2.5)
-    modified_energy(*energy_operators(P), parity_split(V))
+    energy_of(*phi_and_l2s(P), parity_split(V))
     equivalence_and_garding_report(para, V, 2.5, sample_count=4)
     assert built == []
 
@@ -888,22 +965,35 @@ def test_psi_is_built_only_for_the_residuals(monkeypatch):
 
 
 def test_phi_and_l2s_are_formed_once_per_energy_report(monkeypatch):
-    # the report forms Phi+- and L_{2s} once, for the samples' energy and the
-    # Garding scan both, and frees them on return; the residual forms its
+    # the report forms L_{2s} once and each half of Phi once, for the samples'
+    # energy and the Garding scan both, Phi+ first; Phi+ is freed before Phi-
+    # is formed, and every block is freed on return.  The residual forms its
     # Phi with Psi (``residual_operators``), not through energy_operators
     g, para, V = coupled_setup(32)
-    built = _counting(monkeypatch, beamwave.parametrix, "energy_operators")
+    original = beamwave.parametrix.energy_operators
+    formed_halves, alive, refs = [], [], []
+
+    def spy(P, h):  # records h and how many earlier Phi blocks are alive at its form
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        X = original(P, h)
+        formed_halves.append(h)
+        refs.extend(weakref.ref(b) for b in _blocks(X).values())
+        return X
+
+    monkeypatch.setattr(beamwave.parametrix, "energy_operators", spy)
+    l2s = _counting(monkeypatch, beamwave.parametrix.Parametrix, "L2s")
     P = build_parametrix(para, V, 2.5)
     conjugation_residual(P, para, V)
-    assert built == []
+    assert formed_halves == [] and l2s == []
 
     first = equivalence_and_garding_report(para, V, 2.5, sample_count=4)
-    assert len(built) == 1
-    # Phi's 6 blocks (both coupling blocks formed here) and L_{2s}'s 2
-    refs = _freed_on_return(built, lambda r: _blocks(r).values())
+    assert formed_halves == [0, 1] and alive == [0, 0] and len(l2s) == 1
+    # each half's 3 blocks (both coupling blocks formed here) and L_{2s}'s 2
+    refs += _freed_on_return(l2s, lambda r: r)
     assert len(refs) == 8 and all(ref() is None for ref in refs)
     assert equivalence_and_garding_report(para, V, 2.5, sample_count=4) == first
-    assert len(built) == 1
+    assert formed_halves == [0, 1] * 2 and alive == [0] * 4 and len(l2s) == 1
 
 
 def test_beam_d_tilde_is_built_only_for_the_residuals(monkeypatch):

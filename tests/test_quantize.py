@@ -285,7 +285,9 @@ def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, 
     para.frak_A(V), para.frak_B(V)
     P = parametrix.build_parametrix(para, V, 2.5)
     parametrix.conjugation_residual(P, para, V)
-    parametrix.modified_energy(*parametrix.energy_operators(P), parity_split(V))
+    P.L2s()
+    for h in (0, 1):
+        parametrix.energy_operators(P, h)
     assert seen and all(seen)
     D, h = complex_weights(g), g.n // 2 + 1
     for i, out, inp, table in para._real_blocks:
