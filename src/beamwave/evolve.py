@@ -39,8 +39,10 @@ g-functions and exact margin c + dF2/d(theta_xx) in one ``prepass``, their F
 and G, and forms each node's blocks once, for the node's Kato forcing and the
 two steps that meet there.  Once node k is read, the march writes V_n(t_k) over
 V_{n-1}(t_k) and takes ||V_n(t_k) - V_{n-1}(t_k)||_{H^{s1}} into the sweep's
-increment, a running maximum: a Kato solve holds one trajectory, and each
-solver is refused, before its march, by a plan of the arrays it allocates.
+increment, a running maximum: a Kato solve holds one trajectory.  An oracle
+solve holds none: its march keeps the norms and the last node, and its
+trajectory is re-marched, bit for bit, when it is first read.  Each solver is
+refused, before its march, by a plan of the arrays it allocates.
 
 One paper experiment runs on top of them, ``epsilon_continuation`` (the
 ``sweep --axis eps`` of the CLI): the gap between Kato runs at decreasing
@@ -95,6 +97,9 @@ class SolverConfig:
             raise ConfigError("kato_tol must be finite and positive, got %r" % (kato_tol,))
         if T_final <= 0:
             raise PreconditionError("T_final must be positive")
+        if T_final * T_final < np.finfo(float).tiny:  # the growth fit squares the times
+            raise ConfigError("T_final must be at least %r, got %r"
+                              % (float(np.sqrt(np.finfo(float).tiny)), T_final))
         if eps < 0:
             raise PreconditionError("eps must be nonnegative")
         if not (0.0 < cfl_safety <= 1.0):
@@ -133,8 +138,7 @@ class SolverConfig:
         steps = max(1.0, float(np.ceil(self.T_final / dt - 1e-12)))
         if plan(steps) > physical_memory_bytes():
             raise ConfigError(
-                "dt = %.3e needs %.3g steps, whose trajectory and working arrays exceed "
-                "physical memory" % (dt, steps)
+                "dt = %.3e needs %.3g steps, whose march exceeds physical memory" % (dt, steps)
             )
         return self.T_final / steps, int(steps)
 
@@ -159,23 +163,45 @@ class RunResult:
     """Real trajectory of (y, y_t, theta, theta_t), stored by its j >= 0 half
     (nodes, 4, n//2 + 1) in ``np.fft.rfft``'s layout (modes 0..n/2), norm time
     series, iteration record (a Kato solve's increments; one sweep's
-    increment over the trajectory it overwrote), termination cause."""
+    increment over the trajectory it overwrote), termination cause.
+
+    ``trajectory`` is the stored nodes, or a function that re-marches them:
+    the result of a march that kept only its last node (``_march``), whose
+    trajectory is formed on its first read and held from then on."""
 
     def __init__(self, grid, times, trajectory, norms, termination, increments):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
-        self.trajectory = np.asarray(trajectory, dtype=complex)
-        if self.trajectory.shape[1:] != (4, grid.n // 2 + 1):
-            raise PreconditionError("trajectory must hold real states by their j >= 0 half, "
-                                    "of shape (nodes, 4, n//2 + 1)")
+        if callable(trajectory):
+            self._replay = trajectory
+        else:
+            self.trajectory = np.asarray(trajectory, dtype=complex)
+            if self.trajectory.shape[1:] != (4, grid.n // 2 + 1):
+                raise PreconditionError("trajectory must hold real states by their j >= 0 "
+                                        "half, of shape (nodes, 4, n//2 + 1)")
         self.norms = {k: np.asarray(v, dtype=float) for k, v in norms.items()}
         self.termination = termination
         self.increments = list(increments)
 
+    def __getattr__(self, name):
+        # a trajectory not yet formed: re-marched, refused before any array
+        # where it exceeds physical memory; a given-up one is not re-marched
+        replay = vars(self).get("_replay") if name == "trajectory" else None
+        if replay is None:
+            raise AttributeError(name)
+        steps = len(self.times) - 1
+        if _trajectory_bytes(self.grid, steps) > physical_memory_bytes():
+            raise ConfigError("the trajectory of %d steps at n = %d exceeds physical memory"
+                              % (steps, self.grid.n))
+        self.trajectory = replay()
+        del self._replay
+        return self.trajectory
+
     @property
     def final(self):
         """The last node as a stacked (z, zbar, w, wbar), 4n."""
-        return stacked_from_real(self.grid, *self.grid.full(self.trajectory[-1]))
+        last = self._last if "_replay" in vars(self) else self.trajectory[-1]
+        return stacked_from_real(self.grid, *self.grid.full(last))
 
     def sup_norm(self, s):
         return max(map(_half_norm(self.grid, s), self.trajectory))
@@ -270,8 +296,9 @@ def _kato_plan(para, steps):
 
 
 def _oracle_plan(grid, steps):
-    """The oracle's plan: its one trajectory and its RK4 stages."""
-    return PLAN_FIXED + PLAN_ROW * grid.n + _trajectory_bytes(grid, steps)
+    """The oracle's plan: its bookkeeping, RK4 stages and one node, and its
+    times and two norm series, one float each per node; no trajectory."""
+    return PLAN_FIXED + PLAN_ROW * grid.n + 3 * 8 * (steps + 1)
 
 
 def _rk4(f, u, dt, args):
@@ -300,16 +327,21 @@ def _half_norm(grid, s):
 
 def _march(grid, ladder, dt, steps, u0, step, over=None):
     """Trajectory u_{k+1} = step(k, u_k) of real states' halves (4, n//2 + 1)
-    from u0, stored as marched, (steps + 1, 4, n//2 + 1), with its H^{s0},
-    H^{s1} norms, taken node by node.  Given a trajectory ``over`` of that
-    shape, each node is stored into its slot once the H^{s1} norm of the node
-    minus the slot's old value has entered a running maximum, the result's one
-    increment sup_t ||u - over||_{H^{s1}}: ``step(k, u_k)`` must have read
-    every slot up to k + 1 it needs.
+    from u0, with its H^{s0}, H^{s1} norms, taken node by node.  ``over`` says
+    where the nodes go.  None: stored as marched, (steps + 1, 4, n//2 + 1).
+    A trajectory of that shape: each node is stored into its slot once the
+    H^{s1} norm of the node minus the slot's old value has entered a running
+    maximum, the result's one increment sup_t ||u - over||_{H^{s1}}:
+    ``step(k, u_k)`` must have read every slot up to k + 1 it needs.  A
+    function re-marching the trajectory: nowhere; the march keeps the last
+    node, and the result's trajectory is formed by the function on first read.
 
     The blow-up guard runs at every node: a non-finite state, or an H^{s1}
     norm above 1e6 times the initial one, raises ``NumericalError``."""
-    traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex) if over is None else over
+    replay = over if callable(over) else None
+    traj = None if replay else over
+    if over is None:
+        traj = np.empty((steps + 1, 4, grid.n // 2 + 1), dtype=complex)
     norms = {"s0": np.empty(steps + 1), "s1": np.empty(steps + 1)}
     norm_of = {key: _half_norm(grid, getattr(ladder, key)) for key in norms}
     increment = 0.0
@@ -317,17 +349,22 @@ def _march(grid, ladder, dt, steps, u0, step, over=None):
     for k in range(steps + 1):
         if k:
             u = step(k - 1, u)
-        if over is not None:
-            increment = max(increment, norm_of["s1"](u - traj[k]))
-        traj[k] = u
+        if traj is not None:
+            if over is not None:
+                increment = max(increment, norm_of["s1"](u - traj[k]))
+            traj[k] = u
         for key, norm in norm_of.items():
-            norms[key][k] = norm(traj[k])
+            norms[key][k] = norm(u)
         if not norms["s1"][k] <= 1e6 * max(norms["s1"][0], 1e-300):
             if not np.all(np.isfinite(u)):
                 raise NumericalError("non-finite state encountered")
             raise NumericalError("blow-up guard: norm exceeded 1e6 x initial")
-    return RunResult(grid, dt * np.arange(steps + 1), traj, norms, "completed",
-                     [] if over is None else [increment])
+    times = dt * np.arange(steps + 1)
+    if replay:
+        run = RunResult(grid, times, replay, norms, "completed", [])
+        run._last = u
+        return run
+    return RunResult(grid, times, traj, norms, "completed", [] if over is None else [increment])
 
 
 def _frozen_nodes(para, times, g_path, frozen):
@@ -477,9 +514,11 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     """Direct RK4 on the real system; the independent validator.
 
     State (y, y_t, theta, theta_t) as the j >= 0 half (4, n//2 + 1) of its
-    Fourier coefficients in ``np.fft.rfft``'s layout, marched and stored as it
-    is; spectral derivatives and de-aliased pointwise nonlinearities through
-    ``sys.real_rhs``, which maps halves to halves.
+    Fourier coefficients in ``np.fft.rfft``'s layout, marched as it is;
+    spectral derivatives and de-aliased pointwise nonlinearities through
+    ``sys.real_rhs``, which maps halves to halves.  The march keeps the norms
+    and the last node; the trajectory is re-marched, the same step from the
+    same initial half, when it is first read.
     """
     grid = sys.grid
     sys.check_ellipticity()
@@ -490,7 +529,10 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
         t = k * dt
         return _rk4(sys.real_rhs, state, dt, (t, t + 0.5 * dt, t + dt))
 
-    return _march(grid, config.ladder, dt, steps, state, step)
+    def replay():
+        return _march(grid, config.ladder, dt, steps, state, step).trajectory
+
+    return _march(grid, config.ladder, dt, steps, state, step, replay)
 
 
 def trajectory_gap(grid, run_a, run_b, s):

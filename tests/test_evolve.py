@@ -33,6 +33,7 @@ from beamwave.state import (
     stacked_from_real,
     stacked_norm,
 )
+from test_bridge import VARIABLE
 from test_paralin import odd_stacked_matrix
 
 
@@ -70,6 +71,18 @@ def test_solver_config_validation():
         SolverConfig(eps=-1.0)
     with pytest.raises(PreconditionError):
         SolverConfig(cfl_safety=1.5)
+
+
+def test_a_horizon_whose_square_underflows_is_refused():
+    # the fitted growth squares the node times: below sqrt(tiny) they underflow
+    # and np.polyfit raised LinAlgError from the manifest, after the solve
+    tiny = float(np.sqrt(np.finfo(float).tiny))
+    for T in (1e-170, 0.999 * tiny):
+        with pytest.raises(ConfigError, match="T_final must be at least"):
+            SolverConfig(T_final=T)
+    g, sysm = headline_system(16)
+    run = oracle_solve(sysm, *make_fields(g), SolverConfig(T_final=1.01 * tiny))
+    assert np.isfinite(run.to_json_dict(SolverConfig())["fitted_growth"])
 
 
 def test_resolve_dt_integer_steps_and_cfl():
@@ -156,9 +169,10 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
     # a Kato solve holding a second trajectory (long: +0.83 MB at mixed,
     # N = 256, where the plan's slack is 0.23 MB), full n x n node blocks
     # (one step and long, mixed, N = 32-256) or the grid's chi formed on the
-    # whole lattice fails here.  Measured plan / peak: Kato 1.03-1.13 at
-    # N = 256, up to 2.78 at N = 16; the oracle 1.15-4.73, its bookkeeping
-    # most of its plan at one step
+    # whole lattice fails here, and so does an oracle holding its trajectory
+    # (long, N = 256: 0.83 MB against a plan of 0.33 MB).  Measured plan /
+    # peak: Kato 1.03-1.13 at N = 256, up to 2.78 at N = 16; the oracle
+    # 1.87-5.28, its plan its bookkeeping, one node and three floats a node
     g, peak, plan = traced_plan(solver, preset, n, steps)
     assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
 
@@ -236,6 +250,79 @@ def test_memory_refusal_admits_and_refuses_by_each_solvers_plan(monkeypatch, mar
         with pytest.raises(ConfigError, match="physical memory"):
             refused()
     assert marched == []
+
+
+def test_an_oracle_solve_holds_no_trajectory(warm_interpreter):
+    # headline, N = 256, T = 0.1: 651 steps, whose stored trajectory is 5.38 MB.
+    # The march keeps its norms and its last node (measured peak 0.10 MB)
+    import tracemalloc
+
+    g = TorusGrid(256)
+    sysm, fields = build_preset("headline", g)
+    tracemalloc.start()
+    try:
+        run = oracle_solve(sysm, *fields, SolverConfig(T_final=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.times) == 652
+    assert peak < evolve._trajectory_bytes(g, 651) / 4
+
+
+@pytest.mark.parametrize("preset", PRESETS + ("variable",))
+def test_an_oracle_trajectory_read_is_its_marched_nodes_bit_for_bit(preset, marched):
+    # the trajectory is re-marched on its first read, once: the nodes, final,
+    # sup norms and the gap to a Kato run are those of the march, bit for bit
+    g = TorusGrid(64)
+    if preset == "variable":
+        sysm, fields = bridge_system_from_json(VARIABLE, g), build_preset("headline", g)[1]
+    else:
+        sysm, fields = build_preset(preset, g)
+    cfg = SolverConfig(T_final=0.05)
+    kat = kato_solve(sysm, complexify(*fields).stacked(), cfg)
+    marched.clear()
+    run = oracle_solve(sysm, *fields, cfg)
+    nodes = np.array(marched[0])
+    stored = RunResult(g, run.times, nodes, run.norms, run.termination, run.increments)
+    final = run.final
+    assert len(marched) == 1 and final.tobytes() == stored.final.tobytes()
+    s1 = cfg.ladder.s1
+    gap = trajectory_gap(g, kat, run, s1)
+    assert len(marched) == 2
+    assert run.trajectory.tobytes() == nodes.tobytes()
+    assert gap == trajectory_gap(g, kat, stored, s1)
+    for s in (cfg.ladder.s0, s1):
+        assert run.sup_norm(s) == stored.sup_norm(s)
+    assert run.final.tobytes() == final.tobytes()
+    assert len(marched) == 2
+
+
+def test_an_oracle_trajectory_too_large_for_memory_is_refused_on_read(monkeypatch, marched):
+    # physical memory at the oracle's plan admits its march; its trajectory,
+    # more than four times the plan, is refused on read before any array or step
+    import tracemalloc
+
+    g, sysm = headline_system(16)
+    fields = make_fields(g)
+    limit = SolverConfig().max_stable_dt(g, 1.0)
+    steps = 2000
+    cfg = SolverConfig(T_final=steps * limit * (1.0 - 1e-9))
+    plan = evolve._oracle_plan(g, steps)
+    assert evolve._trajectory_bytes(g, steps) > 4 * plan
+    monkeypatch.setattr(evolve, "physical_memory_bytes", lambda: plan)
+    run = oracle_solve(sysm, *fields, cfg)
+    assert len(run.times) == steps + 1 and len(marched) == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="physical memory"):
+            run.trajectory
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(marched) == 1 and peak < plan
+    assert np.array_equal(run.final, stacked_from_real(g, *g.full(marched[0][-1])))
+    monkeypatch.setattr(evolve, "physical_memory_bytes", lambda: 2**40)
+    assert np.array_equal(run.trajectory, np.array(marched[0]))
 
 
 def test_heat_factor_layout():

@@ -60,6 +60,9 @@ SHORT = ["--n", "16", "--T", "0.01"]
 COMMANDS = [
     (["simulate", "--n", "63"], 2),
     (["simulate", "--dt", "1e-300"], 2),
+    (["simulate", "--solver", "oracle", "--dt", "1e-300"], 2),
+    (["simulate", "--T", "1e-170"], 2),  # a horizon the growth fit cannot square
+    (["simulate", "--solver", "oracle", "--T", "1e-170"], 2),
     (["sweep", "--axis", "N", "--values", "2,4"], 0),
     (["sweep", "--axis", "N", "--values", "16,32"], 0),
     (["sweep", "--axis", "eps", "--values", "1e-2,1e-3"] + SHORT, 0),
