@@ -45,8 +45,8 @@ trajectory is re-marched, bit for bit, when it is first read.  Each solver is
 refused, before its march, by a plan of the arrays it allocates.
 
 One paper experiment runs on top of them, ``epsilon_continuation`` (the
-``sweep --axis eps`` of the CLI): the gap between Kato runs at decreasing
-regularization eps.
+``sweep --axis eps`` of the CLI): the gap between consecutive Kato runs at
+decreasing regularization eps, two runs held at a time.
 """
 
 import copy
@@ -165,9 +165,9 @@ class RunResult:
     series, iteration record (a Kato solve's increments; one sweep's
     increment over the trajectory it overwrote), termination cause.
 
-    ``trajectory`` is the stored nodes, or a function that re-marches them:
-    the result of a march that kept only its last node (``_march``), whose
-    trajectory is formed on its first read and held from then on."""
+    ``trajectory`` is the stored nodes, or, for a march that kept only its last
+    node (``_march``), a function that re-marches them on the first read, held
+    from then on.  The summaries (``sup_norm``, manifest, CSV) read the norms."""
 
     def __init__(self, grid, times, trajectory, norms, termination, increments):
         self.grid = grid
@@ -204,7 +204,11 @@ class RunResult:
         return stacked_from_real(self.grid, *self.grid.full(last))
 
     def sup_norm(self, s):
-        return max(map(_half_norm(self.grid, s), self.trajectory))
+        """sup_t ||V(t)||_{H^s}, s = s0 or s1: the largest of the march's norms."""
+        keys = {RegularityLadder.s0: "s0", RegularityLadder.s1: "s1"}
+        if s not in keys:
+            raise ConfigError("sup_norm reads the H^s0 and H^s1 series only, got s = %r" % (s,))
+        return float(np.max(self.norms[keys[s]]))
 
     def fitted_growth(self):
         """Least-squares slope of log ||V(t)|| (the first norm by key); the growth constant."""
@@ -553,27 +557,22 @@ def loglog_slope(points):
 
 
 def epsilon_continuation(sys, V0, eps_list, config):
-    """Kato runs at decreasing regularization strengths; pairwise trajectory
-    gaps in H^{s1} decay linearly in eps for band-limited data."""
+    """Kato runs at decreasing regularization strengths: the ``gaps`` (eps_a,
+    eps_b, sup_t ||V_a - V_b||_{H^{s1}}) of consecutive runs, which decay
+    linearly in eps for band-limited data, and their log-log ``slope``.  A run
+    is dropped once its gap to the next is taken: at most two are held."""
     # each run's config is a copy with eps set, which SolverConfig does not re-check
     if not all(np.isfinite(e) for e in eps_list):
         raise ConfigError("eps values must be finite, got %r" % (list(eps_list),))
     if any(e < 0 for e in eps_list):
         raise PreconditionError("eps values must be nonnegative")
     eps_list = sorted(eps_list, reverse=True)
-    grid = sys.grid
-    s = config.ladder.s1
-    runs = []
+    gaps, prev = [], None
     for eps in eps_list:
         cfg = copy.copy(config)
         cfg.eps = float(eps)
-        runs.append((eps, kato_solve(sys, V0, cfg)))
-    gaps = []
-    for (ea, ra), (eb, rb) in zip(runs[:-1], runs[1:]):
-        gaps.append((ea, eb, trajectory_gap(grid, ra, rb, s)))
-    return {
-        "eps_list": list(eps_list),
-        "gaps": [(float(a), float(b), float(g)) for a, b, g in gaps],
-        "slope": loglog_slope((ea, gap) for ea, _, gap in gaps),
-        "runs": runs,
-    }
+        run = kato_solve(sys, V0, cfg)
+        if prev:
+            gaps.append((prev[0], cfg.eps, trajectory_gap(sys.grid, prev[1], run, cfg.ladder.s1)))
+        prev = cfg.eps, run
+    return {"eps_list": eps_list, "gaps": gaps, "slope": loglog_slope((a, g) for a, _, g in gaps)}

@@ -5,10 +5,13 @@ line through pytest -v.  Shared expensive runs (the headline comparison at
 N = 128) are module-scoped fixtures.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from beamwave.bridge import BridgeSystem
+from beamwave.cli import main
 from beamwave.errors import PreconditionError
 from beamwave.evolve import (
     SolverConfig,
@@ -36,6 +39,7 @@ from beamwave.quantize import (
 )
 from beamwave.state import complexify, is_conjugate_pair, real_from_stacked, stacked_from_real
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol
+from test_bridge import VARIABLE
 from test_evolve import bona_smith_experiment, decoupled_flow, duhamel_smoothing_ratio
 from test_parametrix import subprincipal_offdiagonal
 from test_symbols import symbol_order
@@ -185,6 +189,34 @@ def test_criterion_04_parametrix_contracts():
     assert max(conj) / min(conj) < 1.25, "conjugation residual: %r" % (conj,)
     assert max(off) / min(off) < 1.25, "off-diagonal with T: %r" % (off,)
     assert raw[-1] > 1.3 * raw[0], "negative control must grow: %r" % (raw,)
+
+
+def test_criterion_04_beam_side_negative_controls(tmp_path, monkeypatch, capsys):
+    # on a variable b (CI's variable document) the beam similarity S_b is not
+    # constant, so the gauge k and M_-1's coefficient m do work: the gate of
+    # verify --suite parametrix over N = 32, 64, 128 passes as built, and fails
+    # with k forced to 1, or m to 0, after the beam diagonalizer's build, where
+    # the conjugation norm grows with N (a spread of about 10)
+    system = tmp_path / "variable.json"
+    system.write_text(json.dumps(VARIABLE))
+    build, forced = BeamDiagonalizer._build, None
+
+    def forcing(self, *args):
+        build(self, *args)
+        if forced == "k":
+            self.k = self.k_inv = transform(self.grid, np.ones(self.grid.n))
+        elif forced == "m":
+            self.m = transform(self.grid, np.zeros(self.grid.n))
+
+    monkeypatch.setattr(BeamDiagonalizer, "_build", forcing)
+    for forced in (None, "k", "m"):
+        out = tmp_path / str(forced)
+        code = main(["verify", "--suite", "parametrix", "--system", str(system),
+                     "--outdir", str(out)])
+        report, = (json.loads(p.read_text()) for p in out.glob("verify_parametrix_*.json"))
+        conj = [r["conjugation_norm"] for r in report["checks"]["residuals"]]
+        assert (code, report["passed"]) == ((0, True) if forced is None else (1, False)), conj
+        assert (max(conj) / min(conj) < 1.25) == (forced is None), (forced, conj)
 
 
 def test_criterion_05_equivalence_and_garding():
