@@ -11,7 +11,10 @@ paralinearization symbols and the parity/radius checks) are exact.  The
 stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t), held by the
 j >= 0 half (4, ..., n//2 + 1) of its coefficients (``np.fft.rfft``'s layout,
 Nyquist as +n/2), to its derivative, one new array that the linear part, the
-jets and the dealiased F's write into through ``irfft``/``rfft``.
+jets and the dealiased F's write into through ``irfft``/``rfft``.  On one
+state, each stage of the oracle's march, the jets and F's grid values and hat
+go into buffers the system holds, so one system serves no concurrent
+``real_rhs`` calls; a batch of states takes new buffers.
 """
 
 import numbers
@@ -121,44 +124,50 @@ class BridgeSystem:
         self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
         # on the half layout (module docstring): modes 0..n/2
         d = 1j * np.arange(grid.n // 2 + 1.0)
-        self._mask = np.arange(d.size) <= grid.dealias_cut
+        mask = np.arange(d.size) <= grid.dealias_cut
         self._symbol = np.array([sum(co.coeffs[0] * d**k for co, k in part) for part in parts])
         self._row_mult = np.array([d**k for _, _, k in rows])
         self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows]).real
-        self._jet_mult = [np.where(self._mask, p, 0j) for p in (1.0, d, d**2)] * 2
+        self._jet_mult = [np.where(mask, p, 0j) for p in (1.0, d, d**2)] * 2
+        # one state's buffers, which each real_rhs on one state writes into: its
+        # jets, the unread rows NaN from here on, and F's grid values and hat
+        self._held = (np.full((6, grid.n), np.nan), (np.empty(grid.n), np.empty(d.size, complex)))
 
     # -- right-hand side ---------------------------------------------
 
-    def jets(self, y_hat, th_hat, slots=None):
+    def jets(self, y_hat, th_hat, slots=None, out=None):
         """Dealias-projected real jet values (6, ..., n) from halves (..., n//2 + 1)
         at ``slots`` (default ``jet_slots``), in one ``irfft`` into their rows;
-        every other slot is NaN, never a silent zero."""
+        every other slot is NaN, never a silent zero.  The rows go into ``out``,
+        a buffer whose other rows are NaN already (``real_rhs``'s held one), or,
+        by default, into a new array."""
         slots = self.jet_slots if slots is None else sorted(slots)
-        out = np.empty((6,) + y_hat.shape[:-1] + (self.grid.n,))
-        lo, hi = (slots[0], slots[-1] + 1) if slots else (6, 6)
-        out[:lo] = out[hi:] = np.nan
+        if out is None:
+            out = np.full((6,) + y_hat.shape[:-1] + (self.grid.n,), np.nan)
         if slots:
+            lo, hi = slots[0], slots[-1] + 1
             rows = np.empty((len(slots),) + y_hat.shape, dtype=complex)
             for row, slot in zip(rows, slots):
                 np.multiply((y_hat, th_hat)[slot // 3], self._jet_mult[slot], out=row)
             if hi - lo == len(slots):  # one block of rows
                 np.fft.irfft(rows, self.grid.n, norm="forward", out=out[lo:hi])
             else:
-                out[lo:hi] = np.nan
                 out[slots] = np.fft.irfft(rows, self.grid.n, norm="forward")
         return out
 
-    def add_nonlinearity_hats(self, jets, du):
+    def add_nonlinearity_hats(self, jets, du, buffers=None):
         """Add the dealiased coefficients of F1, F2 at the jet values ``jets``
         (6, ..., n) to the accelerations du[1], du[3] of a derivative
-        (4, ..., n//2 + 1); an F without terms is not transformed."""
+        (4, ..., n//2 + 1), modes 0..n/3; an F without terms is not transformed.
+        F's grid values (..., n) and hat (..., n//2 + 1) go into ``buffers``
+        (``real_rhs``'s held pair) or, by default, into new arrays."""
         # one F at a time, in one buffer: on a Kato sweep's trajectory a batch of
         # both F's and its FFT set the sweep's memory peak
-        values = np.empty(jets.shape[1:])
-        hat = np.empty(du.shape[1:], dtype=complex)
+        values, hat = buffers or (np.empty(jets.shape[1:]), np.empty(du.shape[1:], complex))
+        cut = self.grid.dealias_cut + 1
         for F, row in self._live_F:
             np.fft.rfft(F.evaluate(jets, values), norm="forward", out=hat)
-            np.add(du[row], hat, out=du[row], where=self._mask)  # dealiased
+            du[row, ..., :cut] += hat[..., :cut]  # dealiased
 
     def linear_rhs(self, u):
         """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one
@@ -181,10 +190,14 @@ class BridgeSystem:
 
     def real_rhs(self, u, t):
         """The derivative (y_t, y_tt, theta_t, theta_tt) at time t as one new array,
-        from real states u (4, ..., n//2 + 1)."""
+        from real states u (4, ..., n//2 + 1).  On one state (4, n//2 + 1), each
+        stage of the oracle's march, the jets and F's values and hat go into the
+        buffers the system holds, so one system serves no concurrent calls;
+        a batch of states takes new ones."""
         du = self.linear_rhs(u)
         if self._live_F:
-            self.add_nonlinearity_hats(self.jets(u[0], u[2]), du)
+            jets, buffers = self._held if u.ndim == 2 else (None, None)
+            self.add_nonlinearity_hats(self.jets(u[0], u[2], out=jets), du, buffers)
         if self.delta != 0.0:
             du[3, ..., 0] += self.forcing(t)
         return du

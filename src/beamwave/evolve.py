@@ -468,7 +468,7 @@ def linear_solve(para, background, u0, config):
     return _march(grid, config.ladder, dt, steps, u0, step, frozen)
 
 
-def kato_solve(sys, V0, config):
+def kato_solve(sys, V0, config, held=0):
     """The iteration (P)_n on the paralinearized complex system from a stacked
     conjugate pair V0 (any other V0 is refused: the half of its real state would
     drop what is not real), marched from that half (4, n//2 + 1).  Sweep 1 solves the
@@ -477,7 +477,8 @@ def kato_solve(sys, V0, config):
     inhomogeneity, both read from V_{n-1} a chunk of nodes at a time inside
     its march, which writes V_n over V_{n-1} and takes their increment as it
     goes; a node outside the wave margin stops it there.  Stops when the
-    L^inf H^{s1} increment drops below ``kato_tol``."""
+    L^inf H^{s1} increment drops below ``kato_tol``.  ``held``: the bytes of a
+    run the caller keeps beside this one, which its plan counts before sweep 1."""
     grid = sys.grid
     V0 = np.asarray(V0, dtype=complex)
     if V0.shape != (4 * grid.n,) or not is_conjugate_pair(
@@ -489,6 +490,7 @@ def kato_solve(sys, V0, config):
     radius = float(np.max(np.abs(sys.jets(u0[0], u0[2], slots=range(6)))))
     sys.check_radius_condition(2.0 * max(radius, 1e-12))
     para = ParalinearizedSystem(sys, grid)
+    _time_grid(sys, config, lambda steps: _kato_plan(para, steps) + held)
 
     result = linear_solve(para, None, u0, config)
     increments = []
@@ -560,7 +562,8 @@ def epsilon_continuation(sys, V0, eps_list, config):
     """Kato runs at decreasing regularization strengths: the ``gaps`` (eps_a,
     eps_b, sup_t ||V_a - V_b||_{H^{s1}}) of consecutive runs, which decay
     linearly in eps for band-limited data, and their log-log ``slope``.  A run
-    is dropped once its gap to the next is taken: at most two are held."""
+    is dropped once its gap to the next is taken: at most two are held, and
+    each solve after the first is planned beside the run it keeps."""
     # each run's config is a copy with eps set, which SolverConfig does not re-check
     if not all(np.isfinite(e) for e in eps_list):
         raise ConfigError("eps values must be finite, got %r" % (list(eps_list),))
@@ -571,7 +574,7 @@ def epsilon_continuation(sys, V0, eps_list, config):
     for eps in eps_list:
         cfg = copy.copy(config)
         cfg.eps = float(eps)
-        run = kato_solve(sys, V0, cfg)
+        run = kato_solve(sys, V0, cfg, prev[1].trajectory.nbytes if prev else 0)
         if prev:
             gaps.append((prev[0], cfg.eps, trajectory_gap(sys.grid, prev[1], run, cfg.ladder.s1)))
         prev = cfg.eps, run

@@ -9,6 +9,7 @@ import beamwave.bridge
 from beamwave.bridge import BridgeSystem, QuadraticNonlinearity, bridge_system_from_json
 from beamwave.cli import PRESET_SYSTEMS, PRESETS, build_preset
 from beamwave.errors import ConfigError, PreconditionError
+from beamwave.evolve import SolverConfig, oracle_solve
 from beamwave.grid import SpectralFunction, TorusGrid, transform
 from beamwave.paralin import ParalinearizedSystem
 
@@ -396,6 +397,79 @@ def test_the_half_stage_makes_one_irfft_and_one_rfft_per_live_F(name, calls, fft
     # summed into two unknowns)
     sys, u = system_and_state(name, 32)
     assert fft_calls_of(sys.real_rhs, u, 0.0) == calls
+
+
+def stage_states(name, count, n=32):
+    """A system (a preset, or VARIABLE) and ``count`` different real states'
+    halves (4, n//2 + 1) on every mode, the initial data scaled and perturbed."""
+    sys, u = system_and_state(name, n)
+    rng = np.random.default_rng(7)
+    return sys, [on_every_mode(sys.grid, (0.5 + rng.random()) * u) for _ in range(count)]
+
+
+def fresh(sys, name):
+    """A new system of the same document on the same grid: new held buffers."""
+    return BridgeSystem(sys.grid, **document(name))
+
+
+@pytest.mark.parametrize("name", PRESETS + ("variable",))
+def test_a_systems_kth_stage_is_a_fresh_systems_first(name):
+    # a single state's stage writes its jets and F's values and hat into the
+    # buffers the system holds: what an earlier call left there changes no
+    # bit (mixed's gapped slots 2, 4, 5, damped's alpha and beta, variable's
+    # fluctuation rows)
+    sys, states = stage_states(name, 4)
+    for k, u in enumerate(states):
+        got = sys.real_rhs(u, 0.1 * k)
+        assert got.tobytes() == fresh(sys, name).real_rhs(u, 0.1 * k).tobytes()
+
+
+@pytest.mark.parametrize("name", PRESETS + ("variable",))
+def test_a_returned_stage_is_a_new_array_that_later_calls_leave_as_it_is(name):
+    # the derivative is returned as a new array, never a held buffer: a batch
+    # (4, m, n//2 + 1) between two single-state calls, and the second call,
+    # change no bit of what was returned before, and the batch is each state's
+    sys, (u1, u2, *batch) = stage_states(name, 5)
+    batch = np.ascontiguousarray(np.stack(batch, axis=1))
+    first = sys.real_rhs(u1, 0.2)
+    kept = first.copy()
+    many = sys.real_rhs(batch, 0.2)
+    kept_many = many.copy()
+    second = sys.real_rhs(u2, 0.2)
+    assert first.tobytes() == kept.tobytes() and many.tobytes() == kept_many.tobytes()
+    held = [sys._held[0], *sys._held[1]]
+    for out in (first, many, second):
+        assert not any(np.shares_memory(out, buf) for buf in held)
+    for i in range(batch.shape[1]):
+        assert many[:, i].tobytes() == fresh(sys, name).real_rhs(batch[:, i], 0.2).tobytes()
+
+
+@pytest.mark.parametrize("name", PRESETS + ("variable",))
+def test_an_oracle_march_leaves_the_unread_held_jet_rows_nan(name):
+    # the held jets' rows of the slots F1 and F2 do not read are NaN from the
+    # system's construction on, through every stage of a march (the linear
+    # preset reads none); the read rows hold the last stage's finite values
+    sys, u = system_and_state(name, 32)
+    fields = [SpectralFunction(sys.grid, c) for c in sys.grid.full(u)]
+    oracle_solve(sys, *fields, SolverConfig(T_final=0.05))
+    jets = sys._held[0]
+    unread = [h for h in range(6) if h not in sys.jet_slots]
+    assert np.all(np.isnan(jets[unread])) and np.all(np.isfinite(jets[sys.jet_slots]))
+
+
+@pytest.mark.parametrize("name", PRESETS + ("variable",))
+def test_two_oracle_solves_on_one_system_are_fresh_systems_solves(name):
+    # one system marches two different data, each run's norms, last node and
+    # re-marched trajectory those of a new system's solve, bit for bit
+    sys, states = stage_states(name, 2)
+    cfg = SolverConfig(T_final=0.05)
+    data = [[SpectralFunction(sys.grid, c) for c in sys.grid.full(u)] for u in states]
+    runs = [oracle_solve(sys, *fields, cfg) for fields in data]
+    for run, fields in zip(runs, data):
+        expect = oracle_solve(fresh(sys, name), *fields, cfg)
+        assert all(run.norms[k].tobytes() == expect.norms[k].tobytes() for k in expect.norms)
+        assert run.final.tobytes() == expect.final.tobytes()
+        assert run.trajectory.tobytes() == expect.trajectory.tobytes()
 
 
 @pytest.mark.parametrize("slots", [None, [5], [2, 3, 4], [0, 2, 5], range(6), []])

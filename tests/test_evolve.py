@@ -1,5 +1,7 @@
 """Time integration: CFL, heat factors, linear flow, Kato, experiments."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,19 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
     # 1.87-5.28, its plan its bookkeeping, one node and three floats a node
     g, peak, plan = traced_plan(solver, preset, n, steps)
     assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+
+
+@pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
+@pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
+def test_the_oracles_peak_memory_at_n512_is_within_its_plan(preset, steps, warm_interpreter):
+    # the oracle's plan at N = 512, where its march is the benchmark's: the
+    # buffers its system holds for one stage (the jets, F's values and hat)
+    # are within PLAN_ROW's one state's jets, six complex rows of n
+    n = 512
+    g, peak, plan = traced_plan("oracle", preset, n, steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+    jets, buffers = build_preset(preset, g)[0]._held
+    assert jets.nbytes + sum(b.nbytes for b in buffers) <= 6 * 16 * n
 
 
 @pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
@@ -745,6 +760,59 @@ def test_epsilon_continuation_holds_two_runs(warm_interpreter):
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
     assert sorted(rep) == ["eps_list", "gaps", "slope"] and len(rep["gaps"]) == 5
+
+
+def continuation_plan(g, sys, cfg):
+    """(one Kato solve's plan, the plan of a continuation's solve after the
+    first: that plus the trajectory of the run it keeps)."""
+    steps = _time_grid(sys, cfg, no_plan)[1]
+    plan = evolve._kato_plan(ParalinearizedSystem(sys, g), steps)
+    return plan, plan + evolve._trajectory_bytes(g, steps)
+
+
+def test_epsilon_continuation_peaks_within_the_plan_of_a_solve_beside_a_run(warm_interpreter):
+    # six eps values, each solve after the first beside the run it keeps:
+    # the traced peak is within the plan that admits those solves (at
+    # headline, N = 256, T = 0.1 one solve's plan read 9.41 MB against the
+    # continuation's 14.5 MB)
+    import tracemalloc
+
+    g, sys = headline_system(64)
+    V0 = complexify(*make_fields(g)).stacked()
+    cfg = SolverConfig(T_final=0.05)
+    tracemalloc.start()
+    try:
+        epsilon_continuation(sys, V0, [3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= continuation_plan(g, sys, cfg)[1]
+
+
+def test_epsilon_continuation_beyond_memory_is_refused_before_its_second_solve(
+        monkeypatch, marched, tmp_path):
+    # physical memory one byte short of a solve's plan beside the kept run:
+    # a lone solve is admitted, the continuation's second solve is refused
+    # with ConfigError before it marches, and the CLI exits 2
+    from beamwave.cli import main
+
+    g = TorusGrid(64)
+    sys, fields = build_preset("headline", g)
+    V0 = complexify(*fields).stacked()
+    cfg = SolverConfig(T_final=0.05)
+    plan, beside = continuation_plan(g, sys, cfg)
+    monkeypatch.setattr(evolve, "physical_memory_bytes", lambda: beside - 1)
+    lone = copy.copy(cfg)
+    lone.eps = 1e-2
+    kato_solve(sys, V0, lone)
+    sweeps = len(marched)
+    marched.clear()
+    with pytest.raises(ConfigError, match="physical memory"):
+        epsilon_continuation(sys, V0, [1e-2, 1e-3], cfg)
+    assert len(marched) == sweeps and len(marched[-1]) == _time_grid(sys, cfg, no_plan)[1] + 1
+    argv = ["sweep", "--axis", "eps", "--values", "1e-2,1e-3", "--n", "64", "--T", "0.05",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 2 and not list(tmp_path.glob("sweep_*"))
 
 
 def _project_stacked(grid, vec, N):
