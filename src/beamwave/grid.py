@@ -114,7 +114,7 @@ class TorusGrid:
 
         J, n = self.modes.astype(float), self.n
         chi = np.empty((n, n))
-        for r in row_blocks(n):  # the lattice j -/+ k of a block of rows at a time
+        for r in row_blocks(n, n):  # the lattice j -/+ k of a block of rows at a time
             u, xi = np.add.outer(J[r], J), np.subtract.outer(J[r], J)
             np.sqrt(np.add(np.square(u, out=u), 1.0, out=u), out=u)  # <j + k>
             u = np.divide(np.abs(xi, out=xi), u, out=u)  # xi
@@ -127,11 +127,11 @@ class TorusGrid:
         return _read_only(chi)
 
 
-def row_blocks(n):
-    """The slices of consecutive rows, about 2^14 entries each, by which an
-    n x n array is formed in its own buffer with no n x n scratch."""
-    step = max(1, (1 << 14) // n)
-    return [slice(i, i + step) for i in range(0, n, step)]
+def row_blocks(height, width):
+    """The slices of consecutive rows, about 2^14 entries each, by which a
+    height x width array is formed in its own buffer with no scratch of its size."""
+    step = max(1, (1 << 14) // width)
+    return [slice(i, min(i + step, height)) for i in range(0, height, step)]
 
 
 def _read_only(a):

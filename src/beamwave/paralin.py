@@ -95,7 +95,7 @@ class ParalinearizedSystem:
         grid, D, h, blocks = self.grid, complex_weights(self.grid), self.grid.n // 2 + 1, []
         for i, out, inp, mult in self._specs:
             table = np.empty((h, grid.n), dtype=complex)
-            for r in (slice(b.start, min(b.stop, h)) for b in row_blocks(grid.n) if b.start < h):
+            for r in row_blocks(h, grid.n):
                 W = weyl_table(grid, mult, r)
                 W *= grid.chi_mask[r]
                 np.multiply(-1.0 * D[out // 2][r, None], W, out=W)

@@ -37,9 +37,10 @@ coefficient m, and T's t_b, t_w.  Every n x n block is formed by the call
 that applies it, and freed on its return: the energy report forms L_{2s}
 once, and one half of Phi at a time (``energy_operators``) for its samples
 and its Garding scan; ``residual_operators`` forms Phi+-, Psi+- (D and D~
-among their blocks), T and Lambda for the conjugation residual, all but the
-wave blocks S_1 +- S_2 of D~_w, of which the residual forms only the rows or
-columns R that each product reads (``_wave_cut``), each in one quantization.
+among their blocks), T and Lambda[R, R] for the conjugation residual, all but
+the wave blocks S_1 +- S_2 of D~_w, of which each half of the residual forms
+the rows or columns R it reads alone (``bony_weyl_quantize``), one
+quantization each, and frees them before the next half.
 
 A block quantized from constant x-coefficients comes back from
 ``bony_weyl_quantize`` as its diagonal (n,): for constant b, S_b^{+-1},
@@ -99,18 +100,18 @@ def _periodic_antiderivative(grid, values):
     return SpectralFunction(grid, out, is_real=True).values().real
 
 
-def _op(f, mult=None):
-    """Op^BW(f(x) mult(xi)) (mult = 1 by default): its diagonal (n,) for a constant f."""
-    return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult))
+def _op(f, mult=None, rows=None, cols=None):
+    """Op^BW(f(x) mult(xi)) (mult = 1 by default), or a cut: a diagonal for a constant f."""
+    return bony_weyl_quantize(SeparableSymbol.from_xfunc(f, mult), rows, cols)
 
 
-def _similarity(s1, s2, op):
+def _similarity(s1, s2, op, rows=None, cols=None):
     """S_1 + S_2 (op ``operator.add``) or S_1 - S_2 (``operator.sub``), an even
     half of Op^BW(S), S = [[s1, s2], [s2, s1]]; S^{-1} = [[s1, -s2], [-s2, s1]]
-    has them swapped.  One quantization, Op^BW(s1 op s2), as Op^BW is linear in
-    its symbol: bit for bit Op^BW(s1) op Op^BW(s2) where s1 and s2 are
-    constant, to round-off otherwise."""
-    return _op(op(s1, s2))
+    has them swapped.  One quantization (or cut), Op^BW(s1 op s2), as Op^BW is
+    linear in its symbol: bit for bit Op^BW(s1) op Op^BW(s2) where s1 and s2
+    are constant, to round-off otherwise."""
+    return _op(op(s1, s2), None, rows, cols)
 
 
 def _apply(b, u):
@@ -342,32 +343,26 @@ def energy_operators(P, h):
 def residual_operators(P):
     """(Phi+-, Psi+-, (Lambda_b, Lambda_w)) of a parametrix for the
     conjugation residual, formed anew on each call with M_{-1} and T once
-    for all, Psi = (1 - T)D~ in the block layout of Phi, but with each wave
-    block, S_1 +- S_2 of D~_w, left None: the residual forms only the rows or
-    columns of those it reads (``_wave_cut``).  D~_w+ is formed whole only for
-    the coupling blocks D_w- T_wb and -T_bw D~_w+ where T has a block, and
-    freed on return.  Only the conjugation residual applies them, so P holds
-    none."""
+    for all, Psi = (1 - T)D~ in the block layout of Phi, Lambda on the resolved
+    band R x R, and each wave block, S_1 +- S_2 of D~_w, as the sign of its
+    similarity half (add: D~_w+ = D_w-, sub: D~_w- = D_w+), whose rows or
+    columns the residual forms.  D~_w+ is formed whole only for the coupling
+    blocks D_w- T_wb and -T_bw D~_w+ where T has a block, and freed on
+    return.  Only the conjugation residual applies them, so P holds none."""
     beam, T = P.beam, (P.T(0), P.T(1))
     O_m = beam.M_minus1()
     (Db_p, Db_m), Dt_b = (beam.half(O_m, h) for h in (0, 1)), beam.right_inverse(O_m)
     A = P.wave.right_inverse(operator.add) if any(t is not None for t in T) else None  # D_w-
     T_bw, T_wb = T
-    Phi = (((Db_p, _mul(Db_p, T_bw)), (None, None)),
-           ((Db_m, None), (_mul(A, T_wb), None)))
+    Phi = (((Db_p, _mul(Db_p, T_bw)), (None, operator.sub)),
+           ((Db_m, None), (_mul(A, T_wb), operator.add)))
     T_bw, T_wb = (None if t is None else -t for t in T)
-    Psi = (((Dt_b[0], _mul(T_bw, A)), (None, None)),
-           ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), None)))
-    Lam = (_op(beam.lam, FrequencyMultiplier.xi_power(2)),
-           _op(P.wave.lam, FrequencyMultiplier.abs_xi()))
+    Psi = (((Dt_b[0], _mul(T_bw, A)), (None, operator.add)),
+           ((Dt_b[1], None), (_mul(T_wb, Dt_b[1]), operator.sub)))
+    r = np.flatnonzero(P.grid.dealias_mask)
+    Lam = (_op(beam.lam, FrequencyMultiplier.xi_power(2), r, r),
+           _op(P.wave.lam, FrequencyMultiplier.abs_xi(), r, r))
     return Phi, Psi, Lam
-
-
-def _wave_cut(wave, op, r, axis):
-    """The rows (axis 0) or columns (axis 1) r (``_cut``) of D~_w's half S_1 op
-    S_2, op ``operator.add`` (D~_w+ = D_w-) or ``operator.sub`` (D~_w- = D_w+),
-    one quantization (``right_inverse``) held whole only until it is cut."""
-    return _cut(wave.right_inverse(op), r, axis)
 
 
 def conjugation_residual(P, para, V):
@@ -375,9 +370,10 @@ def conjugation_residual(P, para, V):
 
     All operator norms are resolved-band H^s -> H^s (or H^s -> H^{s+2})
     norms; ``offdiag_without_T`` is the negative control obtained by
-    dropping the T correctors.  Each residual is formed on its halves: the
-    odd X L Y - Lambda as X+ L_pm Y- - Lambda_pm and X- L_mp Y+ - Lambda_mp,
-    Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w).  Only the
+    dropping the T correctors.  Each residual is formed on its halves, in
+    this order: the odd X L Y - Lambda as X- L_mp Y+ - Lambda_mp and X+ L_pm
+    Y- - Lambda_pm, Lambda_pm = Lambda_mp = -i blockdiag(Lambda_b, Lambda_w),
+    and the even Psi Phi - 1 as Psi+ Phi+ - 1 and Psi- Phi- - 1.  Only the
     resolved rows and columns R of each product are formed: X[R, :] L Y[:, R].
     Every product, L_pm = -i diag(j^2, |j|) by its two diagonal blocks
     included, is taken over the 2 x 2 (beam, wave) blocks (``_product``),
@@ -387,16 +383,16 @@ def conjugation_residual(P, para, V):
     Without coupling every residual half is block-diagonal, and its norm the
     larger of its two diagonal blocks' (``exact_operator_norm``).  Phi, Psi,
     D, D~ and Lambda[R, R] are formed once for the call (``residual_operators``),
-    all but their wave blocks, of which only the rows or columns R are formed,
-    each as a product reads it (``_wave_cut``).
+    all but their wave blocks S_1 +- S_2, of which each half forms the rows or
+    columns R it reads (``take``) and frees them before the next; frakA(V)'s
+    blocks are freed once X- L_mp is formed.  The bare coupling blocks of D L D~
+    - Lambda's mp half (the pm half's are zero), D_b- L_bw D~_w+ and D_w- L_wb
+    D~_b+, read its cuts: D- is Phi-'s diagonal blocks, D~+ Psi+'s.
     """
-    grid = P.grid
-    s = P.s
+    grid, s = P.grid, P.s
     r = np.flatnonzero(grid.dealias_mask)  # R in one component
     Phi, Psi, lam = residual_operators(P)
-    lam = [-1j * (b[r] if b.ndim == 1 else b[np.ix_(r, r)]) for b in lam]
-    D_m = ((Phi[1][0][0], None), (None, None))  # blockdiag(D_b-, D_w-), as Phi- its wave block
-    Dt_p = ((Psi[0][0][0], None), (None, None))  # blockdiag(D~_b+, D~_w+)
+    lam = [-1j * b for b in lam]
     B_mp = para.frak_B(V)[1]  # frakB's pm half is zero
     (_, bw), (wb, _) = B_mp
     one = np.ones(r.size)
@@ -407,47 +403,31 @@ def conjugation_residual(P, para, V):
     def offdiag(halves):
         return (b for (_, bw), (wb, _) in halves for b in (bw, wb) if b is not None)
 
-    def take(X, cut, axis=0):  # the rows or columns R of a half, its wave block ``cut``
-        (bb, bw), (wb, _) = X
-        bb, bw, wb = (None if b is None else _cut(b, r, axis) for b in (bb, bw, wb))
-        return (bb, bw), (wb, cut)
+    def blockdiag(X):
+        return (X[0][0], None), (None, X[1][1])
 
-    # Each wave block is formed as the rows or columns R that one product
-    # reads, when it reads them, and freed once read for the last time; each
-    # residual half is normed and freed before the next cut is formed.  So at
-    # most two cuts are held at once, and frakA(V)'s wave block beside only
-    # one.  D~_w+ = D_w- enters X- L_mp Y+ and the bare coupling blocks
-    # D_b- L_bw D~_w+, D_w- L_wb D~_b+ of the mp half of D L D~ - Lambda (those
-    # of the pm half are zero), D~_w- = D_w+ enters X+ L_pm Y-, and both enter
-    # Psi+- Phi+- - 1
-    A_r = _wave_cut(P.wave, operator.add, r, 0)
+    def take(X, axis=0):  # the rows (axis 0) or columns R of a half, its wave block formed as such
+        (bb, bw), (wb, op) = X
+        bb, bw, wb = (None if b is None else _cut(b, r, axis) for b in (bb, bw, wb))
+        return (bb, bw), (wb, _similarity(P.wave.s1, P.wave.s2, op, *((r, None), (None, r))[axis]))
+
     pm, ((bb, _), (_, ww)) = para.frak_A(V)  # frakA's pm half is -i diag(j^2, |j|)
-    XL = _product(take(Phi[1], A_r), ((bb, bw), (wb, ww)), r)
-    DB = _product(take(D_m, A_r), B_mp, r)
-    del bb, ww, A_r
-    A_c = _wave_cut(P.wave, operator.add, r, 1)
-    bare = _product(DB, take(Dt_p, A_c, 1), r)
-    X = _minus_diagonal(_product(XL, take(Psi[0], A_c, 1), r), *lam)
-    del XL, DB
+    X = take(Phi[1])
+    XL, DB = _product(X, ((bb, bw), (wb, ww)), r), _product(blockdiag(X), B_mp, r)
+    del X, bb, ww
+    Y = take(Psi[0], 1)
+    X, bare = _minus_diagonal(_product(XL, Y, r), *lam), _product(DB, blockdiag(Y), r)
+    del XL, DB, Y
     conj = [(norm([X]), norm(offdiag([X])))]
     del X
-    B_r = _wave_cut(P.wave, operator.sub, r, 0)
-    X = _minus_diagonal(_product(take(Psi[1], B_r), take(Phi[1], A_c, 1), r), one, one)
-    del A_c
-    inv = norm([X], s + 2.0)
-    del X
     pm_b, pm_w = np.split(pm, 2)
-    XL = _product(take(Phi[0], B_r), ((pm_b, None), (None, pm_w)), r)
-    del B_r
-    B_c = _wave_cut(P.wave, operator.sub, r, 1)
-    X = _minus_diagonal(_product(XL, take(Psi[1], B_c, 1), r), *lam)
+    XL = _product(take(Phi[0]), ((pm_b, None), (None, pm_w)), r)
+    X = _minus_diagonal(_product(XL, take(Psi[1], 1), r), *lam)
     del XL, lam
     conj.append((norm([X]), norm(offdiag([X]))))
     del X
-    A_r = _wave_cut(P.wave, operator.add, r, 0)
-    X = _minus_diagonal(_product(take(Psi[0], A_r), take(Phi[0], B_c, 1), r), one, one)
-    del A_r, B_c
-    inv = max(inv, norm([X], s + 2.0))
+    inv = max(norm([_minus_diagonal(_product(take(X), take(Y, 1), r), one, one)], s + 2.0)
+              for X, Y in zip(Psi, Phi))
 
     # a block-antidiagonal matrix's top singular value is its larger block's
     return {

@@ -11,14 +11,16 @@ separable symbol sum_i f_i(x) g_i(xi) has the Weyl matrix
 sum_i fhat_i(j - k) g_i((j + k)/2): each term is the grid's Toeplitz view of
 fhat_i (``TorusGrid.toeplitz``) times a table of g_i (``weyl_table``); a
 block is formed in its own buffer by row blocks (``grid.row_blocks``), with no
-n x n scratch, and chi multiplies it in place.
+n x n scratch, and chi multiplies it in place; the same loop forms a block's
+rows or columns alone, bit for bit those of the whole block (a cut).
 A symbol whose x-coefficients are all constant has an exactly diagonal
 Bony-Weyl matrix (the Toeplitz views are fhat_i(0) I, chi_eps(0) = 1, the
 Nyquist slot included): ``bony_weyl_quantize`` returns it as its diagonal
-(n,), and every caller must expect either form.  ``combine`` and
-``as_matrix`` are the one rule that forms a diagonal as its matrix beside a
-dense block, where numpy would broadcast the pair into a wrong array;
-``subtract_into`` forms a difference in the dense block its caller gives up.
+(n,), or a cut's entries of it, and every caller must expect either form.
+``combine`` and ``as_matrix`` are the one rule that forms a diagonal as its
+matrix beside a dense block, where numpy would broadcast the pair into a
+wrong array; ``subtract_into`` forms a difference in the dense block its
+caller gives up.
 Every operator is a plain complex array; a matrix of side c*n acts on c
 components, component i on coefficient slots [i*n, (i+1)*n), c = 4 for a
 stacked vector.  A parity half (beam, wave) of ``state`` is held by its
@@ -52,14 +54,14 @@ from .grid import row_blocks
 from .symbols import FrequencyMultiplier, sharp_rho
 
 
-def weyl_table(grid, g, rows):
-    """The rows ``rows`` (a slice) of the real n x n table T[j, k] = g((j + k)/2),
-    zero where j - k leaves [-n/2, n/2).  The Weyl matrix of
-    f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl matrix that times
-    chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
+def weyl_table(grid, g, rows, cols=slice(None)):
+    """The rows ``rows`` and columns ``cols`` (slices or index arrays) of the real
+    n x n table T[j, k] = g((j + k)/2), zero where j - k leaves [-n/2, n/2).  The
+    Weyl matrix of f(x) g(xi) is grid.toeplitz(f.coeffs) * T, its Bony-Weyl
+    matrix that times chi_eps(|j-k|/<j+k>) (``grid.chi_mask``)."""
     n, J = grid.n, grid.modes
-    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[rows], J + n)]  # g at each (j + k)/2
-    T[~grid.in_range[rows]] = 0.0
+    T = g(np.arange(-n, n - 1) / 2.0)[np.add.outer(J[rows], J[cols] + n)]  # g at each (j + k)/2
+    T[~grid.in_range[rows][:, cols]] = 0.0
     return T
 
 
@@ -67,34 +69,40 @@ _op_cache = {}  # never filled; the benchmark's tracer binds this name at instal
 _ONE = FrequencyMultiplier.one().terms
 
 
-def weyl_quantize(sym):
-    """Op^W of a SeparableSymbol as a dense n x n array, formed by row blocks
-    (``row_blocks``): each term's product, its Toeplitz view times its table,
-    is added to the sum so far, first 0.0 (-0.0 to +0.0).  The multiplier 1
-    takes no table: its table is the grid's in-range mask."""
+def weyl_quantize(sym, rows=None, cols=None):
+    """Op^W of a SeparableSymbol as a dense n x n array, or its rows ``rows`` and
+    columns ``cols`` (index arrays, None for all) alone, formed by row blocks of
+    the width formed (``row_blocks``): each entry's terms' products, a Toeplitz
+    view times a table, are added to the sum so far, first 0.0 (-0.0 to +0.0),
+    as in the whole block.  The multiplier 1 takes no table: its table is the
+    grid's in-range mask."""
     grid, n = sym.grid, sym.grid.n
-    if not sym.terms:
-        return np.zeros((n, n), dtype=complex)
-    M = np.empty((n, n), dtype=complex)
+    c = slice(None) if cols is None else cols
+    shape = tuple(n if s is None else len(s) for s in (rows, cols))
+    M = (np.empty if sym.terms else np.zeros)(shape, dtype=complex)
     terms = [(grid.toeplitz(f.coeffs), g.terms == _ONE, g) for f, g in sym.terms]
-    for r in row_blocks(n):
+    for b in row_blocks(*shape):
+        r = b if rows is None else rows[b]
         for i, (F, one, g) in enumerate(terms):  # the first term's product is formed in M
-            t = np.multiply(F[r], grid.in_range[r] if one else weyl_table(grid, g, r),
-                            out=None if i else M[r])
-            np.add(t, M[r] if i else 0.0, out=M[r])
+            t = np.multiply(F[r][:, c], grid.in_range[r][:, c] if one else
+                            weyl_table(grid, g, r, c), out=None if i else M[b])
+            np.add(t, M[b] if i else 0.0, out=M[b])
     return M
 
 
-def bony_weyl_quantize(sym):
-    """Op^BW: the Weyl matrix entrywise multiplied by chi_eps(|j-k|/<j+k>); if
-    every x-coefficient is constant, its diagonal 0.0 + sum_i fhat_i(0) g_i(j)
-    (n,), summed in term order as ``weyl_quantize`` sums, so bit for bit the
-    matrix's: zeros for a symbol of no terms."""
+def bony_weyl_quantize(sym, rows=None, cols=None):
+    """Op^BW: the Weyl matrix (its rows and columns, as ``weyl_quantize`` forms
+    them) entrywise multiplied by chi_eps(|j-k|/<j+k>); if every x-coefficient
+    is constant, its diagonal 0.0 + sum_i fhat_i(0) g_i(j), summed in term order
+    as ``weyl_quantize`` sums, so bit for bit the matrix's, at the slots kept
+    (rows, else cols; both keep the same slots): zeros for a symbol of no terms."""
     grid = sym.grid
+    r, c = (slice(None) if s is None else s for s in (rows, cols))
     if any(f.coeffs[1:].any() for f, _ in sym.terms):
-        M = weyl_quantize(sym)
-        return np.multiply(M, grid.chi_mask, out=M)
-    return sum((f.coeffs[0] * g(grid.modes) for f, g in sym.terms), np.zeros(grid.n, complex))
+        M = weyl_quantize(sym, rows, cols)
+        return np.multiply(M, grid.chi_mask[r][:, c], out=M)
+    d = sum((f.coeffs[0] * g(grid.modes) for f, g in sym.terms), np.zeros(grid.n, complex))
+    return d[c if rows is None else r]
 
 
 def as_matrix(b):

@@ -193,6 +193,19 @@ def test_the_oracles_peak_memory_at_n512_is_within_its_plan(preset, steps, warm_
     assert jets.nbytes + sum(b.nbytes for b in buffers) <= 6 * 16 * n
 
 
+@pytest.mark.parametrize("steps", [1, 64], ids=["one_step", "two_chunks"])
+@pytest.mark.parametrize("preset", ["headline", "mixed"])
+def test_a_kato_solves_peak_memory_at_n512_is_within_its_plan(preset, steps, warm_interpreter):
+    # the Kato plan at N = 512, the largest set-up that the tests reach: its
+    # real-form tables, formed by their rows 0..n/2 and every column
+    # (``weyl_table``), and its march in chunks of 64 nodes, one step or 64
+    # (65 nodes: a full chunk and a short second one)
+    n = 512
+    assert evolve._chunk_nodes(n) == 64
+    g, peak, plan = traced_plan("kato", preset, n, steps)
+    assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
+
+
 @pytest.mark.parametrize("steps", [1, 100], ids=["one_step", "long"])
 def test_a_dense_frakA0_with_no_table_is_planned_at_its_set_up(steps, warm_interpreter):
     # b and c profiles and no F: frakA(0)'s blocks are dense, so set-up forms

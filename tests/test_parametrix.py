@@ -25,7 +25,6 @@ from beamwave.parametrix import (
     _mode_energies,
     _periodic_antiderivative,
     _similarity,
-    _wave_cut,
     build_parametrix,
     build_T_correctors,
     conjugation_residual,
@@ -45,6 +44,7 @@ from beamwave.state import complex_weights, complexify, conjugate_pair, stacked_
 from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 from conftest import parity_split, weighted_matrix
 from test_paralin import dense_block, dense_half, structural_zeros
+from test_bridge import VARIABLE
 from test_quantize import _svd_spy
 from test_spectral_core import parity_join, stacked_inner
 
@@ -90,17 +90,16 @@ def mode_energies_of(g, Phi, L2s):
 
 
 def formed(P):
-    """(Phi+-, Psi+-, Lambda) of ``residual_operators``, each wave block, which
-    it leaves to the residual's cuts, filled with D~_w's half: D_w+- = D~_w-+."""
+    """(Phi+-, Psi+-, Lambda[R, R]) of ``residual_operators``, each wave block,
+    which it holds as the sign of its similarity half for the residual's cuts,
+    formed whole as D~_w's half: D_w+- = D~_w-+."""
     Phi, Psi, Lam = residual_operators(P)
-    Dt_w = [P.wave.right_inverse(op) for op in (operator.add, operator.sub)]
 
-    def fill(X, w):
-        (bb, bw), (wb, _) = X
-        return (bb, bw), (wb, w)
+    def fill(X):
+        (bb, bw), (wb, op) = X
+        return (bb, bw), (wb, P.wave.right_inverse(op))
 
-    return ((fill(Phi[0], Dt_w[1]), fill(Phi[1], Dt_w[0])),
-            (fill(Psi[0], Dt_w[0]), fill(Psi[1], Dt_w[1])), Lam)
+    return tuple(fill(X) for X in Phi), tuple(fill(X) for X in Psi), Lam
 
 
 def variable_b_system(n, amp=0.2):
@@ -414,7 +413,7 @@ def _full_product_norms(P, para, V):
     D, Dt = ([_beam_wave(dense_block(X[0][0], n), dense_block(X[1][1], n)) for X in halves]
              for halves in (Phi, Psi))
     Phi, Psi = ([dense_half(h, n) for h in halves] for halves in (Phi, Psi))
-    Lam = -1j * _beam_wave(*(dense_block(b, n) for b in Lam))
+    Lam = -1j * _beam_wave(*(dense_block(b, m) for b in Lam))  # on the band R x R
 
     def on_band(mat):
         return mat[np.ix_(keep, keep)]
@@ -423,8 +422,8 @@ def _full_product_norms(P, para, V):
         W = weighted_matrix(g, mat, s, s_out, band="restricted")
         return float(np.linalg.svd(W, compute_uv=False)[0])
 
-    M = [on_band(Phi[i] @ L[i] @ Psi[1 - i] - Lam) for i in (0, 1)]
-    bare = [on_band(D[i] @ L[i] @ Dt[1 - i] - Lam) for i in (0, 1)]
+    M = [on_band(Phi[i] @ L[i] @ Psi[1 - i]) - Lam for i in (0, 1)]
+    bare = [on_band(D[i] @ L[i] @ Dt[1 - i]) - Lam for i in (0, 1)]
     inv = [on_band(Psi[i] @ Phi[i]) - np.eye(2 * m) for i in (0, 1)]
     return {
         "conjugation_norm": max(norm(h) for h in M),
@@ -523,9 +522,10 @@ def test_constant_coefficient_residual_blocks_are_normed_as_diagonals(monkeypatc
 
 def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
     # the rows and columns R that the residual forms of D~_w+ (add) and D~_w-
-    # (subtract), one quantization each, are those of the halves _similarity
-    # forms: for a dense pair (headline), a diagonal pair (linear, a_w
-    # constant) and a diagonal beside a dense block, whose sum is dense
+    # (subtract) alone, one quantization each (``_similarity`` with rows or
+    # cols), are those of the halves _similarity forms whole: for a dense pair
+    # (headline), a diagonal pair (linear, a_w constant) and a diagonal beside
+    # a dense block, whose sum is dense
     g = TorusGrid(32)
     r = np.flatnonzero(g.dealias_mask)
     waves = [build_parametrix(*_preset_setup(preset, 32)[1:], 2.5).wave
@@ -533,14 +533,12 @@ def test_wave_cuts_are_bit_for_bit_the_rows_and_columns_of_the_wave_halves():
     varying = transform(g, 0.3 + 0.1 * np.cos(g.x))
     waves += [SimpleNamespace(s1=SpectralFunction.constant(g, 0.9), s2=varying),
               SimpleNamespace(s1=varying, s2=SpectralFunction.constant(g, 0.2))]
-    for wave in waves[2:]:
-        wave.right_inverse = partial(WaveDiagonalizer.right_inverse, wave)
     ndims = []
     for wave in waves:
         halves = [_similarity(wave.s1, wave.s2, op) for op in (operator.add, operator.sub)]
         for op, half in zip((operator.add, operator.sub), halves):
             for axis in (0, 1):
-                cut = _wave_cut(wave, op, r, axis)
+                cut = _similarity(wave.s1, wave.s2, op, *((r, None) if axis == 0 else (None, r)))
                 ref = half[r] if half.ndim == 1 or axis == 0 else half[:, r]
                 assert cut.shape == ref.shape and cut.tobytes() == ref.tobytes()
         ndims.append(halves[0].ndim)
@@ -779,6 +777,63 @@ def test_residual_peak_memory_at_n512():
     assert peak <= 12.6e6, peak
 
 
+def test_residual_peak_memory_of_dense_beam_blocks_at_n256():
+    # CI's variable-coefficient system (variable.json) at N = 256, set up as
+    # at N = 512 above: b varies, so the beam blocks of D, D~, Lambda and
+    # frakA(V) are dense, and both coupling blocks of T and frakB(V) are
+    # formed.  Measured: 20.55 MB; the bound is that plus under 5%.  With
+    # each wave cut copied out of a whole quantization: 21.48 MB
+    import tracemalloc
+
+    g = TorusGrid(256)
+    para = ParalinearizedSystem(bridge_system_from_json(VARIABLE, g), g)
+    V = complexify(*build_preset("linear", g)[1]).stacked()
+    P = build_parametrix(para, V, 2.5)
+    g.chi_mask
+    tracemalloc.start()
+    try:
+        conjugation_residual(P, para, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21.5e6, peak
+
+
+def test_residual_forms_each_wave_half_only_as_the_cuts_its_products_read(monkeypatch):
+    # headline at N = 64: D~_w's halves S_1 +- S_2 are formed only as the rows
+    # (|R|, n) or columns (n, |R|) that one residual half reads, X[R, :] or
+    # Y[:, R] of X L Y - Lambda (X- L_mp Y+, then X+ L_pm Y-) and of Psi Phi
+    # - 1 (+, then -), in that order, and each half's cuts are freed before
+    # the next half's are formed, X[R, :] of X L Y - Lambda once X L is; no
+    # n x n wave half is formed
+    g, para, V = _preset_setup("headline", 64)
+    P = build_parametrix(para, V, 2.5)
+    m = np.count_nonzero(g.dealias_mask)
+    sums = {name: op(P.wave.s1, P.wave.s2).coeffs for name, op in
+            (("+", operator.add), ("-", operator.sub))}
+    quantized, cuts, alive = beamwave.parametrix.bony_weyl_quantize, [], []
+    refs = []
+
+    def spy(sym, *cut):
+        M = quantized(sym, *cut)
+        (f, _), = sym.terms or [(None, None)]
+        name = next((k for k, c in sums.items() if f is not None and np.array_equal(f.coeffs, c)),
+                    None)
+        if name is not None:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            cuts.append((name, M.shape))
+            refs.append(weakref.ref(M))
+        return M
+
+    monkeypatch.setattr(beamwave.parametrix, "bony_weyl_quantize", spy)
+    conjugation_residual(P, para, V)
+    rows, cols = (m, g.n), (g.n, m)
+    assert cuts == [("+", rows), ("+", cols), ("-", rows), ("-", cols),
+                    ("+", rows), ("-", cols), ("-", rows), ("+", cols)]
+    assert alive == [0, 0, 0, 0, 0, 1, 0, 1]
+
+
 def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     # a headline build quantizes five symbols, S_1, S_2 and K^{-1} of the
     # beam and S_1, S_2 of the wave, all of the multiplier 1, so it takes no
@@ -791,10 +846,10 @@ def test_multiplier_one_takes_no_weyl_table(monkeypatch):
     tables = []
     original = beamwave.quantize.weyl_table
 
-    def counting(grid, mult, rows=slice(None)):
-        if not rows.start:
+    def counting(grid, mult, rows, cols=slice(None)):
+        if np.arange(g.n)[rows][0] == 0:  # the first row block of a block or of its cut
             tables.append(mult.terms)
-        return original(grid, mult, rows)
+        return original(grid, mult, rows, cols)
 
     monkeypatch.setattr(beamwave.quantize, "weyl_table", counting)
     P = build_parametrix(para, V, 2.5)
@@ -869,10 +924,15 @@ def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, mo
     assert [blocks(p, v) for p, v in cases] == [[1] * 5, [1] * 5, [None, 2, None, 1, 1]]
     got = [conjugation_residual(build_parametrix(p, v, 2.5), p, v) for p, v in cases]
     quantized = beamwave.quantize.bony_weyl_quantize
-    monkeypatch.setattr(beamwave.parametrix, "_op", lambda f, mult=None: quantized(
-        SeparableSymbol.from_xfunc(f, mult)))
+
+    def dense(sym, rows=None, cols=None):  # the rows and columns of the block as a matrix
+        M = as_matrix(quantized(sym))
+        return M[slice(None) if rows is None else rows][:, slice(None) if cols is None else cols]
+
+    monkeypatch.setattr(beamwave.parametrix, "_op", lambda f, mult=None, rows=None, cols=None:
+                        quantized(SeparableSymbol.from_xfunc(f, mult), rows, cols))
     for module in (beamwave.paralin, beamwave.parametrix):
-        monkeypatch.setattr(module, "bony_weyl_quantize", lambda sym: as_matrix(quantized(sym)))
+        monkeypatch.setattr(module, "bony_weyl_quantize", dense)
     assert [blocks(p, v) for p, v in cases] == [[2] * 5, [2] * 5, [None, 2, None, 2, 1]]
     ref = [conjugation_residual(build_parametrix(p, v, 2.5), p, v) for p, v in cases]
     assert got[0] == ref[0]
@@ -883,15 +943,16 @@ def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, mo
 
 @pytest.mark.parametrize("preset", ["linear", "headline", "mixed", "parity", "damped"])
 def test_constant_coefficient_preset_holds_no_dense_beam_block(preset):
-    # b and c are constant: D_b, D~_b, K^{+-1} and M_{-1}, Lambda_b, L_{2s}'s
-    # beam block, the beam blocks of Phi and Psi and frakA(0)'s mp blocks
-    # are held as diagonals (n,), and the beam diagonalizer holds no n x n array
+    # b and c are constant: D_b, D~_b, K^{+-1} and M_{-1}, L_{2s}'s beam
+    # block, the beam blocks of Phi and Psi and frakA(0)'s mp blocks are held
+    # as diagonals (n,), Lambda_b, formed on the band R x R, as its diagonal
+    # (|R|,), and the beam diagonalizer holds no n x n array
     g, para, V = _preset_setup(preset, 32)
     P = build_parametrix(para, V, 2.5)
     Phi, Psi, Lam = residual_operators(P)
-    beam = [P.L2s()[0], Lam[0], *(X[0][0] for X in Phi + Psi),
-            *(para._A0[1][i][i] for i in (0, 1))]
+    beam = [P.L2s()[0], *(X[0][0] for X in Phi + Psi), *(para._A0[1][i][i] for i in (0, 1))]
     assert all(b.shape == (g.n,) for b in beam)
+    assert Lam[0].shape == (np.count_nonzero(g.dealias_mask),)
     assert max(_array_sizes(P.beam, {id(g)})) == g.n
 
 
@@ -938,16 +999,20 @@ def _freed_on_return(calls, arrays):
 
 
 def _blocks(ops):
-    """The distinct arrays in nested tuples of blocks, None skipped."""
+    """The distinct arrays in nested tuples of blocks, None and the signs that
+    stand for a wave block (``residual_operators``) skipped."""
     if isinstance(ops, np.ndarray):
         return {id(ops): ops}
-    return {k: b for op in ops if op is not None for k, b in _blocks(op).items()}
+    return {k: b for op in ops if isinstance(op, (tuple, np.ndarray))
+            for k, b in _blocks(op).items()}
 
 
 def test_psi_is_built_only_for_the_residuals(monkeypatch):
     # the energy never forms Psi (nor Lambda); one residual call forms them,
-    # with Phi, D and D~, once but for their wave blocks (``_wave_cut``), and
-    # frees every block on return: the parametrix holds none of them
+    # with Phi, D and D~, once but for their wave blocks, which it holds as
+    # the signs of their similarity halves and forms only as the rows or
+    # columns each half reads, and frees every block on return: the
+    # parametrix holds none of them
     g, para, V = coupled_setup(32)
     built = _counting(monkeypatch, beamwave.parametrix, "residual_operators")
     P = build_parametrix(para, V, 2.5)

@@ -9,7 +9,7 @@ import beamwave.paralin as paralin
 import beamwave.parametrix as parametrix
 import beamwave.quantize as quantize
 from beamwave.cli import PRESETS, build_preset
-from beamwave.grid import SpectralFunction, TorusGrid, transform
+from beamwave.grid import SpectralFunction, TorusGrid, row_blocks, transform
 from beamwave.paralin import ParalinearizedSystem
 from beamwave.quantize import (
     bony_weyl_quantize,
@@ -259,22 +259,33 @@ def _reference_bony_weyl(sym):
     return M * _closed_chi(g)
 
 
+def _at(M, rows, cols):
+    """The rows and columns (index arrays, None for all) of a block, or of a
+    diagonal its entries at the slots kept, rows else cols."""
+    if M.ndim == 1:
+        return M if rows is None and cols is None else M[cols if rows is None else rows]
+    return M[slice(None) if rows is None else rows][:, slice(None) if cols is None else cols]
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, monkeypatch):
     # every Bony-Weyl block that the system, its generator at a background,
     # the parametrix, its residuals and the energy quantize, and the tables
     # of the real form's background blocks, against a sum that starts from
     # zeros and a closed-formula chi: the quantizer multiplies its first term
-    # straight into the result and chi in place, with the same bits
+    # straight into the result and chi in place, with the same bits.  The
+    # residual's cuts (its wave rows and columns, Lambda on the band R x R)
+    # against those rows and columns of the reference
     g = TorusGrid(32)
-    seen = []
+    seen, cuts = [], set()
 
-    def checked(sym):
-        M, ref = quantize.bony_weyl_quantize(sym), _reference_bony_weyl(sym)
+    def checked(sym, rows=None, cols=None):
+        M, ref = quantize.bony_weyl_quantize(sym, rows, cols), _reference_bony_weyl(sym)
         if M.ndim == 1:  # constant coefficients: the block by its diagonal
             assert not np.any(ref - np.diag(np.diagonal(ref)))
             ref = np.diagonal(ref)
-        seen.append(np.array_equal(_bits(M), _bits(ref)))
+        seen.append(np.array_equal(_bits(M), _bits(_at(ref, rows, cols))))
+        cuts.add((rows is not None, cols is not None))
         return M
 
     for module in (paralin, parametrix):
@@ -289,6 +300,7 @@ def test_every_quantized_block_of_a_preset_is_the_plain_sum_bit_for_bit(preset, 
     for h in (0, 1):
         parametrix.energy_operators(P, h)
     assert seen and all(seen)
+    assert cuts == {(False, False), (True, False), (False, True), (True, True)}
     D, h = complex_weights(g), g.n // 2 + 1
     for i, out, inp, table in para._real_blocks:
         T = _reference_table(g, paralin._ABS_XI if i == 0 else paralin._OFF) * _closed_chi(g)
@@ -366,6 +378,37 @@ def test_multiplier_one_quantizes_by_the_in_range_mask_bit_for_bit():
     assert np.array_equal(table != 0.0, g.in_range)
     assert np.array_equal(weyl_quantize(SeparableSymbol.from_xfunc(f)),
                           f.coeffs[_lattice(g)[0] % g.n] * table)
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_a_blocks_rows_and_columns_formed_alone_are_those_of_the_whole_block(n):
+    # the rows R, the columns R and the R x R block (R the resolved band
+    # |j| <= n/3), formed alone, are M[R], M[:, R] and M[np.ix_(R, R)] of the
+    # whole block, byte for byte, for Op^W and Op^BW: a dense symbol
+    # (headline's S_1 + S_2), a |xi| multiplier (Lambda_w), a constant symbol,
+    # whose diagonal is cut to its entries at R, and a symbol with no terms.
+    # At N = 256 a cut spans several row blocks
+    g = TorusGrid(n)
+    r = np.flatnonzero(g.dealias_mask)
+    sysm, fields = build_preset("headline", g)
+    wave = parametrix.build_parametrix(
+        ParalinearizedSystem(sysm, g), complexify(*fields).stacked(), 2.5).wave
+    syms = [SeparableSymbol.from_xfunc(wave.s1 + wave.s2),
+            SeparableSymbol.from_xfunc(wave.lam, FrequencyMultiplier.abs_xi()),
+            SeparableSymbol.from_xfunc(SpectralFunction.constant(g, 0.7),
+                                       FrequencyMultiplier.xi_power(2)),
+            SeparableSymbol(g, [])]
+    cuts = ((r, None), (None, r), (r, r))
+    for quantized in (weyl_quantize, bony_weyl_quantize):
+        ndims = []
+        for sym in syms:
+            M = quantized(sym)
+            for rows, cols in cuts:
+                cut, ref = quantized(sym, rows, cols), _at(M, rows, cols)
+                assert cut.shape == ref.shape and cut.tobytes() == ref.tobytes()
+            ndims.append(M.ndim)
+        assert ndims == ([2] * 4 if quantized is weyl_quantize else [2, 2, 1, 1])
+    assert (len(row_blocks(r.size, n)) > 1) == (n == 256)
 
 
 def _svd_spy(monkeypatch, record=lambda a: np.asarray(a).dtype.kind):
