@@ -45,7 +45,7 @@ from beamwave.symbols import FrequencyMultiplier, SeparableSymbol, cutoff_psi
 from conftest import parity_split, weighted_matrix
 from test_paralin import dense_block, dense_half, structural_zeros
 from test_bridge import VARIABLE
-from test_quantize import _svd_spy
+from test_quantize import _at, _svd_spy
 from test_spectral_core import parity_join, stacked_inner
 
 
@@ -811,14 +811,12 @@ def test_residual_forms_each_wave_half_only_as_the_cuts_its_products_read(monkey
     m = np.count_nonzero(g.dealias_mask)
     sums = {name: op(P.wave.s1, P.wave.s2).coeffs for name, op in
             (("+", operator.add), ("-", operator.sub))}
-    quantized, cuts, alive = beamwave.parametrix.bony_weyl_quantize, [], []
-    refs = []
+    quantized, cuts, alive, refs = beamwave.parametrix.bony_weyl_quantize, [], [], []
 
     def spy(sym, *cut):
         M = quantized(sym, *cut)
-        (f, _), = sym.terms or [(None, None)]
-        name = next((k for k, c in sums.items() if f is not None and np.array_equal(f.coeffs, c)),
-                    None)
+        f = sym.terms[0][0].coeffs if len(sym.terms) == 1 else None
+        name = next((k for k, c in sums.items() if f is not None and np.array_equal(f, c)), None)
         if name is not None:
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
@@ -926,8 +924,7 @@ def test_residual_at_a_constant_background_equals_that_of_its_dense_blocks(n, mo
     quantized = beamwave.quantize.bony_weyl_quantize
 
     def dense(sym, rows=None, cols=None):  # the rows and columns of the block as a matrix
-        M = as_matrix(quantized(sym))
-        return M[slice(None) if rows is None else rows][:, slice(None) if cols is None else cols]
+        return _at(as_matrix(quantized(sym)), rows, cols)
 
     monkeypatch.setattr(beamwave.parametrix, "_op", lambda f, mult=None, rows=None, cols=None:
                         quantized(SeparableSymbol.from_xfunc(f, mult), rows, cols))
