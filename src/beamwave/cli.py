@@ -99,19 +99,10 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _outdir(args):
-    root = args.outdir or os.environ.get("BEAMWAVE_OUT", ".")
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
-# the solver flags' destinations, SolverConfig's parameters; a flag the user
-# does not set is absent from the parsed arguments, and SolverConfig's default holds
-SOLVER_FLAGS = ("dt", "T_final", "eps", "cfl_safety", "kato_tol", "kato_max_iter")
-
-
 def _solver_config(args):
-    return SolverConfig(**{k: v for k, v in vars(args).items() if k in SOLVER_FLAGS})
+    """SolverConfig of the solver flags set; an unset one (None) keeps its default."""
+    return SolverConfig(**{dest: vars(args)[dest] for flag, dest, *_ in FLAGS
+                           if flag in SOLVER and vars(args)[dest] is not None})
 
 
 def _system_document(path):
@@ -158,8 +149,7 @@ def cmd_simulate(args):
         result = oracle_solve(sysm, *data, config)
     else:
         result = _kato(sysm, data, config)
-    out = _outdir(args)
-    base = os.path.join(out, "run_%s" % tag)
+    base = os.path.join(args.outdir, "run_%s" % tag)
     result.write_csv(base + ".csv")
     _write_json(base + ".json", dict(result.to_json_dict(config), config_hash=tag, request=doc))
     print("run %s: %s, %d nodes, final |V|_s1 = %.6e" % (
@@ -268,8 +258,7 @@ def cmd_verify(args):
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
     tag = _config_hash(_request(args, _solver_config(args), suite=args.suite, seed=args.seed))
-    out = _outdir(args)
-    path = os.path.join(out, "verify_%s_%s.json" % (args.suite, tag))
+    path = os.path.join(args.outdir, "verify_%s_%s.json" % (args.suite, tag))
     try:
         checks, ok = SUITES[args.suite](args)
     except PreconditionError as exc:
@@ -292,7 +281,6 @@ def cmd_sweep(args):
         raise PreconditionError("sweep needs at least 2 values")
     config = _solver_config(args)
     tag = _config_hash(_request(args, config, axis=args.axis, values=values))
-    out = _outdir(args)
     rows = []
     failures = {}
 
@@ -322,14 +310,14 @@ def cmd_sweep(args):
                 failures[str(v)] = str(exc)
         extra = {"slope": loglog_slope(rows)}
 
-    csv_path = os.path.join(out, "sweep_%s_%s.csv" % (args.axis, tag))
+    csv_path = os.path.join(args.outdir, "sweep_%s_%s.csv" % (args.axis, tag))
     with open(csv_path, "w") as fh:
         fh.write("value,metric\n")
         for v, m in rows:
             fh.write("%.12g,%.12g\n" % (v, m))
     report = {"axis": args.axis, "config_hash": tag, "rows": rows, "failures": failures}
     report.update(extra)
-    _write_json(os.path.join(out, "sweep_%s_%s.json" % (args.axis, tag)), report)
+    _write_json(os.path.join(args.outdir, "sweep_%s_%s.json" % (args.axis, tag)), report)
     slope = extra.get("slope")
     print("sweep %s: %d values, %d failures%s" % (
         args.axis, len(values), len(failures),
@@ -343,20 +331,51 @@ def cmd_preset(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--preset", default="headline", help="named system preset")
-    p.add_argument("--system", default=None, help="JSON system description path")
-    p.add_argument("--n", type=int, default=128, help="grid size (modes)")
-    p.add_argument("--amplitude", type=float, default=1e-2, help="initial data amplitude")
-    solver = p.add_argument_group("solver", argument_default=argparse.SUPPRESS)
-    solver.add_argument("--T", dest="T_final", metavar="T", type=float, help="time horizon")
-    solver.add_argument("--dt", type=float, help="time step (default: CFL limit)")
-    solver.add_argument("--eps", type=float, help="parabolic regularization")
-    solver.add_argument("--cfl-safety", dest="cfl_safety", type=float)
-    solver.add_argument("--kato-tol", dest="kato_tol", type=float)
-    solver.add_argument("--kato-max-iter", dest="kato_max_iter", type=int)
-    p.add_argument("--outdir", default=None, help="output directory (default $BEAMWAVE_OUT or .)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed of verify --suite energy")
+# (flag, destination, type, default, help) of each flag of simulate, verify and sweep
+FLAGS = [("--preset", "preset", str, "headline", "named system preset"),
+         ("--system", "system", str, None, "JSON system description path"),
+         ("--n", "n", int, 128, "grid size (modes)"),
+         ("--amplitude", "amplitude", float, 1e-2, "initial data amplitude"),
+         ("--T", "T_final", float, None, "time horizon"),
+         ("--dt", "dt", float, None, "time step (default: CFL limit)"),
+         ("--eps", "eps", float, None, "parabolic regularization"),
+         ("--cfl-safety", "cfl_safety", float, None, None),
+         ("--kato-tol", "kato_tol", float, None, None),
+         ("--kato-max-iter", "kato_max_iter", int, None, None),
+         ("--seed", "seed", int, 0, "sampling seed of verify --suite energy"),
+         ("--outdir", "outdir", str, None, "output directory (default $BEAMWAVE_OUT or .)")]
+
+# the flags each variant reads, --outdir aside, which all read; _resolve refuses the rest
+PROBLEM = {"--preset", "--system", "--amplitude"}
+SOLVER = {"--T", "--dt", "--eps", "--cfl-safety", "--kato-tol", "--kato-max-iter"}
+KATO = PROBLEM | SOLVER | {"--n"}
+READS = {"simulate --solver kato": KATO,
+         "simulate --solver oracle": KATO - {"--eps", "--kato-tol", "--kato-max-iter"},
+         "verify --suite operators": set(),
+         "verify --suite parametrix": PROBLEM,
+         "verify --suite energy": PROBLEM | {"--seed"},
+         "verify --suite oracle": KATO,
+         "sweep --axis N": PROBLEM,
+         "sweep --axis eps": KATO - {"--eps"},
+         "sweep --axis amplitude": KATO - {"--amplitude"}}
+
+
+def _resolve(args):
+    """Refuse --preset beside --system, or a flag the variant does not read; default
+    the rest, then read the --system document and make the output directory."""
+    if "preset" in vars(args) and "system" in vars(args):
+        raise ConfigError("--preset is not read beside --system")
+    variant = "%s %s %s" % (args.command, args.option, vars(args)[args.option[2:]])
+    for flag, dest, _, default, _ in FLAGS:
+        if dest in vars(args) and flag not in READS[variant] | {"--outdir"}:
+            raise ConfigError("%s does not read %s" % (variant, flag))
+        vars(args).setdefault(dest, default)
+    args.document = _system_document(args.system) if args.system else None
+    args.outdir = args.outdir or os.environ.get("BEAMWAVE_OUT", ".")
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        raise ConfigError("cannot use output directory %r: %s" % (args.outdir, exc)) from None
 
 
 def build_parser():
@@ -365,22 +384,22 @@ def build_parser():
         description="Paradifferential beam-wave solver on the 1-D torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag, dest, type_, _, text in FLAGS:
+        flags.add_argument(flag, dest=dest, type=type_, help=text, metavar=flag[2:].upper())
 
-    p = sub.add_parser("simulate", help="run a solver, write manifest + CSV")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[flags], help="run a solver, write manifest + CSV")
     p.add_argument("--solver", choices=("kato", "oracle"), default="kato")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, option="--solver")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[flags], help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, option="--suite")
 
-    p = sub.add_parser("sweep", help="sweep N, eps or amplitude")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[flags], help="sweep N, eps or amplitude")
     p.add_argument("--axis", choices=("N", "eps", "amplitude"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, option="--axis")
 
     p = sub.add_parser("preset", help="preset utilities")
     p.add_argument("action", choices=("list",))
@@ -393,7 +412,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.document = _system_document(args.system) if getattr(args, "system", None) else None
+        if args.command != "preset":
+            _resolve(args)
         return args.func(args)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=_sys.stderr)

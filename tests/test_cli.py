@@ -107,7 +107,9 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
         SIMULATE + ["--system", "F2_short_term.json"],
         SIMULATE + ["--system", "B_terms_number.json"],
         SIMULATE + ["--system", "b_without_profile.json"],
-        ["verify", "--suite", "energy", "--n", "32", "--seed=-1"],
+        ["verify", "--suite", "energy", "--seed=-1"],
+        SIMULATE + ["--outdir", "a_file"],
+        SIMULATE + ["--outdir", "a_file/under_it"],
     ],
     ids=["odd_n", "zero_n", "zero_kato_iter", "inf_T", "nan_T", "nan_dt", "nan_amplitude",
          "sweep_unparsable_value", "nan_kato_tol", "inf_kato_tol", "zero_kato_tol",
@@ -116,7 +118,8 @@ SIMULATE = ["simulate", "--preset", "linear", "--T", "0.02"]
          "missing_system_file", "invalid_system_json", "system_not_an_object",
          "system_n_differs_from_n", "system_n_differs_from_default_n",
          "system_alpha_not_a_number", "system_F2_term_too_short", "system_B_terms_not_a_list",
-         "system_b_without_profile", "verify_negative_seed"],
+         "system_b_without_profile", "verify_negative_seed", "outdir_is_a_file",
+         "outdir_under_a_file"],
 )
 def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative system files resolve here
@@ -127,10 +130,13 @@ def test_exit_code_config_error_inputs(args, tmp_path, monkeypatch, capsys):
     (tmp_path / "F2_short_term.json").write_text('{"F2": [[0.5]]}')
     (tmp_path / "B_terms_number.json").write_text('{"B_terms": 3}')
     (tmp_path / "b_without_profile.json").write_text('{"b": {}}')
-    code = run_cli(args + ["--outdir", str(tmp_path)])
+    (tmp_path / "a_file").write_text("")
+    code = run_cli(args + ([] if "--outdir" in args else ["--outdir", str(tmp_path)]))
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+    if "--seed=-1" in args:  # refused for the seed, not for a flag the suite does not read
+        assert "--seed" in err
 
 
 @pytest.mark.parametrize(
@@ -175,15 +181,111 @@ def test_cli_and_kato_solve_leave_sympy_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_simulate_artifact_name_ignores_seed(tmp_path):
-    # simulate draws no random numbers, so --seed does not enter the hash
-    names = []
-    for seed in ("0", "5"):
-        out = tmp_path / seed
-        code = run_cli(SIMULATE + ["--n", "32", "--seed", seed, "--outdir", str(out)])
-        assert code == 0
-        names.append([p.name for p in out.glob("run_*.json")])
-    assert len(names[0]) == 1 and names[0] == names[1]
+def test_simulate_refuses_seed(tmp_path, capsys):
+    # simulate draws no random numbers: --seed would change its hash and nothing else
+    out = tmp_path / "out"
+    assert run_cli(SIMULATE + ["--n", "32", "--seed", "5", "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outdir", ["a_file", "a_file/under_it"])
+def test_a_bad_output_directory_exits_2_before_the_solve(outdir, tmp_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(beamwave.cli, "kato_solve", no_solve)
+    (tmp_path / "a_file").write_text("")
+    assert run_cli(SIMULATE + ["--n", "32", "--outdir", str(tmp_path / outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "output directory" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+# the flags each variant reads, --outdir aside, which every variant reads
+PROBLEM = ["--preset", "--system", "--amplitude"]
+KATO = PROBLEM + ["--n", "--T", "--dt", "--eps", "--cfl-safety", "--kato-tol", "--kato-max-iter"]
+VARIANT_READS = {
+    "simulate --solver kato": KATO,
+    "simulate --solver oracle": [f for f in KATO if f not in ("--eps", "--kato-tol",
+                                                              "--kato-max-iter")],
+    "verify --suite operators": [],
+    "verify --suite parametrix": PROBLEM,
+    "verify --suite energy": PROBLEM + ["--seed"],
+    "verify --suite oracle": KATO,
+    "sweep --axis N": PROBLEM,
+    "sweep --axis eps": [f for f in KATO if f != "--eps"],
+    "sweep --axis amplitude": [f for f in KATO if f != "--amplitude"],
+}
+# a value of each flag that its type accepts
+FLAG_VALUES = {"--preset": "headline", "--system": "system.json", "--n": "16",
+               "--amplitude": "0.01", "--T": "0.01", "--dt": "0.001", "--eps": "0.5",
+               "--cfl-safety": "0.5", "--kato-tol": "1e-3", "--kato-max-iter": "1",
+               "--seed": "0", "--outdir": "out"}
+
+
+def _argv(variant):
+    return variant.split() + (["--values", "16,32"] if variant.startswith("sweep") else [])
+
+
+READ = [(variant, flag) for variant, reads in VARIANT_READS.items()
+        for flag in FLAG_VALUES if flag in reads + ["--outdir"]]
+UNREAD = [(variant, flag) for variant, reads in VARIANT_READS.items()
+          for flag in FLAG_VALUES if flag not in reads + ["--outdir"]]
+
+
+def test_the_variants_accept_64_of_the_108_variant_flag_pairs(tmp_path, monkeypatch):
+    assert (len(READ), len(READ) + len(UNREAD)) == (64, 108)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text("{}")
+    for variant, flag in READ:
+        args = beamwave.cli.build_parser().parse_args(_argv(variant) + [flag, FLAG_VALUES[flag]])
+        beamwave.cli._resolve(args)  # a refusal raises ConfigError
+
+
+@pytest.mark.parametrize("variant, flag", UNREAD)
+def test_a_flag_the_variant_does_not_read_exits_2_naming_it(variant, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(_argv(variant) + [flag, FLAG_VALUES[flag], "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and flag in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+def test_preset_beside_system_exits_2_naming_it(tmp_path, capsys):
+    # a run with --system reads its document, never the preset, whose name its
+    # request leaves out
+    path, out = tmp_path / "system.json", tmp_path / "out"
+    path.write_text(json.dumps({"b": 2.0}))
+    for variant in (v for v, reads in VARIANT_READS.items() if "--system" in reads):
+        argv = _argv(variant) + ["--system", str(path), "--preset", "mixed", "--outdir", str(out)]
+        assert run_cli(argv) == 2, variant
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "--preset" in err and "Traceback" not in err
+        assert not out.exists()
+    argv = ["simulate", "--system", str(path), "--n", "16", "--T", "0.01", "--outdir", str(out)]
+    assert run_cli(argv) == 0
+    manifest = json.loads(next(out.glob("run_*.json")).read_text())
+    assert "preset" not in manifest["request"] and manifest["request"]["system"] == {"b": 2.0}
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("simulate --preset headline --n 32 --T 0.02", "run_68a2da0b0a52"),
+    ("simulate --solver oracle --n 32 --T 0.01", "run_e9b7082b531c"),
+    ("verify --suite operators", "verify_operators_37e5a8bb5c0c"),
+    ("verify --suite parametrix", "verify_parametrix_2f3579305ba9"),
+    ("verify --suite energy", "verify_energy_cafa3e395719"),
+    ("verify --suite oracle --n 16 --T 0.01", "verify_oracle_87736afa3626"),
+    ("sweep --axis N --values 16,32", "sweep_N_d173cf3abf14"),
+    ("sweep --axis eps --values 1e-2,1e-3 --n 16 --T 0.01", "sweep_eps_d919bc743d7f"),
+    ("sweep --axis amplitude --values 1e-2,2e-2 --n 16 --T 0.01", "sweep_amplitude_02e1f0e6bf80"),
+])
+def test_each_variants_artifact_name_is_that_of_earlier_releases(argv, name, tmp_path):
+    # the request hashes every default it hashed before, read or not
+    assert run_cli(argv.split() + ["--outdir", str(tmp_path)]) == 0
+    assert {p.stem for p in tmp_path.iterdir()} == {name}
 
 
 def test_exit_code_precondition_cfl():
@@ -210,9 +312,10 @@ def test_sweep_requires_two_values(tmp_path):
 
 @pytest.mark.parametrize("axis, values", [("eps", "0,1e-3"), ("N", "32,48,64")])
 def test_sweep_summary_counts_the_values_swept(axis, values, tmp_path, capsys):
-    # the eps CSV holds one gap per pair of neighbouring values, one row fewer
-    args = ["sweep", "--axis", axis, "--values", values, "--n", "32", "--T", "0.01",
-            "--outdir", str(tmp_path)]
+    # the eps CSV holds one gap per pair of neighbouring values, one row fewer;
+    # the N axis reads no --n or --T
+    short = ["--n", "32", "--T", "0.01"] if axis == "eps" else []
+    args = ["sweep", "--axis", axis, "--values", values, "--outdir", str(tmp_path)] + short
     assert run_cli(args) == 0
     count = len(values.split(","))
     assert "sweep %s: %d values, 0 failures" % (axis, count) in capsys.readouterr().out
@@ -281,20 +384,6 @@ def test_run_id_hashes_the_system_document_not_its_path(tmp_path):
     assert len(names[1]) == 2 and names[2] == names[1]
     manifests = [json.loads((out / name).read_text()) for name in names[1]]
     assert sorted(m["request"]["system"]["b"] for m in manifests) == [1.0, 2.0]
-
-
-def test_a_document_run_id_does_not_hash_the_unread_preset(tmp_path):
-    # with --system, the --preset flag is not read (``_problem``), so one
-    # document run with two --preset values is one run id, as the same run
-    # without the flag
-    path, out = tmp_path / "system.json", tmp_path / "out"
-    path.write_text(json.dumps({"b": 2.0}))
-    argv = ["simulate", "--system", str(path), "--n", "16", "--T", "0.01", "--outdir", str(out)]
-    for extra in (["--preset", "headline"], ["--preset", "mixed"], []):
-        assert run_cli(argv + extra) == 0
-    assert len(list(out.glob("run_*.json"))) == 1
-    manifest = json.loads(next(out.glob("run_*.json")).read_text())
-    assert "preset" not in manifest["request"] and manifest["request"]["system"] == {"b": 2.0}
 
 
 def test_simulate_artifact_names_are_those_of_earlier_releases(tmp_path):

@@ -73,7 +73,8 @@ COMMANDS = [
     (["sweep", "--axis", "amplitude", "--values=-1e-2,1e-2"] + SHORT, 0),
     (["simulate", "--kato-max-iter", "1", "--n", "32", "--T", "0.01"], 4),
     (["sweep", "--axis", "N", "--values", "32,inf"], 2),
-    (["verify", "--suite", "energy", "--n", "32", "--seed=-1"], 2),
+    (["verify", "--suite", "energy", "--seed=-1"], 2),
+    (["simulate", "--solver", "oracle", "--eps", "0.5"], 2),  # a flag the oracle does not read
     (["simulate", "--system", "nan_b.json"], 2),
     (["simulate", "--system", "bogus_b.json"], 2),
     (["simulate", "--system", "short_c.json"], 2),
