@@ -7,17 +7,16 @@ with B_cal = -b(x) d_x^4 + B, W_cal = c(x) d_x^2 + C, B and C finite sums
 of coefficient * d_x^k with k <= 2, and F1, F2 quadratic homogeneous in the
 jet (y, y_x, y_xx, theta, theta_x, theta_xx).  Nonlinearities are stored as
 explicit term lists so their partial derivatives (needed by the
-paralinearization symbols and the parity/radius checks) are exact.  The
-stage ``real_rhs`` maps a real state (y, y_t, theta, theta_t), held by the
-j >= 0 half (4, ..., n//2 + 1) of its coefficients (``np.fft.rfft``'s layout,
-Nyquist as +n/2), to its derivative, one new array that the linear part, the
-jets and the dealiased F's write into through ``irfft``/``rfft``.  On one
-state, each stage of the oracle's march, the jets and F's grid values and hat
-go into buffers the system holds, so one system serves no concurrent
-``real_rhs`` calls; a batch of states takes new buffers.
+paralinearization symbols and the parity/radius checks) are exact.  A real
+state (y, y_t, theta, theta_t) is held by the j >= 0 half (4, ..., n//2 + 1)
+of its coefficients (``np.fft.rfft``'s layout, Nyquist as +n/2).  ``force``
+maps its positions (y, theta) to its accelerations less damping and forcing,
+one new array that the linear part, the jets and the dealiased F's write into
+through ``irfft``/``rfft``; ``real_rhs``, the derivative, is built on it.
 """
 
 import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -88,8 +87,8 @@ class BridgeSystem:
     """Coefficients, lower-order operators, damping, forcing, nonlinearities,
     each field in its system document's form.
 
-    The linear part (B_cal y + alpha y_t, W_cal theta + beta theta_t) is one
-    pseudo-spectral action, ``linear_rhs``: each product coeff(x) d_x^k of
+    The linear part (B_cal y, W_cal theta) is one pseudo-spectral action on
+    the positions, ``linear_force``: each product coeff(x) d_x^k of
     B_cal and W_cal splits into its mean coeff^(0) (ij)^k, summed per unknown
     into one diagonal symbol, and its fluctuation coeff - coeff^(0); only the
     nonzero fluctuations act on the grid, in one inverse and one forward FFT.
@@ -117,11 +116,11 @@ class BridgeSystem:
                 if np.any(coeff.coeffs[1:])]
         self._row_unknown = np.array([u for u, _, _ in rows], dtype=int)
         self._unknowns, self._row_starts = np.unique(self._row_unknown, return_index=True)
-        self._damping = np.array([self.alpha, self.beta], dtype=complex)
+        self.damping = np.array([[self.alpha], [self.beta]])  # of y_t and theta_t
         self._c_values = np.real(self.c.values())  # read by every wave margin
         self.jet_slots = sorted({h for F in (self.F1, self.F2) for t in F.terms for h in t[1:]})
-        # each F with terms and the row of (y_t, y_tt, theta_t, theta_tt) it adds to
-        self._live_F = [(F, row) for F, row in ((self.F1, 1), (self.F2, 3)) if F.terms]
+        # each F with terms and the acceleration, of y (0) or theta (1), it adds to
+        self._live_F = [(F, row) for F, row in ((self.F1, 0), (self.F2, 1)) if F.terms]
         # on the half layout (module docstring): modes 0..n/2
         d = 1j * np.arange(grid.n // 2 + 1.0)
         mask = np.arange(d.size) <= grid.dealias_cut
@@ -129,9 +128,13 @@ class BridgeSystem:
         self._row_mult = np.array([d**k for _, _, k in rows])
         self._row_values = np.array([coeff.values() - coeff.coeffs[0] for _, coeff, _ in rows]).real
         self._jet_mult = [np.where(mask, p, 0j) for p in (1.0, d, d**2)] * 2
-        # one state's buffers, which each real_rhs on one state writes into: its
-        # jets, the unread rows NaN from here on, and F's grid values and hat
-        self._held = (np.full((6, grid.n), np.nan), (np.empty(grid.n), np.empty(d.size, complex)))
+
+    @cached_property
+    def _held(self):
+        """``force``'s buffers for a pair of states, formed on first use: the jets
+        (unread rows NaN from then on) and F's grid values and hat."""
+        n = self.grid.n
+        return np.full((6, 2, n), np.nan), (np.empty((2, n)), np.empty((2, n // 2 + 1), complex))
 
     # -- right-hand side ---------------------------------------------
 
@@ -139,7 +142,7 @@ class BridgeSystem:
         """Dealias-projected real jet values (6, ..., n) from halves (..., n//2 + 1)
         at ``slots`` (default ``jet_slots``), in one ``irfft`` into their rows;
         every other slot is NaN, never a silent zero.  The rows go into ``out``,
-        a buffer whose other rows are NaN already (``real_rhs``'s held one), or,
+        a buffer whose other rows are NaN already (``force``'s held one), or,
         by default, into a new array."""
         slots = self.jet_slots if slots is None else sorted(slots)
         if out is None:
@@ -155,56 +158,60 @@ class BridgeSystem:
                 out[slots] = np.fft.irfft(rows, self.grid.n, norm="forward")
         return out
 
-    def add_nonlinearity_hats(self, jets, du, buffers=None):
+    def add_nonlinearity_hats(self, jets, acc, buffers=None):
         """Add the dealiased coefficients of F1, F2 at the jet values ``jets``
-        (6, ..., n) to the accelerations du[1], du[3] of a derivative
-        (4, ..., n//2 + 1), modes 0..n/3; an F without terms is not transformed.
-        F's grid values (..., n) and hat (..., n//2 + 1) go into ``buffers``
-        (``real_rhs``'s held pair) or, by default, into new arrays."""
+        (6, ..., n) to the accelerations acc (2, ..., n//2 + 1) of y and theta,
+        modes 0..n/3; an F without terms is not transformed.  F's grid values
+        (..., n) and hat (..., n//2 + 1) go into ``buffers`` (``force``'s held
+        pair) or, by default, into new arrays."""
         # one F at a time, in one buffer: on a Kato sweep's trajectory a batch of
         # both F's and its FFT set the sweep's memory peak
-        values, hat = buffers or (np.empty(jets.shape[1:]), np.empty(du.shape[1:], complex))
+        values, hat = buffers or (np.empty(jets.shape[1:]), np.empty(acc.shape[1:], complex))
         cut = self.grid.dealias_cut + 1
         for F, row in self._live_F:
             np.fft.rfft(F.evaluate(jets, values), norm="forward", out=hat)
-            du[row, ..., :cut] += hat[..., :cut]  # dealiased
+            acc[row, ..., :cut] += hat[..., :cut]  # dealiased
 
-    def linear_rhs(self, u):
-        """(y_t, B_cal y + alpha y_t, theta_t, W_cal theta + beta theta_t) as one
-        new array, from real states u = (y, y_t, theta, theta_t), (4, ..., n//2 + 1).
-        Fluctuations multiply on the grid without dealiasing: each coeff d^k acts
-        as the circulant of coeff times (ij)^k."""
-        du = np.empty(u.shape, dtype=complex)
-        lead = (2,) + (1,) * (du.ndim - 2)
-        du[0::2] = u[1::2]
-        np.multiply(self._symbol.reshape(lead + (-1,)), u[0::2], out=du[1::2])
-        if self.alpha or self.beta:
-            du[1::2] += self._damping.reshape(lead + (1,)) * u[1::2]
+    def linear_force(self, x):
+        """(B_cal y, W_cal theta) as one new array, from positions x = (y, theta)
+        (2, ..., n//2 + 1).  Fluctuations multiply on the grid without
+        dealiasing: each coeff d^k acts as the circulant of coeff times (ij)^k."""
+        lead = (-1,) + (1,) * (x.ndim - 2)
+        acc = self._symbol.reshape(lead + (x.shape[-1],)) * x
         if self._row_unknown.size:
-            rows = np.moveaxis(u[2 * self._row_unknown], 0, -2) * self._row_mult
-            # rfft(f * irfft(u) * n) / n: the factors n cancel
-            products = self._row_values * np.fft.irfft(rows, self.grid.n)
-            sums = np.fft.rfft(np.add.reduceat(products, self._row_starts, axis=-2))
-            du[2 * self._unknowns + 1] += np.moveaxis(sums, -2, 0)
-        return du
+            rows = x[self._row_unknown]
+            rows *= self._row_mult.reshape(lead + (x.shape[-1],))
+            # rfft(f * irfft(u) * n) / n: the factors n cancel; one temporary at a time
+            rows = np.fft.irfft(rows, self.grid.n)
+            rows *= self._row_values.reshape(lead + (self.grid.n,))
+            acc[self._unknowns] += np.fft.rfft(np.add.reduceat(rows, self._row_starts))
+        return acc
+
+    def force(self, x):
+        """(B_cal y + F1, W_cal theta + F2) at positions x = (y, theta) (2, ...,
+        n//2 + 1), one new array; a pair (2, 2, n//2 + 1), each oracle call, writes
+        its jets and F's values and hat into buffers the system holds."""
+        acc = self.linear_force(x)
+        if self._live_F:
+            pair = x.shape[1:] == (2, self.grid.n // 2 + 1)
+            jets, buffers = self._held if pair else (None, None)
+            self.add_nonlinearity_hats(self.jets(x[0], x[1], out=jets), acc, buffers)
+        return acc
 
     def real_rhs(self, u, t):
         """The derivative (y_t, y_tt, theta_t, theta_tt) at time t as one new array,
-        from real states u (4, ..., n//2 + 1).  On one state (4, n//2 + 1), each
-        stage of the oracle's march, the jets and F's values and hat go into the
-        buffers the system holds, so one system serves no concurrent calls;
-        a batch of states takes new ones."""
-        du = self.linear_rhs(u)
-        if self._live_F:
-            jets, buffers = self._held if u.ndim == 2 else (None, None)
-            self.add_nonlinearity_hats(self.jets(u[0], u[2], out=jets), du, buffers)
+        from real states u (4, ..., n//2 + 1): ``force`` of their positions, the
+        damping of their velocities and the forcing."""
+        du = np.empty(u.shape, dtype=complex)
+        du[0::2] = u[1::2]
+        du[1::2] = self.force(u[0::2]) + self.damping.reshape((2,) + (1,) * (u.ndim - 1)) * u[1::2]
         if self.delta != 0.0:
             du[3, ..., 0] += self.forcing(t)
         return du
 
     def forcing(self, t):
         """delta sin t, the acceleration of theta's mean mode at times t, which
-        both solvers read: ``real_rhs`` and ``ParalinearizedSystem.forcing_G``."""
+        both solvers read: the oracle's step and ``ParalinearizedSystem.forcing_G``."""
         return self.delta * np.sin(t)
 
     # -- hypotheses ---------------------------------------------------
@@ -251,7 +258,7 @@ class BridgeSystem:
             # the round-off of transform(sin jx)); odd: u_j + u_{-j} = 2 Re u_j = 0
             s = np.zeros(g.n // 2 + 1, dtype=complex)
             s[j] = -0.5j
-            if np.max(np.abs(2.0 * self.linear_rhs(np.array([s, 0 * s, s, 0 * s])).real)) > 1e-9:
+            if np.max(np.abs(2.0 * self.linear_force(np.array([s, s])).real)) > 1e-9:
                 return False
         return True
 

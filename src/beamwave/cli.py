@@ -339,9 +339,9 @@ FLAGS = [("--preset", "preset", str, "headline", "named system preset"),
          ("--T", "T_final", float, None, "time horizon"),
          ("--dt", "dt", float, None, "time step (default: CFL limit)"),
          ("--eps", "eps", float, None, "parabolic regularization"),
-         ("--cfl-safety", "cfl_safety", float, None, None),
-         ("--kato-tol", "kato_tol", float, None, None),
-         ("--kato-max-iter", "kato_max_iter", int, None, None),
+         ("--cfl-safety", "cfl_safety", float, None, "share of the CFL step limit (0.9)"),
+         ("--kato-tol", "kato_tol", float, None, "Kato increment tolerance (1e-10)"),
+         ("--kato-max-iter", "kato_max_iter", int, None, "most Kato sweeps past the first (25)"),
          ("--seed", "seed", int, 0, "sampling seed of verify --suite energy"),
          ("--outdir", "outdir", str, None, "output directory (default $BEAMWAVE_OUT or .)")]
 
@@ -384,19 +384,30 @@ def build_parser():
         description="Paradifferential beam-wave solver on the 1-D torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    for flag, dest, type_, _, text in FLAGS:
-        flags.add_argument(flag, dest=dest, type=type_, help=text, metavar=flag[2:].upper())
 
-    p = sub.add_parser("simulate", parents=[flags], help="run a solver, write manifest + CSV")
+    def command(name, text):
+        """A subparser that parses every flag, so that ``_resolve`` refuses an unread
+        one by name, and shows those some variant reads, each variant's in its epilog."""
+        rows = {v[len(name) + 1:]: r for v, r in READS.items() if v.startswith(name + " ")}
+        epilog = "flags each variant reads, and --outdir:\n" + "\n".join("  %s: %s" % (
+            v, " ".join(f for f, *_ in FLAGS if f in r) or "none") for v, r in rows.items())
+        p = sub.add_parser(name, help=text, epilog=epilog, argument_default=argparse.SUPPRESS,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag, dest, type_, _, help_ in FLAGS:
+            shown = flag == "--outdir" or any(flag in r for r in rows.values())
+            p.add_argument(flag, dest=dest, type=type_, metavar=flag[2:].upper(),
+                           help=help_ if shown else argparse.SUPPRESS)
+        return p
+
+    p = command("simulate", "run a solver, write manifest + CSV")
     p.add_argument("--solver", choices=("kato", "oracle"), default="kato")
     p.set_defaults(func=cmd_simulate, option="--solver")
 
-    p = sub.add_parser("verify", parents=[flags], help="run a verification suite")
+    p = command("verify", "run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.set_defaults(func=cmd_verify, option="--suite")
 
-    p = sub.add_parser("sweep", parents=[flags], help="sweep N, eps or amplitude")
+    p = command("sweep", "sweep N, eps or amplitude")
     p.add_argument("--axis", choices=("N", "eps", "amplitude"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_sweep, option="--axis")

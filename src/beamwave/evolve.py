@@ -1,16 +1,17 @@
 """Time evolution: oracle, regularized linear flow, Kato iteration.
 
 Three solvers share one time grid and CFL rule (``_time_grid``), one RK4 step
-(``_rk4``, summed in place) and one march (``_march``) of the real state (y,
-y_t, theta, theta_t) by the j >= 0 half (4, n//2 + 1) of its coefficients in
-``np.fft.rfft``'s layout (u_{-j} = conj u_j), stored as marched.  A Kato state's
-slot n//2 stays exactly 0, as no background block reaches the unpaired mode
--n/2 off its diagonal (``TorusGrid.chi_mask``).  The stacked V = (z, zbar, w,
-wbar) appears only where ``kato_solve`` converts its initial data and
-``RunResult.final`` the last node:
+(``_paired_rk4``, two calls of the force on the positions, each for two stages)
+and one march (``_march``) of the real state (y, y_t, theta, theta_t) by the
+j >= 0 half (4, n//2 + 1) of its coefficients in ``np.fft.rfft``'s layout
+(u_{-j} = conj u_j), stored as marched.  A Kato state's slot n//2 stays
+exactly 0, as no background block reaches the unpaired mode -n/2 off its
+diagonal (``TorusGrid.chi_mask``).  The stacked V = (z, zbar, w, wbar) appears
+only where ``kato_solve`` converts its initial data and ``RunResult.final``
+the last node:
 
 * ``oracle_solve`` -- direct method-of-lines RK4 on the real system's half,
-  by ``BridgeSystem.real_rhs`` (pseudo-spectral derivatives, de-aliased
+  by ``BridgeSystem.force`` (pseudo-spectral derivatives, de-aliased
   pointwise nonlinearities); it never touches the paradifferential machinery
   and serves as the independent validator.
 * ``linear_solve`` -- Strang splitting for the regularized frozen-coefficient
@@ -33,9 +34,10 @@ of the two enclosing nodes), making the coefficient freezing second-order
 accurate.  Each step applies ``real_generator``: the linear part (diagonal
 for constant coefficients) plus one block per g-function F can make nonzero,
 by the rows 0..n/2 a half reads, the sum Q_k + Q_{k+1} of the halves of its two
-nodes' blocks (g is linear in V).  A sweep is one pass over the background it
-freezes: its march reads V_{n-1} a chunk of nodes at a time, takes their jets,
-g-functions and exact margin c + dF2/d(theta_xx) in one ``prepass``, their F
+nodes' blocks (g is linear in V), applied to two stages at a time.  A sweep is
+one pass over the background it freezes: its march reads V_{n-1} a chunk of
+nodes at a time, takes their jets, g-functions and exact margin
+c + dF2/d(theta_xx) in one ``prepass``, their F
 and G, and forms each node's blocks once, for the node's Kato forcing and the
 two steps that meet there.  Once node k is read, the march writes V_n(t_k) over
 V_{n-1}(t_k) and takes ||V_n(t_k) - V_{n-1}(t_k)||_{H^{s1}} into the sweep's
@@ -72,7 +74,9 @@ RK4_IMAG_LIMIT = 2.8  # stability interval of classical RK4 on the imaginary axi
 # N = 256-2048, 1 and 100 steps)
 PLAN_FIXED = 64 * 1024  # Python objects and the interpreter's caches
 PLAN_BUFFER = 8192 * 16  # numpy's ufunc buffer: 8192 complex, or an n x n array's
-PLAN_ROW = 64 * 16  # per grid point: data, RK4 stages, one state's jets (64 complex rows)
+# per grid point: data, paired RK4 stages, a pair's jets (the oracle's peak past its other
+# terms: 17-44 complex rows at N = 256-1024, 46-57 for a variable-coefficient system)
+PLAN_ROW = 64 * 16
 PLAN_CHUNK_NODE = 17 * 8  # per grid point and node of a chunk's prepass: jets, g, F, forcing
 PLAN_MARCH_NODE = 4 * 16  # per grid point and node of the chunk marched: its g and forcing
 
@@ -305,20 +309,42 @@ def _oracle_plan(grid, steps):
     return PLAN_FIXED + PLAN_ROW * grid.n + 3 * 8 * (steps + 1)
 
 
-def _rk4(f, u, dt, args):
-    """One classical RK4 step of du/dt = f(u, a), with a = args[0], args[1],
-    args[2] at the start, midpoint and end of the step (the times, or the
-    forcing there).  f returns a new array, which the step may overwrite:
-    k1 + 2 k2 + 2 k3 + k4 accumulates in k1's buffer, in that order."""
-    acc = f(u, args[0])
-    k = f(u + 0.5 * dt * acc, args[1])
-    acc += 2.0 * k
-    k = f(u + 0.5 * dt * k, args[1])
-    acc += 2.0 * k
-    acc += f(u + dt * k, args[2])
-    acc *= dt / 6.0
-    acc += u
-    return acc
+def _paired_rk4(force, damping, u, dt, forcing):
+    """One classical RK4 step of a real state u (4, n//2 + 1), x'' = force(x) +
+    damping x' + g for x = (y, theta): ``force`` maps stage positions (2, 2,
+    n//2 + 1) (X1, X2) = (x, x + dt/2 v), then (X3, X4) = (x + dt/2 V2, x + dt V3),
+    to new accelerations, and each stage's damping (2, 1) Vi and g (``forcing``:
+    None, or g at the start, midpoint and end) are added after the call.  The sum
+    is reassociated (V1 + 2 V2 + 2 V3 + V4 = 6 v + dt (A1 + A2 + A3))."""
+    x, v = u[0::2].copy(), u[1::2].copy()  # contiguous, as is each stage below
+    h, damped = 0.5 * dt, damping.any()
+    gs = (None,) * 3 if forcing is None else forcing
+
+    def acceleration(a, V, g):  # the force's part a of a stage's, completed in place
+        if damped:
+            a += damping * V
+        if g is not None:
+            a += g
+        return a
+
+    X = np.multiply.outer((0.0, h), v)  # a pair of stage positions, stage by stage
+    X += x
+    pair = force(X.transpose(1, 0, 2))  # stage by stage in memory too: each Ai contiguous
+    A1 = acceleration(pair[:, 0], v, gs[0])
+    V2 = v + h * A1
+    A2 = acceleration(pair[:, 1], V2, gs[1])
+    V3 = v + h * A2
+    np.multiply(V2, h, out=X[0])
+    np.multiply(V3, dt, out=X[1])
+    X += x
+    pair = force(X.transpose(1, 0, 2))
+    A3 = acceleration(pair[:, 0], V3, gs[1])
+    A4 = acceleration(pair[:, 1], v + dt * A3 if damped else None, gs[2])
+    s = A2 + A3
+    out = np.empty_like(u)
+    np.add(v, dt / 6.0 * (A1 + A4 + 2.0 * s), out=out[1::2])
+    np.add(x, dt * (v + dt / 6.0 * (A1 + s)), out=out[0::2])
+    return out
 
 
 def _half_norm(grid, s):
@@ -375,7 +401,7 @@ def _frozen_nodes(para, times, g_path, frozen):
     """Yield, for each node k of ``times``, the blocks [(out, in, Q_k)] of
     ``linear_solve``'s background there (none for a zero background; the
     halves of its g-functions ``g_path``, or a frozen trajectory's stored
-    halves ``frozen``) and the forcing f_k (4, n//2 + 1): the system's G, plus
+    halves ``frozen``) and the forcing f_k's rows 1, 3 (2, n//2 + 1): G, plus
     the remainder of a frozen trajectory (read by its y and theta rows and its
     wave margin checked).  All are taken max(8, n // 8) nodes at a time: about 7
     complex rows of n per node (the real jets, the halves of g and of f), so
@@ -403,7 +429,7 @@ def _frozen_nodes(para, times, g_path, frozen):
             g = g_path[:, lo : lo + size]
         f = para.forcing_G(t)  # after the prepass's temporaries are freed
         if frozen is not None:
-            para.source.add_nonlinearity_hats(jets, f)
+            para.source.add_nonlinearity_hats(jets, f[1::2])
             del jets
         for i, k in enumerate(range(lo, lo + len(t))):
             blocks = ()
@@ -411,7 +437,7 @@ def _frozen_nodes(para, times, g_path, frozen):
                 u = (y[i], None, theta[i], None) if frozen is not None else None
                 blocks = para.frozen_node(g[:, i], u, None if u is None else f[:, i], ring[k % 2])
                 ring[k % 2] = [Q for *_, Q in blocks]
-            yield blocks, f[:, i]
+            yield blocks, f[1::2, i]
 
 
 def linear_solve(para, background, u0, config):
@@ -450,6 +476,9 @@ def linear_solve(para, background, u0, config):
     elif background is not None and np.shape(background) != (3, steps + 1, h):
         raise PreconditionError("background path must have %d node values" % (steps + 1))
 
+    # the paired step takes x' = v: each block, and so the forcing, reads rows 0, 2, writes 1, 3
+    if any(out % 2 == 0 or inp % 2 for _, out, inp, _ in para._specs):
+        raise PreconditionError("a background block outside x'' = force(x) + damping x'")
     half = heat_factor(grid, config.eps, dt / 2.0)
     nodes = _frozen_nodes(para, dt * np.arange(steps + 1), background, frozen)
     node = next(nodes)
@@ -459,10 +488,11 @@ def linear_solve(para, background, u0, config):
         (now, f0), node = node, next(nodes)
         nxt, f1 = node
         # Q_k is dead after this step: its buffer takes the midpoint block
-        A = para.real_generator([(out, inp, np.add(Q0, Q1, out=Q0))
-                                 for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        force = para.real_generator([(out, inp, np.add(Q0, Q1, out=Q0))
+                                     for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
         # at eps = 0 the heat factors are all ones, and skipped
-        u = _rk4(A, half * u if config.eps else u, dt, (f0, 0.5 * (f0 + f1), f1))
+        u = _paired_rk4(force, para.source.damping, half * u if config.eps else u, dt,
+                        (f0, 0.5 * (f0 + f1), f1))
         return half * u if config.eps else u
 
     return _march(grid, config.ladder, dt, steps, u0, step, frozen)
@@ -522,7 +552,7 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     State (y, y_t, theta, theta_t) as the j >= 0 half (4, n//2 + 1) of its
     Fourier coefficients in ``np.fft.rfft``'s layout, marched as it is;
     spectral derivatives and de-aliased pointwise nonlinearities through
-    ``sys.real_rhs``, which maps halves to halves.  The march keeps the norms
+    ``sys.force`` on pairs of stage positions.  The march keeps the norms
     and the last node; the trajectory is re-marched, the same step from the
     same initial half, when it is first read.
     """
@@ -532,8 +562,11 @@ def oracle_solve(sys, y0, y1, theta0, theta1, config):
     state = np.array([u.coeffs[: grid.n // 2 + 1] for u in (y0, y1, theta0, theta1)])
 
     def step(k, state):
-        t = k * dt
-        return _rk4(sys.real_rhs, state, dt, (t, t + 0.5 * dt, t + dt))
+        g = None  # delta sin t, the acceleration of theta's mean mode
+        if sys.delta != 0.0:
+            g = np.zeros((3,) + state[1::2].shape, dtype=complex)
+            g[:, 1, 0] = sys.forcing(k * dt + dt * np.array([0.0, 0.5, 1.0]))
+        return _paired_rk4(sys.force, sys.damping, state, dt, g)
 
     def replay():
         return _march(grid, config.ladder, dt, steps, state, step).trajectory

@@ -26,11 +26,12 @@ block of constant x-coefficients (``bony_weyl_quantize``): frakA(0)'s where b,
 or c, is constant, and a background's where its g-function is (at V = 0).
 On real states (u, u_t), u = (y, theta), D = (<j>, <j>^{1/2}), they act as
 u' = i D^{-1} pm D^{-1} u_t, u_t' = -i D mp D u.  The solvers march this real
-form (``real_generator``): L = frakA(0) + R is ``linear_rhs``, and frakA(V) -
+form by its force on the positions (``real_generator``): L = frakA(0) + R is
+``linear_force`` plus the damping, and frakA(V) -
 frakA(0) + frakB(V) adds P_12b theta to y_tt and P_1w theta + P_12w y to
 theta_tt, P = -2 diag(D_out) Op^BW(g m) diag(D_in), formed per node as its
 half Q = P / 2 (``frozen_node``) by its rows 0..n/2 (Q[-j, -k] = conj Q[j, k]),
-applied to the full coefficients (``TorusGrid.full``) of the row it reads; it,
+applied to the full coefficients (``TorusGrid.full``) of the row it reads;
 ``prepass``, ``kato_forcing`` and ``forcing_G`` act on real states by their
 j >= 0 halves (4, ..., n//2 + 1), ``np.fft.rfft``'s layout.  A stacked V enters only
 ``g_functions``; the dense stacked references of L, R, the full right-hand
@@ -50,6 +51,16 @@ _XI2 = FrequencyMultiplier.xi_power(2)
 _XI1 = FrequencyMultiplier.xi_power(1)
 _ABS_XI = FrequencyMultiplier.abs_xi()
 _OFF = FrequencyMultiplier.bracket(-1.5) * _XI2  # <xi>^{-3/2} xi^2, order 1/2
+
+
+def _times(P, X):
+    """P x for each row x of X (..., n): below N = 512, where a matrix-vector
+    product wakes an OpenBLAS worker to spin (CPU 1.9 x wall at N = 128), a pair
+    in one (2 x n) @ (n x (n/2 + 1)) product, one x by ``np.vecdot``; from
+    N = 512 on, where the second thread pays, a matrix-vector product each."""
+    if P.size < 1 << 17:
+        return X @ P.T if X.ndim > 1 else np.vecdot(np.conj(X), P)
+    return np.matmul(P, X[..., None])[..., 0]
 
 
 def _minus_2i_bw(A, sym):
@@ -211,25 +222,24 @@ class ParalinearizedSystem:
         for (i, out, inp, table), buf in zip(self._real_blocks, bufs or [None] * 3):
             Q = np.multiply(grid.toeplitz(g[i])[: grid.n // 2 + 1], table, out=buf)
             if r is not None:
-                r[out] -= 2.0 * (Q @ grid.full(u[inp]))
+                r[out] -= 2.0 * _times(Q, grid.full(u[inp]))
             blocks.append((out, inp, Q))
         return blocks
 
     def real_generator(self, blocks):
-        """The frozen generator frakA(V) + frakB(V) + R in real form, forced:
-        (u, forcing) -> ``linear_rhs``(u) plus P @ u[in] in row out for each
-        background block (out, in, P) by its rows 0..n/2, u[in] read in full,
-        plus the forcing; u and the forcing are halves (4, n//2 + 1)."""
-        linear_rhs, full = self.source.linear_rhs, self.grid.full
+        """The frozen generator frakA(V) + frakB(V) + R in real form, its force on
+        positions x = (y, theta) (2, ..., n//2 + 1): ``linear_force``(x) plus, in
+        the acceleration of row out, P x[in] (``_times``, x[in] read in full) for
+        each background block (out, in, P) by its rows 0..n/2."""
+        linear_force, full = self.source.linear_force, self.grid.full
 
-        def apply(u, forcing):
-            du = linear_rhs(u)
+        def force(x):
+            acc = linear_force(x)
             for out, inp, P in blocks:
-                du[out] += P @ full(u[inp])
-            du += forcing
-            return du
+                acc[out // 2] += _times(P, full(x[inp // 2]))
+            return acc
 
-        return apply
+        return force
 
     def forcing_G(self, t):
         """Forcing G(t) on real states, (4, ..., n//2 + 1) for times t (...): the
@@ -253,7 +263,7 @@ class ParalinearizedSystem:
         only the rows y and theta of u are read."""
         jets, g, _ = self.prepass(u)
         r = self.forcing_G(t)
-        self.source.add_nonlinearity_hats(jets, r)
+        self.source.add_nonlinearity_hats(jets, r[1::2])
         for idx in np.ndindex(np.shape(u[0])[:-1]):
             node = (slice(None),) + idx
             self.frozen_node(g[node], [None if v is None else v[idx] for v in u], r[node])

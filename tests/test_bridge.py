@@ -198,7 +198,7 @@ def test_real_rhs_with_constant_and_fluctuating_rows_matches_grid_products(fft_c
     u = half(np.array([y.coeffs, yt.coeffs, th.coeffs, tht.coeffs]))
     _, ytt, _, thtt = sys.real_rhs(u, 0.0)
     # the three cosine rows go to the grid, summed per unknown before the forward FFT
-    assert fft_calls_of(sys.linear_rhs, u) == [("irfft", 3), ("rfft", 2)]
+    assert fft_calls_of(sys.linear_force, u[0::2]) == [("irfft", 3), ("rfft", 2)]
 
     def products(terms, u):
         return sum(coeff.values() * deriv(u, k).values() for coeff, k in terms)
@@ -236,12 +236,12 @@ def test_real_rhs_on_a_batch_equals_single_state_calls():
         assert np.array_equal(batch[:, i], single)
 
 
-def test_linear_rhs_returns_the_velocities_in_rows_0_and_2():
+def test_real_rhs_returns_the_velocities_in_rows_0_and_2():
     g = TorusGrid(32)
     sys = variable_arioli_gazzola(g, alpha=-0.5)
     rng = np.random.default_rng(5)
     u = rng.standard_normal((4, g.n // 2 + 1)) + 1j * rng.standard_normal((4, g.n // 2 + 1))
-    du = sys.linear_rhs(u)
+    du = sys.real_rhs(u, 0.0)
     assert du.shape == u.shape and not np.shares_memory(du, u)
     assert np.array_equal(du[0], u[1]) and np.array_equal(du[2], u[3])
 
@@ -249,7 +249,7 @@ def test_linear_rhs_returns_the_velocities_in_rows_0_and_2():
 @pytest.mark.parametrize("preset", ["headline", "mixed", "arioli_gazzola"])
 def test_constant_coefficient_linear_part_makes_no_fft(preset, fft_calls_of):
     sys, fields = build_preset(preset, TorusGrid(32))
-    assert fft_calls_of(sys.linear_rhs, half(np.array([u.coeffs for u in fields]))) == []
+    assert fft_calls_of(sys.linear_force, half(np.array([u.coeffs for u in fields]))[0::2]) == []
 
 
 def test_nonlinearity_holds_its_coefficient_values(fft_calls_of):
@@ -360,9 +360,9 @@ def test_the_half_layout_stage_agrees_with_the_full_layout(name, n):
     got = sys.real_rhs(u, 0.3)
     assert got.shape == u.shape
     assert np.max(np.abs(got[:, :-1] - full[:, : n // 2])) <= 1e-14 * np.max(np.abs(full))
-    lin = sys.linear_rhs(u)
     # the linear part alone: the same document without F1, F2 and the forcing
     linear = BridgeSystem(g, **dict(document(name), F1=(), F2=(), delta=0.0))
+    lin = linear.real_rhs(u, 0.3)
     full_lin, _ = full_layout_stage(linear, g.full(u), 0.3)
     assert np.max(np.abs(lin[:, :-1] - full_lin[:, : n // 2])) <= 1e-14 * np.max(np.abs(full_lin))
     jets = sys.jets(u[0], u[2], slots=range(6))
@@ -407,6 +407,12 @@ def stage_states(name, count, n=32):
     return sys, [on_every_mode(sys.grid, (0.5 + rng.random()) * u) for _ in range(count)]
 
 
+def stage_pair(u1, u2):
+    """The positions (y, theta) of two real states' halves as a pair of stages,
+    (2, 2, n//2 + 1)."""
+    return np.ascontiguousarray(np.stack([u1[0::2], u2[0::2]], axis=1))
+
+
 def fresh(sys, name):
     """A new system of the same document on the same grid: new held buffers."""
     return BridgeSystem(sys.grid, **document(name))
@@ -414,41 +420,45 @@ def fresh(sys, name):
 
 @pytest.mark.parametrize("name", PRESETS + ("variable",))
 def test_a_systems_kth_stage_is_a_fresh_systems_first(name):
-    # a single state's stage writes its jets and F's values and hat into the
-    # buffers the system holds: what an earlier call left there changes no
-    # bit (mixed's gapped slots 2, 4, 5, damped's alpha and beta, variable's
-    # fluctuation rows)
-    sys, states = stage_states(name, 4)
-    for k, u in enumerate(states):
-        got = sys.real_rhs(u, 0.1 * k)
-        assert got.tobytes() == fresh(sys, name).real_rhs(u, 0.1 * k).tobytes()
+    # the force on a pair of states' positions, each call of the oracle's step,
+    # writes its jets and F's values and hat into the buffers the system holds:
+    # what an earlier call left there changes no bit (mixed's gapped slots 2,
+    # 4, 5, variable's fluctuation rows), and nor does it in the derivative
+    # built on the force (damped's alpha and beta)
+    sys, states = stage_states(name, 8)
+    for k in range(4):
+        x = stage_pair(*states[2 * k : 2 * k + 2])
+        assert sys.force(x).tobytes() == fresh(sys, name).force(x).tobytes()
+        u, t = states[k], 0.1 * k
+        assert sys.real_rhs(u, t).tobytes() == fresh(sys, name).real_rhs(u, t).tobytes()
 
 
 @pytest.mark.parametrize("name", PRESETS + ("variable",))
 def test_a_returned_stage_is_a_new_array_that_later_calls_leave_as_it_is(name):
-    # the derivative is returned as a new array, never a held buffer: a batch
-    # (4, m, n//2 + 1) between two single-state calls, and the second call,
-    # change no bit of what was returned before, and the batch is each state's
-    sys, (u1, u2, *batch) = stage_states(name, 5)
-    batch = np.ascontiguousarray(np.stack(batch, axis=1))
-    first = sys.real_rhs(u1, 0.2)
+    # the force is returned as a new array, never a held buffer: a batch of
+    # three states' positions (2, 3, n//2 + 1) between two calls on pairs,
+    # which write into the held buffers, and the second pair change no bit of
+    # what was returned before, and the batch is each state's
+    sys, (u1, u2, u3, u4, *batch) = stage_states(name, 7)
+    batch = np.ascontiguousarray(np.stack([u[0::2] for u in batch], axis=1))
+    first = sys.force(stage_pair(u1, u2))
     kept = first.copy()
-    many = sys.real_rhs(batch, 0.2)
+    many = sys.force(batch)
     kept_many = many.copy()
-    second = sys.real_rhs(u2, 0.2)
+    second = sys.force(stage_pair(u3, u4))
     assert first.tobytes() == kept.tobytes() and many.tobytes() == kept_many.tobytes()
     held = [sys._held[0], *sys._held[1]]
     for out in (first, many, second):
         assert not any(np.shares_memory(out, buf) for buf in held)
     for i in range(batch.shape[1]):
-        assert many[:, i].tobytes() == fresh(sys, name).real_rhs(batch[:, i], 0.2).tobytes()
+        assert many[:, i].tobytes() == fresh(sys, name).force(batch[:, i]).tobytes()
 
 
 @pytest.mark.parametrize("name", PRESETS + ("variable",))
 def test_an_oracle_march_leaves_the_unread_held_jet_rows_nan(name):
-    # the held jets' rows of the slots F1 and F2 do not read are NaN from the
-    # system's construction on, through every stage of a march (the linear
-    # preset reads none); the read rows hold the last stage's finite values
+    # the held jets' rows of the slots F1 and F2 do not read are NaN from their
+    # forming on, through every pair of stages of a march (the linear preset
+    # reads none); the read rows hold the last pair's finite values
     sys, u = system_and_state(name, 32)
     fields = [SpectralFunction(sys.grid, c) for c in sys.grid.full(u)]
     oracle_solve(sys, *fields, SolverConfig(T_final=0.05))

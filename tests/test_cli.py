@@ -288,6 +288,31 @@ def test_each_variants_artifact_name_is_that_of_earlier_releases(argv, name, tmp
     assert {p.stem for p in tmp_path.iterdir()} == {name}
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_a_commands_help_shows_only_the_flags_its_variants_read(command, capsys):
+    # an unread flag still parses, so that the command refuses it by name
+    # (test_a_flag_the_variant_does_not_read_exits_2_naming_it), but its help
+    # leaves it out: simulate and sweep read no --seed.  The epilog lists each
+    # variant's flags, and the artifact names pinned above stay those of earlier
+    # releases (test_each_variants_artifact_name_is_that_of_earlier_releases)
+    with pytest.raises(SystemExit) as done:
+        main([command, "-h"])
+    out = capsys.readouterr().out
+    rows = {v.split(" ", 1)[1]: reads for v, reads in VARIANT_READS.items()
+            if v.split()[0] == command}
+    shown = set().union(*map(set, rows.values())) | {"--outdir"}
+    assert done.value.code == 0 and ("--seed" in out) == (command == "verify")
+    options, epilog = out.split("flags each variant reads")
+    for flag in FLAG_VALUES:
+        assert (flag + " ") in options or (flag + "\n") in options if flag in shown else (
+            flag not in options)
+    for variant, reads in rows.items():
+        assert "  %s: %s\n" % (variant, " ".join(f for f in FLAG_VALUES if f in reads)
+                                or "none") in epilog
+    for flag in ("--cfl-safety", "--kato-tol", "--kato-max-iter"):
+        assert re.search(re.escape(flag) + r" \S+\s+\S", options), flag  # its help text
+
+
 def test_exit_code_precondition_cfl():
     assert run_cli(["simulate", "--preset", "linear", "--n", "32", "--dt", "1.0"]) == 3
 

@@ -13,7 +13,7 @@ from beamwave.evolve import (
     PLAN_ROW,
     _half_norm,
     _march,
-    _rk4,
+    _paired_rk4,
     _time_grid,
     RunResult,
     SolverConfig,
@@ -36,7 +36,7 @@ from beamwave.state import (
     stacked_from_real,
     stacked_norm,
 )
-from test_bridge import VARIABLE
+from test_bridge import VARIABLE, fft_calls_of  # noqa: F401 (a fixture)
 from test_paralin import odd_stacked_matrix
 
 
@@ -98,27 +98,103 @@ def test_resolve_dt_integer_steps_and_cfl():
         SolverConfig(dt=1.0, T_final=0.1).resolve_dt(g, 1.0, no_plan)
 
 
-def test_rk4_step_is_the_textbook_combination_bit_for_bit():
-    # the step accumulates k1 + 2 k2 + 2 k3 + k4 in place; on a linear f with
-    # a per-stage shift its result is u + (dt/6)(k1 + 2k2 + 2k3 + k4), evaluated
-    # in that order, to the last bit
+def textbook_rk4(f, u, dt, args):
+    """One classical RK4 step of du/dt = f(u, a), a = args[0], args[1], args[2]
+    at the start, midpoint and end of the step, four stages in the textbook's
+    order: u + (dt/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    k1 = f(u, args[0])
+    k2 = f(u + 0.5 * dt * k1, args[1])
+    k3 = f(u + 0.5 * dt * k2, args[1])
+    k4 = f(u + dt * k3, args[2])
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_paired_rk4_step_is_the_textbook_combination_to_round_off():
+    # a random linear second-order system x'' = M x + D x' + g with damping D
+    # and a forcing g of its own at the start, midpoint and end of the step:
+    # the paired step, two calls of the position part on a pair of stages each,
+    # is the textbook's four stages, reassociated, to round-off; it leaves u as
+    # it is and calls the force on (2, 2, n//2 + 1) pairs only
     rng = np.random.default_rng(11)
-    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-    shifts = rng.standard_normal((3, 4, 16))
+    M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    damping = rng.standard_normal((2, 1))
+    u = rng.standard_normal((4, 17)) + 1j * rng.standard_normal((4, 17))
+    forcing = rng.standard_normal((3, 2, 17)) + 1j * rng.standard_normal((3, 2, 17))
     dt = 0.037
+    shapes = []
 
-    def f(v, a):
-        return M @ v + a
+    def force(x):
+        shapes.append(x.shape)
+        return np.einsum("ab,b...->a...", M, x)
 
-    k1 = f(u, shifts[0])
-    k2 = f(u + 0.5 * dt * k1, shifts[1])
-    k3 = f(u + 0.5 * dt * k2, shifts[1])
-    k4 = f(u + dt * k3, shifts[2])
-    expect = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rhs(D):
+        def f(w, g):
+            dw = np.empty_like(w)
+            dw[0::2] = w[1::2]
+            dw[1::2] = M @ w[0::2] + D * w[1::2] + g
+            return dw
+
+        return f
+
     u_before = u.copy()
-    assert np.array_equal(_rk4(f, u, dt, shifts), expect)
-    assert np.array_equal(u, u_before)
+    # damped and forced; then undamped and unforced (no forcing is g = 0)
+    for D, g in ((damping, forcing), (0.0 * damping, None)):
+        expect = textbook_rk4(rhs(D), u, dt, np.zeros(3) if g is None else g)
+        got = _paired_rk4(force, D, u, dt, g)
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+    assert np.array_equal(u, u_before) and shapes == [(2, 2, 17)] * 4
+
+
+def test_a_headline_oracle_step_transforms_each_pair_of_stages_once(fft_calls_of, monkeypatch):
+    # the oracle marches by the paired step: two calls of the force a step, each
+    # on a pair of stage positions, whose jets (the one slot theta_xx) take one
+    # irfft and whose F2 takes one rfft, each on two rows
+    g = TorusGrid(64)
+    sysm, fields = build_preset("headline", g)
+    u = real_state(fields)
+    step = (sysm.force, sysm.damping, u, 1e-3, None)
+    assert fft_calls_of(_paired_rk4, *step) == [("irfft", 2), ("rfft", 2)] * 2
+    shapes, force = [], BridgeSystem.force
+
+    def recording(self, x):
+        shapes.append(x.shape)
+        return force(self, x)
+
+    monkeypatch.setattr(BridgeSystem, "force", recording)
+    run = oracle_solve(sysm, *fields, SolverConfig(T_final=0.01))
+    assert shapes == [(2, 2, g.n // 2 + 1)] * 2 * (len(run.times) - 1)
+
+
+def test_a_kato_step_makes_one_product_per_block_and_stage_pair(monkeypatch):
+    # mixed, all three background blocks: each step of a sweep that freezes a
+    # background applies each block once to each of its two pairs of stages, a
+    # (2 x n) @ (n x (n/2 + 1)) product and nothing else, and each node's forcing
+    # takes one vecdot per block on one vector
+    g = TorusGrid(32)
+    n, h = g.n, g.n // 2 + 1
+    sysm, fields = build_preset("mixed", g)
+    calls, vecdots = [], []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append((ufunc.__name__, [np.shape(a) for a in inputs]))
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    generator, vecdot = ParalinearizedSystem.real_generator, np.vecdot
+
+    def recording(self, blocks):
+        return generator(self, [(out, inp, P.view(Recorded)) for out, inp, P in blocks])
+
+    def counting(a, b, *args, **kwargs):
+        vecdots.append((np.shape(a), np.shape(b)))
+        return vecdot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(ParalinearizedSystem, "real_generator", recording)
+    monkeypatch.setattr(np, "vecdot", counting)
+    run = kato_solve(sysm, complexify(*fields).stacked(), SolverConfig(T_final=0.02))
+    steps, frozen = len(run.times) - 1, len(run.increments)  # sweep 1 freezes nothing
+    assert calls == [("matmul", [(2, n), (n, h)])] * (3 * 2 * steps * frozen)
+    assert vecdots == [((n,), (h, n))] * (3 * (steps + 1) * frozen)
 
 
 def solve_steps(solver, preset, n, steps):
@@ -139,9 +215,11 @@ def solve_steps(solver, preset, n, steps):
 @pytest.fixture(scope="module")
 def warm_interpreter():
     # the first solves of a process fill interpreter and numpy caches, which
-    # tracemalloc would count as the traced solve's
+    # tracemalloc would count as the traced solve's; the dense-frakA(0) set-up
+    # (b and c profiles) fills its own, about 1 KB past its plan's slack
     for solver in ("kato", "oracle"):
         solve_steps(solver, "mixed", 16, 3)
+    solve_steps("kato", {"b": "cosine:0.3", "c": "cosine:0.2"}, 16, 1)
 
 
 def traced_plan(solver, preset, n, steps):
@@ -184,13 +262,13 @@ def test_each_solvers_peak_memory_is_within_its_plan(solver, preset, n, steps, w
 @pytest.mark.parametrize("preset", ["headline", "mixed", "damped", "arioli_gazzola"])
 def test_the_oracles_peak_memory_at_n512_is_within_its_plan(preset, steps, warm_interpreter):
     # the oracle's plan at N = 512, where its march is the benchmark's: the
-    # buffers its system holds for one stage (the jets, F's values and hat)
-    # are within PLAN_ROW's one state's jets, six complex rows of n
+    # buffers its system holds for a pair of stages (the jets, F's values and
+    # hat) are PLAN_ROW's pair's jets, eight complex rows of n and 32 bytes
     n = 512
     g, peak, plan = traced_plan("oracle", preset, n, steps)
     assert peak <= plan < 1.1 * peak + PLAN_FIXED + PLAN_ROW * n
     jets, buffers = build_preset(preset, g)[0]._held
-    assert jets.nbytes + sum(b.nbytes for b in buffers) <= 6 * 16 * n
+    assert jets.nbytes + sum(b.nbytes for b in buffers) == 8 * 16 * n + 32
 
 
 @pytest.mark.parametrize("steps", [1, 64], ids=["one_step", "two_chunks"])
@@ -395,8 +473,9 @@ def test_duhamel_ratio_eps_zero_is_linear_in_t():
 
 def decoupled_flow(para, u0, config):
     """The decoupled model flow d_t u = frakA(0) u, the linear part without
-    the order-zero coupling R, unforced, marched by the solvers' RK4 step and
-    march: its H^s norms are exact isometries.  frakA(0) acts on real states'
+    the order-zero coupling R, unforced, marched by the textbook RK4 step
+    (its position rows are not the velocities) and the solvers' march: its
+    H^s norms are exact isometries.  frakA(0) acts on real states'
     halves as its dense stacked matrix, carried through the complexification."""
     g = para.grid
     dt, steps = _time_grid(para.source, config, no_plan)
@@ -406,7 +485,8 @@ def decoupled_flow(para, u0, config):
         v = A0 @ stacked_from_real(g, *g.full(u))
         return np.array(real_from_stacked(g, v))[:, : g.n // 2 + 1]
 
-    return _march(g, config.ladder, dt, steps, u0, lambda k, u: _rk4(A, u, dt, (None,) * 3))
+    return _march(g, config.ladder, dt, steps, u0,
+                  lambda k, u: textbook_rk4(A, u, dt, (None,) * 3))
 
 
 def test_decoupled_linear_flow_is_isometry():
@@ -455,6 +535,20 @@ def test_linear_solve_is_forced_by_the_system(n, monkeypatch):
     scale = np.max(np.abs(orc.trajectory))
     assert np.max(np.abs(run.trajectory - orc.trajectory)) <= 1e-13 * scale
     assert abs(orc.trajectory[-1, 3, 0]) > 1e-2  # the forcing moved the zero mode
+
+
+@pytest.mark.parametrize("row", ["out", "in"])
+def test_linear_solve_refuses_a_block_outside_the_second_order_form(row, marched):
+    # the paired step takes x' = v: a background block that wrote a position row,
+    # or read a velocity row, would break it, and is refused before the march
+    g = TorusGrid(16)
+    sysm, fields = build_preset("mixed", g)
+    para = ParalinearizedSystem(sysm, g)
+    i, out, inp, mult = para._specs[0]
+    para._specs[0] = (i, out - 1, inp, mult) if row == "out" else (i, out, inp + 1, mult)
+    with pytest.raises(PreconditionError, match="x'' = force"):
+        linear_solve(para, None, real_state(fields), SolverConfig(T_final=0.01))
+    assert marched == []
 
 
 def test_blow_up_guard_stops_both_solvers(monkeypatch):
@@ -632,13 +726,14 @@ def test_node_path_steps_are_frozen_at_their_midpoint_blocks():
     dt, steps = cfg.resolve_dt(g, float(np.max(sysm.b.values().real)), no_plan)
     nodes = u0[:, None] * (1.0 + np.sin(np.arange(steps + 1)))[:, None]
     bg = para.prepass(nodes)[1]
-    forcing = np.moveaxis(para.forcing_G(dt * np.arange(steps + 1)), 0, 1)
+    forcing = np.moveaxis(para.forcing_G(dt * np.arange(steps + 1))[1::2], 0, 1)
     run = linear_solve(para, bg, u0, cfg)
     u = u0
     for k in range(steps):
         mid = para.frozen_node(0.5 * (bg[:, k] + bg[:, k + 1]), None, None)
-        A = para.real_generator([(out, inp, Q + Q) for out, inp, Q in mid])
-        u = _rk4(A, u, dt, (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
+        force = para.real_generator([(out, inp, Q + Q) for out, inp, Q in mid])
+        u = _paired_rk4(force, sysm.damping, u, dt,
+                        (forcing[k], 0.5 * (forcing[k] + forcing[k + 1]), forcing[k + 1]))
         err = np.max(np.abs(run.trajectory[k + 1] - u))
         assert err <= 1e-13 * np.max(np.abs(u)), (k, err)
 
@@ -647,15 +742,16 @@ def march_node_paths(para, g, u0, forcing, config):
     """The frozen flow along node paths, at eps = 0: the g-functions g
     (3, steps + 1, n//2 + 1) and forcing (steps + 1, 4, n//2 + 1) at the nodes; step k
     applies the sum Q_k + Q_{k+1} of the halves ``frozen_node`` forms at its
-    two nodes and the forcing at its ends and their average."""
+    two nodes and the forcing's accelerations (rows 1 and 3) at its ends and
+    their average."""
     dt, steps = _time_grid(para.source, config, no_plan)
 
     def step(k, u):
         now, nxt = (para.frozen_node(g[:, i], None, None) for i in (k, k + 1))
-        A = para.real_generator([(out, inp, Q0 + Q1)
-                                 for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
-        f0, f1 = forcing[k], forcing[k + 1]
-        return _rk4(A, u, dt, (f0, 0.5 * (f0 + f1), f1))
+        force = para.real_generator([(out, inp, Q0 + Q1)
+                                     for (out, inp, Q0), (_, _, Q1) in zip(now, nxt)])
+        f0, f1 = forcing[k, 1::2], forcing[k + 1, 1::2]
+        return _paired_rk4(force, para.source.damping, u, dt, (f0, 0.5 * (f0 + f1), f1))
 
     return _march(para.grid, config.ladder, dt, steps, u0, step)
 
